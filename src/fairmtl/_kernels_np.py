@@ -49,7 +49,9 @@ def xent_bwd(p, y, gscale, acc):
 def gauss_fwd(u, v, gamma):
     """Pairwise Gaussian kernel matrix K[i, j] = exp(-gamma * (u_i - v_j)^2)."""
     d = u - v.T
-    return np.exp(-gamma * d * d)
+    k = d * -gamma
+    k *= d
+    return np.exp(k, out=k)
 
 
 def gauss_bwd(u, v, k, g, gamma, du, dv):

@@ -132,10 +132,14 @@ def relu(x):
 
 
 def sigmoid(x):
-    out = Tensor(kernels.sigmoid_fwd(x.value), (x,))
+    s = kernels.sigmoid_fwd(x.value)
+    out = Tensor(s, (x,))
 
+    # The rule holds the output array, not the node: a rule that refers to
+    # its own node makes a reference cycle, and every graph built through it
+    # would then live until the cyclic garbage collector runs.
     def rule(g):
-        kernels.sigmoid_bwd(out.value, g, x.grad)
+        kernels.sigmoid_bwd(s, g, x.grad)
     out._rule = rule
     return out
 
@@ -303,7 +307,7 @@ def weighted_sum(terms, weights):
 # Backward pass
 # ---------------------------------------------------------------------------
 
-def _toposort(root):
+def _toposort(root, stop):
     order = []
     visited = set()
     stack = [(root, False)]
@@ -316,13 +320,15 @@ def _toposort(root):
             continue
         visited.add(node)
         stack.append((node, True))
+        if node in stop:
+            continue
         for parent in node.parents:
             if parent not in visited:
                 stack.append((parent, False))
     return order
 
 
-def backward(root):
+def backward(root, *, stop=()):
     """Backpropagate from a 1 x 1 root; returns {Param: grad} for reachable params.
 
     Param gradients are accumulated on top of whatever they already hold, so
@@ -331,16 +337,20 @@ def backward(root):
     start of every pass (otherwise a second root sharing part of the graph
     would re-propagate the first root's gradients).  Parameters not reachable
     from the root are left untouched.
+
+    Nodes in `stop` receive their gradient but pass none on: the pass covers
+    only the graph between the root and them.
     """
     if root.shape != (1, 1):
         raise ContractError(f"backward root must be 1x1, got {root.shape}")
-    order = _toposort(root)
+    stop = set(stop)
+    order = _toposort(root, stop)
     for node in order:
         if not isinstance(node, Param):
             node.grad[...] = 0.0
     root.grad += 1.0
     for node in reversed(order):
-        if node._rule is not None:
+        if node._rule is not None and node not in stop:
             node._rule(node.grad)
     return {node: node.grad for node in order if isinstance(node, Param)}
 

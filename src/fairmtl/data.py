@@ -217,10 +217,18 @@ class Dataset:
         return self.labels.shape[1]
 
     def take(self, rows, split=None):
+        """The given rows as a new Dataset.
+
+        They were validated with this dataset, so `__post_init__` is skipped.
+        """
         rows = np.asarray(rows, dtype=np.intp)
-        return Dataset(dense=self.dense[rows], cat=self.cat[rows],
-                       labels=self.labels[rows], sensitive=self.sensitive[rows],
-                       split=split or self.split, vocab_sizes=self.vocab_sizes)
+        out = object.__new__(Dataset)
+        out.__dict__.update(
+            dense=self.dense[rows], cat=self.cat[rows],
+            labels=self.labels[rows], sensitive=self.sensitive[rows],
+            split=split or self.split, vocab_sizes=self.vocab_sizes,
+            rejected=0)
+        return out
 
 
 # Batches are just row views; the alias keeps call sites descriptive.

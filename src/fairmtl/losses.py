@@ -1,11 +1,15 @@
-"""Accuracy and fairness loss graph builders.
+"""Accuracy and fairness loss nodes.
 
 The fairness losses operate on label-defined row subsets (negatives,
 positives, and their inter-task exclusive variants) and only on rows whose
-sensitive attribute is present.  `decompose_fairness` splits a task's
-fairness loss into a head part (rows no other task's loss can reach) and a
-shared remainder, defined as a graph-level difference because these losses
-are not additive over subsets.
+sensitive attribute is present.  Each is a single node whose one parent is
+the task's probability column: it holds the loss value and dF/dp in closed
+form, so the backward pass costs one scatter-add per loss.
+`decompose_fairness` splits a task's fairness loss into a head part (rows
+no other task's loss can reach) and a shared remainder, defined as a
+graph-level difference because these losses are not additive over subsets.
+The trainer routes the head part to the task's head and the remainder to
+the shared bottom.
 """
 
 from dataclasses import dataclass
@@ -109,12 +113,87 @@ def _zero():
     return ad.constant(np.zeros((1, 1)))
 
 
+def _fused(prob, rows, value, dvals):
+    """Scalar node over `prob` with a closed-form value and dF/dp.
+
+    `dvals[k]` is the derivative with respect to prob[rows[k]]; repeated rows
+    accumulate, as a gather would.
+    """
+    out = ad.Tensor(np.array([[value]]), (prob,))
+
+    def rule(g):
+        np.add.at(prob.grad[:, 0], rows, g[0, 0] * dvals)
+    out._rule = rule
+    return out
+
+
+def _correlation(prob, idx, a):
+    """|corr(p, a)| and its gradient; zero when either side has no variance."""
+    if idx.size < 2:
+        return _zero()
+    p = prob.value[idx, 0]
+    ac = a - a.mean()
+    var_a = float(np.mean(ac * ac))
+    if var_a == 0.0 or float(np.var(p)) == 0.0:
+        return _zero()
+    n = idx.size
+    c = p - p.mean()
+    cov = float(np.mean(c * ac))
+    var_p = float(np.mean(c * c))
+    corr = cov * var_p ** -0.5 / np.sqrt(var_a)
+    # d(cov / sqrt(var_p)) / dc, then through the centring c = p - mean(p)
+    dc = (ac * var_p ** -0.5 - c * (cov * var_p ** -1.5)) / n
+    dvals = (dc - dc.mean()) * (np.sign(corr) / np.sqrt(var_a))
+    return _fused(prob, idx, abs(corr), dvals)
+
+
+def _soft_fpr_gap(prob, g0, g1):
+    """|mean(p | a=0) - mean(p | a=1)| and its gradient."""
+    diff = prob.value[g0, 0].mean() - prob.value[g1, 0].mean()
+    s = np.sign(diff)
+    dvals = np.concatenate([np.full(g0.size, s / g0.size),
+                            np.full(g1.size, -s / g1.size)])
+    return _fused(prob, np.concatenate([g0, g1]), abs(diff), dvals)
+
+
+def _mmd(prob, g0, g1, bandwidth):
+    """Biased squared MMD between the groups' probabilities, Gaussian kernel.
+
+    F = mean K00 + mean K11 - 2 mean K01 with K_ab[i, j] =
+    exp(-gamma (p_a[i] - p_b[j])^2).  Each kernel block is built once and
+    only enters matrix-vector products K @ [1, p]: their columns give
+    d_i = p_i * sum_j K_ij - sum_j K_ij p_j, and dF/dp is a weighted sum of
+    these rows, so no n x n gradient buffer exists.
+    """
+    gamma = 1.0 / (2.0 * bandwidth * bandwidth)
+    p0, p1 = prob.value[g0], prob.value[g1]
+    n0, n1 = g0.size, g1.size
+    v0 = np.hstack([np.ones_like(p0), p0])
+    v1 = np.hstack([np.ones_like(p1), p1])
+    s00 = kernels.gauss_fwd(p0, p0, gamma) @ v0
+    s11 = kernels.gauss_fwd(p1, p1, gamma) @ v1
+    k01 = kernels.gauss_fwd(p0, p1, gamma)
+    s01 = k01 @ v1
+    s10 = k01.T @ v0
+
+    def d(s, p):
+        return p[:, 0] * s[:, 0] - s[:, 1]
+
+    value = (s00[:, 0].sum() / (n0 * n0) + s11[:, 0].sum() / (n1 * n1)
+             - 2.0 * s01[:, 0].sum() / (n0 * n1))
+    dvals = -4.0 * gamma * np.concatenate([
+        d(s00, p0) / (n0 * n0) - d(s01, p0) / (n0 * n1),
+        d(s11, p1) / (n1 * n1) - d(s10, p1) / (n0 * n1)])
+    return _fused(prob, np.concatenate([g0, g1]), value, dvals)
+
+
 def fairness_loss(kind, prob, sensitive, subset):
     """Scalar fairness loss node over the subset rows with known sensitive.
 
-    Degenerate effective subsets (a group empty; fewer than two rows or zero
-    variance for correlation) contribute a constant zero so mini-batch sweeps
-    stay defined.
+    The node's only parent is `prob`; it holds the loss value and dF/dp in
+    closed form.  Degenerate effective subsets (a group empty; fewer than two
+    rows or zero variance for correlation) give a parentless constant zero
+    so mini-batch sweeps stay defined.
     """
     kind = as_loss_kind(kind)
     idx = np.asarray(subset.indices if isinstance(subset, ExampleSubset)
@@ -124,43 +203,20 @@ def fairness_loss(kind, prob, sensitive, subset):
         raise ShapeError("sensitive must be a length-n vector")
     if prob.shape[1] != 1:
         raise ShapeError("prob must be a single column")
+    if idx.size and (idx.min() < 0 or idx.max() >= prob.shape[0]):
+        raise IndexError("subset index out of range")
     idx = idx[sens[idx] >= 0]
     a = sens[idx].astype(np.float64)
 
     if kind.kind == "correlation":
-        if idx.size < 2:
-            return _zero()
-        p_vals = prob.value[idx, 0]
-        ac = a - a.mean()
-        var_a = float(np.mean(ac * ac))
-        if var_a == 0.0 or float(np.var(p_vals)) == 0.0:
-            return _zero()
-        pres = ad.gather_rows(prob, idx)
-        centered = ad.add_bias(pres, ad.scale(ad.mean_rows(pres), -1.0))
-        ac_node = ad.constant(ac.reshape(-1, 1))
-        cov = ad.mean_all(ad.mul(centered, ac_node))
-        var_p = ad.mean_all(ad.mul(centered, centered))
-        corr = ad.scale(ad.mul(cov, ad.powc(var_p, -0.5)), 1.0 / np.sqrt(var_a))
-        return ad.absval(corr)
-
+        return _correlation(prob, idx, a)
     g0 = idx[a == 0]
     g1 = idx[a == 1]
     if g0.size == 0 or g1.size == 0:
         return _zero()
-
     if kind.kind == "soft_fpr_gap":
-        m0 = ad.mean_rows(ad.gather_rows(prob, g0))
-        m1 = ad.mean_rows(ad.gather_rows(prob, g1))
-        return ad.absval(ad.sub(m0, m1))
-
-    # mmd: biased squared estimator, Gaussian kernel on the probability column
-    p0 = ad.gather_rows(prob, g0)
-    p1 = ad.gather_rows(prob, g1)
-    bw = kind.mmd_bandwidth
-    k00 = ad.mean_all(ad.gauss_kernel(p0, p0, bw))
-    k11 = ad.mean_all(ad.gauss_kernel(p1, p1, bw))
-    k01 = ad.mean_all(ad.gauss_kernel(p0, p1, bw))
-    return ad.add(ad.add(k00, k11), ad.scale(k01, -2.0))
+        return _soft_fpr_gap(prob, g0, g1)
+    return _mmd(prob, g0, g1, kind.mmd_bandwidth)
 
 
 def decompose_fairness(kind, target, t, labels, prob, sensitive):

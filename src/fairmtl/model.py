@@ -60,6 +60,7 @@ class ArchConfig:
 class TaskOutput:
     logit: ad.Tensor
     prob: ad.Tensor
+    bottom: ad.Tensor          # the shared bottom's output, common to all tasks
 
 
 @dataclass
@@ -192,5 +193,6 @@ def forward(model, dense, cat_idx=None):
             ht = ad.relu(ad.add_bias(ad.matmul(ht, w), b))
         w, b = layers[-1]
         logit = ad.add_bias(ad.matmul(ht, w), b)
-        outputs.append(TaskOutput(logit=logit, prob=ad.sigmoid(logit)))
+        outputs.append(TaskOutput(logit=logit, prob=ad.sigmoid(logit),
+                                  bottom=h))
     return outputs

@@ -1,12 +1,15 @@
-"""The three training regimes over Adagrad.
+"""The three training regimes over Adagrad, as one step with two roots.
 
-vanilla scalarizes the per-task accuracy losses; baseline adds each task's
-full fairness loss to the scalar objective; mtaf routes fairness gradients
-through two ledgers: each head receives only its own accuracy plus
-ratio-boosted head-fairness gradient, while the shared bottom receives the
-accuracy plus shared-fairness gradient summed over tasks.  Gradients of the
-shared fairness part with respect to head parameters are computed by the
-backward pass and then discarded, never applied.
+Every loss reaches the parameters only through a task's probability column,
+so a regime is fixed by what each task's fairness loss contributes to two
+scalar roots: the head root, whose gradient head t applies, and the shared
+root, whose gradient the shared bottom applies.  vanilla adds nothing;
+baseline adds the full fairness loss to both, so the roots coincide and one
+backward pass serves every parameter; mtaf adds the ratio-boosted head part
+(rows no other task's loss can reach) to the head root and the shared
+remainder to the shared root.  mtaf therefore runs a full pass from the
+shared root and then a pass from the head root that stops at the shared
+bottom's output: the shared part never reaches a head.
 """
 
 import time
@@ -141,7 +144,7 @@ def _accuracy_losses(model, batch):
     return outs, losses
 
 
-def _baseline_fairness(config, t, batch, prob):
+def _full_fairness(config, t, batch, prob):
     """Full fairness loss for task t over its negative (and positive) set."""
     kind, target = config.fairness_kind, config.fairness_target
     terms = []
@@ -156,67 +159,69 @@ def _baseline_fairness(config, t, batch, prob):
     return node
 
 
+def _fairness_parts(config, t, batch, prob):
+    """(F_head, r_t, F_shared) of task t's fairness loss.
+
+    mtaf splits the loss into the part on rows only task t can reach and
+    the remainder; baseline applies the full loss to both roots (F_head =
+    F_shared = F_full, r_t = 1).
+    """
+    if config.method != "mtaf":
+        full = _full_fairness(config, t, batch, prob)
+        return full, 1.0, full
+    f_head, f_shared = decompose_fairness(
+        config.fairness_kind, config.fairness_target, t, batch.labels, prob,
+        batch.sensitive)
+    _check_finite(f_head, f"task {t} head fairness loss")
+    _check_finite(f_shared, f"task {t} shared fairness loss")
+    return f_head, config.head_shared_ratios[t], f_shared
+
+
 def train_step(model, batch, config, loss_sink=None):
     """Apply one optimizer step of the configured method to the model.
 
-    When given, `loss_sink` receives the per-task accuracy loss values of
-    this batch.
+    Two roots define the step: head t applies the gradient of
+    sum_t w_t (CE_t + lambda_t r_t F_head_t) and the shared bottom that of
+    sum_t w_t (CE_t + lambda_t F_shared_t) (vanilla: lambda = 0).  When the
+    roots coincide, one backward pass serves every parameter; otherwise a
+    full pass from the shared root is followed by a pass from the head root
+    that stops at the shared bottom's output and replaces the head
+    gradients.  When given, `loss_sink` receives the per-task accuracy loss
+    values of this batch.
     """
     if len(batch) == 0:
         raise ConfigError("train_step on an empty batch")
     if model.arch.num_tasks != config.num_tasks:
         raise ConfigError("config task count does not match the model")
-    lr = config.learning_rate
     w = config.task_weights
-    lam = config.fairness_weights
+    lam = (config.fairness_weights if config.method != "vanilla"
+           else (0.0,) * config.num_tasks)
 
     outs, acc = _accuracy_losses(model, batch)
     if loss_sink is not None:
         loss_sink.append([a.value[0, 0] for a in acc])
 
-    if config.method in ("vanilla", "baseline"):
-        terms = list(acc)
-        weights = list(w)
-        if config.method == "baseline":
-            for t in range(config.num_tasks):
-                if lam[t] > 0:
-                    terms.append(_baseline_fairness(config, t, batch,
-                                                    outs[t].prob))
-                    weights.append(w[t] * lam[t])
-        model.zero_grads()
-        ad.backward(ad.weighted_sum(terms, weights))
-        for p in model.all_params:
-            adagrad_update(p, p.grad, lr)
-        model.zero_grads()
-        return model
-
-    # mtaf: one ledger for the heads, one for the shared bottom
     head_terms, head_weights = list(acc), list(w)
     shared_terms, shared_weights = list(acc), list(w)
     for t in range(config.num_tasks):
         if lam[t] > 0:
-            f_head, f_shared = decompose_fairness(
-                config.fairness_kind, config.fairness_target, t,
-                batch.labels, outs[t].prob, batch.sensitive)
-            _check_finite(f_head, f"task {t} head fairness loss")
-            _check_finite(f_shared, f"task {t} shared fairness loss")
+            f_head, r, f_shared = _fairness_parts(config, t, batch,
+                                                  outs[t].prob)
             head_terms.append(f_head)
-            head_weights.append(w[t] * lam[t] * config.head_shared_ratios[t])
+            head_weights.append(w[t] * lam[t] * r)
             shared_terms.append(f_shared)
             shared_weights.append(w[t] * lam[t])
 
     model.zero_grads()
-    ad.backward(ad.weighted_sum(head_terms, head_weights))
-    head_grads = [[p.grad.copy() for p in model.head_params(t)]
-                  for t in range(config.num_tasks)]
-
-    model.zero_grads()
     ad.backward(ad.weighted_sum(shared_terms, shared_weights))
-    for p in model.shared_params:
-        adagrad_update(p, p.grad, lr)
-    for t in range(config.num_tasks):
-        for p, g in zip(model.head_params(t), head_grads[t]):
-            adagrad_update(p, g, lr)
+    if head_terms != shared_terms or head_weights != shared_weights:
+        # the head root's gradient replaces the shared root's in every head
+        for t in range(config.num_tasks):
+            ad.zero_grads(model.head_params(t))
+        ad.backward(ad.weighted_sum(head_terms, head_weights),
+                    stop=(outs[0].bottom,))
+    for p in model.all_params:
+        adagrad_update(p, p.grad, config.learning_rate)
     model.zero_grads()
     return model
 

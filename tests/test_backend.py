@@ -5,6 +5,7 @@ scalar exp disagree, so value checks use tight-but-nonzero tolerances.
 Environment-variable selection is exercised in subprocesses.
 """
 
+import os
 import subprocess
 import sys
 
@@ -18,6 +19,12 @@ from fairmtl import backend
 kc = pytest.importorskip("fairmtl._ckernels")
 
 TIGHT = dict(rtol=1e-12, atol=1e-14)
+
+
+def env_with(kernels):
+    """This process's environment (so the child imports the same fairmtl)
+    with the backend selector overridden."""
+    return {**os.environ, "FAIRMTL_KERNELS": kernels}
 
 
 def arr(rng, shape, scale=3.0):
@@ -112,7 +119,7 @@ class TestSelection:
         code = ("import fairmtl.backend as b; print(b.BACKEND)")
         out = subprocess.run(
             [sys.executable, "-c", code],
-            env={"FAIRMTL_KERNELS": forced, "PATH": "/usr/bin:/bin"},
+            env=env_with(forced),
             capture_output=True, text=True, check=True)
         assert out.stdout.strip() == forced
 
@@ -120,7 +127,7 @@ class TestSelection:
         code = ("import fairmtl.backend")
         out = subprocess.run(
             [sys.executable, "-c", code],
-            env={"FAIRMTL_KERNELS": "cuda", "PATH": "/usr/bin:/bin"},
+            env=env_with("cuda"),
             capture_output=True, text=True)
         assert out.returncode != 0
         assert "FAIRMTL_KERNELS" in out.stderr
@@ -148,7 +155,7 @@ print(json.dumps({k: float(np.sum(v)) for k, v in sorted(state.items())}))
         for forced in ("numpy", "compiled"):
             out = subprocess.run(
                 [sys.executable, "-c", code],
-                env={"FAIRMTL_KERNELS": forced, "PATH": "/usr/bin:/bin"},
+                env=env_with(forced),
                 capture_output=True, text=True, check=True)
             import json
             sums[forced] = json.loads(out.stdout)

@@ -236,6 +236,21 @@ class TestDatasetValidation:
                     labels=np.array([[1]]), sensitive=np.array([0]),
                     vocab_sizes=(4,))
 
+    def test_take_equals_validated_construction(self):
+        ds = synth_generate(SynthSpec(n=50), seed=3)
+        rows = np.array([4, 0, 17, 4, 49])
+        got = ds.take(rows, split="test")
+        want = Dataset(dense=ds.dense[rows], cat=ds.cat[rows],
+                       labels=ds.labels[rows], sensitive=ds.sensitive[rows],
+                       split="test", vocab_sizes=ds.vocab_sizes)
+        for name in ("dense", "cat", "labels", "sensitive"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.flags.c_contiguous
+            assert np.array_equal(a, b)
+        assert (got.split, got.vocab_sizes, got.rejected) == \
+            (want.split, want.vocab_sizes, want.rejected)
+        assert ds.take(rows).split == ds.split
+
 
 class TestSplitAndBatches:
     def make(self, n=1000):

@@ -1,8 +1,11 @@
 """Loss builders against hand-computed fixtures and brute-force oracles."""
 
 import numpy as np
+import oracles
 import pytest
 from helpers import check_grads
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fairmtl.autodiff as ad
 from fairmtl.exceptions import ConfigError, ShapeError
@@ -223,11 +226,57 @@ def test_fairness_losses_differentiable():
             [w])
 
 
+def test_subset_out_of_range_rejected():
+    p = prob_node([0.1, 0.9, 0.5])
+    for rows in ([0, 3], [-1, 1]):
+        with pytest.raises(IndexError):
+            fairness_loss("mmd", p, np.array([0, 1, 0]), np.array(rows))
+
+
 def test_subset_restriction_applies():
     p = prob_node([0.1, 0.9, 0.5, 0.7])
     sens = np.array([0, 1, 0, 1])
     loss = fairness_loss("soft_fpr_gap", p, sens, np.array([0, 1]))
     assert loss.value[0, 0] == pytest.approx(0.8, abs=1e-12)
+
+
+@st.composite
+def fairness_cases(draw):
+    n = draw(st.integers(1, 40))
+    probs = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    sens = draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=n, max_size=n))
+    subset = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    kind = draw(st.sampled_from(("correlation", "mmd", "soft_fpr_gap")))
+    bandwidth = draw(st.sampled_from((0.05, 0.3, 1.0, 4.0)))
+    return (np.array(probs), np.array(sens), np.array(subset, dtype=np.intp),
+            FairnessLossKind(kind, mmd_bandwidth=bandwidth))
+
+
+def _value_and_grad(loss_fn, kind, probs, sens, subset):
+    prob = ad.Tensor(probs.reshape(-1, 1))
+    loss = loss_fn(kind, prob, sens, subset)
+    if loss.parents:
+        ad.backward(loss)
+    return loss, prob.grad[:, 0].copy()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(fairness_cases())
+def test_fused_fairness_matches_composed_oracle(case):
+    """Each fused node's value and dF/dp equal the composed graph's."""
+    probs, sens, subset, kind = case
+    fused, g_fused = _value_and_grad(fairness_loss, kind, probs, sens, subset)
+    ref, g_ref = _value_and_grad(oracles.fairness_loss, kind, probs, sens,
+                                 subset)
+    assert bool(fused.parents) == bool(ref.parents)
+    if not ref.parents:
+        assert fused.value[0, 0] == 0.0
+        return
+    assert len(fused.parents) == 1
+    tol = 1e-12 * max(1.0, abs(ref.value[0, 0]))
+    assert abs(fused.value[0, 0] - ref.value[0, 0]) <= tol
+    scale = max(1.0, float(np.abs(g_ref).max()))
+    assert np.abs(g_fused - g_ref).max() <= 1e-12 * scale
 
 
 # --- decomposition ---------------------------------------------------------

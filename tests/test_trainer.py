@@ -1,8 +1,12 @@
 """Training-step semantics: Adagrad arithmetic, the two-ledger routing of
 mtaf, bit-exact agreement contracts, and end-to-end learnability."""
 
+import itertools
+
 import numpy as np
+import oracles
 import pytest
+from test_acceptance import _routing_arch, _routing_batch
 
 import fairmtl.autodiff as ad
 from fairmtl.data import Dataset
@@ -286,6 +290,31 @@ def test_routing_exclusivity_label_perturbation():
     train_step(m_b, perturbed, cfg)
     for pa, pb in zip(m_a.head_params(0), m_b.head_params(0)):
         np.testing.assert_array_equal(pa.value, pb.value)
+
+
+@pytest.mark.parametrize("kind,target", itertools.product(
+    ("correlation", "mmd", "soft_fpr_gap"),
+    ("equal_opportunity_fpr", "equal_opportunity_tpr", "equalized_odds")))
+def test_step_matches_two_ledger_reference(kind, target):
+    """Every method's parameter updates equal those of the composed-graph
+    step that ran one full backward pass per ledger."""
+    batch = _routing_batch()
+    for method in ("vanilla", "baseline", "mtaf"):
+        cfg = TrainConfig(method=method, task_weights=(0.6, 0.4),
+                          fairness_weights=(1.5, 0.8),
+                          head_shared_ratios=(2.0, 0.5), fairness_kind=kind,
+                          fairness_target=target, learning_rate=0.05)
+        new = build_model(_routing_arch(), dense_count=3, seed=9)
+        ref = build_model(_routing_arch(), dense_count=3, seed=9)
+        before = snapshot(new)
+        for _ in range(2):
+            train_step(new, batch, cfg)
+            oracles.train_step(ref, batch, cfg)
+        for p_new, p_ref in zip(new.all_params, ref.all_params):
+            np.testing.assert_allclose(
+                p_new.value - before[p_new.name],
+                p_ref.value - before[p_ref.name],
+                rtol=0, atol=1e-12, err_msg=f"{method} {p_new.name}")
 
 
 def test_step_aborts_on_nonfinite():
