@@ -29,32 +29,37 @@ def timeit(fn, repeats):
 
 
 def cases(rng):
-    x = np.ascontiguousarray(rng.standard_normal((512, 64)))
-    g = np.ascontiguousarray(rng.standard_normal((512, 64)))
+    """Shapes met in training: batch 128, a 16-wide shared layer, one logit
+    column per task, and MMD kernel blocks between group subsets of a
+    512-row batch (about 120 x 120 typical, 240 x 240 at most)."""
+    x = np.ascontiguousarray(rng.standard_normal((128, 16)))
+    g = np.ascontiguousarray(rng.standard_normal((128, 16)))
     acc = np.zeros_like(x)
-    p = np.ascontiguousarray(rng.random((512, 1)))
-    y = np.ascontiguousarray(rng.integers(0, 2, (512, 1)).astype(np.float64))
+    p = np.ascontiguousarray(rng.random((128, 1)))
+    y = np.ascontiguousarray(rng.integers(0, 2, (128, 1)).astype(np.float64))
     pacc = np.zeros_like(p)
-    u = np.ascontiguousarray(rng.standard_normal((256, 1)))
-    v = np.ascontiguousarray(rng.standard_normal((256, 1)))
+    blocks = {n: (np.ascontiguousarray(rng.random((n, 1))),
+                  np.ascontiguousarray(rng.random((n, 1)))) for n in (120, 240)}
+    u, v = blocks[120]
     kmat = knp.gauss_fwd(u, v, 0.5)
     kg = np.ascontiguousarray(rng.standard_normal(kmat.shape))
     du, dv = np.zeros_like(u), np.zeros_like(v)
-    w = np.ascontiguousarray(rng.standard_normal((64, 64)))
-    wg = np.ascontiguousarray(rng.standard_normal((64, 64)))
-    wacc = np.abs(np.ascontiguousarray(rng.standard_normal((64, 64))))
+    w = np.ascontiguousarray(rng.standard_normal((16, 8)))
+    wg = np.ascontiguousarray(rng.standard_normal((16, 8)))
+    wacc = np.abs(np.ascontiguousarray(rng.standard_normal((16, 8))))
 
     def make(mod):
         return [
-            ("relu_fwd 512x64", lambda: mod.relu_fwd(x)),
-            ("relu_bwd 512x64", lambda: mod.relu_bwd(x, g, acc)),
-            ("sigmoid_fwd 512x64", lambda: mod.sigmoid_fwd(x)),
-            ("xent_fwd 512", lambda: mod.xent_fwd(p, y)),
-            ("xent_bwd 512", lambda: mod.xent_bwd(p, y, 1.0, pacc)),
-            ("gauss_fwd 256x256", lambda: mod.gauss_fwd(u, v, 0.5)),
-            ("gauss_bwd 256x256",
+            ("relu_fwd 128x16", lambda: mod.relu_fwd(x)),
+            ("relu_bwd 128x16", lambda: mod.relu_bwd(x, g, acc)),
+            ("sigmoid_fwd 128x1", lambda: mod.sigmoid_fwd(p)),
+            ("xent_fwd 128x1", lambda: mod.xent_fwd(p, y)),
+            ("xent_bwd 128x1", lambda: mod.xent_bwd(p, y, 1.0, pacc)),
+            ("gauss_fwd 120x120", lambda: mod.gauss_fwd(u, v, 0.5)),
+            ("gauss_fwd 240x240", lambda: mod.gauss_fwd(*blocks[240], 0.5)),
+            ("gauss_bwd 120x120",
              lambda: mod.gauss_bwd(u, v, kmat, kg, 0.5, du, dv)),
-            ("adagrad 64x64", lambda: mod.adagrad_step(w, wg, wacc, 0.05, 1e-8)),
+            ("adagrad 16x8", lambda: mod.adagrad_step(w, wg, wacc, 0.05, 1e-8)),
         ]
     return make
 

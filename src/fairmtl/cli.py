@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .data import (SynthSpec, load_dataset, load_schema, resolve,
                    split_random, synth_generate)
@@ -25,7 +26,7 @@ from .exceptions import ConfigError
 from .metrics import run_stl_baselines
 from .presets import (DATASET_PRESETS, SCHEMA_PRESETS, arch_for,
                       schema_path, train_settings_for)
-from .model import ArchConfig
+from .model import ArchConfig, from_fields
 from .sweep import (RunsWriter, SweepConfig, dataset_hash, emit_reports,
                     load_runs, require_baselines, run_single, run_sweep,
                     save_baselines, _num_tasks)
@@ -47,12 +48,11 @@ def _pair_hash(train_ds, test_ds):
 
 
 class ResolvedData:
-    def __init__(self, name, train_ds, test_ds, arch, emb_dims):
+    def __init__(self, name, train_ds, test_ds, arch):
         self.name = name
         self.train_ds = train_ds
         self.test_ds = test_ds
         self.arch = arch
-        self.emb_dims = emb_dims
         self.pair_hash = _pair_hash(train_ds, test_ds)
 
 
@@ -70,14 +70,10 @@ def resolve_data(dataset_arg, cfg):
         full = synth_generate(spec, seed=cfg.get("synth_seed", 0))
         train_ds, test_ds = split_random(
             full, cfg.get("split_fraction", 0.8), cfg.get("split_seed", 0))
-        arch = (ArchConfig.from_dict(cfg["arch"]) if "arch" in cfg
+        arch = (from_fields(ArchConfig, cfg["arch"]) if "arch" in cfg
                 else arch_for("synth"))
-        if arch.num_tasks != spec.num_tasks:
-            arch = ArchConfig(num_tasks=spec.num_tasks,
-                              shared_layer_sizes=arch.shared_layer_sizes,
-                              head_layer_sizes=arch.head_layer_sizes,
-                              embedding_dim=arch.embedding_dim)
-        return ResolvedData("synth", train_ds, test_ds, arch, None)
+        arch = replace(arch, num_tasks=spec.num_tasks)
+        return ResolvedData("synth", train_ds, test_ds, arch)
 
     if dataset_arg in SCHEMA_PRESETS:
         name, path = dataset_arg, schema_path(dataset_arg)
@@ -103,12 +99,9 @@ def resolve_data(dataset_arg, cfg):
     if train_ds.rejected or test_ds.rejected:
         print(f"rejected rows: train {train_ds.rejected}, "
               f"test {test_ds.rejected}", file=sys.stderr)
-    arch = (ArchConfig.from_dict(cfg["arch"]) if "arch" in cfg
+    arch = (from_fields(ArchConfig, cfg["arch"]) if "arch" in cfg
             else arch_for(name, num_tasks=spec.num_tasks))
-    emb_dims = tuple(c.embedding_dim for c in spec.categorical)
-    if all(d is None for d in emb_dims):
-        emb_dims = None
-    return ResolvedData(name, train_ds, test_ds, arch, emb_dims)
+    return ResolvedData(name, train_ds, test_ds, arch)
 
 
 def _train_config(section, data, seed_override):
@@ -155,12 +148,12 @@ def _fmt(v):
 def cmd_train(args):
     cfg = _load_config(args.config)
     data = resolve_data(args.dataset, cfg)
-    baselines = require_baselines(args.out, data.pair_hash)
+    baselines = require_baselines(args.out, data.pair_hash, data.arch)
     config = _train_config(cfg.get("train", cfg), data, args.seed)
     writer = RunsWriter(os.path.join(args.out, "runs.csv"))
     run_id = f"r{writer.count:05d}-{config.method}"
     row = run_single(data.train_ds, data.test_ds, data.arch, config,
-                     baselines, run_id=run_id, emb_dims=data.emb_dims)
+                     baselines, run_id=run_id)
     writer.append(row)
     print(f"{run_id}: err_mean={row['err_mean']} arfg={row['arfg']} "
           f"are={row['are']} flags={row['flags'] or 'none'}")
@@ -171,19 +164,18 @@ def cmd_train(args):
 def cmd_sweep(args):
     cfg = _load_config(args.config)
     data = resolve_data(args.dataset, cfg)
-    baselines = require_baselines(args.out, data.pair_hash)
+    baselines = require_baselines(args.out, data.pair_hash, data.arch)
     sweep_cfg = dict(cfg.get("sweep", {}))
     for key, value in train_settings_for(data.name).items():
         sweep_cfg.setdefault(key, value)
     if args.seed is not None:
         sweep_cfg["master_seed"] = args.seed
-    sweep = SweepConfig.from_dict(sweep_cfg)
+    sweep = from_fields(SweepConfig, sweep_cfg)
     total = sweep.budget * len(sweep.methods)
     print(f"sweep: {sweep.budget} runs x {len(sweep.methods)} methods "
           f"= {total} on {data.name} (jobs={args.jobs})")
     rows = run_sweep(data.train_ds, data.test_ds, data.arch, sweep,
-                     baselines, args.out, jobs=args.jobs,
-                     emb_dims=data.emb_dims)
+                     baselines, args.out, jobs=args.jobs)
     flagged = sum(1 for r in rows if r["flags"])
     print(f"done: {len(rows)} rows appended, {flagged} flagged")
     print(f"next: fairmtl report --out {args.out}")

@@ -9,7 +9,6 @@ the training file (`resolve`) and frozen, so test data never leaks into them.
 
 import csv
 import json
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,7 +30,6 @@ class DenseCol:
 class CatCol:
     name: str
     vocab: tuple = None          # known tokens, sorted; index = position + 1
-    embedding_dim: int = None    # optional per-column override
 
     @property
     def vocab_size(self):
@@ -128,10 +126,14 @@ def spec_from_dict(raw):
             DenseCol(name=c["name"], mean=c.get("mean"), sd=c.get("sd"))
             if isinstance(c, dict) else DenseCol(name=c)
             for c in raw.get("dense", ()))
+        for c in raw.get("categorical", ()):
+            if isinstance(c, dict) and "embedding_dim" in c:
+                raise SchemaError(
+                    f"categorical column {c.get('name')!r}: embedding_dim "
+                    "is not a schema key; set arch.embedding_dim instead")
         categorical = tuple(
             CatCol(name=c["name"],
-                   vocab=tuple(c["vocab"]) if "vocab" in c else None,
-                   embedding_dim=c.get("embedding_dim"))
+                   vocab=tuple(c["vocab"]) if "vocab" in c else None)
             if isinstance(c, dict) else CatCol(name=c)
             for c in raw.get("categorical", ()))
         tasks = tuple(
@@ -163,9 +165,7 @@ def spec_to_dict(spec):
                   for c in spec.dense],
         "categorical": [
             {"name": c.name,
-             **({"vocab": list(c.vocab)} if c.vocab is not None else {}),
-             **({"embedding_dim": c.embedding_dim}
-                if c.embedding_dim is not None else {})}
+             **({"vocab": list(c.vocab)} if c.vocab is not None else {})}
             for c in spec.categorical],
         "tasks": [{"name": t.name, "source": t.source, "op": t.op,
                    "constant": t.constant, "standardize": t.standardize,
@@ -229,10 +229,6 @@ class Dataset:
             split=split or self.split, vocab_sizes=self.vocab_sizes,
             rejected=0)
         return out
-
-
-# Batches are just row views; the alias keeps call sites descriptive.
-Batch = Dataset
 
 
 def _read_rows(csv_path, spec):
@@ -397,23 +393,6 @@ def split_random(dataset, fraction, seed):
     n_train = int(n * fraction)
     return (dataset.take(perm[:n_train], split="train"),
             dataset.take(perm[n_train:], split="test"))
-
-
-def iter_batches(dataset, batch_size, rng=None):
-    """Yield consecutive mini-batches, shuffled when an rng is given.
-
-    The final partial batch is retained.  An oversized batch_size degrades
-    to a single batch with a warning.
-    """
-    if batch_size < 1:
-        raise ConfigError("batch_size must be >= 1")
-    n = len(dataset)
-    if batch_size > n:
-        warnings.warn(f"batch_size {batch_size} > dataset size {n}; "
-                      "using a single batch")
-    order = rng.permutation(n) if rng is not None else np.arange(n)
-    for start in range(0, n, batch_size):
-        yield dataset.take(order[start:start + batch_size])
 
 
 def write_csv(dataset, spec, path):

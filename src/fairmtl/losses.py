@@ -48,9 +48,8 @@ def as_loss_kind(kind):
 
 @dataclass(frozen=True)
 class ExampleSubset:
-    """Unique, in-bounds row indices into a batch, tagged with their origin."""
+    """Unique, in-bounds row indices into a batch."""
     indices: tuple
-    tag: str
 
     def __len__(self):
         return len(self.indices)
@@ -105,8 +104,7 @@ def subset_select(labels, t, which):
         for k in range(num_tasks):
             if k != t:
                 mask = mask & (labels[:, k] == 0)
-    return ExampleSubset(indices=tuple(np.flatnonzero(mask)),
-                         tag=f"{which}[{t}]")
+    return ExampleSubset(indices=tuple(np.flatnonzero(mask)))
 
 
 def _zero():

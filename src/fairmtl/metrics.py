@@ -10,13 +10,13 @@ with the same architecture and no fairness treatment.
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .data import Dataset
 from .exceptions import ConfigError, ContractError, UndefinedMetricError
-from .model import ArchConfig, forward
+from .model import forward
 from .trainer import TrainConfig, train
 
 BASELINE_FLOOR = 1e-9
@@ -30,10 +30,6 @@ class TaskEval:
     neg_counts: tuple       # negatives with known sensitive, per group
     pos_counts: tuple
 
-    @property
-    def gaps_defined(self):
-        return self.fpr_gap is not None and self.tpr_gap is not None
-
 
 @dataclass(frozen=True)
 class StlBaselines:
@@ -43,21 +39,13 @@ class StlBaselines:
     seeds: tuple
     config_hash: str
 
+    def __post_init__(self):
+        for name in ("errs", "fpr_gaps", "tpr_gaps", "seeds"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+
     @property
     def num_tasks(self):
         return len(self.errs)
-
-    def to_dict(self):
-        return {"errs": list(self.errs), "fpr_gaps": list(self.fpr_gaps),
-                "tpr_gaps": list(self.tpr_gaps), "seeds": list(self.seeds),
-                "config_hash": self.config_hash}
-
-    @classmethod
-    def from_dict(cls, d):
-        clean = lambda xs: tuple(None if x is None else float(x) for x in xs)
-        return cls(errs=clean(d["errs"]), fpr_gaps=clean(d["fpr_gaps"]),
-                   tpr_gaps=clean(d["tpr_gaps"]), seeds=tuple(d["seeds"]),
-                   config_hash=d["config_hash"])
 
 
 @dataclass(frozen=True)
@@ -145,7 +133,7 @@ def single_task_view(dataset, t):
 
 
 def stl_config_hash(arch, config, seeds):
-    payload = json.dumps({"arch": arch.to_dict(), "config": config.to_dict(),
+    payload = json.dumps({"arch": asdict(arch), "config": config.to_dict(),
                           "seeds": list(seeds)}, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -160,10 +148,7 @@ def run_stl_baselines(train_ds, test_ds, arch, config, seeds):
     seeds = tuple(seeds)
     if not seeds:
         raise ConfigError("run_stl_baselines needs at least one seed")
-    stl_arch = ArchConfig(num_tasks=1,
-                          shared_layer_sizes=arch.shared_layer_sizes,
-                          head_layer_sizes=arch.head_layer_sizes,
-                          embedding_dim=arch.embedding_dim)
+    stl_arch = replace(arch, num_tasks=1)
     errs, fprs, tprs = [], [], []
     for t in range(train_ds.num_tasks):
         view_train = single_task_view(train_ds, t)

@@ -6,7 +6,7 @@ per-task) is fixed at build time and drives the gradient routing in the
 trainer.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -38,22 +38,19 @@ class ArchConfig:
         object.__setattr__(self, "shared_layer_sizes", tuple(self.shared_layer_sizes))
         object.__setattr__(self, "head_layer_sizes", tuple(self.head_layer_sizes))
 
-    def to_dict(self):
-        return {
-            "num_tasks": self.num_tasks,
-            "shared_layer_sizes": list(self.shared_layer_sizes),
-            "head_layer_sizes": list(self.head_layer_sizes),
-            "embedding_dim": self.embedding_dim,
-        }
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            num_tasks=d["num_tasks"],
-            shared_layer_sizes=tuple(d.get("shared_layer_sizes", (64,))),
-            head_layer_sizes=tuple(d.get("head_layer_sizes", (32,))),
-            embedding_dim=d.get("embedding_dim", 40),
-        )
+def from_fields(cls, d):
+    """A `cls` instance from the keys of `d` that name its fields.
+
+    The inverse of `dataclasses.asdict` for the flat config records: other
+    keys are ignored, so one config section can feed several records, and
+    missing fields take the dataclass defaults.
+    """
+    names = {f.name for f in fields(cls)}
+    try:
+        return cls(**{k: v for k, v in d.items() if k in names})
+    except TypeError as exc:
+        raise ConfigError(f"{cls.__name__}: {exc}") from exc
 
 
 @dataclass
@@ -100,36 +97,26 @@ class MtlModel:
         return {p.name: p.value.copy() for p in self.all_params}
 
 
-def build_model(arch, dense_count, vocab_sizes=(), seed=0, emb_dims=None):
+def build_model(arch, dense_count, vocab_sizes=(), seed=0):
     """Construct an MtlModel with deterministic seeded initialization.
 
     `vocab_sizes` are per-categorical vocabulary sizes *including* the
-    reserved out-of-vocabulary slot.  `emb_dims` optionally overrides
-    `arch.embedding_dim` per column (None entries fall back to it).
-    Embedding tables belong to the shared group.  Weights use uniform
-    fan-in init, biases start at zero.
+    reserved out-of-vocabulary slot; every table has `arch.embedding_dim`
+    columns.  Embedding tables belong to the shared group.  Weights use
+    uniform fan-in init, biases start at zero.
     """
     if dense_count < 0:
         raise ConfigError("dense_count must be >= 0")
     if dense_count == 0 and not vocab_sizes:
         raise ConfigError("model needs at least one dense or categorical feature")
-    if emb_dims is None:
-        emb_dims = (arch.embedding_dim,) * len(vocab_sizes)
-    else:
-        if len(emb_dims) != len(vocab_sizes):
-            raise ConfigError("emb_dims must match vocab_sizes in length")
-        emb_dims = tuple(arch.embedding_dim if d is None else int(d)
-                         for d in emb_dims)
-        if any(d < 1 for d in emb_dims):
-            raise ConfigError("embedding dims must be >= 1")
     rng = np.random.default_rng(seed)
 
     embeddings = []
-    for j, (vocab, dim) in enumerate(zip(vocab_sizes, emb_dims)):
+    for j, vocab in enumerate(vocab_sizes):
         if vocab < 1:
             raise ConfigError(f"vocab size must be >= 1, got {vocab}")
         embeddings.append(
-            ad.init_param((vocab, dim), "uniform_fan_in", rng,
+            ad.init_param((vocab, arch.embedding_dim), "uniform_fan_in", rng,
                           name=f"emb{j}", group="shared"))
 
     def dense_stack(in_dim, sizes, prefix, group):
@@ -143,7 +130,7 @@ def build_model(arch, dense_count, vocab_sizes=(), seed=0, emb_dims=None):
             in_dim = width
         return layers, in_dim
 
-    in_dim = dense_count + sum(emb_dims)
+    in_dim = dense_count + arch.embedding_dim * len(vocab_sizes)
     shared_layers, shared_out = dense_stack(in_dim, arch.shared_layer_sizes,
                                             "shared", "shared")
 

@@ -15,28 +15,32 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .exceptions import ConfigError, ContractError, UndefinedMetricError
 from .losses import FAIRNESS_KINDS, FAIRNESS_TARGETS, FairnessLossKind
-from .metrics import StlBaselines, aggregate, evaluate_model, stl_config_hash
-from .model import build_model
+from .metrics import StlBaselines, aggregate, evaluate_model
+from .model import ArchConfig, from_fields
 from .pareto import ParetoPoint, frontier, frontier_quality
 from .trainer import METHODS, TrainConfig, train
 
 RUNS_SCHEMA_VERSION = 1
 
-RUNS_COLUMNS = (
-    "run_id", "schema_version", "method", "seed",
-    "task_weights", "fairness_weights", "head_shared_ratios",
-    "fairness_kind", "mmd_bandwidth", "fairness_target",
-    "learning_rate", "epochs", "batch_size",
-    "err_per_task", "fpr_gap_per_task", "tpr_gap_per_task",
-    "err_mean", "fpr_gap_mean", "arfg", "are",
-    "flags", "seconds", "timestamp",
-)
+# runs.csv columns in order, each with the parser of a nonempty cell (an
+# empty cell reads None).  Every TrainConfig.to_dict key is a column.
+RUNS_COLUMNS = {
+    "run_id": str, "schema_version": int, "method": str, "seed": int,
+    "task_weights": json.loads, "fairness_weights": json.loads,
+    "head_shared_ratios": json.loads,
+    "fairness_kind": str, "mmd_bandwidth": float, "fairness_target": str,
+    "learning_rate": float, "epochs": int, "batch_size": int,
+    "err_per_task": json.loads, "fpr_gap_per_task": json.loads,
+    "tpr_gap_per_task": json.loads,
+    "err_mean": float, "fpr_gap_mean": float, "arfg": float, "are": float,
+    "flags": str, "seconds": float, "timestamp": float,
+}
 
 
 @dataclass(frozen=True)
@@ -87,32 +91,6 @@ class SweepConfig:
             raise ConfigError("w1_range must lie inside [0, 1]")
         if self.lambda_range[0] < 0:
             raise ConfigError("lambda_range must be nonnegative")
-
-    def to_dict(self):
-        return {
-            "methods": list(self.methods),
-            "budget": self.budget,
-            "seeds_per_config": self.seeds_per_config,
-            "master_seed": self.master_seed,
-            "w1_range": list(self.w1_range),
-            "lambda_range": list(self.lambda_range),
-            "ratio_range": list(self.ratio_range),
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "fairness_kind": self.fairness_kind,
-            "mmd_bandwidth": self.mmd_bandwidth,
-            "fairness_target": self.fairness_target,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        known = {f for f in cls.__dataclass_fields__}
-        kwargs = {k: v for k, v in d.items() if k in known}
-        for key in ("methods", "w1_range", "lambda_range", "ratio_range"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
 
 
 def sample_configs(sweep, num_tasks):
@@ -179,27 +157,36 @@ def save_baselines(out_dir, dhash, arch, baselines):
     with open(path, "w") as f:
         json.dump({"schema_version": RUNS_SCHEMA_VERSION,
                    "dataset_hash": dhash,
-                   "arch": arch.to_dict(),
-                   "baselines": baselines.to_dict()}, f, indent=2)
+                   "arch": asdict(arch),
+                   "baselines": asdict(baselines)}, f, indent=2)
     return path
 
 
-def load_baselines(out_dir, dhash):
-    """Find cached STL baselines for a dataset hash; None when absent."""
+def load_baselines(out_dir, dhash, arch):
+    """Cached STL baselines for a dataset hash and architecture; None when
+    absent.  Several entries that match both (for example different STL
+    training settings) are refused rather than picked by filename."""
     if not os.path.isdir(out_dir):
         return None
-    matches = sorted(name for name in os.listdir(out_dir)
-                     if name.startswith(f"stl_{dhash}_")
-                     and name.endswith(".json"))
-    if not matches:
+    found = []
+    for name in sorted(os.listdir(out_dir)):
+        if name.startswith(f"stl_{dhash}_") and name.endswith(".json"):
+            with open(os.path.join(out_dir, name)) as f:
+                payload = json.load(f)
+            if from_fields(ArchConfig, payload["arch"]) == arch:
+                found.append((name, payload))
+    if len(found) > 1:
+        raise ConfigError(
+            "several STL baseline caches match this dataset and "
+            f"architecture in {out_dir}: {', '.join(n for n, _ in found)}; "
+            "remove all but one")
+    if not found:
         return None
-    with open(os.path.join(out_dir, matches[0])) as f:
-        payload = json.load(f)
-    return StlBaselines.from_dict(payload["baselines"])
+    return from_fields(StlBaselines, found[0][1]["baselines"])
 
 
-def require_baselines(out_dir, dhash):
-    baselines = load_baselines(out_dir, dhash)
+def require_baselines(out_dir, dhash, arch):
+    baselines = load_baselines(out_dir, dhash, arch)
     if baselines is None:
         raise ConfigError(
             "no STL baselines cached for this dataset/architecture; "
@@ -215,8 +202,7 @@ def _cell(value):
     return value
 
 
-def run_single(train_ds, test_ds, arch, config, baselines, run_id="run",
-               emb_dims=None):
+def run_single(train_ds, test_ds, arch, config, baselines, run_id="run"):
     """Train one config, evaluate on the test split, return a runs-table row.
 
     Rows come back in parsed form (lists of floats, None for missing) and
@@ -227,32 +213,13 @@ def run_single(train_ds, test_ds, arch, config, baselines, run_id="run",
     started = time.perf_counter()
     flags = []
     echo = config.to_dict()
-    row = {
-        "run_id": run_id,
-        "schema_version": RUNS_SCHEMA_VERSION,
-        "method": echo["method"],
-        "seed": echo["seed"],
-        "task_weights": echo["task_weights"],
-        "fairness_weights": echo["fairness_weights"],
-        "head_shared_ratios": echo["head_shared_ratios"],
-        "fairness_kind": echo["fairness_kind"],
-        "mmd_bandwidth": echo["mmd_bandwidth"],
-        "fairness_target": echo["fairness_target"],
-        "learning_rate": echo["learning_rate"],
-        "epochs": echo["epochs"],
-        "batch_size": echo["batch_size"],
-        "err_per_task": None, "fpr_gap_per_task": None,
-        "tpr_gap_per_task": None,
-        "err_mean": None, "fpr_gap_mean": None, "arfg": None, "are": None,
-        "flags": None, "seconds": None, "timestamp": time.time(),
-    }
+    row = dict.fromkeys(RUNS_COLUMNS)
+    row.update((k, list(v) if isinstance(v, tuple) else v)
+               for k, v in echo.items())
+    row.update(run_id=run_id, schema_version=RUNS_SCHEMA_VERSION,
+               timestamp=time.time())
     try:
-        model = None
-        if emb_dims is not None:
-            model = build_model(arch, dense_count=train_ds.dense.shape[1],
-                                vocab_sizes=train_ds.vocab_sizes,
-                                seed=config.seed, emb_dims=emb_dims)
-        trained = train(train_ds, arch, config, model=model)
+        trained = train(train_ds, arch, config)
         per_task = evaluate_model(trained.model, test_ds)
         row["err_per_task"] = [ev.err for ev in per_task]
         row["fpr_gap_per_task"] = [ev.fpr_gap for ev in per_task]
@@ -299,20 +266,6 @@ class RunsWriter:
             f.flush()
 
 
-def _parse_cell(column, text):
-    if text == "":
-        return None
-    if column in ("task_weights", "fairness_weights", "head_shared_ratios",
-                  "err_per_task", "fpr_gap_per_task", "tpr_gap_per_task"):
-        return json.loads(text)
-    if column in ("seed", "schema_version", "epochs", "batch_size"):
-        return int(text)
-    if column in ("mmd_bandwidth", "learning_rate", "err_mean",
-                  "fpr_gap_mean", "arfg", "are", "seconds", "timestamp"):
-        return float(text)
-    return text
-
-
 def load_runs(path, parse=True):
     """Read runs.csv back into dicts; numeric and JSON cells are decoded."""
     with open(path, newline="") as f:
@@ -322,15 +275,16 @@ def load_runs(path, parse=True):
         rows = list(reader)
     if not parse:
         return rows
-    return [{k: _parse_cell(k, v) for k, v in row.items()} for row in rows]
+    parser = RUNS_COLUMNS.get
+    return [{k: None if v == "" else parser(k, str)(v)
+             for k, v in row.items()} for row in rows]
 
 
 def _pool_entry(args):
     return run_single(*args)
 
 
-def run_sweep(train_ds, test_ds, arch, sweep, baselines, out_dir, jobs=1,
-              emb_dims=None):
+def run_sweep(train_ds, test_ds, arch, sweep, baselines, out_dir, jobs=1):
     """Execute a full sweep, appending rows to <out_dir>/runs.csv.
 
     Work is farmed to a process pool when jobs > 1; results are appended in
@@ -344,7 +298,7 @@ def run_sweep(train_ds, test_ds, arch, sweep, baselines, out_dir, jobs=1,
         for config in configs[method]:
             run_id = f"r{index:05d}-{method}"
             tasks.append((train_ds, test_ds, arch, config, baselines,
-                          run_id, emb_dims))
+                          run_id))
             index += 1
 
     rows = []
@@ -498,8 +452,3 @@ def _accuracy_overlay(rows, methods, num_tasks):
             "fairness_frontier_run_ids": sorted(fair_ids),
         }
     return overlay
-
-
-def stl_cache_key(arch, config, seeds):
-    """Hash naming a baseline cache entry; mirrors the metrics-side hash."""
-    return stl_config_hash(arch, config, seeds)

@@ -13,7 +13,7 @@ bottom's output: the shared part never reaches a head.
 """
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .backend import kernels
 from .exceptions import ConfigError, ShapeError, TrainingDiverged
 from .losses import (FAIRNESS_TARGETS, as_loss_kind, cross_entropy,
                      decompose_fairness, fairness_loss, subset_select)
-from .model import build_model, forward
+from .model import build_model, forward, from_fields
 
 METHODS = ("vanilla", "baseline", "mtaf")
 ADAGRAD_EPS = 1e-8
@@ -75,38 +75,22 @@ class TrainConfig:
         return len(self.task_weights)
 
     def to_dict(self):
-        return {
-            "method": self.method,
-            "task_weights": list(self.task_weights),
-            "fairness_weights": list(self.fairness_weights),
-            "head_shared_ratios": list(self.head_shared_ratios),
-            "fairness_kind": self.fairness_kind.kind,
-            "mmd_bandwidth": self.fairness_kind.mmd_bandwidth,
-            "fairness_target": self.fairness_target,
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-        }
+        """The fields as plain values, `fairness_kind` flattened into its
+        name and `mmd_bandwidth` (the runs-table and cache-key form)."""
+        d = asdict(self)
+        d["fairness_kind"] = self.fairness_kind.kind
+        d["mmd_bandwidth"] = self.fairness_kind.mmd_bandwidth
+        return d
 
     @classmethod
     def from_dict(cls, d):
-        kind = as_loss_kind(d.get("fairness_kind", "mmd"))
-        if "mmd_bandwidth" in d:
-            kind = replace(kind, mmd_bandwidth=float(d["mmd_bandwidth"]))
-        return cls(
-            method=d["method"],
-            task_weights=tuple(d["task_weights"]),
-            fairness_weights=tuple(d["fairness_weights"])
-            if d.get("fairness_weights") is not None else None,
-            head_shared_ratios=tuple(d["head_shared_ratios"])
-            if d.get("head_shared_ratios") is not None else None,
-            fairness_kind=kind,
-            fairness_target=d.get("fairness_target", "equal_opportunity_fpr"),
-            learning_rate=d.get("learning_rate", 0.05),
-            epochs=d.get("epochs", 1),
-            batch_size=d.get("batch_size", 128),
-            seed=d.get("seed", 0))
+        """Inverse of `to_dict`; keys that name no field are ignored."""
+        config = from_fields(cls, d)
+        if "mmd_bandwidth" not in d:
+            return config
+        kind = replace(config.fairness_kind,
+                       mmd_bandwidth=float(d["mmd_bandwidth"]))
+        return replace(config, fairness_kind=kind)
 
 
 @dataclass
@@ -226,11 +210,11 @@ def train_step(model, batch, config, loss_sink=None):
     return model
 
 
-def train(dataset, arch, config, model=None):
+def train(dataset, arch, config):
     """Run the full loop: seeded per-epoch shuffles, mini-batch steps.
 
-    A caller-provided model allows warm starts; by default the model is
-    built from config.seed so identical inputs give identical runs.
+    The model is built from config.seed, so identical inputs give identical
+    runs.
     """
     if dataset.num_tasks != config.num_tasks:
         raise ConfigError(
@@ -238,9 +222,8 @@ def train(dataset, arch, config, model=None):
     if arch.num_tasks != config.num_tasks:
         raise ConfigError("arch task count does not match config")
     started = time.perf_counter()
-    if model is None:
-        model = build_model(arch, dense_count=dataset.dense.shape[1],
-                            vocab_sizes=dataset.vocab_sizes, seed=config.seed)
+    model = build_model(arch, dense_count=dataset.dense.shape[1],
+                        vocab_sizes=dataset.vocab_sizes, seed=config.seed)
     rng = np.random.default_rng(config.seed)
     n = len(dataset)
     history = np.empty((config.epochs, config.num_tasks))

@@ -15,7 +15,6 @@ from fairmtl.data import (
     OOV_INDEX,
     Dataset,
     SynthSpec,
-    iter_batches,
     load_dataset,
     load_schema,
     resolve,
@@ -280,35 +279,6 @@ class TestSplitAndBatches:
         with pytest.raises(ConfigError):
             split_random(ds, 1.0, seed=0)
 
-    def test_batch_sizes_partial_kept(self):
-        ds = self.make(10)
-        sizes = [len(b) for b in iter_batches(ds, 4)]
-        assert sizes == [4, 4, 2]
-
-    def test_batches_preserve_order_without_rng(self):
-        ds = self.make(10)
-        batches = list(iter_batches(ds, 4))
-        assert np.array_equal(batches[0].dense, ds.dense[:4])
-        assert np.array_equal(batches[2].labels, ds.labels[8:])
-
-    def test_batches_shuffled_cover_everything(self):
-        ds = self.make(10)
-        rng = np.random.default_rng(0)
-        batches = list(iter_batches(ds, 4, rng=rng))
-        merged = np.sort(np.concatenate([b.dense[:, 0] for b in batches]))
-        assert np.array_equal(merged, np.sort(ds.dense[:, 0]))
-
-    def test_oversized_batch_warns_and_degrades(self):
-        ds = self.make(10)
-        with pytest.warns(UserWarning, match="single batch"):
-            batches = list(iter_batches(ds, 16))
-        assert len(batches) == 1 and len(batches[0]) == 10
-
-    def test_bad_batch_size(self):
-        ds = self.make(4)
-        with pytest.raises(ConfigError):
-            list(iter_batches(ds, 0))
-
 
 class TestSynthGenerator:
     def test_deterministic_in_seed(self):
@@ -455,6 +425,12 @@ class TestSchemaValidation:
         raw = self.base()
         raw["tasks"][0]["op"] = "lt"
         with pytest.raises(SchemaError, match="unknown predicate"):
+            spec_from_dict(raw)
+
+    def test_per_column_embedding_dim_rejected(self):
+        raw = self.base()
+        raw["categorical"] = [{"name": "job", "embedding_dim": 3}]
+        with pytest.raises(SchemaError, match="arch.embedding_dim"):
             spec_from_dict(raw)
 
     def test_malformed_dict(self):

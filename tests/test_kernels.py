@@ -1,0 +1,58 @@
+"""Contracts of the numpy kernels, which the compiled extension must match.
+
+tests/test_backend.py compares the two backends and skips when the
+extension is not built, so the contracts themselves are checked here on
+the numpy kernels.
+"""
+
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose
+
+import fairmtl.autodiff as ad
+from fairmtl import _kernels_np as knp
+from fairmtl.losses import cross_entropy
+
+
+def test_xent_gradient_zero_on_clamped_rows():
+    # p = 0 and p = 1 against both labels: unclamped, each of these rows
+    # would carry a gradient of about +-1 or +-1e12
+    p = np.array([[0.0], [0.0], [1.0], [1.0], [0.25], [0.8]])
+    y = np.array([1, 0, 1, 0, 1, 0])
+    prob = ad.constant(p)
+    ad.backward(cross_entropy(prob, y))
+    inside = ((p[4:, 0] - y[4:]) / (p[4:, 0] * (1.0 - p[4:, 0]))) / len(y)
+    assert np.array_equal(prob.grad[:4, 0], np.zeros(4))
+    assert_allclose(prob.grad[4:, 0], inside, rtol=1e-12)
+
+
+def _bwd_case(name, rng):
+    """A call of kernel `name` that adds into its list of output arrays, and
+    the shapes of those arrays."""
+    x, g, s = (rng.standard_normal((6, 5)) for _ in range(3))
+    p = rng.random((7, 1))
+    y = rng.integers(0, 2, (7, 1)).astype(np.float64)
+    u, v = rng.standard_normal((4, 1)), rng.standard_normal((3, 1))
+    k, gk = knp.gauss_fwd(u, v, 0.5), rng.standard_normal((4, 3))
+    return {
+        "relu_bwd": (lambda a: knp.relu_bwd(x, g, a[0]), [x.shape]),
+        "sigmoid_bwd": (lambda a: knp.sigmoid_bwd(s, g, a[0]), [x.shape]),
+        "xent_bwd": (lambda a: knp.xent_bwd(p, y, 0.7, a[0]), [p.shape]),
+        "gauss_bwd": (lambda a: knp.gauss_bwd(u, v, k, gk, 0.5, *a),
+                      [u.shape, v.shape]),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["relu_bwd", "sigmoid_bwd", "xent_bwd",
+                                  "gauss_bwd"])
+def test_backward_kernels_accumulate_in_place(name):
+    rng = np.random.default_rng(0)
+    call, shapes = _bwd_case(name, rng)
+    start = [rng.standard_normal(shape) for shape in shapes]
+    acc = [a.copy() for a in start]
+    call(acc)
+    once = [a - a0 for a, a0 in zip(acc, start)]
+    assert all(np.any(d != 0) for d in once)
+    call(acc)
+    for a, a0, d in zip(acc, start, once):
+        assert_allclose(a, a0 + 2 * d, rtol=1e-12, atol=1e-12)

@@ -1,6 +1,9 @@
 """Metric arithmetic against hand-counted fixtures, including the
 two-model relative-aggregate example."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,7 @@ from fairmtl.data import Dataset
 from fairmtl.exceptions import ConfigError, ContractError, UndefinedMetricError
 from fairmtl.metrics import (StlBaselines, TaskEval, aggregate, evaluate_task,
                              run_stl_baselines, single_task_view)
-from fairmtl.model import ArchConfig
+from fairmtl.model import ArchConfig, from_fields
 from fairmtl.trainer import TrainConfig
 
 
@@ -180,7 +183,8 @@ def test_stl_baselines_structure_and_determinism():
     assert b1.config_hash == b2.config_hash
     b3 = run_stl_baselines(train_ds, test_ds, arch, cfg, seeds=(0, 1, 2))
     assert b3.config_hash != b1.config_hash
-    assert StlBaselines.from_dict(b1.to_dict()) == b1
+    assert from_fields(StlBaselines,
+                       json.loads(json.dumps(asdict(b1)))) == b1
 
 
 def test_stl_single_task_dataset():

@@ -8,6 +8,7 @@ data end to end.
 import copy
 import json
 import os
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ import pytest
 from fairmtl import cli
 from fairmtl.data import SynthSpec, split_random, synth_generate
 from fairmtl.exceptions import ConfigError, ContractError
-from fairmtl.metrics import StlBaselines, run_stl_baselines
-from fairmtl.model import ArchConfig
+from fairmtl.metrics import StlBaselines, run_stl_baselines, stl_config_hash
+from fairmtl.model import ArchConfig, from_fields
 from fairmtl.sweep import (
     RUNS_COLUMNS,
     RUNS_SCHEMA_VERSION,
@@ -82,10 +83,11 @@ class TestSweepConfig:
         sweep = SweepConfig(methods=("mtaf",), budget=7, master_seed=9,
                             lambda_range=(0.5, 2.0),
                             fairness_kind="correlation")
-        assert SweepConfig.from_dict(sweep.to_dict()) == sweep
+        d = json.loads(json.dumps(asdict(sweep)))
+        assert from_fields(SweepConfig, d) == sweep
 
     def test_from_dict_ignores_extra_keys(self):
-        sweep = SweepConfig.from_dict({"budget": 3, "data_dir": "x"})
+        sweep = from_fields(SweepConfig, {"budget": 3, "data_dir": "x"})
         assert sweep.budget == 3
 
 
@@ -400,13 +402,42 @@ class TestBaselineCache:
         dhash = dataset_hash(train_ds)
         path = save_baselines(str(tmp_path), dhash, ARCH, baselines)
         assert os.path.exists(path)
-        loaded = load_baselines(str(tmp_path), dhash)
+        loaded = load_baselines(str(tmp_path), dhash, ARCH)
         assert loaded == baselines
 
     def test_missing_baselines_instruct_user(self, tmp_path):
-        assert load_baselines(str(tmp_path), "beef") is None
+        assert load_baselines(str(tmp_path), "beef", ARCH) is None
         with pytest.raises(ConfigError, match="stl-baseline"):
-            require_baselines(str(tmp_path), "beef")
+            require_baselines(str(tmp_path), "beef", ARCH)
+
+    def test_cache_chosen_by_architecture_and_never_by_filename(self,
+                                                                tmp_path):
+        out = str(tmp_path)
+        wide = ArchConfig(num_tasks=2, shared_layer_sizes=(16,),
+                          head_layer_sizes=(4,), embedding_dim=4)
+
+        def cache(arch, epochs, err):
+            cfg = TrainConfig(method="vanilla", task_weights=(1.0,),
+                              epochs=epochs)
+            b = StlBaselines(errs=(err, err), fpr_gaps=(0.1, 0.1),
+                             tpr_gaps=(0.1, 0.1), seeds=(0,),
+                             config_hash=stl_config_hash(arch, cfg, (0,)))
+            save_baselines(out, "beef", arch, b)
+            return b
+
+        narrow = cache(ARCH, 1, 0.2)
+        broad = cache(wide, 1, 0.3)
+        assert load_baselines(out, "beef", ARCH) == narrow
+        assert load_baselines(out, "beef", wide) == broad
+        assert load_baselines(out, "beef", replace(ARCH, embedding_dim=5)) \
+            is None
+
+        longer = cache(ARCH, 2, 0.25)
+        with pytest.raises(ConfigError) as info:
+            require_baselines(out, "beef", ARCH)
+        for b in (narrow, longer):
+            assert f"stl_beef_{b.config_hash}.json" in str(info.value)
+        assert load_baselines(out, "beef", wide) == broad
 
     def test_dataset_hash_sensitivity(self, env):
         train_ds, test_ds, _ = env

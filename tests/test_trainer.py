@@ -2,6 +2,7 @@
 mtaf, bit-exact agreement contracts, and end-to-end learnability."""
 
 import itertools
+import json
 
 import numpy as np
 import oracles
@@ -104,7 +105,7 @@ def test_config_roundtrip():
                       fairness_weights=(1.0, 2.0), head_shared_ratios=(2.0, 0.5),
                       fairness_kind="mmd", fairness_target="equalized_odds",
                       learning_rate=0.02, epochs=3, batch_size=16, seed=9)
-    again = TrainConfig.from_dict(cfg.to_dict())
+    again = TrainConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
     assert again == cfg
 
 
