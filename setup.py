@@ -28,24 +28,25 @@ class OptionalBuildExt(build_ext):
 def make_extensions():
     try:
         import numpy
-        from Cython.Build import cythonize
     except ImportError:
         return []
-    return cythonize(
-        [
-            Extension(
-                "fairmtl._ckernels",
-                ["src/fairmtl/_ckernels.pyx"],
-                include_dirs=[numpy.get_include()],
-                define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
-                # trapping-math off lets gcc if-convert float compares and
-                # vectorize the elementwise loops; results stay IEEE-exact
-                extra_compile_args=["-O3", "-fno-trapping-math",
-                                    "-fno-math-errno"],
-            )
-        ],
-        language_level=3,
+    try:
+        from Cython.Build import cythonize
+    except ImportError:
+        # no Cython: compile the committed C translation of the .pyx
+        cythonize, source = None, "src/fairmtl/_ckernels.c"
+    else:
+        source = "src/fairmtl/_ckernels.pyx"
+    ext = Extension(
+        "fairmtl._ckernels",
+        [source],
+        include_dirs=[numpy.get_include()],
+        define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
+        # trapping-math off lets gcc if-convert float compares and
+        # vectorize the elementwise loops; results stay IEEE-exact
+        extra_compile_args=["-O3", "-fno-trapping-math", "-fno-math-errno"],
     )
+    return cythonize([ext], language_level=3) if cythonize else [ext]
 
 
 setup(ext_modules=make_extensions(), cmdclass={"build_ext": OptionalBuildExt})

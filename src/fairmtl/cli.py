@@ -23,12 +23,12 @@ from dataclasses import replace
 from .data import (SynthSpec, load_dataset, load_schema, resolve,
                    split_random, synth_generate)
 from .exceptions import ConfigError
-from .metrics import run_stl_baselines
+from .metrics import run_stl_baselines, stl_config_hash
 from .presets import (DATASET_PRESETS, SCHEMA_PRESETS, arch_for,
                       schema_path, train_settings_for)
 from .model import ArchConfig, from_fields
-from .sweep import (RunsWriter, SweepConfig, dataset_hash, emit_reports,
-                    load_runs, require_baselines, run_single, run_sweep,
+from .sweep import (RunsWriter, SweepConfig, emit_reports, load_baselines,
+                    load_runs, pair_hash, run_id, run_single, run_sweep,
                     save_baselines, _num_tasks)
 from .trainer import TrainConfig
 
@@ -43,17 +43,13 @@ def _load_config(path):
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
 
 
-def _pair_hash(train_ds, test_ds):
-    return dataset_hash(train_ds)[:8] + dataset_hash(test_ds)[:4]
-
-
 class ResolvedData:
     def __init__(self, name, train_ds, test_ds, arch):
         self.name = name
         self.train_ds = train_ds
         self.test_ds = test_ds
         self.arch = arch
-        self.pair_hash = _pair_hash(train_ds, test_ds)
+        self.pair_hash = pair_hash(train_ds, test_ds)
 
 
 def resolve_data(dataset_arg, cfg):
@@ -105,29 +101,33 @@ def resolve_data(dataset_arg, cfg):
 
 
 def _train_config(section, data, seed_override):
-    d = dict(section)
-    defaults = train_settings_for(data.name)
-    for key, value in defaults.items():
-        d.setdefault(key, value)
-    d.setdefault("method", "vanilla")
     T = data.train_ds.num_tasks
-    d.setdefault("task_weights", [1.0 / T] * T)
+    d = {**train_settings_for(data.name), "method": "vanilla",
+         "task_weights": [1.0 / T] * T, **section}
     if seed_override is not None:
         d["seed"] = seed_override
     return TrainConfig.from_dict(d)
 
 
-def cmd_stl_baseline(args):
-    cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else 0
-    data = resolve_data(args.dataset, cfg)
-    stl_cfg = dict(cfg.get("stl", {}))
-    seeds = [int(s) for s in stl_cfg.pop("seeds", range(seed, seed + 5))]
+def _stl_plan(cfg, data):
+    """STL training config, seeds (stl.seeds, default 0-4) and cache key:
+    stl-baseline caches under this key and train/sweep open it by it."""
+    stl_cfg = cfg.get("stl", {})
+    seeds = tuple(int(s) for s in stl_cfg.get("seeds", range(5)))
+    if not seeds:
+        raise ConfigError("stl.seeds must not be empty")
     settings = train_settings_for(data.name)
     settings.update({k: stl_cfg[k] for k in
                      ("learning_rate", "epochs", "batch_size") if k in stl_cfg})
     config = TrainConfig(method="vanilla", task_weights=(1.0,),
                          seed=seeds[0], **settings)
+    return config, seeds, stl_config_hash(data.arch, config, seeds)
+
+
+def cmd_stl_baseline(args):
+    cfg = _load_config(args.config)
+    data = resolve_data(args.dataset, cfg)
+    config, seeds, _ = _stl_plan(cfg, data)
     print(f"training {data.train_ds.num_tasks} single-task baselines "
           f"x {len(seeds)} seeds on {data.name}...")
     baselines = run_stl_baselines(data.train_ds, data.test_ds, data.arch,
@@ -148,14 +148,18 @@ def _fmt(v):
 def cmd_train(args):
     cfg = _load_config(args.config)
     data = resolve_data(args.dataset, cfg)
-    baselines = require_baselines(args.out, data.pair_hash, data.arch)
+    baselines = load_baselines(args.out, data.pair_hash,
+                               _stl_plan(cfg, data)[2])
     config = _train_config(cfg.get("train", cfg), data, args.seed)
     writer = RunsWriter(os.path.join(args.out, "runs.csv"))
-    run_id = f"r{writer.count:05d}-{config.method}"
+    rid = run_id(config, data.pair_hash, baselines.config_hash)
+    if rid in writer.ids:
+        print(f"{rid}: already recorded in {writer.path}; nothing appended")
+        return 0
     row = run_single(data.train_ds, data.test_ds, data.arch, config,
-                     baselines, run_id=run_id)
+                     baselines, run_id=rid)
     writer.append(row)
-    print(f"{run_id}: err_mean={row['err_mean']} arfg={row['arfg']} "
+    print(f"{rid}: err_mean={row['err_mean']} arfg={row['arfg']} "
           f"are={row['are']} flags={row['flags'] or 'none'}")
     print(f"appended to {writer.path}")
     return 0
@@ -164,10 +168,9 @@ def cmd_train(args):
 def cmd_sweep(args):
     cfg = _load_config(args.config)
     data = resolve_data(args.dataset, cfg)
-    baselines = require_baselines(args.out, data.pair_hash, data.arch)
-    sweep_cfg = dict(cfg.get("sweep", {}))
-    for key, value in train_settings_for(data.name).items():
-        sweep_cfg.setdefault(key, value)
+    baselines = load_baselines(args.out, data.pair_hash,
+                               _stl_plan(cfg, data)[2])
+    sweep_cfg = {**train_settings_for(data.name), **cfg.get("sweep", {})}
     if args.seed is not None:
         sweep_cfg["master_seed"] = args.seed
     sweep = from_fields(SweepConfig, sweep_cfg)
@@ -214,13 +217,14 @@ def build_parser():
         description="Multi-task fairness training, sweeps, and frontier reports")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, dataset=True, jobs=False):
+    def common(p, dataset=True, seed=False, jobs=False):
         p.add_argument("--config", default=None, help="JSON config path")
         if dataset:
             p.add_argument("--dataset", required=True,
                            help="preset name or schema JSON path")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
+        if seed:
+            p.add_argument("--seed", type=int, default=None)
         if jobs:
             p.add_argument("--jobs", type=int, default=1,
                            help="parallel worker processes")
@@ -231,11 +235,11 @@ def build_parser():
     p.set_defaults(func=cmd_stl_baseline)
 
     p = sub.add_parser("train", help="run one configuration")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sweep", help="run a sampled sweep")
-    common(p, jobs=True)
+    common(p, seed=True, jobs=True)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="emit frontier reports from runs.csv")

@@ -50,12 +50,10 @@ class StlBaselines:
 
 @dataclass(frozen=True)
 class RunMetrics:
-    per_task: tuple
     err_mean: float
     fpr_gap_mean: float
     arfg: float
     are: float
-    config: dict
 
 
 def evaluate_task(probabilities, labels, sensitive, threshold=0.5):
@@ -87,7 +85,7 @@ def evaluate_task(probabilities, labels, sensitive, threshold=0.5):
                     neg_counts=neg_counts, pos_counts=pos_counts)
 
 
-def aggregate(per_task, baselines, config=None):
+def aggregate(per_task, baselines):
     """Plain per-task averages plus the relative aggregates ARFG and ARE."""
     per_task = tuple(per_task)
     if len(per_task) != baselines.num_tasks:
@@ -109,9 +107,8 @@ def aggregate(per_task, baselines, config=None):
     are = sum(ev.err / e for ev, e in zip(per_task, baselines.errs)) / T
     arfg = sum(ev.fpr_gap / g
                for ev, g in zip(per_task, baselines.fpr_gaps)) / T
-    return RunMetrics(per_task=per_task, err_mean=err_mean,
-                      fpr_gap_mean=gap_mean, arfg=arfg, are=are,
-                      config=dict(config or {}))
+    return RunMetrics(err_mean=err_mean, fpr_gap_mean=gap_mean, arfg=arfg,
+                      are=are)
 
 
 def evaluate_model(model, dataset, threshold=0.5):

@@ -4,7 +4,7 @@ All objectives are minimized.  Equal objective vectors do not dominate each
 other, so duplicate runs survive onto the frontier together.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +15,6 @@ from .exceptions import ContractError
 class ParetoPoint:
     objectives: tuple
     run_id: str = ""
-    payload: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         obj = tuple(float(x) for x in self.objectives)

@@ -15,6 +15,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from .exceptions import ConfigError, ContractError, UndefinedMetricError
 from .losses import FAIRNESS_KINDS, FAIRNESS_TARGETS, FairnessLossKind
 from .metrics import StlBaselines, aggregate, evaluate_model
-from .model import ArchConfig, from_fields
+from .model import from_fields
 from .pareto import ParetoPoint, frontier, frontier_quality
 from .trainer import METHODS, TrainConfig, train
 
@@ -143,7 +144,7 @@ def sample_configs(sweep, num_tasks):
 
 
 def dataset_hash(dataset):
-    """Content hash used to key cached STL baselines to a dataset."""
+    """Content hash of one split's arrays."""
     h = hashlib.sha256()
     for arr in (dataset.dense, dataset.cat, dataset.labels, dataset.sensitive):
         h.update(np.ascontiguousarray(arr).tobytes())
@@ -151,46 +152,46 @@ def dataset_hash(dataset):
     return h.hexdigest()[:12]
 
 
-def save_baselines(out_dir, dhash, arch, baselines):
+def pair_hash(train_ds, test_ds):
+    """Content hash of a train/test pair; keys STL caches and run ids."""
+    return dataset_hash(train_ds)[:8] + dataset_hash(test_ds)[:4]
+
+
+def run_id(config, pair, stl_key):
+    """Content id of a run: a hash of its config, data pair and STL key."""
+    payload = json.dumps([config.to_dict(), pair, stl_key], sort_keys=True)
+    digest = hashlib.sha256(payload.encode()).hexdigest()
+    return f"{config.method}-{digest[:12]}"
+
+
+def save_baselines(out_dir, pair, arch, baselines):
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"stl_{dhash}_{baselines.config_hash}.json")
+    path = os.path.join(out_dir, f"stl_{pair}_{baselines.config_hash}.json")
     with open(path, "w") as f:
         json.dump({"schema_version": RUNS_SCHEMA_VERSION,
-                   "dataset_hash": dhash,
+                   "dataset_hash": pair,
                    "arch": asdict(arch),
                    "baselines": asdict(baselines)}, f, indent=2)
     return path
 
 
-def load_baselines(out_dir, dhash, arch):
-    """Cached STL baselines for a dataset hash and architecture; None when
-    absent.  Several entries that match both (for example different STL
-    training settings) are refused rather than picked by filename."""
-    if not os.path.isdir(out_dir):
-        return None
-    found = []
-    for name in sorted(os.listdir(out_dir)):
-        if name.startswith(f"stl_{dhash}_") and name.endswith(".json"):
-            with open(os.path.join(out_dir, name)) as f:
-                payload = json.load(f)
-            if from_fields(ArchConfig, payload["arch"]) == arch:
-                found.append((name, payload))
-    if len(found) > 1:
+def load_baselines(out_dir, pair, key):
+    """The STL baselines cached under exactly this data pair and STL key;
+    refused, listing the pair's caches, when absent or mislabelled."""
+    path = os.path.join(out_dir, f"stl_{pair}_{key}.json")
+    if not os.path.exists(path):
+        names = os.listdir(out_dir) if os.path.isdir(out_dir) else []
+        cached = sorted(n for n in names
+                        if n.startswith(f"stl_{pair}_") and n.endswith(".json"))
         raise ConfigError(
-            "several STL baseline caches match this dataset and "
-            f"architecture in {out_dir}: {', '.join(n for n, _ in found)}; "
-            "remove all but one")
-    if not found:
-        return None
-    return from_fields(StlBaselines, found[0][1]["baselines"])
-
-
-def require_baselines(out_dir, dhash, arch):
-    baselines = load_baselines(out_dir, dhash, arch)
-    if baselines is None:
-        raise ConfigError(
-            "no STL baselines cached for this dataset/architecture; "
-            "run `fairmtl stl-baseline` first")
+            f"no STL baselines at {path}; cached for this data: "
+            f"{', '.join(cached) or 'none'}; run `fairmtl stl-baseline` "
+            "with this config first")
+    with open(path) as f:
+        baselines = from_fields(StlBaselines, json.load(f)["baselines"])
+    if baselines.config_hash != key:
+        raise ConfigError(f"{path} records STL key "
+                          f"{baselines.config_hash!r}, not {key!r}")
     return baselines
 
 
@@ -212,10 +213,9 @@ def run_single(train_ds, test_ds, arch, config, baselines, run_id="run"):
     """
     started = time.perf_counter()
     flags = []
-    echo = config.to_dict()
     row = dict.fromkeys(RUNS_COLUMNS)
     row.update((k, list(v) if isinstance(v, tuple) else v)
-               for k, v in echo.items())
+               for k, v in config.to_dict().items())
     row.update(run_id=run_id, schema_version=RUNS_SCHEMA_VERSION,
                timestamp=time.time())
     try:
@@ -226,10 +226,9 @@ def run_single(train_ds, test_ds, arch, config, baselines, run_id="run"):
         row["tpr_gap_per_task"] = [ev.tpr_gap for ev in per_task]
         row["err_mean"] = float(np.mean([ev.err for ev in per_task]))
         try:
-            metrics = aggregate(per_task, baselines, config=echo)
-            row["fpr_gap_mean"] = metrics.fpr_gap_mean
-            row["arfg"] = metrics.arfg
-            row["are"] = metrics.are
+            metrics = aggregate(per_task, baselines)
+            row.update(fpr_gap_mean=metrics.fpr_gap_mean, arfg=metrics.arfg,
+                       are=metrics.are)
         except UndefinedMetricError as exc:
             flags.append(f"undefined_metric: {exc}")
     except Exception as exc:  # noqa: BLE001 - flagged, never aborts a sweep
@@ -241,43 +240,51 @@ def run_single(train_ds, test_ds, arch, config, baselines, run_id="run"):
 
 class RunsWriter:
     """Append-only writer for runs.csv; one header, unique run ids, flushed
-    after every row so interrupted sweeps leave a readable table."""
+    after every row so interrupted sweeps leave a readable table.  A table
+    whose last row was cut short is refused, not appended to."""
 
     def __init__(self, path):
         self.path = path
-        self._ids = set()
-        self.count = 0
-        if os.path.exists(path):
-            for row in load_runs(path, parse=False):
-                self._ids.add(row["run_id"])
-                self.count += 1
-        else:
+        if not os.path.exists(path):
             os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
             with open(path, "w", newline="") as f:
                 csv.writer(f).writerow(RUNS_COLUMNS)
+        with open(path, "rb") as f:
+            content = f.read()
+        if content and not content.endswith(b"\n"):
+            line = content.count(b"\n") + 1
+            raise ContractError(f"{path}:{line}: last row is cut short; "
+                                "remove that line before appending")
+        self.ids = {row["run_id"] for row in load_runs(path)}
 
     def append(self, row):
-        if row["run_id"] in self._ids:
+        if row["run_id"] in self.ids:
             raise ContractError(f"duplicate run_id {row['run_id']!r}")
-        self._ids.add(row["run_id"])
-        self.count += 1
+        self.ids.add(row["run_id"])
         with open(self.path, "a", newline="") as f:
             csv.writer(f).writerow([_cell(row[c]) for c in RUNS_COLUMNS])
             f.flush()
 
 
-def load_runs(path, parse=True):
-    """Read runs.csv back into dicts; numeric and JSON cells are decoded."""
+def load_runs(path):
+    """Read runs.csv back into dicts; numeric and JSON cells are decoded.
+    A malformed row raises ContractError naming the file and line."""
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         if reader.fieldnames is None or "run_id" not in reader.fieldnames:
             raise ContractError(f"{path}: not a runs table")
-        rows = list(reader)
-    if not parse:
-        return rows
-    parser = RUNS_COLUMNS.get
-    return [{k: None if v == "" else parser(k, str)(v)
-             for k, v in row.items()} for row in rows]
+        parser = RUNS_COLUMNS.get
+        rows = []
+        for row in reader:
+            try:
+                if None in row:
+                    raise ValueError("more cells than columns")
+                rows.append({k: None if v == "" else parser(k, str)(v)
+                             for k, v in row.items()})
+            except (TypeError, ValueError) as exc:
+                raise ContractError(f"{path}:{reader.line_num}: malformed "
+                                    f"row ({exc})") from exc
+    return rows
 
 
 def _pool_entry(args):
@@ -287,29 +294,27 @@ def _pool_entry(args):
 def run_sweep(train_ds, test_ds, arch, sweep, baselines, out_dir, jobs=1):
     """Execute a full sweep, appending rows to <out_dir>/runs.csv.
 
-    Work is farmed to a process pool when jobs > 1; results are appended in
-    submission order by this process alone, keeping the table serialized.
+    Runs whose id the table holds are skipped, so a re-run resumes.  Work
+    is farmed to a process pool when jobs > 1; rows are appended, and
+    returned, in submission order by this process alone.
     """
     configs = sample_configs(sweep, train_ds.num_tasks)
     writer = RunsWriter(os.path.join(out_dir, "runs.csv"))
+    pair = pair_hash(train_ds, test_ds)
+    seen = set(writer.ids)
     tasks = []
-    index = writer.count
     for method in sweep.methods:
         for config in configs[method]:
-            run_id = f"r{index:05d}-{method}"
-            tasks.append((train_ds, test_ds, arch, config, baselines,
-                          run_id))
-            index += 1
+            rid = run_id(config, pair, baselines.config_hash)
+            if rid not in seen:
+                seen.add(rid)
+                tasks.append((train_ds, test_ds, arch, config, baselines,
+                              rid))
 
     rows = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for row in pool.map(_pool_entry, tasks):
-                writer.append(row)
-                rows.append(row)
-    else:
-        for args in tasks:
-            row = run_single(*args)
+    with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1 and tasks
+          else nullcontext()) as pool:
+        for row in (pool.map if pool else map)(_pool_entry, tasks):
             writer.append(row)
             rows.append(row)
     return rows
@@ -355,10 +360,7 @@ def emit_reports(rows, axes, out_dir):
     """
     num_tasks = _num_tasks(rows)
     xkey, ykey = _axes_spec(axes, num_tasks)
-    methods = []
-    for row in rows:
-        if row["method"] not in methods:
-            methods.append(row["method"])
+    methods = list(dict.fromkeys(row["method"] for row in rows))
 
     kept, excluded = {m: [] for m in methods}, {m: 0 for m in methods}
     for row in rows:
@@ -387,10 +389,8 @@ def emit_reports(rows, axes, out_dir):
     for m in methods:
         points = kept[m]
         if not points:
-            report["methods"][m] = {"num_runs": 0,
-                                    "num_excluded": excluded[m],
-                                    "frontier": [],
-                                    "frontier_quality": None}
+            report["methods"][m] = {"num_runs": 0, "num_excluded": excluded[m],
+                                    "frontier": [], "frontier_quality": None}
             continue
         front = frontier(points)
         front_ids = {p.run_id for p in front}
@@ -409,11 +409,10 @@ def emit_reports(rows, axes, out_dir):
     report["accuracy_overlay"] = _accuracy_overlay(rows, methods, num_tasks)
 
     os.makedirs(out_dir, exist_ok=True)
-    json_path = os.path.join(out_dir, f"frontier_{axes}.json")
-    with open(json_path, "w") as f:
+    with open(os.path.join(out_dir, f"frontier_{axes}.json"), "w") as f:
         json.dump(report, f, indent=2)
-    csv_path = os.path.join(out_dir, f"plotdata_{axes}.csv")
-    with open(csv_path, "w", newline="") as f:
+    with open(os.path.join(out_dir, f"plotdata_{axes}.csv"), "w",
+              newline="") as f:
         writer = csv.writer(f)
         writer.writerow(("method", "x", "y", "on_frontier"))
         writer.writerows(plot_rows)

@@ -8,10 +8,14 @@ data end to end.
 import copy
 import json
 import os
+import string
+import tempfile
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairmtl import cli
 from fairmtl.data import SynthSpec, split_random, synth_generate
@@ -27,7 +31,8 @@ from fairmtl.sweep import (
     emit_reports,
     load_baselines,
     load_runs,
-    require_baselines,
+    pair_hash,
+    run_id,
     run_single,
     run_sweep,
     sample_configs,
@@ -92,6 +97,16 @@ class TestSweepConfig:
 
 
 class TestSampling:
+    def test_larger_budget_extends_the_draws(self):
+        for spc in (1, 2):
+            small = sample_configs(SweepConfig(budget=3, master_seed=2,
+                                               seeds_per_config=spc), 2)
+            large = sample_configs(SweepConfig(budget=8, master_seed=2,
+                                               seeds_per_config=spc), 2)
+            for m in small:
+                assert [c.to_dict() for c in small[m]] == \
+                    [c.to_dict() for c in large[m][:3]]
+
     def test_budget_accounting(self):
         configs = sample_configs(SweepConfig(methods=("vanilla",), budget=10),
                                  num_tasks=2)
@@ -215,7 +230,7 @@ class TestRunsTable:
         with pytest.raises(ContractError, match="duplicate"):
             writer.append(row)
         reloaded = RunsWriter(str(path))
-        assert reloaded.count == 1
+        assert reloaded.ids == {"r0"}
 
     def test_load_runs_parses_cells(self, tmp_path, env):
         train_ds, test_ds, baselines = env
@@ -240,6 +255,71 @@ class TestRunsTable:
         with pytest.raises(ContractError, match="runs table"):
             load_runs(str(path))
 
+    def test_torn_last_row_refused(self, tmp_path, env, capsys):
+        """A table cut inside its last row (a sweep killed mid-append) is
+        neither appended to nor read as if whole."""
+        train_ds, test_ds, baselines = env
+        out = tmp_path / "out"
+        sweep = SweepConfig(methods=("vanilla",), budget=2, epochs=1,
+                            batch_size=64, learning_rate=0.1)
+        run_sweep(train_ds, test_ds, ARCH, sweep, baselines, str(out))
+        path = out / "runs.csv"
+        whole = path.read_bytes()
+        for cut in (3, 120):    # inside the timestamp; a dozen cells short
+            path.write_bytes(whole[:-cut])
+            with pytest.raises(ContractError, match=f"{path}:3: last row"):
+                RunsWriter(str(path))
+            assert path.read_bytes() == whole[:-cut]
+        with pytest.raises(ContractError, match=f"{path}:3: malformed"):
+            load_runs(str(path))
+        assert cli.main(["report", "--out", str(out)]) == 2
+        assert f"error: {path}:3: malformed" in capsys.readouterr().err
+
+    def test_malformed_cell_names_file_and_line(self, tmp_path, env):
+        train_ds, test_ds, baselines = env
+        sweep = SweepConfig(methods=("vanilla",), budget=2, epochs=1,
+                            batch_size=64, learning_rate=0.1)
+        run_sweep(train_ds, test_ds, ARCH, sweep, baselines, str(tmp_path))
+        path = tmp_path / "runs.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        for bad in (lines[2].replace('"[', '"[[', 1),    # broken JSON cell
+                    lines[2].rstrip() + ",9\n"):         # one cell too many
+            path.write_text("".join(lines[:2]) + bad)
+            with pytest.raises(ContractError, match=f"{path}:3: malformed"):
+                load_runs(str(path))
+
+
+def _cell_strategy(parser):
+    if parser is int:
+        value = st.integers(-2**62, 2**62)
+    elif parser is float:
+        value = st.floats(allow_nan=False, allow_infinity=False)
+    elif parser is str:
+        value = st.text(string.printable, min_size=1)
+    else:
+        value = st.lists(st.none() | st.floats(allow_nan=False,
+                                               allow_infinity=False))
+    return st.none() | value
+
+
+ROW = st.fixed_dictionaries({c: _cell_strategy(parser)
+                             for c, parser in RUNS_COLUMNS.items()
+                             if c != "run_id"})
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(ROW, max_size=4))
+def test_runs_table_round_trip(rows):
+    """Every cell RunsWriter.append writes is read back equal: finite
+    floats exactly, None as None, and lists that hold None."""
+    rows = [{"run_id": f"r{i}", **row} for i, row in enumerate(rows)]
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "runs.csv")
+        writer = RunsWriter(path)
+        for row in rows:
+            writer.append(row)
+        assert load_runs(path) == rows
+
 
 class TestRunSweep:
     def test_budget_rows_and_unique_ids(self, tmp_path, env):
@@ -254,15 +334,36 @@ class TestRunSweep:
         table = load_runs(str(tmp_path / "runs.csv"))
         assert [r["run_id"] for r in table] == ids
 
-    def test_second_sweep_appends_fresh_ids(self, tmp_path, env):
+    def test_second_sweep_appends_only_new_draws(self, tmp_path, env):
         train_ds, test_ds, baselines = env
-        sweep = SweepConfig(methods=("vanilla",), budget=2, epochs=1,
+        sweep = SweepConfig(methods=("vanilla", "mtaf"), budget=2, epochs=1,
                             batch_size=64, learning_rate=0.1)
-        run_sweep(train_ds, test_ds, ARCH, sweep, baselines, str(tmp_path))
-        run_sweep(train_ds, test_ds, ARCH, sweep, baselines, str(tmp_path))
+        first = run_sweep(train_ds, test_ds, ARCH, sweep, baselines,
+                          str(tmp_path))
+        assert run_sweep(train_ds, test_ds, ARCH, sweep, baselines,
+                         str(tmp_path)) == []
+        more = run_sweep(train_ds, test_ds, ARCH, replace(sweep, budget=3),
+                         baselines, str(tmp_path))
+        assert len(more) == 2
         table = load_runs(str(tmp_path / "runs.csv"))
-        assert len(table) == 4
-        assert len({r["run_id"] for r in table}) == 4
+        assert table == first + more
+        wider = sample_configs(replace(sweep, budget=3), 2)
+        pair = pair_hash(train_ds, test_ds)
+        assert [r["run_id"] for r in more] == [
+            run_id(wider[m][2], pair, baselines.config_hash)
+            for m in sweep.methods]
+
+    def test_run_id_is_a_content_key(self, env):
+        train_ds, test_ds, baselines = env
+        config = sample_configs(SweepConfig(budget=1), 2)["mtaf"][0]
+        pair = pair_hash(train_ds, test_ds)
+        rid = run_id(config, pair, baselines.config_hash)
+        assert rid == run_id(TrainConfig.from_dict(config.to_dict()), pair,
+                             baselines.config_hash)
+        assert rid.startswith("mtaf-")
+        assert len({rid, run_id(replace(config, seed=1), pair, "k"),
+                    run_id(config, pair[::-1], baselines.config_hash),
+                    run_id(config, pair, "k")}) == 4
 
     def test_sweep_rows_deterministic(self, tmp_path, env):
         train_ds, test_ds, baselines = env
@@ -402,42 +503,46 @@ class TestBaselineCache:
         dhash = dataset_hash(train_ds)
         path = save_baselines(str(tmp_path), dhash, ARCH, baselines)
         assert os.path.exists(path)
-        loaded = load_baselines(str(tmp_path), dhash, ARCH)
+        loaded = load_baselines(str(tmp_path), dhash, baselines.config_hash)
         assert loaded == baselines
 
     def test_missing_baselines_instruct_user(self, tmp_path):
-        assert load_baselines(str(tmp_path), "beef", ARCH) is None
-        with pytest.raises(ConfigError, match="stl-baseline"):
-            require_baselines(str(tmp_path), "beef", ARCH)
+        with pytest.raises(ConfigError, match="stl-baseline") as info:
+            load_baselines(str(tmp_path / "none"), "beef", "k")
+        assert "stl_beef_k.json" in str(info.value)
 
-    def test_cache_chosen_by_architecture_and_never_by_filename(self,
-                                                                tmp_path):
+    def test_cache_opened_by_exact_key(self, tmp_path):
+        """Caches differing only in STL settings sit side by side; each key
+        opens its own file, and a missing key lists what is cached."""
         out = str(tmp_path)
-        wide = ArchConfig(num_tasks=2, shared_layer_sizes=(16,),
-                          head_layer_sizes=(4,), embedding_dim=4)
 
-        def cache(arch, epochs, err):
+        def cache(epochs, err):
             cfg = TrainConfig(method="vanilla", task_weights=(1.0,),
                               epochs=epochs)
             b = StlBaselines(errs=(err, err), fpr_gaps=(0.1, 0.1),
                              tpr_gaps=(0.1, 0.1), seeds=(0,),
-                             config_hash=stl_config_hash(arch, cfg, (0,)))
-            save_baselines(out, "beef", arch, b)
+                             config_hash=stl_config_hash(ARCH, cfg, (0,)))
+            save_baselines(out, "beef", ARCH, b)
             return b
 
-        narrow = cache(ARCH, 1, 0.2)
-        broad = cache(wide, 1, 0.3)
-        assert load_baselines(out, "beef", ARCH) == narrow
-        assert load_baselines(out, "beef", wide) == broad
-        assert load_baselines(out, "beef", replace(ARCH, embedding_dim=5)) \
-            is None
-
-        longer = cache(ARCH, 2, 0.25)
+        short, longer = cache(1, 0.2), cache(2, 0.25)
+        assert load_baselines(out, "beef", short.config_hash) == short
+        assert load_baselines(out, "beef", longer.config_hash) == longer
         with pytest.raises(ConfigError) as info:
-            require_baselines(out, "beef", ARCH)
-        for b in (narrow, longer):
-            assert f"stl_beef_{b.config_hash}.json" in str(info.value)
-        assert load_baselines(out, "beef", wide) == broad
+            load_baselines(out, "beef", "0123")
+        message = str(info.value)
+        assert os.path.join(out, "stl_beef_0123.json") in message
+        for b in (short, longer):
+            assert f"stl_beef_{b.config_hash}.json" in message
+
+    def test_cache_whose_key_differs_from_its_name_refused(self, tmp_path):
+        out = str(tmp_path)
+        b = StlBaselines(errs=(0.2, 0.2), fpr_gaps=(0.1, 0.1),
+                         tpr_gaps=(0.1, 0.1), seeds=(0,), config_hash="aaaa")
+        path = save_baselines(out, "beef", ARCH, b)
+        os.rename(path, os.path.join(out, "stl_beef_bbbb.json"))
+        with pytest.raises(ConfigError, match="'aaaa'"):
+            load_baselines(out, "beef", "bbbb")
 
     def test_dataset_hash_sensitivity(self, env):
         train_ds, test_ds, _ = env
@@ -471,7 +576,7 @@ class TestCli:
         cfg = self.write_cfg(tmp_path)
         out = str(tmp_path / "out")
         assert cli.main(["stl-baseline", "--dataset", "synth",
-                         "--out", out, "--config", cfg, "--seed", "0"]) == 0
+                         "--out", out, "--config", cfg]) == 0
         assert cli.main(["train", "--dataset", "synth",
                          "--out", out, "--config", cfg, "--seed", "3"]) == 0
         assert cli.main(["sweep", "--dataset", "synth", "--out", out,
@@ -484,6 +589,65 @@ class TestCli:
         for axes in ("are_arfg", "task0", "task1"):
             assert os.path.exists(os.path.join(out, f"frontier_{axes}.json"))
             assert os.path.exists(os.path.join(out, f"plotdata_{axes}.csv"))
+
+    def test_stl_section_change_refused(self, tmp_path, capsys):
+        """train and sweep open the cache under the key the current
+        config's stl section gives; a cache trained otherwise is listed,
+        never used."""
+        cfg = self.write_cfg(tmp_path)
+        out = str(tmp_path / "out")
+        assert cli.main(["stl-baseline", "--dataset", "synth",
+                         "--out", out, "--config", cfg]) == 0
+        (cached,) = os.listdir(out)
+        changed = copy.deepcopy(CLI_CFG)
+        changed["stl"]["epochs"] = 2
+        path = tmp_path / "changed.json"
+        path.write_text(json.dumps(changed))
+        capsys.readouterr()
+        for command in ("train", "sweep"):
+            code = cli.main([command, "--dataset", "synth", "--out", out,
+                             "--config", str(path)])
+            assert code == 2
+            err = capsys.readouterr().err
+            data = cli.resolve_data("synth", changed)
+            key = cli._stl_plan(changed, data)[2]
+            assert os.path.join(out, f"stl_{data.pair_hash}_{key}.json") in err
+            assert cached in err
+        assert not os.path.exists(os.path.join(out, "runs.csv"))
+
+    def test_repeated_train_appends_nothing(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path)
+        out = str(tmp_path / "out")
+        assert cli.main(["stl-baseline", "--dataset", "synth",
+                         "--out", out, "--config", cfg]) == 0
+        argv = ["train", "--dataset", "synth", "--out", out, "--config", cfg]
+        assert cli.main(argv) == 0
+        runs = os.path.join(out, "runs.csv")
+        before = open(runs, "rb").read()
+        (row,) = load_runs(runs)
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        assert f"{row['run_id']}: already recorded" in capsys.readouterr().out
+        assert open(runs, "rb").read() == before
+        assert cli.main(argv + ["--seed", "4"]) == 0
+        assert len(load_runs(runs)) == 2
+
+    def test_default_stl_seeds_and_key(self):
+        """Without stl.seeds the STL seeds are 0-4, whatever --seed says,
+        and the key is the one stl-baseline has always written."""
+        cfg = {k: v for k, v in CLI_CFG.items() if k != "stl"}
+        data = cli.resolve_data("synth", cfg)
+        config, seeds, key = cli._stl_plan(cfg, data)
+        assert seeds == (0, 1, 2, 3, 4)
+        expected = TrainConfig(method="vanilla", task_weights=(1.0,), seed=0,
+                               learning_rate=0.1, epochs=3, batch_size=128)
+        assert config == expected
+        assert key == stl_config_hash(data.arch, expected, seeds)
+
+    def test_seed_only_on_train_and_sweep(self, tmp_path):
+        for command in (["stl-baseline", "--dataset", "synth"], ["report"]):
+            with pytest.raises(SystemExit):
+                cli.main(command + ["--out", str(tmp_path), "--seed", "0"])
 
     def test_train_without_baselines_fails_with_instruction(
             self, tmp_path, capsys):
