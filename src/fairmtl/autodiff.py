@@ -307,7 +307,7 @@ def weighted_sum(terms, weights):
 # Backward pass
 # ---------------------------------------------------------------------------
 
-def _toposort(root, stop):
+def _toposort(root):
     order = []
     visited = set()
     stack = [(root, False)]
@@ -320,15 +320,13 @@ def _toposort(root, stop):
             continue
         visited.add(node)
         stack.append((node, True))
-        if node in stop:
-            continue
         for parent in node.parents:
             if parent not in visited:
                 stack.append((parent, False))
     return order
 
 
-def backward(root, *, stop=()):
+def backward(root):
     """Backpropagate from a 1 x 1 root; returns {Param: grad} for reachable params.
 
     Param gradients are accumulated on top of whatever they already hold, so
@@ -337,20 +335,16 @@ def backward(root, *, stop=()):
     start of every pass (otherwise a second root sharing part of the graph
     would re-propagate the first root's gradients).  Parameters not reachable
     from the root are left untouched.
-
-    Nodes in `stop` receive their gradient but pass none on: the pass covers
-    only the graph between the root and them.
     """
     if root.shape != (1, 1):
         raise ContractError(f"backward root must be 1x1, got {root.shape}")
-    stop = set(stop)
-    order = _toposort(root, stop)
+    order = _toposort(root)
     for node in order:
         if not isinstance(node, Param):
             node.grad[...] = 0.0
     root.grad += 1.0
     for node in reversed(order):
-        if node._rule is not None and node not in stop:
+        if node._rule is not None:
             node._rule(node.grad)
     return {node: node.grad for node in order if isinstance(node, Param)}
 

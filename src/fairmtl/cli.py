@@ -109,16 +109,23 @@ def _train_config(section, data, seed_override):
     return TrainConfig.from_dict(d)
 
 
+_STL_SETTINGS = ("learning_rate", "epochs", "batch_size")
+
+
 def _stl_plan(cfg, data):
     """STL training config, seeds (stl.seeds, default 0-4) and cache key:
     stl-baseline caches under this key and train/sweep open it by it."""
     stl_cfg = cfg.get("stl", {})
+    unknown = sorted(set(stl_cfg) - {"seeds", *_STL_SETTINGS})
+    if unknown:
+        raise ConfigError(
+            f"unknown stl key(s) {', '.join(map(repr, unknown))}; accepted: "
+            f"{', '.join(('seeds',) + _STL_SETTINGS)}")
     seeds = tuple(int(s) for s in stl_cfg.get("seeds", range(5)))
     if not seeds:
         raise ConfigError("stl.seeds must not be empty")
     settings = train_settings_for(data.name)
-    settings.update({k: stl_cfg[k] for k in
-                     ("learning_rate", "epochs", "batch_size") if k in stl_cfg})
+    settings.update({k: stl_cfg[k] for k in _STL_SETTINGS if k in stl_cfg})
     config = TrainConfig(method="vanilla", task_weights=(1.0,),
                          seed=seeds[0], **settings)
     return config, seeds, stl_config_hash(data.arch, config, seeds)

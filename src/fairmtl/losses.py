@@ -1,15 +1,18 @@
-"""Accuracy and fairness loss nodes.
+"""Accuracy and fairness losses, in closed form.
 
 The fairness losses operate on label-defined row subsets (negatives,
 positives, and their inter-task exclusive variants) and only on rows whose
-sensitive attribute is present.  Each is a single node whose one parent is
-the task's probability column: it holds the loss value and dF/dp in closed
-form, so the backward pass costs one scatter-add per loss.
-`decompose_fairness` splits a task's fairness loss into a head part (rows
-no other task's loss can reach) and a shared remainder, defined as a
-graph-level difference because these losses are not additive over subsets.
-The trainer routes the head part to the task's head and the remainder to
-the shared bottom.
+sensitive attribute is present.  Every loss depends on the parameters only
+through the task's probability column p, so each has a closed form that
+gives its value and dF/dp: `fairness_terms` for the fairness losses and
+`kernels.xent_fwd`/`kernels.xent_bwd` for cross-entropy.  Training takes
+those derivatives as seed gradients at p (`fairness_grad`);
+`fairness_loss` and `cross_entropy` wrap the same formulas in autodiff
+nodes whose one parent is p, the differentiable reference the tests check.
+A task's fairness loss splits into a head part (rows no other task's loss
+can reach) and a shared remainder, the full loss minus the head part,
+because these losses are not additive over subsets.  The trainer routes
+the head part to the task's head and the remainder to the shared bottom.
 """
 
 from dataclasses import dataclass
@@ -26,6 +29,14 @@ FAIRNESS_TARGETS = ("equal_opportunity_fpr", "equal_opportunity_tpr",
 
 SUBSET_KINDS = ("negatives", "positives", "exclusive_negatives",
                 "exclusive_positives")
+
+# (full subset, exclusive subset) of each side a fairness target covers
+_SIDES = {
+    "equal_opportunity_fpr": (("negatives", "exclusive_negatives"),),
+    "equal_opportunity_tpr": (("positives", "exclusive_positives"),),
+    "equalized_odds": (("negatives", "exclusive_negatives"),
+                       ("positives", "exclusive_positives")),
+}
 
 
 @dataclass(frozen=True)
@@ -75,86 +86,76 @@ def cross_entropy(prob, labels):
     return out
 
 
-def subset_select(labels, t, which):
-    """Label-defined row subset for task t (0-based).
+def subset_rows(labels, t, which):
+    """Label-defined row subset for task t (0-based), as ascending indices.
 
     exclusive_negatives(t) is the set of rows negative on t and positive on
     every other task; for T = 1 the intersection over no other tasks is the
     whole batch, so the exclusive set equals all of N_t.  exclusive_positives
-    mirrors this on the positive side.
+    mirrors this on the positive side.  An exclusive set is always a subset
+    of its full set.
     """
     labels = np.asarray(labels)
     if labels.ndim != 2:
         raise ShapeError(f"labels must be (n, T), got {labels.shape}")
-    n, num_tasks = labels.shape
+    num_tasks = labels.shape[1]
     if not 0 <= t < num_tasks:
         raise ConfigError(f"task index {t} out of range for T={num_tasks}")
     if which not in SUBSET_KINDS:
         raise ConfigError(f"unknown subset kind {which!r}")
 
-    if which in ("negatives", "exclusive_negatives"):
-        mask = labels[:, t] == 0
-    else:
-        mask = labels[:, t] == 1
-    if which == "exclusive_negatives":
+    positive = which in ("positives", "exclusive_positives")
+    mask = labels[:, t] == int(positive)
+    if which.startswith("exclusive_"):
         for k in range(num_tasks):
             if k != t:
-                mask = mask & (labels[:, k] == 1)
-    elif which == "exclusive_positives":
-        for k in range(num_tasks):
-            if k != t:
-                mask = mask & (labels[:, k] == 0)
-    return ExampleSubset(indices=tuple(np.flatnonzero(mask)))
+                mask &= labels[:, k] == int(not positive)
+    return np.flatnonzero(mask)
+
+
+def subset_select(labels, t, which):
+    """`subset_rows` as an ExampleSubset."""
+    return ExampleSubset(indices=tuple(subset_rows(labels, t, which)))
 
 
 def _zero():
     return ad.constant(np.zeros((1, 1)))
 
 
-def _fused(prob, rows, value, dvals):
-    """Scalar node over `prob` with a closed-form value and dF/dp.
-
-    `dvals[k]` is the derivative with respect to prob[rows[k]]; repeated rows
-    accumulate, as a gather would.
-    """
-    out = ad.Tensor(np.array([[value]]), (prob,))
-
-    def rule(g):
-        np.add.at(prob.grad[:, 0], rows, g[0, 0] * dvals)
-    out._rule = rule
-    return out
+# the closed form of a degenerate subset: F = 0 on no rows
+_DEGENERATE = (0.0, np.empty(0, dtype=np.intp), np.empty(0))
 
 
-def _correlation(prob, idx, a):
+def _correlation(p, idx, a):
     """|corr(p, a)| and its gradient; zero when either side has no variance."""
     if idx.size < 2:
-        return _zero()
-    p = prob.value[idx, 0]
+        return _DEGENERATE
+    pv = p[idx, 0]
     ac = a - a.mean()
     var_a = float(np.mean(ac * ac))
-    if var_a == 0.0 or float(np.var(p)) == 0.0:
-        return _zero()
+    if var_a == 0.0 or float(np.var(pv)) == 0.0:
+        return _DEGENERATE
     n = idx.size
-    c = p - p.mean()
+    c = pv - pv.mean()
     cov = float(np.mean(c * ac))
     var_p = float(np.mean(c * c))
     corr = cov * var_p ** -0.5 / np.sqrt(var_a)
     # d(cov / sqrt(var_p)) / dc, then through the centring c = p - mean(p)
     dc = (ac * var_p ** -0.5 - c * (cov * var_p ** -1.5)) / n
     dvals = (dc - dc.mean()) * (np.sign(corr) / np.sqrt(var_a))
-    return _fused(prob, idx, abs(corr), dvals)
+    return abs(corr), idx, dvals
 
 
-def _soft_fpr_gap(prob, g0, g1):
+def _soft_fpr_gap(p, g0, g1):
     """|mean(p | a=0) - mean(p | a=1)| and its gradient."""
-    diff = prob.value[g0, 0].mean() - prob.value[g1, 0].mean()
+    n0, n1 = g0.size, g1.size
+    diff = p[g0, 0].sum() / n0 - p[g1, 0].sum() / n1
     s = np.sign(diff)
-    dvals = np.concatenate([np.full(g0.size, s / g0.size),
-                            np.full(g1.size, -s / g1.size)])
-    return _fused(prob, np.concatenate([g0, g1]), abs(diff), dvals)
+    dvals = np.repeat((s / n0, -s / n1), (n0, n1))
+    return abs(diff), np.concatenate([g0, g1]), dvals
 
 
-def _mmd(prob, g0, g1, bandwidth):
+def _mmd(p, g0, g1, bandwidth):
     """Biased squared MMD between the groups' probabilities, Gaussian kernel.
 
     F = mean K00 + mean K11 - 2 mean K01 with K_ab[i, j] =
@@ -164,7 +165,7 @@ def _mmd(prob, g0, g1, bandwidth):
     these rows, so no n x n gradient buffer exists.
     """
     gamma = 1.0 / (2.0 * bandwidth * bandwidth)
-    p0, p1 = prob.value[g0], prob.value[g1]
+    p0, p1 = p[g0], p[g1]
     n0, n1 = g0.size, g1.size
     v0 = np.hstack([np.ones_like(p0), p0])
     v1 = np.hstack([np.ones_like(p1), p1])
@@ -182,18 +183,38 @@ def _mmd(prob, g0, g1, bandwidth):
     dvals = -4.0 * gamma * np.concatenate([
         d(s00, p0) / (n0 * n0) - d(s01, p0) / (n0 * n1),
         d(s11, p1) / (n1 * n1) - d(s10, p1) / (n0 * n1)])
-    return _fused(prob, np.concatenate([g0, g1]), value, dvals)
+    return value, np.concatenate([g0, g1]), dvals
+
+
+def fairness_terms(kind, p, sensitive, rows):
+    """(F, rows used, dF/dp at those rows) of one fairness loss.
+
+    `p` is the (n, 1) probability column, `sensitive` the length-n
+    attribute and `rows` the subset's in-range indices; only rows whose
+    sensitive attribute is known count.  A degenerate effective subset
+    (a group empty; fewer than two rows or zero variance for correlation)
+    gives F = 0 on no rows, so mini-batch sweeps stay defined.
+    """
+    kind = as_loss_kind(kind)
+    a = sensitive[rows]
+    if kind.kind == "correlation":
+        known = a >= 0
+        return _correlation(p, rows[known], a[known].astype(np.float64))
+    g0 = rows[a == 0]
+    g1 = rows[a == 1]
+    if g0.size == 0 or g1.size == 0:
+        return _DEGENERATE
+    if kind.kind == "soft_fpr_gap":
+        return _soft_fpr_gap(p, g0, g1)
+    return _mmd(p, g0, g1, kind.mmd_bandwidth)
 
 
 def fairness_loss(kind, prob, sensitive, subset):
     """Scalar fairness loss node over the subset rows with known sensitive.
 
-    The node's only parent is `prob`; it holds the loss value and dF/dp in
-    closed form.  Degenerate effective subsets (a group empty; fewer than two
-    rows or zero variance for correlation) give a parentless constant zero
-    so mini-batch sweeps stay defined.
+    The node's only parent is `prob`; it holds `fairness_terms`' value and
+    dF/dp.  A degenerate effective subset gives a parentless constant zero.
     """
-    kind = as_loss_kind(kind)
     idx = np.asarray(subset.indices if isinstance(subset, ExampleSubset)
                      else subset, dtype=np.intp)
     sens = np.asarray(sensitive)
@@ -203,46 +224,58 @@ def fairness_loss(kind, prob, sensitive, subset):
         raise ShapeError("prob must be a single column")
     if idx.size and (idx.min() < 0 or idx.max() >= prob.shape[0]):
         raise IndexError("subset index out of range")
-    idx = idx[sens[idx] >= 0]
-    a = sens[idx].astype(np.float64)
-
-    if kind.kind == "correlation":
-        return _correlation(prob, idx, a)
-    g0 = idx[a == 0]
-    g1 = idx[a == 1]
-    if g0.size == 0 or g1.size == 0:
+    value, rows, dvals = fairness_terms(kind, prob.value, sens, idx)
+    if not rows.size:
         return _zero()
-    if kind.kind == "soft_fpr_gap":
-        return _soft_fpr_gap(prob, g0, g1)
-    return _mmd(prob, g0, g1, kind.mmd_bandwidth)
+    out = ad.Tensor(np.array([[value]]), (prob,))
+
+    # repeated subset rows accumulate, as a gather would
+    def rule(g):
+        np.add.at(prob.grad[:, 0], rows, g[0, 0] * dvals)
+    out._rule = rule
+    return out
+
+
+def fairness_grad(kind, target, t, labels, p, sensitive, exclusive=False):
+    """Task t's fairness loss F under `target`, and dF/dp as an (n, 1) column.
+
+    F sums one loss per side of the target (negatives for the fpr target,
+    positives for tpr, both for equalized odds).  With `exclusive` each side
+    keeps only the rows no other task's loss can reach: that is mtaf's head
+    part F_head, and the full loss minus it is the shared part.
+    """
+    total = 0.0
+    grad = np.zeros(p.shape)
+    for full, excl in _SIDES[target]:
+        value, rows, dvals = fairness_terms(
+            kind, p, sensitive,
+            subset_rows(labels, t, excl if exclusive else full))
+        total += value
+        grad[rows, 0] += dvals
+    return total, grad
 
 
 def decompose_fairness(kind, target, t, labels, prob, sensitive):
-    """Split task t's fairness loss into (F_head, F_shared).
+    """Split task t's fairness loss into (F_head, F_shared) nodes.
 
     F_head is the loss on rows only task t's loss can touch (exclusive
     negatives, and exclusive positives for the tpr/odds targets); F_shared is
     the loss on the full negative (positive) set minus F_head, built as a
-    subtraction of loss nodes.  When the exclusive set covers the full set
-    (T = 1) the shared part is identically zero.
+    subtraction of loss nodes.  When an exclusive set covers its full set
+    (always for T = 1) that side's shared part is identically zero.
     """
     if target not in FAIRNESS_TARGETS:
         raise ConfigError(f"unknown fairness target {target!r}")
-
-    def side(full_kind, excl_kind):
-        full_set = subset_select(labels, t, full_kind)
-        excl_set = subset_select(labels, t, excl_kind)
-        head = fairness_loss(kind, prob, sensitive, excl_set)
-        if excl_set.indices == full_set.indices:
-            return head, _zero()
-        full = fairness_loss(kind, prob, sensitive, full_set)
-        return head, ad.sub(full, head)
-
-    if target == "equal_opportunity_fpr":
-        return side("negatives", "exclusive_negatives")
-    if target == "equal_opportunity_tpr":
-        return side("positives", "exclusive_positives")
-
-    head_n, shared_n = side("negatives", "exclusive_negatives")
-    head_p, shared_p = side("positives", "exclusive_positives")
-    return ad.add(head_n, head_p), ad.add(shared_n, shared_p)
+    heads, shareds = [], []
+    for full, excl in _SIDES[target]:
+        full_rows = subset_rows(labels, t, full)
+        excl_rows = subset_rows(labels, t, excl)
+        head = fairness_loss(kind, prob, sensitive, excl_rows)
+        heads.append(head)
+        # the exclusive set lies inside the full set: equal sizes, equal sets
+        shareds.append(
+            _zero() if excl_rows.size == full_rows.size
+            else ad.sub(fairness_loss(kind, prob, sensitive, full_rows), head))
+    if len(heads) == 1:
+        return heads[0], shareds[0]
+    return ad.add(*heads), ad.add(*shareds)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset
 from .exceptions import ConfigError, ContractError, UndefinedMetricError
-from .model import forward
+from .model import forward_np
 from .trainer import TrainConfig, train
 
 BASELINE_FLOOR = 1e-9
@@ -113,10 +113,10 @@ def aggregate(per_task, baselines):
 
 def evaluate_model(model, dataset, threshold=0.5):
     """TaskEval per task of a trained model on a dataset split."""
-    outs = forward(model, dataset.dense,
-                   dataset.cat if dataset.cat.size else None)
+    probs = forward_np(model, dataset.dense,
+                       dataset.cat if dataset.cat.size else None).probs
     return tuple(
-        evaluate_task(outs[t].prob.value[:, 0], dataset.labels[:, t],
+        evaluate_task(probs[t][:, 0], dataset.labels[:, t],
                       dataset.sensitive, threshold)
         for t in range(dataset.num_tasks))
 

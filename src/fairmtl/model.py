@@ -3,7 +3,10 @@
 All tasks share the embedding tables and bottom dense layers; each task owns
 a head sub-network ending in a single logit.  Parameter grouping (shared vs
 per-task) is fixed at build time and drives the gradient routing in the
-trainer.
+trainer.  `forward_np` and `backprop` are the training path: a numpy
+forward that keeps each layer's input and pre-activation, and a backward
+from seed gradients at each task's probability column.  `forward` builds
+the same network as an autodiff graph, the differentiable reference.
 """
 
 from dataclasses import dataclass, field, fields
@@ -11,6 +14,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import autodiff as ad
+from .backend import kernels
 from .exceptions import ConfigError, ShapeError
 
 
@@ -57,7 +61,6 @@ def from_fields(cls, d):
 class TaskOutput:
     logit: ad.Tensor
     prob: ad.Tensor
-    bottom: ad.Tensor          # the shared bottom's output, common to all tasks
 
 
 @dataclass
@@ -145,28 +148,34 @@ def build_model(arch, dense_count, vocab_sizes=(), seed=0):
                     vocab_sizes=tuple(vocab_sizes))
 
 
-def forward(model, dense, cat_idx=None):
-    """Run the network on a batch; returns one TaskOutput per task.
-
-    `dense` is (n, dense_count) and `cat_idx` (n, n_categorical) integer
-    codes.  The computation graph is retained so the caller can backprop
-    through any of the returned nodes.
-    """
-    dense = np.asarray(dense, dtype=np.float64)
+def _inputs(model, dense, cat_idx):
+    """The batch's dense features as C-contiguous float64 and its
+    categorical codes, checked against the model."""
+    dense = np.ascontiguousarray(dense, dtype=np.float64)
     if dense.ndim != 2 or dense.shape[1] != model.dense_count:
         raise ShapeError(
             f"dense features must be (n, {model.dense_count}), got {dense.shape}")
-    pieces = []
-    if model.dense_count:
-        pieces.append(ad.constant(dense))
     n_cat = len(model.embeddings)
     if n_cat:
         cat_idx = np.asarray(cat_idx)
         if cat_idx.ndim != 2 or cat_idx.shape != (dense.shape[0], n_cat):
             raise ShapeError(
                 f"categorical codes must be ({dense.shape[0]}, {n_cat})")
-        for j, table in enumerate(model.embeddings):
-            pieces.append(ad.embedding_lookup(table, cat_idx[:, j]))
+    return dense, cat_idx
+
+
+def forward(model, dense, cat_idx=None):
+    """Run the network on a batch as an autodiff graph; one TaskOutput per
+    task.
+
+    `dense` is (n, dense_count) and `cat_idx` (n, n_categorical) integer
+    codes.  The computation graph is retained so the caller can backprop
+    through any of the returned nodes.
+    """
+    dense, cat_idx = _inputs(model, dense, cat_idx)
+    pieces = [ad.constant(dense)] if model.dense_count else []
+    for j, table in enumerate(model.embeddings):
+        pieces.append(ad.embedding_lookup(table, cat_idx[:, j]))
     h = pieces[0] if len(pieces) == 1 else ad.concat_cols(*pieces)
 
     for w, b in model.shared_layers:
@@ -180,6 +189,108 @@ def forward(model, dense, cat_idx=None):
             ht = ad.relu(ad.add_bias(ad.matmul(ht, w), b))
         w, b = layers[-1]
         logit = ad.add_bias(ad.matmul(ht, w), b)
-        outputs.append(TaskOutput(logit=logit, prob=ad.sigmoid(logit),
-                                  bottom=h))
+        outputs.append(TaskOutput(logit=logit, prob=ad.sigmoid(logit)))
     return outputs
+
+
+@dataclass
+class Activations:
+    """One numpy forward pass, as `backprop` needs it."""
+    cat_idx: object    # (n, n_categorical) codes; None without embeddings
+    shared: list       # [(input, pre-activation)] per shared layer
+    heads: list        # heads[t]: the same per head layer, the last a logit
+    probs: list        # probs[t]: (n, 1) probabilities of task t
+
+
+def forward_np(model, dense, cat_idx=None):
+    """The network on a batch in plain numpy; probabilities equal
+    `forward`'s bit for bit.  Builds no graph."""
+    dense, cat_idx = _inputs(model, dense, cat_idx)
+    pieces = [dense] if model.dense_count else []
+    for j, table in enumerate(model.embeddings):
+        codes = cat_idx[:, j]
+        if codes.size and (codes.min() < 0 or codes.max() >= table.shape[0]):
+            raise IndexError("embedding index out of range")
+        pieces.append(table.value[codes])
+    x = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
+
+    shared = []
+    for w, b in model.shared_layers:
+        pre = x @ w.value + b.value
+        shared.append((x, pre))
+        x = kernels.relu_fwd(pre)
+
+    heads, probs = [], []
+    for layers in model.heads:
+        cache, h = [], x
+        for i, (w, b) in enumerate(layers):
+            pre = h @ w.value + b.value
+            cache.append((h, pre))
+            h = kernels.relu_fwd(pre) if i < len(layers) - 1 else pre
+        heads.append(cache)
+        probs.append(kernels.sigmoid_fwd(h))
+    return Activations(cat_idx=cat_idx if model.embeddings else None,
+                       shared=shared, heads=heads, probs=probs)
+
+
+def _dense_backward(layers, cache, g, grads, to_input):
+    """Walk a dense stack back from `g`, the gradient at its last layer's
+    pre-activation; every earlier layer is relu'd.
+
+    Fills grads[2i], grads[2i + 1] with layer i's weight and bias gradients
+    unless `grads` is None, and returns the gradient at the stack's input
+    when `to_input` is set.
+    """
+    for i in reversed(range(len(layers))):
+        x, pre = cache[i]
+        if i < len(layers) - 1:
+            g_pre = np.zeros(pre.shape)
+            kernels.relu_bwd(pre, g, g_pre)
+            g = g_pre
+        if grads is not None:
+            grads[2 * i] = x.T @ g
+            grads[2 * i + 1] = g.sum(axis=0, keepdims=True)
+        if i or to_input:
+            g = g @ layers[i][0].value.T
+    return g if to_input else None
+
+
+def backprop(model, acts, head_seeds, shared_seeds):
+    """Parameter gradients from seed gradients at each task's probabilities.
+
+    head_seeds[t] gives head t's gradients; shared_seeds[t] flows through
+    head t into the shared bottom and the embeddings.  When the two are the
+    same array one walk through head t does both.  Returns one array per
+    parameter, in `model.all_params` order.
+    """
+    def logit_grad(t, seed):
+        g = np.zeros(seed.shape)
+        kernels.sigmoid_bwd(acts.probs[t], seed, g)
+        return g
+
+    head_grads, g_bottom = [], 0.0
+    for t, layers in enumerate(model.heads):
+        grads = [None] * (2 * len(layers))
+        same = shared_seeds[t] is head_seeds[t]
+        g = _dense_backward(layers, acts.heads[t],
+                            logit_grad(t, head_seeds[t]), grads, same)
+        if not same:
+            g = _dense_backward(layers, acts.heads[t],
+                                logit_grad(t, shared_seeds[t]), None, True)
+        g_bottom = g_bottom + g
+        head_grads += grads
+
+    shared_grads = [None] * (2 * len(model.shared_layers))
+    if model.shared_layers:
+        g_top = np.zeros(acts.shared[-1][1].shape)
+        kernels.relu_bwd(acts.shared[-1][1], g_bottom, g_top)
+        g_bottom = _dense_backward(model.shared_layers, acts.shared, g_top,
+                                   shared_grads, bool(model.embeddings))
+    emb_grads = []
+    dim = model.arch.embedding_dim
+    for j, table in enumerate(model.embeddings):
+        start = model.dense_count + j * dim
+        g_table = np.zeros_like(table.value)
+        np.add.at(g_table, acts.cat_idx[:, j], g_bottom[:, start:start + dim])
+        emb_grads.append(g_table)
+    return emb_grads + shared_grads + head_grads

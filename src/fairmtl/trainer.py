@@ -1,15 +1,15 @@
-"""The three training regimes over Adagrad, as one step with two roots.
+"""The three training regimes over Adagrad, as one closed-form step.
 
-Every loss reaches the parameters only through a task's probability column,
-so a regime is fixed by what each task's fairness loss contributes to two
-scalar roots: the head root, whose gradient head t applies, and the shared
-root, whose gradient the shared bottom applies.  vanilla adds nothing;
-baseline adds the full fairness loss to both, so the roots coincide and one
-backward pass serves every parameter; mtaf adds the ratio-boosted head part
-(rows no other task's loss can reach) to the head root and the shared
-remainder to the shared root.  mtaf therefore runs a full pass from the
-shared root and then a pass from the head root that stops at the shared
-bottom's output: the shared part never reaches a head.
+Every loss reaches the parameters only through a task's probability column
+p_t, so a step needs just two seed gradients per task at p_t: the head seed
+w_t (dCE_t/dp + lambda_t r_t dF_head_t/dp), whose gradient head t applies,
+and the shared seed w_t (dCE_t/dp + lambda_t dF_shared_t/dp), which flows
+through head t into the shared bottom.  vanilla has lambda = 0; baseline
+takes the full fairness loss for both parts (F_head = F_shared = F_full,
+r_t = 1), so its two seeds are one array and one walk through each head
+serves every parameter; mtaf takes the ratio-boosted head part (rows no
+other task's loss can reach) for the head and the remainder for the shared
+bottom, so the shared part never reaches a head.
 """
 
 import time
@@ -17,12 +17,10 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import autodiff as ad
 from .backend import kernels
 from .exceptions import ConfigError, ShapeError, TrainingDiverged
-from .losses import (FAIRNESS_TARGETS, as_loss_kind, cross_entropy,
-                     decompose_fairness, fairness_loss, subset_select)
-from .model import build_model, forward, from_fields
+from .losses import FAIRNESS_TARGETS, as_loss_kind, fairness_grad
+from .model import backprop, build_model, forward_np, from_fields
 
 METHODS = ("vanilla", "baseline", "mtaf")
 ADAGRAD_EPS = 1e-8
@@ -111,102 +109,68 @@ def adagrad_update(param, grad, lr):
     return param
 
 
-def _check_finite(node, name):
-    v = node.value[0, 0]
-    if not np.isfinite(v):
-        raise TrainingDiverged(f"non-finite value in {name}: {v}")
-    return v
+def _finite(value, name):
+    if not np.isfinite(value):
+        raise TrainingDiverged(f"non-finite value in {name}: {value}")
+    return value
 
 
-def _accuracy_losses(model, batch):
-    outs = forward(model, batch.dense, batch.cat if batch.cat.size else None)
-    losses = []
-    for t, out in enumerate(outs):
-        node = cross_entropy(out.prob, batch.labels[:, t])
-        _check_finite(node, f"task {t} accuracy loss")
-        losses.append(node)
-    return outs, losses
+def _seeds(config, batch, probs):
+    """(head seeds, shared seeds, accuracy losses) of a batch, per task.
 
-
-def _full_fairness(config, t, batch, prob):
-    """Full fairness loss for task t over its negative (and positive) set."""
-    kind, target = config.fairness_kind, config.fairness_target
-    terms = []
-    if target in ("equal_opportunity_fpr", "equalized_odds"):
-        terms.append(fairness_loss(kind, prob, batch.sensitive,
-                                   subset_select(batch.labels, t, "negatives")))
-    if target in ("equal_opportunity_tpr", "equalized_odds"):
-        terms.append(fairness_loss(kind, prob, batch.sensitive,
-                                   subset_select(batch.labels, t, "positives")))
-    node = terms[0] if len(terms) == 1 else ad.add(terms[0], terms[1])
-    _check_finite(node, f"task {t} fairness loss")
-    return node
-
-
-def _fairness_parts(config, t, batch, prob):
-    """(F_head, r_t, F_shared) of task t's fairness loss.
-
-    mtaf splits the loss into the part on rows only task t can reach and
-    the remainder; baseline applies the full loss to both roots (F_head =
-    F_shared = F_full, r_t = 1).
+    A task's two seeds are one array when they agree: vanilla, baseline,
+    and lambda_t = 0.
     """
-    if config.method != "mtaf":
-        full = _full_fairness(config, t, batch, prob)
-        return full, 1.0, full
-    f_head, f_shared = decompose_fairness(
-        config.fairness_kind, config.fairness_target, t, batch.labels, prob,
-        batch.sensitive)
-    _check_finite(f_head, f"task {t} head fairness loss")
-    _check_finite(f_shared, f"task {t} shared fairness loss")
-    return f_head, config.head_shared_ratios[t], f_shared
+    w, r = config.task_weights, config.head_shared_ratios
+    lam = (config.fairness_weights if config.method != "vanilla"
+           else (0.0,) * config.num_tasks)
+    heads, shareds, losses = [], [], []
+    for t, p in enumerate(probs):
+        y = np.ascontiguousarray(batch.labels[:, t],
+                                 dtype=np.float64).reshape(-1, 1)
+        losses.append(_finite(kernels.xent_fwd(p, y),
+                              f"task {t} accuracy loss"))
+        acc = np.zeros(p.shape)
+        kernels.xent_bwd(p, y, w[t], acc)
+        head = shared = acc
+        if lam[t] > 0:
+            args = (config.fairness_kind, config.fairness_target, t,
+                    batch.labels, p, batch.sensitive)
+            f_full, d_full = fairness_grad(*args)
+            if config.method == "mtaf":
+                f_head, d_head = fairness_grad(*args, exclusive=True)
+                _finite(f_head, f"task {t} head fairness loss")
+                _finite(f_full - f_head, f"task {t} shared fairness loss")
+                head = acc + (w[t] * lam[t] * r[t]) * d_head
+                shared = acc + (w[t] * lam[t]) * (d_full - d_head)
+            else:
+                _finite(f_full, f"task {t} fairness loss")
+                head = shared = acc + (w[t] * lam[t]) * d_full
+        heads.append(head)
+        shareds.append(shared)
+    return heads, shareds, losses
 
 
 def train_step(model, batch, config, loss_sink=None):
     """Apply one optimizer step of the configured method to the model.
 
-    Two roots define the step: head t applies the gradient of
-    sum_t w_t (CE_t + lambda_t r_t F_head_t) and the shared bottom that of
-    sum_t w_t (CE_t + lambda_t F_shared_t) (vanilla: lambda = 0).  When the
-    roots coincide, one backward pass serves every parameter; otherwise a
-    full pass from the shared root is followed by a pass from the head root
-    that stops at the shared bottom's output and replaces the head
-    gradients.  When given, `loss_sink` receives the per-task accuracy loss
-    values of this batch.
+    Forward, the seed gradients at each task's probability column, the
+    model's backward from them, then Adagrad on every parameter.  When
+    given, `loss_sink` receives the per-task accuracy loss values of this
+    batch.
     """
     if len(batch) == 0:
         raise ConfigError("train_step on an empty batch")
     if model.arch.num_tasks != config.num_tasks:
         raise ConfigError("config task count does not match the model")
-    w = config.task_weights
-    lam = (config.fairness_weights if config.method != "vanilla"
-           else (0.0,) * config.num_tasks)
-
-    outs, acc = _accuracy_losses(model, batch)
+    acts = forward_np(model, batch.dense,
+                      batch.cat if batch.cat.size else None)
+    heads, shareds, losses = _seeds(config, batch, acts.probs)
     if loss_sink is not None:
-        loss_sink.append([a.value[0, 0] for a in acc])
-
-    head_terms, head_weights = list(acc), list(w)
-    shared_terms, shared_weights = list(acc), list(w)
-    for t in range(config.num_tasks):
-        if lam[t] > 0:
-            f_head, r, f_shared = _fairness_parts(config, t, batch,
-                                                  outs[t].prob)
-            head_terms.append(f_head)
-            head_weights.append(w[t] * lam[t] * r)
-            shared_terms.append(f_shared)
-            shared_weights.append(w[t] * lam[t])
-
-    model.zero_grads()
-    ad.backward(ad.weighted_sum(shared_terms, shared_weights))
-    if head_terms != shared_terms or head_weights != shared_weights:
-        # the head root's gradient replaces the shared root's in every head
-        for t in range(config.num_tasks):
-            ad.zero_grads(model.head_params(t))
-        ad.backward(ad.weighted_sum(head_terms, head_weights),
-                    stop=(outs[0].bottom,))
-    for p in model.all_params:
-        adagrad_update(p, p.grad, config.learning_rate)
-    model.zero_grads()
+        loss_sink.append(losses)
+    grads = backprop(model, acts, heads, shareds)
+    for p, g in zip(model.all_params, grads):
+        adagrad_update(p, g, config.learning_rate)
     return model
 
 

@@ -244,27 +244,6 @@ def test_shared_subgraph_two_roots_no_contamination():
     np.testing.assert_allclose(shared_grad, g1 + g2, rtol=1e-12, atol=1e-15)
 
 
-def test_backward_stops_at_stop_nodes():
-    """A stop node receives its gradient but passes none on: a Param behind
-    it is neither reached nor touched, while a Param above it is."""
-    rng = np.random.default_rng(17)
-    below = make_param(rng, (3, 2), "below")
-    above = make_param(rng, (2, 1), "above")
-    mid = ad.embedding_lookup(below, [0, 2, 2])   # stop node; parent is a Param
-    root = ad.mean_all(ad.matmul(mid, above))
-
-    grads = ad.backward(root, stop=(mid,))
-    assert set(grads) == {above}
-    assert not below.grad.any()
-    np.testing.assert_allclose(mid.grad, np.ones((3, 1)) @ above.value.T / 3,
-                               rtol=1e-12)
-    expected = above.grad.copy()
-    ad.zero_grads([above])
-    ad.backward(root)
-    np.testing.assert_allclose(above.grad, expected, rtol=1e-12)
-    assert below.grad.any()
-
-
 def test_init_param_schemes():
     rng = np.random.default_rng(17)
     p = ad.init_param((9, 4), "uniform_fan_in", rng, name="w")

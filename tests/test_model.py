@@ -10,7 +10,7 @@ import pytest
 import fairmtl.autodiff as ad
 from fairmtl.exceptions import ConfigError, ShapeError
 from fairmtl.model import (ArchConfig, MtlModel, build_model, forward,
-                           from_fields)
+                           forward_np, from_fields)
 
 
 def np_sigmoid(x):
@@ -50,6 +50,26 @@ def test_forward_matches_reference():
     for out, logit in zip(outs, ref):
         np.testing.assert_allclose(out.logit.value, logit, rtol=1e-12)
         np.testing.assert_allclose(out.prob.value, np_sigmoid(logit), rtol=1e-12)
+
+
+def test_numpy_forward_equals_graph_forward_bitwise():
+    """The training path's forward gives the graph forward's probabilities
+    bit for bit, embeddings included, and rejects codes the graph's
+    embedding lookup rejects."""
+    arch = ArchConfig(num_tasks=3, shared_layer_sizes=(8, 6),
+                      head_layer_sizes=(5, 4), embedding_dim=3)
+    model = build_model(arch, dense_count=4, vocab_sizes=(7, 5), seed=11)
+    rng = np.random.default_rng(0)
+    dense = rng.standard_normal((10, 4))
+    cat = np.stack([rng.integers(0, 7, 10), rng.integers(0, 5, 10)], axis=1)
+    probs = forward_np(model, dense, cat).probs
+    outs = forward(model, dense, cat)
+    assert len(probs) == 3
+    for p, out in zip(probs, outs):
+        np.testing.assert_array_equal(p, out.prob.value)
+    cat[3, 1] = -1
+    with pytest.raises(IndexError):
+        forward_np(model, dense, cat)
 
 
 def test_forward_dense_only():

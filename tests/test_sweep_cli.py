@@ -615,6 +615,27 @@ class TestCli:
             assert cached in err
         assert not os.path.exists(os.path.join(out, "runs.csv"))
 
+    def test_unknown_stl_key_refused(self, tmp_path, capsys):
+        """A misspelled stl key is an error naming it and the accepted keys,
+        not a silent no-op that leaves the cache key unchanged."""
+        cfg = self.write_cfg(tmp_path)
+        out = str(tmp_path / "out")
+        assert cli.main(["stl-baseline", "--dataset", "synth",
+                         "--out", out, "--config", cfg]) == 0
+        changed = copy.deepcopy(CLI_CFG)
+        changed["stl"]["epoch"] = 4
+        path = tmp_path / "changed.json"
+        path.write_text(json.dumps(changed))
+        capsys.readouterr()
+        for command in ("stl-baseline", "train", "sweep"):
+            code = cli.main([command, "--dataset", "synth", "--out", out,
+                             "--config", str(path)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "'epoch'" in err
+            assert "seeds, learning_rate, epochs, batch_size" in err
+        assert len(os.listdir(out)) == 1
+
     def test_repeated_train_appends_nothing(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path)
         out = str(tmp_path / "out")

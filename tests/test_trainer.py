@@ -12,8 +12,8 @@ from test_acceptance import _routing_arch, _routing_batch
 import fairmtl.autodiff as ad
 from fairmtl.data import Dataset
 from fairmtl.exceptions import ConfigError, ShapeError, TrainingDiverged
-from fairmtl.losses import cross_entropy, decompose_fairness, fairness_loss, \
-    subset_select
+from fairmtl.losses import cross_entropy, decompose_fairness
+from fairmtl.metrics import evaluate_model
 from fairmtl.model import ArchConfig, build_model, forward
 from fairmtl.trainer import (ADAGRAD_EPS, TrainConfig, adagrad_update, train,
                              train_step)
@@ -293,20 +293,64 @@ def test_routing_exclusivity_label_perturbation():
         np.testing.assert_array_equal(pa.value, pb.value)
 
 
-@pytest.mark.parametrize("kind,target", itertools.product(
-    ("correlation", "mmd", "soft_fpr_gap"),
-    ("equal_opportunity_fpr", "equal_opportunity_tpr", "equalized_odds")))
-def test_step_matches_two_ledger_reference(kind, target):
+def _ledger_case(name):
+    """(arch, vocab sizes, batch) of a two-ledger reference case."""
+    if name == "routing":
+        return _routing_arch(), (), _routing_batch()
+    rng = np.random.default_rng(1)
+    if name == "no-hidden":
+        batch = _routing_batch()
+        batch = Dataset(dense=batch.dense,
+                        cat=rng.integers(0, 3, (len(batch), 1)),
+                        labels=batch.labels, sensitive=batch.sensitive,
+                        vocab_sizes=(3,))
+        return (ArchConfig(num_tasks=2, shared_layer_sizes=(),
+                           head_layer_sizes=(), embedding_dim=2),
+                (3,), batch)
+    # every label combination of three tasks once per sensitive group, so
+    # each task's exclusive sets span both groups.  The correlation
+    # gradient sums to zero over its rows, so a logit bias gradient nearly
+    # cancels and Adagrad's division by |g| magnifies the rounding gap
+    # between the fused and the composed correlation: across dense draws
+    # 0-11 that gap ranges from 2e-13 to 2e-11, whichever step computes
+    # the fused side.
+    labels = np.array(list(itertools.product((0, 1), repeat=3)) * 2)
+    batch = Dataset(dense=rng.standard_normal((16, 3)),
+                    cat=np.stack([rng.integers(0, 4, 16),
+                                  rng.integers(0, 3, 16)], axis=1),
+                    labels=labels, sensitive=np.repeat([0, 1], 8),
+                    vocab_sizes=(4, 3))
+    return (ArchConfig(num_tasks=3, shared_layer_sizes=(8, 6),
+                       head_layer_sizes=(5, 4), embedding_dim=2),
+            (4, 3), batch)
+
+
+LEDGER_CASES = [
+    pytest.param(kind, target, arch,
+                 id="-".join((kind, target) if arch == "routing"
+                             else (kind, target, arch)))
+    for arch in ("routing", "emb2-layers2x2-tasks3", "no-hidden")
+    for kind, target in itertools.product(
+        ("correlation", "mmd", "soft_fpr_gap"),
+        ("equal_opportunity_fpr", "equal_opportunity_tpr", "equalized_odds"))]
+
+
+@pytest.mark.parametrize("kind,target,arch", LEDGER_CASES)
+def test_step_matches_two_ledger_reference(kind, target, arch):
     """Every method's parameter updates equal those of the composed-graph
     step that ran one full backward pass per ledger."""
-    batch = _routing_batch()
+    arch, vocab_sizes, batch = _ledger_case(arch)
+    T = arch.num_tasks
     for method in ("vanilla", "baseline", "mtaf"):
-        cfg = TrainConfig(method=method, task_weights=(0.6, 0.4),
-                          fairness_weights=(1.5, 0.8),
-                          head_shared_ratios=(2.0, 0.5), fairness_kind=kind,
-                          fairness_target=target, learning_rate=0.05)
-        new = build_model(_routing_arch(), dense_count=3, seed=9)
-        ref = build_model(_routing_arch(), dense_count=3, seed=9)
+        cfg = TrainConfig(method=method, task_weights=(0.6, 0.4, 0.5)[:T],
+                          fairness_weights=(1.5, 0.8, 1.1)[:T],
+                          head_shared_ratios=(2.0, 0.5, 1.3)[:T],
+                          fairness_kind=kind, fairness_target=target,
+                          learning_rate=0.05)
+        new = build_model(arch, dense_count=3, vocab_sizes=vocab_sizes,
+                          seed=9)
+        ref = build_model(arch, dense_count=3, vocab_sizes=vocab_sizes,
+                          seed=9)
         before = snapshot(new)
         for _ in range(2):
             train_step(new, batch, cfg)
@@ -316,6 +360,28 @@ def test_step_matches_two_ledger_reference(kind, target):
                 p_new.value - before[p_new.name],
                 p_ref.value - before[p_ref.name],
                 rtol=0, atol=1e-12, err_msg=f"{method} {p_new.name}")
+
+
+def test_training_and_evaluation_build_no_graph(monkeypatch):
+    """train() and evaluate_model construct no autodiff node; only
+    build_model's parameters are tensors."""
+    built = []
+    init = ad.Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
+    data = separable_dataset(n=60, seed=4)
+    cfg = TrainConfig(method="mtaf", task_weights=(0.5, 0.5),
+                      fairness_weights=(1.0, 1.0), fairness_kind="mmd",
+                      learning_rate=0.05, epochs=2, batch_size=16, seed=21)
+    run = train(data, small_arch(), cfg)
+    assert set(built) == {ad.Param}
+    assert len(built) == len(run.model.all_params)
+    built.clear()
+    evaluate_model(run.model, data)
+    assert built == []
 
 
 def test_step_aborts_on_nonfinite():
