@@ -46,6 +46,25 @@ def xent_bwd(p, y, gscale, acc):
     acc += np.where(inside, (pc - y) / (pc * (1.0 - pc)), 0.0) * (gscale / n)
 
 
+def xent(p, y, gscale, acc):
+    """`xent_bwd(p, y, gscale, acc)` then `xent_fwd(p, y)`, bit for bit,
+    clipping once and reusing the temporaries."""
+    n = p.shape[0]
+    pc = np.clip(p, XENT_CLIP, 1.0 - XENT_CLIP)
+    q = 1.0 - pc
+    grad = pc - y
+    grad /= pc * q
+    grad[pc != p] = 0.0
+    grad *= gscale / n
+    acc += grad
+    terms = np.log(pc)
+    terms *= y
+    np.log1p(-pc, out=q)
+    q *= 1.0 - y
+    terms += q
+    return -float(terms.sum()) / n
+
+
 def gauss_fwd(u, v, gamma):
     """Pairwise Gaussian kernel matrix K[i, j] = exp(-gamma * (u_i - v_j)^2)."""
     d = u - v.T

@@ -3,10 +3,12 @@
 The compiled extension is preferred when importable; otherwise the numpy
 fallback is used.  `FAIRMTL_KERNELS=numpy` forces the fallback and
 `FAIRMTL_KERNELS=compiled` makes a missing extension a hard error (useful
-in benchmarks and CI).
+in benchmarks and CI).  The compiled backend's fused `xent` is composed
+here from its `xent_bwd` and `xent_fwd`.
 """
 
 import os
+from types import SimpleNamespace
 
 _requested = os.environ.get("FAIRMTL_KERNELS", "auto")
 
@@ -15,13 +17,18 @@ if _requested not in ("auto", "compiled", "numpy"):
 
 if _requested in ("auto", "compiled"):
     try:
-        from . import _ckernels as kernels
+        from . import _ckernels
         BACKEND = "compiled"
     except ImportError:
         if _requested == "compiled":
             raise
         from . import _kernels_np as kernels
         BACKEND = "numpy"
+    else:
+        def _xent(p, y, gscale, acc):
+            _ckernels.xent_bwd(p, y, gscale, acc)
+            return _ckernels.xent_fwd(p, y)
+        kernels = SimpleNamespace(**vars(_ckernels), xent=_xent)
 else:
     from . import _kernels_np as kernels
     BACKEND = "numpy"

@@ -27,9 +27,9 @@ from .metrics import run_stl_baselines, stl_config_hash
 from .presets import (DATASET_PRESETS, SCHEMA_PRESETS, arch_for,
                       schema_path, train_settings_for)
 from .model import ArchConfig, from_fields
-from .sweep import (RunsWriter, SweepConfig, emit_reports, load_baselines,
-                    load_runs, pair_hash, run_id, run_single, run_sweep,
-                    save_baselines, _num_tasks)
+from .sweep import (RunsWriter, SweepConfig, accuracy_overlay, emit_reports,
+                    load_baselines, load_runs, pair_hash, run_id, run_single,
+                    run_sweep, save_baselines, _num_tasks)
 from .trainer import TrainConfig
 
 
@@ -199,10 +199,10 @@ def cmd_report(args):
     rows = load_runs(runs_path)
     if not rows:
         raise ConfigError(f"{runs_path} has no rows")
-    num_tasks = _num_tasks(rows)
-    for axes in ["are_arfg"] + [f"task{t}" for t in range(num_tasks)]:
+    overlay = accuracy_overlay(rows)
+    for axes in ["are_arfg"] + [f"task{t}" for t in range(_num_tasks(rows))]:
         try:
-            report = emit_reports(rows, axes, args.out)
+            report = emit_reports(rows, axes, args.out, overlay)
         except (ConfigError, ValueError) as exc:
             print(f"axes {axes}: skipped ({exc})", file=sys.stderr)
             continue

@@ -5,8 +5,9 @@ positives, and their inter-task exclusive variants) and only on rows whose
 sensitive attribute is present.  Every loss depends on the parameters only
 through the task's probability column p, so each has a closed form that
 gives its value and dF/dp: `fairness_terms` for the fairness losses and
-`kernels.xent_fwd`/`kernels.xent_bwd` for cross-entropy.  Training takes
-those derivatives as seed gradients at p (`fairness_grad`);
+`kernels.xent_fwd`/`kernels.xent_bwd` for cross-entropy, which training
+takes fused as `kernels.xent`.  Training takes those derivatives as seed
+gradients at p (`fairness_grad`);
 `fairness_loss` and `cross_entropy` wrap the same formulas in autodiff
 nodes whose one parent is p, the differentiable reference the tests check.
 A task's fairness loss splits into a head part (rows no other task's loss

@@ -4,6 +4,7 @@ All objectives are minimized.  Equal objective vectors do not dominate each
 other, so duplicate runs survive onto the frontier together.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ class ParetoPoint:
         obj = tuple(float(x) for x in self.objectives)
         if not obj:
             raise ContractError("ParetoPoint needs at least one objective")
-        if not np.isfinite(obj).all():
+        if not all(map(math.isfinite, obj)):
             raise ContractError(f"non-finite objectives {obj}")
         object.__setattr__(self, "objectives", obj)
 
@@ -33,14 +34,33 @@ def dominates(a, b):
     return all(x <= y for x, y in zip(av, bv)) and av != bv
 
 
+def _order(p):
+    return p.objectives, p.run_id
+
+
 def frontier(points):
-    """All points no other point dominates, in deterministic order."""
+    """All points no other point dominates, sorted by (objectives, run_id).
+
+    Two objectives take one sweep over that order (Kung, Luccio & Preparata
+    1975): a group of equal vectors survives when its y lies strictly below
+    every y sorted before it.  Other dimensionalities compare all pairs.
+    """
     points = list(points)
     if not points:
         raise ContractError("frontier of an empty set")
     dims = {len(p.objectives) for p in points}
     if len(dims) != 1:
         raise ContractError("mixed objective dimensionality")
+    if dims == {2}:
+        keep, best, group = [], math.inf, None
+        for p in sorted(points, key=_order):
+            if p.objectives != group:
+                group = p.objectives
+                survives = group[1] < best
+                best = min(best, group[1])
+            if survives:
+                keep.append(p)
+        return keep
     x = np.array([p.objectives for p in points])
     keep = []
     for i in range(len(points)):
@@ -48,7 +68,7 @@ def frontier(points):
         lt = (x < x[i]).any(axis=1)
         if not (le & lt).any():
             keep.append(points[i])
-    keep.sort(key=lambda p: (p.objectives, p.run_id))
+    keep.sort(key=_order)
     return keep
 
 

@@ -350,13 +350,14 @@ def _coord(row, key):
     return row[key]
 
 
-def emit_reports(rows, axes, out_dir):
+def emit_reports(rows, axes, out_dir, overlay=None):
     """Frontier JSON + plot CSV for one axes choice; pure in the rows.
 
     Flagged rows and rows missing either coordinate are excluded, with
     counts recorded per method.  The hypervolume reference point is the
     componentwise max over every method's kept runs, widened by 10%, so
-    areas are comparable across methods.
+    areas are comparable across methods.  `overlay`, when given, is
+    `accuracy_overlay(rows)`, which no axes choice changes.
     """
     num_tasks = _num_tasks(rows)
     xkey, ykey = _axes_spec(axes, num_tasks)
@@ -406,7 +407,8 @@ def emit_reports(rows, axes, out_dir):
             plot_rows.append((m, p.objectives[0], p.objectives[1],
                               int(p.run_id in front_ids)))
 
-    report["accuracy_overlay"] = _accuracy_overlay(rows, methods, num_tasks)
+    report["accuracy_overlay"] = (accuracy_overlay(rows) if overlay is None
+                                  else overlay)
 
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, f"frontier_{axes}.json"), "w") as f:
@@ -419,14 +421,14 @@ def emit_reports(rows, axes, out_dir):
     return report
 
 
-def _accuracy_overlay(rows, methods, num_tasks):
+def accuracy_overlay(rows):
     """Runs on the per-task-error frontier, shown in fairness coordinates.
 
     Makes visible how far accuracy-optimal runs sit from the fairness
     frontier.  Only rows with every per-task gap defined participate.
     """
     overlay = {}
-    for m in methods:
+    for m in dict.fromkeys(row["method"] for row in rows):
         usable = [row for row in rows
                   if row["method"] == m and not row["flags"]
                   and row["err_per_task"] and row["fpr_gap_per_task"]

@@ -128,10 +128,9 @@ def _seeds(config, batch, probs):
     for t, p in enumerate(probs):
         y = np.ascontiguousarray(batch.labels[:, t],
                                  dtype=np.float64).reshape(-1, 1)
-        losses.append(_finite(kernels.xent_fwd(p, y),
-                              f"task {t} accuracy loss"))
         acc = np.zeros(p.shape)
-        kernels.xent_bwd(p, y, w[t], acc)
+        losses.append(_finite(kernels.xent(p, y, w[t], acc),
+                              f"task {t} accuracy loss"))
         head = shared = acc
         if lam[t] > 0:
             args = (config.fairness_kind, config.fairness_target, t,

@@ -1,15 +1,19 @@
-"""Composed-graph references for the fused fairness losses and the step.
+"""Composed-graph references for the fused fairness losses and the step,
+and the all-pairs Pareto frontier.
 
 `fairness_loss` here builds each loss from autodiff primitives (gathers,
 means, Gaussian kernel matrices, `mean_all`), as fairmtl did before its
 losses became single closed-form nodes; `train_step` is the two-ledger step
 that ran one full backward pass per ledger and copied the head gradients
-aside.  Both are kept only as oracles for the production code.
+aside; `frontier` compares every pair of points, as fairmtl did for every
+dimensionality before its 2-D frontier became one sweep over sorted points.
+All are kept only as oracles for the production code.
 """
 
 import numpy as np
 
 import fairmtl.autodiff as ad
+from fairmtl.exceptions import ContractError
 from fairmtl.losses import (ExampleSubset, as_loss_kind, cross_entropy,
                             subset_select)
 from fairmtl.model import forward
@@ -143,3 +147,22 @@ def train_step(model, batch, config):
             adagrad_update(p, g, lr)
     model.zero_grads()
     return model
+
+
+def frontier(points):
+    """All points no other point dominates, sorted by (objectives, run_id)."""
+    points = list(points)
+    if not points:
+        raise ContractError("frontier of an empty set")
+    dims = {len(p.objectives) for p in points}
+    if len(dims) != 1:
+        raise ContractError("mixed objective dimensionality")
+    x = np.array([p.objectives for p in points])
+    keep = []
+    for i in range(len(points)):
+        le = (x <= x[i]).all(axis=1)
+        lt = (x < x[i]).any(axis=1)
+        if not (le & lt).any():
+            keep.append(points[i])
+    keep.sort(key=lambda p: (p.objectives, p.run_id))
+    return keep

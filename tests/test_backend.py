@@ -1,30 +1,82 @@
 """Compiled-extension kernels against the numpy fallback.
 
+A session fixture compiles `fairmtl._ckernels` from the committed
+`_ckernels.c` into a temporary directory with `setup.py build_ext`, so no
+extension is left under src/ and the rest of the suite keeps the numpy
+backend.  This process loads the built module directly; subprocesses, which
+exercise the environment-variable selection, load it before importing
+fairmtl.  The suite skips only when no C compiler exists.
+
 The two implementations may differ by an ulp where libm's vectorized and
 scalar exp disagree, so value checks use tight-but-nonzero tolerances.
-Environment-variable selection is exercised in subprocesses.
 """
 
+import importlib.util
+import json
 import os
+import shlex
+import shutil
 import subprocess
 import sys
+import sysconfig
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import fairmtl
 from fairmtl import _kernels_np as knp
-from fairmtl import backend
 
-kc = pytest.importorskip("fairmtl._ckernels")
-
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(fairmtl.__file__)))
 TIGHT = dict(rtol=1e-12, atol=1e-14)
 
 
-def env_with(kernels):
-    """This process's environment (so the child imports the same fairmtl)
-    with the backend selector overridden."""
-    return {**os.environ, "FAIRMTL_KERNELS": kernels}
+@pytest.fixture(scope="session")
+def ckernels_path(tmp_path_factory):
+    """Path of a `fairmtl._ckernels` built for this session."""
+    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    if shutil.which(shlex.split(cc)[0]) is None:
+        pytest.skip(f"no C compiler ({cc!r} not found) to build _ckernels")
+    out = tmp_path_factory.mktemp("ckernels")
+    build = subprocess.run(
+        [sys.executable, "setup.py", "build_ext", "--build-lib",
+         str(out / "lib"), "--build-temp", str(out / "temp")],
+        cwd=ROOT, capture_output=True, text=True)
+    built = sorted((out / "lib" / "fairmtl").glob("_ckernels*"))
+    if build.returncode or not built:
+        pytest.fail(f"building _ckernels failed:\n{build.stdout}"
+                    f"{build.stderr}")
+    return str(built[0])
+
+
+@pytest.fixture(scope="session")
+def kc(ckernels_path):
+    """The built extension, loaded without touching `fairmtl.backend`."""
+    spec = importlib.util.spec_from_file_location("fairmtl._ckernels",
+                                                  ckernels_path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_child(code, ckernels_path, kernels=None, check=True):
+    """Run `code` in a fresh interpreter that imports this process's fairmtl
+    and finds the built extension as `fairmtl._ckernels`, with
+    FAIRMTL_KERNELS set to `kernels` (unset when None)."""
+    prelude = (
+        "import importlib.util, sys\n"
+        "spec = importlib.util.spec_from_file_location("
+        f"'fairmtl._ckernels', {ckernels_path!r})\n"
+        "sys.modules[spec.name] = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(sys.modules[spec.name])\n")
+    env = {k: v for k, v in os.environ.items() if k != "FAIRMTL_KERNELS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + [p for p in [env.get("PYTHONPATH")] if p])
+    if kernels is not None:
+        env["FAIRMTL_KERNELS"] = kernels
+    return subprocess.run([sys.executable, "-c", prelude + code], env=env,
+                          capture_output=True, text=True, check=check)
 
 
 def arr(rng, shape, scale=3.0):
@@ -32,13 +84,13 @@ def arr(rng, shape, scale=3.0):
 
 
 class TestKernelEquivalence:
-    def test_relu_fwd_exact(self):
+    def test_relu_fwd_exact(self, kc):
         rng = np.random.default_rng(0)
         x = arr(rng, (64, 33))
         x[0, 0] = 0.0
         assert np.array_equal(knp.relu_fwd(x), kc.relu_fwd(x))
 
-    def test_relu_bwd_exact(self):
+    def test_relu_bwd_exact(self, kc):
         rng = np.random.default_rng(1)
         x, g = arr(rng, (32, 17)), arr(rng, (32, 17))
         a1 = np.ones_like(x)
@@ -47,7 +99,7 @@ class TestKernelEquivalence:
         kc.relu_bwd(x, g, a2)
         assert np.array_equal(a1, a2)
 
-    def test_sigmoid_pair(self):
+    def test_sigmoid_pair(self, kc):
         rng = np.random.default_rng(2)
         x = arr(rng, (50, 21), scale=6.0)
         s1, s2 = knp.sigmoid_fwd(x), kc.sigmoid_fwd(x)
@@ -58,7 +110,7 @@ class TestKernelEquivalence:
         kc.sigmoid_bwd(s1, g, a2)
         assert_allclose(a2, a1, **TIGHT)
 
-    def test_xent_pair_including_clipped_region(self):
+    def test_xent_pair_including_clipped_region(self, kc):
         rng = np.random.default_rng(3)
         p = np.ascontiguousarray(rng.random((257, 1)))
         p[0, 0] = 0.0   # exercises the clip
@@ -73,7 +125,7 @@ class TestKernelEquivalence:
         assert_allclose(a2, a1, rtol=1e-12)
         assert a1[0, 0] == a2[0, 0] == 0.0  # clipped entries get no gradient
 
-    def test_gauss_pair(self):
+    def test_gauss_pair(self, kc):
         rng = np.random.default_rng(4)
         u, v = arr(rng, (40, 1), 1.0), arr(rng, (31, 1), 1.0)
         k1, k2 = knp.gauss_fwd(u, v, 0.5), kc.gauss_fwd(u, v, 0.5)
@@ -86,7 +138,7 @@ class TestKernelEquivalence:
         assert_allclose(du2, du1, **TIGHT)
         assert_allclose(dv2, dv1, **TIGHT)
 
-    def test_adagrad_pair(self):
+    def test_adagrad_pair(self, kc):
         rng = np.random.default_rng(5)
         p1 = arr(rng, (20, 10))
         g = arr(rng, (20, 10))
@@ -97,7 +149,7 @@ class TestKernelEquivalence:
         assert_allclose(p2, p1, **TIGHT)
         assert_allclose(acc2, acc1, **TIGHT)
 
-    def test_backward_kernels_accumulate(self):
+    def test_backward_kernels_accumulate(self, kc):
         # both backends add into acc rather than overwrite
         rng = np.random.default_rng(6)
         x, g = arr(rng, (8, 8)), arr(rng, (8, 8))
@@ -110,33 +162,47 @@ class TestKernelEquivalence:
 
 
 class TestSelection:
-    def test_active_backend_is_compiled_here(self):
-        # the editable install builds the extension; auto must pick it
-        assert backend.BACKEND == "compiled"
+    def test_auto_picks_the_extension_when_importable(self, ckernels_path):
+        out = run_child("import fairmtl.backend as b; print(b.BACKEND)",
+                        ckernels_path)
+        assert out.stdout.strip() == "compiled"
 
     @pytest.mark.parametrize("forced", ["numpy", "compiled"])
-    def test_env_var_forces_backend(self, forced):
-        code = ("import fairmtl.backend as b; print(b.BACKEND)")
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env_with(forced),
-            capture_output=True, text=True, check=True)
+    def test_env_var_forces_backend(self, forced, ckernels_path):
+        out = run_child("import fairmtl.backend as b; print(b.BACKEND)",
+                        ckernels_path, forced)
         assert out.stdout.strip() == forced
 
-    def test_invalid_selector_rejected(self):
-        code = ("import fairmtl.backend")
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env_with("cuda"),
-            capture_output=True, text=True)
+    def test_invalid_selector_rejected(self, ckernels_path):
+        out = run_child("import fairmtl.backend", ckernels_path, "cuda",
+                        check=False)
         assert out.returncode != 0
         assert "FAIRMTL_KERNELS" in out.stderr
 
-    def test_training_agrees_across_backends(self):
+    def test_compiled_xent_is_its_two_kernels(self, ckernels_path):
+        """The compiled backend's fused `xent` adds exactly `xent_bwd`'s
+        gradient and returns exactly `xent_fwd`'s value."""
+        code = """
+import numpy as np
+from fairmtl.backend import BACKEND, kernels as k
+rng = np.random.default_rng(3)
+p = np.ascontiguousarray(rng.random((257, 1)))
+p[:4, 0] = (0.0, 1.0, 1e-13, 1.0 - 1e-13)
+y = np.ascontiguousarray(rng.integers(0, 2, (257, 1)).astype(np.float64))
+a1 = rng.standard_normal((257, 1))
+a2 = a1.copy()
+k.xent_bwd(p, y, -0.7, a1)
+value = k.xent(p, y, -0.7, a2)
+print(BACKEND, value == k.xent_fwd(p, y), np.array_equal(a1, a2))
+"""
+        out = run_child(code, ckernels_path, "compiled")
+        assert out.stdout.split() == ["compiled", "True", "True"]
+
+    def test_training_agrees_across_backends(self, ckernels_path):
         """End-to-end: a short training run lands on near-identical params
         under either backend."""
         code = """
-import json, sys
+import json
 import numpy as np
 from fairmtl.data import SynthSpec, synth_generate
 from fairmtl.model import ArchConfig
@@ -151,14 +217,9 @@ run = train(ds, arch, cfg)
 state = run.model.param_state()
 print(json.dumps({k: float(np.sum(v)) for k, v in sorted(state.items())}))
 """
-        sums = {}
-        for forced in ("numpy", "compiled"):
-            out = subprocess.run(
-                [sys.executable, "-c", code],
-                env=env_with(forced),
-                capture_output=True, text=True, check=True)
-            import json
-            sums[forced] = json.loads(out.stdout)
+        sums = {forced: json.loads(run_child(code, ckernels_path,
+                                             forced).stdout)
+                for forced in ("numpy", "compiled")}
         assert sums["numpy"].keys() == sums["compiled"].keys()
         for name in sums["numpy"]:
             assert sums["numpy"][name] == pytest.approx(

@@ -10,6 +10,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from helpers import spec_to_dict, write_csv
 
 from fairmtl.data import (
     OOV_INDEX,
@@ -19,10 +20,8 @@ from fairmtl.data import (
     load_schema,
     resolve,
     spec_from_dict,
-    spec_to_dict,
     split_random,
     synth_generate,
-    write_csv,
 )
 from fairmtl.exceptions import ConfigError, RowParseError, SchemaError
 

@@ -1,8 +1,8 @@
 """Contracts of the numpy kernels, which the compiled extension must match.
 
-tests/test_backend.py compares the two backends and skips when the
-extension is not built, so the contracts themselves are checked here on
-the numpy kernels.
+tests/test_backend.py compares the two backends and skips when no C
+compiler can build the extension, so the contracts themselves are checked
+here on the numpy kernels.
 """
 
 import numpy as np
@@ -26,6 +26,21 @@ def test_xent_gradient_zero_on_clamped_rows():
     assert_allclose(prob.grad[4:, 0], inside, rtol=1e-12)
 
 
+@pytest.mark.parametrize("gscale", [0.7, -1.3])
+def test_fused_xent_is_the_two_kernels_bitwise(gscale):
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 7, 128, 513):
+        p = rng.random((n, 1))
+        p[rng.random((n, 1)) < 0.2] = rng.choice(
+            [0.0, 1.0, 1e-13, 1e-12, 1.0 - 1e-12, 1.0 - 1e-13])
+        y = rng.integers(0, 2, (n, 1)).astype(np.float64)
+        want, got = rng.standard_normal((n, 1)), np.empty((n, 1))
+        got[...] = want
+        knp.xent_bwd(p, y, gscale, want)
+        assert knp.xent(p, y, gscale, got) == knp.xent_fwd(p, y)
+        assert np.array_equal(got, want)
+
+
 def _bwd_case(name, rng):
     """A call of kernel `name` that adds into its list of output arrays, and
     the shapes of those arrays."""
@@ -38,13 +53,14 @@ def _bwd_case(name, rng):
         "relu_bwd": (lambda a: knp.relu_bwd(x, g, a[0]), [x.shape]),
         "sigmoid_bwd": (lambda a: knp.sigmoid_bwd(s, g, a[0]), [x.shape]),
         "xent_bwd": (lambda a: knp.xent_bwd(p, y, 0.7, a[0]), [p.shape]),
+        "xent": (lambda a: knp.xent(p, y, 0.7, a[0]), [p.shape]),
         "gauss_bwd": (lambda a: knp.gauss_bwd(u, v, k, gk, 0.5, *a),
                       [u.shape, v.shape]),
     }[name]
 
 
 @pytest.mark.parametrize("name", ["relu_bwd", "sigmoid_bwd", "xent_bwd",
-                                  "gauss_bwd"])
+                                  "xent", "gauss_bwd"])
 def test_backward_kernels_accumulate_in_place(name):
     rng = np.random.default_rng(0)
     call, shapes = _bwd_case(name, rng)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import fairmtl.autodiff as ad
 from fairmtl.exceptions import ConfigError, ShapeError
 from fairmtl.losses import (FairnessLossKind, cross_entropy,
-                            decompose_fairness, fairness_loss, subset_select)
+                            decompose_fairness, fairness_loss, subset_rows,
+                            subset_select)
 
 
 def prob_node(values):
@@ -100,6 +101,26 @@ def test_subset_brute_force_oracle():
                 if k != t:
                     n_k = set(subset_select(labels, k, "negatives").indices)
                     assert not (got & n_k)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4).flatmap(lambda num_tasks: st.lists(
+    st.lists(st.integers(0, 1), min_size=num_tasks, max_size=num_tasks),
+    max_size=30).map(lambda rows: np.array(rows, dtype=np.int64)
+                     .reshape(-1, num_tasks))))
+def test_subset_partition_identities(labels):
+    n, num_tasks = labels.shape
+    for t in range(num_tasks):
+        sets = {which: set(subset_rows(labels, t, which).tolist())
+                for which in ("negatives", "positives",
+                              "exclusive_negatives", "exclusive_positives")}
+        assert sets["exclusive_negatives"] <= sets["negatives"]
+        assert sets["exclusive_positives"] <= sets["positives"]
+        assert not sets["negatives"] & sets["positives"]
+        assert sets["negatives"] | sets["positives"] == set(range(n))
+        if num_tasks == 1:
+            assert sets["exclusive_negatives"] == sets["negatives"]
+            assert sets["exclusive_positives"] == sets["positives"]
 
 
 def test_subset_validation():

@@ -1,7 +1,10 @@
 """Dominance and frontier logic against a brute-force all-pairs oracle."""
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairmtl.exceptions import ContractError
 from fairmtl.pareto import ParetoPoint, dominates, frontier, frontier_quality
@@ -70,6 +73,47 @@ def test_frontier_matches_brute_force_oracle():
     # a few duplicates to exercise the retain rule
     pts += [ParetoPoint(objectives=pts[0].objectives, run_id="dup")]
     assert frontier(pts) == brute_force_frontier(pts)
+
+
+# Lattice values make ties and exact duplicates common; -0.0 sits next to
+# 0.0, which compares equal to it.
+COORD = st.one_of(st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0]),
+                  st.floats(-1.0, 1.0, allow_nan=False))
+RUN_ID = st.sampled_from(["", "a", "b", "c"])
+
+
+@st.composite
+def point_sets(draw, dims=st.integers(1, 3)):
+    dim = draw(dims)
+    cases = draw(st.lists(
+        st.tuples(st.lists(COORD, min_size=dim, max_size=dim), RUN_ID),
+        min_size=1, max_size=40))
+    points = [ParetoPoint(tuple(o), run_id=r) for o, r in cases]
+    # exact duplicates, under the same run id or another one
+    for i, run_id in draw(st.lists(
+            st.tuples(st.integers(0, len(points) - 1),
+                      st.one_of(st.none(), RUN_ID)), max_size=10)):
+        points.append(ParetoPoint(
+            points[i].objectives,
+            run_id=points[i].run_id if run_id is None else run_id))
+    return draw(st.permutations(points))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(point_sets())
+def test_frontier_matches_all_pairs_oracle(points):
+    got, want = frontier(points), oracles.frontier(points)
+    # the same point objects in the same order, so -0.0 and 0.0 stay apart
+    assert [id(p) for p in got] == [id(p) for p in want]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(point_sets(dims=st.just(2)), point_sets(dims=st.sampled_from([1, 3])))
+def test_frontier_refuses_mixed_dimensionality(two_d, other):
+    points = two_d + other
+    for extract in (frontier, oracles.frontier):
+        with pytest.raises(ContractError, match="mixed"):
+            extract(points)
 
 
 def test_frontier_idempotent_and_covering():

@@ -13,11 +13,13 @@ import tempfile
 from dataclasses import asdict, replace
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairmtl import cli
+from fairmtl import cli, pareto
+from fairmtl import sweep as sweep_module
 from fairmtl.data import SynthSpec, split_random, synth_generate
 from fairmtl.exceptions import ConfigError, ContractError
 from fairmtl.metrics import StlBaselines, run_stl_baselines, stl_config_hash
@@ -27,6 +29,7 @@ from fairmtl.sweep import (
     RUNS_SCHEMA_VERSION,
     RunsWriter,
     SweepConfig,
+    accuracy_overlay,
     dataset_hash,
     emit_reports,
     load_baselines,
@@ -483,6 +486,59 @@ class TestReports:
         assert overlay["accuracy_frontier"][0]["also_on_fairness_frontier"] is False
         assert overlay["fairness_frontier_run_ids"] == ["fair"]
 
+    @pytest.mark.parametrize("num_tasks", [2, 3])
+    def test_report_bytes_equal_the_all_pairs_frontier(
+            self, tmp_path, monkeypatch, num_tasks):
+        """`fairmtl report` writes the same bytes with the all-pairs oracle
+        frontier patched in, and computes one overlay for every axes."""
+        rng = np.random.default_rng(num_tasks)
+        writer = RunsWriter(str(tmp_path / "a" / "runs.csv"))
+        for i in range(90):
+            # coarse lattice values, so ties and exact duplicates are common
+            errs = list(rng.integers(0, 5, num_tasks) / 4)
+            gaps = list(rng.integers(0, 5, num_tasks) / 8)
+            fate = i % 10
+            row = fake_row(f"r{i:03d}", ("vanilla", "baseline", "mtaf")[i % 3],
+                           float(rng.integers(0, 6) / 5),
+                           float(rng.integers(0, 6) / 5), errs=errs, gaps=gaps,
+                           flags=None)
+            if fate == 0:
+                row.update(dict.fromkeys(("err_per_task", "fpr_gap_per_task",
+                                          "are", "arfg"), None),
+                           flags="failed: TrainingDiverged: boom")
+            elif fate == 1:
+                row.update(fpr_gap_per_task=gaps[:-1] + [None], are=None,
+                           arfg=None, flags="undefined_metric: task 1")
+            writer.append(row)
+        (tmp_path / "b").mkdir()
+        (tmp_path / "b" / "runs.csv").write_bytes(
+            (tmp_path / "a" / "runs.csv").read_bytes())
+
+        calls = []
+
+        def counted_overlay(rows):
+            calls.append(len(rows))
+            return accuracy_overlay(rows)
+        for module in (cli, sweep_module):
+            monkeypatch.setattr(module, "accuracy_overlay", counted_overlay)
+        assert cli.main(["report", "--out", str(tmp_path / "a")]) == 0
+        assert calls == [90]
+        monkeypatch.setattr(sweep_module, "frontier", oracles.frontier)
+        monkeypatch.setattr(pareto, "frontier", oracles.frontier)
+        assert cli.main(["report", "--out", str(tmp_path / "b")]) == 0
+
+        names = sorted(n for n in os.listdir(tmp_path / "a")
+                       if n.startswith(("frontier_", "plotdata_")))
+        assert len(names) == 2 * (num_tasks + 1)
+        for name in names:
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes()), name
+        reports = [json.loads((tmp_path / "a" / n).read_text())
+                   for n in names if n.startswith("frontier_")]
+        assert all(r["accuracy_overlay"] == reports[0]["accuracy_overlay"]
+                   for r in reports)
+        assert any(e["frontier"] for e in reports[0]["methods"].values())
+
     def test_report_pure_function_of_table(self, tmp_path, env):
         train_ds, test_ds, baselines = env
         sweep = SweepConfig(methods=("vanilla",), budget=2, epochs=1,
@@ -689,6 +745,15 @@ class TestCli:
         code = cli.main(["report", "--out", str(tmp_path)])
         assert code == 2
         assert "sweep" in capsys.readouterr().err
+
+    def test_report_over_mixed_task_counts_refused(self, tmp_path, capsys):
+        writer = RunsWriter(str(tmp_path / "runs.csv"))
+        writer.append(fake_row("a", "mtaf", 0.5, 0.5, flags=None))
+        writer.append(fake_row("b", "mtaf", 0.4, 0.6, errs=[0.1, 0.2, 0.3],
+                               gaps=[0.1, 0.1, 0.1], flags=None))
+        assert cli.main(["report", "--out", str(tmp_path)]) == 2
+        assert "mixed objective dimensionality" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["runs.csv"]
 
     def test_preset_dataset_missing_files_points_at_prepare(
             self, tmp_path, capsys):
