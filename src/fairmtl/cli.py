@@ -218,6 +218,13 @@ def cmd_report(args):
     return 0
 
 
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fairmtl",
@@ -233,7 +240,7 @@ def build_parser():
         if seed:
             p.add_argument("--seed", type=int, default=None)
         if jobs:
-            p.add_argument("--jobs", type=int, default=1,
+            p.add_argument("--jobs", type=positive_int, default=1,
                            help="parallel worker processes")
 
     p = sub.add_parser("stl-baseline",

@@ -6,8 +6,14 @@ sensitive attribute is present.  Every loss depends on the parameters only
 through the task's probability column p, so each has a closed form that
 gives its value and dF/dp: `fairness_terms` for the fairness losses and
 `kernels.xent_fwd`/`kernels.xent_bwd` for cross-entropy, which training
-takes fused as `kernels.xent`.  Training takes those derivatives as seed
-gradients at p (`fairness_grad`);
+takes fused as `kernels.xent`.
+
+Training reads a batch's subsets from one integer code per (row, task),
+`subset_codes`: 6 y + 3 exclusive + (a + 1), so the row's side, whether it
+is exclusive and its sensitive group.  `fairness_seed_terms` turns a
+task's codes into the derivatives the trainer adds to its seeds: the soft
+FPR gap's derivative is constant on each code, so it needs only per-code
+sums and counts; MMD and correlation take each side's rows from the codes.
 `fairness_loss` and `cross_entropy` wrap the same formulas in autodiff
 nodes whose one parent is p, the differentiable reference the tests check.
 A task's fairness loss splits into a head part (rows no other task's loss
@@ -16,6 +22,7 @@ because these losses are not additive over subsets.  The trainer routes
 the head part to the task's head and the remainder to the shared bottom.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,13 +38,14 @@ FAIRNESS_TARGETS = ("equal_opportunity_fpr", "equal_opportunity_tpr",
 SUBSET_KINDS = ("negatives", "positives", "exclusive_negatives",
                 "exclusive_positives")
 
+# the label y of each side a fairness target covers: negatives, positives
+_SIDE_LABELS = {"equal_opportunity_fpr": (0,), "equal_opportunity_tpr": (1,),
+                "equalized_odds": (0, 1)}
 # (full subset, exclusive subset) of each side a fairness target covers
-_SIDES = {
-    "equal_opportunity_fpr": (("negatives", "exclusive_negatives"),),
-    "equal_opportunity_tpr": (("positives", "exclusive_positives"),),
-    "equalized_odds": (("negatives", "exclusive_negatives"),
-                       ("positives", "exclusive_positives")),
-}
+_SIDES = {target: tuple((("negatives", "exclusive_negatives"),
+                         ("positives", "exclusive_positives"))[y]
+                        for y in labels)
+          for target, labels in _SIDE_LABELS.items()}
 
 
 @dataclass(frozen=True)
@@ -237,23 +245,116 @@ def fairness_loss(kind, prob, sensitive, subset):
     return out
 
 
-def fairness_grad(kind, target, t, labels, p, sensitive, exclusive=False):
-    """Task t's fairness loss F under `target`, and dF/dp as an (n, 1) column.
+@functools.lru_cache(maxsize=None)
+def _code_table(num_tasks):
+    """table[y, 3 * positives + a + 1]: the code of a row whose label on the
+    task is y, with `positives` positive labels and sensitive value a."""
+    table = np.array([[6 * y + 3 * (positives == (1 if y else num_tasks - 1))
+                       + a + 1
+                       for positives in range(num_tasks + 1)
+                       for a in (-1, 0, 1)]
+                      for y in (0, 1)])
+    table.flags.writeable = False   # cached, so shared by every caller
+    return table
 
-    F sums one loss per side of the target (negatives for the fpr target,
-    positives for tpr, both for equalized odds).  With `exclusive` each side
-    keeps only the rows no other task's loss can reach: that is mtaf's head
-    part F_head, and the full loss minus it is the shared part.
+
+def subset_codes(labels, sensitive):
+    """One code per (row, task): 6 y + 3 exclusive + (a + 1), as (n, T).
+
+    y is the row's 0/1 label on the task and a its sensitive value (-1 when
+    missing).  A row is exclusive for task t when it lies in t's exclusive
+    set of its side (`subset_rows`): y_t = 1 and the row's only positive
+    label is t's, or y_t = 0 and every other label is positive.  For T = 1
+    every row is exclusive.  Each task's column is contiguous.
     """
-    total = 0.0
-    grad = np.zeros(p.shape)
-    for full, excl in _SIDES[target]:
-        value, rows, dvals = fairness_terms(
-            kind, p, sensitive,
-            subset_rows(labels, t, excl if exclusive else full))
-        total += value
-        grad[rows, 0] += dvals
-    return total, grad
+    y = np.asarray(labels).T.astype(np.intp, order="C")
+    if y.ndim != 2:
+        raise ShapeError(f"labels must be (n, T), got {y.T.shape}")
+    key = 3 * y.sum(axis=0) + np.asarray(sensitive) + 1
+    return _code_table(y.shape[0])[y, key].T
+
+
+# Summed in any order, n nonnegative numbers err by at most (n - 1) 2^-53
+# of their sum, so each group mean is off by at most about n 2^-53 of
+# itself.  Where two means differ by more than 2^-51 (n0 + n1 + 2) times
+# their sum, twice the bound for two summations, neither the per-code sums
+# nor `_soft_fpr_gap`'s can give the gap the other sign.
+_TIE = 2.0 ** -51
+
+
+def _gap(s0, n0, s1, n1, exact):
+    """(F, dF/dp on a group-0 row, on a group-1 row) of the soft FPR gap
+    |s0/n0 - s1/n1| from the groups' sums and sizes; zero when a group is
+    empty.  At a near tie, where the order of summation decides the sign,
+    it is `exact()`'s `fairness_terms` on the rows instead."""
+    if not (n0 and n1):
+        return 0.0, 0.0, 0.0
+    m0, m1 = s0 / n0, s1 / n1
+    diff = m0 - m1
+    if abs(diff) <= _TIE * (n0 + n1 + 2) * (m0 + m1):
+        value, _, dvals = exact()
+        return value, float(dvals[0]), float(dvals[-1])
+    s = float(diff > 0) - float(diff < 0)
+    return abs(diff), s / n0, -s / n1
+
+
+def fairness_seed_terms(kind, target, codes, p, combine, head=False):
+    """A task's fairness losses and seed terms from its subset codes.
+
+    Returns (F_full, F_head, combine(dF_full/dp, dF_head/dp)) with the
+    terms as (n, 1) columns.  `codes` is the task's column of
+    `subset_codes` and `p` its (n, 1) probability column.  F_full sums one
+    loss per side of the target (negatives for the fpr target, positives
+    for tpr, both for equalized odds); F_head keeps each side's exclusive
+    rows only, mtaf's head part, and is computed only with `head` (else
+    F_head and its derivative are 0).  `combine` must act elementwise.
+
+    The soft FPR gap's derivative is constant on each code, so one
+    weighted and one plain count of the codes give every group's sum and
+    size, `combine` gets the 12 per-code values as floats and its results
+    are gathered by code.  The other kinds run `fairness_terms` on each
+    side's rows and pass `combine` columns.
+    """
+    kind = as_loss_kind(kind)
+
+    def terms(y, exclusive):
+        rows = np.flatnonzero(codes // 3 == 2 * y + 1 if exclusive
+                              else codes // 6 == y)
+        return fairness_terms(kind, p, codes % 3 - 1, rows)
+
+    f_full = f_head = 0.0
+    if kind.kind == "soft_fpr_gap":
+        sums = np.bincount(codes, weights=p[:, 0], minlength=12).tolist()
+        counts = np.bincount(codes, minlength=12).tolist()
+        d_full, d_head = [0.0] * 12, [0.0] * 12
+        for y in _SIDE_LABELS[target]:
+            b = 6 * y + 1   # group 0, not exclusive; +1 group 1, +3 exclusive
+            f, d0, d1 = _gap(sums[b] + sums[b + 3], counts[b] + counts[b + 3],
+                             sums[b + 1] + sums[b + 4],
+                             counts[b + 1] + counts[b + 4],
+                             lambda: terms(y, False))
+            f_full += f
+            d_full[b] = d_full[b + 3] = d0
+            d_full[b + 1] = d_full[b + 4] = d1
+            if head:
+                f, d_head[b + 3], d_head[b + 4] = _gap(
+                    sums[b + 3], counts[b + 3], sums[b + 4], counts[b + 4],
+                    lambda: terms(y, True))
+                f_head += f
+        per_code = zip(*map(combine, d_full, d_head))
+        return f_full, f_head, [np.array(v)[codes].reshape(-1, 1)
+                                for v in per_code]
+    d_full = np.zeros(p.shape)
+    d_head = np.zeros(p.shape) if head else 0.0
+    for y in _SIDE_LABELS[target]:
+        f, rows, dvals = terms(y, False)
+        f_full += f
+        d_full[rows, 0] += dvals
+        if head:
+            f, rows, dvals = terms(y, True)
+            f_head += f
+            d_head[rows, 0] += dvals
+    return f_full, f_head, list(combine(d_full, d_head))
 
 
 def decompose_fairness(kind, target, t, labels, prob, sensitive):

@@ -3,10 +3,13 @@
 All tasks share the embedding tables and bottom dense layers; each task owns
 a head sub-network ending in a single logit.  Parameter grouping (shared vs
 per-task) is fixed at build time and drives the gradient routing in the
-trainer.  `forward_np` and `backprop` are the training path: a numpy
-forward that keeps each layer's input and pre-activation, and a backward
-from seed gradients at each task's probability column.  `forward` builds
-the same network as an autodiff graph, the differentiable reference.
+trainer.  Every parameter's value, gradient and Adagrad accumulator is a
+view into one flat (1, N) vector of each (`FlatParams`), so one Adagrad
+call updates the whole model.  `forward_np` and `backprop` are the
+training path: a numpy forward that keeps each layer's input and
+pre-activation, and a backward from seed gradients at each task's
+probability column into the flat gradient.  `forward` builds the same
+network as an autodiff graph, the differentiable reference.
 """
 
 from dataclasses import dataclass, field, fields
@@ -64,6 +67,32 @@ class TaskOutput:
 
 
 @dataclass
+class FlatParams:
+    """Every parameter's value, gradient and Adagrad accumulator, each as
+    one (1, N) vector in `MtlModel.all_params` order; each Param's arrays
+    are views into these."""
+    value: np.ndarray
+    grad: np.ndarray
+    adagrad_acc: np.ndarray
+
+    @classmethod
+    def adopt(cls, params):
+        """Copy the params' arrays into new flat vectors and point each
+        Param at its views."""
+        n = sum(p.value.size for p in params)
+        flat = cls(np.empty((1, n)), np.empty((1, n)), np.empty((1, n)))
+        start = 0
+        for p in params:
+            stop = start + p.value.size
+            for name in ("value", "grad", "adagrad_acc"):
+                view = getattr(flat, name)[0, start:stop].reshape(p.shape)
+                view[...] = getattr(p, name)
+                setattr(p, name, view)
+            start = stop
+        return flat
+
+
+@dataclass
 class MtlModel:
     arch: ArchConfig
     embeddings: list          # one table per categorical feature, shared group
@@ -71,6 +100,7 @@ class MtlModel:
     heads: list               # heads[t] = [(W, b), ...] ending in the logit layer
     dense_count: int
     vocab_sizes: tuple = field(default_factory=tuple)
+    flat: FlatParams = None   # the storage behind every Param; set by build_model
 
     @property
     def shared_params(self):
@@ -106,7 +136,8 @@ def build_model(arch, dense_count, vocab_sizes=(), seed=0):
     `vocab_sizes` are per-categorical vocabulary sizes *including* the
     reserved out-of-vocabulary slot; every table has `arch.embedding_dim`
     columns.  Embedding tables belong to the shared group.  Weights use
-    uniform fan-in init, biases start at zero.
+    uniform fan-in init, biases start at zero.  The parameters' arrays are
+    views into `model.flat`.
     """
     if dense_count < 0:
         raise ConfigError("dense_count must be >= 0")
@@ -143,9 +174,11 @@ def build_model(arch, dense_count, vocab_sizes=(), seed=0):
         layers, _ = dense_stack(shared_out, sizes, f"task{t}", ("task", t))
         heads.append(layers)
 
-    return MtlModel(arch=arch, embeddings=embeddings, shared_layers=shared_layers,
-                    heads=heads, dense_count=dense_count,
-                    vocab_sizes=tuple(vocab_sizes))
+    model = MtlModel(arch=arch, embeddings=embeddings,
+                     shared_layers=shared_layers, heads=heads,
+                     dense_count=dense_count, vocab_sizes=tuple(vocab_sizes))
+    model.flat = FlatParams.adopt(model.all_params)
+    return model
 
 
 def _inputs(model, dense, cat_idx):
@@ -237,9 +270,9 @@ def _dense_backward(layers, cache, g, grads, to_input):
     """Walk a dense stack back from `g`, the gradient at its last layer's
     pre-activation; every earlier layer is relu'd.
 
-    Fills grads[2i], grads[2i + 1] with layer i's weight and bias gradients
-    unless `grads` is None, and returns the gradient at the stack's input
-    when `to_input` is set.
+    Writes layer i's weight and bias gradients into grads[2i],
+    grads[2i + 1] unless `grads` is None, and returns the gradient at the
+    stack's input when `to_input` is set.
     """
     for i in reversed(range(len(layers))):
         x, pre = cache[i]
@@ -248,29 +281,29 @@ def _dense_backward(layers, cache, g, grads, to_input):
             kernels.relu_bwd(pre, g, g_pre)
             g = g_pre
         if grads is not None:
-            grads[2 * i] = x.T @ g
-            grads[2 * i + 1] = g.sum(axis=0, keepdims=True)
+            np.matmul(x.T, g, out=grads[2 * i])
+            np.add.reduce(g, axis=0, keepdims=True, out=grads[2 * i + 1])
         if i or to_input:
             g = g @ layers[i][0].value.T
     return g if to_input else None
 
 
 def backprop(model, acts, head_seeds, shared_seeds):
-    """Parameter gradients from seed gradients at each task's probabilities.
+    """Parameter gradients from seed gradients at each task's probabilities,
+    written into `model.flat.grad` (every Param's `grad`).
 
     head_seeds[t] gives head t's gradients; shared_seeds[t] flows through
     head t into the shared bottom and the embeddings.  When the two are the
-    same array one walk through head t does both.  Returns one array per
-    parameter, in `model.all_params` order.
+    same array one walk through head t does both.
     """
     def logit_grad(t, seed):
         g = np.zeros(seed.shape)
         kernels.sigmoid_bwd(acts.probs[t], seed, g)
         return g
 
-    head_grads, g_bottom = [], 0.0
+    g_bottom = 0.0
     for t, layers in enumerate(model.heads):
-        grads = [None] * (2 * len(layers))
+        grads = [p.grad for wb in layers for p in wb]
         same = shared_seeds[t] is head_seeds[t]
         g = _dense_backward(layers, acts.heads[t],
                             logit_grad(t, head_seeds[t]), grads, same)
@@ -278,19 +311,15 @@ def backprop(model, acts, head_seeds, shared_seeds):
             g = _dense_backward(layers, acts.heads[t],
                                 logit_grad(t, shared_seeds[t]), None, True)
         g_bottom = g_bottom + g
-        head_grads += grads
 
-    shared_grads = [None] * (2 * len(model.shared_layers))
     if model.shared_layers:
         g_top = np.zeros(acts.shared[-1][1].shape)
         kernels.relu_bwd(acts.shared[-1][1], g_bottom, g_top)
+        grads = [p.grad for wb in model.shared_layers for p in wb]
         g_bottom = _dense_backward(model.shared_layers, acts.shared, g_top,
-                                   shared_grads, bool(model.embeddings))
-    emb_grads = []
+                                   grads, bool(model.embeddings))
     dim = model.arch.embedding_dim
     for j, table in enumerate(model.embeddings):
         start = model.dense_count + j * dim
-        g_table = np.zeros_like(table.value)
-        np.add.at(g_table, acts.cat_idx[:, j], g_bottom[:, start:start + dim])
-        emb_grads.append(g_table)
-    return emb_grads + shared_grads + head_grads
+        table.grad[...] = 0.0
+        np.add.at(table.grad, acts.cat_idx[:, j], g_bottom[:, start:start + dim])

@@ -266,9 +266,40 @@ class RunsWriter:
             f.flush()
 
 
-def load_runs(path):
-    """Read runs.csv back into dicts; numeric and JSON cells are decoded.
-    A malformed row raises ContractError naming the file and line."""
+def _json_column(cells):
+    """A JSON list column's cells decoded with one `json.loads`.
+
+    Raises ValueError unless the joined array splits back into the cells
+    for sure: every nonempty cell is one bracketed list with no nested
+    brackets and no strings, and the array holds one value per cell.
+    """
+    present = [c for c in cells if c != ""]
+    joined = "[" + ",".join(present) + "]"
+    if ('"' in joined or joined.count("[") != len(present) + 1
+            or not all(c.startswith("[") for c in present)):
+        raise ValueError("not a column of flat lists")
+    values = json.loads(joined)
+    if len(values) != len(present):
+        raise ValueError("cells and values disagree")
+    if len(present) == len(cells):
+        return values
+    value = iter(values).__next__
+    return [None if c == "" else value() for c in cells]
+
+
+def _decode_columns(names, columns):
+    """The rows from their columns of cells, each JSON column decoded in
+    one call; each column's cells are dropped once it is decoded."""
+    for i, (name, cells) in enumerate(zip(names, columns)):
+        parser = RUNS_COLUMNS.get(name, str)
+        columns[i] = (_json_column(cells) if parser is json.loads else
+                      [None if v == "" else parser(v) for v in cells])
+    return [dict(zip(names, values)) for values in zip(*columns)]
+
+
+def _load_rows(path):
+    """`load_runs` one row at a time, so an error names the first
+    malformed row."""
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         if reader.fieldnames is None or "run_id" not in reader.fieldnames:
@@ -285,6 +316,27 @@ def load_runs(path):
                 raise ContractError(f"{path}:{reader.line_num}: malformed "
                                     f"row ({exc})") from exc
     return rows
+
+
+def load_runs(path):
+    """Read runs.csv back into dicts; numeric and JSON cells are decoded.
+    A malformed row raises ContractError naming the file and line.
+
+    The table is decoded column by column; a table that does not decode
+    that way is read again row by row, which finds the malformed row.
+    """
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        names = next(reader, [])
+        rows = [row for row in reader if row]
+    if "run_id" in names and all(len(row) == len(names) for row in rows):
+        columns = list(zip(*rows))
+        del rows   # so each column's cells are freed once it is decoded
+        try:
+            return _decode_columns(names, columns)
+        except (TypeError, ValueError):
+            pass
+    return _load_rows(path)
 
 
 def _pool_entry(args):

@@ -10,6 +10,12 @@ r_t = 1), so its two seeds are one array and one walk through each head
 serves every parameter; mtaf takes the ratio-boosted head part (rows no
 other task's loss can reach) for the head and the remainder for the shared
 bottom, so the shared part never reaches a head.
+
+A batch's fairness subsets come from one integer code per (row, task)
+(`losses.subset_codes`), built once per step.  The model keeps every
+parameter, gradient and Adagrad accumulator in one flat vector each
+(`model.FlatParams`), so the update is one `adagrad_update` call; Adagrad
+is elementwise, so this equals one call per parameter bit for bit.
 """
 
 import time
@@ -19,7 +25,8 @@ import numpy as np
 
 from .backend import kernels
 from .exceptions import ConfigError, ShapeError, TrainingDiverged
-from .losses import FAIRNESS_TARGETS, as_loss_kind, fairness_grad
+from .losses import (FAIRNESS_TARGETS, as_loss_kind, fairness_seed_terms,
+                     subset_codes)
 from .model import backprop, build_model, forward_np, from_fields
 
 METHODS = ("vanilla", "baseline", "mtaf")
@@ -100,7 +107,11 @@ class TrainedRun:
 
 
 def adagrad_update(param, grad, lr):
-    """One Adagrad step: acc += g^2; p -= lr * g / (sqrt(acc) + 1e-8)."""
+    """One Adagrad step: acc += g^2; p -= lr * g / (sqrt(acc) + 1e-8).
+
+    `param` is a Param or anything with `value` and `adagrad_acc` arrays,
+    such as a model's `FlatParams`.
+    """
     if grad.shape != param.value.shape:
         raise ShapeError(
             f"adagrad_update: grad {grad.shape} vs param {param.value.shape}")
@@ -124,27 +135,34 @@ def _seeds(config, batch, probs):
     w, r = config.task_weights, config.head_shared_ratios
     lam = (config.fairness_weights if config.method != "vanilla"
            else (0.0,) * config.num_tasks)
+    labels = np.asarray(batch.labels.T, dtype=np.float64, order="C")
+    codes = (subset_codes(batch.labels, batch.sensitive) if any(lam)
+             else None)
     heads, shareds, losses = [], [], []
     for t, p in enumerate(probs):
-        y = np.ascontiguousarray(batch.labels[:, t],
-                                 dtype=np.float64).reshape(-1, 1)
         acc = np.zeros(p.shape)
-        losses.append(_finite(kernels.xent(p, y, w[t], acc),
+        losses.append(_finite(kernels.xent(p, labels[t].reshape(-1, 1), w[t],
+                                           acc),
                               f"task {t} accuracy loss"))
         head = shared = acc
         if lam[t] > 0:
-            args = (config.fairness_kind, config.fairness_target, t,
-                    batch.labels, p, batch.sensitive)
-            f_full, d_full = fairness_grad(*args)
+            args = (config.fairness_kind, config.fairness_target,
+                    codes[:, t], p)
+            scale = w[t] * lam[t]
             if config.method == "mtaf":
-                f_head, d_head = fairness_grad(*args, exclusive=True)
+                head_scale = scale * r[t]
+                f_full, f_head, (d_head, d_shared) = fairness_seed_terms(
+                    *args, lambda full, part: (head_scale * part,
+                                               scale * (full - part)),
+                    head=True)
                 _finite(f_head, f"task {t} head fairness loss")
                 _finite(f_full - f_head, f"task {t} shared fairness loss")
-                head = acc + (w[t] * lam[t] * r[t]) * d_head
-                shared = acc + (w[t] * lam[t]) * (d_full - d_head)
+                head, shared = acc + d_head, acc + d_shared
             else:
+                f_full, _, (d_full,) = fairness_seed_terms(
+                    *args, lambda full, _: (scale * full,))
                 _finite(f_full, f"task {t} fairness loss")
-                head = shared = acc + (w[t] * lam[t]) * d_full
+                head = shared = acc + d_full
         heads.append(head)
         shareds.append(shared)
     return heads, shareds, losses
@@ -154,9 +172,9 @@ def train_step(model, batch, config, loss_sink=None):
     """Apply one optimizer step of the configured method to the model.
 
     Forward, the seed gradients at each task's probability column, the
-    model's backward from them, then Adagrad on every parameter.  When
-    given, `loss_sink` receives the per-task accuracy loss values of this
-    batch.
+    model's backward from them into its flat gradient, then one Adagrad
+    call on the flat parameters.  When given, `loss_sink` receives the
+    per-task accuracy loss values of this batch.
     """
     if len(batch) == 0:
         raise ConfigError("train_step on an empty batch")
@@ -167,9 +185,8 @@ def train_step(model, batch, config, loss_sink=None):
     heads, shareds, losses = _seeds(config, batch, acts.probs)
     if loss_sink is not None:
         loss_sink.append(losses)
-    grads = backprop(model, acts, heads, shareds)
-    for p, g in zip(model.all_params, grads):
-        adagrad_update(p, g, config.learning_rate)
+    backprop(model, acts, heads, shareds)
+    adagrad_update(model.flat, model.flat.grad, config.learning_rate)
     return model
 
 

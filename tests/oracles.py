@@ -1,23 +1,35 @@
 """Composed-graph references for the fused fairness losses and the step,
-and the all-pairs Pareto frontier.
+the subset-based seed gradients, and the all-pairs Pareto frontier.
 
 `fairness_loss` here builds each loss from autodiff primitives (gathers,
 means, Gaussian kernel matrices, `mean_all`), as fairmtl did before its
 losses became single closed-form nodes; `train_step` is the two-ledger step
 that ran one full backward pass per ledger and copied the head gradients
-aside; `frontier` compares every pair of points, as fairmtl did for every
-dimensionality before its 2-D frontier became one sweep over sorted points.
-All are kept only as oracles for the production code.
+aside; `fairness_grad` and `seeds` build each task's seed gradients from
+`subset_rows` index arrays, one closed-form loss per subset, as fairmtl did
+before it read the subsets from per-row codes; `frontier` compares every
+pair of points, as fairmtl did for every dimensionality before its 2-D
+frontier became one sweep over sorted points.  All are kept only as
+oracles for the production code.
 """
 
 import numpy as np
 
 import fairmtl.autodiff as ad
+from fairmtl.backend import kernels
 from fairmtl.exceptions import ContractError
 from fairmtl.losses import (ExampleSubset, as_loss_kind, cross_entropy,
-                            subset_select)
-from fairmtl.model import forward
-from fairmtl.trainer import adagrad_update
+                            fairness_terms, subset_rows, subset_select)
+from fairmtl.model import backprop, forward, forward_np
+from fairmtl.trainer import _seeds, adagrad_update
+
+# (full subset, exclusive subset) of each side a fairness target covers
+SIDES = {
+    "equal_opportunity_fpr": (("negatives", "exclusive_negatives"),),
+    "equal_opportunity_tpr": (("positives", "exclusive_positives"),),
+    "equalized_odds": (("negatives", "exclusive_negatives"),
+                       ("positives", "exclusive_positives")),
+}
 
 
 def _zero():
@@ -146,6 +158,68 @@ def train_step(model, batch, config):
         for p, g in zip(model.head_params(t), head_grads[t]):
             adagrad_update(p, g, lr)
     model.zero_grads()
+    return model
+
+
+def fairness_grad(kind, target, t, labels, p, sensitive, exclusive=False):
+    """Task t's fairness loss F under `target`, and dF/dp as an (n, 1)
+    column; with `exclusive` each side keeps only its exclusive rows."""
+    total = 0.0
+    grad = np.zeros(p.shape)
+    for full, excl in SIDES[target]:
+        value, rows, dvals = fairness_terms(
+            kind, p, sensitive,
+            subset_rows(labels, t, excl if exclusive else full))
+        total += value
+        grad[rows, 0] += dvals
+    return total, grad
+
+
+def seeds(config, batch, probs):
+    """(head seeds, shared seeds, accuracy losses, per-task (F_full,
+    F_head)) of a batch, from `fairness_grad`; F_head is None where the
+    step needs no head part."""
+    w, r = config.task_weights, config.head_shared_ratios
+    lam = (config.fairness_weights if config.method != "vanilla"
+           else (0.0,) * config.num_tasks)
+    heads, shareds, losses, values = [], [], [], []
+    for t, p in enumerate(probs):
+        y = np.ascontiguousarray(batch.labels[:, t],
+                                 dtype=np.float64).reshape(-1, 1)
+        acc = np.zeros(p.shape)
+        losses.append(kernels.xent(p, y, w[t], acc))
+        head = shared = acc
+        if lam[t] > 0:
+            args = (config.fairness_kind, config.fairness_target, t,
+                    batch.labels, p, batch.sensitive)
+            f_full, d_full = fairness_grad(*args)
+            f_head = None
+            if config.method == "mtaf":
+                f_head, d_head = fairness_grad(*args, exclusive=True)
+                head = acc + (w[t] * lam[t] * r[t]) * d_head
+                shared = acc + (w[t] * lam[t]) * (d_full - d_head)
+            else:
+                head = shared = acc + (w[t] * lam[t]) * d_full
+            values.append((f_full, f_head))
+        heads.append(head)
+        shareds.append(shared)
+    return heads, shareds, losses, values
+
+
+def per_param_step(model, batch, config):
+    """The closed-form step with separate arrays per parameter: each Param
+    is first given its own copies of its value, gradient and accumulator
+    (so the model's flat vectors no longer back it), and Adagrad runs once
+    per parameter."""
+    for p in model.all_params:
+        p.value, p.grad, p.adagrad_acc = (
+            p.value.copy(), p.grad.copy(), p.adagrad_acc.copy())
+    acts = forward_np(model, batch.dense,
+                      batch.cat if batch.cat.size else None)
+    heads, shareds, _ = _seeds(config, batch, acts.probs)
+    backprop(model, acts, heads, shareds)
+    for p in model.all_params:
+        adagrad_update(p, p.grad, config.learning_rate)
     return model
 
 

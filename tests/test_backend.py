@@ -149,6 +149,27 @@ class TestKernelEquivalence:
         assert_allclose(p2, p1, **TIGHT)
         assert_allclose(acc2, acc1, **TIGHT)
 
+    def test_adagrad_on_a_flat_view_is_per_param_calls(self, kc):
+        """One call on a (1, N) vector of concatenated parameters equals
+        one call per parameter, bit for bit, on either backend."""
+        rng = np.random.default_rng(7)
+        shapes = [(4, 3), (1, 3), (3, 1), (1, 1), (5, 2)]
+        params = [arr(rng, s) for s in shapes]
+        grads = [arr(rng, s) for s in shapes]
+        accs = [np.abs(arr(rng, s)) for s in shapes]
+
+        def flat(arrays):
+            return np.concatenate([a.ravel() for a in arrays]).reshape(1, -1)
+        for mod in (knp, kc):
+            p_flat, a_flat = flat(params), flat(accs)
+            mod.adagrad_step(p_flat, flat(grads), a_flat, 0.05, 1e-8)
+            p_each = [p.copy() for p in params]
+            a_each = [a.copy() for a in accs]
+            for p, g, a in zip(p_each, grads, a_each):
+                mod.adagrad_step(p, g, a, 0.05, 1e-8)
+            assert p_flat.tobytes() == flat(p_each).tobytes()
+            assert a_flat.tobytes() == flat(a_each).tobytes()
+
     def test_backward_kernels_accumulate(self, kc):
         # both backends add into acc rather than overwrite
         rng = np.random.default_rng(6)
@@ -200,7 +221,7 @@ print(BACKEND, value == k.xent_fwd(p, y), np.array_equal(a1, a2))
 
     def test_training_agrees_across_backends(self, ckernels_path):
         """End-to-end: a short training run lands on near-identical params
-        under either backend."""
+        under either backend, element by element."""
         code = """
 import json
 import numpy as np
@@ -215,12 +236,12 @@ arch = ArchConfig(num_tasks=2, shared_layer_sizes=(8,), head_layer_sizes=(4,),
                   embedding_dim=4)
 run = train(ds, arch, cfg)
 state = run.model.param_state()
-print(json.dumps({k: float(np.sum(v)) for k, v in sorted(state.items())}))
+print(json.dumps({k: v.tolist() for k, v in sorted(state.items())}))
 """
-        sums = {forced: json.loads(run_child(code, ckernels_path,
-                                             forced).stdout)
-                for forced in ("numpy", "compiled")}
-        assert sums["numpy"].keys() == sums["compiled"].keys()
-        for name in sums["numpy"]:
-            assert sums["numpy"][name] == pytest.approx(
-                sums["compiled"][name], rel=1e-9, abs=1e-9), name
+        params = {forced: json.loads(run_child(code, ckernels_path,
+                                               forced).stdout)
+                  for forced in ("numpy", "compiled")}
+        assert params["numpy"].keys() == params["compiled"].keys()
+        for name in params["numpy"]:
+            assert_allclose(params["compiled"][name], params["numpy"][name],
+                            rtol=1e-9, atol=1e-9, err_msg=name)

@@ -8,10 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairmtl.autodiff as ad
+from fairmtl.data import Dataset
 from fairmtl.exceptions import ConfigError, ShapeError
-from fairmtl.losses import (FairnessLossKind, cross_entropy,
-                            decompose_fairness, fairness_loss, subset_rows,
+from fairmtl.losses import (FAIRNESS_KINDS, FAIRNESS_TARGETS,
+                            FairnessLossKind, cross_entropy,
+                            decompose_fairness, fairness_loss,
+                            fairness_seed_terms, subset_codes, subset_rows,
                             subset_select)
+from fairmtl.trainer import TrainConfig, _seeds
 
 
 def prob_node(values):
@@ -121,6 +125,30 @@ def test_subset_partition_identities(labels):
         if num_tasks == 1:
             assert sets["exclusive_negatives"] == sets["negatives"]
             assert sets["exclusive_positives"] == sets["positives"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4).flatmap(lambda num_tasks: st.lists(
+    st.tuples(st.lists(st.integers(0, 1), min_size=num_tasks,
+                       max_size=num_tasks), st.sampled_from((-1, 0, 1))),
+    max_size=30)).filter(bool))
+def test_subset_codes_match_subset_rows(rows):
+    """Code 6 y + 3 exclusive + (a + 1) names each row's side, exclusivity
+    and sensitive group as `subset_rows` defines them."""
+    labels = np.array([y for y, _ in rows])
+    sensitive = np.array([a for _, a in rows])
+    codes = subset_codes(labels, sensitive)
+    assert codes.shape == labels.shape
+    assert (codes % 3 == (sensitive + 1)[:, None]).all()
+    for t in range(labels.shape[1]):
+        assert codes[:, t].flags.c_contiguous
+        for y, side in enumerate(("negatives", "positives")):
+            np.testing.assert_array_equal(
+                np.flatnonzero(codes[:, t] // 6 == y),
+                subset_rows(labels, t, side))
+            np.testing.assert_array_equal(
+                np.flatnonzero(codes[:, t] // 3 == 2 * y + 1),
+                subset_rows(labels, t, "exclusive_" + side))
 
 
 def test_subset_validation():
@@ -298,6 +326,70 @@ def test_fused_fairness_matches_composed_oracle(case):
     assert abs(fused.value[0, 0] - ref.value[0, 0]) <= tol
     scale = max(1.0, float(np.abs(g_ref).max()))
     assert np.abs(g_fused - g_ref).max() <= 1e-12 * scale
+
+
+@st.composite
+def seed_cases(draw):
+    """A batch, its probability columns and a fairness config.  Tenths,
+    and columns of one value (a network whose relu units all died), make
+    exact ties between group means common, where the order of summation
+    decides the soft FPR gap's sign.  Probabilities stay above 1e-9 or at
+    0, so the correlation's variance is a normal float."""
+    num_tasks = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 60))
+    labels = draw(st.lists(st.lists(st.integers(0, 1), min_size=num_tasks,
+                                    max_size=num_tasks),
+                           min_size=n, max_size=n))
+    sens = draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=n, max_size=n))
+    values = draw(st.sampled_from((
+        st.integers(0, 10).map(lambda k: k / 10),
+        st.just(draw(st.integers(1, 9)) / 10),
+        st.just(0.0) | st.floats(1e-9, 1.0))))
+    probs = [np.array(draw(st.lists(values, min_size=n, max_size=n)))
+             .reshape(-1, 1) for _ in range(num_tasks)]
+    config = TrainConfig(
+        method=draw(st.sampled_from(("baseline", "mtaf"))),
+        task_weights=(0.6, 0.4, 0.5, 0.3)[:num_tasks],
+        fairness_weights=draw(st.lists(st.sampled_from((0.0, 0.7, 2.5)),
+                                       min_size=num_tasks,
+                                       max_size=num_tasks)),
+        head_shared_ratios=(2.0, 0.5, 1.3, 0.8)[:num_tasks],
+        fairness_kind=FairnessLossKind(draw(st.sampled_from(FAIRNESS_KINDS)),
+                                       draw(st.sampled_from((0.3, 1.0)))),
+        fairness_target=draw(st.sampled_from(FAIRNESS_TARGETS)))
+    batch = Dataset(dense=np.zeros((n, 1)), cat=np.empty((n, 0)),
+                    labels=np.array(labels), sensitive=np.array(sens))
+    return config, batch, probs
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(seed_cases())
+def test_code_seeds_match_subset_oracle(case):
+    """The seeds built from subset codes equal, bit for bit, those built
+    from `subset_rows` index arrays; F_full and F_head agree to rel 1e-12
+    (the codes sum each group's rows in another order)."""
+    config, batch, probs = case
+    heads, shareds, losses = _seeds(config, batch, probs)
+    ref_heads, ref_shareds, ref_losses, ref_values = oracles.seeds(
+        config, batch, probs)
+    assert losses == ref_losses
+    for t in range(config.num_tasks):
+        assert (heads[t] is shareds[t]) == (ref_heads[t] is ref_shareds[t])
+        for got, ref in ((heads[t], ref_heads[t]),
+                         (shareds[t], ref_shareds[t])):
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes(), t
+    codes = subset_codes(batch.labels, batch.sensitive)
+    tasks = [t for t in range(config.num_tasks)
+             if config.fairness_weights[t] > 0]
+    for t, (ref_full, ref_head) in zip(tasks, ref_values):
+        f_full, f_head, terms = fairness_seed_terms(
+            config.fairness_kind, config.fairness_target, codes[:, t],
+            probs[t], lambda full, head: (), head=ref_head is not None)
+        assert terms == []
+        for got, ref in ((f_full, ref_full), (f_head, ref_head)):
+            if ref is not None:
+                assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 # --- decomposition ---------------------------------------------------------

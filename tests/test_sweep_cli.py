@@ -6,6 +6,8 @@ data end to end.
 """
 
 import copy
+import csv
+import io
 import json
 import os
 import string
@@ -277,6 +279,40 @@ class TestRunsTable:
             load_runs(str(path))
         assert cli.main(["report", "--out", str(out)]) == 2
         assert f"error: {path}:3: malformed" in capsys.readouterr().err
+
+    def test_json_cells_decode_as_each_cell_alone(self, tmp_path, env):
+        """A list column is decoded in one call only where the joined cells
+        split back into the cells; otherwise each cell is decoded alone, so
+        odd but valid cells still read right and cells that only parse
+        together are refused at their line."""
+        train_ds, test_ds, baselines = env
+        sweep = SweepConfig(methods=("vanilla",), budget=3, epochs=1,
+                            batch_size=64, learning_rate=0.1)
+        run_sweep(train_ds, test_ds, ARCH, sweep, baselines, str(tmp_path))
+        path = tmp_path / "runs.csv"
+        whole = path.read_text()
+        rows = load_runs(str(path))
+        column = list(RUNS_COLUMNS).index("err_per_task")
+
+        def with_cells(cells):
+            lines = whole.splitlines(keepends=True)
+            for i, cell in enumerate(cells):
+                fields = next(csv.reader([lines[i + 1]]))
+                fields[column] = cell
+                buffer = io.StringIO()
+                csv.writer(buffer).writerow(fields)
+                lines[i + 1] = buffer.getvalue()
+            path.write_text("".join(lines))
+
+        with_cells([" [0.5, 0.25]", "null", '["x"]'])
+        assert [r["err_per_task"] for r in load_runs(str(path))] == [
+            [0.5, 0.25], None, ["x"]]
+        assert [{**r, "err_per_task": None} for r in load_runs(str(path))] \
+            == [{**r, "err_per_task": None} for r in rows]
+        # together these read as the array [[0.1, 0.2, 0.3], [4], [5]]
+        with_cells(["[0.1, 0.2", "0.3]", "[4], [5]"])
+        with pytest.raises(ContractError, match=f"{path}:2: malformed"):
+            load_runs(str(path))
 
     def test_malformed_cell_names_file_and_line(self, tmp_path, env):
         train_ds, test_ds, baselines = env
@@ -725,6 +761,16 @@ class TestCli:
         for command in (["stl-baseline", "--dataset", "synth"], ["report"]):
             with pytest.raises(SystemExit):
                 cli.main(command + ["--out", str(tmp_path), "--seed", "0"])
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_sweep_refuses_jobs_below_one(self, tmp_path, capsys, jobs):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--dataset", "synth", "--out", str(out),
+                      "--jobs", jobs])
+        assert exc.value.code == 2
+        assert f"--jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_train_without_baselines_fails_with_instruction(
             self, tmp_path, capsys):

@@ -362,6 +362,52 @@ def test_step_matches_two_ledger_reference(kind, target, arch):
                 rtol=0, atol=1e-12, err_msg=f"{method} {p_new.name}")
 
 
+@pytest.mark.parametrize("arch", ["routing", "emb2-layers2x2-tasks3",
+                                  "no-hidden"])
+def test_params_are_views_of_the_flat_vectors(arch):
+    """Each Param's value, gradient and accumulator is a view into the
+    model's flat vectors, laid out in `all_params` order."""
+    arch, vocab_sizes, _ = _ledger_case(arch)
+    model = build_model(arch, dense_count=3, vocab_sizes=vocab_sizes, seed=9)
+    flat = model.flat
+    for name in ("value", "grad", "adagrad_acc"):
+        whole = getattr(flat, name)
+        assert whole.shape == (1, sum(p.value.size for p in model.all_params))
+        for p in model.all_params:
+            assert np.shares_memory(getattr(p, name), whole), (name, p.name)
+    np.testing.assert_array_equal(
+        flat.value[0], np.concatenate([p.value.ravel()
+                                       for p in model.all_params]))
+    fresh = build_model(arch, dense_count=3, vocab_sizes=vocab_sizes, seed=9)
+    for p in fresh.all_params:
+        p.value[...] = -1.0
+    assert (fresh.flat.value == -1.0).all()
+
+
+@pytest.mark.parametrize("kind,target,arch", LEDGER_CASES[::4])
+def test_flat_step_matches_per_param_adagrad(kind, target, arch):
+    """One Adagrad call on the flat vectors equals one call per parameter
+    on separate arrays, bit for bit, values and accumulators alike."""
+    arch, vocab_sizes, batch = _ledger_case(arch)
+    T = arch.num_tasks
+    for method in ("vanilla", "baseline", "mtaf"):
+        cfg = TrainConfig(method=method, task_weights=(0.6, 0.4, 0.5)[:T],
+                          fairness_weights=(1.5, 0.8, 1.1)[:T],
+                          head_shared_ratios=(2.0, 0.5, 1.3)[:T],
+                          fairness_kind=kind, fairness_target=target,
+                          learning_rate=0.05)
+        new, ref = (build_model(arch, dense_count=3, vocab_sizes=vocab_sizes,
+                                seed=9) for _ in range(2))
+        for _ in range(3):
+            train_step(new, batch, cfg)
+            oracles.per_param_step(ref, batch, cfg)
+        for p_new, p_ref in zip(new.all_params, ref.all_params):
+            assert not np.shares_memory(p_ref.value, ref.flat.value)
+            for name in ("value", "adagrad_acc"):
+                assert (getattr(p_new, name).tobytes()
+                        == getattr(p_ref, name).tobytes()), (method, p_new.name)
+
+
 def test_training_and_evaluation_build_no_graph(monkeypatch):
     """train() and evaluate_model construct no autodiff node; only
     build_model's parameters are tensors."""
