@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 """Timing comparison of the compiled kernels against the numpy fallback.
 
-Runs each hot kernel on training-shaped inputs and prints per-call times.
+Runs each hot kernel on training-shaped inputs and prints per-call times,
+then times one MMD fairness term both ways: from the exact Gaussian kernel
+blocks (on the active backend's `gauss_fwd`) and from the truncated Taylor
+feature map that training uses for bandwidths of about 0.5 and wider.
 Invoke directly:  python3 benchmarks/bench_kernels.py [--repeats N]
 """
 
@@ -11,6 +14,8 @@ import time
 import numpy as np
 
 from fairmtl import _kernels_np as knp
+from fairmtl import losses
+from fairmtl.backend import BACKEND
 
 try:
     from fairmtl import _ckernels as kc
@@ -30,8 +35,9 @@ def timeit(fn, repeats):
 
 def cases(rng):
     """Shapes met in training: batch 128, a 16-wide shared layer, one logit
-    column per task, and MMD kernel blocks between group subsets of a
-    512-row batch (about 120 x 120 typical, 240 x 240 at most)."""
+    column per task, and the kernel blocks that narrow-kernel MMD builds
+    between group subsets of a 512-row batch (about 120 x 120 typical,
+    240 x 240 at most)."""
     x = np.ascontiguousarray(rng.standard_normal((128, 16)))
     g = np.ascontiguousarray(rng.standard_normal((128, 16)))
     acc = np.zeros_like(x)
@@ -64,23 +70,41 @@ def cases(rng):
     return make
 
 
+def mmd_cases(rng):
+    """One MMD term between two groups of a batch's probabilities, bw 1.0:
+    about 120 + 120 rows at batch 512 and 240 + 240 at most."""
+    def case(n):
+        p = np.ascontiguousarray(rng.random((2 * n, 1)))
+        g0, g1 = np.arange(n), np.arange(n, 2 * n)
+        return (f"mmd term {n}+{n}",
+                lambda: losses._mmd_blocks(p, g0, g1, 1.0),
+                lambda: losses._mmd(p, g0, g1, 1.0))
+    return [case(n) for n in (120, 240)]
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--repeats", type=int, default=200)
     args = ap.parse_args()
 
-    make = cases(np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    make = cases(rng)
     numpy_rows = [(name, timeit(fn, args.repeats)) for name, fn in make(knp)]
     if kc is None:
         print("compiled extension not available; numpy-only timings")
         for name, t in numpy_rows:
             print(f"{name:22s} numpy {t * 1e6:9.1f} us")
-        return
+    else:
+        compiled_rows = [(name, timeit(fn, args.repeats)) for name, fn in make(kc)]
+        print(f"{'kernel':22s} {'numpy us':>10s} {'compiled us':>12s} {'speedup':>8s}")
+        for (name, tn), (_, tc) in zip(numpy_rows, compiled_rows):
+            print(f"{name:22s} {tn * 1e6:10.1f} {tc * 1e6:12.1f} {tn / tc:8.2f}x")
 
-    compiled_rows = [(name, timeit(fn, args.repeats)) for name, fn in make(kc)]
-    print(f"{'kernel':22s} {'numpy us':>10s} {'compiled us':>12s} {'speedup':>8s}")
-    for (name, tn), (_, tc) in zip(numpy_rows, compiled_rows):
-        print(f"{name:22s} {tn * 1e6:10.1f} {tc * 1e6:12.1f} {tn / tc:8.2f}x")
+    print(f"\n{'MMD term, bw 1.0':22s} {'blocks us':>10s} {'features us':>12s} "
+          f"{'speedup':>8s}   (blocks on the {BACKEND} backend)")
+    for name, blocks, features in mmd_cases(rng):
+        tb, tf = timeit(blocks, args.repeats), timeit(features, args.repeats)
+        print(f"{name:22s} {tb * 1e6:10.1f} {tf * 1e6:12.1f} {tb / tf:8.2f}x")
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ the head part to the task's head and the remainder to the shared bottom.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,8 +136,14 @@ def _zero():
 _DEGENERATE = (0.0, np.empty(0, dtype=np.intp), np.empty(0))
 
 
+# Below this variance var_p ** -1.5 would overflow a float (at 2^-682.7);
+# a probability column that flat has no usable spread.
+_MIN_VAR_P = 2.0 ** -682
+
+
 def _correlation(p, idx, a):
-    """|corr(p, a)| and its gradient; zero when either side has no variance."""
+    """|corr(p, a)| and its gradient; zero when either side has no variance
+    (for p, a variance below `_MIN_VAR_P`)."""
     if idx.size < 2:
         return _DEGENERATE
     pv = p[idx, 0]
@@ -148,6 +155,8 @@ def _correlation(p, idx, a):
     c = pv - pv.mean()
     cov = float(np.mean(c * ac))
     var_p = float(np.mean(c * c))
+    if var_p < _MIN_VAR_P:
+        return _DEGENERATE
     corr = cov * var_p ** -0.5 / np.sqrt(var_a)
     # d(cov / sqrt(var_p)) / dc, then through the centring c = p - mean(p)
     dc = (ac * var_p ** -0.5 - c * (cov * var_p ** -1.5)) / n
@@ -164,8 +173,70 @@ def _soft_fpr_gap(p, g0, g1):
     return abs(diff), np.concatenate([g0, g1]), dvals
 
 
+# Above z = 1 the Taylor order passes 19 and the series' alternating terms
+# start to cancel away digits, so `_mmd` builds the exact kernel blocks.
+_MAX_Z = 1.0
+
+
+def _taylor_order(z):
+    """Smallest r with z^(r+1) / (r+1)! e^z <= 2^-53 e^(-2z).
+
+    With |x - c|, |y - c| <= delta and z = 2 gamma delta^2, the left side
+    bounds the Gaussian kernel's Taylor tail after order r and the right
+    side is one ulp of its smallest entry, exp(-gamma (2 delta)^2).
+    """
+    limit = 2.0 ** -53 * math.exp(-3.0 * z)
+    r, term = 0, z
+    while term > limit:
+        r += 1
+        term *= z / (r + 1)
+    return r
+
+
 def _mmd(p, g0, g1, bandwidth):
     """Biased squared MMD between the groups' probabilities, Gaussian kernel.
+
+    F = mean K00 + mean K11 - 2 mean K01 with K_ab[i, j] =
+    exp(-gamma (p_a[i] - p_b[j])^2).  With c the midpoint and delta half
+    the range of the rows' probabilities x, and u = x - c, the kernel
+    separates (the expansion of the Fast Gauss Transform):
+    K(x, y) = e(u) e(v) sum_k phi_k(u) phi_k(v) with e(u) = exp(-gamma u^2)
+    and phi_k(u) = u^k sqrt((2 gamma)^k / k!).  Cut at the
+    `_taylor_order` of z = 2 gamma delta^2, each entry is off by less than
+    an ulp of the smallest, and F = |mu0 - mu1|^2, where mu_b is group b's
+    mean of e(u) phi(u), costs O(n r) instead of O(n^2).  Narrow kernels,
+    z > 1, take the exact blocks of `_mmd_blocks`.
+    """
+    rows = np.concatenate([g0, g1])
+    x = p[rows, 0]
+    lo, hi = x.min(), x.max()
+    z = (0.5 * (hi - lo) / bandwidth) ** 2
+    if z > _MAX_Z:
+        return _mmd_blocks(p, g0, g1, bandwidth)
+    two_gamma = 1.0 / (bandwidth * bandwidth)
+    r = _taylor_order(z)
+    k = np.arange(1, r + 1)
+    u = x - 0.5 * (lo + hi)
+    # phi[k] = e(u) phi_k(u) by running products:
+    # phi_k = phi_{k-1} u sqrt(2 gamma / k)
+    phi = np.empty((r + 1, x.size))
+    np.exp(u * u * (-0.5 * two_gamma), out=phi[0])
+    np.multiply.outer(np.sqrt(two_gamma / k), u, out=phi[1:])
+    for j in range(1, r + 1):
+        phi[j] *= phi[j - 1]
+    n0, n1 = g0.size, g1.size
+    diff = phi[:, :n0].sum(axis=1) / n0 - phi[:, n0:].sum(axis=1) / n1
+    # d(e phi_k)/du = e (phi_k' - 2 gamma u phi_k), phi_k' = sqrt(2 gamma k)
+    # phi_{k-1}; dF/dp_i = +-(2 / n_b) d(e phi)/du . diff
+    dvals = ((np.sqrt(two_gamma * k) * diff[1:]) @ phi[:-1]
+             - two_gamma * u * (diff @ phi))
+    dvals[:n0] *= 2.0 / n0
+    dvals[n0:] *= -2.0 / n1
+    return float(diff @ diff), rows, dvals
+
+
+def _mmd_blocks(p, g0, g1, bandwidth):
+    """`_mmd` from the kernel blocks themselves, for narrow kernels.
 
     F = mean K00 + mean K11 - 2 mean K01 with K_ab[i, j] =
     exp(-gamma (p_a[i] - p_b[j])^2).  Each kernel block is built once and

@@ -1,5 +1,8 @@
 """Loss builders against hand-computed fixtures and brute-force oracles."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import oracles
 import pytest
@@ -8,13 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairmtl.autodiff as ad
+from fairmtl import losses
 from fairmtl.data import Dataset
 from fairmtl.exceptions import ConfigError, ShapeError
 from fairmtl.losses import (FAIRNESS_KINDS, FAIRNESS_TARGETS,
                             FairnessLossKind, cross_entropy,
                             decompose_fairness, fairness_loss,
-                            fairness_seed_terms, subset_codes, subset_rows,
-                            subset_select)
+                            fairness_seed_terms, fairness_terms,
+                            subset_codes, subset_rows, subset_select)
 from fairmtl.trainer import TrainConfig, _seeds
 
 
@@ -287,6 +291,73 @@ def test_subset_restriction_applies():
     sens = np.array([0, 1, 0, 1])
     loss = fairness_loss("soft_fpr_gap", p, sens, np.array([0, 1]))
     assert loss.value[0, 0] == pytest.approx(0.8, abs=1e-12)
+
+
+def test_correlation_subnormal_variance_is_degenerate():
+    """A variance so small that var_p ** -1.5 overflows counts as none."""
+    p = np.array([[0.0], [6.06e-161]])
+    assert fairness_terms("correlation", p, np.array([0, 1]),
+                          np.array([0, 1]))[0] == 0.0
+    loss = fairness_loss("correlation", prob_node(p), np.array([0, 1]),
+                         ALL_ROWS(2))
+    assert not loss.parents
+
+
+# --- MMD in feature space --------------------------------------------------
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from((0.0, 0.25, 1.0)) | st.floats(0.0, 1.0))
+def test_taylor_order_is_the_smallest_meeting_the_bound(z):
+    """r is the smallest order with z^(r+1) / (r+1)! e^z <= 2^-53 e^(-2z),
+    checked in logs."""
+    r = losses._taylor_order(z)
+
+    def excess(order):   # log(tail bound) - log(one ulp of the least entry)
+        if z == 0.0:
+            return -math.inf
+        return ((order + 1) * math.log(z) - math.lgamma(order + 2) + 3 * z
+                + 53 * math.log(2.0))
+    assert excess(r) <= 1e-9
+    assert r == 0 or excess(r - 1) > -1e-9
+    assert {0.0: 0, 0.25: 12, 1.0: 19}.get(z, r) == r
+
+
+@st.composite
+def mmd_cases(draw):
+    """Two groups of 1-8 or 240 rows, probabilities spread over a span (0
+    for a constant column) and a bandwidth that puts z = 2 gamma delta^2
+    exactly at the cutoff 1, just either side of it, or anywhere in
+    (0, 4]."""
+    n0, n1 = (draw(st.integers(1, 8) | st.just(240)) for _ in range(2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    span = draw(st.sampled_from((0.0, 1.0)) | st.floats(0.1, 1.0))
+    x = draw(st.floats(0.0, 1.0 - span)) + span * rng.random(n0 + n1)
+    delta = 0.5 * (x.max() - x.min())
+    z = draw(st.sampled_from((1.0, 1.0 - 2 ** -40, 1.0 + 2 ** -40))
+             | st.floats(0.01, 4.0))
+    bandwidth = delta / math.sqrt(z) if delta else draw(st.floats(0.3, 4.0))
+    g0, g1 = np.split(rng.permutation(n0 + n1), [n0])
+    return x.reshape(-1, 1), g0, g1, bandwidth
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(mmd_cases())
+def test_mmd_feature_map_matches_kernel_blocks(case):
+    """The truncated feature map gives the exact blocks' F and dF/dp; the
+    blocks run only for narrow kernels, z > 1."""
+    p, g0, g1, bandwidth = case
+    lo, hi = p.min(), p.max()
+    z = (0.5 * (hi - lo) / bandwidth) ** 2
+    with mock.patch.object(losses, "_mmd_blocks",
+                           wraps=losses._mmd_blocks) as blocks:
+        value, rows, dvals = losses._mmd(p, g0, g1, bandwidth)
+    assert blocks.called == (z > 1.0)
+    ref_value, ref_rows, ref_dvals = losses._mmd_blocks(p, g0, g1, bandwidth)
+    np.testing.assert_array_equal(rows, ref_rows)
+    assert value >= 0.0
+    assert abs(value - ref_value) <= 1e-13 * max(1.0, abs(ref_value))
+    scale = max(1.0, float(np.abs(ref_dvals).max()))
+    assert np.abs(dvals - ref_dvals).max() <= 1e-13 * scale
 
 
 @st.composite
