@@ -48,9 +48,12 @@ def xent_bwd(p, y, gscale, acc):
 
 def xent(p, y, gscale, acc):
     """`xent_bwd(p, y, gscale, acc)` then `xent_fwd(p, y)`, bit for bit,
-    clipping once and reusing the temporaries."""
-    n = p.shape[0]
-    pc = np.clip(p, XENT_CLIP, 1.0 - XENT_CLIP)
+    clipping once and reusing the temporaries.  On a (T, n, 1) stack of
+    columns, with `gscale` (T, 1, 1), it does so for each column and
+    returns the list of T losses."""
+    n = p.shape[-2]
+    pc = np.maximum(p, XENT_CLIP)
+    np.minimum(pc, 1.0 - XENT_CLIP, out=pc)
     q = 1.0 - pc
     grad = pc - y
     grad /= pc * q
@@ -62,7 +65,7 @@ def xent(p, y, gscale, acc):
     np.log1p(-pc, out=q)
     q *= 1.0 - y
     terms += q
-    return -float(terms.sum()) / n
+    return (terms.sum(axis=(-2, -1)) / -n).tolist()
 
 
 def gauss_fwd(u, v, gamma):

@@ -4,11 +4,13 @@ The compiled extension is preferred when importable; otherwise the numpy
 fallback is used.  `FAIRMTL_KERNELS=numpy` forces the fallback and
 `FAIRMTL_KERNELS=compiled` makes a missing extension a hard error (useful
 in benchmarks and CI).  The compiled backend's fused `xent` is composed
-here from its `xent_bwd` and `xent_fwd`.
+here from its `xent_bwd` and `xent_fwd`, column by column on a stack.
 """
 
 import os
 from types import SimpleNamespace
+
+import numpy as np
 
 _requested = os.environ.get("FAIRMTL_KERNELS", "auto")
 
@@ -26,6 +28,9 @@ if _requested in ("auto", "compiled"):
         BACKEND = "numpy"
     else:
         def _xent(p, y, gscale, acc):
+            if p.ndim == 3:   # a stack of columns: each in turn
+                return [_xent(*column)
+                        for column in zip(p, y, np.ravel(gscale), acc)]
             _ckernels.xent_bwd(p, y, gscale, acc)
             return _ckernels.xent_fwd(p, y)
         kernels = SimpleNamespace(**vars(_ckernels), xent=_xent)

@@ -197,11 +197,12 @@ class Dataset:
         return self.labels.shape[1]
 
     def take(self, rows, split=None):
-        """The given rows as a new Dataset.
+        """The given rows as a new Dataset; a slice gives views.
 
         They were validated with this dataset, so `__post_init__` is skipped.
         """
-        rows = np.asarray(rows, dtype=np.intp)
+        if not isinstance(rows, slice):
+            rows = np.asarray(rows, dtype=np.intp)
         out = object.__new__(Dataset)
         out.__dict__.update(
             dense=self.dense[rows], cat=self.cat[rows],

@@ -5,11 +5,13 @@ a head sub-network ending in a single logit.  Parameter grouping (shared vs
 per-task) is fixed at build time and drives the gradient routing in the
 trainer.  Every parameter's value, gradient and Adagrad accumulator is a
 view into one flat (1, N) vector of each (`FlatParams`), so one Adagrad
-call updates the whole model.  `forward_np` and `backprop` are the
-training path: a numpy forward that keeps each layer's input and
+call updates the whole model; each head layer's T weights and T biases
+are also one stack each (`HeadStack`).  `forward_np` and `backprop` are
+the training path: a numpy forward that keeps each layer's input and
 pre-activation, and a backward from seed gradients at each task's
-probability column into the flat gradient.  `forward` builds the same
-network as an autodiff graph, the differentiable reference.
+probability column into the flat gradient, one array op per head layer
+for all tasks.  `forward` builds the same network as an autodiff graph,
+the differentiable reference.
 """
 
 from dataclasses import dataclass, field, fields
@@ -78,18 +80,27 @@ class FlatParams:
     @classmethod
     def adopt(cls, params):
         """Copy the params' arrays into new flat vectors and point each
-        Param at its views."""
+        Param at its views; returns them and each Param's start offset,
+        keyed by name."""
         n = sum(p.value.size for p in params)
         flat = cls(np.empty((1, n)), np.empty((1, n)), np.empty((1, n)))
-        start = 0
+        starts, start = {}, 0
         for p in params:
-            stop = start + p.value.size
+            starts[p.name], stop = start, start + p.value.size
             for name in ("value", "grad", "adagrad_acc"):
                 view = getattr(flat, name)[0, start:stop].reshape(p.shape)
                 view[...] = getattr(p, name)
                 setattr(p, name, view)
             start = stop
-        return flat
+        return flat, starts
+
+
+@dataclass
+class HeadStack:
+    """A head layer's weights (T, in, out) or biases (T, 1, out): views of
+    the flat value and gradient whose slice t backs head t's Param."""
+    value: np.ndarray
+    grad: np.ndarray
 
 
 @dataclass
@@ -101,6 +112,7 @@ class MtlModel:
     dense_count: int
     vocab_sizes: tuple = field(default_factory=tuple)
     flat: FlatParams = None   # the storage behind every Param; set by build_model
+    head_stacks: list = None  # [(W, b) HeadStacks per head layer]; set likewise
 
     @property
     def shared_params(self):
@@ -117,9 +129,12 @@ class MtlModel:
 
     @property
     def all_params(self):
+        """The shared params, then per head layer each task's weight and
+        each task's bias: the flat layout, which keeps each stack whole."""
         params = self.shared_params
-        for t in range(self.arch.num_tasks):
-            params.extend(self.head_params(t))
+        for layer in zip(*self.heads):
+            params.extend(wb[0] for wb in layer)
+            params.extend(wb[1] for wb in layer)
         return params
 
     def zero_grads(self):
@@ -137,7 +152,7 @@ def build_model(arch, dense_count, vocab_sizes=(), seed=0):
     reserved out-of-vocabulary slot; every table has `arch.embedding_dim`
     columns.  Embedding tables belong to the shared group.  Weights use
     uniform fan-in init, biases start at zero.  The parameters' arrays are
-    views into `model.flat`.
+    views into `model.flat`, as are `model.head_stacks`.
     """
     if dense_count < 0:
         raise ConfigError("dense_count must be >= 0")
@@ -177,7 +192,17 @@ def build_model(arch, dense_count, vocab_sizes=(), seed=0):
     model = MtlModel(arch=arch, embeddings=embeddings,
                      shared_layers=shared_layers, heads=heads,
                      dense_count=dense_count, vocab_sizes=tuple(vocab_sizes))
-    model.flat = FlatParams.adopt(model.all_params)
+    model.flat, starts = FlatParams.adopt(model.all_params)
+
+    def stack(params):
+        start, size = starts[params[0].name], len(params) * params[0].value.size
+        return HeadStack(*(
+            getattr(model.flat, name)[0, start:start + size]
+            .reshape((len(params),) + params[0].shape)
+            for name in ("value", "grad")))
+    model.head_stacks = [(stack([wb[0] for wb in layer]),
+                          stack([wb[1] for wb in layer]))
+                         for layer in zip(*heads)]
     return model
 
 
@@ -231,8 +256,14 @@ class Activations:
     """One numpy forward pass, as `backprop` needs it."""
     cat_idx: object    # (n, n_categorical) codes; None without embeddings
     shared: list       # [(input, pre-activation)] per shared layer
-    heads: list        # heads[t]: the same per head layer, the last a logit
-    probs: list        # probs[t]: (n, 1) probabilities of task t
+    heads: list        # the same per head layer, (T, n, .) stacks over
+                       # tasks (the first input is the shared (n, in))
+    probs: np.ndarray  # (T, n, 1); probs[t] is task t's column
+
+
+def _2d(a):
+    """A C-contiguous stack as a 2-D view, the kernels' layout."""
+    return a.reshape(-1, a.shape[-1])
 
 
 def forward_np(model, dense, cat_idx=None):
@@ -253,71 +284,66 @@ def forward_np(model, dense, cat_idx=None):
         shared.append((x, pre))
         x = kernels.relu_fwd(pre)
 
-    heads, probs = [], []
-    for layers in model.heads:
-        cache, h = [], x
-        for i, (w, b) in enumerate(layers):
-            pre = h @ w.value + b.value
-            cache.append((h, pre))
-            h = kernels.relu_fwd(pre) if i < len(layers) - 1 else pre
-        heads.append(cache)
-        probs.append(kernels.sigmoid_fwd(h))
+    heads = []
+    for w, b in model.head_stacks:
+        if heads:
+            x = kernels.relu_fwd(_2d(pre)).reshape(pre.shape)
+        pre = np.matmul(x, w.value) + b.value
+        heads.append((x, pre))
     return Activations(cat_idx=cat_idx if model.embeddings else None,
-                       shared=shared, heads=heads, probs=probs)
+                       shared=shared, heads=heads,
+                       probs=kernels.sigmoid_fwd(_2d(pre)).reshape(pre.shape))
 
 
-def _dense_backward(layers, cache, g, grads, to_input):
-    """Walk a dense stack back from `g`, the gradient at its last layer's
-    pre-activation; every earlier layer is relu'd.
+def _dense_backward(layers, cache, g, write_grads, to_input):
+    """Walk dense layers, plain or stacked over tasks, back from `g`, the
+    gradient at the last layer's pre-activation; earlier layers are relu'd.
 
-    Writes layer i's weight and bias gradients into grads[2i],
-    grads[2i + 1] unless `grads` is None, and returns the gradient at the
-    stack's input when `to_input` is set.
+    Writes each layer's weight and bias gradients when `write_grads` is
+    set, and returns the gradient at the stack's input when `to_input` is.
     """
     for i in reversed(range(len(layers))):
         x, pre = cache[i]
         if i < len(layers) - 1:
             g_pre = np.zeros(pre.shape)
-            kernels.relu_bwd(pre, g, g_pre)
+            kernels.relu_bwd(_2d(pre), _2d(g), _2d(g_pre))
             g = g_pre
-        if grads is not None:
-            np.matmul(x.T, g, out=grads[2 * i])
-            np.add.reduce(g, axis=0, keepdims=True, out=grads[2 * i + 1])
+        w, b = layers[i]
+        if write_grads:
+            np.matmul(x.swapaxes(-1, -2), g, out=w.grad)
+            np.add.reduce(g, axis=-2, keepdims=True, out=b.grad)
         if i or to_input:
-            g = g @ layers[i][0].value.T
+            g = np.matmul(g, w.value.swapaxes(-1, -2))
     return g if to_input else None
 
 
 def backprop(model, acts, head_seeds, shared_seeds):
-    """Parameter gradients from seed gradients at each task's probabilities,
-    written into `model.flat.grad` (every Param's `grad`).
+    """Parameter gradients from (T, n, 1) seed gradients at the tasks'
+    probabilities, written into `model.flat.grad` (every Param's `grad`).
 
     head_seeds[t] gives head t's gradients; shared_seeds[t] flows through
-    head t into the shared bottom and the embeddings.  When the two are the
-    same array one walk through head t does both.
+    head t into the shared bottom and the embeddings, summed in task order.
+    A walk over the head stacks serves each, or both when they are one.
     """
-    def logit_grad(t, seed):
+    def logit_grad(seed):
         g = np.zeros(seed.shape)
-        kernels.sigmoid_bwd(acts.probs[t], seed, g)
+        kernels.sigmoid_bwd(_2d(acts.probs), _2d(seed), _2d(g))
         return g
 
-    g_bottom = 0.0
-    for t, layers in enumerate(model.heads):
-        grads = [p.grad for wb in layers for p in wb]
-        same = shared_seeds[t] is head_seeds[t]
-        g = _dense_backward(layers, acts.heads[t],
-                            logit_grad(t, head_seeds[t]), grads, same)
-        if not same:
-            g = _dense_backward(layers, acts.heads[t],
-                                logit_grad(t, shared_seeds[t]), None, True)
-        g_bottom = g_bottom + g
+    same = shared_seeds is head_seeds
+    g_bottom = _dense_backward(model.head_stacks, acts.heads,
+                               logit_grad(head_seeds), True, same)
+    if not same:
+        g_bottom = _dense_backward(model.head_stacks, acts.heads,
+                                   logit_grad(shared_seeds), False, True)
+    # rebinding the name frees the (T, n, in) stack before the bottom's walk
+    g_bottom = np.add.reduce(g_bottom, axis=0)
 
     if model.shared_layers:
         g_top = np.zeros(acts.shared[-1][1].shape)
         kernels.relu_bwd(acts.shared[-1][1], g_bottom, g_top)
-        grads = [p.grad for wb in model.shared_layers for p in wb]
         g_bottom = _dense_backward(model.shared_layers, acts.shared, g_top,
-                                   grads, bool(model.embeddings))
+                                   True, bool(model.embeddings))
     dim = model.arch.embedding_dim
     for j, table in enumerate(model.embeddings):
         start = model.dense_count + j * dim

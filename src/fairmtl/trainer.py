@@ -6,10 +6,11 @@ w_t (dCE_t/dp + lambda_t r_t dF_head_t/dp), whose gradient head t applies,
 and the shared seed w_t (dCE_t/dp + lambda_t dF_shared_t/dp), which flows
 through head t into the shared bottom.  vanilla has lambda = 0; baseline
 takes the full fairness loss for both parts (F_head = F_shared = F_full,
-r_t = 1), so its two seeds are one array and one walk through each head
+r_t = 1), so its two seeds are one array and one walk through the heads
 serves every parameter; mtaf takes the ratio-boosted head part (rows no
 other task's loss can reach) for the head and the remainder for the shared
-bottom, so the shared part never reaches a head.
+bottom, so the shared part never reaches a head.  The T tasks' seeds form
+(T, n, 1) stacks, which the model walks through its stacked heads.
 
 A batch's fairness subsets come from one integer code per (row, task)
 (`losses.subset_codes`), built once per step.  The model keeps every
@@ -18,6 +19,7 @@ parameter, gradient and Adagrad accumulator in one flat vector each
 is elementwise, so this equals one call per parameter bit for bit.
 """
 
+import math
 import time
 from dataclasses import asdict, dataclass, replace
 
@@ -121,51 +123,51 @@ def adagrad_update(param, grad, lr):
 
 
 def _finite(value, name):
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise TrainingDiverged(f"non-finite value in {name}: {value}")
     return value
 
 
 def _seeds(config, batch, probs):
-    """(head seeds, shared seeds, accuracy losses) of a batch, per task.
+    """(head seeds, shared seeds, accuracy losses) of a batch at `probs`.
 
-    A task's two seeds are one array when they agree: vanilla, baseline,
-    and lambda_t = 0.
+    The seeds are (T, n, 1) stacks, one array when they agree: vanilla,
+    baseline, and every lambda_t = 0; the losses are T floats.
     """
     w, r = config.task_weights, config.head_shared_ratios
     lam = (config.fairness_weights if config.method != "vanilla"
            else (0.0,) * config.num_tasks)
     labels = np.asarray(batch.labels.T, dtype=np.float64, order="C")
-    codes = (subset_codes(batch.labels, batch.sensitive) if any(lam)
-             else None)
-    heads, shareds, losses = [], [], []
-    for t, p in enumerate(probs):
-        acc = np.zeros(p.shape)
-        losses.append(_finite(kernels.xent(p, labels[t].reshape(-1, 1), w[t],
-                                           acc),
-                              f"task {t} accuracy loss"))
-        head = shared = acc
-        if lam[t] > 0:
-            args = (config.fairness_kind, config.fairness_target,
-                    codes[:, t], p)
-            scale = w[t] * lam[t]
-            if config.method == "mtaf":
-                head_scale = scale * r[t]
-                f_full, f_head, (d_head, d_shared) = fairness_seed_terms(
-                    *args, lambda full, part: (head_scale * part,
-                                               scale * (full - part)),
-                    head=True)
-                _finite(f_head, f"task {t} head fairness loss")
-                _finite(f_full - f_head, f"task {t} shared fairness loss")
-                head, shared = acc + d_head, acc + d_shared
-            else:
-                f_full, _, (d_full,) = fairness_seed_terms(
-                    *args, lambda full, _: (scale * full,))
-                _finite(f_full, f"task {t} fairness loss")
-                head = shared = acc + d_full
-        heads.append(head)
-        shareds.append(shared)
-    return heads, shareds, losses
+    head = np.zeros(probs.shape)
+    losses = kernels.xent(probs, labels.reshape(probs.shape),
+                          np.array(w).reshape(-1, 1, 1), head)
+    for t, loss in enumerate(losses):
+        _finite(loss, f"task {t} accuracy loss")
+    if not any(lam):
+        return head, head, losses
+    codes = subset_codes(batch.labels, batch.sensitive)
+    mtaf = config.method == "mtaf"
+    shared = head.copy() if mtaf else head
+    for t in [t for t, lam_t in enumerate(lam) if lam_t > 0]:
+        args = (config.fairness_kind, config.fairness_target, codes[:, t],
+                probs[t])
+        scale = w[t] * lam[t]
+        if mtaf:
+            head_scale = scale * r[t]
+            f_full, f_head, (d_head, d_shared) = fairness_seed_terms(
+                *args, lambda full, part: (head_scale * part,
+                                           scale * (full - part)),
+                head=True)
+            _finite(f_head, f"task {t} head fairness loss")
+            _finite(f_full - f_head, f"task {t} shared fairness loss")
+            head[t] += d_head
+            shared[t] += d_shared
+        else:
+            f_full, _, (d_full,) = fairness_seed_terms(
+                *args, lambda full, _: (scale * full,))
+            _finite(f_full, f"task {t} fairness loss")
+            head[t] += d_full
+    return head, shared, losses
 
 
 def train_step(model, batch, config, loss_sink=None):
@@ -191,7 +193,8 @@ def train_step(model, batch, config, loss_sink=None):
 
 
 def train(dataset, arch, config):
-    """Run the full loop: seeded per-epoch shuffles, mini-batch steps.
+    """Run the full loop: seeded per-epoch shuffles, gathered once per
+    epoch, and mini-batch steps on slices of them.
 
     The model is built from config.seed, so identical inputs give identical
     runs.
@@ -201,17 +204,19 @@ def train(dataset, arch, config):
             f"dataset has {dataset.num_tasks} tasks, config {config.num_tasks}")
     if arch.num_tasks != config.num_tasks:
         raise ConfigError("arch task count does not match config")
+    n = len(dataset)
+    if n == 0:
+        raise ConfigError("train on an empty dataset")
     started = time.perf_counter()
     model = build_model(arch, dense_count=dataset.dense.shape[1],
                         vocab_sizes=dataset.vocab_sizes, seed=config.seed)
     rng = np.random.default_rng(config.seed)
-    n = len(dataset)
     history = np.empty((config.epochs, config.num_tasks))
     for epoch in range(config.epochs):
-        order = rng.permutation(n)
+        shuffled = dataset.take(rng.permutation(n))
         step_losses = []
         for start in range(0, n, config.batch_size):
-            batch = dataset.take(order[start:start + config.batch_size])
+            batch = shuffled.take(slice(start, start + config.batch_size))
             train_step(model, batch, config, loss_sink=step_losses)
         history[epoch] = np.mean(step_losses, axis=0)
     return TrainedRun(model=model, history=history, config=config,

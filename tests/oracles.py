@@ -1,5 +1,6 @@
 """Composed-graph references for the fused fairness losses and the step,
-the subset-based seed gradients, and the all-pairs Pareto frontier.
+the subset-based seed gradients, the per-task forward and backward, and
+the all-pairs Pareto frontier.
 
 `fairness_loss` here builds each loss from autodiff primitives (gathers,
 means, Gaussian kernel matrices, `mean_all`), as fairmtl did before its
@@ -7,10 +8,11 @@ losses became single closed-form nodes; `train_step` is the two-ledger step
 that ran one full backward pass per ledger and copied the head gradients
 aside; `fairness_grad` and `seeds` build each task's seed gradients from
 `subset_rows` index arrays, one closed-form loss per subset, as fairmtl did
-before it read the subsets from per-row codes; `frontier` compares every
-pair of points, as fairmtl did for every dimensionality before its 2-D
-frontier became one sweep over sorted points.  All are kept only as
-oracles for the production code.
+before it read the subsets from per-row codes; `forward_np` and `backprop`
+walk the heads one task at a time, as fairmtl did before it stacked them;
+`frontier` compares every pair of points, as fairmtl did for every
+dimensionality before its 2-D frontier became one sweep over sorted points.
+All are kept only as oracles for the production code.
 """
 
 import numpy as np
@@ -20,7 +22,8 @@ from fairmtl.backend import kernels
 from fairmtl.exceptions import ContractError
 from fairmtl.losses import (ExampleSubset, as_loss_kind, cross_entropy,
                             fairness_terms, subset_rows, subset_select)
-from fairmtl.model import backprop, forward, forward_np
+import fairmtl.model as stacked
+from fairmtl.model import Activations, _inputs, forward
 from fairmtl.trainer import _seeds, adagrad_update
 
 # (full subset, exclusive subset) of each side a fairness target covers
@@ -206,19 +209,102 @@ def seeds(config, batch, probs):
     return heads, shareds, losses, values
 
 
+def forward_np(model, dense, cat_idx=None):
+    """The numpy forward with one matmul and activation per task and head
+    layer: `Activations` whose `heads[t]` holds task t's (input,
+    pre-activation) per head layer and `probs[t]` its (n, 1) column."""
+    dense, cat_idx = _inputs(model, dense, cat_idx)
+    pieces = [dense] if model.dense_count else []
+    for j, table in enumerate(model.embeddings):
+        codes = cat_idx[:, j]
+        if codes.size and (codes.min() < 0 or codes.max() >= table.shape[0]):
+            raise IndexError("embedding index out of range")
+        pieces.append(table.value[codes])
+    x = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
+
+    shared = []
+    for w, b in model.shared_layers:
+        pre = x @ w.value + b.value
+        shared.append((x, pre))
+        x = kernels.relu_fwd(pre)
+
+    heads, probs = [], []
+    for layers in model.heads:
+        cache, h = [], x
+        for i, (w, b) in enumerate(layers):
+            pre = h @ w.value + b.value
+            cache.append((h, pre))
+            h = kernels.relu_fwd(pre) if i < len(layers) - 1 else pre
+        heads.append(cache)
+        probs.append(kernels.sigmoid_fwd(h))
+    return Activations(cat_idx=cat_idx if model.embeddings else None,
+                       shared=shared, heads=heads, probs=probs)
+
+
+def _dense_backward(layers, cache, g, grads, to_input):
+    for i in reversed(range(len(layers))):
+        x, pre = cache[i]
+        if i < len(layers) - 1:
+            g_pre = np.zeros(pre.shape)
+            kernels.relu_bwd(pre, g, g_pre)
+            g = g_pre
+        if grads is not None:
+            np.matmul(x.T, g, out=grads[2 * i])
+            np.add.reduce(g, axis=0, keepdims=True, out=grads[2 * i + 1])
+        if i or to_input:
+            g = g @ layers[i][0].value.T
+    return g if to_input else None
+
+
+def backprop(model, acts, head_seeds, shared_seeds):
+    """`forward_np`'s backward, one task at a time, from per-task (n, 1)
+    seed lists: head_seeds[t] gives head t's gradients, shared_seeds[t]
+    flows through head t into the bottom, and one walk through head t
+    does both when they are the same array."""
+    def logit_grad(t, seed):
+        g = np.zeros(seed.shape)
+        kernels.sigmoid_bwd(acts.probs[t], seed, g)
+        return g
+
+    g_bottom = 0.0
+    for t, layers in enumerate(model.heads):
+        grads = [p.grad for wb in layers for p in wb]
+        same = shared_seeds[t] is head_seeds[t]
+        g = _dense_backward(layers, acts.heads[t],
+                            logit_grad(t, head_seeds[t]), grads, same)
+        if not same:
+            g = _dense_backward(layers, acts.heads[t],
+                                logit_grad(t, shared_seeds[t]), None, True)
+        g_bottom = g_bottom + g
+
+    if model.shared_layers:
+        g_top = np.zeros(acts.shared[-1][1].shape)
+        kernels.relu_bwd(acts.shared[-1][1], g_bottom, g_top)
+        grads = [p.grad for wb in model.shared_layers for p in wb]
+        g_bottom = _dense_backward(model.shared_layers, acts.shared, g_top,
+                                   grads, bool(model.embeddings))
+    dim = model.arch.embedding_dim
+    for j, table in enumerate(model.embeddings):
+        start = model.dense_count + j * dim
+        table.grad[...] = 0.0
+        np.add.at(table.grad, acts.cat_idx[:, j], g_bottom[:, start:start + dim])
+
+
 def per_param_step(model, batch, config):
-    """The closed-form step with separate arrays per parameter: each Param
-    is first given its own copies of its value, gradient and accumulator
-    (so the model's flat vectors no longer back it), and Adagrad runs once
-    per parameter."""
-    for p in model.all_params:
-        p.value, p.grad, p.adagrad_acc = (
-            p.value.copy(), p.grad.copy(), p.adagrad_acc.copy())
-    acts = forward_np(model, batch.dense,
-                      batch.cat if batch.cat.size else None)
+    """The closed-form step's gradients, then Adagrad once per parameter
+    on separate arrays: each Param keeps its own copies of its value and
+    accumulator (so the model's flat vectors no longer back them), which
+    are copied into the flat values before the stacked forward and
+    backward."""
+    params = model.all_params
+    for p in params:
+        p.value, p.adagrad_acc = p.value.copy(), p.adagrad_acc.copy()
+    model.flat.value[0] = np.concatenate([p.value.ravel() for p in params])
+    acts = stacked.forward_np(model, batch.dense,
+                              batch.cat if batch.cat.size else None)
     heads, shareds, _ = _seeds(config, batch, acts.probs)
-    backprop(model, acts, heads, shareds)
-    for p in model.all_params:
+    stacked.backprop(model, acts, heads, shareds)
+    for p in params:
         adagrad_update(p, p.grad, config.learning_rate)
     return model
 

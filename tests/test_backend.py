@@ -202,7 +202,8 @@ class TestSelection:
 
     def test_compiled_xent_is_its_two_kernels(self, ckernels_path):
         """The compiled backend's fused `xent` adds exactly `xent_bwd`'s
-        gradient and returns exactly `xent_fwd`'s value."""
+        gradient and returns exactly `xent_fwd`'s value, on one column and
+        on each column of a stack."""
         code = """
 import numpy as np
 from fairmtl.backend import BACKEND, kernels as k
@@ -215,9 +216,17 @@ a2 = a1.copy()
 k.xent_bwd(p, y, -0.7, a1)
 value = k.xent(p, y, -0.7, a2)
 print(BACKEND, value == k.xent_fwd(p, y), np.array_equal(a1, a2))
+ps, ys = np.stack([p, p[::-1].copy()]), np.stack([y, 1.0 - y])
+a3, a4 = np.stack([a1, a2]), np.stack([a1, a2])
+values = k.xent(ps, ys, np.array([0.4, -1.1]).reshape(-1, 1, 1), a3)
+for t, g in enumerate((0.4, -1.1)):
+    k.xent_bwd(ps[t], ys[t], g, a4[t])
+print(list(values) == [k.xent_fwd(ps[t], ys[t]) for t in range(2)],
+      np.array_equal(a3, a4))
 """
         out = run_child(code, ckernels_path, "compiled")
-        assert out.stdout.split() == ["compiled", "True", "True"]
+        assert out.stdout.split() == ["compiled", "True", "True", "True",
+                                      "True"]
 
     def test_training_agrees_across_backends(self, ckernels_path):
         """End-to-end: a short training run lands on near-identical params

@@ -41,6 +41,24 @@ def test_fused_xent_is_the_two_kernels_bitwise(gscale):
         assert np.array_equal(got, want)
 
 
+def test_fused_xent_on_a_stack_is_each_column_bitwise():
+    """On a (T, n, 1) stack with per-task scales `xent` adds each column's
+    `xent_bwd` and returns each column's `xent_fwd`."""
+    rng = np.random.default_rng(5)
+    for n in (1, 7, 128, 513):
+        p = rng.random((3, n, 1))
+        p[rng.random(p.shape) < 0.2] = 1.0
+        y = rng.integers(0, 2, p.shape).astype(np.float64)
+        gscale = np.array([0.7, -1.3, 0.0]).reshape(-1, 1, 1)
+        want, got = rng.standard_normal(p.shape), np.empty(p.shape)
+        got[...] = want
+        losses = knp.xent(p, y, gscale, got)
+        for t in range(3):
+            knp.xent_bwd(p[t], y[t], gscale[t, 0, 0], want[t])
+            assert losses[t] == knp.xent_fwd(p[t], y[t])
+        assert np.array_equal(got, want)
+
+
 def _bwd_case(name, rng):
     """A call of kernel `name` that adds into its list of output arrays, and
     the shapes of those arrays."""

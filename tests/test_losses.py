@@ -436,16 +436,19 @@ def seed_cases(draw):
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(seed_cases())
 def test_code_seeds_match_subset_oracle(case):
-    """The seeds built from subset codes equal, bit for bit, those built
-    from `subset_rows` index arrays; F_full and F_head agree to rel 1e-12
-    (the codes sum each group's rows in another order)."""
+    """The seed stacks built from subset codes equal, bit for bit, those
+    built per task from `subset_rows` index arrays, and are one array
+    exactly when every task's two reference seeds are; F_full and F_head
+    agree to rel 1e-12 (the codes sum each group's rows in another
+    order)."""
     config, batch, probs = case
-    heads, shareds, losses = _seeds(config, batch, probs)
+    heads, shareds, losses = _seeds(config, batch, np.stack(probs))
     ref_heads, ref_shareds, ref_losses, ref_values = oracles.seeds(
         config, batch, probs)
     assert losses == ref_losses
+    assert (heads is shareds) == all(
+        h is s for h, s in zip(ref_heads, ref_shareds))
     for t in range(config.num_tasks):
-        assert (heads[t] is shareds[t]) == (ref_heads[t] is ref_shareds[t])
         for got, ref in ((heads[t], ref_heads[t]),
                          (shareds[t], ref_shareds[t])):
             assert got.shape == ref.shape

@@ -5,12 +5,15 @@ import json
 from dataclasses import asdict
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fairmtl.autodiff as ad
 from fairmtl.exceptions import ConfigError, ShapeError
-from fairmtl.model import (ArchConfig, MtlModel, build_model, forward,
-                           forward_np, from_fields)
+from fairmtl.model import (ArchConfig, MtlModel, backprop, build_model,
+                           forward, forward_np, from_fields)
 
 
 def np_sigmoid(x):
@@ -72,6 +75,56 @@ def test_numpy_forward_equals_graph_forward_bitwise():
         forward_np(model, dense, cat)
 
 
+@st.composite
+def stacked_cases(draw):
+    """A model of 1-4 tasks with 0-2 shared and head hidden layers and 0-2
+    embedding tables, a batch of 1-300 rows, and seed stacks that are one
+    array or two."""
+    sizes = st.lists(st.integers(1, 5), max_size=2)
+    vocab_sizes = tuple(draw(st.lists(st.integers(1, 6), max_size=2)))
+    arch = ArchConfig(num_tasks=draw(st.integers(1, 4)),
+                      shared_layer_sizes=draw(sizes),
+                      head_layer_sizes=draw(sizes),
+                      embedding_dim=draw(st.integers(1, 3)))
+    dense_count = draw(st.integers(0 if vocab_sizes else 1, 3))
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = build_model(arch, dense_count, vocab_sizes,
+                        seed=int(rng.integers(1000)))
+    # biases start at zero; shift every value so they carry data too
+    model.flat.value[...] += rng.uniform(-0.1, 0.1, model.flat.value.shape)
+    dense = rng.standard_normal((n, dense_count))
+    cat = (np.stack([rng.integers(0, v, n) for v in vocab_sizes], axis=1)
+           if vocab_sizes else None)
+    head = rng.standard_normal((arch.num_tasks, n, 1))
+    shared = (head if draw(st.booleans())
+              else rng.standard_normal((arch.num_tasks, n, 1)))
+    return model, dense, cat, head, shared
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(stacked_cases())
+def test_stacked_heads_equal_per_task_reference_bitwise(case):
+    """The stacked forward gives each task's probabilities, and the
+    stacked backward every gradient, bit for bit as the per-task
+    reference does; with equal seeds both make one walk per head."""
+    model, dense, cat, head, shared = case
+    acts = forward_np(model, dense, cat)
+    ref_acts = oracles.forward_np(model, dense, cat)
+    assert acts.probs.shape == (model.arch.num_tasks, len(dense), 1)
+    for got, ref in zip(acts.probs, ref_acts.probs, strict=True):
+        assert got.tobytes() == ref.tobytes()
+    ref_head = list(head)
+    ref_shared = ref_head if shared is head else list(shared)
+    model.flat.grad[...] = np.nan
+    backprop(model, acts, head, shared)
+    got = model.flat.grad.copy()
+    model.flat.grad[...] = np.nan
+    oracles.backprop(model, ref_acts, ref_head, ref_shared)
+    assert not np.isnan(got).any()
+    assert got.tobytes() == model.flat.grad.tobytes()
+
+
 def test_forward_dense_only():
     arch = ArchConfig(num_tasks=1, shared_layer_sizes=(4,), head_layer_sizes=(3,))
     model = build_model(arch, dense_count=2, seed=0)
@@ -111,6 +164,21 @@ def test_param_grouping():
     for t in range(3):
         w_last, b_last = model.heads[t][-1]
         assert w_last.shape[1] == 1 and b_last.shape == (1, 1)
+
+
+def test_head_params_are_slices_of_the_stacks():
+    arch = ArchConfig(num_tasks=3, shared_layer_sizes=(4,),
+                      head_layer_sizes=(5, 2))
+    model = build_model(arch, dense_count=2, seed=0)
+    assert [(w.value.shape, b.value.shape) for w, b in model.head_stacks] \
+        == [((3, 4, 5), (3, 1, 5)), ((3, 5, 2), (3, 1, 2)),
+            ((3, 2, 1), (3, 1, 1))]
+    for i, stacks in enumerate(model.head_stacks):
+        for t in range(3):
+            for stack, p in zip(stacks, model.heads[t][i]):
+                for name in ("value", "grad"):
+                    assert (getattr(stack, name)[t].__array_interface__
+                            == getattr(p, name).__array_interface__)
 
 
 def test_backprop_separation_between_heads():

@@ -10,6 +10,7 @@ import pytest
 from test_acceptance import _routing_arch, _routing_batch
 
 import fairmtl.autodiff as ad
+from fairmtl.backend import kernels
 from fairmtl.data import Dataset
 from fairmtl.exceptions import ConfigError, ShapeError, TrainingDiverged
 from fairmtl.losses import cross_entropy, decompose_fairness
@@ -452,6 +453,33 @@ def test_step_rejects_empty_batch():
                                              task_weights=(1.0, 1.0)))
 
 
+@pytest.mark.parametrize("method", ["vanilla", "mtaf"])
+def test_step_kernel_calls_do_not_grow_with_tasks(method, monkeypatch):
+    """One step of a 4-task model calls each kernel as often as one of a
+    1-task model: the heads run as stacks, not task by task."""
+    calls = []
+    for name, fn in vars(kernels).items():
+        if callable(fn) and not name.startswith("_"):
+            monkeypatch.setattr(
+                kernels, name,
+                lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+    counts = {}
+    for T in (1, 4):
+        rng = np.random.default_rng(T)
+        batch = Dataset(dense=rng.standard_normal((64, 3)),
+                        cat=rng.integers(0, 4, (64, 1)),
+                        labels=rng.integers(0, 2, (64, T)),
+                        sensitive=rng.integers(0, 2, 64))
+        model = build_model(small_arch(T), dense_count=3, vocab_sizes=(4,),
+                            seed=0)
+        calls.clear()
+        train_step(model, batch, TrainConfig(
+            method=method, task_weights=(0.5,) * T,
+            fairness_weights=(1.0,) * T, fairness_kind="soft_fpr_gap"))
+        counts[T] = sorted(calls)
+    assert counts[1] and counts[4] == counts[1]
+
+
 # --- full training loop ----------------------------------------------------
 
 def separable_dataset(n=400, seed=0):
@@ -517,6 +545,13 @@ def test_train_single_batch_per_epoch():
                       learning_rate=0.05, epochs=2, batch_size=64, seed=0)
     run = train(data, small_arch(), cfg)
     assert run.history.shape == (2, 2)
+
+
+def test_train_rejects_empty_dataset():
+    empty = separable_dataset(n=20).take(np.array([], dtype=np.intp))
+    with pytest.raises(ConfigError, match="empty"):
+        train(empty, small_arch(), TrainConfig(method="vanilla",
+                                               task_weights=(1.0, 1.0)))
 
 
 def test_train_task_count_mismatch():
