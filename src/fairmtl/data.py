@@ -422,19 +422,20 @@ class SynthSpec:
 _HERM_X, _HERM_W = np.polynomial.hermite.hermgauss(80)
 
 
-def _solve_intercept(slope, rate):
-    """c such that E[sigmoid(slope * U + c)] = rate for U ~ N(0, 1)."""
-    def expected(c):
-        z = slope * np.sqrt(2.0) * _HERM_X + c
-        return float(np.sum(_HERM_W / (1.0 + np.exp(-z))) / np.sqrt(np.pi))
-
-    lo, hi = -80.0, 80.0
+def _solve_intercepts(slope, rates):
+    """c such that E[sigmoid(slope * U + c)] = rate for U ~ N(0, 1), for
+    each of a 1-D array of rates, by one bisection over all of them."""
+    nodes = slope * np.sqrt(2.0) * _HERM_X
+    lo = np.full(len(rates), -80.0)
+    hi = np.full(len(rates), 80.0)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if expected(mid) < rate:
-            lo = mid
-        else:
-            hi = mid
+        # each row sums its 80 terms in the order a 1-D sum would
+        expected = (np.sum(_HERM_W / (1.0 + np.exp(-(mid[:, None] + nodes))),
+                           axis=1) / np.sqrt(np.pi))
+        below = expected < rates
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
 
 
@@ -451,6 +452,9 @@ def synth_generate(spec, seed):
     latent = (np.sqrt(rho) * shared[:, None]
               + np.sqrt(1.0 - rho) * own)
 
+    inside = (rates > 0.0) & (rates < 1.0)
+    intercepts = np.zeros(rates.shape)
+    intercepts[inside] = _solve_intercepts(spec.logit_slope, rates[inside])
     prob = np.empty((n, num_tasks))
     for g in (0, 1):
         mask = group == g
@@ -461,9 +465,8 @@ def synth_generate(spec, seed):
             elif rate >= 1.0:
                 prob[mask, t] = 1.0
             else:
-                c = _solve_intercept(spec.logit_slope, rate)
-                prob[mask, t] = 1.0 / (
-                    1.0 + np.exp(-(spec.logit_slope * latent[mask, t] + c)))
+                prob[mask, t] = 1.0 / (1.0 + np.exp(
+                    -(spec.logit_slope * latent[mask, t] + intercepts[g, t])))
     labels = (rng.random((n, num_tasks)) < prob).astype(np.int8)
 
     dense = np.empty((n, spec.dense_dim))

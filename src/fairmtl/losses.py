@@ -10,10 +10,13 @@ takes fused as `kernels.xent`.
 
 Training reads a batch's subsets from one integer code per (row, task),
 `subset_codes`: 6 y + 3 exclusive + (a + 1), so the row's side, whether it
-is exclusive and its sensitive group.  `fairness_seed_terms` turns a
-task's codes into the derivatives the trainer adds to its seeds: the soft
+is exclusive and its sensitive group.  `Subsets` holds them for every task
+with the side masks built from them; it depends on the rows alone, so the
+trainer builds one per epoch.  `fairness_seed_terms` turns it into the
+derivatives the trainer adds to its seeds, for all tasks at once: the soft
 FPR gap's derivative is constant on each code, so it needs only per-code
-sums and counts; MMD and correlation take each side's rows from the codes.
+sums and counts, two bincounts whatever the number of tasks; MMD and
+correlation take each side's rows from the masks.
 `fairness_loss` and `cross_entropy` wrap the same formulas in autodiff
 nodes whose one parent is p, the differentiable reference the tests check.
 A task's fairness loss splits into a head part (rows no other task's loss
@@ -345,6 +348,43 @@ def subset_codes(labels, sensitive):
     return _code_table(y.shape[0])[y, key].T
 
 
+class Subsets:
+    """A batch's fairness subsets for every task, in the forms a step reads.
+
+    `codes` is (T, n): task t's `subset_codes` column, offset by 12 t, so
+    one bincount over every task's codes gives each (task, code) bin.
+    `sensitive` is the rows' attribute and `sides[2 y + exclusive]` the
+    (T, n) mask of each task's side y (its rows labelled y) and of that
+    side's exclusive rows, which MMD and correlation take their rows from.
+    None of these depends on the probabilities, so `train()` builds one per
+    epoch and steps on its slices.
+    """
+
+    __slots__ = ("codes", "sensitive", "sides")
+
+    def __init__(self, codes, sensitive, sides):
+        self.codes, self.sensitive, self.sides = codes, sensitive, sides
+
+    @classmethod
+    def of(cls, labels, sensitive):
+        """The subsets of the rows with these (n, T) labels and sensitive
+        values."""
+        codes = subset_codes(labels, sensitive).T
+        sides = np.stack([codes // 6 == 0, codes // 3 == 1,
+                          codes // 6 == 1, codes // 3 == 3])
+        offsets = 12 * np.arange(codes.shape[0]).reshape(-1, 1)
+        return cls(codes + offsets, np.asarray(sensitive), sides)
+
+    def __getitem__(self, rows):
+        # contiguous codes are one flat array to count and faster to gather by
+        return Subsets(np.ascontiguousarray(self.codes[:, rows]),
+                       self.sensitive[rows], self.sides[:, :, rows])
+
+    def rows(self, t, y, exclusive):
+        """Task t's rows labelled y, or only its exclusive ones, ascending."""
+        return np.flatnonzero(self.sides[2 * y + exclusive, t])
+
+
 # Summed in any order, n nonnegative numbers err by at most (n - 1) 2^-53
 # of their sum, so each group mean is off by at most about n 2^-53 of
 # itself.  Where two means differ by more than 2^-51 (n0 + n1 + 2) times
@@ -369,62 +409,74 @@ def _gap(s0, n0, s1, n1, exact):
     return abs(diff), s / n0, -s / n1
 
 
-def fairness_seed_terms(kind, target, codes, p, combine, head=False):
-    """A task's fairness losses and seed terms from its subset codes.
+def fairness_seed_terms(kind, target, subsets, probs, tasks, combine,
+                        head=False):
+    """Every task's fairness losses and seed terms from a batch's subsets.
 
-    Returns (F_full, F_head, combine(dF_full/dp, dF_head/dp)) with the
-    terms as (n, 1) columns.  `codes` is the task's column of
-    `subset_codes` and `p` its (n, 1) probability column.  F_full sums one
-    loss per side of the target (negatives for the fpr target, positives
-    for tpr, both for equalized odds); F_head keeps each side's exclusive
-    rows only, mtaf's head part, and is computed only with `head` (else
-    F_head and its derivative are 0).  `combine` must act elementwise.
+    Returns (F_full, F_head, combine(dF_full/dp, dF_head/dp)): two lists
+    of T floats and the terms as (T, n, 1) stacks.  `subsets` is the
+    batch's `Subsets`, `probs` its (T, n, 1) probability stack and `tasks`
+    the tasks whose losses count; every other task's losses and
+    derivatives are 0.  F_full sums one loss per side of the target
+    (negatives for the fpr target, positives for tpr, both for equalized
+    odds); F_head keeps each side's exclusive rows only, mtaf's head part,
+    and is computed only with `head` (else F_head and its derivative are
+    0).  `combine` must act elementwise on (T, m, 1) stacks, so it may
+    scale each task by a (T, 1, 1) stack.
 
     The soft FPR gap's derivative is constant on each code, so one
-    weighted and one plain count of the codes give every group's sum and
-    size, `combine` gets the 12 per-code values as floats and its results
-    are gathered by code.  The other kinds run `fairness_terms` on each
-    side's rows and pass `combine` columns.
+    weighted and one plain count of every task's codes give each group's
+    sum and size.  The per-code arithmetic runs on Python floats, task by
+    task; `combine` gets the (T, 12, 1) per-code derivatives and its
+    results are gathered by code.  The other kinds run `fairness_terms` on
+    each task's and side's rows and pass `combine` (T, n, 1) stacks.
     """
     kind = as_loss_kind(kind)
+    num_tasks = subsets.codes.shape[0]
+    f_full, f_head = [0.0] * num_tasks, [0.0] * num_tasks
 
-    def terms(y, exclusive):
-        rows = np.flatnonzero(codes // 3 == 2 * y + 1 if exclusive
-                              else codes // 6 == y)
-        return fairness_terms(kind, p, codes % 3 - 1, rows)
+    def terms(t, y, exclusive):
+        return fairness_terms(kind, probs[t], subsets.sensitive,
+                              subsets.rows(t, y, exclusive))
 
-    f_full = f_head = 0.0
     if kind.kind == "soft_fpr_gap":
-        sums = np.bincount(codes, weights=p[:, 0], minlength=12).tolist()
-        counts = np.bincount(codes, minlength=12).tolist()
-        d_full, d_head = [0.0] * 12, [0.0] * 12
+        codes, bins = subsets.codes.ravel(), 12 * num_tasks
+        sums = np.bincount(codes, weights=probs.ravel(),
+                           minlength=bins).tolist()
+        counts = np.bincount(codes, minlength=bins).tolist()
+        d_full, d_head = [0.0] * bins, [0.0] * bins
+        for t in tasks:
+            for y in _SIDE_LABELS[target]:
+                # group 0, not exclusive; +1 group 1, +3 exclusive
+                b = 12 * t + 6 * y + 1
+                f, d0, d1 = _gap(
+                    sums[b] + sums[b + 3], counts[b] + counts[b + 3],
+                    sums[b + 1] + sums[b + 4], counts[b + 1] + counts[b + 4],
+                    lambda: terms(t, y, False))
+                f_full[t] += f
+                d_full[b] = d_full[b + 3] = d0
+                d_full[b + 1] = d_full[b + 4] = d1
+                if head:
+                    f, d_head[b + 3], d_head[b + 4] = _gap(
+                        sums[b + 3], counts[b + 3], sums[b + 4],
+                        counts[b + 4], lambda: terms(t, y, True))
+                    f_head[t] += f
+        shape = (num_tasks, 12, 1)
+        tables = combine(np.array(d_full).reshape(shape),
+                         np.array(d_head).reshape(shape) if head else 0.0)
+        return f_full, f_head, [table.ravel()[subsets.codes][..., None]
+                                for table in tables]
+    d_full = np.zeros(probs.shape)
+    d_head = np.zeros(probs.shape) if head else 0.0
+    for t in tasks:
         for y in _SIDE_LABELS[target]:
-            b = 6 * y + 1   # group 0, not exclusive; +1 group 1, +3 exclusive
-            f, d0, d1 = _gap(sums[b] + sums[b + 3], counts[b] + counts[b + 3],
-                             sums[b + 1] + sums[b + 4],
-                             counts[b + 1] + counts[b + 4],
-                             lambda: terms(y, False))
-            f_full += f
-            d_full[b] = d_full[b + 3] = d0
-            d_full[b + 1] = d_full[b + 4] = d1
+            f, rows, dvals = terms(t, y, False)
+            f_full[t] += f
+            d_full[t, rows, 0] += dvals
             if head:
-                f, d_head[b + 3], d_head[b + 4] = _gap(
-                    sums[b + 3], counts[b + 3], sums[b + 4], counts[b + 4],
-                    lambda: terms(y, True))
-                f_head += f
-        per_code = zip(*map(combine, d_full, d_head))
-        return f_full, f_head, [np.array(v)[codes].reshape(-1, 1)
-                                for v in per_code]
-    d_full = np.zeros(p.shape)
-    d_head = np.zeros(p.shape) if head else 0.0
-    for y in _SIDE_LABELS[target]:
-        f, rows, dvals = terms(y, False)
-        f_full += f
-        d_full[rows, 0] += dvals
-        if head:
-            f, rows, dvals = terms(y, True)
-            f_head += f
-            d_head[rows, 0] += dvals
+                f, rows, dvals = terms(t, y, True)
+                f_head[t] += f
+                d_head[t, rows, 0] += dvals
     return f_full, f_head, list(combine(d_full, d_head))
 
 

@@ -339,16 +339,30 @@ def load_runs(path):
     return _load_rows(path)
 
 
-def _pool_entry(args):
-    return run_single(*args)
+# The (train_ds, test_ds, arch, baselines) every run of a sweep shares: set
+# once in each pool worker by its initializer, and in this process for the
+# length of a serial sweep, so a task carries only its config and run id.
+_sweep_inputs = None
+
+
+def _share_inputs(inputs):
+    global _sweep_inputs
+    _sweep_inputs = inputs
+
+
+def _run_task(task):
+    train_ds, test_ds, arch, baselines = _sweep_inputs
+    config, rid = task
+    return run_single(train_ds, test_ds, arch, config, baselines, rid)
 
 
 def run_sweep(train_ds, test_ds, arch, sweep, baselines, out_dir, jobs=1):
     """Execute a full sweep, appending rows to <out_dir>/runs.csv.
 
     Runs whose id the table holds are skipped, so a re-run resumes.  Work
-    is farmed to a process pool when jobs > 1; rows are appended, and
-    returned, in submission order by this process alone.
+    is farmed to a process pool when jobs > 1, whose workers receive the
+    shared inputs once, at start-up; rows are appended, and returned, in
+    submission order by this process alone.
     """
     configs = sample_configs(sweep, train_ds.num_tasks)
     writer = RunsWriter(os.path.join(out_dir, "runs.csv"))
@@ -360,15 +374,24 @@ def run_sweep(train_ds, test_ds, arch, sweep, baselines, out_dir, jobs=1):
             rid = run_id(config, pair, baselines.config_hash)
             if rid not in seen:
                 seen.add(rid)
-                tasks.append((train_ds, test_ds, arch, config, baselines,
-                              rid))
+                tasks.append((config, rid))
 
+    inputs = (train_ds, test_ds, arch, baselines)
+    pool = None
+    if jobs > 1 and tasks:
+        pool = ProcessPoolExecutor(max_workers=jobs,
+                                   initializer=_share_inputs,
+                                   initargs=(inputs,))
+    else:
+        _share_inputs(inputs)
     rows = []
-    with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1 and tasks
-          else nullcontext()) as pool:
-        for row in (pool.map if pool else map)(_pool_entry, tasks):
-            writer.append(row)
-            rows.append(row)
+    try:
+        with pool or nullcontext():
+            for row in (pool.map if pool else map)(_run_task, tasks):
+                writer.append(row)
+                rows.append(row)
+    finally:
+        _share_inputs(None)
     return rows
 
 
@@ -464,7 +487,7 @@ def emit_reports(rows, axes, out_dir, overlay=None):
 
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, f"frontier_{axes}.json"), "w") as f:
-        json.dump(report, f, indent=2)
+        f.write(json.dumps(report, indent=2))
     with open(os.path.join(out_dir, f"plotdata_{axes}.csv"), "w",
               newline="") as f:
         writer = csv.writer(f)

@@ -12,11 +12,15 @@ other task's loss can reach) for the head and the remainder for the shared
 bottom, so the shared part never reaches a head.  The T tasks' seeds form
 (T, n, 1) stacks, which the model walks through its stacked heads.
 
-A batch's fairness subsets come from one integer code per (row, task)
-(`losses.subset_codes`), built once per step.  The model keeps every
-parameter, gradient and Adagrad accumulator in one flat vector each
-(`model.FlatParams`), so the update is one `adagrad_update` call; Adagrad
-is elementwise, so this equals one call per parameter bit for bit.
+A step's inputs are split by lifetime, so a step computes only what
+depends on its probabilities.  What depends on the config alone (the
+task-weight stack, the fairness scales) is a `RunPlan`, built once per run.
+What depends on the rows alone (the float labels, and the fairness subsets
+from one integer code per (row, task), `losses.subset_codes`) is a
+`Batch`, built once per epoch, whose slices are the steps.  The model
+keeps every parameter, gradient and Adagrad accumulator in one flat vector
+each (`model.FlatParams`), so the update is one `adagrad_update` call;
+Adagrad is elementwise, so this equals one call per parameter bit for bit.
 """
 
 import math
@@ -27,8 +31,8 @@ import numpy as np
 
 from .backend import kernels
 from .exceptions import ConfigError, ShapeError, TrainingDiverged
-from .losses import (FAIRNESS_TARGETS, as_loss_kind, fairness_seed_terms,
-                     subset_codes)
+from .losses import (FAIRNESS_TARGETS, Subsets, as_loss_kind,
+                     fairness_seed_terms)
 from .model import backprop, build_model, forward_np, from_fields
 
 METHODS = ("vanilla", "baseline", "mtaf")
@@ -128,45 +132,85 @@ def _finite(value, name):
     return value
 
 
-def _seeds(config, batch, probs):
-    """(head seeds, shared seeds, accuracy losses) of a batch at `probs`.
+class RunPlan:
+    """What a step reads from its config alone, built once per run: the
+    (T, 1, 1) task-weight stack and, for a fairness method, the tasks whose
+    lambda_t > 0 and `combine`, which turns their dF_full/dp and dF_head/dp
+    stacks into seed terms at the (T, 1, 1) scales w_t lambda_t and, for
+    mtaf's heads, w_t lambda_t r_t."""
+
+    def __init__(self, config):
+        self.config = config
+        self.weights = np.array(config.task_weights).reshape(-1, 1, 1)
+        lam = config.fairness_weights if config.method != "vanilla" else ()
+        self.tasks = [t for t, lam_t in enumerate(lam) if lam_t > 0]
+        self.mtaf = config.method == "mtaf"
+        scale = self.weights * np.reshape(config.fairness_weights, (-1, 1, 1))
+        if self.mtaf:
+            head_scale = scale * np.reshape(config.head_shared_ratios,
+                                            (-1, 1, 1))
+            self.combine = lambda full, part: (head_scale * part,
+                                               scale * (full - part))
+        else:
+            self.combine = lambda full, _: (scale * full,)
+
+
+class Batch:
+    """A batch's rows in the forms a step reads under its run's `RunPlan`:
+    the dense inputs, the categorical codes (None when there are none), the
+    (T, n, 1) float labels and, when a fairness loss is on, the rows'
+    `losses.Subsets`.  None of these depends on the probabilities, so
+    `train()` builds one per epoch and steps on its slices."""
+
+    __slots__ = ("plan", "dense", "cat", "labels", "subsets")
+
+    def __init__(self, plan, dense, cat, labels, subsets):
+        self.plan, self.dense, self.cat = plan, dense, cat
+        self.labels, self.subsets = labels, subsets
+
+    @classmethod
+    def of(cls, dataset, plan):
+        labels = np.ascontiguousarray(dataset.labels.T, dtype=np.float64)
+        return cls(plan, dataset.dense, dataset.cat if dataset.cat.size
+                   else None, labels[..., None],
+                   Subsets.of(dataset.labels, dataset.sensitive)
+                   if plan.tasks else None)
+
+    def __len__(self):
+        return self.dense.shape[0]
+
+    def __getitem__(self, rows):
+        return Batch(self.plan, self.dense[rows],
+                     None if self.cat is None else self.cat[rows],
+                     self.labels[:, rows],
+                     None if self.subsets is None else self.subsets[rows])
+
+
+def _seeds(batch, probs):
+    """(head seeds, shared seeds, accuracy losses) of a `Batch` at `probs`.
 
     The seeds are (T, n, 1) stacks, one array when they agree: vanilla,
     baseline, and every lambda_t = 0; the losses are T floats.
     """
-    w, r = config.task_weights, config.head_shared_ratios
-    lam = (config.fairness_weights if config.method != "vanilla"
-           else (0.0,) * config.num_tasks)
-    labels = np.asarray(batch.labels.T, dtype=np.float64, order="C")
+    plan = batch.plan
     head = np.zeros(probs.shape)
-    losses = kernels.xent(probs, labels.reshape(probs.shape),
-                          np.array(w).reshape(-1, 1, 1), head)
+    losses = kernels.xent(probs, batch.labels, plan.weights, head)
     for t, loss in enumerate(losses):
         _finite(loss, f"task {t} accuracy loss")
-    if not any(lam):
+    if not plan.tasks:
         return head, head, losses
-    codes = subset_codes(batch.labels, batch.sensitive)
-    mtaf = config.method == "mtaf"
-    shared = head.copy() if mtaf else head
-    for t in [t for t, lam_t in enumerate(lam) if lam_t > 0]:
-        args = (config.fairness_kind, config.fairness_target, codes[:, t],
-                probs[t])
-        scale = w[t] * lam[t]
-        if mtaf:
-            head_scale = scale * r[t]
-            f_full, f_head, (d_head, d_shared) = fairness_seed_terms(
-                *args, lambda full, part: (head_scale * part,
-                                           scale * (full - part)),
-                head=True)
-            _finite(f_head, f"task {t} head fairness loss")
-            _finite(f_full - f_head, f"task {t} shared fairness loss")
-            head[t] += d_head
-            shared[t] += d_shared
+    config = plan.config
+    f_full, f_head, terms = fairness_seed_terms(
+        config.fairness_kind, config.fairness_target, batch.subsets, probs,
+        plan.tasks, plan.combine, head=plan.mtaf)
+    for t in plan.tasks:
+        if plan.mtaf:
+            _finite(f_head[t], f"task {t} head fairness loss")
+            _finite(f_full[t] - f_head[t], f"task {t} shared fairness loss")
         else:
-            f_full, _, (d_full,) = fairness_seed_terms(
-                *args, lambda full, _: (scale * full,))
-            _finite(f_full, f"task {t} fairness loss")
-            head[t] += d_full
+            _finite(f_full[t], f"task {t} fairness loss")
+    shared = head + terms[1] if plan.mtaf else head
+    head += terms[0]
     return head, shared, losses
 
 
@@ -175,16 +219,20 @@ def train_step(model, batch, config, loss_sink=None):
 
     Forward, the seed gradients at each task's probability column, the
     model's backward from them into its flat gradient, then one Adagrad
-    call on the flat parameters.  When given, `loss_sink` receives the
-    per-task accuracy loss values of this batch.
+    call on the flat parameters.  `batch` is a Dataset, or a `Batch` built
+    with this config's `RunPlan`, as `train()` passes.  When given,
+    `loss_sink` receives the per-task accuracy loss values of this batch.
     """
     if len(batch) == 0:
         raise ConfigError("train_step on an empty batch")
     if model.arch.num_tasks != config.num_tasks:
         raise ConfigError("config task count does not match the model")
-    acts = forward_np(model, batch.dense,
-                      batch.cat if batch.cat.size else None)
-    heads, shareds, losses = _seeds(config, batch, acts.probs)
+    if not isinstance(batch, Batch):
+        batch = Batch.of(batch, RunPlan(config))
+    elif batch.plan.config is not config:
+        raise ConfigError("batch was built for another config")
+    acts = forward_np(model, batch.dense, batch.cat)
+    heads, shareds, losses = _seeds(batch, acts.probs)
     if loss_sink is not None:
         loss_sink.append(losses)
     backprop(model, acts, heads, shareds)
@@ -211,13 +259,14 @@ def train(dataset, arch, config):
     model = build_model(arch, dense_count=dataset.dense.shape[1],
                         vocab_sizes=dataset.vocab_sizes, seed=config.seed)
     rng = np.random.default_rng(config.seed)
+    plan = RunPlan(config)
     history = np.empty((config.epochs, config.num_tasks))
     for epoch in range(config.epochs):
-        shuffled = dataset.take(rng.permutation(n))
+        shuffled = Batch.of(dataset.take(rng.permutation(n)), plan)
         step_losses = []
         for start in range(0, n, config.batch_size):
-            batch = shuffled.take(slice(start, start + config.batch_size))
-            train_step(model, batch, config, loss_sink=step_losses)
+            train_step(model, shuffled[start:start + config.batch_size],
+                       config, loss_sink=step_losses)
         history[epoch] = np.mean(step_losses, axis=0)
     return TrainedRun(model=model, history=history, config=config,
                       seconds=time.perf_counter() - started)

@@ -11,7 +11,9 @@ aside; `fairness_grad` and `seeds` build each task's seed gradients from
 before it read the subsets from per-row codes; `forward_np` and `backprop`
 walk the heads one task at a time, as fairmtl did before it stacked them;
 `frontier` compares every pair of points, as fairmtl did for every
-dimensionality before its 2-D frontier became one sweep over sorted points.
+dimensionality before its 2-D frontier became one sweep over sorted points;
+`solve_intercept` bisects for one synthetic intercept at a time, as fairmtl
+did before it bisected for all of them at once.
 All are kept only as oracles for the production code.
 """
 
@@ -23,8 +25,9 @@ from fairmtl.exceptions import ContractError
 from fairmtl.losses import (ExampleSubset, as_loss_kind, cross_entropy,
                             fairness_terms, subset_rows, subset_select)
 import fairmtl.model as stacked
+from fairmtl.data import _HERM_W, _HERM_X
 from fairmtl.model import Activations, _inputs, forward
-from fairmtl.trainer import _seeds, adagrad_update
+from fairmtl.trainer import Batch, RunPlan, _seeds, adagrad_update
 
 # (full subset, exclusive subset) of each side a fairness target covers
 SIDES = {
@@ -302,7 +305,7 @@ def per_param_step(model, batch, config):
     model.flat.value[0] = np.concatenate([p.value.ravel() for p in params])
     acts = stacked.forward_np(model, batch.dense,
                               batch.cat if batch.cat.size else None)
-    heads, shareds, _ = _seeds(config, batch, acts.probs)
+    heads, shareds, _ = _seeds(Batch.of(batch, RunPlan(config)), acts.probs)
     stacked.backprop(model, acts, heads, shareds)
     for p in params:
         adagrad_update(p, p.grad, config.learning_rate)
@@ -326,3 +329,20 @@ def frontier(points):
             keep.append(points[i])
     keep.sort(key=lambda p: (p.objectives, p.run_id))
     return keep
+
+
+def solve_intercept(slope, rate):
+    """c such that E[sigmoid(slope * U + c)] = rate for U ~ N(0, 1), by a
+    bisection of its own."""
+    def expected(c):
+        z = slope * np.sqrt(2.0) * _HERM_X + c
+        return float(np.sum(_HERM_W / (1.0 + np.exp(-z))) / np.sqrt(np.pi))
+
+    lo, hi = -80.0, 80.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if expected(mid) < rate:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -9,6 +9,7 @@ import json
 from importlib import resources
 
 import numpy as np
+import oracles
 import pytest
 from helpers import spec_to_dict, write_csv
 
@@ -16,6 +17,7 @@ from fairmtl.data import (
     OOV_INDEX,
     Dataset,
     SynthSpec,
+    _solve_intercepts,
     load_dataset,
     load_schema,
     resolve,
@@ -24,6 +26,7 @@ from fairmtl.data import (
     synth_generate,
 )
 from fairmtl.exceptions import ConfigError, RowParseError, SchemaError
+from fairmtl.sweep import dataset_hash
 
 TOY_SCHEMA = {
     "name": "toy",
@@ -288,6 +291,24 @@ class TestSynthGenerator:
         assert np.array_equal(a.labels, b.labels)
         c = synth_generate(spec, seed=2)
         assert not np.array_equal(a.labels, c.labels)
+
+    @pytest.mark.parametrize("slope", [0.5, 2.5, 6.0])
+    def test_intercepts_equal_one_bisection_per_rate(self, slope):
+        rates = np.linspace(0.01, 0.99, 99)
+        got = _solve_intercepts(slope, rates)
+        want = [oracles.solve_intercept(slope, rate) for rate in rates]
+        assert got.tolist() == want
+
+    def test_generated_data_pinned(self):
+        """The generator's output, and so every pair hash and STL cache
+        name derived from it, stays fixed."""
+        two = synth_generate(SynthSpec(n=500), seed=3)
+        three = synth_generate(SynthSpec(
+            n=400, num_tasks=3,
+            positive_rates=((0.0, 0.2, 0.7), (1.0, 0.45, 0.05)),
+            sensitive_missing_rate=0.1), seed=3)
+        assert dataset_hash(two) == "9e2f56ef2d37"
+        assert dataset_hash(three) == "30f65d87b720"
 
     def test_extreme_rates_exact(self):
         spec = SynthSpec(n=400, positive_rates=((0.0, 1.0), (0.0, 1.0)))

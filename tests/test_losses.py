@@ -17,9 +17,9 @@ from fairmtl.exceptions import ConfigError, ShapeError
 from fairmtl.losses import (FAIRNESS_KINDS, FAIRNESS_TARGETS,
                             FairnessLossKind, cross_entropy,
                             decompose_fairness, fairness_loss,
-                            fairness_seed_terms, fairness_terms,
+                            Subsets, fairness_seed_terms, fairness_terms,
                             subset_codes, subset_rows, subset_select)
-from fairmtl.trainer import TrainConfig, _seeds
+from fairmtl.trainer import Batch, RunPlan, TrainConfig, _seeds
 
 
 def prob_node(values):
@@ -442,7 +442,8 @@ def test_code_seeds_match_subset_oracle(case):
     agree to rel 1e-12 (the codes sum each group's rows in another
     order)."""
     config, batch, probs = case
-    heads, shareds, losses = _seeds(config, batch, np.stack(probs))
+    heads, shareds, losses = _seeds(Batch.of(batch, RunPlan(config)),
+                                    np.stack(probs))
     ref_heads, ref_shareds, ref_losses, ref_values = oracles.seeds(
         config, batch, probs)
     assert losses == ref_losses
@@ -453,15 +454,17 @@ def test_code_seeds_match_subset_oracle(case):
                          (shareds[t], ref_shareds[t])):
             assert got.shape == ref.shape
             assert got.tobytes() == ref.tobytes(), t
-    codes = subset_codes(batch.labels, batch.sensitive)
     tasks = [t for t in range(config.num_tasks)
              if config.fairness_weights[t] > 0]
+    head = config.method == "mtaf"
+    assert all((ref_head is not None) == head for _, ref_head in ref_values)
+    f_full, f_head, terms = fairness_seed_terms(
+        config.fairness_kind, config.fairness_target,
+        Subsets.of(batch.labels, batch.sensitive), np.stack(probs), tasks,
+        lambda full, head: (), head=head)
+    assert terms == []
     for t, (ref_full, ref_head) in zip(tasks, ref_values):
-        f_full, f_head, terms = fairness_seed_terms(
-            config.fairness_kind, config.fairness_target, codes[:, t],
-            probs[t], lambda full, head: (), head=ref_head is not None)
-        assert terms == []
-        for got, ref in ((f_full, ref_full), (f_head, ref_head)):
+        for got, ref in ((f_full[t], ref_full), (f_head[t], ref_head)):
             if ref is not None:
                 assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 

@@ -392,6 +392,34 @@ class TestRunSweep:
             run_id(wider[m][2], pair, baselines.config_hash)
             for m in sweep.methods]
 
+    def test_pool_appends_what_a_serial_sweep_appends(self, tmp_path, env):
+        """A --jobs 2 sweep appends the rows of a --jobs 1 sweep, in the
+        same order and equal in every cell but `seconds` and `timestamp`;
+        neither leaves state behind in the sweep module."""
+        train_ds, test_ds, baselines = env
+        sweep = SweepConfig(budget=2, epochs=1, batch_size=64,
+                            learning_rate=0.1)
+        before = dict(vars(sweep_module))
+        tables = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            rows = run_sweep(train_ds, test_ds, ARCH, sweep, baselines,
+                             str(out), jobs=jobs)
+            with open(out / "runs.csv", newline="") as f:
+                table = list(csv.DictReader(f))
+            assert [r["run_id"] for r in table] == [r["run_id"] for r in rows]
+            tables.append(table)
+            after = vars(sweep_module)
+            assert after.keys() == before.keys()
+            assert all(after[k] is v for k, v in before.items())
+        serial, pooled = tables
+        assert len(serial) == len(pooled) == 6
+        volatile = {"seconds", "timestamp"}
+        for a, b in zip(serial, pooled):
+            assert a.keys() == b.keys()
+            for key in a.keys() - volatile:
+                assert a[key] == b[key], key
+
     def test_run_id_is_a_content_key(self, env):
         train_ds, test_ds, baselines = env
         config = sample_configs(SweepConfig(budget=1), 2)["mtaf"][0]

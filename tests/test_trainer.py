@@ -3,6 +3,8 @@ mtaf, bit-exact agreement contracts, and end-to-end learnability."""
 
 import itertools
 import json
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import oracles
@@ -10,14 +12,15 @@ import pytest
 from test_acceptance import _routing_arch, _routing_batch
 
 import fairmtl.autodiff as ad
+from fairmtl import losses
 from fairmtl.backend import kernels
 from fairmtl.data import Dataset
 from fairmtl.exceptions import ConfigError, ShapeError, TrainingDiverged
 from fairmtl.losses import cross_entropy, decompose_fairness
 from fairmtl.metrics import evaluate_model
 from fairmtl.model import ArchConfig, build_model, forward
-from fairmtl.trainer import (ADAGRAD_EPS, TrainConfig, adagrad_update, train,
-                             train_step)
+from fairmtl.trainer import (ADAGRAD_EPS, Batch, RunPlan, TrainConfig,
+                             adagrad_update, train, train_step)
 
 
 def small_arch(num_tasks=2):
@@ -363,6 +366,37 @@ def test_step_matches_two_ledger_reference(kind, target, arch):
                 rtol=0, atol=1e-12, err_msg=f"{method} {p_new.name}")
 
 
+@pytest.mark.parametrize("kind", ["correlation", "mmd", "soft_fpr_gap"])
+def test_epoch_slice_steps_like_its_rows_taken_alone(kind):
+    """A step on a slice of an epoch's `Batch` (the labels, codes, masks
+    and sensitive values built once for all its rows) equals, bit for bit,
+    a step on the same rows taken as a Dataset."""
+    arch, vocab_sizes, batch = _ledger_case("emb2-layers2x2-tasks3")
+    sensitive = batch.sensitive.copy()
+    sensitive[[2, 9]] = -1
+    data = Dataset(dense=batch.dense, cat=batch.cat, labels=batch.labels,
+                   sensitive=sensitive, vocab_sizes=vocab_sizes)
+    data = data.take(np.random.default_rng(2).permutation(len(data)))
+    for method in ("vanilla", "baseline", "mtaf"):
+        cfg = TrainConfig(method=method, task_weights=(0.6, 0.4, 0.5),
+                          fairness_weights=(1.5, 0.0, 1.1),
+                          head_shared_ratios=(2.0, 0.5, 1.3),
+                          fairness_kind=kind,
+                          fairness_target="equalized_odds")
+        epoch = Batch.of(data, RunPlan(cfg))
+        sliced, alone = (build_model(arch, dense_count=3,
+                                     vocab_sizes=vocab_sizes, seed=9)
+                         for _ in range(2))
+        for rows in (slice(0, 7), slice(7, 14), slice(14, 21)):
+            train_step(sliced, epoch[rows], cfg)
+            train_step(alone, data.take(rows), cfg)
+        assert sliced.flat.value.tobytes() == alone.flat.value.tobytes()
+        assert (sliced.flat.adagrad_acc.tobytes()
+                == alone.flat.adagrad_acc.tobytes())
+        with pytest.raises(ConfigError, match="another config"):
+            train_step(sliced, epoch[0:7], replace(cfg, seed=1))
+
+
 @pytest.mark.parametrize("arch", ["routing", "emb2-layers2x2-tasks3",
                                   "no-hidden"])
 def test_params_are_views_of_the_flat_vectors(arch):
@@ -478,6 +512,46 @@ def test_step_kernel_calls_do_not_grow_with_tasks(method, monkeypatch):
             fairness_weights=(1.0,) * T, fairness_kind="soft_fpr_gap"))
         counts[T] = sorted(calls)
     assert counts[1] and counts[4] == counts[1]
+
+
+def test_soft_fpr_step_counts_do_not_grow_with_tasks(monkeypatch):
+    """A soft FPR mtaf step of a 4-task model takes every task's per-code
+    sums and sizes from as many bincounts as one of a 1-task model: one
+    weighted and one plain."""
+    calls = []
+    bincount = np.bincount
+    monkeypatch.setattr(np, "bincount",
+                        lambda *a, **k: calls.append(1) or bincount(*a, **k))
+    counts = {}
+    for T in (1, 4):
+        rng = np.random.default_rng(T)
+        batch = Dataset(dense=rng.standard_normal((64, 3)),
+                        cat=rng.integers(0, 4, (64, 1)),
+                        labels=rng.integers(0, 2, (64, T)),
+                        sensitive=rng.integers(0, 2, 64))
+        model = build_model(small_arch(T), dense_count=3, vocab_sizes=(4,),
+                            seed=0)
+        calls.clear()
+        train_step(model, batch, TrainConfig(
+            method="mtaf", task_weights=(0.5,) * T,
+            fairness_weights=(1.0,) * T, fairness_kind="soft_fpr_gap",
+            fairness_target="equalized_odds"))
+        counts[T] = len(calls)
+    assert counts == {1: 2, 4: 2}
+
+
+@pytest.mark.parametrize("method, per_epoch",
+                         [("vanilla", 0), ("baseline", 1), ("mtaf", 1)])
+def test_subset_codes_built_once_per_epoch(method, per_epoch, monkeypatch):
+    """`train()` builds each epoch's subset codes once and steps on slices
+    of them; vanilla needs none."""
+    codes = mock.Mock(wraps=losses.subset_codes)
+    monkeypatch.setattr(losses, "subset_codes", codes)
+    cfg = TrainConfig(method=method, task_weights=(0.5, 0.5),
+                      fairness_weights=(1.0, 1.0),
+                      fairness_kind="soft_fpr_gap", epochs=3, batch_size=16)
+    train(separable_dataset(n=60, seed=4), small_arch(), cfg)
+    assert codes.call_count == 3 * per_epoch
 
 
 # --- full training loop ----------------------------------------------------
