@@ -3,7 +3,9 @@
 This is the fallback backend; `fairmtl._ckernels` provides the same
 signatures as a compiled extension.  All arrays are C-contiguous float64.
 Accumulating kernels (`*_bwd`, `adagrad_step`) mutate their output argument
-in place.
+in place; `relu_bwd` and `sigmoid_bwd` also take a (k, m, d) stack of `g`
+and `acc` against one (m, d) `x` or `s`.  `relu_fwd` and `sigmoid_fwd`
+write into `out` when given; either way, use the array they return.
 """
 
 import numpy as np
@@ -11,8 +13,8 @@ import numpy as np
 XENT_CLIP = 1e-12
 
 
-def relu_fwd(x):
-    return np.maximum(x, 0.0)
+def relu_fwd(x, out=None):
+    return np.maximum(x, 0.0, out=out)
 
 
 def relu_bwd(x, g, acc):
@@ -20,8 +22,9 @@ def relu_bwd(x, g, acc):
     acc += g * (x > 0.0)
 
 
-def sigmoid_fwd(x):
-    out = np.empty_like(x)
+def sigmoid_fwd(x, out=None):
+    if out is None:
+        out = np.empty_like(x)
     np.negative(x, out=out)
     np.exp(out, out=out)
     out += 1.0

@@ -4,7 +4,9 @@ The compiled extension is preferred when importable; otherwise the numpy
 fallback is used.  `FAIRMTL_KERNELS=numpy` forces the fallback and
 `FAIRMTL_KERNELS=compiled` makes a missing extension a hard error (useful
 in benchmarks and CI).  The compiled backend's fused `xent` is composed
-here from its `xent_bwd` and `xent_fwd`, column by column on a stack.
+here from its `xent_bwd` and `xent_fwd`, column by column on a stack; its
+`relu_bwd` and `sigmoid_bwd` take a stack of gradients one at a time, and
+its `relu_fwd` and `sigmoid_fwd` ignore `out` and return a new array.
 """
 
 import os
@@ -33,7 +35,18 @@ if _requested in ("auto", "compiled"):
                         for column in zip(p, y, np.ravel(gscale), acc)]
             _ckernels.xent_bwd(p, y, gscale, acc)
             return _ckernels.xent_fwd(p, y)
-        kernels = SimpleNamespace(**vars(_ckernels), xent=_xent)
+
+        def _each(bwd):
+            def run(x, g, acc):
+                for g_k, acc_k in ([(g, acc)] if g.ndim == 2 else zip(g, acc)):
+                    bwd(x, g_k, acc_k)
+            return run
+        kernels = SimpleNamespace(**{
+            **vars(_ckernels), "xent": _xent,
+            "relu_fwd": lambda x, out=None: _ckernels.relu_fwd(x),
+            "sigmoid_fwd": lambda x, out=None: _ckernels.sigmoid_fwd(x),
+            "relu_bwd": _each(_ckernels.relu_bwd),
+            "sigmoid_bwd": _each(_ckernels.sigmoid_bwd)})
 else:
     from . import _kernels_np as kernels
     BACKEND = "numpy"

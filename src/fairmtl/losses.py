@@ -11,12 +11,13 @@ takes fused as `kernels.xent`.
 Training reads a batch's subsets from one integer code per (row, task),
 `subset_codes`: 6 y + 3 exclusive + (a + 1), so the row's side, whether it
 is exclusive and its sensitive group.  `Subsets` holds them for every task
-with the side masks built from them; it depends on the rows alone, so the
-trainer builds one per epoch.  `fairness_seed_terms` turns it into the
-derivatives the trainer adds to its seeds, for all tasks at once: the soft
-FPR gap's derivative is constant on each code, so it needs only per-code
-sums and counts, two bincounts whatever the number of tasks; MMD and
-correlation take each side's rows from the masks.
+with the side masks built from them; it holds values per row, so the
+trainer builds one per run and gathers it by each epoch's permutation.
+`fairness_seed_terms` turns it into the derivatives the trainer adds to
+its seeds, for all tasks at once: the soft FPR gap's derivative is
+constant on each code, so it needs only per-code sums and counts, two
+bincounts whatever the number of tasks; MMD and correlation take each
+side's rows from the masks.
 `fairness_loss` and `cross_entropy` wrap the same formulas in autodiff
 nodes whose one parent is p, the differentiable reference the tests check.
 A task's fairness loss splits into a head part (rows no other task's loss
@@ -353,11 +354,12 @@ class Subsets:
 
     `codes` is (T, n): task t's `subset_codes` column, offset by 12 t, so
     one bincount over every task's codes gives each (task, code) bin.
-    `sensitive` is the rows' attribute and `sides[2 y + exclusive]` the
-    (T, n) mask of each task's side y (its rows labelled y) and of that
+    `sensitive` is the rows' attribute and `sides[:, 2 y + exclusive]` the
+    (n, T) mask of each task's side y (its rows labelled y) and of that
     side's exclusive rows, which MMD and correlation take their rows from.
-    None of these depends on the probabilities, so `train()` builds one per
-    epoch and steps on its slices.
+    None of these depends on the probabilities, and each is a value per
+    row, so `train()` builds one per run, gathers it by each epoch's
+    permutation (`take`) and steps on slices of that.
     """
 
     __slots__ = ("codes", "sensitive", "sides")
@@ -369,20 +371,32 @@ class Subsets:
     def of(cls, labels, sensitive):
         """The subsets of the rows with these (n, T) labels and sensitive
         values."""
-        codes = subset_codes(labels, sensitive).T
-        sides = np.stack([codes // 6 == 0, codes // 3 == 1,
-                          codes // 6 == 1, codes // 3 == 3])
-        offsets = 12 * np.arange(codes.shape[0]).reshape(-1, 1)
-        return cls(codes + offsets, np.asarray(sensitive), sides)
+        codes = subset_codes(labels, sensitive)
+        # contiguous, so that gathering rows moves whole rows
+        sides = np.ascontiguousarray(np.stack(
+            [codes // 6 == 0, codes // 3 == 1, codes // 6 == 1,
+             codes // 3 == 3], axis=1))
+        offsets = 12 * np.arange(codes.shape[1]).reshape(-1, 1)
+        return cls(codes.T + offsets, np.asarray(sensitive), sides)
+
+    def take(self, rows, out=None):
+        """These rows, gathered into the arrays of `out` (Subsets of as
+        many rows) or into new ones."""
+        return Subsets(
+            np.take(self.codes, rows, axis=1,
+                    out=None if out is None else out.codes),
+            np.take(self.sensitive, rows,
+                    out=None if out is None else out.sensitive),
+            np.take(self.sides, rows, axis=0,
+                    out=None if out is None else out.sides))
 
     def __getitem__(self, rows):
-        # contiguous codes are one flat array to count and faster to gather by
-        return Subsets(np.ascontiguousarray(self.codes[:, rows]),
-                       self.sensitive[rows], self.sides[:, :, rows])
+        return Subsets(self.codes[:, rows], self.sensitive[rows],
+                       self.sides[rows])
 
     def rows(self, t, y, exclusive):
         """Task t's rows labelled y, or only its exclusive ones, ascending."""
-        return np.flatnonzero(self.sides[2 * y + exclusive, t])
+        return np.flatnonzero(self.sides[:, 2 * y + exclusive, t])
 
 
 # Summed in any order, n nonnegative numbers err by at most (n - 1) 2^-53
@@ -440,6 +454,7 @@ def fairness_seed_terms(kind, target, subsets, probs, tasks, combine,
                               subsets.rows(t, y, exclusive))
 
     if kind.kind == "soft_fpr_gap":
+        # one flat array (a copy for a slice) to count and gather by
         codes, bins = subsets.codes.ravel(), 12 * num_tasks
         sums = np.bincount(codes, weights=probs.ravel(),
                            minlength=bins).tolist()
@@ -464,7 +479,7 @@ def fairness_seed_terms(kind, target, subsets, probs, tasks, combine,
         shape = (num_tasks, 12, 1)
         tables = combine(np.array(d_full).reshape(shape),
                          np.array(d_head).reshape(shape) if head else 0.0)
-        return f_full, f_head, [table.ravel()[subsets.codes][..., None]
+        return f_full, f_head, [table.ravel()[codes].reshape(probs.shape)
                                 for table in tables]
     d_full = np.zeros(probs.shape)
     d_head = np.zeros(probs.shape) if head else 0.0

@@ -10,8 +10,10 @@ are also one stack each (`HeadStack`).  `forward_np` and `backprop` are
 the training path: a numpy forward that keeps each layer's input and
 pre-activation, and a backward from seed gradients at each task's
 probability column into the flat gradient, one array op per head layer
-for all tasks.  `forward` builds the same network as an autodiff graph,
-the differentiable reference.
+for all tasks and both of mtaf's seed stacks.  Both write into a
+`Workspace`, buffers sized to the batch that every step of a run reuses.
+`forward` builds the same network as an autodiff graph, the
+differentiable reference.
 """
 
 from dataclasses import dataclass, field, fields
@@ -140,10 +142,6 @@ class MtlModel:
     def zero_grads(self):
         ad.zero_grads(self.all_params)
 
-    def param_state(self):
-        """Copies of all parameter values, keyed by name (for diffing steps)."""
-        return {p.name: p.value.copy() for p in self.all_params}
-
 
 def build_model(arch, dense_count, vocab_sizes=(), seed=0):
     """Construct an MtlModel with deterministic seeded initialization.
@@ -251,14 +249,81 @@ def forward(model, dense, cat_idx=None):
     return outputs
 
 
-@dataclass
-class Activations:
-    """One numpy forward pass, as `backprop` needs it."""
-    cat_idx: object    # (n, n_categorical) codes; None without embeddings
-    shared: list       # [(input, pre-activation)] per shared layer
-    heads: list        # the same per head layer, (T, n, .) stacks over
-                       # tasks (the first input is the shared (n, in))
-    probs: np.ndarray  # (T, n, 1); probs[t] is task t's column
+class Workspace:
+    """The arrays a training step writes for batches of n rows, and the
+    views of them it reads, built once so that every step of a run reuses
+    them.
+
+    `forward_np` writes each layer's pre-activation and activation into
+    `shared_fwd` and `head_fwd`, and sets `cat_idx`, each layer's input
+    (`shared_in`, `head_in`) and `probs`, the (T, n, 1) probabilities.
+    `input` holds the dense features and the embeddings side by side.
+    The buffers a step's seeds and backward write come with `for_step`:
+    `seeds` holds the (2, T, n, 1) head and shared seed stacks, `backprop`
+    writes the gradients at each layer's pre-activation and input into
+    `shared_grads` and `head_grads`, and `bottom` sums the first head
+    layer's (T, n, in) input gradient over the tasks.  A head layer's
+    gradients have two halves, the head seeds' and the shared seeds', and
+    `head_grads[k]` holds the views a walk with k halves takes.
+    """
+
+    def __init__(self, model, n):
+        T = model.arch.num_tasks
+        width = (model.dense_count
+                 + model.arch.embedding_dim * len(model.embeddings))
+        self.model, self.n = model, n
+        self.input = np.empty((n, width)) if model.embeddings else None
+        self.cat_idx = self.probs = self.seeds = None
+        self.shared_in = [None] * len(model.shared_layers)
+        self.head_in = [None] * len(model.head_stacks)
+        # per layer: (pre-activation, activation), and for a head stack
+        # (pre-activation, its kernel view, activation, its kernel view)
+        self.shared_fwd = [(np.empty((n, w.shape[1])),
+                            np.empty((n, w.shape[1])))
+                           for w, _ in model.shared_layers]
+        self.head_fwd = []
+        for w, _ in model.head_stacks:
+            shape = (T, n, w.value.shape[-1])
+            pre, act = np.empty(shape), np.empty(shape)
+            self.head_fwd.append((pre, _2d(pre), act, _2d(act)))
+
+    def for_step(self):
+        """This workspace with the buffers of a step's seeds and backward,
+        built on the first call: a forward alone, as in evaluation, needs
+        none of them."""
+        if self.seeds is not None:
+            return self
+        model, n, T = self.model, self.n, self.model.arch.num_tasks
+        self.seeds = np.empty((2, T, n, 1))
+        # per shared layer: (gradient at the pre-activation, gradient at
+        # the input, None at the first layer without embeddings)
+        self.shared_grads = [
+            (np.empty((n, w.shape[1])),
+             np.empty((n, w.shape[0])) if i or model.embeddings else None)
+            for i, (w, _) in enumerate(model.shared_layers)]
+        to_bottom = bool(model.shared_layers or model.embeddings)
+        width = model.head_stacks[0][0].value.shape[1]
+        self.bottom = np.empty((n, width)) if to_bottom else None
+        # per head layer and number of halves k: (the first k halves of
+        # the gradient at the pre-activation in the kernels' layout, its
+        # head half, which gives the weight and bias gradients, the part
+        # that flows to the input: all k halves, or at the first layer the
+        # shared half, the input gradient it makes, and that in the
+        # kernels' layout)
+        self.head_grads = {1: [], 2: []}
+        for i, (w, _) in enumerate(model.head_stacks):
+            d_in, d_out = w.value.shape[1:]
+            g_pre = np.empty((2, T, n, d_out))
+            g_in = (np.empty((2, T, n, d_in)) if i
+                    else np.empty((T, n, d_in)) if to_bottom else None)
+            for k, grads in self.head_grads.items():
+                if i:
+                    down, into, into_k = g_pre[:k], g_in[:k], _halves(g_in[:k])
+                else:
+                    down, into, into_k = g_pre[k - 1], g_in, None
+                grads.append((_halves(g_pre[:k]), g_pre[0], down, into,
+                              into_k))
+        return self
 
 
 def _2d(a):
@@ -266,86 +331,95 @@ def _2d(a):
     return a.reshape(-1, a.shape[-1])
 
 
-def forward_np(model, dense, cat_idx=None):
-    """The network on a batch in plain numpy; probabilities equal
+def _halves(a):
+    """A (k, T, n, d) stack of gradient halves in the kernels' layout:
+    (k, T n, d), or (T n, d) for one half."""
+    return a.reshape(-1, a.shape[-1]) if len(a) == 1 else a.reshape(
+        len(a), -1, a.shape[-1])
+
+
+def forward_np(model, dense, cat_idx=None, ws=None):
+    """The network on a batch in plain numpy, written into `ws` (a new
+    `Workspace` when None), which it returns; probabilities equal
     `forward`'s bit for bit.  Builds no graph."""
     dense, cat_idx = _inputs(model, dense, cat_idx)
-    pieces = [dense] if model.dense_count else []
-    for j, table in enumerate(model.embeddings):
-        codes = cat_idx[:, j]
-        if codes.size and (codes.min() < 0 or codes.max() >= table.shape[0]):
-            raise IndexError("embedding index out of range")
-        pieces.append(table.value[codes])
-    x = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
+    if ws is None:
+        ws = Workspace(model, dense.shape[0])
+    x = dense
+    if model.embeddings:
+        x = ws.input
+        x[:, :model.dense_count] = dense
+        dim = model.arch.embedding_dim
+        for j, table in enumerate(model.embeddings):
+            codes = cat_idx[:, j]
+            if codes.size and (codes.min() < 0
+                               or codes.max() >= table.shape[0]):
+                raise IndexError("embedding index out of range")
+            start = model.dense_count + j * dim
+            # in range, as just checked, so "clip" changes no code
+            np.take(table.value, codes, axis=0, mode="clip",
+                    out=x[:, start:start + dim])
+        ws.cat_idx = cat_idx
 
-    shared = []
-    for w, b in model.shared_layers:
-        pre = x @ w.value + b.value
-        shared.append((x, pre))
-        x = kernels.relu_fwd(pre)
+    for i, ((w, b), (pre, act)) in enumerate(zip(model.shared_layers,
+                                                  ws.shared_fwd)):
+        ws.shared_in[i] = x
+        np.matmul(x, w.value, out=pre)
+        pre += b.value
+        x = kernels.relu_fwd(pre, act)
 
-    heads = []
-    for w, b in model.head_stacks:
-        if heads:
-            x = kernels.relu_fwd(_2d(pre)).reshape(pre.shape)
-        pre = np.matmul(x, w.value) + b.value
-        heads.append((x, pre))
-    return Activations(cat_idx=cat_idx if model.embeddings else None,
-                       shared=shared, heads=heads,
-                       probs=kernels.sigmoid_fwd(_2d(pre)).reshape(pre.shape))
-
-
-def _dense_backward(layers, cache, g, write_grads, to_input):
-    """Walk dense layers, plain or stacked over tasks, back from `g`, the
-    gradient at the last layer's pre-activation; earlier layers are relu'd.
-
-    Writes each layer's weight and bias gradients when `write_grads` is
-    set, and returns the gradient at the stack's input when `to_input` is.
-    """
-    for i in reversed(range(len(layers))):
-        x, pre = cache[i]
-        if i < len(layers) - 1:
-            g_pre = np.zeros(pre.shape)
-            kernels.relu_bwd(_2d(pre), _2d(g), _2d(g_pre))
-            g = g_pre
-        w, b = layers[i]
-        if write_grads:
-            np.matmul(x.swapaxes(-1, -2), g, out=w.grad)
-            np.add.reduce(g, axis=-2, keepdims=True, out=b.grad)
-        if i or to_input:
-            g = np.matmul(g, w.value.swapaxes(-1, -2))
-    return g if to_input else None
+    top = len(model.head_stacks) - 1
+    for i, ((w, b), (pre, pre_k, act, act_k)) in enumerate(
+            zip(model.head_stacks, ws.head_fwd)):
+        ws.head_in[i] = x
+        np.matmul(x, w.value, out=pre)
+        pre += b.value
+        out = (kernels.sigmoid_fwd if i == top else kernels.relu_fwd)(
+            pre_k, act_k)
+        x = act if out is act_k else out.reshape(pre.shape)
+    ws.probs = x
+    return ws
 
 
-def backprop(model, acts, head_seeds, shared_seeds):
-    """Parameter gradients from (T, n, 1) seed gradients at the tasks'
+def backprop(model, ws, seeds):
+    """Parameter gradients from seed gradients at the tasks'
     probabilities, written into `model.flat.grad` (every Param's `grad`).
 
-    head_seeds[t] gives head t's gradients; shared_seeds[t] flows through
-    head t into the shared bottom and the embeddings, summed in task order.
-    A walk over the head stacks serves each, or both when they are one.
+    `ws` holds the batch's `forward_np` and `seeds` is a (k, T, n, 1)
+    stack: seeds[0][t] gives head t's gradients and seeds[-1][t] flows
+    through head t into the shared bottom and the embeddings, summed in
+    task order.  One walk over the head stacks serves both halves, with
+    one kernel call and one input-gradient matmul per layer; k = 1 when
+    the two agree.
     """
-    def logit_grad(seed):
-        g = np.zeros(seed.shape)
-        kernels.sigmoid_bwd(_2d(acts.probs), _2d(seed), _2d(g))
-        return g
+    ws.for_step()
+    g = _halves(seeds)
+    top = len(model.head_stacks) - 1
+    for i in range(top, -1, -1):
+        (w, b), x = model.head_stacks[i], ws.head_in[i]
+        g_pre, g_head, down, g_in, g_in_k = ws.head_grads[len(seeds)][i]
+        g_pre.fill(0.0)
+        if i == top:
+            kernels.sigmoid_bwd(_2d(ws.probs), g, g_pre)
+        else:
+            kernels.relu_bwd(ws.head_fwd[i][1], g, g_pre)
+        np.matmul(x.swapaxes(-1, -2), g_head, out=w.grad)
+        np.add.reduce(g_head, axis=-2, keepdims=True, out=b.grad)
+        if g_in is not None:
+            np.matmul(down, w.value.swapaxes(-1, -2), out=g_in)
+            g = g_in_k if i else np.add.reduce(g_in, axis=0, out=ws.bottom)
 
-    same = shared_seeds is head_seeds
-    g_bottom = _dense_backward(model.head_stacks, acts.heads,
-                               logit_grad(head_seeds), True, same)
-    if not same:
-        g_bottom = _dense_backward(model.head_stacks, acts.heads,
-                                   logit_grad(shared_seeds), False, True)
-    # rebinding the name frees the (T, n, in) stack before the bottom's walk
-    g_bottom = np.add.reduce(g_bottom, axis=0)
-
-    if model.shared_layers:
-        g_top = np.zeros(acts.shared[-1][1].shape)
-        kernels.relu_bwd(acts.shared[-1][1], g_bottom, g_top)
-        g_bottom = _dense_backward(model.shared_layers, acts.shared, g_top,
-                                   True, bool(model.embeddings))
+    for i in range(len(model.shared_layers) - 1, -1, -1):
+        (w, b), x = model.shared_layers[i], ws.shared_in[i]
+        g_pre, g_in = ws.shared_grads[i]
+        g_pre.fill(0.0)
+        kernels.relu_bwd(ws.shared_fwd[i][0], g, g_pre)
+        np.matmul(x.T, g_pre, out=w.grad)
+        np.add.reduce(g_pre, axis=0, keepdims=True, out=b.grad)
+        if g_in is not None:
+            g = np.matmul(g_pre, w.value.T, out=g_in)
     dim = model.arch.embedding_dim
     for j, table in enumerate(model.embeddings):
         start = model.dense_count + j * dim
         table.grad[...] = 0.0
-        np.add.at(table.grad, acts.cat_idx[:, j], g_bottom[:, start:start + dim])
+        np.add.at(table.grad, ws.cat_idx[:, j], g[:, start:start + dim])

@@ -10,16 +10,19 @@ r_t = 1), so its two seeds are one array and one walk through the heads
 serves every parameter; mtaf takes the ratio-boosted head part (rows no
 other task's loss can reach) for the head and the remainder for the shared
 bottom, so the shared part never reaches a head.  The T tasks' seeds form
-(T, n, 1) stacks, which the model walks through its stacked heads.
+(T, n, 1) stacks, and mtaf's two stacks one (2, T, n, 1) stack, which the
+model walks through its stacked heads once.
 
-A step's inputs are split by lifetime, so a step computes only what
-depends on its probabilities.  What depends on the config alone (the
-task-weight stack, the fairness scales) is a `RunPlan`, built once per run.
-What depends on the rows alone (the float labels, and the fairness subsets
-from one integer code per (row, task), `losses.subset_codes`) is a
-`Batch`, built once per epoch, whose slices are the steps.  The model
-keeps every parameter, gradient and Adagrad accumulator in one flat vector
-each (`model.FlatParams`), so the update is one `adagrad_update` call;
+A run builds once what its steps read or write that does not depend on
+the parameters.  A `RunPlan` holds what depends on the config alone (the
+task-weight stack, the fairness scales) and the run's `model.Workspace`s,
+the buffers a step writes, one per batch length.  A `Batch` holds the rows
+in the forms a step reads: the float labels, and the fairness subsets from
+one integer code per (row, task), `losses.subset_codes`.  `train()` builds
+one for the training set, gathers it by each epoch's permutation into the
+same arrays, and steps on slices of that.  The model keeps every
+parameter, gradient and Adagrad accumulator in one flat vector each
+(`model.FlatParams`), so the update is one `adagrad_update` call;
 Adagrad is elementwise, so this equals one call per parameter bit for bit.
 """
 
@@ -33,7 +36,7 @@ from .backend import kernels
 from .exceptions import ConfigError, ShapeError, TrainingDiverged
 from .losses import (FAIRNESS_TARGETS, Subsets, as_loss_kind,
                      fairness_seed_terms)
-from .model import backprop, build_model, forward_np, from_fields
+from .model import Workspace, backprop, build_model, forward_np, from_fields
 
 METHODS = ("vanilla", "baseline", "mtaf")
 ADAGRAD_EPS = 1e-8
@@ -126,9 +129,9 @@ def adagrad_update(param, grad, lr):
     return param
 
 
-def _finite(value, name):
+def _finite(value, t, loss):
     if not math.isfinite(value):
-        raise TrainingDiverged(f"non-finite value in {name}: {value}")
+        raise TrainingDiverged(f"non-finite value in task {t} {loss}: {value}")
     return value
 
 
@@ -137,10 +140,11 @@ class RunPlan:
     (T, 1, 1) task-weight stack and, for a fairness method, the tasks whose
     lambda_t > 0 and `combine`, which turns their dF_full/dp and dF_head/dp
     stacks into seed terms at the (T, 1, 1) scales w_t lambda_t and, for
-    mtaf's heads, w_t lambda_t r_t."""
+    mtaf's heads, w_t lambda_t r_t.  It also keeps the run's workspaces."""
 
     def __init__(self, config):
         self.config = config
+        self._workspaces = {}
         self.weights = np.array(config.task_weights).reshape(-1, 1, 1)
         lam = config.fairness_weights if config.method != "vanilla" else ()
         self.tasks = [t for t, lam_t in enumerate(lam) if lam_t > 0]
@@ -154,13 +158,22 @@ class RunPlan:
         else:
             self.combine = lambda full, _: (scale * full,)
 
+    def workspace(self, model, n):
+        """The `model.Workspace` for this model's steps on n rows; a run
+        has at most two, the full batch and the tail."""
+        ws = self._workspaces.get(n)
+        if ws is None or ws.model is not model:
+            ws = self._workspaces[n] = Workspace(model, n).for_step()
+        return ws
+
 
 class Batch:
     """A batch's rows in the forms a step reads under its run's `RunPlan`:
     the dense inputs, the categorical codes (None when there are none), the
     (T, n, 1) float labels and, when a fairness loss is on, the rows'
-    `losses.Subsets`.  None of these depends on the probabilities, so
-    `train()` builds one per epoch and steps on its slices."""
+    `losses.Subsets`.  None of these depends on the probabilities, and each
+    is a value per row, so `train()` builds one per run, gathers it by each
+    epoch's permutation and steps on slices of that."""
 
     __slots__ = ("plan", "dense", "cat", "labels", "subsets")
 
@@ -179,6 +192,18 @@ class Batch:
     def __len__(self):
         return self.dense.shape[0]
 
+    def take(self, rows, out=None):
+        """These rows, gathered into the arrays of `out` (a Batch of as
+        many rows, taken like this) or into new ones."""
+        def gather(name, axis):
+            a = getattr(self, name)
+            return None if a is None else np.take(
+                a, rows, axis=axis, out=getattr(out, name, None))
+        return Batch(self.plan, gather("dense", 0), gather("cat", 0),
+                     gather("labels", 1),
+                     None if self.subsets is None else self.subsets.take(
+                         rows, getattr(out, "subsets", None)))
+
     def __getitem__(self, rows):
         return Batch(self.plan, self.dense[rows],
                      None if self.cat is None else self.cat[rows],
@@ -186,32 +211,36 @@ class Batch:
                      None if self.subsets is None else self.subsets[rows])
 
 
-def _seeds(batch, probs):
-    """(head seeds, shared seeds, accuracy losses) of a `Batch` at `probs`.
+def _seeds(batch, probs, out):
+    """(seed stack, accuracy losses) of a `Batch` at `probs`.
 
-    The seeds are (T, n, 1) stacks, one array when they agree: vanilla,
-    baseline, and every lambda_t = 0; the losses are T floats.
+    The head and shared seeds are (T, n, 1) stacks written into `out`, a
+    (2, T, n, 1) buffer, head seeds first; the stack returned is out[:1]
+    when they agree (vanilla, baseline, and every lambda_t = 0), else all
+    of `out`.  The losses are T floats.
     """
     plan = batch.plan
-    head = np.zeros(probs.shape)
+    head = out[0]
+    head.fill(0.0)
     losses = kernels.xent(probs, batch.labels, plan.weights, head)
     for t, loss in enumerate(losses):
-        _finite(loss, f"task {t} accuracy loss")
+        _finite(loss, t, "accuracy loss")
     if not plan.tasks:
-        return head, head, losses
+        return out[:1], losses
     config = plan.config
     f_full, f_head, terms = fairness_seed_terms(
         config.fairness_kind, config.fairness_target, batch.subsets, probs,
         plan.tasks, plan.combine, head=plan.mtaf)
     for t in plan.tasks:
         if plan.mtaf:
-            _finite(f_head[t], f"task {t} head fairness loss")
-            _finite(f_full[t] - f_head[t], f"task {t} shared fairness loss")
+            _finite(f_head[t], t, "head fairness loss")
+            _finite(f_full[t] - f_head[t], t, "shared fairness loss")
         else:
-            _finite(f_full[t], f"task {t} fairness loss")
-    shared = head + terms[1] if plan.mtaf else head
+            _finite(f_full[t], t, "fairness loss")
+    if plan.mtaf:
+        np.add(head, terms[1], out=out[1])
     head += terms[0]
-    return head, shared, losses
+    return out[:1 + plan.mtaf], losses
 
 
 def train_step(model, batch, config, loss_sink=None):
@@ -219,9 +248,10 @@ def train_step(model, batch, config, loss_sink=None):
 
     Forward, the seed gradients at each task's probability column, the
     model's backward from them into its flat gradient, then one Adagrad
-    call on the flat parameters.  `batch` is a Dataset, or a `Batch` built
-    with this config's `RunPlan`, as `train()` passes.  When given,
-    `loss_sink` receives the per-task accuracy loss values of this batch.
+    call on the flat parameters, all in the plan's workspace for the
+    batch's length.  `batch` is a Dataset, or a `Batch` built with this
+    config's `RunPlan`, as `train()` passes.  When given, `loss_sink`
+    receives the per-task accuracy loss values of this batch.
     """
     if len(batch) == 0:
         raise ConfigError("train_step on an empty batch")
@@ -231,18 +261,20 @@ def train_step(model, batch, config, loss_sink=None):
         batch = Batch.of(batch, RunPlan(config))
     elif batch.plan.config is not config:
         raise ConfigError("batch was built for another config")
-    acts = forward_np(model, batch.dense, batch.cat)
-    heads, shareds, losses = _seeds(batch, acts.probs)
+    ws = forward_np(model, batch.dense, batch.cat,
+                    batch.plan.workspace(model, len(batch)))
+    seeds, losses = _seeds(batch, ws.probs, ws.seeds)
     if loss_sink is not None:
         loss_sink.append(losses)
-    backprop(model, acts, heads, shareds)
+    backprop(model, ws, seeds)
     adagrad_update(model.flat, model.flat.grad, config.learning_rate)
     return model
 
 
 def train(dataset, arch, config):
-    """Run the full loop: seeded per-epoch shuffles, gathered once per
-    epoch, and mini-batch steps on slices of them.
+    """Run the full loop: the training rows' `Batch`, built once, gathered
+    by each epoch's seeded shuffle into the same arrays, and mini-batch
+    steps on slices of those, taken once.
 
     The model is built from config.seed, so identical inputs give identical
     runs.
@@ -259,14 +291,18 @@ def train(dataset, arch, config):
     model = build_model(arch, dense_count=dataset.dense.shape[1],
                         vocab_sizes=dataset.vocab_sizes, seed=config.seed)
     rng = np.random.default_rng(config.seed)
-    plan = RunPlan(config)
+    rows = Batch.of(dataset, RunPlan(config))
+    shuffled = rows.take(rng.permutation(n))
+    # views, so they see the rows each later epoch gathers into shuffled
+    steps = [shuffled[start:start + config.batch_size]
+             for start in range(0, n, config.batch_size)]
     history = np.empty((config.epochs, config.num_tasks))
     for epoch in range(config.epochs):
-        shuffled = Batch.of(dataset.take(rng.permutation(n)), plan)
+        if epoch:
+            rows.take(rng.permutation(n), out=shuffled)
         step_losses = []
-        for start in range(0, n, config.batch_size):
-            train_step(model, shuffled[start:start + config.batch_size],
-                       config, loss_sink=step_losses)
+        for batch in steps:
+            train_step(model, batch, config, loss_sink=step_losses)
         history[epoch] = np.mean(step_losses, axis=0)
     return TrainedRun(model=model, history=history, config=config,
                       seconds=time.perf_counter() - started)

@@ -17,6 +17,8 @@ did before it bisected for all of them at once.
 All are kept only as oracles for the production code.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 import fairmtl.autodiff as ad
@@ -26,7 +28,7 @@ from fairmtl.losses import (ExampleSubset, as_loss_kind, cross_entropy,
                             fairness_terms, subset_rows, subset_select)
 import fairmtl.model as stacked
 from fairmtl.data import _HERM_W, _HERM_X
-from fairmtl.model import Activations, _inputs, forward
+from fairmtl.model import _inputs, forward
 from fairmtl.trainer import Batch, RunPlan, _seeds, adagrad_update
 
 # (full subset, exclusive subset) of each side a fairness target covers
@@ -212,6 +214,16 @@ def seeds(config, batch, probs):
     return heads, shareds, losses, values
 
 
+@dataclass
+class Activations:
+    """One numpy forward pass, as `backprop` needs it."""
+    cat_idx: object    # (n, n_categorical) codes; None without embeddings
+    shared: list       # [(input, pre-activation)] per shared layer
+    heads: list        # the same per head layer, (T, n, .) stacks over
+                       # tasks (the first input is the shared (n, in))
+    probs: np.ndarray  # (T, n, 1); probs[t] is task t's column
+
+
 def forward_np(model, dense, cat_idx=None):
     """The numpy forward with one matmul and activation per task and head
     layer: `Activations` whose `heads[t]` holds task t's (input,
@@ -303,10 +315,11 @@ def per_param_step(model, batch, config):
     for p in params:
         p.value, p.adagrad_acc = p.value.copy(), p.adagrad_acc.copy()
     model.flat.value[0] = np.concatenate([p.value.ravel() for p in params])
-    acts = stacked.forward_np(model, batch.dense,
-                              batch.cat if batch.cat.size else None)
-    heads, shareds, _ = _seeds(Batch.of(batch, RunPlan(config)), acts.probs)
-    stacked.backprop(model, acts, heads, shareds)
+    ws = stacked.forward_np(model, batch.dense,
+                            batch.cat if batch.cat.size else None)
+    seeds, _ = _seeds(Batch.of(batch, RunPlan(config)), ws.probs,
+                      np.empty((2,) + ws.probs.shape))
+    stacked.backprop(model, ws, seeds)
     for p in params:
         adagrad_update(p, p.grad, config.learning_rate)
     return model

@@ -244,8 +244,8 @@ cfg = TrainConfig(method="mtaf", task_weights=(0.5, 0.5),
 arch = ArchConfig(num_tasks=2, shared_layer_sizes=(8,), head_layer_sizes=(4,),
                   embedding_dim=4)
 run = train(ds, arch, cfg)
-state = run.model.param_state()
-print(json.dumps({k: v.tolist() for k, v in sorted(state.items())}))
+state = {p.name: p.value.tolist() for p in run.model.all_params}
+print(json.dumps(dict(sorted(state.items()))))
 """
         params = {forced: json.loads(run_child(code, ckernels_path,
                                                forced).stdout)

@@ -442,12 +442,14 @@ def test_code_seeds_match_subset_oracle(case):
     agree to rel 1e-12 (the codes sum each group's rows in another
     order)."""
     config, batch, probs = case
-    heads, shareds, losses = _seeds(Batch.of(batch, RunPlan(config)),
-                                    np.stack(probs))
+    seeds, losses = _seeds(Batch.of(batch, RunPlan(config)),
+                           np.stack(probs),
+                           np.empty((2, config.num_tasks, len(batch), 1)))
+    heads, shareds = seeds[0], seeds[-1]
     ref_heads, ref_shareds, ref_losses, ref_values = oracles.seeds(
         config, batch, probs)
     assert losses == ref_losses
-    assert (heads is shareds) == all(
+    assert (len(seeds) == 1) == all(
         h is s for h, s in zip(ref_heads, ref_shareds))
     for t in range(config.num_tasks):
         for got, ref in ((heads[t], ref_heads[t]),

@@ -117,7 +117,8 @@ def test_stacked_heads_equal_per_task_reference_bitwise(case):
     ref_head = list(head)
     ref_shared = ref_head if shared is head else list(shared)
     model.flat.grad[...] = np.nan
-    backprop(model, acts, head, shared)
+    backprop(model, acts,
+             head[None] if shared is head else np.stack((head, shared)))
     got = model.flat.grad.copy()
     model.flat.grad[...] = np.nan
     oracles.backprop(model, ref_acts, ref_head, ref_shared)

@@ -3,6 +3,7 @@ mtaf, bit-exact agreement contracts, and end-to-end learnability."""
 
 import itertools
 import json
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -12,15 +13,16 @@ import pytest
 from test_acceptance import _routing_arch, _routing_batch
 
 import fairmtl.autodiff as ad
-from fairmtl import losses
-from fairmtl.backend import kernels
+from fairmtl import losses, trainer
+from fairmtl.backend import BACKEND, kernels
 from fairmtl.data import Dataset
 from fairmtl.exceptions import ConfigError, ShapeError, TrainingDiverged
 from fairmtl.losses import cross_entropy, decompose_fairness
 from fairmtl.metrics import evaluate_model
-from fairmtl.model import ArchConfig, build_model, forward
-from fairmtl.trainer import (ADAGRAD_EPS, Batch, RunPlan, TrainConfig,
-                             adagrad_update, train, train_step)
+from fairmtl.model import (ArchConfig, backprop, build_model, forward,
+                           forward_np)
+from fairmtl.trainer import (ADAGRAD_EPS, METHODS, Batch, RunPlan,
+                             TrainConfig, adagrad_update, train, train_step)
 
 
 def small_arch(num_tasks=2):
@@ -540,18 +542,134 @@ def test_soft_fpr_step_counts_do_not_grow_with_tasks(monkeypatch):
     assert counts == {1: 2, 4: 2}
 
 
-@pytest.mark.parametrize("method, per_epoch",
+@pytest.mark.parametrize("method, per_run",
                          [("vanilla", 0), ("baseline", 1), ("mtaf", 1)])
-def test_subset_codes_built_once_per_epoch(method, per_epoch, monkeypatch):
-    """`train()` builds each epoch's subset codes once and steps on slices
-    of them; vanilla needs none."""
+def test_subset_codes_built_once_per_run(method, per_run, monkeypatch):
+    """`train()` builds the subset codes once per run, gathers them by
+    each epoch's permutation and steps on slices; vanilla needs none."""
     codes = mock.Mock(wraps=losses.subset_codes)
     monkeypatch.setattr(losses, "subset_codes", codes)
     cfg = TrainConfig(method=method, task_weights=(0.5, 0.5),
                       fairness_weights=(1.0, 1.0),
                       fairness_kind="soft_fpr_gap", epochs=3, batch_size=16)
     train(separable_dataset(n=60, seed=4), small_arch(), cfg)
-    assert codes.call_count == 3 * per_epoch
+    assert codes.call_count == per_run
+
+
+@pytest.mark.parametrize("arch", ["routing", "emb2-layers2x2-tasks3",
+                                  "no-hidden"])
+def test_fused_head_walk_equals_a_walk_per_seed_stack(arch):
+    """One walk with mtaf's (head, shared) seed stacks gives the head
+    parameters the gradients, bit for bit, of one walk with the head seeds
+    as both stacks, and the shared parameters and embeddings those of one
+    walk with the shared seeds as both stacks."""
+    arch, vocab_sizes, batch = _ledger_case(arch)
+    model = build_model(arch, dense_count=3, vocab_sizes=vocab_sizes, seed=9)
+    ws = forward_np(model, batch.dense, batch.cat if batch.cat.size else None)
+    seeds = np.random.default_rng(3).standard_normal(
+        (2, arch.num_tasks, len(batch), 1))
+    grads = []
+    for stack in (seeds, seeds[:1], seeds[1:]):
+        model.flat.grad[...] = np.nan
+        backprop(model, ws, stack)
+        grads.append(model.flat.grad[0].copy())
+    fused, head, shared = grads
+    bottom = sum(p.value.size for p in model.shared_params)
+    assert not np.isnan(fused).any()
+    assert fused[bottom:].tobytes() == head[bottom:].tobytes()
+    assert fused[:bottom].tobytes() == shared[:bottom].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["correlation", "mmd", "soft_fpr_gap"])
+def test_train_equals_its_steps_on_taken_rows(kind):
+    """`train()` (subset state built once per run, gathered per epoch, and
+    buffers reused across steps) equals, bit for bit, a loop that replays
+    its seeded permutations through `train_step` on rows taken as
+    Datasets, with a tail batch and some sensitive values missing."""
+    base = separable_dataset(n=60, seed=4)
+    rng = np.random.default_rng(8)
+    sensitive = base.sensitive.copy()
+    sensitive[rng.choice(60, 6, replace=False)] = -1
+    data = Dataset(dense=base.dense, cat=rng.integers(0, 4, (60, 1)),
+                   labels=base.labels, sensitive=sensitive, vocab_sizes=(4,))
+    for method in METHODS:
+        cfg = TrainConfig(method=method, task_weights=(0.6, 0.4),
+                          fairness_weights=(1.5, 0.8),
+                          head_shared_ratios=(2.0, 0.5), fairness_kind=kind,
+                          fairness_target="equalized_odds", epochs=2,
+                          batch_size=16, seed=5)
+        run = train(data, small_arch(), cfg)
+        model = build_model(small_arch(), dense_count=3, vocab_sizes=(4,),
+                            seed=cfg.seed)
+        perms, history = np.random.default_rng(cfg.seed), []
+        for _ in range(cfg.epochs):
+            perm, step_losses = perms.permutation(len(data)), []
+            for start in range(0, len(data), cfg.batch_size):
+                train_step(model, data.take(perm[start:start + 16]), cfg,
+                           loss_sink=step_losses)
+            history.append(np.mean(step_losses, axis=0))
+        for name in ("value", "adagrad_acc"):
+            assert (getattr(run.model.flat, name).tobytes()
+                    == getattr(model.flat, name).tobytes()), (method, name)
+        assert run.history.tobytes() == np.array(history).tobytes(), method
+
+
+def test_run_reuses_its_buffers(monkeypatch):
+    """Every step of a run, across epochs, writes its forward into the same
+    buffers, one set per batch length."""
+    seen = {}
+    forward_real = trainer.forward_np
+
+    def spy(model, dense, cat_idx, ws):
+        ws = forward_real(model, dense, cat_idx, ws)
+        arrays = [ws.seeds] + [a for layer in ws.shared_fwd + ws.head_fwd
+                               for a in layer]
+        if BACKEND == "numpy":   # the compiled activations are new arrays
+            arrays.append(ws.probs)
+        # the workspaces stay referenced, so a new one gets new addresses
+        seen.setdefault(len(dense), []).append(
+            (ws, [a.__array_interface__["data"][0] for a in arrays]))
+        return ws
+    monkeypatch.setattr(trainer, "forward_np", spy)
+    cfg = TrainConfig(method="mtaf", task_weights=(0.5, 0.5),
+                      fairness_weights=(1.0, 1.0),
+                      fairness_kind="soft_fpr_gap", epochs=3, batch_size=16)
+    train(separable_dataset(n=60, seed=4), small_arch(), cfg)
+    assert {n: len(steps) for n, steps in seen.items()} == {16: 9, 12: 3}
+    for steps in seen.values():
+        first = steps[0][1]
+        assert all(pointers == first for _, pointers in steps)
+    assert len({id(ws) for steps in seen.values() for ws, _ in steps}) == 2
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_warm_step_allocates_no_activation_stack(method):
+    """Once its batch length has a workspace, a step allocates no array as
+    large as a (T, n, hidden) stack, such as the gradient at the heads'
+    shared input, which every step allocated before: tracemalloc's peak
+    over a warm step stays below one.  What it does allocate is T times
+    smaller: the numpy `relu_bwd`'s product and numpy's 64 kB ufunc
+    buffer on the shared layer's (n, hidden) arrays."""
+    arch = ArchConfig(num_tasks=3, shared_layer_sizes=(32,),
+                      head_layer_sizes=(4,))
+    cfg = TrainConfig(method=method, task_weights=(0.5, 0.5, 0.4),
+                      fairness_weights=(1.0, 2.0, 0.5),
+                      head_shared_ratios=(1.5, 1.0, 2.0),
+                      fairness_kind="soft_fpr_gap", batch_size=512)
+    base = separable_dataset(n=512, seed=4)
+    data = Dataset(dense=base.dense, cat=base.cat,
+                   labels=np.column_stack([base.labels, base.labels[:, 0]]),
+                   sensitive=base.sensitive)
+    batch = Batch.of(data, RunPlan(cfg))
+    model = build_model(arch, dense_count=3, seed=0)
+    train_step(model, batch, cfg)
+    tracemalloc.start()
+    try:
+        train_step(model, batch, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < np.empty((3, 512, 32)).nbytes
 
 
 # --- full training loop ----------------------------------------------------
