@@ -3,9 +3,11 @@
 This is the fallback backend; `fairmtl._ckernels` provides the same
 signatures as a compiled extension.  All arrays are C-contiguous float64.
 Accumulating kernels (`*_bwd`, `adagrad_step`) mutate their output argument
-in place; `relu_bwd` and `sigmoid_bwd` also take a (k, m, d) stack of `g`
-and `acc` against one (m, d) `x` or `s`.  `relu_fwd` and `sigmoid_fwd`
-write into `out` when given; either way, use the array they return.
+in place; `sigmoid_bwd` also takes a (k, m, d) stack of `g` and `acc`
+against one (m, d) `s`.  `relu_fwd` and `sigmoid_fwd` write into `out`
+when given; either way, use the array they return.  Training takes
+cross-entropy at the logit, from `xent`; `xent_fwd`/`xent_bwd`, the loss
+and its gradient at p, serve the autodiff reference.
 """
 
 import numpy as np
@@ -49,26 +51,28 @@ def xent_bwd(p, y, gscale, acc):
     acc += np.where(inside, (pc - y) / (pc * (1.0 - pc)), 0.0) * (gscale / n)
 
 
-def xent(p, y, gscale, acc):
-    """`xent_bwd(p, y, gscale, acc)` then `xent_fwd(p, y)`, bit for bit,
-    clipping once and reusing the temporaries.  On a (T, n, 1) stack of
-    columns, with `gscale` (T, 1, 1), it does so for each column and
-    returns the list of T losses."""
-    n = p.shape[-2]
+def xent_seed(p, y, gscale, out):
+    """Write gscale (p - y) / n, the gradient of gscale `xent_fwd(p, y)`
+    at the logit of p, into `out`, 0 where the clip is active; returns p
+    clipped.  On a (T, n, 1) stack `gscale` may be (T, 1, 1)."""
     pc = np.maximum(p, XENT_CLIP)
     np.minimum(pc, 1.0 - XENT_CLIP, out=pc)
-    q = 1.0 - pc
-    grad = pc - y
-    grad /= pc * q
-    grad[pc != p] = 0.0
-    grad *= gscale / n
-    acc += grad
+    np.subtract(p, y, out=out)
+    out *= gscale / p.shape[-2]
+    out[pc != p] = 0.0
+    return pc
+
+
+def xent(p, y, gscale, out):
+    """`xent_seed(p, y, gscale, out)`, then `xent_fwd(p, y)` bit for bit
+    from its clipped p; on a (T, n, 1) stack, the list of T losses."""
+    pc = xent_seed(p, y, gscale, out)
     terms = np.log(pc)
     terms *= y
-    np.log1p(-pc, out=q)
-    q *= 1.0 - y
-    terms += q
-    return (terms.sum(axis=(-2, -1)) / -n).tolist()
+    np.log1p(-pc, out=pc)
+    pc *= 1.0 - y
+    terms += pc
+    return (terms.sum(axis=(-2, -1)) / -p.shape[-2]).tolist()
 
 
 def gauss_fwd(u, v, gamma):

@@ -3,16 +3,15 @@
 The compiled extension is preferred when importable; otherwise the numpy
 fallback is used.  `FAIRMTL_KERNELS=numpy` forces the fallback and
 `FAIRMTL_KERNELS=compiled` makes a missing extension a hard error (useful
-in benchmarks and CI).  The compiled backend's fused `xent` is composed
-here from its `xent_bwd` and `xent_fwd`, column by column on a stack; its
-`relu_bwd` and `sigmoid_bwd` take a stack of gradients one at a time, and
-its `relu_fwd` and `sigmoid_fwd` ignore `out` and return a new array.
+in benchmarks and CI).  The compiled backend's `xent` is composed here:
+the numpy `xent_seed` writes the seed at the logit for the whole stack and
+`xent_fwd` gives each column's loss.  Its `sigmoid_bwd` takes a stack of
+gradients one at a time, and its `relu_fwd` and `sigmoid_fwd` ignore
+`out` and return a new array.
 """
 
 import os
 from types import SimpleNamespace
-
-import numpy as np
 
 _requested = os.environ.get("FAIRMTL_KERNELS", "auto")
 
@@ -29,24 +28,22 @@ if _requested in ("auto", "compiled"):
         from . import _kernels_np as kernels
         BACKEND = "numpy"
     else:
-        def _xent(p, y, gscale, acc):
+        from ._kernels_np import xent_seed
+
+        def _xent(p, y, gscale, out):
+            xent_seed(p, y, gscale, out)
             if p.ndim == 3:   # a stack of columns: each in turn
-                return [_xent(*column)
-                        for column in zip(p, y, np.ravel(gscale), acc)]
-            _ckernels.xent_bwd(p, y, gscale, acc)
+                return [_ckernels.xent_fwd(*column) for column in zip(p, y)]
             return _ckernels.xent_fwd(p, y)
 
-        def _each(bwd):
-            def run(x, g, acc):
-                for g_k, acc_k in ([(g, acc)] if g.ndim == 2 else zip(g, acc)):
-                    bwd(x, g_k, acc_k)
-            return run
+        def _sigmoid_bwd(s, g, acc):
+            for g_k, acc_k in ([(g, acc)] if g.ndim == 2 else zip(g, acc)):
+                _ckernels.sigmoid_bwd(s, g_k, acc_k)
         kernels = SimpleNamespace(**{
             **vars(_ckernels), "xent": _xent,
             "relu_fwd": lambda x, out=None: _ckernels.relu_fwd(x),
             "sigmoid_fwd": lambda x, out=None: _ckernels.sigmoid_fwd(x),
-            "relu_bwd": _each(_ckernels.relu_bwd),
-            "sigmoid_bwd": _each(_ckernels.sigmoid_bwd)})
+            "sigmoid_bwd": _sigmoid_bwd})
 else:
     from . import _kernels_np as kernels
     BACKEND = "numpy"

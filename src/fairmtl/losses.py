@@ -6,7 +6,7 @@ sensitive attribute is present.  Every loss depends on the parameters only
 through the task's probability column p, so each has a closed form that
 gives its value and dF/dp: `fairness_terms` for the fairness losses and
 `kernels.xent_fwd`/`kernels.xent_bwd` for cross-entropy, which training
-takes fused as `kernels.xent`.
+takes at the logit from `kernels.xent`.
 
 Training reads a batch's subsets from one integer code per (row, task),
 `subset_codes`: 6 y + 3 exclusive + (a + 1), so the row's side, whether it
@@ -40,17 +40,13 @@ FAIRNESS_KINDS = ("correlation", "mmd", "soft_fpr_gap")
 FAIRNESS_TARGETS = ("equal_opportunity_fpr", "equal_opportunity_tpr",
                     "equalized_odds")
 
+# side y's full subset is SUBSET_KINDS[y], its exclusive one [2 + y]
 SUBSET_KINDS = ("negatives", "positives", "exclusive_negatives",
                 "exclusive_positives")
 
 # the label y of each side a fairness target covers: negatives, positives
 _SIDE_LABELS = {"equal_opportunity_fpr": (0,), "equal_opportunity_tpr": (1,),
                 "equalized_odds": (0, 1)}
-# (full subset, exclusive subset) of each side a fairness target covers
-_SIDES = {target: tuple((("negatives", "exclusive_negatives"),
-                         ("positives", "exclusive_positives"))[y]
-                        for y in labels)
-          for target, labels in _SIDE_LABELS.items()}
 
 
 @dataclass(frozen=True)
@@ -359,13 +355,15 @@ class Subsets:
     side's exclusive rows, which MMD and correlation take their rows from.
     None of these depends on the probabilities, and each is a value per
     row, so `train()` builds one per run, gathers it by each epoch's
-    permutation (`take`) and steps on slices of that.
+    permutation (`take`) and steps on slices of that, whose per-code
+    `counts` it sets once per epoch (`count_steps`); None until set.
     """
 
-    __slots__ = ("codes", "sensitive", "sides")
+    __slots__ = ("codes", "sensitive", "sides", "counts")
 
     def __init__(self, codes, sensitive, sides):
         self.codes, self.sensitive, self.sides = codes, sensitive, sides
+        self.counts = None
 
     @classmethod
     def of(cls, labels, sensitive):
@@ -393,6 +391,15 @@ class Subsets:
     def __getitem__(self, rows):
         return Subsets(self.codes[:, rows], self.sensitive[rows],
                        self.sides[rows])
+
+    def count_steps(self, steps, size):
+        """Set the `counts` of `steps`, these rows cut into `size` rows in
+        order: one bincount over (step, code) keys gives all of them."""
+        bins = 12 * len(self.codes)
+        keys = self.codes + np.arange(self.codes.shape[1]) // size * bins
+        counts = np.bincount(keys.ravel(), minlength=len(steps) * bins)
+        for step, row in zip(steps, counts.reshape(-1, bins).tolist()):
+            step.counts = row
 
     def rows(self, t, y, exclusive):
         """Task t's rows labelled y, or only its exclusive ones, ascending."""
@@ -428,7 +435,7 @@ def fairness_seed_terms(kind, target, subsets, probs, tasks, combine,
     """Every task's fairness losses and seed terms from a batch's subsets.
 
     Returns (F_full, F_head, combine(dF_full/dp, dF_head/dp)): two lists
-    of T floats and the terms as (T, n, 1) stacks.  `subsets` is the
+    of T floats and the terms as one (k, T, n, 1) stack.  `subsets` is the
     batch's `Subsets`, `probs` its (T, n, 1) probability stack and `tasks`
     the tasks whose losses count; every other task's losses and
     derivatives are 0.  F_full sums one loss per side of the target
@@ -436,14 +443,17 @@ def fairness_seed_terms(kind, target, subsets, probs, tasks, combine,
     odds); F_head keeps each side's exclusive rows only, mtaf's head part,
     and is computed only with `head` (else F_head and its derivative are
     0).  `combine` must act elementwise on (T, m, 1) stacks, so it may
-    scale each task by a (T, 1, 1) stack.
+    scale each task by a (T, 1, 1) stack, and return k of its results as
+    one (k, T, m, 1) stack.
 
     The soft FPR gap's derivative is constant on each code, so one
     weighted and one plain count of every task's codes give each group's
-    sum and size.  The per-code arithmetic runs on Python floats, task by
-    task; `combine` gets the (T, 12, 1) per-code derivatives and its
-    results are gathered by code.  The other kinds run `fairness_terms` on
-    each task's and side's rows and pass `combine` (T, n, 1) stacks.
+    sum and size; the plain count depends on the rows alone, and is
+    `subsets.counts` when set.  The per-code arithmetic runs on Python
+    floats, task by task; `combine` gets the (T, 12, 1) per-code
+    derivatives and its results are gathered by code in one take.  The
+    other kinds run `fairness_terms` on each task's and side's rows and
+    pass `combine` (T, n, 1) stacks.
     """
     kind = as_loss_kind(kind)
     num_tasks = subsets.codes.shape[0]
@@ -454,11 +464,11 @@ def fairness_seed_terms(kind, target, subsets, probs, tasks, combine,
                               subsets.rows(t, y, exclusive))
 
     if kind.kind == "soft_fpr_gap":
-        # one flat array (a copy for a slice) to count and gather by
+        # one flat array (a copy for a step's slice) to count and gather by
         codes, bins = subsets.codes.ravel(), 12 * num_tasks
         sums = np.bincount(codes, weights=probs.ravel(),
                            minlength=bins).tolist()
-        counts = np.bincount(codes, minlength=bins).tolist()
+        counts = subsets.counts or np.bincount(codes, minlength=bins).tolist()
         d_full, d_head = [0.0] * bins, [0.0] * bins
         for t in tasks:
             for y in _SIDE_LABELS[target]:
@@ -476,11 +486,10 @@ def fairness_seed_terms(kind, target, subsets, probs, tasks, combine,
                         sums[b + 3], counts[b + 3], sums[b + 4],
                         counts[b + 4], lambda: terms(t, y, True))
                     f_head[t] += f
-        shape = (num_tasks, 12, 1)
-        tables = combine(np.array(d_full).reshape(shape),
-                         np.array(d_head).reshape(shape) if head else 0.0)
-        return f_full, f_head, [table.ravel()[codes].reshape(probs.shape)
-                                for table in tables]
+        d = np.array((d_full, d_head)[:1 + head]).reshape(-1, num_tasks, 12, 1)
+        tables = combine(d[0], d[1] if head else 0.0)
+        return f_full, f_head, tables.reshape(-1, bins).take(
+            codes, axis=1).reshape((-1,) + probs.shape)
     d_full = np.zeros(probs.shape)
     d_head = np.zeros(probs.shape) if head else 0.0
     for t in tasks:
@@ -492,7 +501,7 @@ def fairness_seed_terms(kind, target, subsets, probs, tasks, combine,
                 f, rows, dvals = terms(t, y, True)
                 f_head[t] += f
                 d_head[t, rows, 0] += dvals
-    return f_full, f_head, list(combine(d_full, d_head))
+    return f_full, f_head, combine(d_full, d_head)
 
 
 def decompose_fairness(kind, target, t, labels, prob, sensitive):
@@ -507,9 +516,9 @@ def decompose_fairness(kind, target, t, labels, prob, sensitive):
     if target not in FAIRNESS_TARGETS:
         raise ConfigError(f"unknown fairness target {target!r}")
     heads, shareds = [], []
-    for full, excl in _SIDES[target]:
-        full_rows = subset_rows(labels, t, full)
-        excl_rows = subset_rows(labels, t, excl)
+    for y in _SIDE_LABELS[target]:
+        full_rows = subset_rows(labels, t, SUBSET_KINDS[y])
+        excl_rows = subset_rows(labels, t, SUBSET_KINDS[2 + y])
         head = fairness_loss(kind, prob, sensitive, excl_rows)
         heads.append(head)
         # the exclusive set lies inside the full set: equal sizes, equal sets

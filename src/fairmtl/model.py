@@ -8,12 +8,11 @@ view into one flat (1, N) vector of each (`FlatParams`), so one Adagrad
 call updates the whole model; each head layer's T weights and T biases
 are also one stack each (`HeadStack`).  `forward_np` and `backprop` are
 the training path: a numpy forward that keeps each layer's input and
-pre-activation, and a backward from seed gradients at each task's
-probability column into the flat gradient, one array op per head layer
-for all tasks and both of mtaf's seed stacks.  Both write into a
-`Workspace`, buffers sized to the batch that every step of a run reuses.
-`forward` builds the same network as an autodiff graph, the
-differentiable reference.
+pre-activation, and a backward from seed gradients at each task's logit
+into the flat gradient, one array op per head layer for all tasks and
+both of mtaf's seed stacks.  Both write into a `Workspace`, buffers sized
+to the batch that every step of a run reuses.  `forward` builds the same
+network as an autodiff graph, the differentiable reference.
 """
 
 from dataclasses import dataclass, field, fields
@@ -259,12 +258,12 @@ class Workspace:
     (`shared_in`, `head_in`) and `probs`, the (T, n, 1) probabilities.
     `input` holds the dense features and the embeddings side by side.
     The buffers a step's seeds and backward write come with `for_step`:
-    `seeds` holds the (2, T, n, 1) head and shared seed stacks, `backprop`
-    writes the gradients at each layer's pre-activation and input into
-    `shared_grads` and `head_grads`, and `bottom` sums the first head
-    layer's (T, n, in) input gradient over the tasks.  A head layer's
-    gradients have two halves, the head seeds' and the shared seeds', and
-    `head_grads[k]` holds the views a walk with k halves takes.
+    `seeds` holds the (2, T, n, 1) head and shared seed stacks at the
+    logits, the top head layer's gradient; `backprop` writes the others at
+    each layer's pre-activation and input into `shared_grads` and
+    `head_grads` (k halves of a head layer's for k seed stacks), `bottom`
+    sums the first head layer's (T, n, in) input gradient over the tasks,
+    and `ones` is the (1, n) row whose products give the bias gradients.
     """
 
     def __init__(self, model, n):
@@ -283,9 +282,9 @@ class Workspace:
                            for w, _ in model.shared_layers]
         self.head_fwd = []
         for w, _ in model.head_stacks:
-            shape = (T, n, w.value.shape[-1])
-            pre, act = np.empty(shape), np.empty(shape)
-            self.head_fwd.append((pre, _2d(pre), act, _2d(act)))
+            pre, act = np.empty((2, T * n, w.value.shape[-1]))
+            self.head_fwd.append((pre.reshape(T, n, -1), pre,
+                                  act.reshape(T, n, -1), act))
 
     def for_step(self):
         """This workspace with the buffers of a step's seeds and backward,
@@ -294,7 +293,7 @@ class Workspace:
         if self.seeds is not None:
             return self
         model, n, T = self.model, self.n, self.model.arch.num_tasks
-        self.seeds = np.empty((2, T, n, 1))
+        self.seeds, self.ones = np.empty((2, T, n, 1)), np.ones((1, n))
         # per shared layer: (gradient at the pre-activation, gradient at
         # the input, None at the first layer without embeddings)
         self.shared_grads = [
@@ -304,38 +303,23 @@ class Workspace:
         to_bottom = bool(model.shared_layers or model.embeddings)
         width = model.head_stacks[0][0].value.shape[1]
         self.bottom = np.empty((n, width)) if to_bottom else None
-        # per head layer and number of halves k: (the first k halves of
-        # the gradient at the pre-activation in the kernels' layout, its
-        # head half, which gives the weight and bias gradients, the part
-        # that flows to the input: all k halves, or at the first layer the
-        # shared half, the input gradient it makes, and that in the
-        # kernels' layout)
-        self.head_grads = {1: [], 2: []}
-        for i, (w, _) in enumerate(model.head_stacks):
-            d_in, d_out = w.value.shape[1:]
-            g_pre = np.empty((2, T, n, d_out))
-            g_in = (np.empty((2, T, n, d_in)) if i
-                    else np.empty((T, n, d_in)) if to_bottom else None)
-            for k, grads in self.head_grads.items():
-                if i:
-                    down, into, into_k = g_pre[:k], g_in[:k], _halves(g_in[:k])
-                else:
-                    down, into, into_k = g_pre[k - 1], g_in, None
-                grads.append((_halves(g_pre[:k]), g_pre[0], down, into,
-                              into_k))
+        # per head layer: the (2, T, n, out) gradient at the pre-activation
+        # (None at the top: the seeds), and at the input (2, T, n, in), or
+        # (T, n, in) from the shared half at the first layer
+        top = len(model.head_stacks) - 1
+        self.head_grads = [
+            (np.empty((2, T, n, w.value.shape[2])) if i < top else None,
+             np.empty((2, T, n, w.value.shape[1])) if i
+             else np.empty((T, n, w.value.shape[1])) if to_bottom else None)
+            for i, (w, _) in enumerate(model.head_stacks)]
         return self
 
 
-def _2d(a):
-    """A C-contiguous stack as a 2-D view, the kernels' layout."""
-    return a.reshape(-1, a.shape[-1])
-
-
-def _halves(a):
-    """A (k, T, n, d) stack of gradient halves in the kernels' layout:
-    (k, T n, d), or (T n, d) for one half."""
-    return a.reshape(-1, a.shape[-1]) if len(a) == 1 else a.reshape(
-        len(a), -1, a.shape[-1])
+def _relu_grad(pre, g, out):
+    """g through a relu at `pre`, written into `out`: a masked multiply."""
+    np.greater(pre, 0.0, out=out)
+    out *= g
+    return out
 
 
 def forward_np(model, dense, cat_idx=None, ws=None):
@@ -382,42 +366,39 @@ def forward_np(model, dense, cat_idx=None, ws=None):
 
 
 def backprop(model, ws, seeds):
-    """Parameter gradients from seed gradients at the tasks'
-    probabilities, written into `model.flat.grad` (every Param's `grad`).
+    """Parameter gradients from seed gradients at the tasks' logits,
+    written into `model.flat.grad` (every Param's `grad`).
 
     `ws` holds the batch's `forward_np` and `seeds` is a (k, T, n, 1)
     stack: seeds[0][t] gives head t's gradients and seeds[-1][t] flows
     through head t into the shared bottom and the embeddings, summed in
-    task order.  One walk over the head stacks serves both halves, with
-    one kernel call and one input-gradient matmul per layer; k = 1 when
-    the two agree.
+    task order.  One walk over the head stacks serves both halves (k = 1
+    when they agree), with one masked multiply and one input-gradient
+    matmul per layer; biases take ones-row matmuls.
     """
     ws.for_step()
-    g = _halves(seeds)
-    top = len(model.head_stacks) - 1
-    for i in range(top, -1, -1):
+    k, g = len(seeds), seeds
+    for i in range(len(model.head_stacks) - 1, -1, -1):
         (w, b), x = model.head_stacks[i], ws.head_in[i]
-        g_pre, g_head, down, g_in, g_in_k = ws.head_grads[len(seeds)][i]
-        g_pre.fill(0.0)
-        if i == top:
-            kernels.sigmoid_bwd(_2d(ws.probs), g, g_pre)
-        else:
-            kernels.relu_bwd(ws.head_fwd[i][1], g, g_pre)
-        np.matmul(x.swapaxes(-1, -2), g_head, out=w.grad)
-        np.add.reduce(g_head, axis=-2, keepdims=True, out=b.grad)
-        if g_in is not None:
-            np.matmul(down, w.value.swapaxes(-1, -2), out=g_in)
-            g = g_in_k if i else np.add.reduce(g_in, axis=0, out=ws.bottom)
+        g_pre, g_in = ws.head_grads[i]
+        if g_pre is not None:
+            g = _relu_grad(ws.head_fwd[i][0], g, g_pre[:k])
+        np.matmul(x.swapaxes(-1, -2), g[0], out=w.grad)
+        np.matmul(ws.ones, g[0], out=b.grad)
+        if i:
+            g = np.matmul(g, w.value.swapaxes(-1, -2), out=g_in[:k])
+        elif g_in is not None:
+            np.matmul(g[-1], w.value.swapaxes(-1, -2), out=g_in)
+            g = np.add.reduce(g_in, axis=0, out=ws.bottom)
 
     for i in range(len(model.shared_layers) - 1, -1, -1):
         (w, b), x = model.shared_layers[i], ws.shared_in[i]
         g_pre, g_in = ws.shared_grads[i]
-        g_pre.fill(0.0)
-        kernels.relu_bwd(ws.shared_fwd[i][0], g, g_pre)
-        np.matmul(x.T, g_pre, out=w.grad)
-        np.add.reduce(g_pre, axis=0, keepdims=True, out=b.grad)
+        g = _relu_grad(ws.shared_fwd[i][0], g, g_pre)
+        np.matmul(x.T, g, out=w.grad)
+        np.matmul(ws.ones, g, out=b.grad)
         if g_in is not None:
-            g = np.matmul(g_pre, w.value.T, out=g_in)
+            g = np.matmul(g, w.value.T, out=g_in)
     dim = model.arch.embedding_dim
     for j, table in enumerate(model.embeddings):
         start = model.dense_count + j * dim

@@ -1,15 +1,18 @@
 """The three training regimes over Adagrad, as one closed-form step.
 
 Every loss reaches the parameters only through a task's probability column
-p_t, so a step needs just two seed gradients per task at p_t: the head seed
-w_t (dCE_t/dp + lambda_t r_t dF_head_t/dp), whose gradient head t applies,
-and the shared seed w_t (dCE_t/dp + lambda_t dF_shared_t/dp), which flows
-through head t into the shared bottom.  vanilla has lambda = 0; baseline
-takes the full fairness loss for both parts (F_head = F_shared = F_full,
-r_t = 1), so its two seeds are one array and one walk through the heads
-serves every parameter; mtaf takes the ratio-boosted head part (rows no
-other task's loss can reach) for the head and the remainder for the shared
-bottom, so the shared part never reaches a head.  The T tasks' seeds form
+p_t = sigmoid(z_t), so a step needs just two seed gradients per task at its
+logit z_t: the head seed w_t (dCE_t/dz + lambda_t r_t dF_head_t/dz), whose
+gradient head t applies, and the shared seed
+w_t (dCE_t/dz + lambda_t dF_shared_t/dz), which flows through head t into
+the shared bottom.  Cross-entropy's is (p_t - y_t) / n, written directly,
+and a fairness loss's its closed-form dF/dp times p_t (1 - p_t).  vanilla
+has lambda = 0; baseline takes the full fairness loss for both parts
+(F_head = F_shared = F_full, r_t = 1), so its two seeds are one array and
+one walk through the heads serves every parameter; mtaf takes the
+ratio-boosted head part (rows no other task's loss can reach) for the head
+and the remainder for the shared bottom, so the shared part never reaches
+a head.  The T tasks' seeds form
 (T, n, 1) stacks, and mtaf's two stacks one (2, T, n, 1) stack, which the
 model walks through its stacked heads once.
 
@@ -139,8 +142,9 @@ class RunPlan:
     """What a step reads from its config alone, built once per run: the
     (T, 1, 1) task-weight stack and, for a fairness method, the tasks whose
     lambda_t > 0 and `combine`, which turns their dF_full/dp and dF_head/dp
-    stacks into seed terms at the (T, 1, 1) scales w_t lambda_t and, for
-    mtaf's heads, w_t lambda_t r_t.  It also keeps the run's workspaces."""
+    stacks into one (k, T, m, 1) stack of seed terms at the (T, 1, 1)
+    scales w_t lambda_t and, for mtaf's heads, w_t lambda_t r_t.  It also
+    keeps the run's workspaces."""
 
     def __init__(self, config):
         self.config = config
@@ -151,12 +155,12 @@ class RunPlan:
         self.mtaf = config.method == "mtaf"
         scale = self.weights * np.reshape(config.fairness_weights, (-1, 1, 1))
         if self.mtaf:
-            head_scale = scale * np.reshape(config.head_shared_ratios,
-                                            (-1, 1, 1))
-            self.combine = lambda full, part: (head_scale * part,
-                                               scale * (full - part))
+            scales = np.stack((scale * np.reshape(config.head_shared_ratios,
+                                                  (-1, 1, 1)), scale))
+            self.combine = lambda full, part: scales * np.array(
+                (part, full - part))
         else:
-            self.combine = lambda full, _: (scale * full,)
+            self.combine = lambda full, _: (scale * full)[None]
 
     def workspace(self, model, n):
         """The `model.Workspace` for this model's steps on n rows; a run
@@ -214,15 +218,14 @@ class Batch:
 def _seeds(batch, probs, out):
     """(seed stack, accuracy losses) of a `Batch` at `probs`.
 
-    The head and shared seeds are (T, n, 1) stacks written into `out`, a
-    (2, T, n, 1) buffer, head seeds first; the stack returned is out[:1]
-    when they agree (vanilla, baseline, and every lambda_t = 0), else all
-    of `out`.  The losses are T floats.
+    The head and shared seeds are (T, n, 1) stacks at the logits, written
+    into `out`, a (2, T, n, 1) buffer, head seeds first: cross-entropy's
+    by `kernels.xent`, then the fairness terms through one `sigmoid_bwd`.
+    The stack returned is out[:1] when they agree (vanilla, baseline, and
+    every lambda_t = 0), else all of `out`.  The losses are T floats.
     """
     plan = batch.plan
-    head = out[0]
-    head.fill(0.0)
-    losses = kernels.xent(probs, batch.labels, plan.weights, head)
+    losses = kernels.xent(probs, batch.labels, plan.weights, out[0])
     for t, loss in enumerate(losses):
         _finite(loss, t, "accuracy loss")
     if not plan.tasks:
@@ -237,10 +240,12 @@ def _seeds(batch, probs, out):
             _finite(f_full[t] - f_head[t], t, "shared fairness loss")
         else:
             _finite(f_full[t], t, "fairness loss")
+    k = len(terms)
     if plan.mtaf:
-        np.add(head, terms[1], out=out[1])
-    head += terms[0]
-    return out[:1 + plan.mtaf], losses
+        out[1] = out[0]
+    kernels.sigmoid_bwd(probs.reshape(-1, 1), terms.reshape(k, -1, 1),
+                        out[:k].reshape(k, -1, 1))
+    return out[:k], losses
 
 
 def train_step(model, batch, config, loss_sink=None):
@@ -300,6 +305,10 @@ def train(dataset, arch, config):
     for epoch in range(config.epochs):
         if epoch:
             rows.take(rng.permutation(n), out=shuffled)
+        if shuffled.subsets is not None and (
+                config.fairness_kind.kind == "soft_fpr_gap"):
+            shuffled.subsets.count_steps([step.subsets for step in steps],
+                                         config.batch_size)
         step_losses = []
         for batch in steps:
             train_step(model, batch, config, loss_sink=step_losses)

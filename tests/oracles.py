@@ -185,18 +185,25 @@ def fairness_grad(kind, target, t, labels, p, sensitive, exclusive=False):
 
 def seeds(config, batch, probs):
     """(head seeds, shared seeds, accuracy losses, per-task (F_full,
-    F_head)) of a batch, from `fairness_grad`; F_head is None where the
-    step needs no head part."""
+    F_head)) of a batch, from `fairness_grad`; the seeds are at the
+    logits, each fairness term taken there by its own `sigmoid_bwd`, and
+    F_head is None where the step needs no head part."""
     w, r = config.task_weights, config.head_shared_ratios
     lam = (config.fairness_weights if config.method != "vanilla"
            else (0.0,) * config.num_tasks)
     heads, shareds, losses, values = [], [], [], []
+
+    def at_logit(seed, p, term):
+        seed = seed.copy()
+        kernels.sigmoid_bwd(p, term, seed)
+        return seed
+
     for t, p in enumerate(probs):
         y = np.ascontiguousarray(batch.labels[:, t],
                                  dtype=np.float64).reshape(-1, 1)
-        acc = np.zeros(p.shape)
-        losses.append(kernels.xent(p, y, w[t], acc))
-        head = shared = acc
+        ce = np.empty(p.shape)
+        losses.append(kernels.xent(p, y, w[t], ce))
+        head = shared = ce
         if lam[t] > 0:
             args = (config.fairness_kind, config.fairness_target, t,
                     batch.labels, p, batch.sensitive)
@@ -204,10 +211,10 @@ def seeds(config, batch, probs):
             f_head = None
             if config.method == "mtaf":
                 f_head, d_head = fairness_grad(*args, exclusive=True)
-                head = acc + (w[t] * lam[t] * r[t]) * d_head
-                shared = acc + (w[t] * lam[t]) * (d_full - d_head)
+                head = at_logit(ce, p, (w[t] * lam[t] * r[t]) * d_head)
+                shared = at_logit(ce, p, (w[t] * lam[t]) * (d_full - d_head))
             else:
-                head = shared = acc + (w[t] * lam[t]) * d_full
+                head = shared = at_logit(ce, p, (w[t] * lam[t]) * d_full)
             values.append((f_full, f_head))
         heads.append(head)
         shareds.append(shared)
@@ -256,16 +263,21 @@ def forward_np(model, dense, cat_idx=None):
                        shared=shared, heads=heads, probs=probs)
 
 
+def _relu_grad(pre, g):
+    out = np.empty(pre.shape)
+    np.greater(pre, 0.0, out=out)
+    out *= g
+    return out
+
+
 def _dense_backward(layers, cache, g, grads, to_input):
     for i in reversed(range(len(layers))):
         x, pre = cache[i]
         if i < len(layers) - 1:
-            g_pre = np.zeros(pre.shape)
-            kernels.relu_bwd(pre, g, g_pre)
-            g = g_pre
+            g = _relu_grad(pre, g)
         if grads is not None:
             np.matmul(x.T, g, out=grads[2 * i])
-            np.add.reduce(g, axis=0, keepdims=True, out=grads[2 * i + 1])
+            np.matmul(np.ones((1, len(g))), g, out=grads[2 * i + 1])
         if i or to_input:
             g = g @ layers[i][0].value.T
     return g if to_input else None
@@ -273,28 +285,21 @@ def _dense_backward(layers, cache, g, grads, to_input):
 
 def backprop(model, acts, head_seeds, shared_seeds):
     """`forward_np`'s backward, one task at a time, from per-task (n, 1)
-    seed lists: head_seeds[t] gives head t's gradients, shared_seeds[t]
-    flows through head t into the bottom, and one walk through head t
-    does both when they are the same array."""
-    def logit_grad(t, seed):
-        g = np.zeros(seed.shape)
-        kernels.sigmoid_bwd(acts.probs[t], seed, g)
-        return g
-
+    seed lists at the logits: head_seeds[t] gives head t's gradients,
+    shared_seeds[t] flows through head t into the bottom, and one walk
+    through head t does both when they are the same array."""
     g_bottom = 0.0
     for t, layers in enumerate(model.heads):
         grads = [p.grad for wb in layers for p in wb]
         same = shared_seeds[t] is head_seeds[t]
-        g = _dense_backward(layers, acts.heads[t],
-                            logit_grad(t, head_seeds[t]), grads, same)
+        g = _dense_backward(layers, acts.heads[t], head_seeds[t], grads, same)
         if not same:
-            g = _dense_backward(layers, acts.heads[t],
-                                logit_grad(t, shared_seeds[t]), None, True)
+            g = _dense_backward(layers, acts.heads[t], shared_seeds[t], None,
+                                True)
         g_bottom = g_bottom + g
 
     if model.shared_layers:
-        g_top = np.zeros(acts.shared[-1][1].shape)
-        kernels.relu_bwd(acts.shared[-1][1], g_bottom, g_top)
+        g_top = _relu_grad(acts.shared[-1][1], g_bottom)
         grads = [p.grad for wb in model.shared_layers for p in wb]
         g_bottom = _dense_backward(model.shared_layers, acts.shared, g_top,
                                    grads, bool(model.embeddings))

@@ -201,26 +201,28 @@ class TestSelection:
         assert "FAIRMTL_KERNELS" in out.stderr
 
     def test_compiled_xent_is_its_two_kernels(self, ckernels_path):
-        """The compiled backend's fused `xent` adds exactly `xent_bwd`'s
-        gradient and returns exactly `xent_fwd`'s value, on one column and
-        on each column of a stack."""
+        """The compiled backend's `xent` writes exactly the numpy
+        `xent_seed`'s seed at the logit (0 on the clipped rows) and returns
+        exactly its own `xent_fwd`'s value, on one column and on each
+        column of a stack."""
         code = """
 import numpy as np
+from fairmtl import _kernels_np as knp
 from fairmtl.backend import BACKEND, kernels as k
 rng = np.random.default_rng(3)
 p = np.ascontiguousarray(rng.random((257, 1)))
 p[:4, 0] = (0.0, 1.0, 1e-13, 1.0 - 1e-13)
 y = np.ascontiguousarray(rng.integers(0, 2, (257, 1)).astype(np.float64))
-a1 = rng.standard_normal((257, 1))
-a2 = a1.copy()
-k.xent_bwd(p, y, -0.7, a1)
+a1, a2 = np.empty((257, 1)), rng.standard_normal((257, 1))
+knp.xent_seed(p, y, -0.7, a1)
 value = k.xent(p, y, -0.7, a2)
-print(BACKEND, value == k.xent_fwd(p, y), np.array_equal(a1, a2))
+print(BACKEND, value == k.xent_fwd(p, y),
+      np.array_equal(a1, a2) and not a2[:4].any())
 ps, ys = np.stack([p, p[::-1].copy()]), np.stack([y, 1.0 - y])
-a3, a4 = np.stack([a1, a2]), np.stack([a1, a2])
+a3, a4 = rng.standard_normal((2, 257, 1)), np.empty((2, 257, 1))
 values = k.xent(ps, ys, np.array([0.4, -1.1]).reshape(-1, 1, 1), a3)
 for t, g in enumerate((0.4, -1.1)):
-    k.xent_bwd(ps[t], ys[t], g, a4[t])
+    knp.xent_seed(ps[t], ys[t], g, a4[t])
 print(list(values) == [k.xent_fwd(ps[t], ys[t]) for t in range(2)],
       np.array_equal(a3, a4))
 """

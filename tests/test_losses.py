@@ -463,8 +463,8 @@ def test_code_seeds_match_subset_oracle(case):
     f_full, f_head, terms = fairness_seed_terms(
         config.fairness_kind, config.fairness_target,
         Subsets.of(batch.labels, batch.sensitive), np.stack(probs), tasks,
-        lambda full, head: (), head=head)
-    assert terms == []
+        lambda full, head: np.empty((0,) + full.shape), head=head)
+    assert len(terms) == 0
     for t, (ref_full, ref_head) in zip(tasks, ref_values):
         for got, ref in ((f_full[t], ref_full), (f_head[t], ref_head)):
             if ref is not None:

@@ -489,10 +489,12 @@ def test_step_rejects_empty_batch():
                                              task_weights=(1.0, 1.0)))
 
 
-@pytest.mark.parametrize("method", ["vanilla", "mtaf"])
+@pytest.mark.parametrize("method", ["vanilla", "baseline", "mtaf"])
 def test_step_kernel_calls_do_not_grow_with_tasks(method, monkeypatch):
     """One step of a 4-task model calls each kernel as often as one of a
-    1-task model: the heads run as stacks, not task by task."""
+    1-task model: the heads run as stacks, not task by task.  The seeds
+    are taken at the logits, so a vanilla step makes no `sigmoid_bwd`
+    call and a fairness step one, for its fairness terms."""
     calls = []
     for name, fn in vars(kernels).items():
         if callable(fn) and not name.startswith("_"):
@@ -514,12 +516,14 @@ def test_step_kernel_calls_do_not_grow_with_tasks(method, monkeypatch):
             fairness_weights=(1.0,) * T, fairness_kind="soft_fpr_gap"))
         counts[T] = sorted(calls)
     assert counts[1] and counts[4] == counts[1]
+    assert counts[1].count("sigmoid_bwd") == (method != "vanilla")
 
 
 def test_soft_fpr_step_counts_do_not_grow_with_tasks(monkeypatch):
     """A soft FPR mtaf step of a 4-task model takes every task's per-code
-    sums and sizes from as many bincounts as one of a 1-task model: one
-    weighted and one plain."""
+    sums and sizes from as many bincounts as one of a 1-task model: on a
+    Dataset, one weighted and one plain; in `train()`, one weighted per
+    step and one plain per epoch for all its steps."""
     calls = []
     bincount = np.bincount
     monkeypatch.setattr(np, "bincount",
@@ -533,13 +537,18 @@ def test_soft_fpr_step_counts_do_not_grow_with_tasks(monkeypatch):
                         sensitive=rng.integers(0, 2, 64))
         model = build_model(small_arch(T), dense_count=3, vocab_sizes=(4,),
                             seed=0)
-        calls.clear()
-        train_step(model, batch, TrainConfig(
+        cfg = TrainConfig(
             method="mtaf", task_weights=(0.5,) * T,
             fairness_weights=(1.0,) * T, fairness_kind="soft_fpr_gap",
-            fairness_target="equalized_odds"))
-        counts[T] = len(calls)
-    assert counts == {1: 2, 4: 2}
+            fairness_target="equalized_odds", epochs=2, batch_size=16)
+        calls.clear()
+        train_step(model, batch, cfg)
+        counts[T] = [len(calls)]
+        calls.clear()
+        train(batch, small_arch(T), cfg)
+        counts[T].append(len(calls))
+    # 2 epochs of 4 steps each: 2 x (1 + 4)
+    assert counts == {1: [2, 10], 4: [2, 10]}
 
 
 @pytest.mark.parametrize("method, per_run",
