@@ -51,11 +51,12 @@ def xent_bwd(p, y, gscale, acc):
     acc += np.where(inside, (pc - y) / (pc * (1.0 - pc)), 0.0) * (gscale / n)
 
 
-def xent_seed(p, y, gscale, out):
+def xent_seed(p, y, gscale, out, clipped=None):
     """Write gscale (p - y) / n, the gradient of gscale `xent_fwd(p, y)`
     at the logit of p, into `out`, 0 where the clip is active; returns p
-    clipped.  On a (T, n, 1) stack `gscale` may be (T, 1, 1)."""
-    pc = np.maximum(p, XENT_CLIP)
+    clipped, written into `clipped` when given.  On a (T, n, 1) stack
+    `gscale` may be (T, 1, 1)."""
+    pc = np.maximum(p, XENT_CLIP, out=clipped)
     np.minimum(pc, 1.0 - XENT_CLIP, out=pc)
     np.subtract(p, y, out=out)
     out *= gscale / p.shape[-2]
@@ -63,16 +64,27 @@ def xent_seed(p, y, gscale, out):
     return pc
 
 
+def xent_steps(pc, y):
+    """The (S, T) array of `xent_fwd` losses, bit for bit, of S steps'
+    (T, n, 1) stacks: `pc`, an (S, T, n, 1) array of p clipped as
+    `xent_seed` returns it, which this overwrites, and labels `y` of that
+    shape."""
+    terms = np.log(pc)
+    terms *= y
+    np.negative(pc, out=pc)
+    np.log1p(pc, out=pc)
+    pc *= 1.0 - y
+    terms += pc
+    return terms.sum(axis=(-2, -1)) / -pc.shape[-2]
+
+
 def xent(p, y, gscale, out):
     """`xent_seed(p, y, gscale, out)`, then `xent_fwd(p, y)` bit for bit
     from its clipped p; on a (T, n, 1) stack, the list of T losses."""
     pc = xent_seed(p, y, gscale, out)
-    terms = np.log(pc)
-    terms *= y
-    np.log1p(-pc, out=pc)
-    pc *= 1.0 - y
-    terms += pc
-    return (terms.sum(axis=(-2, -1)) / -p.shape[-2]).tolist()
+    if p.ndim == 2:
+        return float(xent_steps(pc[None, None], y[None, None])[0, 0])
+    return xent_steps(pc[None], y[None])[0].tolist()
 
 
 def gauss_fwd(u, v, gamma):

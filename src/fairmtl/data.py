@@ -162,7 +162,16 @@ class Dataset:
     """Immutable-by-convention row store shared across runs.
 
     `sensitive` uses -1 for missing.  `vocab_sizes` mirrors the resolved
-    schema so a model can be sized from the dataset alone.
+    schema so a model can be sized from the dataset alone: one size per
+    categorical column.
+
+    What a run derives from the rows alone is built once per process and
+    kept by the instance (`kept`): the trainer's float labels and subset
+    arrays, the arrays each epoch gathers into, and the step and
+    evaluation workspaces.  They are plain arrays, freed with the dataset,
+    and never pickled, so a pool worker builds its own on its first run.
+    So the rows must not change in place once a run has read them, and
+    two threads must not run on one dataset at once.
     """
     dense: np.ndarray
     cat: np.ndarray
@@ -185,9 +194,26 @@ class Dataset:
             raise ConfigError("labels must be binary")
         if self.sensitive.size and not np.isin(self.sensitive, (-1, 0, 1)).all():
             raise ConfigError("sensitive values must be in {-1, 0, 1}")
+        if self.cat.ndim != 2 or self.cat.shape[1] != len(self.vocab_sizes):
+            raise ConfigError(
+                f"categorical codes of shape {self.cat.shape} need one "
+                f"vocab size per column, got {len(self.vocab_sizes)}")
         for j, size in enumerate(self.vocab_sizes):
             if self.cat.shape[0] and self.cat[:, j].max() >= size:
                 raise ConfigError(f"categorical column {j} exceeds vocab size")
+
+    def kept(self, name, build):
+        """What this dataset keeps under `name` for every run on its rows:
+        `build()`, called on first use."""
+        kept = self.__dict__.setdefault("_kept", {})
+        if name not in kept:
+            kept[name] = build()
+        return kept[name]
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_kept", None)
+        return state
 
     def __len__(self):
         return self.labels.shape[0]

@@ -6,13 +6,14 @@ sensitive attribute is present.  Every loss depends on the parameters only
 through the task's probability column p, so each has a closed form that
 gives its value and dF/dp: `fairness_terms` for the fairness losses and
 `kernels.xent_fwd`/`kernels.xent_bwd` for cross-entropy, which training
-takes at the logit from `kernels.xent`.
+takes at the logit from `kernels.xent_seed`.
 
 Training reads a batch's subsets from one integer code per (row, task),
 `subset_codes`: 6 y + 3 exclusive + (a + 1), so the row's side, whether it
 is exclusive and its sensitive group.  `Subsets` holds them for every task
 with the side masks built from them; it holds values per row, so the
-trainer builds one per run and gathers it by each epoch's permutation.
+training set keeps its arrays for every run, and the trainer gathers them
+by each epoch's permutation.
 `fairness_seed_terms` turns it into the derivatives the trainer adds to
 its seeds, for all tasks at once: the soft FPR gap's derivative is
 constant on each code, so it needs only per-code sums and counts, two
@@ -354,9 +355,10 @@ class Subsets:
     (n, T) mask of each task's side y (its rows labelled y) and of that
     side's exclusive rows, which MMD and correlation take their rows from.
     None of these depends on the probabilities, and each is a value per
-    row, so `train()` builds one per run, gathers it by each epoch's
-    permutation (`take`) and steps on slices of that, whose per-code
-    `counts` it sets once per epoch (`count_steps`); None until set.
+    row, so the training set keeps their `arrays`, `train()` gathers them
+    by each epoch's permutation (`take`) and steps on slices of that,
+    whose per-code `counts` it sets once per epoch (`count_steps`); None
+    until set.
     """
 
     __slots__ = ("codes", "sensitive", "sides", "counts")
@@ -377,16 +379,18 @@ class Subsets:
         offsets = 12 * np.arange(codes.shape[1]).reshape(-1, 1)
         return cls(codes.T + offsets, np.asarray(sensitive), sides)
 
-    def take(self, rows, out=None):
-        """These rows, gathered into the arrays of `out` (Subsets of as
-        many rows) or into new ones."""
-        return Subsets(
-            np.take(self.codes, rows, axis=1,
-                    out=None if out is None else out.codes),
-            np.take(self.sensitive, rows,
-                    out=None if out is None else out.sensitive),
-            np.take(self.sides, rows, axis=0,
-                    out=None if out is None else out.sides))
+    @property
+    def arrays(self):
+        """(codes, sensitive, sides), the arguments of the constructor."""
+        return self.codes, self.sensitive, self.sides
+
+    def take(self, rows, out):
+        """These rows, gathered into the arrays of `out`, Subsets of as
+        many rows, which it returns."""
+        np.take(self.codes, rows, axis=1, out=out.codes)
+        np.take(self.sensitive, rows, out=out.sensitive)
+        np.take(self.sides, rows, axis=0, out=out.sides)
+        return out
 
     def __getitem__(self, rows):
         return Subsets(self.codes[:, rows], self.sensitive[rows],

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset
 from .exceptions import ConfigError, ContractError, UndefinedMetricError
-from .model import forward_np
+from .model import forward_np, workspace
 from .trainer import TrainConfig, train
 
 BASELINE_FLOOR = 1e-9
@@ -112,9 +112,14 @@ def aggregate(per_task, baselines):
 
 
 def evaluate_model(model, dataset, threshold=0.5):
-    """TaskEval per task of a trained model on a dataset split."""
+    """TaskEval per task of a trained model on a dataset split.
+
+    The forward writes into the workspace the split keeps for models of
+    this shape, so a sweep evaluating every run on one test split builds
+    it once per process."""
+    ws = workspace(dataset.kept("workspaces", dict), model, len(dataset))
     probs = forward_np(model, dataset.dense,
-                       dataset.cat if dataset.cat.size else None).probs
+                       dataset.cat if dataset.cat.size else None, ws).probs
     return tuple(
         evaluate_task(probs[t][:, 0], dataset.labels[:, t],
                       dataset.sensitive, threshold)

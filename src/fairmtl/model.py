@@ -11,7 +11,8 @@ the training path: a numpy forward that keeps each layer's input and
 pre-activation, and a backward from seed gradients at each task's logit
 into the flat gradient, one array op per head layer for all tasks and
 both of mtaf's seed stacks.  Both write into a `Workspace`, buffers sized
-to the batch that every step of a run reuses.  `forward` builds the same
+to the batch that every step of a run reuses, and every later run on the
+same dataset (`workspace`).  `forward` builds the same
 network as an autodiff graph, the differentiable reference.
 """
 
@@ -250,8 +251,9 @@ def forward(model, dense, cat_idx=None):
 
 class Workspace:
     """The arrays a training step writes for batches of n rows, and the
-    views of them it reads, built once so that every step of a run reuses
-    them.
+    views of them it reads, built once so that every step of a run, and
+    every run on a dataset (`workspace`), reuses them.  It holds arrays
+    alone, not the model: any model of the same shapes may write it.
 
     `forward_np` writes each layer's pre-activation and activation into
     `shared_fwd` and `head_fwd`, and sets `cat_idx`, each layer's input
@@ -270,7 +272,7 @@ class Workspace:
         T = model.arch.num_tasks
         width = (model.dense_count
                  + model.arch.embedding_dim * len(model.embeddings))
-        self.model, self.n = model, n
+        self.n = n
         self.input = np.empty((n, width)) if model.embeddings else None
         self.cat_idx = self.probs = self.seeds = None
         self.shared_in = [None] * len(model.shared_layers)
@@ -286,13 +288,13 @@ class Workspace:
             self.head_fwd.append((pre.reshape(T, n, -1), pre,
                                   act.reshape(T, n, -1), act))
 
-    def for_step(self):
-        """This workspace with the buffers of a step's seeds and backward,
-        built on the first call: a forward alone, as in evaluation, needs
-        none of them."""
+    def for_step(self, model):
+        """This workspace with the buffers of a step's seeds and backward
+        for this model, built on the first call: a forward alone, as in
+        evaluation, needs none of them."""
         if self.seeds is not None:
             return self
-        model, n, T = self.model, self.n, self.model.arch.num_tasks
+        n, T = self.n, model.arch.num_tasks
         self.seeds, self.ones = np.empty((2, T, n, 1)), np.ones((1, n))
         # per shared layer: (gradient at the pre-activation, gradient at
         # the input, None at the first layer without embeddings)
@@ -313,6 +315,16 @@ class Workspace:
              else np.empty((T, n, w.value.shape[1])) if to_bottom else None)
             for i, (w, _) in enumerate(model.head_stacks)]
         return self
+
+
+def workspace(store, model, n):
+    """The `Workspace` for this model's shapes and n rows from `store`, a
+    dict that keeps one per shape and row count; built on first use."""
+    key = (model.arch, model.dense_count, len(model.embeddings), n)
+    ws = store.get(key)
+    if ws is None:
+        ws = store[key] = Workspace(model, n)
+    return ws
 
 
 def _relu_grad(pre, g, out):
@@ -376,7 +388,7 @@ def backprop(model, ws, seeds):
     when they agree), with one masked multiply and one input-gradient
     matmul per layer; biases take ones-row matmuls.
     """
-    ws.for_step()
+    ws.for_step(model)
     k, g = len(seeds), seeds
     for i in range(len(model.head_stacks) - 1, -1, -1):
         (w, b), x = model.head_stacks[i], ws.head_in[i]

@@ -16,17 +16,24 @@ a head.  The T tasks' seeds form
 (T, n, 1) stacks, and mtaf's two stacks one (2, T, n, 1) stack, which the
 model walks through its stacked heads once.
 
-A run builds once what its steps read or write that does not depend on
-the parameters.  A `RunPlan` holds what depends on the config alone (the
-task-weight stack, the fairness scales) and the run's `model.Workspace`s,
-the buffers a step writes, one per batch length.  A `Batch` holds the rows
-in the forms a step reads: the float labels, and the fairness subsets from
-one integer code per (row, task), `losses.subset_codes`.  `train()` builds
-one for the training set, gathers it by each epoch's permutation into the
-same arrays, and steps on slices of that.  The model keeps every
-parameter, gradient and Adagrad accumulator in one flat vector each
-(`model.FlatParams`), so the update is one `adagrad_update` call;
-Adagrad is elementwise, so this equals one call per parameter bit for bit.
+Nothing a step reads or writes that does not depend on the parameters
+is built per step.  Per process, the training set keeps (`Dataset.kept`)
+what depends on its rows alone, for every run on it: the float labels,
+the fairness subsets' arrays from one integer code per (row, task)
+(`losses.subset_codes`), the arrays each epoch gathers into and the
+`model.Workspace`s, the buffers a step writes, one per model shape and
+batch length.  Per run, a `RunPlan` holds what depends on the config (the
+task-weight stack, the fairness scales), and `train()` cuts the epoch
+arrays into the steps' `Batch`es, views that see each epoch's gather.
+Per epoch, `train()` gathers the rows by a fresh permutation, and, once
+its steps are done, takes every step's cross-entropy from one pass over
+the clipped probabilities they left (`kernels.xent_steps`): a step
+computes a loss value only for a `loss_sink`, and otherwise checks that
+its clipped probabilities hold no NaN, the one way a loss is not finite.
+The model keeps every parameter, gradient and Adagrad accumulator in one
+flat vector each (`model.FlatParams`), so the update is one
+`adagrad_update` call; Adagrad is elementwise, so this equals one call
+per parameter bit for bit.
 """
 
 import math
@@ -39,7 +46,8 @@ from .backend import kernels
 from .exceptions import ConfigError, ShapeError, TrainingDiverged
 from .losses import (FAIRNESS_TARGETS, Subsets, as_loss_kind,
                      fairness_seed_terms)
-from .model import Workspace, backprop, build_model, forward_np, from_fields
+from .model import (backprop, build_model, forward_np, from_fields,
+                    workspace)
 
 METHODS = ("vanilla", "baseline", "mtaf")
 ADAGRAD_EPS = 1e-8
@@ -143,12 +151,10 @@ class RunPlan:
     (T, 1, 1) task-weight stack and, for a fairness method, the tasks whose
     lambda_t > 0 and `combine`, which turns their dF_full/dp and dF_head/dp
     stacks into one (k, T, m, 1) stack of seed terms at the (T, 1, 1)
-    scales w_t lambda_t and, for mtaf's heads, w_t lambda_t r_t.  It also
-    keeps the run's workspaces."""
+    scales w_t lambda_t and, for mtaf's heads, w_t lambda_t r_t."""
 
     def __init__(self, config):
         self.config = config
-        self._workspaces = {}
         self.weights = np.array(config.task_weights).reshape(-1, 1, 1)
         lam = config.fairness_weights if config.method != "vanilla" else ()
         self.tasks = [t for t, lam_t in enumerate(lam) if lam_t > 0]
@@ -162,72 +168,132 @@ class RunPlan:
         else:
             self.combine = lambda full, _: (scale * full)[None]
 
-    def workspace(self, model, n):
-        """The `model.Workspace` for this model's steps on n rows; a run
-        has at most two, the full batch and the tail."""
-        ws = self._workspaces.get(n)
-        if ws is None or ws.model is not model:
-            ws = self._workspaces[n] = Workspace(model, n).for_step()
-        return ws
-
 
 class Batch:
     """A batch's rows in the forms a step reads under its run's `RunPlan`:
     the dense inputs, the categorical codes (None when there are none), the
     (T, n, 1) float labels and, when a fairness loss is on, the rows'
     `losses.Subsets`.  None of these depends on the probabilities, and each
-    is a value per row, so `train()` builds one per run, gathers it by each
-    epoch's permutation and steps on slices of that."""
+    is a value per row, so `train()` gathers them by each epoch's
+    permutation and steps on slices of that (`steps`).  `clipped`, when
+    not None, is the contiguous (T, n, 1) array a step without a loss sink
+    writes its clipped probabilities into (for an epoch, a flat array with
+    its steps' in turn), and `workspaces` the dict its `model.workspace`
+    comes from; both, like the labels and subsets, are kept by the
+    dataset the batch came from."""
 
-    __slots__ = ("plan", "dense", "cat", "labels", "subsets")
+    __slots__ = ("plan", "dense", "cat", "labels", "subsets", "clipped",
+                 "workspaces")
 
-    def __init__(self, plan, dense, cat, labels, subsets):
+    def __init__(self, plan, dense, cat, labels, subsets, clipped,
+                 workspaces):
         self.plan, self.dense, self.cat = plan, dense, cat
         self.labels, self.subsets = labels, subsets
+        self.clipped, self.workspaces = clipped, workspaces
 
     @classmethod
     def of(cls, dataset, plan):
-        labels = np.ascontiguousarray(dataset.labels.T, dtype=np.float64)
+        """The dataset's rows, from the arrays it keeps for every run."""
+        labels = dataset.kept("labels", lambda: np.ascontiguousarray(
+            dataset.labels.T, dtype=np.float64)[..., None])
+        subsets = None
+        if plan.tasks:
+            subsets = Subsets(*dataset.kept("subsets", lambda: Subsets.of(
+                dataset.labels, dataset.sensitive).arrays))
         return cls(plan, dataset.dense, dataset.cat if dataset.cat.size
-                   else None, labels[..., None],
-                   Subsets.of(dataset.labels, dataset.sensitive)
-                   if plan.tasks else None)
+                   else None, labels, subsets, None,
+                   dataset.kept("workspaces", dict))
+
+    def epoch(self, arrays):
+        """A Batch of as many rows to `take` into, from the dict `arrays`,
+        which keeps any array it lacks for later runs; its `clipped` is
+        one too."""
+        def array(name, like):
+            if like is None:
+                return None
+            a = arrays.get(name)
+            if a is None:
+                a = arrays[name] = np.empty(like.shape, like.dtype)
+            return a
+        subsets = None if self.subsets is None else Subsets(*(
+            array(name, getattr(self.subsets, name))
+            for name in ("codes", "sensitive", "sides")))
+        return Batch(self.plan, array("dense", self.dense),
+                     array("cat", self.cat), array("labels", self.labels),
+                     subsets, array("clipped", self.labels.reshape(-1)),
+                     self.workspaces)
 
     def __len__(self):
         return self.dense.shape[0]
 
-    def take(self, rows, out=None):
-        """These rows, gathered into the arrays of `out` (a Batch of as
-        many rows, taken like this) or into new ones."""
-        def gather(name, axis):
+    def take(self, rows, out):
+        """These rows, gathered into the arrays of `out`, a Batch of as
+        many rows (`epoch`), which it returns."""
+        for name, axis in (("dense", 0), ("cat", 0), ("labels", 1)):
             a = getattr(self, name)
-            return None if a is None else np.take(
-                a, rows, axis=axis, out=getattr(out, name, None))
-        return Batch(self.plan, gather("dense", 0), gather("cat", 0),
-                     gather("labels", 1),
-                     None if self.subsets is None else self.subsets.take(
-                         rows, getattr(out, "subsets", None)))
+            if a is not None:
+                np.take(a, rows, axis=axis, out=getattr(out, name))
+        if self.subsets is not None:
+            self.subsets.take(rows, out.subsets)
+        return out
 
     def __getitem__(self, rows):
         return Batch(self.plan, self.dense[rows],
                      None if self.cat is None else self.cat[rows],
                      self.labels[:, rows],
-                     None if self.subsets is None else self.subsets[rows])
+                     None if self.subsets is None else self.subsets[rows],
+                     None, self.workspaces)
+
+    def steps(self, size):
+        """This epoch (`epoch`) cut into steps of `size` rows in order, as
+        views, so they see the rows each later `take` gathers, and each
+        writing its clipped probabilities into its own block of `clipped`;
+        with, per step length m, the (S, T, m, 1) stacks of those blocks
+        and of the steps' labels, for `kernels.xent_steps`."""
+        T, n = self.labels.shape[:2]
+        full = n - n % size
+        steps, stacks = [], []
+        for start, stop, m in ((0, full, size), (full, n, n - full)):
+            if start == stop:
+                continue
+            y = self.labels[:, start:stop].reshape(T, -1, m, 1).swapaxes(0, 1)
+            stacks.append((self.clipped[T * start:T * stop].reshape(y.shape),
+                           y))
+            for clipped, first in zip(stacks[-1][0], range(start, stop, m)):
+                steps.append(self[first:first + m])
+                steps[-1].clipped = clipped
+        return steps, stacks
 
 
-def _seeds(batch, probs, out):
+def _finite_losses(losses):
+    for t, loss in enumerate(losses):
+        _finite(loss, t, "accuracy loss")
+
+
+def _seeds(batch, probs, out, with_losses=True):
     """(seed stack, accuracy losses) of a `Batch` at `probs`.
 
     The head and shared seeds are (T, n, 1) stacks at the logits, written
     into `out`, a (2, T, n, 1) buffer, head seeds first: cross-entropy's
     by `kernels.xent`, then the fairness terms through one `sigmoid_bwd`.
     The stack returned is out[:1] when they agree (vanilla, baseline, and
-    every lambda_t = 0), else all of `out`.  The losses are T floats.
+    every lambda_t = 0), else all of `out`.  The losses are T floats, or
+    None without `with_losses`: then cross-entropy's seed comes from
+    `kernels.xent_seed`, and only a NaN among the clipped probabilities,
+    the one way a loss is not finite, has the losses computed, to raise.
     """
     plan = batch.plan
-    losses = kernels.xent(probs, batch.labels, plan.weights, out[0])
-    for t, loss in enumerate(losses):
-        _finite(loss, t, "accuracy loss")
+    if with_losses:
+        losses = kernels.xent(probs, batch.labels, plan.weights, out[0])
+        _finite_losses(losses)
+    else:
+        clipped = kernels.xent_seed(probs, batch.labels, plan.weights,
+                                    out[0], batch.clipped)
+        # each in [c, 1 - c] unless NaN, so the sum is finite unless one is
+        if not math.isfinite(clipped.sum()):
+            _finite_losses(kernels.xent_steps(clipped[None],
+                                              batch.labels[None])[0])
+        losses = None
     if not plan.tasks:
         return out[:1], losses
     config = plan.config
@@ -253,10 +319,13 @@ def train_step(model, batch, config, loss_sink=None):
 
     Forward, the seed gradients at each task's probability column, the
     model's backward from them into its flat gradient, then one Adagrad
-    call on the flat parameters, all in the plan's workspace for the
-    batch's length.  `batch` is a Dataset, or a `Batch` built with this
-    config's `RunPlan`, as `train()` passes.  When given, `loss_sink`
-    receives the per-task accuracy loss values of this batch.
+    call on the flat parameters, all in the workspace for the model and
+    the batch's length.  `batch` is a Dataset, or a `Batch` built with
+    this config's `RunPlan`, as `train()` passes.  When given, `loss_sink`
+    receives the per-task accuracy loss values of this batch; without
+    one, the step computes no loss value, only checks that it would be
+    finite, and leaves its clipped probabilities in `batch.clipped` when
+    that is set.
     """
     if len(batch) == 0:
         raise ConfigError("train_step on an empty batch")
@@ -266,9 +335,9 @@ def train_step(model, batch, config, loss_sink=None):
         batch = Batch.of(batch, RunPlan(config))
     elif batch.plan.config is not config:
         raise ConfigError("batch was built for another config")
-    ws = forward_np(model, batch.dense, batch.cat,
-                    batch.plan.workspace(model, len(batch)))
-    seeds, losses = _seeds(batch, ws.probs, ws.seeds)
+    ws = workspace(batch.workspaces, model, len(batch)).for_step(model)
+    forward_np(model, batch.dense, batch.cat, ws)
+    seeds, losses = _seeds(batch, ws.probs, ws.seeds, loss_sink is not None)
     if loss_sink is not None:
         loss_sink.append(losses)
     backprop(model, ws, seeds)
@@ -277,9 +346,10 @@ def train_step(model, batch, config, loss_sink=None):
 
 
 def train(dataset, arch, config):
-    """Run the full loop: the training rows' `Batch`, built once, gathered
-    by each epoch's seeded shuffle into the same arrays, and mini-batch
-    steps on slices of those, taken once.
+    """Run the full loop: each epoch's seeded shuffle of the training rows
+    gathered into the arrays the dataset keeps for it, mini-batch steps on
+    slices of those, taken once per run, and the epoch's mean loss per
+    task from one pass over the clipped probabilities its steps left.
 
     The model is built from config.seed, so identical inputs give identical
     runs.
@@ -297,21 +367,18 @@ def train(dataset, arch, config):
                         vocab_sizes=dataset.vocab_sizes, seed=config.seed)
     rng = np.random.default_rng(config.seed)
     rows = Batch.of(dataset, RunPlan(config))
-    shuffled = rows.take(rng.permutation(n))
-    # views, so they see the rows each later epoch gathers into shuffled
-    steps = [shuffled[start:start + config.batch_size]
-             for start in range(0, n, config.batch_size)]
+    shuffled = rows.epoch(dataset.kept("epoch", dict))
+    steps, stacks = shuffled.steps(config.batch_size)
     history = np.empty((config.epochs, config.num_tasks))
     for epoch in range(config.epochs):
-        if epoch:
-            rows.take(rng.permutation(n), out=shuffled)
+        rows.take(rng.permutation(n), out=shuffled)
         if shuffled.subsets is not None and (
                 config.fairness_kind.kind == "soft_fpr_gap"):
             shuffled.subsets.count_steps([step.subsets for step in steps],
                                          config.batch_size)
-        step_losses = []
         for batch in steps:
-            train_step(model, batch, config, loss_sink=step_losses)
-        history[epoch] = np.mean(step_losses, axis=0)
+            train_step(model, batch, config)
+        history[epoch] = np.mean(np.concatenate(
+            [kernels.xent_steps(*stack) for stack in stacks]), axis=0)
     return TrainedRun(model=model, history=history, config=config,
                       seconds=time.perf_counter() - started)

@@ -237,6 +237,16 @@ class TestDatasetValidation:
                     labels=np.array([[1]]), sensitive=np.array([0]),
                     vocab_sizes=(4,))
 
+    def test_one_vocab_size_per_categorical_column(self):
+        """Categorical columns without their vocab sizes are refused: a
+        model sized from the dataset would have no embedding for them."""
+        for cat, vocab_sizes in (([[1], [2]], ()), ([[1], [2]], (4, 4)),
+                                 (np.empty((2, 0)), (4,)), ([1, 2], (4,))):
+            with pytest.raises(ConfigError, match="one vocab size per column"):
+                Dataset(dense=np.zeros((2, 1)), cat=np.asarray(cat),
+                        labels=np.array([[1], [0]]),
+                        sensitive=np.array([0, 1]), vocab_sizes=vocab_sizes)
+
     def test_take_equals_validated_construction(self):
         ds = synth_generate(SynthSpec(n=50), seed=3)
         rows = np.array([4, 0, 17, 4, 49])

@@ -1,9 +1,12 @@
 """Training-step semantics: Adagrad arithmetic, the two-ledger routing of
 mtaf, bit-exact agreement contracts, and end-to-end learnability."""
 
+import gc
 import itertools
 import json
+import pickle
 import tracemalloc
+import weakref
 from dataclasses import replace
 from unittest import mock
 
@@ -13,7 +16,7 @@ import pytest
 from test_acceptance import _routing_arch, _routing_batch
 
 import fairmtl.autodiff as ad
-from fairmtl import losses, trainer
+from fairmtl import losses, metrics, trainer
 from fairmtl.backend import BACKEND, kernels
 from fairmtl.data import Dataset
 from fairmtl.exceptions import ConfigError, ShapeError, TrainingDiverged
@@ -481,6 +484,54 @@ def test_step_aborts_on_nonfinite():
                                            task_weights=(1.0, 1.0)))
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_nonfinite_mid_run_aborts_at_the_step_that_meets_it(method,
+                                                             monkeypatch):
+    """A NaN that reaches the probabilities in a run's third step aborts
+    `train()` there, with the message a loop of steps that take their loss
+    values (`loss_sink`) raises, before any fairness check; so do single
+    steps on its rows, with a sink and without.  A step without a sink
+    checks the clipped probabilities: the seed is 0 where p is NaN."""
+    base = separable_dataset(n=60, seed=4)
+    cfg = TrainConfig(method=method, task_weights=(0.6, 0.4),
+                      fairness_weights=(1.5, 0.8),
+                      fairness_kind="soft_fpr_gap", epochs=2, batch_size=16,
+                      seed=5)
+    perm = np.random.default_rng(cfg.seed).permutation(60)
+    dense = base.dense.copy()
+    dense[perm[40], 1] = np.nan
+    data = Dataset(dense=dense, cat=base.cat, labels=base.labels,
+                   sensitive=base.sensitive)
+    # no hidden layer: the compiled relu maps NaN to 0
+    arch = ArchConfig(num_tasks=2, shared_layer_sizes=(),
+                      head_layer_sizes=())
+    model, expected = build_model(arch, dense_count=3, seed=cfg.seed), None
+    for step, start in enumerate(range(0, 60, 16)):
+        try:
+            train_step(model, data.take(perm[start:start + 16]), cfg,
+                       loss_sink=[])
+        except TrainingDiverged as exc:
+            expected = (step, str(exc))
+            break
+    assert expected == (2, "non-finite value in task 0 accuracy loss: nan")
+
+    steps, step_real = [], trainer.train_step
+    monkeypatch.setattr(trainer, "train_step",
+                        lambda *a, **k: steps.append(1) or step_real(*a, **k))
+    with pytest.raises(TrainingDiverged) as exc:
+        train(data, arch, cfg)
+    assert (len(steps) - 1, str(exc.value)) == expected
+    for sink in (None, []):
+        with pytest.raises(TrainingDiverged) as exc:
+            step_real(build_model(arch, dense_count=3, seed=cfg.seed),
+                      data.take(perm[32:48]), cfg, loss_sink=sink)
+        assert str(exc.value) == expected[1]
+
+    p, seed = np.array([[[np.nan], [0.5]]]), np.empty((1, 2, 1))
+    kernels.xent_seed(p, np.ones_like(p), 1.0, seed)
+    assert seed[0, 0, 0] == 0.0
+
+
 def test_step_rejects_empty_batch():
     model = build_model(small_arch(), dense_count=3, seed=0)
     empty = hand_batch().take(np.array([], dtype=np.intp))
@@ -507,7 +558,7 @@ def test_step_kernel_calls_do_not_grow_with_tasks(method, monkeypatch):
         batch = Dataset(dense=rng.standard_normal((64, 3)),
                         cat=rng.integers(0, 4, (64, 1)),
                         labels=rng.integers(0, 2, (64, T)),
-                        sensitive=rng.integers(0, 2, 64))
+                        sensitive=rng.integers(0, 2, 64), vocab_sizes=(4,))
         model = build_model(small_arch(T), dense_count=3, vocab_sizes=(4,),
                             seed=0)
         calls.clear()
@@ -534,7 +585,7 @@ def test_soft_fpr_step_counts_do_not_grow_with_tasks(monkeypatch):
         batch = Dataset(dense=rng.standard_normal((64, 3)),
                         cat=rng.integers(0, 4, (64, 1)),
                         labels=rng.integers(0, 2, (64, T)),
-                        sensitive=rng.integers(0, 2, 64))
+                        sensitive=rng.integers(0, 2, 64), vocab_sizes=(4,))
         model = build_model(small_arch(T), dense_count=3, vocab_sizes=(4,),
                             seed=0)
         cfg = TrainConfig(
@@ -649,6 +700,125 @@ def test_run_reuses_its_buffers(monkeypatch):
         first = steps[0][1]
         assert all(pointers == first for _, pointers in steps)
     assert len({id(ws) for steps in seen.values() for ws, _ in steps}) == 2
+
+
+def _pointers(arrays):
+    return [a.__array_interface__["data"][0] for a in arrays]
+
+
+def test_runs_on_a_dataset_reuse_its_arrays(monkeypatch):
+    """Two `train()` runs, of different methods, and two `evaluate_model`
+    calls on the same datasets write into the same arrays: each epoch's
+    gathered rows, subset arrays and clipped probabilities, and the
+    workspaces of every batch length and of the test split."""
+    data, test = separable_dataset(n=60, seed=4), separable_dataset(n=30)
+    calls, phase = {}, []
+    step_real, train_forward = trainer.train_step, trainer.forward_np
+    eval_forward = metrics.forward_np
+
+    def record(arrays):
+        # the arrays stay referenced, so a new one gets a new address
+        calls.setdefault(phase[-1], []).append((arrays, _pointers(arrays)))
+
+    def step_spy(model, batch, config, loss_sink=None):
+        record([batch.dense, batch.labels, batch.clipped,
+                *batch.subsets.arrays])
+        return step_real(model, batch, config, loss_sink)
+
+    def forward_spy(forward):
+        def spy(model, dense, cat_idx, ws):
+            ws = forward(model, dense, cat_idx, ws)
+            record([a for layer in ws.shared_fwd + ws.head_fwd
+                    for a in layer] + ([] if ws.seeds is None
+                                       else [ws.seeds, ws.bottom]))
+            return ws
+        return spy
+    monkeypatch.setattr(trainer, "train_step", step_spy)
+    monkeypatch.setattr(trainer, "forward_np", forward_spy(train_forward))
+    monkeypatch.setattr(metrics, "forward_np", forward_spy(eval_forward))
+    for method in ("baseline", "mtaf"):
+        cfg = TrainConfig(method=method, task_weights=(0.5, 0.5),
+                          fairness_weights=(1.0, 1.0),
+                          fairness_kind="soft_fpr_gap", epochs=2,
+                          batch_size=16, seed=len(phase))
+        phase.append(("train", method))
+        run = train(data, small_arch(), cfg)
+        phase.append(("evaluate", method))
+        evaluate_model(run.model, test)
+    train_calls = [[p for _, p in calls[("train", m)]]
+                   for m in ("baseline", "mtaf")]
+    # 2 epochs x 4 steps, each a step and a forward: the 4 step slices'
+    # arrays and the workspaces of batch lengths 16 and 12
+    assert len(train_calls[0]) == 16
+    assert len(set(map(tuple, train_calls[0]))) == 4 + 2
+    assert train_calls[0] == train_calls[1]
+    assert ([p for _, p in calls[("evaluate", "baseline")]]
+            == [p for _, p in calls[("evaluate", "mtaf")]])
+
+
+def test_subset_codes_built_once_per_dataset(monkeypatch):
+    """Every run on a dataset, of every method, reads the subset codes
+    the dataset built on its first fairness run; another dataset builds
+    its own."""
+    codes = mock.Mock(wraps=losses.subset_codes)
+    monkeypatch.setattr(losses, "subset_codes", codes)
+    data = separable_dataset(n=60, seed=4)
+    for method, kind in itertools.product(METHODS, ("mmd", "soft_fpr_gap")):
+        train(data, small_arch(), TrainConfig(
+            method=method, task_weights=(0.5, 0.5),
+            fairness_weights=(1.0, 1.0), fairness_kind=kind,
+            batch_size=16))
+    assert codes.call_count == 1
+    train(separable_dataset(n=60, seed=4), small_arch(), TrainConfig(
+        method="mtaf", task_weights=(0.5, 0.5), fairness_weights=(1.0, 1.0),
+        batch_size=16))
+    assert codes.call_count == 2
+
+
+def test_datasets_with_other_labels_share_no_state():
+    """A dataset whose labels differ from an earlier one's trains as it
+    would first in a fresh process, whether the earlier one is alive or
+    freed (when the new one may take its address)."""
+    base = separable_dataset(n=60, seed=4)
+    cfg = TrainConfig(method="mtaf", task_weights=(0.5, 0.5),
+                      fairness_weights=(1.0, 1.0),
+                      fairness_kind="soft_fpr_gap", epochs=2, batch_size=16)
+
+    def flipped():
+        return Dataset(dense=base.dense.copy(), cat=base.cat,
+                       labels=1 - base.labels, sensitive=base.sensitive)
+    first = train(flipped(), small_arch(), cfg)
+    earlier = Dataset(dense=base.dense, cat=base.cat, labels=base.labels,
+                      sensitive=base.sensitive)
+    train(earlier, small_arch(), cfg)
+    alive = train(flipped(), small_arch(), cfg)
+    del earlier
+    freed = train(flipped(), small_arch(), cfg)
+    for run in (alive, freed):
+        assert run.model.flat.value.tobytes() == first.model.flat.value.tobytes()
+        assert run.history.tobytes() == first.history.tobytes()
+
+
+def test_trained_dataset_is_freed_and_pickled_without_its_state():
+    """What a dataset keeps for its runs is plain arrays, so reference
+    counting frees it, with them, as soon as the last reference goes, and
+    a trained model is not kept with it; it is not pickled either, so a
+    pool worker receives the rows alone."""
+    data, test = separable_dataset(n=60, seed=4), separable_dataset(n=30)
+    untrained = len(pickle.dumps(data)), len(pickle.dumps(test))
+    cfg = TrainConfig(method="mtaf", task_weights=(0.5, 0.5),
+                      fairness_weights=(1.0, 1.0), fairness_kind="mmd",
+                      batch_size=16)
+    run = train(data, small_arch(), cfg)
+    evaluate_model(run.model, test)
+    assert (len(pickle.dumps(data)), len(pickle.dumps(test))) <= untrained
+    refs = [weakref.ref(x) for x in (data, test, run.model)]
+    gc.disable()
+    try:
+        del data, test, run
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("method", METHODS)
