@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
-"""Timing comparison of the compiled kernels against the numpy fallback.
+"""Per-call timings of the numpy training kernels.
 
 Runs each hot kernel on training-shaped inputs and prints per-call times:
 for cross-entropy, what a training step calls, `xent_seed` on the
-(T, n, 1) stack (numpy on either backend), and the loss pass an epoch ends
-with, `xent_steps` over an epoch's steps (T = 2, 6400 rows); `xent_fwd` and
-`xent_bwd` on one column serve the autodiff reference alone.  It then
-times one MMD fairness term both ways: from the exact Gaussian kernel
-blocks (on the active backend's `gauss_fwd`) and from the truncated Taylor
-feature map that training uses for bandwidths of about 0.5 and wider.
+(T, n, 1) stack, and the loss pass an epoch ends with, `xent_steps` over
+an epoch's steps (T = 2, 6400 rows); `xent_fwd` and `xent_bwd` on one
+column serve the autodiff reference alone.  It then times one MMD
+fairness term both ways: from the exact Gaussian kernel blocks and from
+the truncated Taylor feature map that training uses for bandwidths of
+about 0.5 and wider.
 Invoke directly:  python3 benchmarks/bench_kernels.py [--repeats N]
 """
 
@@ -19,12 +19,6 @@ import numpy as np
 
 from fairmtl import _kernels_np as knp
 from fairmtl import losses
-from fairmtl.backend import BACKEND, compiled
-
-try:
-    from fairmtl import _ckernels as kc
-except ImportError:
-    kc = None
 
 
 def timeit(fn, repeats):
@@ -38,15 +32,16 @@ def timeit(fn, repeats):
 
 
 def cases(rng):
-    """Shapes met in training: batch 128, a 16-wide shared layer, one logit
-    column per task, T = 2 tasks over a 6400-row epoch, and the kernel
-    blocks that narrow-kernel MMD builds between group subsets of a
-    512-row batch (about 120 x 120 typical, 240 x 240 at most)."""
-    x = np.ascontiguousarray(rng.standard_normal((128, 16)))
-    g = np.ascontiguousarray(rng.standard_normal((128, 16)))
+    """(name, call) of each kernel at shapes met in training: batch 128,
+    a 16-wide shared layer, one logit column per task, T = 2 tasks over a
+    6400-row epoch, and the kernel blocks that narrow-kernel MMD builds
+    between group subsets of a 512-row batch (about 120 x 120 typical,
+    240 x 240 at most)."""
+    x = rng.standard_normal((128, 16))
+    g = rng.standard_normal((128, 16))
     acc = np.zeros_like(x)
-    p = np.ascontiguousarray(rng.random((128, 1)))
-    y = np.ascontiguousarray(rng.integers(0, 2, (128, 1)).astype(np.float64))
+    p = rng.random((128, 1))
+    y = rng.integers(0, 2, (128, 1)).astype(np.float64)
     pacc = np.zeros_like(p)
     ps, ys = rng.random((2, 128, 1)), rng.integers(0, 2, (2, 128, 1)) * 1.0
     seed, gscale = np.empty_like(ps), np.array([0.6, 0.4]).reshape(2, 1, 1)
@@ -55,43 +50,38 @@ def cases(rng):
     ye = (rng.integers(0, 2, (2, 6400, 1)) * 1.0).reshape(
         2, 50, 128, 1).swapaxes(0, 1)
 
-    def epoch_losses(mod):
+    def epoch_losses():
         np.copyto(pe_work, pe)   # xent_steps overwrites its p
-        return mod.xent_steps(pe_work, ye)
-    blocks = {n: (np.ascontiguousarray(rng.random((n, 1))),
-                  np.ascontiguousarray(rng.random((n, 1)))) for n in (120, 240)}
+        return knp.xent_steps(pe_work, ye)
+    blocks = {n: (rng.random((n, 1)), rng.random((n, 1))) for n in (120, 240)}
     u, v = blocks[120]
     kmat = knp.gauss_fwd(u, v, 0.5)
-    kg = np.ascontiguousarray(rng.standard_normal(kmat.shape))
+    kg = rng.standard_normal(kmat.shape)
     du, dv = np.zeros_like(u), np.zeros_like(v)
-    w = np.ascontiguousarray(rng.standard_normal((16, 8)))
-    wg = np.ascontiguousarray(rng.standard_normal((16, 8)))
-    wacc = np.abs(np.ascontiguousarray(rng.standard_normal((16, 8))))
-
-    def make(mod):
-        return [
-            ("relu_fwd 128x16", lambda: mod.relu_fwd(x)),
-            ("relu_bwd 128x16", lambda: mod.relu_bwd(x, g, acc)),
-            ("sigmoid_fwd 128x1", lambda: mod.sigmoid_fwd(p)),
-            ("xent_seed 2x128x1",
-             lambda: mod.xent_seed(ps, ys, gscale, seed)),
-            ("xent_steps 50x2x128x1", lambda: epoch_losses(mod)),
-            ("xent_fwd 128x1 (ref)", lambda: mod.xent_fwd(p, y)),
-            ("xent_bwd 128x1 (ref)", lambda: mod.xent_bwd(p, y, 1.0, pacc)),
-            ("gauss_fwd 120x120", lambda: mod.gauss_fwd(u, v, 0.5)),
-            ("gauss_fwd 240x240", lambda: mod.gauss_fwd(*blocks[240], 0.5)),
-            ("gauss_bwd 120x120",
-             lambda: mod.gauss_bwd(u, v, kmat, kg, 0.5, du, dv)),
-            ("adagrad 16x8", lambda: mod.adagrad_step(w, wg, wacc, 0.05, 1e-8)),
-        ]
-    return make
+    w = rng.standard_normal((16, 8))
+    wg = rng.standard_normal((16, 8))
+    wacc = np.abs(rng.standard_normal((16, 8)))
+    return [
+        ("relu_fwd 128x16", lambda: knp.relu_fwd(x)),
+        ("relu_bwd 128x16", lambda: knp.relu_bwd(x, g, acc)),
+        ("sigmoid_fwd 128x1", lambda: knp.sigmoid_fwd(p)),
+        ("xent_seed 2x128x1", lambda: knp.xent_seed(ps, ys, gscale, seed)),
+        ("xent_steps 50x2x128x1", epoch_losses),
+        ("xent_fwd 128x1 (ref)", lambda: knp.xent_fwd(p, y)),
+        ("xent_bwd 128x1 (ref)", lambda: knp.xent_bwd(p, y, 1.0, pacc)),
+        ("gauss_fwd 120x120", lambda: knp.gauss_fwd(u, v, 0.5)),
+        ("gauss_fwd 240x240", lambda: knp.gauss_fwd(*blocks[240], 0.5)),
+        ("gauss_bwd 120x120",
+         lambda: knp.gauss_bwd(u, v, kmat, kg, 0.5, du, dv)),
+        ("adagrad 16x8", lambda: knp.adagrad_step(w, wg, wacc, 0.05, 1e-8)),
+    ]
 
 
 def mmd_cases(rng):
     """One MMD term between two groups of a batch's probabilities, bw 1.0:
     about 120 + 120 rows at batch 512 and 240 + 240 at most."""
     def case(n):
-        p = np.ascontiguousarray(rng.random((2 * n, 1)))
+        p = rng.random((2 * n, 1))
         g0, g1 = np.arange(n), np.arange(n, 2 * n)
         return (f"mmd term {n}+{n}",
                 lambda: losses._mmd_blocks(p, g0, g1, 1.0),
@@ -105,21 +95,12 @@ def main():
     args = ap.parse_args()
 
     rng = np.random.default_rng(0)
-    make = cases(rng)
-    numpy_rows = [(name, timeit(fn, args.repeats)) for name, fn in make(knp)]
-    if kc is None:
-        print("compiled extension not available; numpy-only timings")
-        for name, t in numpy_rows:
-            print(f"{name:24s} numpy {t * 1e6:9.1f} us")
-    else:
-        compiled_rows = [(name, timeit(fn, args.repeats))
-                         for name, fn in make(compiled(kc))]
-        print(f"{'kernel':24s} {'numpy us':>10s} {'compiled us':>12s} {'speedup':>8s}")
-        for (name, tn), (_, tc) in zip(numpy_rows, compiled_rows):
-            print(f"{name:24s} {tn * 1e6:10.1f} {tc * 1e6:12.1f} {tn / tc:8.2f}x")
+    print(f"{'kernel':24s} {'us':>10s}")
+    for name, fn in cases(rng):
+        print(f"{name:24s} {timeit(fn, args.repeats) * 1e6:10.1f}")
 
     print(f"\n{'MMD term, bw 1.0':22s} {'blocks us':>10s} {'features us':>12s} "
-          f"{'speedup':>8s}   (blocks on the {BACKEND} backend)")
+          f"{'speedup':>8s}")
     for name, blocks, features in mmd_cases(rng):
         tb, tf = timeit(blocks, args.repeats), timeit(features, args.repeats)
         print(f"{name:22s} {tb * 1e6:10.1f} {tf * 1e6:12.1f} {tb / tf:8.2f}x")

@@ -7,10 +7,9 @@ with one tree, then compare two records.
     PYTHONPATH=src python3 scripts/parity_check.py --save after.pkl
     python3 scripts/parity_check.py --compare before.pkl after.pkl
 
-`--save F` trains the parity set with the fairmtl found on PYTHONPATH,
-under the kernel backend that FAIRMTL_KERNELS selects, and writes each
-run's parameters, Adagrad accumulators, per-epoch history and test
-metrics (error, FPR gap and TPR gap per task) to F.  `--compare A B`
+`--save F` trains the parity set with the fairmtl found on PYTHONPATH and
+writes each run's parameters, Adagrad accumulators, per-epoch history and
+test metrics (error, FPR gap and TPR gap per task) to F.  `--compare A B`
 prints, over all runs, the largest difference of any parameter or
 accumulator entry (absolute, and relative to the largest magnitude in
 that parameter) and of any history entry, then every test metric that
@@ -84,7 +83,6 @@ def _runs():
 
 
 def save(path):
-    from fairmtl.backend import BACKEND
     from fairmtl.metrics import evaluate_model
     from fairmtl.model import ArchConfig
     from fairmtl.trainer import TrainConfig, train
@@ -107,8 +105,8 @@ def save(path):
             "metrics": [(e.err, e.fpr_gap, e.tpr_gap)
                         for e in evaluate_model(run.model, test_ds)]}
     with open(path, "wb") as f:
-        pickle.dump({"backend": BACKEND, "runs": records}, f)
-    print(f"{len(records)} runs on the {BACKEND} backend written to {path}")
+        pickle.dump({"runs": records}, f)
+    print(f"{len(records)} runs written to {path}")
 
 
 def _largest(a_runs, b_runs, field):
@@ -136,8 +134,7 @@ def compare(path_a, path_b):
         with open(path, "rb") as f:
             records.append(pickle.load(f))
     a, b = (r["runs"] for r in records)
-    print(f"A: {path_a} ({records[0]['backend']}), "
-          f"B: {path_b} ({records[1]['backend']}), {len(a)} runs")
+    print(f"A: {path_a}, B: {path_b}, {len(a)} runs")
     if a.keys() != b.keys():
         print("the records hold different runs:",
               sorted(a.keys() ^ b.keys()))

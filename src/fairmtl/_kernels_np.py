@@ -1,13 +1,11 @@
-"""Pure-numpy implementations of the hot training kernels.
+"""The hot training kernels, in numpy, on float64 arrays.
 
-This is the fallback backend; `fairmtl._ckernels` provides the same
-signatures as a compiled extension.  All arrays are C-contiguous float64.
-Accumulating kernels (`*_bwd`, `adagrad_step`) mutate their output argument
-in place; `sigmoid_bwd` also takes a (k, m, d) stack of `g` and `acc`
-against one (m, d) `s`.  `relu_fwd` and `sigmoid_fwd` write into `out`
-when given; either way, use the array they return.  Training takes
-cross-entropy at the logit, from `xent`; `xent_fwd`/`xent_bwd`, the loss
-and its gradient at p, serve the autodiff reference.
+Accumulating kernels (`*_bwd`, `adagrad_step`) add into their output
+argument in place, broadcasting as numpy does: `sigmoid_bwd` takes a
+(k, ...) stack of `g` and `acc` against one `s`.  `relu_fwd` and
+`sigmoid_fwd` write into `out`, when given, and return it.  Training
+takes cross-entropy at the logit, from `xent`; `xent_fwd`/`xent_bwd`, the
+loss and its gradient at p, serve the autodiff reference.
 """
 
 import numpy as np

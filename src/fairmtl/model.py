@@ -277,16 +277,11 @@ class Workspace:
         self.cat_idx = self.probs = self.seeds = None
         self.shared_in = [None] * len(model.shared_layers)
         self.head_in = [None] * len(model.head_stacks)
-        # per layer: (pre-activation, activation), and for a head stack
-        # (pre-activation, its kernel view, activation, its kernel view)
-        self.shared_fwd = [(np.empty((n, w.shape[1])),
-                            np.empty((n, w.shape[1])))
+        # per layer: (pre-activation, activation)
+        self.shared_fwd = [tuple(np.empty((2, n, w.shape[1])))
                            for w, _ in model.shared_layers]
-        self.head_fwd = []
-        for w, _ in model.head_stacks:
-            pre, act = np.empty((2, T * n, w.value.shape[-1]))
-            self.head_fwd.append((pre.reshape(T, n, -1), pre,
-                                  act.reshape(T, n, -1), act))
+        self.head_fwd = [tuple(np.empty((2, T, n, w.value.shape[-1])))
+                         for w, _ in model.head_stacks]
 
     def for_step(self, model):
         """This workspace with the buffers of a step's seeds and backward
@@ -365,14 +360,12 @@ def forward_np(model, dense, cat_idx=None, ws=None):
         x = kernels.relu_fwd(pre, act)
 
     top = len(model.head_stacks) - 1
-    for i, ((w, b), (pre, pre_k, act, act_k)) in enumerate(
-            zip(model.head_stacks, ws.head_fwd)):
+    for i, ((w, b), (pre, act)) in enumerate(zip(model.head_stacks,
+                                                  ws.head_fwd)):
         ws.head_in[i] = x
         np.matmul(x, w.value, out=pre)
         pre += b.value
-        out = (kernels.sigmoid_fwd if i == top else kernels.relu_fwd)(
-            pre_k, act_k)
-        x = act if out is act_k else out.reshape(pre.shape)
+        x = (kernels.sigmoid_fwd if i == top else kernels.relu_fwd)(pre, act)
     ws.probs = x
     return ws
 

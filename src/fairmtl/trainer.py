@@ -135,8 +135,8 @@ def adagrad_update(param, grad, lr):
     if grad.shape != param.value.shape:
         raise ShapeError(
             f"adagrad_update: grad {grad.shape} vs param {param.value.shape}")
-    kernels.adagrad_step(param.value, np.ascontiguousarray(grad),
-                         param.adagrad_acc, lr, ADAGRAD_EPS)
+    kernels.adagrad_step(param.value, grad, param.adagrad_acc, lr,
+                         ADAGRAD_EPS)
     return param
 
 
@@ -309,8 +309,7 @@ def _seeds(batch, probs, out, with_losses=True):
     k = len(terms)
     if plan.mtaf:
         out[1] = out[0]
-    kernels.sigmoid_bwd(probs.reshape(-1, 1), terms.reshape(k, -1, 1),
-                        out[:k].reshape(k, -1, 1))
+    kernels.sigmoid_bwd(probs, terms, out[:k])
     return out[:k], losses
 
 

@@ -1,9 +1,4 @@
-"""Contracts of the numpy kernels, which the compiled extension must match.
-
-tests/test_backend.py compares the two backends and skips when no C
-compiler can build the extension, so the contracts themselves are checked
-here on the numpy kernels.
-"""
+"""Contracts of the numpy training kernels."""
 
 import numpy as np
 import pytest
@@ -128,3 +123,22 @@ def test_backward_kernels_accumulate_in_place(name):
     call(acc)
     for a, a0, d in zip(acc, start, once):
         assert_allclose(a, a0 + 2 * d, rtol=1e-12, atol=1e-12)
+
+
+def test_adagrad_on_a_flat_view_is_per_param_calls():
+    """One call on a (1, N) vector of concatenated parameters equals one
+    call per parameter, bit for bit."""
+    rng = np.random.default_rng(7)
+    shapes = [(4, 3), (1, 3), (3, 1), (1, 1), (5, 2)]
+    params = [rng.standard_normal(s) * 3.0 for s in shapes]
+    grads = [rng.standard_normal(s) * 3.0 for s in shapes]
+    accs = [np.abs(rng.standard_normal(s) * 3.0) for s in shapes]
+
+    def flat(arrays):
+        return np.concatenate([a.ravel() for a in arrays]).reshape(1, -1)
+    p_flat, a_flat = flat(params), flat(accs)
+    knp.adagrad_step(p_flat, flat(grads), a_flat, 0.05, 1e-8)
+    for p, g, a in zip(params, grads, accs):
+        knp.adagrad_step(p, g, a, 0.05, 1e-8)
+    assert p_flat.tobytes() == flat(params).tobytes()
+    assert a_flat.tobytes() == flat(accs).tobytes()

@@ -17,7 +17,7 @@ from test_acceptance import _routing_arch, _routing_batch
 
 import fairmtl.autodiff as ad
 from fairmtl import losses, metrics, trainer
-from fairmtl.backend import BACKEND, kernels
+from fairmtl.backend import kernels
 from fairmtl.data import Dataset
 from fairmtl.exceptions import ConfigError, ShapeError, TrainingDiverged
 from fairmtl.losses import cross_entropy, decompose_fairness
@@ -490,8 +490,9 @@ def test_nonfinite_mid_run_aborts_at_the_step_that_meets_it(method,
     """A NaN that reaches the probabilities in a run's third step aborts
     `train()` there, with the message a loop of steps that take their loss
     values (`loss_sink`) raises, before any fairness check; so do single
-    steps on its rows, with a sink and without.  A step without a sink
-    checks the clipped probabilities: the seed is 0 where p is NaN."""
+    steps on its rows, with a sink and without, with hidden relu layers
+    (which pass the NaN on) and without.  A step without a sink checks the
+    clipped probabilities: the seed is 0 where p is NaN."""
     base = separable_dataset(n=60, seed=4)
     cfg = TrainConfig(method=method, task_weights=(0.6, 0.4),
                       fairness_weights=(1.5, 0.8),
@@ -502,30 +503,32 @@ def test_nonfinite_mid_run_aborts_at_the_step_that_meets_it(method,
     dense[perm[40], 1] = np.nan
     data = Dataset(dense=dense, cat=base.cat, labels=base.labels,
                    sensitive=base.sensitive)
-    # no hidden layer: the compiled relu maps NaN to 0
-    arch = ArchConfig(num_tasks=2, shared_layer_sizes=(),
-                      head_layer_sizes=())
-    model, expected = build_model(arch, dense_count=3, seed=cfg.seed), None
-    for step, start in enumerate(range(0, 60, 16)):
-        try:
-            train_step(model, data.take(perm[start:start + 16]), cfg,
-                       loss_sink=[])
-        except TrainingDiverged as exc:
-            expected = (step, str(exc))
-            break
-    assert expected == (2, "non-finite value in task 0 accuracy loss: nan")
+    step_real = trainer.train_step
+    for arch in (ArchConfig(num_tasks=2, shared_layer_sizes=(),
+                            head_layer_sizes=()), small_arch()):
+        model = build_model(arch, dense_count=3, seed=cfg.seed)
+        expected = None
+        for step, start in enumerate(range(0, 60, 16)):
+            try:
+                step_real(model, data.take(perm[start:start + 16]), cfg,
+                          loss_sink=[])
+            except TrainingDiverged as exc:
+                expected = (step, str(exc))
+                break
+        assert expected == (2, "non-finite value in task 0 accuracy loss: "
+                               "nan"), arch
 
-    steps, step_real = [], trainer.train_step
-    monkeypatch.setattr(trainer, "train_step",
-                        lambda *a, **k: steps.append(1) or step_real(*a, **k))
-    with pytest.raises(TrainingDiverged) as exc:
-        train(data, arch, cfg)
-    assert (len(steps) - 1, str(exc.value)) == expected
-    for sink in (None, []):
+        steps = []
+        monkeypatch.setattr(trainer, "train_step", lambda *a, **k: (
+            steps.append(1) or step_real(*a, **k)))
         with pytest.raises(TrainingDiverged) as exc:
-            step_real(build_model(arch, dense_count=3, seed=cfg.seed),
-                      data.take(perm[32:48]), cfg, loss_sink=sink)
-        assert str(exc.value) == expected[1]
+            train(data, arch, cfg)
+        assert (len(steps) - 1, str(exc.value)) == expected, arch
+        for sink in (None, []):
+            with pytest.raises(TrainingDiverged) as exc:
+                step_real(build_model(arch, dense_count=3, seed=cfg.seed),
+                          data.take(perm[32:48]), cfg, loss_sink=sink)
+            assert str(exc.value) == expected[1], arch
 
     p, seed = np.array([[[np.nan], [0.5]]]), np.empty((1, 2, 1))
     kernels.xent_seed(p, np.ones_like(p), 1.0, seed)
@@ -682,10 +685,8 @@ def test_run_reuses_its_buffers(monkeypatch):
 
     def spy(model, dense, cat_idx, ws):
         ws = forward_real(model, dense, cat_idx, ws)
-        arrays = [ws.seeds] + [a for layer in ws.shared_fwd + ws.head_fwd
-                               for a in layer]
-        if BACKEND == "numpy":   # the compiled activations are new arrays
-            arrays.append(ws.probs)
+        arrays = [ws.seeds, ws.probs] + [
+            a for layer in ws.shared_fwd + ws.head_fwd for a in layer]
         # the workspaces stay referenced, so a new one gets new addresses
         seen.setdefault(len(dense), []).append(
             (ws, [a.__array_interface__["data"][0] for a in arrays]))
