@@ -16,11 +16,14 @@ that parameter) and of any history entry, then every test metric that
 differs, with both values.  It exits 1 when the records hold different
 runs.
 
-The set has 117 runs on synthetic data with 10% of the sensitive values
-missing: 81 over 1-3 tasks x 3 fairness kinds x 3 targets x 3 methods,
-and 36 over 3 kinds x 3 methods x 4 variants (two embedding tables and a
-tail batch with mixed lambdas; two-layer bottom and heads with zero
-lambdas; no hidden layers; and both of the first two together).
+The set has 129 runs on synthetic data with 10% of the sensitive values
+missing: 81 over 1-3 tasks x 3 fairness kinds x 3 targets x 3 methods
+(MMD at bandwidth 1), 36 over 3 kinds x 3 methods x 4 variants (two
+embedding tables and a tail batch with mixed lambdas; two-layer bottom and
+heads with zero lambdas; no hidden layers; and both of the first two
+together), and 12 MMD runs over 2 tasks x 3 targets x baseline and mtaf
+at bandwidths 0.3, where a quarter to two thirds of the losses take the
+exact kernel blocks, and 2, which takes the feature map.
 """
 
 import argparse
@@ -80,6 +83,15 @@ def _runs():
                        dict(method=method, fairness_kind=kind,
                             fairness_target="equalized_odds",
                             fairness_weights=lam, batch_size=batch))
+    from fairmtl.losses import FairnessLossKind
+    for bandwidth in (0.3, 2.0):
+        for target in TARGETS:
+            for method in ("baseline", "mtaf"):
+                yield (f"T2/mmd-{bandwidth}/{target}/{method}", 2, False,
+                       small, dict(method=method, fairness_kind=(
+                           FairnessLossKind("mmd", mmd_bandwidth=bandwidth)),
+                           fairness_target=target, fairness_weights=(1.0, 0.5),
+                           batch_size=64))
 
 
 def save(path):

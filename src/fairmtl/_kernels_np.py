@@ -4,8 +4,9 @@ Accumulating kernels (`*_bwd`, `adagrad_step`) add into their output
 argument in place, broadcasting as numpy does: `sigmoid_bwd` takes a
 (k, ...) stack of `g` and `acc` against one `s`.  `relu_fwd` and
 `sigmoid_fwd` write into `out`, when given, and return it.  Training
-takes cross-entropy at the logit, from `xent`; `xent_fwd`/`xent_bwd`, the
-loss and its gradient at p, serve the autodiff reference.
+takes cross-entropy's seed at the logit from `xent_seed` and its losses
+from `xent_steps`; `xent_fwd`/`xent_bwd`, the loss and its gradient at p,
+serve the autodiff reference.
 """
 
 import numpy as np
@@ -74,15 +75,6 @@ def xent_steps(pc, y):
     pc *= 1.0 - y
     terms += pc
     return terms.sum(axis=(-2, -1)) / -pc.shape[-2]
-
-
-def xent(p, y, gscale, out):
-    """`xent_seed(p, y, gscale, out)`, then `xent_fwd(p, y)` bit for bit
-    from its clipped p; on a (T, n, 1) stack, the list of T losses."""
-    pc = xent_seed(p, y, gscale, out)
-    if p.ndim == 2:
-        return float(xent_steps(pc[None, None], y[None, None])[0, 0])
-    return xent_steps(pc[None], y[None])[0].tolist()
 
 
 def gauss_fwd(u, v, gamma):

@@ -199,8 +199,10 @@ class Dataset:
                 f"categorical codes of shape {self.cat.shape} need one "
                 f"vocab size per column, got {len(self.vocab_sizes)}")
         for j, size in enumerate(self.vocab_sizes):
-            if self.cat.shape[0] and self.cat[:, j].max() >= size:
-                raise ConfigError(f"categorical column {j} exceeds vocab size")
+            column = self.cat[:, j]
+            if column.size and not 0 <= column.min() <= column.max() < size:
+                raise ConfigError(f"categorical column {j} has a code "
+                                  f"outside [0, vocab size {size})")
 
     def kept(self, name, build):
         """What this dataset keeps under `name` for every run on its rows:

@@ -10,11 +10,11 @@ takes at the logit from `kernels.xent_seed`.
 
 Training reads a batch's subsets from one integer code per (row, task),
 `subset_codes`: 6 y + 3 exclusive + (a + 1), so the row's side, whether it
-is exclusive and its sensitive group.  `Subsets` holds them for every task
-with the side masks built from them; it holds values per row, so the
-training set keeps its arrays for every run, and the trainer gathers them
-by each epoch's permutation.
-`fairness_seed_terms` turns it into the derivatives the trainer adds to
+is exclusive and its sensitive group; it is the one definition of
+exclusivity, which `subset_rows` reads too.  `subset_arrays` gives every
+task's codes with the side masks built from them, values per row that
+the trainer's `Batch` holds with the rest of a batch's rows.
+`fairness_seed_terms` turns them into the derivatives the trainer adds to
 its seeds, for all tasks at once: the soft FPR gap's derivative is
 constant on each code, so it needs only per-code sums and counts, two
 bincounts whatever the number of tasks; MMD and correlation take each
@@ -58,6 +58,8 @@ class FairnessLossKind:
     def __post_init__(self):
         if self.kind not in FAIRNESS_KINDS:
             raise ConfigError(f"unknown fairness loss kind {self.kind!r}")
+        # a float, so equal configs hash equal however written
+        object.__setattr__(self, "mmd_bandwidth", float(self.mmd_bandwidth))
         if self.mmd_bandwidth <= 0:
             raise ConfigError("mmd_bandwidth must be > 0")
 
@@ -104,24 +106,19 @@ def subset_rows(labels, t, which):
     every other task; for T = 1 the intersection over no other tasks is the
     whole batch, so the exclusive set equals all of N_t.  exclusive_positives
     mirrors this on the positive side.  An exclusive set is always a subset
-    of its full set.
+    of its full set.  The rows are read from `subset_codes`.
     """
-    labels = np.asarray(labels)
-    if labels.ndim != 2:
-        raise ShapeError(f"labels must be (n, T), got {labels.shape}")
-    num_tasks = labels.shape[1]
-    if not 0 <= t < num_tasks:
-        raise ConfigError(f"task index {t} out of range for T={num_tasks}")
+    codes = subset_codes(labels, 0)   # refuses labels not shaped (n, T)
+    if not 0 <= t < codes.shape[1]:
+        raise ConfigError(f"task {t} out of range for T={codes.shape[1]}")
     if which not in SUBSET_KINDS:
         raise ConfigError(f"unknown subset kind {which!r}")
 
-    positive = which in ("positives", "exclusive_positives")
-    mask = labels[:, t] == int(positive)
+    y = SUBSET_KINDS.index(which) % 2
+    code = codes[:, t]
     if which.startswith("exclusive_"):
-        for k in range(num_tasks):
-            if k != t:
-                mask &= labels[:, k] == int(not positive)
-    return np.flatnonzero(mask)
+        return np.flatnonzero(code // 3 == 2 * y + 1)
+    return np.flatnonzero(code // 6 == y)
 
 
 def subset_select(labels, t, which):
@@ -334,8 +331,8 @@ def subset_codes(labels, sensitive):
     """One code per (row, task): 6 y + 3 exclusive + (a + 1), as (n, T).
 
     y is the row's 0/1 label on the task and a its sensitive value (-1 when
-    missing).  A row is exclusive for task t when it lies in t's exclusive
-    set of its side (`subset_rows`): y_t = 1 and the row's only positive
+    missing).  A row is exclusive for task t, so in t's exclusive set of
+    its side (`subset_rows`), when y_t = 1 and the row's only positive
     label is t's, or y_t = 0 and every other label is positive.  For T = 1
     every row is exclusive.  Each task's column is contiguous.
     """
@@ -346,68 +343,25 @@ def subset_codes(labels, sensitive):
     return _code_table(y.shape[0])[y, key].T
 
 
-class Subsets:
-    """A batch's fairness subsets for every task, in the forms a step reads.
+def subset_arrays(labels, sensitive):
+    """(codes, sensitive, sides), a batch's fairness subsets for every
+    task in the forms a step reads, from its (n, T) labels and sensitive
+    values.
 
     `codes` is (T, n): task t's `subset_codes` column, offset by 12 t, so
     one bincount over every task's codes gives each (task, code) bin.
-    `sensitive` is the rows' attribute and `sides[:, 2 y + exclusive]` the
-    (n, T) mask of each task's side y (its rows labelled y) and of that
-    side's exclusive rows, which MMD and correlation take their rows from.
-    None of these depends on the probabilities, and each is a value per
-    row, so the training set keeps their `arrays`, `train()` gathers them
-    by each epoch's permutation (`take`) and steps on slices of that,
-    whose per-code `counts` it sets once per epoch (`count_steps`); None
-    until set.
+    `sides[:, 2 y + exclusive]` is the (n, T) mask of each task's side y
+    (its rows labelled y) and of that side's exclusive rows, which MMD and
+    correlation take their rows from.  None of these depends on the
+    probabilities, and each is a value per row.
     """
-
-    __slots__ = ("codes", "sensitive", "sides", "counts")
-
-    def __init__(self, codes, sensitive, sides):
-        self.codes, self.sensitive, self.sides = codes, sensitive, sides
-        self.counts = None
-
-    @classmethod
-    def of(cls, labels, sensitive):
-        """The subsets of the rows with these (n, T) labels and sensitive
-        values."""
-        codes = subset_codes(labels, sensitive)
-        # contiguous, so that gathering rows moves whole rows
-        sides = np.ascontiguousarray(np.stack(
-            [codes // 6 == 0, codes // 3 == 1, codes // 6 == 1,
-             codes // 3 == 3], axis=1))
-        offsets = 12 * np.arange(codes.shape[1]).reshape(-1, 1)
-        return cls(codes.T + offsets, np.asarray(sensitive), sides)
-
-    @property
-    def arrays(self):
-        """(codes, sensitive, sides), the arguments of the constructor."""
-        return self.codes, self.sensitive, self.sides
-
-    def take(self, rows, out):
-        """These rows, gathered into the arrays of `out`, Subsets of as
-        many rows, which it returns."""
-        np.take(self.codes, rows, axis=1, out=out.codes)
-        np.take(self.sensitive, rows, out=out.sensitive)
-        np.take(self.sides, rows, axis=0, out=out.sides)
-        return out
-
-    def __getitem__(self, rows):
-        return Subsets(self.codes[:, rows], self.sensitive[rows],
-                       self.sides[rows])
-
-    def count_steps(self, steps, size):
-        """Set the `counts` of `steps`, these rows cut into `size` rows in
-        order: one bincount over (step, code) keys gives all of them."""
-        bins = 12 * len(self.codes)
-        keys = self.codes + np.arange(self.codes.shape[1]) // size * bins
-        counts = np.bincount(keys.ravel(), minlength=len(steps) * bins)
-        for step, row in zip(steps, counts.reshape(-1, bins).tolist()):
-            step.counts = row
-
-    def rows(self, t, y, exclusive):
-        """Task t's rows labelled y, or only its exclusive ones, ascending."""
-        return np.flatnonzero(self.sides[:, 2 * y + exclusive, t])
+    codes = subset_codes(labels, sensitive)
+    # contiguous, so that gathering rows moves whole rows
+    sides = np.ascontiguousarray(np.stack(
+        [codes // 6 == 0, codes // 3 == 1, codes // 6 == 1,
+         codes // 3 == 3], axis=1))
+    offsets = 12 * np.arange(codes.shape[1]).reshape(-1, 1)
+    return codes.T + offsets, np.asarray(sensitive), sides
 
 
 # Summed in any order, n nonnegative numbers err by at most (n - 1) 2^-53
@@ -434,15 +388,16 @@ def _gap(s0, n0, s1, n1, exact):
     return abs(diff), s / n0, -s / n1
 
 
-def fairness_seed_terms(kind, target, subsets, probs, tasks, combine,
+def fairness_seed_terms(kind, target, batch, probs, tasks, combine,
                         head=False):
     """Every task's fairness losses and seed terms from a batch's subsets.
 
     Returns (F_full, F_head, combine(dF_full/dp, dF_head/dp)): two lists
-    of T floats and the terms as one (k, T, n, 1) stack.  `subsets` is the
-    batch's `Subsets`, `probs` its (T, n, 1) probability stack and `tasks`
-    the tasks whose losses count; every other task's losses and
-    derivatives are 0.  F_full sums one loss per side of the target
+    of T floats and the terms as one (k, T, n, 1) stack.  `batch` holds
+    the `subset_arrays` of its rows as `codes`, `sensitive` and `sides`,
+    and `counts`, described below; `probs` is its (T, n, 1) probability
+    stack and `tasks` the tasks whose losses count; every other task's
+    losses and derivatives are 0.  F_full sums one loss per side of the target
     (negatives for the fpr target, positives for tpr, both for equalized
     odds); F_head keeps each side's exclusive rows only, mtaf's head part,
     and is computed only with `head` (else F_head and its derivative are
@@ -453,26 +408,26 @@ def fairness_seed_terms(kind, target, subsets, probs, tasks, combine,
     The soft FPR gap's derivative is constant on each code, so one
     weighted and one plain count of every task's codes give each group's
     sum and size; the plain count depends on the rows alone, and is
-    `subsets.counts` when set.  The per-code arithmetic runs on Python
+    `batch.counts` when not None.  The per-code arithmetic runs on Python
     floats, task by task; `combine` gets the (T, 12, 1) per-code
     derivatives and its results are gathered by code in one take.  The
     other kinds run `fairness_terms` on each task's and side's rows and
     pass `combine` (T, n, 1) stacks.
     """
     kind = as_loss_kind(kind)
-    num_tasks = subsets.codes.shape[0]
+    num_tasks = batch.codes.shape[0]
     f_full, f_head = [0.0] * num_tasks, [0.0] * num_tasks
 
     def terms(t, y, exclusive):
-        return fairness_terms(kind, probs[t], subsets.sensitive,
-                              subsets.rows(t, y, exclusive))
+        return fairness_terms(kind, probs[t], batch.sensitive, np.flatnonzero(
+            batch.sides[:, 2 * y + exclusive, t]))
 
     if kind.kind == "soft_fpr_gap":
         # one flat array (a copy for a step's slice) to count and gather by
-        codes, bins = subsets.codes.ravel(), 12 * num_tasks
+        codes, bins = batch.codes.ravel(), 12 * num_tasks
         sums = np.bincount(codes, weights=probs.ravel(),
                            minlength=bins).tolist()
-        counts = subsets.counts or np.bincount(codes, minlength=bins).tolist()
+        counts = batch.counts or np.bincount(codes, minlength=bins).tolist()
         d_full, d_head = [0.0] * bins, [0.0] * bins
         for t in tasks:
             for y in _SIDE_LABELS[target]:

@@ -60,7 +60,7 @@ def from_fields(cls, d):
     names = {f.name for f in fields(cls)}
     try:
         return cls(**{k: v for k, v in d.items() if k in names})
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{cls.__name__}: {exc}") from exc
 
 

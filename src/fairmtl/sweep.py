@@ -241,7 +241,8 @@ def run_single(train_ds, test_ds, arch, config, baselines, run_id="run"):
 class RunsWriter:
     """Append-only writer for runs.csv; one header, unique run ids, flushed
     after every row so interrupted sweeps leave a readable table.  A table
-    whose last row was cut short is refused, not appended to."""
+    whose header is not `RUNS_COLUMNS`, or whose last row was cut short,
+    is refused, not appended to."""
 
     def __init__(self, path):
         self.path = path
@@ -251,7 +252,11 @@ class RunsWriter:
                 csv.writer(f).writerow(RUNS_COLUMNS)
         with open(path, "rb") as f:
             content = f.read()
-        if content and not content.endswith(b"\n"):
+        header = next(csv.reader([content.partition(b"\n")[0].decode()]), [])
+        if header != list(RUNS_COLUMNS):
+            raise ContractError(f"{path}: its header is not the runs table's "
+                                "columns; refusing to append to it")
+        if not content.endswith(b"\n"):
             line = content.count(b"\n") + 1
             raise ContractError(f"{path}:{line}: last row is cut short; "
                                 "remove that line before appending")
@@ -287,56 +292,48 @@ def _json_column(cells):
     return [None if c == "" else value() for c in cells]
 
 
-def _decode_columns(names, columns):
-    """The rows from their columns of cells, each JSON column decoded in
-    one call; each column's cells are dropped once it is decoded."""
-    for i, (name, cells) in enumerate(zip(names, columns)):
-        parser = RUNS_COLUMNS.get(name, str)
-        columns[i] = (_json_column(cells) if parser is json.loads else
-                      [None if v == "" else parser(v) for v in cells])
-    return [dict(zip(names, values)) for values in zip(*columns)]
-
-
-def _load_rows(path):
-    """`load_runs` one row at a time, so an error names the first
-    malformed row."""
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or "run_id" not in reader.fieldnames:
-            raise ContractError(f"{path}: not a runs table")
-        parser = RUNS_COLUMNS.get
-        rows = []
-        for row in reader:
-            try:
-                if None in row:
-                    raise ValueError("more cells than columns")
-                rows.append({k: None if v == "" else parser(k, str)(v)
-                             for k, v in row.items()})
-            except (TypeError, ValueError) as exc:
-                raise ContractError(f"{path}:{reader.line_num}: malformed "
-                                    f"row ({exc})") from exc
-    return rows
+def _decode_column(path, name, cells, lines):
+    """A column's cells, each decoded by its column's parser, a JSON
+    column in one call where `_json_column` can; a cell that does not
+    decode raises ContractError naming its line, of `lines`."""
+    parser = RUNS_COLUMNS.get(name, str)
+    if parser is json.loads:
+        try:
+            return _json_column(cells)
+        except ValueError:
+            pass
+    values = []
+    try:
+        for cell in cells:
+            values.append(None if cell == "" else parser(cell))
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"{path}:{lines[len(values)]}: malformed row "
+                            f"({exc})") from exc
+    return values
 
 
 def load_runs(path):
-    """Read runs.csv back into dicts; numeric and JSON cells are decoded.
-    A malformed row raises ContractError naming the file and line.
-
-    The table is decoded column by column; a table that does not decode
-    that way is read again row by row, which finds the malformed row.
-    """
+    """Read runs.csv back into dicts; numeric and JSON cells are decoded
+    column by column.  A malformed row raises ContractError naming the
+    file and line."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
         names = next(reader, [])
-        rows = [row for row in reader if row]
-    if "run_id" in names and all(len(row) == len(names) for row in rows):
-        columns = list(zip(*rows))
-        del rows   # so each column's cells are freed once it is decoded
-        try:
-            return _decode_columns(names, columns)
-        except (TypeError, ValueError):
-            pass
-    return _load_rows(path)
+        if "run_id" not in names:
+            raise ContractError(f"{path}: not a runs table")
+        rows, lines = [], []
+        for row in filter(None, reader):   # blank lines hold no row
+            if len(row) != len(names):
+                raise ContractError(f"{path}:{reader.line_num}: malformed "
+                                    f"row ({len(row)} cells, {len(names)} "
+                                    "columns)")
+            rows.append(row)
+            lines.append(reader.line_num)
+    columns = list(zip(*rows))
+    del rows   # so each column's cells are freed once it is decoded
+    for i, (name, cells) in enumerate(zip(names, columns)):
+        columns[i] = _decode_column(path, name, cells, lines)
+    return [dict(zip(names, values)) for values in zip(*columns)]
 
 
 # The (train_ds, test_ds, arch, baselines) every run of a sweep shares: set

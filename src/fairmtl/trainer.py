@@ -37,6 +37,7 @@ per parameter bit for bit.
 """
 
 import math
+import operator
 import time
 from dataclasses import asdict, dataclass, replace
 
@@ -44,8 +45,8 @@ import numpy as np
 
 from .backend import kernels
 from .exceptions import ConfigError, ShapeError, TrainingDiverged
-from .losses import (FAIRNESS_TARGETS, Subsets, as_loss_kind,
-                     fairness_seed_terms)
+from .losses import (FAIRNESS_TARGETS, as_loss_kind, fairness_seed_terms,
+                     subset_arrays)
 from .model import (backprop, build_model, forward_np, from_fields,
                     workspace)
 
@@ -83,6 +84,10 @@ class TrainConfig:
             raise ConfigError("weights must be nonnegative")
         if any(x <= 0 for x in r):
             raise ConfigError("head_shared_ratios must be positive")
+        # one type per field, so equal configs hash equal however written
+        object.__setattr__(self, "learning_rate", float(self.learning_rate))
+        for name in ("epochs", "batch_size", "seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
         if self.epochs < 1 or self.batch_size < 1:
@@ -169,39 +174,45 @@ class RunPlan:
             self.combine = lambda full, _: (scale * full)[None]
 
 
+# The per-row arrays of a `Batch`, each with its row axis.
+_ROWS = (("dense", 0), ("cat", 0), ("labels", 1), ("codes", 1),
+         ("sensitive", 0), ("sides", 0))
+
+
 class Batch:
-    """A batch's rows in the forms a step reads under its run's `RunPlan`:
-    the dense inputs, the categorical codes (None when there are none), the
-    (T, n, 1) float labels and, when a fairness loss is on, the rows'
-    `losses.Subsets`.  None of these depends on the probabilities, and each
-    is a value per row, so `train()` gathers them by each epoch's
-    permutation and steps on slices of that (`steps`).  `clipped`, when
-    not None, is the contiguous (T, n, 1) array a step without a loss sink
-    writes its clipped probabilities into (for an epoch, a flat array with
-    its steps' in turn), and `workspaces` the dict its `model.workspace`
-    comes from; both, like the labels and subsets, are kept by the
-    dataset the batch came from."""
+    """A batch's rows in the forms a step reads under its run's `RunPlan`,
+    the arrays of `_ROWS`: the dense inputs, the categorical codes (None
+    when there are none), the (T, n, 1) float labels and, when a fairness
+    loss is on, the rows' `losses.subset_arrays` (else None).  Each is a
+    value per row that does not depend on the probabilities, so `train()`
+    gathers them by each epoch's permutation and steps on slices of that
+    (`steps`), whose per-code `counts` it sets once per epoch
+    (`count_steps`; None until set).  `clipped`, when not None, is the
+    contiguous (T, n, 1) array a step writes its clipped probabilities
+    into (for an epoch, a flat array with its steps' in turn), and
+    `workspaces` the dict its `model.workspace` comes from; both, like
+    the labels and subset arrays, are kept by the dataset they came
+    from."""
 
-    __slots__ = ("plan", "dense", "cat", "labels", "subsets", "clipped",
-                 "workspaces")
+    __slots__ = ("plan", "clipped", "workspaces", "counts") + tuple(
+        name for name, _ in _ROWS)
 
-    def __init__(self, plan, dense, cat, labels, subsets, clipped,
-                 workspaces):
-        self.plan, self.dense, self.cat = plan, dense, cat
-        self.labels, self.subsets = labels, subsets
-        self.clipped, self.workspaces = clipped, workspaces
+    def __init__(self, plan, rows, clipped, workspaces):
+        """`rows` holds the per-row arrays in the order of `_ROWS`."""
+        for (name, _), a in zip(_ROWS, rows):
+            setattr(self, name, a)
+        self.plan, self.clipped, self.workspaces = plan, clipped, workspaces
+        self.counts = None
 
     @classmethod
     def of(cls, dataset, plan):
         """The dataset's rows, from the arrays it keeps for every run."""
         labels = dataset.kept("labels", lambda: np.ascontiguousarray(
             dataset.labels.T, dtype=np.float64)[..., None])
-        subsets = None
-        if plan.tasks:
-            subsets = Subsets(*dataset.kept("subsets", lambda: Subsets.of(
-                dataset.labels, dataset.sensitive).arrays))
-        return cls(plan, dataset.dense, dataset.cat if dataset.cat.size
-                   else None, labels, subsets, None,
+        subsets = dataset.kept("subsets", lambda: subset_arrays(
+            dataset.labels, dataset.sensitive)) if plan.tasks else (None,) * 3
+        return cls(plan, (dataset.dense, dataset.cat if dataset.cat.size
+                          else None, labels, *subsets), None,
                    dataset.kept("workspaces", dict))
 
     def epoch(self, arrays):
@@ -209,18 +220,12 @@ class Batch:
         which keeps any array it lacks for later runs; its `clipped` is
         one too."""
         def array(name, like):
-            if like is None:
-                return None
-            a = arrays.get(name)
-            if a is None:
-                a = arrays[name] = np.empty(like.shape, like.dtype)
-            return a
-        subsets = None if self.subsets is None else Subsets(*(
-            array(name, getattr(self.subsets, name))
-            for name in ("codes", "sensitive", "sides")))
-        return Batch(self.plan, array("dense", self.dense),
-                     array("cat", self.cat), array("labels", self.labels),
-                     subsets, array("clipped", self.labels.reshape(-1)),
+            if like is not None and name not in arrays:
+                arrays[name] = np.empty(like.shape, like.dtype)
+            return None if like is None else arrays[name]
+        return Batch(self.plan, [array(name, getattr(self, name))
+                                 for name, _ in _ROWS],
+                     array("clipped", self.labels.reshape(-1)),
                      self.workspaces)
 
     def __len__(self):
@@ -229,20 +234,18 @@ class Batch:
     def take(self, rows, out):
         """These rows, gathered into the arrays of `out`, a Batch of as
         many rows (`epoch`), which it returns."""
-        for name, axis in (("dense", 0), ("cat", 0), ("labels", 1)):
+        for name, axis in _ROWS:
             a = getattr(self, name)
             if a is not None:
                 np.take(a, rows, axis=axis, out=getattr(out, name))
-        if self.subsets is not None:
-            self.subsets.take(rows, out.subsets)
         return out
 
     def __getitem__(self, rows):
-        return Batch(self.plan, self.dense[rows],
-                     None if self.cat is None else self.cat[rows],
-                     self.labels[:, rows],
-                     None if self.subsets is None else self.subsets[rows],
-                     None, self.workspaces)
+        parts = []
+        for name, axis in _ROWS:
+            a = getattr(self, name)
+            parts.append(a if a is None else a[:, rows] if axis else a[rows])
+        return Batch(self.plan, parts, None, self.workspaces)
 
     def steps(self, size):
         """This epoch (`epoch`) cut into steps of `size` rows in order, as
@@ -264,10 +267,14 @@ class Batch:
                 steps[-1].clipped = clipped
         return steps, stacks
 
-
-def _finite_losses(losses):
-    for t, loss in enumerate(losses):
-        _finite(loss, t, "accuracy loss")
+    def count_steps(self, steps, size):
+        """Set the `counts` of `steps`, these rows cut into `size` rows in
+        order: one bincount over (step, code) keys gives all of them."""
+        bins = 12 * len(self.codes)
+        keys = self.codes + np.arange(self.codes.shape[1]) // size * bins
+        counts = np.bincount(keys.ravel(), minlength=len(steps) * bins)
+        for step, row in zip(steps, counts.reshape(-1, bins).tolist()):
+            step.counts = row
 
 
 def _seeds(batch, probs, out, with_losses=True):
@@ -275,30 +282,30 @@ def _seeds(batch, probs, out, with_losses=True):
 
     The head and shared seeds are (T, n, 1) stacks at the logits, written
     into `out`, a (2, T, n, 1) buffer, head seeds first: cross-entropy's
-    by `kernels.xent`, then the fairness terms through one `sigmoid_bwd`.
-    The stack returned is out[:1] when they agree (vanilla, baseline, and
-    every lambda_t = 0), else all of `out`.  The losses are T floats, or
-    None without `with_losses`: then cross-entropy's seed comes from
-    `kernels.xent_seed`, and only a NaN among the clipped probabilities,
-    the one way a loss is not finite, has the losses computed, to raise.
+    by `kernels.xent_seed`, which clips the probabilities into
+    `batch.clipped` when set, then the fairness terms through one
+    `sigmoid_bwd`.  The stack returned is out[:1] when they agree
+    (vanilla, baseline, and every lambda_t = 0), else all of `out`.  The
+    losses are T floats from the clipped probabilities, or None without
+    `with_losses`: then only a NaN among those, the one way a loss is not
+    finite, has the losses computed, to raise.
     """
     plan = batch.plan
-    if with_losses:
-        losses = kernels.xent(probs, batch.labels, plan.weights, out[0])
-        _finite_losses(losses)
-    else:
-        clipped = kernels.xent_seed(probs, batch.labels, plan.weights,
-                                    out[0], batch.clipped)
-        # each in [c, 1 - c] unless NaN, so the sum is finite unless one is
-        if not math.isfinite(clipped.sum()):
-            _finite_losses(kernels.xent_steps(clipped[None],
-                                              batch.labels[None])[0])
-        losses = None
+    clipped = kernels.xent_seed(probs, batch.labels, plan.weights, out[0],
+                                batch.clipped)
+    losses = None
+    # each in [c, 1 - c] unless NaN, so the sum is finite unless one is
+    if with_losses or not math.isfinite(clipped.sum()):
+        # a copy, as xent_steps overwrites its input
+        losses = kernels.xent_steps(clipped[None].copy(),
+                                    batch.labels[None])[0].tolist()
+        for t, loss in enumerate(losses):
+            _finite(loss, t, "accuracy loss")
     if not plan.tasks:
         return out[:1], losses
     config = plan.config
     f_full, f_head, terms = fairness_seed_terms(
-        config.fairness_kind, config.fairness_target, batch.subsets, probs,
+        config.fairness_kind, config.fairness_target, batch, probs,
         plan.tasks, plan.combine, head=plan.mtaf)
     for t in plan.tasks:
         if plan.mtaf:
@@ -371,10 +378,9 @@ def train(dataset, arch, config):
     history = np.empty((config.epochs, config.num_tasks))
     for epoch in range(config.epochs):
         rows.take(rng.permutation(n), out=shuffled)
-        if shuffled.subsets is not None and (
+        if shuffled.codes is not None and (
                 config.fairness_kind.kind == "soft_fpr_gap"):
-            shuffled.subsets.count_steps([step.subsets for step in steps],
-                                         config.batch_size)
+            shuffled.count_steps(steps, config.batch_size)
         for batch in steps:
             train_step(model, batch, config)
         history[epoch] = np.mean(np.concatenate(

@@ -202,7 +202,8 @@ def seeds(config, batch, probs):
         y = np.ascontiguousarray(batch.labels[:, t],
                                  dtype=np.float64).reshape(-1, 1)
         ce = np.empty(p.shape)
-        losses.append(kernels.xent(p, y, w[t], ce))
+        kernels.xent_seed(p, y, w[t], ce)
+        losses.append(kernels.xent_fwd(p, y))
         head = shared = ce
         if lam[t] > 0:
             args = (config.fairness_kind, config.fairness_target, t,

@@ -237,6 +237,15 @@ class TestDatasetValidation:
                     labels=np.array([[1]]), sensitive=np.array([0]),
                     vocab_sizes=(4,))
 
+    def test_negative_codes_refused(self):
+        """A code below 0 would wrap to the embedding's last row in one
+        forward pass and fail mid-run in another."""
+        with pytest.raises(ConfigError, match=r"outside \[0, vocab size 4\)"):
+            Dataset(dense=np.zeros((16, 1)),
+                    cat=np.full((16, 1), -1, dtype=np.intp),
+                    labels=np.ones((16, 1)), sensitive=np.zeros(16),
+                    vocab_sizes=(4,))
+
     def test_one_vocab_size_per_categorical_column(self):
         """Categorical columns without their vocab sizes are refused: a
         model sized from the dataset would have no embedding for them."""

@@ -31,32 +31,34 @@ def _clipped_probs(rng, shape):
 
 @pytest.mark.parametrize("gscale", [0.7, -1.3])
 def test_fused_xent_is_the_two_kernels_bitwise(gscale):
-    """`xent` writes exactly `xent_seed`'s seed, gscale (p - y) / n and 0
-    where the clip is active, over whatever `out` held, and returns
-    exactly `xent_fwd`'s value."""
+    """`xent_seed` writes gscale (p - y) / n and 0 where the clip is
+    active, over whatever `out` held, and `xent_steps` of the p it clips
+    returns exactly `xent_fwd`'s value."""
     rng = np.random.default_rng(4)
     for n in (1, 2, 7, 128, 513):
         p = _clipped_probs(rng, (n, 1))
         y = rng.integers(0, 2, (n, 1)).astype(np.float64)
-        want, got = np.empty((n, 1)), rng.standard_normal((n, 1))
-        knp.xent_seed(p, y, gscale, want)
-        assert knp.xent(p, y, gscale, got) == knp.xent_fwd(p, y)
-        assert np.array_equal(got, want)
+        got = rng.standard_normal((n, 1))
+        pc = knp.xent_seed(p, y, gscale, got)
+        assert knp.xent_steps(pc[None, None], y[None, None])[0, 0] \
+            == knp.xent_fwd(p, y)
         inside = (p >= 1e-12) & (p <= 1.0 - 1e-12)
-        assert np.array_equal(want, np.where(inside, (p - y) * (gscale / n),
-                                             0.0))
+        assert np.array_equal(got, np.where(inside, (p - y) * (gscale / n),
+                                            0.0))
 
 
 def test_fused_xent_on_a_stack_is_each_column_bitwise():
-    """On a (T, n, 1) stack with per-task scales `xent` writes each
-    column's `xent_seed` and returns each column's `xent_fwd`."""
+    """On a (T, n, 1) stack with per-task scales `xent_seed` writes each
+    column's `xent_seed`, and `xent_steps` of the p it clips returns each
+    column's `xent_fwd`."""
     rng = np.random.default_rng(5)
     for n in (1, 7, 128, 513):
         p = _clipped_probs(rng, (3, n, 1))
         y = rng.integers(0, 2, p.shape).astype(np.float64)
         gscale = np.array([0.7, -1.3, 0.0]).reshape(-1, 1, 1)
         want, got = np.empty(p.shape), rng.standard_normal(p.shape)
-        losses = knp.xent(p, y, gscale, got)
+        losses = knp.xent_steps(knp.xent_seed(p, y, gscale, got)[None],
+                                y[None])[0]
         for t in range(3):
             knp.xent_seed(p[t], y[t], gscale[t, 0, 0], want[t])
             assert losses[t] == knp.xent_fwd(p[t], y[t])
@@ -87,7 +89,7 @@ def test_xent_seed_is_zero_where_the_clip_is_active():
     for label in (0.0, 1.0):
         y = np.full(p.shape, label)
         seed = np.full(p.shape, np.nan)
-        knp.xent(p, y, 1.0, seed)
+        knp.xent_seed(p, y, 1.0, seed)
         assert np.array_equal(seed[:6], np.zeros((6, 1)))
         assert np.array_equal(seed[6:], (p[6:] - y[6:]) * (1.0 / len(p)))
         assert np.all(seed[6:] != 0.0)

@@ -1,6 +1,7 @@
 """Loss builders against hand-computed fixtures and brute-force oracles."""
 
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -17,8 +18,9 @@ from fairmtl.exceptions import ConfigError, ShapeError
 from fairmtl.losses import (FAIRNESS_KINDS, FAIRNESS_TARGETS,
                             FairnessLossKind, cross_entropy,
                             decompose_fairness, fairness_loss,
-                            Subsets, fairness_seed_terms, fairness_terms,
-                            subset_codes, subset_rows, subset_select)
+                            fairness_seed_terms, fairness_terms,
+                            subset_arrays, subset_codes, subset_rows,
+                            subset_select)
 from fairmtl.trainer import Batch, RunPlan, TrainConfig, _seeds
 
 
@@ -460,9 +462,11 @@ def test_code_seeds_match_subset_oracle(case):
              if config.fairness_weights[t] > 0]
     head = config.method == "mtaf"
     assert all((ref_head is not None) == head for _, ref_head in ref_values)
+    codes, sensitive, sides = subset_arrays(batch.labels, batch.sensitive)
     f_full, f_head, terms = fairness_seed_terms(
         config.fairness_kind, config.fairness_target,
-        Subsets.of(batch.labels, batch.sensitive), np.stack(probs), tasks,
+        SimpleNamespace(codes=codes, sensitive=sensitive, sides=sides,
+                        counts=None), np.stack(probs), tasks,
         lambda full, head: np.empty((0,) + full.shape), head=head)
     assert len(terms) == 0
     for t, (ref_full, ref_head) in zip(tasks, ref_values):

@@ -24,6 +24,7 @@ from fairmtl import cli, pareto
 from fairmtl import sweep as sweep_module
 from fairmtl.data import SynthSpec, split_random, synth_generate
 from fairmtl.exceptions import ConfigError, ContractError
+from fairmtl.losses import FairnessLossKind
 from fairmtl.metrics import StlBaselines, run_stl_baselines, stl_config_hash
 from fairmtl.model import ArchConfig, from_fields
 from fairmtl.sweep import (
@@ -254,6 +255,18 @@ class TestRunsTable:
         assert isinstance(row["arfg"], float)
         assert row["schema_version"] == RUNS_SCHEMA_VERSION
 
+    def test_writer_refuses_a_foreign_header(self, tmp_path):
+        """Appending under another header would leave a row that the
+        table's columns cannot hold; the file is left as it was."""
+        path = tmp_path / "runs.csv"
+        for content in (b"run_id,method\r\nr0,vanilla\r\n", b"",
+                        ",".join(list(RUNS_COLUMNS)[::-1]).encode() + b"\n"):
+            path.write_bytes(content)
+            with pytest.raises(ContractError,
+                               match=f"{path}: its header is not"):
+                RunsWriter(str(path))
+            assert path.read_bytes() == content
+
     def test_load_rejects_non_table(self, tmp_path):
         path = tmp_path / "other.csv"
         path.write_text("a,b\n1,2\n")
@@ -431,6 +444,43 @@ class TestRunSweep:
         assert len({rid, run_id(replace(config, seed=1), pair, "k"),
                     run_id(config, pair[::-1], baselines.config_hash),
                     run_id(config, pair, "k")}) == 4
+
+    def test_run_ids_and_stl_keys_are_pinned(self):
+        """Ids of float-written configs, one per fairness kind, stay as
+        they are, so a resumed sweep never runs its rows again; the same
+        numbers written as integers give the same ids."""
+        arch = ArchConfig(num_tasks=2, shared_layer_sizes=(8,),
+                          head_layer_sizes=(4,), embedding_dim=3)
+        pinned = {"correlation": ("mtaf-ecbc09c7fc30", "212f369fc07e73d1"),
+                  "mmd": ("mtaf-bb5564fbb5d5", "b06303c7366a8e2c"),
+                  "soft_fpr_gap": ("mtaf-1ef6e98296b6", "e0d9dee6e4fd71d5")}
+        for kind, (rid, stl_key) in pinned.items():
+            config = TrainConfig(
+                method="mtaf", task_weights=(0.6, 0.4),
+                fairness_weights=(1.0, 0.5), head_shared_ratios=(2.0, 0.5),
+                fairness_kind=FairnessLossKind(kind, mmd_bandwidth=0.5),
+                fairness_target="equalized_odds", learning_rate=0.1,
+                epochs=2, batch_size=64, seed=3)
+            assert run_id(config, "abcd1234ef56", "k" * 16) == rid
+            assert stl_config_hash(arch, config, (0, 1, 2)) == stl_key
+        config = sample_configs(SweepConfig(mmd_bandwidth=2), 2)["baseline"][0]
+        assert config == sample_configs(SweepConfig(mmd_bandwidth=2.0),
+                                        2)["baseline"][0]
+        written = TrainConfig(
+            method="baseline", task_weights=(1, 0), fairness_weights=(2, 1),
+            fairness_kind=FairnessLossKind("mmd", mmd_bandwidth=2),
+            learning_rate=1, epochs=np.int64(3), batch_size=np.int32(64),
+            seed=np.int64(7))
+        for c in (config, written):
+            assert run_id(c, "p", "k") == run_id(
+                TrainConfig.from_dict(c.to_dict()), "p", "k")
+        assert run_id(written, "p", "k") == run_id(TrainConfig(
+            method="baseline", task_weights=(1.0, 0.0),
+            fairness_weights=(2.0, 1.0),
+            fairness_kind=FairnessLossKind("mmd", mmd_bandwidth=2.0),
+            learning_rate=1.0, epochs=3, batch_size=64, seed=7), "p", "k")
+        with pytest.raises(ConfigError):
+            TrainConfig.from_dict({**written.to_dict(), "epochs": 2.5})
 
     def test_sweep_rows_deterministic(self, tmp_path, env):
         train_ds, test_ds, baselines = env

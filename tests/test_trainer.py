@@ -677,6 +677,25 @@ def test_train_equals_its_steps_on_taken_rows(kind):
         assert run.history.tobytes() == np.array(history).tobytes(), method
 
 
+def test_a_loss_sink_leaves_a_step_its_clipped_block():
+    """An epoch's steps given a loss sink take their losses from a copy of
+    their clipped probabilities, so the epoch's one loss pass over those
+    blocks gives the same losses, bit for bit."""
+    data = separable_dataset(n=60, seed=4)
+    cfg = TrainConfig(method="mtaf", task_weights=(0.6, 0.4),
+                      fairness_weights=(1.5, 0.8), batch_size=16)
+    model = build_model(small_arch(), dense_count=3, seed=cfg.seed)
+    rows = Batch.of(data, RunPlan(cfg))
+    shuffled = rows.epoch({})
+    steps, stacks = shuffled.steps(cfg.batch_size)
+    rows.take(np.random.default_rng(3).permutation(len(data)), out=shuffled)
+    sink = []
+    for step in steps:
+        train_step(model, step, cfg, loss_sink=sink)
+    passed = np.concatenate([kernels.xent_steps(*stack) for stack in stacks])
+    assert passed.tolist() == sink
+
+
 def test_run_reuses_its_buffers(monkeypatch):
     """Every step of a run, across epochs, writes its forward into the same
     buffers, one set per batch length."""
@@ -722,8 +741,8 @@ def test_runs_on_a_dataset_reuse_its_arrays(monkeypatch):
         calls.setdefault(phase[-1], []).append((arrays, _pointers(arrays)))
 
     def step_spy(model, batch, config, loss_sink=None):
-        record([batch.dense, batch.labels, batch.clipped,
-                *batch.subsets.arrays])
+        record([batch.dense, batch.labels, batch.clipped, batch.codes,
+                batch.sensitive, batch.sides])
         return step_real(model, batch, config, loss_sink)
 
     def forward_spy(forward):
