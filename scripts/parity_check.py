@@ -83,30 +83,36 @@ def _runs():
                        dict(method=method, fairness_kind=kind,
                             fairness_target="equalized_odds",
                             fairness_weights=lam, batch_size=batch))
-    from fairmtl.losses import FairnessLossKind
     for bandwidth in (0.3, 2.0):
         for target in TARGETS:
             for method in ("baseline", "mtaf"):
                 yield (f"T2/mmd-{bandwidth}/{target}/{method}", 2, False,
-                       small, dict(method=method, fairness_kind=(
-                           FairnessLossKind("mmd", mmd_bandwidth=bandwidth)),
-                           fairness_target=target, fairness_weights=(1.0, 0.5),
-                           batch_size=64))
+                       small, dict(method=method, fairness_kind="mmd",
+                                   mmd_bandwidth=bandwidth,
+                                   fairness_target=target,
+                                   fairness_weights=(1.0, 0.5), batch_size=64))
+
+
+def configs():
+    """(key, (num_tasks, embeddings), ArchConfig, TrainConfig) per run."""
+    from fairmtl.model import ArchConfig
+    from fairmtl.trainer import TrainConfig
+    for key, T, emb, arch_kw, cfg_kw in _runs():
+        yield (key, (T, emb), ArchConfig(num_tasks=T, embedding_dim=3,
+                                         **arch_kw),
+               TrainConfig(task_weights=(0.6, 0.4, 0.5)[:T],
+                           head_shared_ratios=(2.0, 0.5, 1.3)[:T],
+                           learning_rate=0.1, epochs=3, seed=3, **cfg_kw))
 
 
 def save(path):
     from fairmtl.metrics import evaluate_model
-    from fairmtl.model import ArchConfig
-    from fairmtl.trainer import TrainConfig, train
+    from fairmtl.trainer import train
     data, records = {}, {}
-    for key, T, emb, arch_kw, cfg_kw in _runs():
-        if (T, emb) not in data:
-            data[T, emb] = _data(T, emb)
-        train_ds, test_ds = data[T, emb]
-        arch = ArchConfig(num_tasks=T, embedding_dim=3, **arch_kw)
-        cfg = TrainConfig(task_weights=(0.6, 0.4, 0.5)[:T],
-                          head_shared_ratios=(2.0, 0.5, 1.3)[:T],
-                          learning_rate=0.1, epochs=3, seed=3, **cfg_kw)
+    for key, data_key, arch, cfg in configs():
+        if data_key not in data:
+            data[data_key] = _data(*data_key)
+        train_ds, test_ds = data[data_key]
         run = train(train_ds, arch, cfg)
         records[key] = {
             "params": {p.name: p.value.copy()

@@ -10,8 +10,9 @@ Subcommands:
 a path to a schema JSON.  Real datasets are read from <data_dir>/train.csv
 and test.csv (see scripts/prepare_*.py); `synth` is generated on the fly.
 The optional `--config` JSON carries sections: "synth", "arch", "train",
-"sweep", "stl", plus "data_dir"; "train"/"sweep" mirror the TrainConfig /
-SweepConfig fields exactly.
+"sweep", "stl", plus "data_dir".  Sections are strict: "synth", "arch",
+"train" and "sweep" take only SynthSpec / ArchConfig / TrainConfig /
+SweepConfig fields, and any other key is refused with the accepted ones.
 """
 
 import argparse
@@ -26,7 +27,7 @@ from .exceptions import ConfigError
 from .metrics import run_stl_baselines, stl_config_hash
 from .presets import (DATASET_PRESETS, SCHEMA_PRESETS, arch_for,
                       schema_path, train_settings_for)
-from .model import ArchConfig, from_fields
+from .model import ArchConfig, from_fields, refuse_unknown
 from .sweep import (RunsWriter, SweepConfig, accuracy_overlay, emit_reports,
                     load_baselines, load_runs, pair_hash, run_id, run_single,
                     run_sweep, save_baselines, _num_tasks)
@@ -62,7 +63,7 @@ def resolve_data(dataset_arg, cfg):
     if dataset_arg == "synth":
         synth_cfg = dict(cfg.get("synth", {}))
         synth_cfg.setdefault("n", 4000)
-        spec = SynthSpec(**synth_cfg)
+        spec = from_fields(SynthSpec, synth_cfg)
         full = synth_generate(spec, seed=cfg.get("synth_seed", 0))
         train_ds, test_ds = split_random(
             full, cfg.get("split_fraction", 0.8), cfg.get("split_seed", 0))
@@ -106,7 +107,7 @@ def _train_config(section, data, seed_override):
          "task_weights": [1.0 / T] * T, **section}
     if seed_override is not None:
         d["seed"] = seed_override
-    return TrainConfig.from_dict(d)
+    return from_fields(TrainConfig, d)
 
 
 _STL_SETTINGS = ("learning_rate", "epochs", "batch_size")
@@ -116,11 +117,7 @@ def _stl_plan(cfg, data):
     """STL training config, seeds (stl.seeds, default 0-4) and cache key:
     stl-baseline caches under this key and train/sweep open it by it."""
     stl_cfg = cfg.get("stl", {})
-    unknown = sorted(set(stl_cfg) - {"seeds", *_STL_SETTINGS})
-    if unknown:
-        raise ConfigError(
-            f"unknown stl key(s) {', '.join(map(repr, unknown))}; accepted: "
-            f"{', '.join(('seeds',) + _STL_SETTINGS)}")
+    refuse_unknown("stl", stl_cfg, ("seeds",) + _STL_SETTINGS)
     seeds = tuple(int(s) for s in stl_cfg.get("seeds", range(5)))
     if not seeds:
         raise ConfigError("stl.seeds must not be empty")
@@ -157,7 +154,7 @@ def cmd_train(args):
     data = resolve_data(args.dataset, cfg)
     baselines = load_baselines(args.out, data.pair_hash,
                                _stl_plan(cfg, data)[2])
-    config = _train_config(cfg.get("train", cfg), data, args.seed)
+    config = _train_config(cfg.get("train", {}), data, args.seed)
     writer = RunsWriter(os.path.join(args.out, "runs.csv"))
     rid = run_id(config, data.pair_hash, baselines.config_hash)
     if rid in writer.ids:

@@ -240,8 +240,26 @@ class Dataset:
         return out
 
 
-def _read_rows(csv_path, spec):
-    """Yield (line_number, {column: raw cell}) for each data row."""
+def _parse_cell(cell, column, line_no, spec, number=True):
+    """A raw cell, as a number unless `number` is false; None when it is
+    one of the missing values."""
+    if cell in spec.missing_values:
+        return None
+    if not number:
+        return cell
+    try:
+        return float(cell)
+    except ValueError:
+        raise RowParseError(
+            line_no, f"column {column!r}: cannot parse {cell!r} as a number")
+
+
+def _parse_rows(csv_path, spec):
+    """Yield ({column: raw cell}, dense values, label sources) for each
+    data row, or None for a rejected row: one with a missing dense value
+    or label source.  A task's label source is its raw cell for an `eq`
+    task, else a number.  Every number is parsed, so an unparseable one
+    raises RowParseError with its line, whatever else the row lacks."""
     with open(csv_path, newline="") as f:
         reader = csv.reader(f)
         try:
@@ -252,21 +270,19 @@ def _read_rows(csv_path, spec):
         if missing:
             raise SchemaError(f"{csv_path}: missing columns {missing}")
         pos = {c: header.index(c) for c in spec.columns()}
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+        for line_no, cells in enumerate(reader, start=2):
+            if not cells or all(not cell.strip() for cell in cells):
                 continue
-            yield line_no, {c: row[i].strip() if i < len(row) else ""
-                            for c, i in pos.items()}
-
-
-def _parse_float(cell, column, line_no, spec):
-    if cell in spec.missing_values:
-        return None
-    try:
-        return float(cell)
-    except ValueError:
-        raise RowParseError(
-            line_no, f"column {column!r}: cannot parse {cell!r} as a number")
+            row = {c: cells[i].strip() if i < len(cells) else ""
+                   for c, i in pos.items()}
+            vals = [_parse_cell(row[c.name], c.name, line_no, spec)
+                    for c in spec.dense]
+            sources = [_parse_cell(row[t.source], t.source, line_no, spec,
+                                   number=t.op != "eq") for t in spec.tasks]
+            if None in vals or None in sources:
+                yield None
+            else:
+                yield row, vals, sources
 
 
 def resolve(spec, csv_path):
@@ -282,33 +298,14 @@ def resolve(spec, csv_path):
     vocabs = [set() for _ in spec.categorical]
     count = 0
 
-    for line_no, row in _read_rows(csv_path, spec):
-        vals = [_parse_float(row[c.name], c.name, line_no, spec)
-                for c in spec.dense]
-        if any(v is None for v in vals):
-            continue
-        skip = False
-        zvals = {}
-        for t in spec.tasks:
-            cell = row[t.source]
-            if cell in spec.missing_values:
-                skip = True
-                break
-            if t.op != "eq" or t.standardize:
-                v = _parse_float(cell, t.source, line_no, spec)
-                if v is None:
-                    skip = True
-                    break
-                if t.standardize:
-                    zvals[t.name] = v
-        if skip:
-            continue
+    for row, vals, sources in filter(None, _parse_rows(csv_path, spec)):
         count += 1
         sums += vals
         sqsums += np.square(vals)
-        for name, v in zvals.items():
-            zsums[name][0] += v
-            zsums[name][1] += v * v
+        for t, v in zip(spec.tasks, sources):
+            if t.standardize:
+                zsums[t.name][0] += v
+                zsums[t.name][1] += v * v
         for vocab, c in zip(vocabs, spec.categorical):
             if row[c.name] not in spec.missing_values:
                 vocab.add(row[c.name])
@@ -323,8 +320,7 @@ def resolve(spec, csv_path):
         return float(mean), float(sd if sd > 0 else 1.0)
 
     dense = tuple(replace(c, mean=m, sd=s) for c, (m, s) in
-                  zip(spec.dense, (stats(sums[i], sqsums[i])
-                                   for i in range(len(spec.dense)))))
+                  zip(spec.dense, map(stats, sums, sqsums)))
     categorical = tuple(replace(c, vocab=tuple(sorted(v)))
                         for c, v in zip(spec.categorical, vocabs))
     tasks = []
@@ -338,15 +334,10 @@ def resolve(spec, csv_path):
                    tasks=tuple(tasks))
 
 
-def _derive_label(task, cell, line_no, spec):
-    """Apply a task predicate to a raw cell; None means the row is rejected."""
-    if cell in spec.missing_values:
-        return None
+def _derive_label(task, v):
+    """Apply a task predicate to its label source, from `_parse_rows`."""
     if task.op == "eq":
-        return int(cell == str(task.constant))
-    v = _parse_float(cell, task.source, line_no, spec)
-    if v is None:
-        return None
+        return int(v == str(task.constant))
     if task.standardize:
         v = (v - task.mean) / task.sd
     return int(v > task.constant if task.op == "gt" else v >= task.constant)
@@ -366,19 +357,17 @@ def load_dataset(csv_path, spec, split="train"):
 
     dense_rows, cat_rows, label_rows, sens_vals = [], [], [], []
     rejected = 0
-    for line_no, row in _read_rows(csv_path, spec):
-        vals = [_parse_float(row[c.name], c.name, line_no, spec)
-                for c in spec.dense]
-        labels = [_derive_label(t, row[t.source], line_no, spec)
-                  for t in spec.tasks]
-        if any(v is None for v in vals) or any(y is None for y in labels):
+    for parsed in _parse_rows(csv_path, spec):
+        if parsed is None:
             rejected += 1
             continue
+        row, vals, sources = parsed
         dense_rows.append([(v - c.mean) / c.sd
                            for v, c in zip(vals, spec.dense)])
         cat_rows.append([lookup.get(row[c.name], OOV_INDEX)
                          for lookup, c in zip(lookups, spec.categorical)])
-        label_rows.append(labels)
+        label_rows.append([_derive_label(t, v)
+                           for t, v in zip(spec.tasks, sources)])
         if spec.sensitive is None:
             sens_vals.append(-1)
         else:

@@ -51,26 +51,6 @@ _SIDE_LABELS = {"equal_opportunity_fpr": (0,), "equal_opportunity_tpr": (1,),
 
 
 @dataclass(frozen=True)
-class FairnessLossKind:
-    kind: str
-    mmd_bandwidth: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in FAIRNESS_KINDS:
-            raise ConfigError(f"unknown fairness loss kind {self.kind!r}")
-        # a float, so equal configs hash equal however written
-        object.__setattr__(self, "mmd_bandwidth", float(self.mmd_bandwidth))
-        if self.mmd_bandwidth <= 0:
-            raise ConfigError("mmd_bandwidth must be > 0")
-
-
-def as_loss_kind(kind):
-    if isinstance(kind, FairnessLossKind):
-        return kind
-    return FairnessLossKind(kind=kind)
-
-
-@dataclass(frozen=True)
 class ExampleSubset:
     """Unique, in-bounds row indices into a batch."""
     indices: tuple
@@ -264,30 +244,32 @@ def _mmd_blocks(p, g0, g1, bandwidth):
     return value, np.concatenate([g0, g1]), dvals
 
 
-def fairness_terms(kind, p, sensitive, rows):
+def fairness_terms(kind, p, sensitive, rows, bandwidth=1.0):
     """(F, rows used, dF/dp at those rows) of one fairness loss.
 
+    `kind` is one of FAIRNESS_KINDS and `bandwidth` MMD's kernel width.
     `p` is the (n, 1) probability column, `sensitive` the length-n
     attribute and `rows` the subset's in-range indices; only rows whose
     sensitive attribute is known count.  A degenerate effective subset
     (a group empty; fewer than two rows or zero variance for correlation)
     gives F = 0 on no rows, so mini-batch sweeps stay defined.
     """
-    kind = as_loss_kind(kind)
+    if kind not in FAIRNESS_KINDS:
+        raise ConfigError(f"unknown fairness loss kind {kind!r}")
     a = sensitive[rows]
-    if kind.kind == "correlation":
+    if kind == "correlation":
         known = a >= 0
         return _correlation(p, rows[known], a[known].astype(np.float64))
     g0 = rows[a == 0]
     g1 = rows[a == 1]
     if g0.size == 0 or g1.size == 0:
         return _DEGENERATE
-    if kind.kind == "soft_fpr_gap":
+    if kind == "soft_fpr_gap":
         return _soft_fpr_gap(p, g0, g1)
-    return _mmd(p, g0, g1, kind.mmd_bandwidth)
+    return _mmd(p, g0, g1, bandwidth)
 
 
-def fairness_loss(kind, prob, sensitive, subset):
+def fairness_loss(kind, prob, sensitive, subset, bandwidth=1.0):
     """Scalar fairness loss node over the subset rows with known sensitive.
 
     The node's only parent is `prob`; it holds `fairness_terms`' value and
@@ -302,7 +284,7 @@ def fairness_loss(kind, prob, sensitive, subset):
         raise ShapeError("prob must be a single column")
     if idx.size and (idx.min() < 0 or idx.max() >= prob.shape[0]):
         raise IndexError("subset index out of range")
-    value, rows, dvals = fairness_terms(kind, prob.value, sens, idx)
+    value, rows, dvals = fairness_terms(kind, prob.value, sens, idx, bandwidth)
     if not rows.size:
         return _zero()
     out = ad.Tensor(np.array([[value]]), (prob,))
@@ -388,22 +370,22 @@ def _gap(s0, n0, s1, n1, exact):
     return abs(diff), s / n0, -s / n1
 
 
-def fairness_seed_terms(kind, target, batch, probs, tasks, combine,
-                        head=False):
+def fairness_seed_terms(config, batch, probs, tasks, combine, head=False):
     """Every task's fairness losses and seed terms from a batch's subsets.
 
     Returns (F_full, F_head, combine(dF_full/dp, dF_head/dp)): two lists
-    of T floats and the terms as one (k, T, n, 1) stack.  `batch` holds
-    the `subset_arrays` of its rows as `codes`, `sensitive` and `sides`,
-    and `counts`, described below; `probs` is its (T, n, 1) probability
-    stack and `tasks` the tasks whose losses count; every other task's
-    losses and derivatives are 0.  F_full sums one loss per side of the target
-    (negatives for the fpr target, positives for tpr, both for equalized
-    odds); F_head keeps each side's exclusive rows only, mtaf's head part,
-    and is computed only with `head` (else F_head and its derivative are
-    0).  `combine` must act elementwise on (T, m, 1) stacks, so it may
-    scale each task by a (T, 1, 1) stack, and return k of its results as
-    one (k, T, m, 1) stack.
+    of T floats and the terms as one (k, T, n, 1) stack.  The losses are
+    `config`'s, a TrainConfig's fairness kind, MMD bandwidth and target.
+    `batch` holds the `subset_arrays` of its rows as `codes`, `sensitive`
+    and `sides`, and `counts`, described below; `probs` is its (T, n, 1)
+    probability stack and `tasks` the tasks whose losses count; every
+    other task's losses and derivatives are 0.  F_full sums one loss per
+    side of the target (negatives for the fpr target, positives for tpr,
+    both for equalized odds); F_head keeps each side's exclusive rows
+    only, mtaf's head part, and is computed only with `head` (else F_head
+    and its derivative are 0).  `combine` must act elementwise on
+    (T, m, 1) stacks, so it may scale each task by a (T, 1, 1) stack, and
+    return k of its results as one (k, T, m, 1) stack.
 
     The soft FPR gap's derivative is constant on each code, so one
     weighted and one plain count of every task's codes give each group's
@@ -414,15 +396,15 @@ def fairness_seed_terms(kind, target, batch, probs, tasks, combine,
     other kinds run `fairness_terms` on each task's and side's rows and
     pass `combine` (T, n, 1) stacks.
     """
-    kind = as_loss_kind(kind)
+    kind, target = config.fairness_kind, config.fairness_target
     num_tasks = batch.codes.shape[0]
     f_full, f_head = [0.0] * num_tasks, [0.0] * num_tasks
 
     def terms(t, y, exclusive):
         return fairness_terms(kind, probs[t], batch.sensitive, np.flatnonzero(
-            batch.sides[:, 2 * y + exclusive, t]))
+            batch.sides[:, 2 * y + exclusive, t]), config.mmd_bandwidth)
 
-    if kind.kind == "soft_fpr_gap":
+    if kind == "soft_fpr_gap":
         # one flat array (a copy for a step's slice) to count and gather by
         codes, bins = batch.codes.ravel(), 12 * num_tasks
         sums = np.bincount(codes, weights=probs.ravel(),
@@ -463,7 +445,8 @@ def fairness_seed_terms(kind, target, batch, probs, tasks, combine,
     return f_full, f_head, combine(d_full, d_head)
 
 
-def decompose_fairness(kind, target, t, labels, prob, sensitive):
+def decompose_fairness(kind, target, t, labels, prob, sensitive,
+                       bandwidth=1.0):
     """Split task t's fairness loss into (F_head, F_shared) nodes.
 
     F_head is the loss on rows only task t's loss can touch (exclusive
@@ -478,12 +461,13 @@ def decompose_fairness(kind, target, t, labels, prob, sensitive):
     for y in _SIDE_LABELS[target]:
         full_rows = subset_rows(labels, t, SUBSET_KINDS[y])
         excl_rows = subset_rows(labels, t, SUBSET_KINDS[2 + y])
-        head = fairness_loss(kind, prob, sensitive, excl_rows)
+        head = fairness_loss(kind, prob, sensitive, excl_rows, bandwidth)
         heads.append(head)
         # the exclusive set lies inside the full set: equal sizes, equal sets
         shareds.append(
             _zero() if excl_rows.size == full_rows.size
-            else ad.sub(fairness_loss(kind, prob, sensitive, full_rows), head))
+            else ad.sub(fairness_loss(kind, prob, sensitive, full_rows,
+                                      bandwidth), head))
     if len(heads) == 1:
         return heads[0], shareds[0]
     return ad.add(*heads), ad.add(*shareds)

@@ -135,7 +135,7 @@ def single_task_view(dataset, t):
 
 
 def stl_config_hash(arch, config, seeds):
-    payload = json.dumps({"arch": asdict(arch), "config": config.to_dict(),
+    payload = json.dumps({"arch": asdict(arch), "config": asdict(config),
                           "seeds": list(seeds)}, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 

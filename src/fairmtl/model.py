@@ -50,16 +50,27 @@ class ArchConfig:
         object.__setattr__(self, "head_layer_sizes", tuple(self.head_layer_sizes))
 
 
-def from_fields(cls, d):
-    """A `cls` instance from the keys of `d` that name its fields.
+def refuse_unknown(what, keys, accepted):
+    """Refuse any of `keys` not in `accepted`, naming them and those."""
+    unknown = sorted(set(keys) - set(accepted))
+    if unknown:
+        raise ConfigError(f"{what}: unknown key(s) "
+                          f"{', '.join(map(repr, unknown))}; accepted: "
+                          f"{', '.join(accepted)}")
 
-    The inverse of `dataclasses.asdict` for the flat config records: other
-    keys are ignored, so one config section can feed several records, and
-    missing fields take the dataclass defaults.
+
+def from_fields(cls, d):
+    """A `cls` instance from `d`, whose keys must name its fields.
+
+    The inverse of `dataclasses.asdict` for the flat config records:
+    missing fields take the dataclass defaults, and a key that names no
+    field is refused (`refuse_unknown`), so a misspelt setting is never
+    silently unused.
     """
-    names = {f.name for f in fields(cls)}
+    names = [f.name for f in fields(cls)]
+    refuse_unknown(cls.__name__, d, names)
     try:
-        return cls(**{k: v for k, v in d.items() if k in names})
+        return cls(**d)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{cls.__name__}: {exc}") from exc
 

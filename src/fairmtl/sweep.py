@@ -12,16 +12,16 @@ import csv
 import hashlib
 import json
 import math
+import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .exceptions import ConfigError, ContractError, UndefinedMetricError
-from .losses import FAIRNESS_KINDS, FAIRNESS_TARGETS, FairnessLossKind
 from .metrics import StlBaselines, aggregate, evaluate_model
 from .model import from_fields
 from .pareto import ParetoPoint, frontier, frontier_quality
@@ -30,7 +30,7 @@ from .trainer import METHODS, TrainConfig, train
 RUNS_SCHEMA_VERSION = 1
 
 # runs.csv columns in order, each with the parser of a nonempty cell (an
-# empty cell reads None).  Every TrainConfig.to_dict key is a column.
+# empty cell reads None).  Every TrainConfig field is a column.
 RUNS_COLUMNS = {
     "run_id": str, "schema_version": int, "method": str, "seed": int,
     "task_weights": json.loads, "fairness_weights": json.loads,
@@ -50,7 +50,9 @@ class SweepConfig:
 
     `budget` counts runs per method.  Draws are shared across methods so
     method comparisons are paired; vanilla ignores the fairness draws and
-    baseline ignores the ratio draws by construction.
+    baseline ignores the ratio draws by construction.  The last six fields,
+    the settings all runs share, make `template`, the TrainConfig that
+    validates them once and that each run copies.
     """
     methods: tuple = ("vanilla", "baseline", "mtaf")
     budget: int = 10
@@ -73,14 +75,12 @@ class SweepConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}")
+        for name in ("budget", "seeds_per_config", "master_seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.budget < 1:
             raise ConfigError("budget must be >= 1")
         if self.seeds_per_config < 1:
             raise ConfigError("seeds_per_config must be >= 1")
-        if self.fairness_kind not in FAIRNESS_KINDS:
-            raise ConfigError(f"unknown fairness kind {self.fairness_kind!r}")
-        if self.fairness_target not in FAIRNESS_TARGETS:
-            raise ConfigError(f"unknown fairness target {self.fairness_target!r}")
         for name in ("w1_range", "lambda_range", "ratio_range"):
             lo, hi = getattr(self, name)
             object.__setattr__(self, name, (float(lo), float(hi)))
@@ -92,6 +92,12 @@ class SweepConfig:
             raise ConfigError("w1_range must lie inside [0, 1]")
         if self.lambda_range[0] < 0:
             raise ConfigError("lambda_range must be nonnegative")
+        object.__setattr__(self, "template", TrainConfig(
+            method=self.methods[0], task_weights=(1.0,),
+            learning_rate=self.learning_rate, epochs=self.epochs,
+            batch_size=self.batch_size, fairness_kind=self.fairness_kind,
+            mmd_bandwidth=self.mmd_bandwidth,
+            fairness_target=self.fairness_target))
 
 
 def sample_configs(sweep, num_tasks):
@@ -118,8 +124,6 @@ def sample_configs(sweep, num_tasks):
         ratios = tuple(np.exp(rng.uniform(log_lo, log_hi, size=num_tasks)))
         draws.append((tuple(weights), lams, ratios))
 
-    kind = FairnessLossKind(sweep.fairness_kind,
-                            mmd_bandwidth=sweep.mmd_bandwidth)
     out = {}
     for method in sweep.methods:
         configs = []
@@ -128,16 +132,10 @@ def sample_configs(sweep, num_tasks):
                 if len(configs) == sweep.budget:
                     break
                 seed = sweep.master_seed * 100003 + i * sweep.seeds_per_config + k
-                configs.append(TrainConfig(
-                    method=method,
-                    task_weights=weights,
+                configs.append(replace(
+                    sweep.template, method=method, task_weights=weights,
                     fairness_weights=(None if method == "vanilla" else lams),
                     head_shared_ratios=(ratios if method == "mtaf" else None),
-                    fairness_kind=kind,
-                    fairness_target=sweep.fairness_target,
-                    learning_rate=sweep.learning_rate,
-                    epochs=sweep.epochs,
-                    batch_size=sweep.batch_size,
                     seed=seed))
         out[method] = configs
     return out
@@ -159,7 +157,7 @@ def pair_hash(train_ds, test_ds):
 
 def run_id(config, pair, stl_key):
     """Content id of a run: a hash of its config, data pair and STL key."""
-    payload = json.dumps([config.to_dict(), pair, stl_key], sort_keys=True)
+    payload = json.dumps([asdict(config), pair, stl_key], sort_keys=True)
     digest = hashlib.sha256(payload.encode()).hexdigest()
     return f"{config.method}-{digest[:12]}"
 
@@ -215,7 +213,7 @@ def run_single(train_ds, test_ds, arch, config, baselines, run_id="run"):
     flags = []
     row = dict.fromkeys(RUNS_COLUMNS)
     row.update((k, list(v) if isinstance(v, tuple) else v)
-               for k, v in config.to_dict().items())
+               for k, v in asdict(config).items())
     row.update(run_id=run_id, schema_version=RUNS_SCHEMA_VERSION,
                timestamp=time.time())
     try:

@@ -39,16 +39,15 @@ per parameter bit for bit.
 import math
 import operator
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .backend import kernels
 from .exceptions import ConfigError, ShapeError, TrainingDiverged
-from .losses import (FAIRNESS_TARGETS, as_loss_kind, fairness_seed_terms,
+from .losses import (FAIRNESS_KINDS, FAIRNESS_TARGETS, fairness_seed_terms,
                      subset_arrays)
-from .model import (backprop, build_model, forward_np, from_fields,
-                    workspace)
+from .model import backprop, build_model, forward_np, workspace
 
 METHODS = ("vanilla", "baseline", "mtaf")
 ADAGRAD_EPS = 1e-8
@@ -56,11 +55,14 @@ ADAGRAD_EPS = 1e-8
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One run's training settings, each a plain value: `asdict` gives
+    the runs-table and cache-key form, `model.from_fields` its inverse."""
     method: str
     task_weights: tuple
     fairness_weights: tuple = None       # lambda_t, defaults to zeros
     head_shared_ratios: tuple = None     # r_t, defaults to ones
-    fairness_kind: object = "mmd"        # str or FairnessLossKind
+    fairness_kind: str = "mmd"
+    mmd_bandwidth: float = 1.0           # the Gaussian kernel's, for mmd
     fairness_target: str = "equal_opportunity_fpr"
     learning_rate: float = 0.05
     epochs: int = 1
@@ -85,42 +87,27 @@ class TrainConfig:
         if any(x <= 0 for x in r):
             raise ConfigError("head_shared_ratios must be positive")
         # one type per field, so equal configs hash equal however written
-        object.__setattr__(self, "learning_rate", float(self.learning_rate))
+        for name in ("mmd_bandwidth", "learning_rate"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         for name in ("epochs", "batch_size", "seed"):
             object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
+        if self.fairness_kind not in FAIRNESS_KINDS:
+            raise ConfigError(f"unknown fairness loss kind {self.fairness_kind!r}")
+        if self.mmd_bandwidth <= 0:
+            raise ConfigError("mmd_bandwidth must be > 0")
         if self.fairness_target not in FAIRNESS_TARGETS:
             raise ConfigError(f"unknown fairness target {self.fairness_target!r}")
         object.__setattr__(self, "task_weights", w)
         object.__setattr__(self, "fairness_weights", lam)
         object.__setattr__(self, "head_shared_ratios", r)
-        object.__setattr__(self, "fairness_kind",
-                           as_loss_kind(self.fairness_kind))
 
     @property
     def num_tasks(self):
         return len(self.task_weights)
-
-    def to_dict(self):
-        """The fields as plain values, `fairness_kind` flattened into its
-        name and `mmd_bandwidth` (the runs-table and cache-key form)."""
-        d = asdict(self)
-        d["fairness_kind"] = self.fairness_kind.kind
-        d["mmd_bandwidth"] = self.fairness_kind.mmd_bandwidth
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        """Inverse of `to_dict`; keys that name no field are ignored."""
-        config = from_fields(cls, d)
-        if "mmd_bandwidth" not in d:
-            return config
-        kind = replace(config.fairness_kind,
-                       mmd_bandwidth=float(d["mmd_bandwidth"]))
-        return replace(config, fairness_kind=kind)
 
 
 @dataclass
@@ -305,8 +292,7 @@ def _seeds(batch, probs, out, with_losses=True):
         return out[:1], losses
     config = plan.config
     f_full, f_head, terms = fairness_seed_terms(
-        config.fairness_kind, config.fairness_target, batch, probs,
-        plan.tasks, plan.combine, head=plan.mtaf)
+        config, batch, probs, plan.tasks, plan.combine, head=plan.mtaf)
     for t in plan.tasks:
         if plan.mtaf:
             _finite(f_head[t], t, "head fairness loss")
@@ -379,7 +365,7 @@ def train(dataset, arch, config):
     for epoch in range(config.epochs):
         rows.take(rng.permutation(n), out=shuffled)
         if shuffled.codes is not None and (
-                config.fairness_kind.kind == "soft_fpr_gap"):
+                config.fairness_kind == "soft_fpr_gap"):
             shuffled.count_steps(steps, config.batch_size)
         for batch in steps:
             train_step(model, batch, config)

@@ -24,8 +24,8 @@ import numpy as np
 import fairmtl.autodiff as ad
 from fairmtl.backend import kernels
 from fairmtl.exceptions import ContractError
-from fairmtl.losses import (ExampleSubset, as_loss_kind, cross_entropy,
-                            fairness_terms, subset_rows, subset_select)
+from fairmtl.losses import (ExampleSubset, cross_entropy, fairness_terms,
+                            subset_rows, subset_select)
 import fairmtl.model as stacked
 from fairmtl.data import _HERM_W, _HERM_X
 from fairmtl.model import _inputs, forward
@@ -44,15 +44,14 @@ def _zero():
     return ad.constant(np.zeros((1, 1)))
 
 
-def fairness_loss(kind, prob, sensitive, subset):
-    kind = as_loss_kind(kind)
+def fairness_loss(kind, prob, sensitive, subset, bandwidth=1.0):
     idx = np.asarray(subset.indices if isinstance(subset, ExampleSubset)
                      else subset, dtype=np.intp)
     sens = np.asarray(sensitive)
     idx = idx[sens[idx] >= 0]
     a = sens[idx].astype(np.float64)
 
-    if kind.kind == "correlation":
+    if kind == "correlation":
         if idx.size < 2:
             return _zero()
         p_vals = prob.value[idx, 0]
@@ -73,28 +72,28 @@ def fairness_loss(kind, prob, sensitive, subset):
     if g0.size == 0 or g1.size == 0:
         return _zero()
 
-    if kind.kind == "soft_fpr_gap":
+    if kind == "soft_fpr_gap":
         m0 = ad.mean_rows(ad.gather_rows(prob, g0))
         m1 = ad.mean_rows(ad.gather_rows(prob, g1))
         return ad.absval(ad.sub(m0, m1))
 
     p0 = ad.gather_rows(prob, g0)
     p1 = ad.gather_rows(prob, g1)
-    bw = kind.mmd_bandwidth
-    k00 = ad.mean_all(ad.gauss_kernel(p0, p0, bw))
-    k11 = ad.mean_all(ad.gauss_kernel(p1, p1, bw))
-    k01 = ad.mean_all(ad.gauss_kernel(p0, p1, bw))
+    k00 = ad.mean_all(ad.gauss_kernel(p0, p0, bandwidth))
+    k11 = ad.mean_all(ad.gauss_kernel(p1, p1, bandwidth))
+    k01 = ad.mean_all(ad.gauss_kernel(p0, p1, bandwidth))
     return ad.add(ad.add(k00, k11), ad.scale(k01, -2.0))
 
 
-def decompose_fairness(kind, target, t, labels, prob, sensitive):
+def decompose_fairness(kind, target, t, labels, prob, sensitive,
+                       bandwidth=1.0):
     def side(full_kind, excl_kind):
         full_set = subset_select(labels, t, full_kind)
         excl_set = subset_select(labels, t, excl_kind)
-        head = fairness_loss(kind, prob, sensitive, excl_set)
+        head = fairness_loss(kind, prob, sensitive, excl_set, bandwidth)
         if excl_set.indices == full_set.indices:
             return head, _zero()
-        full = fairness_loss(kind, prob, sensitive, full_set)
+        full = fairness_loss(kind, prob, sensitive, full_set, bandwidth)
         return head, ad.sub(full, head)
 
     if target == "equal_opportunity_fpr":
@@ -108,13 +107,16 @@ def decompose_fairness(kind, target, t, labels, prob, sensitive):
 
 def _baseline_fairness(config, t, batch, prob):
     kind, target = config.fairness_kind, config.fairness_target
+    bandwidth = config.mmd_bandwidth
     terms = []
     if target in ("equal_opportunity_fpr", "equalized_odds"):
         terms.append(fairness_loss(kind, prob, batch.sensitive,
-                                   subset_select(batch.labels, t, "negatives")))
+                                   subset_select(batch.labels, t, "negatives"),
+                                   bandwidth))
     if target in ("equal_opportunity_tpr", "equalized_odds"):
         terms.append(fairness_loss(kind, prob, batch.sensitive,
-                                   subset_select(batch.labels, t, "positives")))
+                                   subset_select(batch.labels, t, "positives"),
+                                   bandwidth))
     return terms[0] if len(terms) == 1 else ad.add(terms[0], terms[1])
 
 
@@ -148,7 +150,8 @@ def train_step(model, batch, config):
         if lam[t] > 0:
             f_head, f_shared = decompose_fairness(
                 config.fairness_kind, config.fairness_target, t,
-                batch.labels, outs[t].prob, batch.sensitive)
+                batch.labels, outs[t].prob, batch.sensitive,
+                config.mmd_bandwidth)
             head_terms.append(f_head)
             head_weights.append(w[t] * lam[t] * config.head_shared_ratios[t])
             shared_terms.append(f_shared)
@@ -169,7 +172,8 @@ def train_step(model, batch, config):
     return model
 
 
-def fairness_grad(kind, target, t, labels, p, sensitive, exclusive=False):
+def fairness_grad(kind, target, t, labels, p, sensitive, bandwidth=1.0,
+                  exclusive=False):
     """Task t's fairness loss F under `target`, and dF/dp as an (n, 1)
     column; with `exclusive` each side keeps only its exclusive rows."""
     total = 0.0
@@ -177,7 +181,7 @@ def fairness_grad(kind, target, t, labels, p, sensitive, exclusive=False):
     for full, excl in SIDES[target]:
         value, rows, dvals = fairness_terms(
             kind, p, sensitive,
-            subset_rows(labels, t, excl if exclusive else full))
+            subset_rows(labels, t, excl if exclusive else full), bandwidth)
         total += value
         grad[rows, 0] += dvals
     return total, grad
@@ -207,7 +211,7 @@ def seeds(config, batch, probs):
         head = shared = ce
         if lam[t] > 0:
             args = (config.fairness_kind, config.fairness_target, t,
-                    batch.labels, p, batch.sensitive)
+                    batch.labels, p, batch.sensitive, config.mmd_bandwidth)
             f_full, d_full = fairness_grad(*args)
             f_head = None
             if config.method == "mtaf":

@@ -161,6 +161,23 @@ class TestResolveAndLoad:
             resolve(spec_from_dict(TOY_SCHEMA), path)
         assert err.value.line_number == 3  # header is line 1
 
+    @pytest.mark.parametrize("bad_row", ["?,40,red,>50K,abc,M",
+                                         "30,40,red,?,abc,M"])
+    def test_resolve_and_load_refuse_an_unparseable_number_alike(
+            self, tmp_path, bad_row):
+        """A row that would be rejected for a missing dense value or label
+        source still has its numbers parsed: `resolve` used to skip it
+        where `load_dataset` raised."""
+        spec, _ = toy_spec(tmp_path)
+        path = tmp_path / "bad.csv"
+        path.write_text(TOY_HEADER + "30,40,red,>50K,150,M\n" + bad_row + "\n")
+        for read in (lambda: resolve(spec_from_dict(TOY_SCHEMA), path),
+                     lambda: load_dataset(path, spec)):
+            with pytest.raises(RowParseError,
+                               match="line 3: column 'amount'.*'abc'") as err:
+                read()
+            assert err.value.line_number == 3
+
     def test_no_usable_rows(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text(TOY_HEADER + "?,40,red,>50K,150,M\n")

@@ -16,8 +16,7 @@ from fairmtl import losses
 from fairmtl.data import Dataset
 from fairmtl.exceptions import ConfigError, ShapeError
 from fairmtl.losses import (FAIRNESS_KINDS, FAIRNESS_TARGETS,
-                            FairnessLossKind, cross_entropy,
-                            decompose_fairness, fairness_loss,
+                            cross_entropy, decompose_fairness, fairness_loss,
                             fairness_seed_terms, fairness_terms,
                             subset_arrays, subset_codes, subset_rows,
                             subset_select)
@@ -180,8 +179,7 @@ def test_soft_fpr_gap_hand_value():
 def test_mmd_two_point_value():
     p = prob_node([0.0, 1.0])
     sens = np.array([0, 1])
-    loss = fairness_loss(FairnessLossKind("mmd", mmd_bandwidth=1.0),
-                         p, sens, ALL_ROWS(2))
+    loss = fairness_loss("mmd", p, sens, ALL_ROWS(2), bandwidth=1.0)
     expected = 2.0 - 2.0 * np.exp(-0.5)
     assert loss.value[0, 0] == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(0.786939, abs=5e-7)
@@ -216,8 +214,7 @@ def test_mmd_matches_brute_force():
     p = rng.uniform(0, 1, 12)
     sens = rng.integers(0, 2, 12)
     bw = 0.7
-    loss = fairness_loss(FairnessLossKind("mmd", mmd_bandwidth=bw),
-                         prob_node(p), sens, ALL_ROWS(12))
+    loss = fairness_loss("mmd", prob_node(p), sens, ALL_ROWS(12), bw)
 
     def k(u, v):
         return np.exp(-((u - v) ** 2) / (2 * bw * bw))
@@ -371,12 +368,12 @@ def fairness_cases(draw):
     kind = draw(st.sampled_from(("correlation", "mmd", "soft_fpr_gap")))
     bandwidth = draw(st.sampled_from((0.05, 0.3, 1.0, 4.0)))
     return (np.array(probs), np.array(sens), np.array(subset, dtype=np.intp),
-            FairnessLossKind(kind, mmd_bandwidth=bandwidth))
+            kind, bandwidth)
 
 
-def _value_and_grad(loss_fn, kind, probs, sens, subset):
+def _value_and_grad(loss_fn, kind, probs, sens, subset, bandwidth):
     prob = ad.Tensor(probs.reshape(-1, 1))
-    loss = loss_fn(kind, prob, sens, subset)
+    loss = loss_fn(kind, prob, sens, subset, bandwidth)
     if loss.parents:
         ad.backward(loss)
     return loss, prob.grad[:, 0].copy()
@@ -386,10 +383,11 @@ def _value_and_grad(loss_fn, kind, probs, sens, subset):
 @given(fairness_cases())
 def test_fused_fairness_matches_composed_oracle(case):
     """Each fused node's value and dF/dp equal the composed graph's."""
-    probs, sens, subset, kind = case
-    fused, g_fused = _value_and_grad(fairness_loss, kind, probs, sens, subset)
+    probs, sens, subset, kind, bandwidth = case
+    fused, g_fused = _value_and_grad(fairness_loss, kind, probs, sens, subset,
+                                     bandwidth)
     ref, g_ref = _value_and_grad(oracles.fairness_loss, kind, probs, sens,
-                                 subset)
+                                 subset, bandwidth)
     assert bool(fused.parents) == bool(ref.parents)
     if not ref.parents:
         assert fused.value[0, 0] == 0.0
@@ -427,8 +425,8 @@ def seed_cases(draw):
                                        min_size=num_tasks,
                                        max_size=num_tasks)),
         head_shared_ratios=(2.0, 0.5, 1.3, 0.8)[:num_tasks],
-        fairness_kind=FairnessLossKind(draw(st.sampled_from(FAIRNESS_KINDS)),
-                                       draw(st.sampled_from((0.3, 1.0)))),
+        fairness_kind=draw(st.sampled_from(FAIRNESS_KINDS)),
+        mmd_bandwidth=draw(st.sampled_from((0.3, 1.0))),
         fairness_target=draw(st.sampled_from(FAIRNESS_TARGETS)))
     batch = Dataset(dense=np.zeros((n, 1)), cat=np.empty((n, 0)),
                     labels=np.array(labels), sensitive=np.array(sens))
@@ -464,9 +462,9 @@ def test_code_seeds_match_subset_oracle(case):
     assert all((ref_head is not None) == head for _, ref_head in ref_values)
     codes, sensitive, sides = subset_arrays(batch.labels, batch.sensitive)
     f_full, f_head, terms = fairness_seed_terms(
-        config.fairness_kind, config.fairness_target,
-        SimpleNamespace(codes=codes, sensitive=sensitive, sides=sides,
-                        counts=None), np.stack(probs), tasks,
+        config, SimpleNamespace(codes=codes, sensitive=sensitive,
+                                sides=sides, counts=None),
+        np.stack(probs), tasks,
         lambda full, head: np.empty((0,) + full.shape), head=head)
     assert len(terms) == 0
     for t, (ref_full, ref_head) in zip(tasks, ref_values):
@@ -562,6 +560,10 @@ def test_bad_target_rejected():
         decompose_fairness("mmd", "equalised", 0, np.array([[0]]),
                            prob_node([0.5]), np.array([0]))
     with pytest.raises(ConfigError):
-        FairnessLossKind("mmd", mmd_bandwidth=0.0)
+        TrainConfig(method="vanilla", task_weights=(1.0,), mmd_bandwidth=0.0)
     with pytest.raises(ConfigError):
-        FairnessLossKind("parity")
+        TrainConfig(method="vanilla", task_weights=(1.0,),
+                    fairness_kind="parity")
+    with pytest.raises(ConfigError):   # not MMD by default
+        fairness_loss("parity", prob_node([0.2, 0.6]), np.array([0, 1]),
+                      ALL_ROWS(2))

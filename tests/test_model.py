@@ -219,8 +219,10 @@ def test_arch_roundtrip():
     assert from_fields(ArchConfig, json.loads(json.dumps(asdict(arch)))) == arch
 
 
-def test_from_fields_ignores_unknown_keys_and_reports_missing_ones():
-    arch = from_fields(ArchConfig, {"num_tasks": 3, "budget": 5})
-    assert arch == ArchConfig(num_tasks=3)
+def test_from_fields_refuses_unknown_keys_and_reports_missing_ones():
+    assert from_fields(ArchConfig, {"num_tasks": 3}) == ArchConfig(num_tasks=3)
+    with pytest.raises(ConfigError, match="'budget'; accepted: num_tasks, "
+                       "shared_layer_sizes, head_layer_sizes, embedding_dim"):
+        from_fields(ArchConfig, {"num_tasks": 3, "budget": 5})
     with pytest.raises(ConfigError, match="num_tasks"):
         from_fields(ArchConfig, {"embedding_dim": 4})

@@ -24,7 +24,6 @@ from fairmtl import cli, pareto
 from fairmtl import sweep as sweep_module
 from fairmtl.data import SynthSpec, split_random, synth_generate
 from fairmtl.exceptions import ConfigError, ContractError
-from fairmtl.losses import FairnessLossKind
 from fairmtl.metrics import StlBaselines, run_stl_baselines, stl_config_hash
 from fairmtl.model import ArchConfig, from_fields
 from fairmtl.sweep import (
@@ -97,9 +96,42 @@ class TestSweepConfig:
         d = json.loads(json.dumps(asdict(sweep)))
         assert from_fields(SweepConfig, d) == sweep
 
-    def test_from_dict_ignores_extra_keys(self):
-        sweep = from_fields(SweepConfig, {"budget": 3, "data_dir": "x"})
-        assert sweep.budget == 3
+    def test_from_fields_refuses_extra_keys(self):
+        """A key that names no field, such as a misspelt setting, is
+        refused with the accepted ones, not dropped."""
+        assert from_fields(SweepConfig, {"budget": 3}).budget == 3
+        with pytest.raises(ConfigError, match="'data_dir'.*accepted: "
+                           "methods, budget"):
+            from_fields(SweepConfig, {"budget": 3, "data_dir": "x"})
+
+    @pytest.mark.parametrize("name", ["budget", "seeds_per_config",
+                                      "master_seed"])
+    def test_integer_fields_must_be_integral(self, name):
+        """1.5 runs used to be sampled as 2; 1.5 seeds failed mid-sweep."""
+        with pytest.raises(ConfigError, match="integer"):
+            from_fields(SweepConfig, {name: 1.5})
+        sweep = SweepConfig(**{name: np.int64(3)})
+        assert type(getattr(sweep, name)) is int
+
+    @pytest.mark.parametrize("setting", [
+        {"learning_rate": -1}, {"batch_size": 0}, {"epochs": 0},
+        {"mmd_bandwidth": -2}, {"fairness_target": "parity"}])
+    def test_shared_settings_refused_at_construction(self, setting):
+        """The settings every run shares are checked once, by the
+        template TrainConfig, before any run is drawn."""
+        with pytest.raises(ConfigError):
+            SweepConfig(**setting)
+
+    def test_runs_share_the_sweep_settings(self):
+        sweep = SweepConfig(budget=2, learning_rate=0.2, epochs=3,
+                            batch_size=32, fairness_kind="correlation",
+                            mmd_bandwidth=0.5, fairness_target="equalized_odds")
+        for configs in sample_configs(sweep, 2).values():
+            for config in configs:
+                assert (config.learning_rate, config.epochs,
+                        config.batch_size, config.fairness_kind,
+                        config.mmd_bandwidth, config.fairness_target) == (
+                    0.2, 3, 32, "correlation", 0.5, "equalized_odds")
 
 
 class TestSampling:
@@ -110,8 +142,8 @@ class TestSampling:
             large = sample_configs(SweepConfig(budget=8, master_seed=2,
                                                seeds_per_config=spc), 2)
             for m in small:
-                assert [c.to_dict() for c in small[m]] == \
-                    [c.to_dict() for c in large[m][:3]]
+                assert [asdict(c) for c in small[m]] == \
+                    [asdict(c) for c in large[m][:3]]
 
     def test_budget_accounting(self):
         configs = sample_configs(SweepConfig(methods=("vanilla",), budget=10),
@@ -123,10 +155,10 @@ class TestSampling:
         sweep = SweepConfig(budget=6, master_seed=4)
         a = sample_configs(sweep, 2)
         b = sample_configs(sweep, 2)
-        assert all(x.to_dict() == y.to_dict()
+        assert all(asdict(x) == asdict(y)
                    for m in a for x, y in zip(a[m], b[m]))
         c = sample_configs(SweepConfig(budget=6, master_seed=5), 2)
-        assert any(x.to_dict() != y.to_dict()
+        assert any(asdict(x) != asdict(y)
                    for x, y in zip(a["mtaf"], c["mtaf"]))
 
     def test_draws_paired_across_methods(self):
@@ -173,7 +205,7 @@ class TestSampling:
         sweep = SweepConfig(methods=("baseline",), budget=1,
                             fairness_kind="mmd", mmd_bandwidth=2.5)
         c = sample_configs(sweep, 2)["baseline"][0]
-        assert c.fairness_kind.mmd_bandwidth == 2.5
+        assert c.mmd_bandwidth == 2.5
 
 
 class TestRunSingle:
@@ -438,7 +470,7 @@ class TestRunSweep:
         config = sample_configs(SweepConfig(budget=1), 2)["mtaf"][0]
         pair = pair_hash(train_ds, test_ds)
         rid = run_id(config, pair, baselines.config_hash)
-        assert rid == run_id(TrainConfig.from_dict(config.to_dict()), pair,
+        assert rid == run_id(from_fields(TrainConfig, asdict(config)), pair,
                              baselines.config_hash)
         assert rid.startswith("mtaf-")
         assert len({rid, run_id(replace(config, seed=1), pair, "k"),
@@ -458,7 +490,7 @@ class TestRunSweep:
             config = TrainConfig(
                 method="mtaf", task_weights=(0.6, 0.4),
                 fairness_weights=(1.0, 0.5), head_shared_ratios=(2.0, 0.5),
-                fairness_kind=FairnessLossKind(kind, mmd_bandwidth=0.5),
+                fairness_kind=kind, mmd_bandwidth=0.5,
                 fairness_target="equalized_odds", learning_rate=0.1,
                 epochs=2, batch_size=64, seed=3)
             assert run_id(config, "abcd1234ef56", "k" * 16) == rid
@@ -468,19 +500,19 @@ class TestRunSweep:
                                         2)["baseline"][0]
         written = TrainConfig(
             method="baseline", task_weights=(1, 0), fairness_weights=(2, 1),
-            fairness_kind=FairnessLossKind("mmd", mmd_bandwidth=2),
+            fairness_kind="mmd", mmd_bandwidth=2,
             learning_rate=1, epochs=np.int64(3), batch_size=np.int32(64),
             seed=np.int64(7))
         for c in (config, written):
             assert run_id(c, "p", "k") == run_id(
-                TrainConfig.from_dict(c.to_dict()), "p", "k")
+                from_fields(TrainConfig, asdict(c)), "p", "k")
         assert run_id(written, "p", "k") == run_id(TrainConfig(
             method="baseline", task_weights=(1.0, 0.0),
             fairness_weights=(2.0, 1.0),
-            fairness_kind=FairnessLossKind("mmd", mmd_bandwidth=2.0),
+            fairness_kind="mmd", mmd_bandwidth=2.0,
             learning_rate=1.0, epochs=3, batch_size=64, seed=7), "p", "k")
         with pytest.raises(ConfigError):
-            TrainConfig.from_dict({**written.to_dict(), "epochs": 2.5})
+            from_fields(TrainConfig, {**asdict(written), "epochs": 2.5})
 
     def test_sweep_rows_deterministic(self, tmp_path, env):
         train_ds, test_ds, baselines = env
@@ -805,6 +837,45 @@ class TestCli:
             assert "'epoch'" in err
             assert "seeds, learning_rate, epochs, batch_size" in err
         assert len(os.listdir(out)) == 1
+
+    def test_unknown_section_keys_refused(self, tmp_path, capsys):
+        """A misspelt key in any section is an error naming it and the
+        accepted keys: it used to be dropped ("train") or to end in a
+        TypeError ("synth"); a non-integral budget is refused too."""
+        cfg = self.write_cfg(tmp_path)
+        out = str(tmp_path / "out")
+        assert cli.main(["stl-baseline", "--dataset", "synth",
+                         "--out", out, "--config", cfg]) == 0
+        cases = [("train", "train", "fairness_weight", [2.0, 2.0],
+                  "'fairness_weight'; accepted: method, task_weights"),
+                 ("train", "synth", "nn", 3, "'nn'; accepted: n, num_tasks"),
+                 ("sweep", "arch", "embeding_dim", 4, "'embeding_dim'"),
+                 ("sweep", "sweep", "budget", 1.5, "integer")]
+        capsys.readouterr()
+        for command, section, key, value, message in cases:
+            changed = copy.deepcopy(CLI_CFG)
+            changed[section][key] = value
+            path = tmp_path / "changed.json"
+            path.write_text(json.dumps(changed))
+            code = cli.main([command, "--dataset", "synth", "--out", out,
+                             "--config", str(path)])
+            assert code == 2
+            assert message in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "runs.csv"))
+
+    def test_train_without_its_section_takes_the_defaults(self, tmp_path):
+        """`train` reads only the "train" section: without one it trains
+        vanilla at the preset settings, and the other sections' keys are
+        never read as training settings."""
+        cfg = {k: v for k, v in CLI_CFG.items() if k != "train"}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = str(tmp_path / "out")
+        for command in ("stl-baseline", "train"):
+            assert cli.main([command, "--dataset", "synth", "--out", out,
+                             "--config", str(path)]) == 0
+        (row,) = load_runs(os.path.join(out, "runs.csv"))
+        assert (row["method"], row["epochs"]) == ("vanilla", 3)
 
     def test_repeated_train_appends_nothing(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path)

@@ -7,7 +7,7 @@ import json
 import pickle
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import asdict, replace
 from unittest import mock
 
 import numpy as np
@@ -23,7 +23,7 @@ from fairmtl.exceptions import ConfigError, ShapeError, TrainingDiverged
 from fairmtl.losses import cross_entropy, decompose_fairness
 from fairmtl.metrics import evaluate_model
 from fairmtl.model import (ArchConfig, backprop, build_model, forward,
-                           forward_np)
+                           forward_np, from_fields)
 from fairmtl.trainer import (ADAGRAD_EPS, METHODS, Batch, RunPlan,
                              TrainConfig, adagrad_update, train, train_step)
 
@@ -114,7 +114,7 @@ def test_config_roundtrip():
                       fairness_weights=(1.0, 2.0), head_shared_ratios=(2.0, 0.5),
                       fairness_kind="mmd", fairness_target="equalized_odds",
                       learning_rate=0.02, epochs=3, batch_size=16, seed=9)
-    again = TrainConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+    again = from_fields(TrainConfig, json.loads(json.dumps(asdict(cfg))))
     assert again == cfg
 
 
