@@ -6,6 +6,7 @@ with one tree, then compare two records.
     # ... change the code (or switch to another checkout) ...
     PYTHONPATH=src python3 scripts/parity_check.py --save after.pkl
     python3 scripts/parity_check.py --compare before.pkl after.pkl
+    PYTHONPATH=src python3 scripts/parity_check.py --stacked
 
 `--save F` trains the parity set with the fairmtl found on PYTHONPATH and
 writes each run's parameters, Adagrad accumulators, per-epoch history and
@@ -14,7 +15,14 @@ prints, over all runs, the largest difference of any parameter or
 accumulator entry (absolute, and relative to the largest magnitude in
 that parameter) and of any history entry, then every test metric that
 differs, with both values.  It exits 1 when the records hold different
-runs.
+runs.  `--stacked` trains each run of the set with four stack-mates of
+other seeds, weights, lambdas and ratios, alone and as stacks
+(`train_stack`) of widths 2-5 in turn, which cut the five runs 2+2+1,
+3+2, 4+1 and 5; in every seventh group one stack-mate's task weight is
+NaN, so it diverges inside its stack.  It prints the largest difference
+between any run's stacked and solo parameters, accumulators and
+histories, the runs whose test metrics differ and the diverged runs whose
+messages differ, and exits 1 unless all three are 0.
 
 The set has 129 runs on synthetic data with 10% of the sensitive values
 missing: 81 over 1-3 tasks x 3 fairness kinds x 3 targets x 3 methods
@@ -29,6 +37,7 @@ exact kernel blocks, and 2, which takes the feature map.
 import argparse
 import pickle
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -127,6 +136,64 @@ def save(path):
     print(f"{len(records)} runs written to {path}")
 
 
+def _mates(config, nan):
+    """The config and four stack-mates: other seeds, weights, lambdas
+    (one zeroed, then all) and ratios; with `nan`, the first mate's task
+    weight is NaN."""
+    w, lam, r = (config.task_weights, config.fairness_weights,
+                 config.head_shared_ratios)
+    mates = [config]
+    for k, (w_k, lam_k, r_k) in enumerate((
+            (w[::-1], [2 * x for x in lam], r),
+            (w, (0.0,) + lam[1:], r[::-1]),
+            ([0.5 * x for x in w], [0.0] * len(lam), r),
+            (w, lam, [1 / x for x in r])), 1):
+        mates.append(replace(config, seed=config.seed + k, task_weights=w_k,
+                             fairness_weights=lam_k, head_shared_ratios=r_k))
+    if nan:
+        mates[1] = replace(mates[1], task_weights=(np.nan,) + w[1:])
+    return mates
+
+
+def stacked():
+    from fairmtl.exceptions import TrainingDiverged
+    from fairmtl.metrics import evaluate_model
+    from fairmtl.trainer import train, train_stack
+    data, worst, runs, diverged, metrics, messages = {}, 0.0, 0, 0, [], []
+    for i, (key, data_key, arch, cfg) in enumerate(configs()):
+        if data_key not in data:
+            data[data_key] = _data(*data_key)
+        train_ds, test_ds = data[data_key]
+        mates, width = _mates(cfg, i % 7 == 0), 2 + i % 4
+        stacks = [train_stack(train_ds, arch, mates[start:start + width])
+                  for start in range(0, len(mates), width)]
+        for config, run in zip(mates, sum(stacks, [])):
+            runs += 1
+            where = f"{key} seed {config.seed}"
+            try:
+                solo = train(train_ds, arch, config)
+            except TrainingDiverged as exc:
+                diverged += 1
+                if str(run) != str(exc):
+                    messages.append(f"{where}: {run!r}, alone {exc!r}")
+                continue
+            for a, b in [(run.history, solo.history)] + [
+                    (getattr(run.model.flat, name),
+                     getattr(solo.model.flat, name))
+                    for name in ("value", "adagrad_acc")]:
+                worst = max(worst, float(np.max(np.abs(a - b))))
+            if (evaluate_model(run.model, test_ds)
+                    != evaluate_model(solo.model, test_ds)):
+                metrics.append(where)
+    print(f"{runs} runs in stacks of widths 2-5, {diverged} diverged: "
+          f"max abs difference from the solo runs {worst:.3g}; runs whose "
+          f"test metrics differ: {len(metrics)}; diverged runs whose "
+          f"messages differ: {len(messages)}")
+    for line in metrics + messages:
+        print(f"  {line}")
+    return int(bool(worst or metrics or messages))
+
+
 def _largest(a_runs, b_runs, field):
     """(absolute, relative, where) of the largest entry difference of
     `field` over all runs; relative to the largest magnitude of the
@@ -179,10 +246,13 @@ def main(argv=None):
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--save", metavar="F")
     group.add_argument("--compare", nargs=2, metavar=("A", "B"))
+    group.add_argument("--stacked", action="store_true")
     args = parser.parse_args(argv)
     if args.save:
         save(args.save)
         return 0
+    if args.stacked:
+        return stacked()
     return compare(*args.compare)
 
 

@@ -9,10 +9,12 @@ Subcommands:
 `--dataset` takes a preset name (uci_adult, german_credit, lsac, synth) or
 a path to a schema JSON.  Real datasets are read from <data_dir>/train.csv
 and test.csv (see scripts/prepare_*.py); `synth` is generated on the fly.
-The optional `--config` JSON carries sections: "synth", "arch", "train",
-"sweep", "stl", plus "data_dir".  Sections are strict: "synth", "arch",
-"train" and "sweep" take only SynthSpec / ArchConfig / TrainConfig /
-SweepConfig fields, and any other key is refused with the accepted ones.
+The optional `--config` JSON object carries sections: "synth", "arch",
+"train", "sweep", "stl", plus "data_dir" and the synthetic data's
+"synth_seed", "split_fraction" and "split_seed".  It is strict: any other
+top-level key is refused with the accepted ones, and so is a key in
+"synth", "arch", "train" or "sweep" that names no SynthSpec / ArchConfig /
+TrainConfig / SweepConfig field.
 """
 
 import argparse
@@ -34,14 +36,22 @@ from .sweep import (RunsWriter, SweepConfig, accuracy_overlay, emit_reports,
 from .trainer import TrainConfig
 
 
+_CONFIG_KEYS = ("synth", "arch", "train", "sweep", "stl", "data_dir",
+                "synth_seed", "split_fraction", "split_seed")
+
+
 def _load_config(path):
     if path is None:
         return {}
     with open(path) as f:
         try:
-            return json.load(f)
+            cfg = json.load(f)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: not a JSON object")
+    refuse_unknown(path, cfg, _CONFIG_KEYS)
+    return cfg
 
 
 class ResolvedData:

@@ -15,10 +15,10 @@ exclusivity, which `subset_rows` reads too.  `subset_arrays` gives every
 task's codes with the side masks built from them, values per row that
 the trainer's `Batch` holds with the rest of a batch's rows.
 `fairness_seed_terms` turns them into the derivatives the trainer adds to
-its seeds, for all tasks at once: the soft FPR gap's derivative is
-constant on each code, so it needs only per-code sums and counts, two
-bincounts whatever the number of tasks; MMD and correlation take each
-side's rows from the masks.
+its seeds, for all runs of a stack and all tasks at once: the soft FPR
+gap's derivative is constant on each code, so it needs only per-code sums
+and counts, two bincounts whatever the number of runs and tasks; MMD and
+correlation take each side's rows from the masks, run by run.
 `fairness_loss` and `cross_entropy` wrap the same formulas in autodiff
 nodes whose one parent is p, the differentiable reference the tests check.
 A task's fairness loss splits into a head part (rows no other task's loss
@@ -343,7 +343,9 @@ def subset_arrays(labels, sensitive):
         [codes // 6 == 0, codes // 3 == 1, codes // 6 == 1,
          codes // 3 == 3], axis=1))
     offsets = 12 * np.arange(codes.shape[1]).reshape(-1, 1)
-    return codes.T + offsets, np.asarray(sensitive), sides
+    # int32, half the bytes each epoch gathers per run, holds any code
+    return ((codes.T + offsets).astype(np.int32), np.asarray(sensitive),
+            sides)
 
 
 # Summed in any order, n nonnegative numbers err by at most (n - 1) 2^-53
@@ -371,77 +373,81 @@ def _gap(s0, n0, s1, n1, exact):
 
 
 def fairness_seed_terms(config, batch, probs, tasks, combine, head=False):
-    """Every task's fairness losses and seed terms from a batch's subsets.
+    """Every run's and task's fairness losses and seed terms, for a stack.
 
-    Returns (F_full, F_head, combine(dF_full/dp, dF_head/dp)): two lists
-    of T floats and the terms as one (k, T, n, 1) stack.  The losses are
-    `config`'s, a TrainConfig's fairness kind, MMD bandwidth and target.
-    `batch` holds the `subset_arrays` of its rows as `codes`, `sensitive`
-    and `sides`, and `counts`, described below; `probs` is its (T, n, 1)
-    probability stack and `tasks` the tasks whose losses count; every
-    other task's losses and derivatives are 0.  F_full sums one loss per
-    side of the target (negatives for the fpr target, positives for tpr,
-    both for equalized odds); F_head keeps each side's exclusive rows
-    only, mtaf's head part, and is computed only with `head` (else F_head
-    and its derivative are 0).  `combine` must act elementwise on
-    (T, m, 1) stacks, so it may scale each task by a (T, 1, 1) stack, and
-    return k of its results as one (k, T, m, 1) stack.
+    Returns (F_full, F_head, combine(dF_full/dp, dF_head/dp)): per run, two
+    lists of T floats, and the terms as one (k, W, T, n, 1) stack, of
+    `config`'s fairness kind, MMD bandwidth and target.  `batch` holds the
+    runs' `subset_arrays` (`codes`, run w's offset by 12 T w, `sensitive`,
+    `sides`) with a leading run axis, and `counts`; `probs` is the
+    (W, T, n, 1) probability stack and `tasks` each run's tasks whose
+    losses count, every other task's being 0.  F_full sums one loss per
+    side of the target (negatives for fpr, positives for tpr, both for
+    equalized odds); F_head, mtaf's head part, keeps each side's exclusive
+    rows and is computed only with `head`.  `combine` must act elementwise
+    and return k results as one stack.
 
     The soft FPR gap's derivative is constant on each code, so one
-    weighted and one plain count of every task's codes give each group's
-    sum and size; the plain count depends on the rows alone, and is
-    `batch.counts` when not None.  The per-code arithmetic runs on Python
-    floats, task by task; `combine` gets the (T, 12, 1) per-code
-    derivatives and its results are gathered by code in one take.  The
-    other kinds run `fairness_terms` on each task's and side's rows and
-    pass `combine` (T, n, 1) stacks.
+    weighted and one plain bincount of every run's and task's codes give
+    each group's sum and size (the plain one is `batch.counts` when not
+    None), the per-code arithmetic runs on Python floats and `combine`'s
+    (W, T, 12, 1) results are gathered by code in one take.  The other
+    kinds run `fairness_terms` on each run's, task's and side's rows.
     """
     kind, target = config.fairness_kind, config.fairness_target
-    num_tasks = batch.codes.shape[0]
-    f_full, f_head = [0.0] * num_tasks, [0.0] * num_tasks
+    runs, num_tasks = probs.shape[:2]
+    f_full, f_head = ([[0.0] * num_tasks for _ in range(runs)]
+                      for _ in range(2))
 
-    def terms(t, y, exclusive):
-        return fairness_terms(kind, probs[t], batch.sensitive, np.flatnonzero(
-            batch.sides[:, 2 * y + exclusive, t]), config.mmd_bandwidth)
+    def terms(w, t, y, exclusive):
+        return fairness_terms(kind, probs[w, t], batch.sensitive[w],
+                              np.flatnonzero(batch.sides[w, :, 2 * y
+                                                         + exclusive, t]),
+                              config.mmd_bandwidth)
 
     if kind == "soft_fpr_gap":
-        # one flat array (a copy for a step's slice) to count and gather by
-        codes, bins = batch.codes.ravel(), 12 * num_tasks
+        # one flat copy, of the width bincount and take index with
+        codes = batch.codes.astype(np.intp).ravel()
+        bins = 12 * runs * num_tasks
         sums = np.bincount(codes, weights=probs.ravel(),
                            minlength=bins).tolist()
         counts = batch.counts or np.bincount(codes, minlength=bins).tolist()
         d_full, d_head = [0.0] * bins, [0.0] * bins
-        for t in tasks:
-            for y in _SIDE_LABELS[target]:
-                # group 0, not exclusive; +1 group 1, +3 exclusive
-                b = 12 * t + 6 * y + 1
-                f, d0, d1 = _gap(
-                    sums[b] + sums[b + 3], counts[b] + counts[b + 3],
-                    sums[b + 1] + sums[b + 4], counts[b + 1] + counts[b + 4],
-                    lambda: terms(t, y, False))
-                f_full[t] += f
-                d_full[b] = d_full[b + 3] = d0
-                d_full[b + 1] = d_full[b + 4] = d1
-                if head:
-                    f, d_head[b + 3], d_head[b + 4] = _gap(
-                        sums[b + 3], counts[b + 3], sums[b + 4],
-                        counts[b + 4], lambda: terms(t, y, True))
-                    f_head[t] += f
-        d = np.array((d_full, d_head)[:1 + head]).reshape(-1, num_tasks, 12, 1)
+        for w, run_tasks in enumerate(tasks):
+            for t in run_tasks:
+                for y in _SIDE_LABELS[target]:
+                    # group 0, not exclusive; +1 group 1, +3 exclusive
+                    b = 12 * (num_tasks * w + t) + 6 * y + 1
+                    f, d0, d1 = _gap(
+                        sums[b] + sums[b + 3], counts[b] + counts[b + 3],
+                        sums[b + 1] + sums[b + 4],
+                        counts[b + 1] + counts[b + 4],
+                        lambda: terms(w, t, y, False))
+                    f_full[w][t] += f
+                    d_full[b] = d_full[b + 3] = d0
+                    d_full[b + 1] = d_full[b + 4] = d1
+                    if head:
+                        f, d_head[b + 3], d_head[b + 4] = _gap(
+                            sums[b + 3], counts[b + 3], sums[b + 4],
+                            counts[b + 4], lambda: terms(w, t, y, True))
+                        f_head[w][t] += f
+        d = np.array((d_full, d_head)[:1 + head]).reshape(
+            -1, runs, num_tasks, 12, 1)
         tables = combine(d[0], d[1] if head else 0.0)
         return f_full, f_head, tables.reshape(-1, bins).take(
             codes, axis=1).reshape((-1,) + probs.shape)
     d_full = np.zeros(probs.shape)
     d_head = np.zeros(probs.shape) if head else 0.0
-    for t in tasks:
-        for y in _SIDE_LABELS[target]:
-            f, rows, dvals = terms(t, y, False)
-            f_full[t] += f
-            d_full[t, rows, 0] += dvals
-            if head:
-                f, rows, dvals = terms(t, y, True)
-                f_head[t] += f
-                d_head[t, rows, 0] += dvals
+    for w, run_tasks in enumerate(tasks):
+        for t in run_tasks:
+            for y in _SIDE_LABELS[target]:
+                f, rows, dvals = terms(w, t, y, False)
+                f_full[w][t] += f
+                d_full[w, t, rows, 0] += dvals
+                if head:
+                    f, rows, dvals = terms(w, t, y, True)
+                    f_head[w][t] += f
+                    d_head[w, t, rows, 0] += dvals
     return f_full, f_head, combine(d_full, d_head)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .data import Dataset
 from .exceptions import ConfigError, ContractError, UndefinedMetricError
 from .model import forward_np, workspace
-from .trainer import TrainConfig, train
+from .trainer import TrainConfig, train_stack
 
 BASELINE_FLOOR = 1e-9
 
@@ -118,8 +118,8 @@ def evaluate_model(model, dataset, threshold=0.5):
     this shape, so a sweep evaluating every run on one test split builds
     it once per process."""
     ws = workspace(dataset.kept("workspaces", dict), model, len(dataset))
-    probs = forward_np(model, dataset.dense,
-                       dataset.cat if dataset.cat.size else None, ws).probs
+    probs = forward_np(model, dataset.dense[None], dataset.cat[None]
+                       if dataset.cat.size else None, ws).probs[0]
     return tuple(
         evaluate_task(probs[t][:, 0], dataset.labels[:, t],
                       dataset.sensitive, threshold)
@@ -143,8 +143,9 @@ def stl_config_hash(arch, config, seeds):
 def run_stl_baselines(train_ds, test_ds, arch, config, seeds):
     """Per-task single-task baselines: same architecture, one head, vanilla.
 
-    Each task trains its own T=1 model per seed on the training split and is
-    scored on the test split; metrics are averaged over seeds.  A gap that is
+    Each task trains its own T=1 model per seed on the training split, its
+    seeds as one stack (`train_stack`), and is scored on the test split;
+    metrics are averaged over seeds.  A gap that is
     undefined on the test split stays None and trips the divide guard later.
     """
     seeds = tuple(seeds)
@@ -156,12 +157,12 @@ def run_stl_baselines(train_ds, test_ds, arch, config, seeds):
         view_train = single_task_view(train_ds, t)
         view_test = single_task_view(test_ds, t)
         evs = []
-        for seed in seeds:
-            cfg = TrainConfig(method="vanilla", task_weights=(1.0,),
-                              learning_rate=config.learning_rate,
-                              epochs=config.epochs,
-                              batch_size=config.batch_size, seed=seed)
-            run = train(view_train, stl_arch, cfg)
+        for run in train_stack(view_train, stl_arch, [TrainConfig(
+                method="vanilla", task_weights=(1.0,),
+                learning_rate=config.learning_rate, epochs=config.epochs,
+                batch_size=config.batch_size, seed=seed) for seed in seeds]):
+            if isinstance(run, Exception):
+                raise run
             evs.append(evaluate_model(run.model, view_test)[0])
         errs.append(float(np.mean([e.err for e in evs])))
         fprs.append(None if any(e.fpr_gap is None for e in evs)

@@ -4,16 +4,17 @@ All tasks share the embedding tables and bottom dense layers; each task owns
 a head sub-network ending in a single logit.  Parameter grouping (shared vs
 per-task) is fixed at build time and drives the gradient routing in the
 trainer.  Every parameter's value, gradient and Adagrad accumulator is a
-view into one flat (1, N) vector of each (`FlatParams`), so one Adagrad
-call updates the whole model; each head layer's T weights and T biases
-are also one stack each (`HeadStack`).  `forward_np` and `backprop` are
-the training path: a numpy forward that keeps each layer's input and
-pre-activation, and a backward from seed gradients at each task's logit
-into the flat gradient, one array op per head layer for all tasks and
-both of mtaf's seed stacks.  Both write into a `Workspace`, buffers sized
-to the batch that every step of a run reuses, and every later run on the
-same dataset (`workspace`).  `forward` builds the same
-network as an autodiff graph, the differentiable reference.
+view into one flat (W, N) array of each (`FlatParams`), a row per run: a
+built model is one row, and a `ModelStack` W models of one shape, so one
+Adagrad call updates them all.  Each layer is also one (W, ...) stack,
+each head layer one (W, T, ...) stack (`LayerStack`).  `forward_np` and
+`backprop` are the training path, on a batch per run: a numpy forward that
+keeps each layer's input and pre-activation, and a backward from seed
+gradients at each task's logit into the flat gradient, one array op per
+layer for all runs, tasks and both of mtaf's seed stacks, in a
+`Workspace` of buffers that every step and run on a dataset reuses
+(`workspace`).  `forward` builds the same network as an autodiff graph,
+the differentiable reference.
 """
 
 from dataclasses import dataclass, field, fields
@@ -84,36 +85,55 @@ class TaskOutput:
 @dataclass
 class FlatParams:
     """Every parameter's value, gradient and Adagrad accumulator, each as
-    one (1, N) vector in `MtlModel.all_params` order; each Param's arrays
-    are views into these."""
+    one (W, N) array, row w run w's in `MtlModel.all_params` order; each
+    Param's arrays are views into its run's row."""
     value: np.ndarray
     grad: np.ndarray
     adagrad_acc: np.ndarray
 
     @classmethod
-    def adopt(cls, params):
-        """Copy the params' arrays into new flat vectors and point each
-        Param at its views; returns them and each Param's start offset,
-        keyed by name."""
-        n = sum(p.value.size for p in params)
-        flat = cls(np.empty((1, n)), np.empty((1, n)), np.empty((1, n)))
-        starts, start = {}, 0
-        for p in params:
-            starts[p.name], stop = start, start + p.value.size
-            for name in ("value", "grad", "adagrad_acc"):
-                view = getattr(flat, name)[0, start:stop].reshape(p.shape)
-                view[...] = getattr(p, name)
-                setattr(p, name, view)
-            start = stop
+    def adopt(cls, runs):
+        """Copy each run's params, in `all_params` order, into its row of
+        new flat arrays and point each Param at its views; returns them
+        and each Param's start offset in a row, keyed by name."""
+        flat = cls(*(np.empty((len(runs), sum(p.value.size for p in runs[0])))
+                     for _ in range(3)))
+        for row, params in enumerate(runs):
+            starts, start = {}, 0
+            for p in params:
+                starts[p.name], stop = start, start + p.value.size
+                for name in ("value", "grad", "adagrad_acc"):
+                    view = getattr(flat, name)[row, start:stop].reshape(p.shape)
+                    view[...] = getattr(p, name)
+                    setattr(p, name, view)
+                start = stop
         return flat, starts
 
 
 @dataclass
-class HeadStack:
-    """A head layer's weights (T, in, out) or biases (T, 1, out): views of
-    the flat value and gradient whose slice t backs head t's Param."""
+class LayerStack:
+    """A layer's parameter in W runs, views of the flat value and gradient:
+    a table (W, vocab, dim), a shared weight (W, in, out) or bias
+    (W, 1, out), or a head layer's (W, T, in, out) or (W, T, 1, out)."""
     value: np.ndarray
     grad: np.ndarray
+
+
+def _stack_layers(net, flat, starts, model):
+    """Set `net.flat` to `flat`, rows laid out as `model`'s at `starts`,
+    and its `tables`, `shared_stacks` and `head_stacks` to views of it."""
+    def stack(params, *tasks):
+        start, size = starts[params[0].name], len(params) * params[0].value.size
+        return LayerStack(*(
+            getattr(flat, name)[:, start:start + size]
+            .reshape((len(flat.value),) + tasks + params[0].shape)
+            for name in ("value", "grad")))
+    net.flat = flat
+    net.tables = [stack([table]) for table in model.embeddings]
+    net.shared_stacks = [(stack([w]), stack([b]))
+                         for w, b in model.shared_layers]
+    net.head_stacks = [tuple(stack([wb[i] for wb in layer], len(layer))
+                             for i in (0, 1)) for layer in zip(*model.heads)]
 
 
 @dataclass
@@ -124,8 +144,11 @@ class MtlModel:
     heads: list               # heads[t] = [(W, b), ...] ending in the logit layer
     dense_count: int
     vocab_sizes: tuple = field(default_factory=tuple)
-    flat: FlatParams = None   # the storage behind every Param; set by build_model
-    head_stacks: list = None  # [(W, b) HeadStacks per head layer]; set likewise
+    # the storage behind every Param, one row, and its layers' views of it
+    flat: FlatParams = None
+    tables: list = None
+    shared_stacks: list = None
+    head_stacks: list = None
 
     @property
     def shared_params(self):
@@ -154,6 +177,29 @@ class MtlModel:
         ad.zero_grads(self.all_params)
 
 
+class ModelStack:
+    """W models of one shape trained as one: their parameters copied into
+    the rows of one FlatParams, with its `LayerStack`s; each model, its
+    Params, `flat` and layer stacks then views of its row."""
+
+    @classmethod
+    def build(cls, arch, dense_count, vocab_sizes, seeds):
+        """A stack of new models, one per seed (`build_model`)."""
+        return cls([_model(arch, dense_count, vocab_sizes, seed)
+                    for seed in seeds])
+
+    def __init__(self, models):
+        first = models[0]
+        self.models, self.arch = models, first.arch
+        self.dense_count, self.vocab_sizes = first.dense_count, first.vocab_sizes
+        flat, starts = FlatParams.adopt([m.all_params for m in models])
+        for net, rows in [(self, slice(None))] + [
+                (m, slice(row, row + 1)) for row, m in enumerate(models)]:
+            _stack_layers(net, FlatParams(flat.value[rows], flat.grad[rows],
+                                          flat.adagrad_acc[rows]),
+                          starts, first)
+
+
 def build_model(arch, dense_count, vocab_sizes=(), seed=0):
     """Construct an MtlModel with deterministic seeded initialization.
 
@@ -161,8 +207,13 @@ def build_model(arch, dense_count, vocab_sizes=(), seed=0):
     reserved out-of-vocabulary slot; every table has `arch.embedding_dim`
     columns.  Embedding tables belong to the shared group.  Weights use
     uniform fan-in init, biases start at zero.  The parameters' arrays are
-    views into `model.flat`, as are `model.head_stacks`.
+    views into `model.flat`, one row, as are its layer stacks.
     """
+    return ModelStack.build(arch, dense_count, vocab_sizes, [seed]).models[0]
+
+
+def _model(arch, dense_count, vocab_sizes, seed):
+    """`build_model`'s model, each Param holding its own arrays."""
     if dense_count < 0:
         raise ConfigError("dense_count must be >= 0")
     if dense_count == 0 and not vocab_sizes:
@@ -198,36 +249,26 @@ def build_model(arch, dense_count, vocab_sizes=(), seed=0):
         layers, _ = dense_stack(shared_out, sizes, f"task{t}", ("task", t))
         heads.append(layers)
 
-    model = MtlModel(arch=arch, embeddings=embeddings,
-                     shared_layers=shared_layers, heads=heads,
-                     dense_count=dense_count, vocab_sizes=tuple(vocab_sizes))
-    model.flat, starts = FlatParams.adopt(model.all_params)
-
-    def stack(params):
-        start, size = starts[params[0].name], len(params) * params[0].value.size
-        return HeadStack(*(
-            getattr(model.flat, name)[0, start:start + size]
-            .reshape((len(params),) + params[0].shape)
-            for name in ("value", "grad")))
-    model.head_stacks = [(stack([wb[0] for wb in layer]),
-                          stack([wb[1] for wb in layer]))
-                         for layer in zip(*heads)]
-    return model
+    return MtlModel(arch=arch, embeddings=embeddings,
+                    shared_layers=shared_layers, heads=heads,
+                    dense_count=dense_count, vocab_sizes=tuple(vocab_sizes))
 
 
-def _inputs(model, dense, cat_idx):
-    """The batch's dense features as C-contiguous float64 and its
-    categorical codes, checked against the model."""
-    dense = np.ascontiguousarray(dense, dtype=np.float64)
-    if dense.ndim != 2 or dense.shape[1] != model.dense_count:
-        raise ShapeError(
-            f"dense features must be (n, {model.dense_count}), got {dense.shape}")
-    n_cat = len(model.embeddings)
+def _inputs(model, dense, cat_idx, runs=()):
+    """The batch's dense features as float64 and its categorical codes,
+    checked against the model: (n, dense_count) and (n, n_categorical)
+    after the leading axes `runs`."""
+    dense = np.asarray(dense, dtype=np.float64)
+    if dense.ndim != len(runs) + 2 or (
+            dense.shape[:-2] + dense.shape[-1:] != runs + (model.dense_count,)):
+        raise ShapeError(f"dense features must be {runs} + (n, "
+                         f"{model.dense_count}), got {dense.shape}")
+    n_cat = len(model.vocab_sizes)
     if n_cat:
         cat_idx = np.asarray(cat_idx)
-        if cat_idx.ndim != 2 or cat_idx.shape != (dense.shape[0], n_cat):
+        if cat_idx.shape != dense.shape[:-1] + (n_cat,):
             raise ShapeError(
-                f"categorical codes must be ({dense.shape[0]}, {n_cat})")
+                f"categorical codes must be {dense.shape[:-1] + (n_cat,)}")
     return dense, cat_idx
 
 
@@ -261,37 +302,36 @@ def forward(model, dense, cat_idx=None):
 
 
 class Workspace:
-    """The arrays a training step writes for batches of n rows, and the
-    views of them it reads, built once so that every step of a run, and
-    every run on a dataset (`workspace`), reuses them.  It holds arrays
-    alone, not the model: any model of the same shapes may write it.
+    """The arrays a training step writes for W runs' batches of n rows,
+    and the views of them it reads, built once so that every step, and
+    every run on a dataset (`workspace`), reuses them; any model or
+    ModelStack of the same shapes and W may write it.
 
     `forward_np` writes each layer's pre-activation and activation into
     `shared_fwd` and `head_fwd`, and sets `cat_idx`, each layer's input
-    (`shared_in`, `head_in`) and `probs`, the (T, n, 1) probabilities.
+    (`shared_in`, `head_in`) and `probs`, the (W, T, n, 1) probabilities;
     `input` holds the dense features and the embeddings side by side.
-    The buffers a step's seeds and backward write come with `for_step`:
-    `seeds` holds the (2, T, n, 1) head and shared seed stacks at the
-    logits, the top head layer's gradient; `backprop` writes the others at
-    each layer's pre-activation and input into `shared_grads` and
-    `head_grads` (k halves of a head layer's for k seed stacks), `bottom`
-    sums the first head layer's (T, n, in) input gradient over the tasks,
-    and `ones` is the (1, n) row whose products give the bias gradients.
+    `for_step` adds `dense`, the (W, n, dense_count) features a step
+    gathers for its rows, and the buffers of the seeds and the backward:
+    `seeds`, the (2, W, T, n, 1) head and shared seed stacks at the
+    logits; `shared_grads` and `head_grads`, each layer's gradient at its
+    pre-activation and input (k halves of a head layer's for k seed
+    stacks); `bottom`, the first head layer's input gradient summed over
+    the tasks; and `ones`, the (1, n) row that gives bias gradients.
     """
 
     def __init__(self, model, n):
-        T = model.arch.num_tasks
-        width = (model.dense_count
-                 + model.arch.embedding_dim * len(model.embeddings))
+        W, T = len(model.flat.value), model.arch.num_tasks
+        width = model.dense_count + model.arch.embedding_dim * len(model.tables)
         self.n = n
-        self.input = np.empty((n, width)) if model.embeddings else None
+        self.input = np.empty((W, n, width)) if model.tables else None
         self.cat_idx = self.probs = self.seeds = None
-        self.shared_in = [None] * len(model.shared_layers)
+        self.shared_in = [None] * len(model.shared_stacks)
         self.head_in = [None] * len(model.head_stacks)
         # per layer: (pre-activation, activation)
-        self.shared_fwd = [tuple(np.empty((2, n, w.shape[1])))
-                           for w, _ in model.shared_layers]
-        self.head_fwd = [tuple(np.empty((2, T, n, w.value.shape[-1])))
+        self.shared_fwd = [tuple(np.empty((2, W, n, w.value.shape[-1])))
+                           for w, _ in model.shared_stacks]
+        self.head_fwd = [tuple(np.empty((2, W, T, n, w.value.shape[-1])))
                          for w, _ in model.head_stacks]
 
     def for_step(self, model):
@@ -300,33 +340,38 @@ class Workspace:
         evaluation, needs none of them."""
         if self.seeds is not None:
             return self
-        n, T = self.n, model.arch.num_tasks
-        self.seeds, self.ones = np.empty((2, T, n, 1)), np.ones((1, n))
+        n, W, T = self.n, len(model.flat.value), model.arch.num_tasks
+        self.dense = np.empty((W, n, model.dense_count))
+        self.seeds, self.ones = np.empty((2, W, T, n, 1)), np.ones((1, n))
         # per shared layer: (gradient at the pre-activation, gradient at
         # the input, None at the first layer without embeddings)
         self.shared_grads = [
-            (np.empty((n, w.shape[1])),
-             np.empty((n, w.shape[0])) if i or model.embeddings else None)
-            for i, (w, _) in enumerate(model.shared_layers)]
-        to_bottom = bool(model.shared_layers or model.embeddings)
-        width = model.head_stacks[0][0].value.shape[1]
-        self.bottom = np.empty((n, width)) if to_bottom else None
-        # per head layer: the (2, T, n, out) gradient at the pre-activation
-        # (None at the top: the seeds), and at the input (2, T, n, in), or
-        # (T, n, in) from the shared half at the first layer
+            (np.empty((W, n, w.value.shape[2])),
+             np.empty((W, n, w.value.shape[1])) if i or model.tables
+             else None)
+            for i, (w, _) in enumerate(model.shared_stacks)]
+        to_bottom = bool(model.shared_stacks or model.tables)
+        width = model.head_stacks[0][0].value.shape[2]
+        self.bottom = np.empty((W, n, width)) if to_bottom else None
+        # per head layer: the (2, W, T, n, out) gradient at the
+        # pre-activation (None at the top: the seeds), and at the input
+        # (2, W, T, n, in), or (W, T, n, in) from the shared half at the
+        # first layer
         top = len(model.head_stacks) - 1
         self.head_grads = [
-            (np.empty((2, T, n, w.value.shape[2])) if i < top else None,
-             np.empty((2, T, n, w.value.shape[1])) if i
-             else np.empty((T, n, w.value.shape[1])) if to_bottom else None)
+            (np.empty((2, W, T, n, w.value.shape[3])) if i < top else None,
+             np.empty((2, W, T, n, w.value.shape[2])) if i
+             else np.empty((W, T, n, w.value.shape[2])) if to_bottom
+             else None)
             for i, (w, _) in enumerate(model.head_stacks)]
         return self
 
 
 def workspace(store, model, n):
-    """The `Workspace` for this model's shapes and n rows from `store`, a
-    dict that keeps one per shape and row count; built on first use."""
-    key = (model.arch, model.dense_count, len(model.embeddings), n)
+    """The `Workspace` for this model's shapes, runs and n rows from
+    `store`, a dict that keeps one per key; built on first use."""
+    key = (model.arch, model.dense_count, len(model.tables),
+           len(model.flat.value), n)
     ws = store.get(key)
     if ws is None:
         ws = store[key] = Workspace(model, n)
@@ -341,35 +386,38 @@ def _relu_grad(pre, g, out):
 
 
 def forward_np(model, dense, cat_idx=None, ws=None):
-    """The network on a batch in plain numpy, written into `ws` (a new
-    `Workspace` when None), which it returns; probabilities equal
-    `forward`'s bit for bit.  Builds no graph."""
-    dense, cat_idx = _inputs(model, dense, cat_idx)
+    """The network of a model or ModelStack of W runs on each run's batch,
+    (W, n, dense_count) features and (W, n, n_categorical) codes, in
+    numpy, written into `ws` (a new `Workspace` when None), returned;
+    probabilities equal `forward`'s bit for bit."""
+    dense, cat_idx = _inputs(model, dense, cat_idx, (len(model.flat.value),))
     if ws is None:
-        ws = Workspace(model, dense.shape[0])
+        ws = Workspace(model, dense.shape[1])
     x = dense
-    if model.embeddings:
+    if model.tables:
         x = ws.input
-        x[:, :model.dense_count] = dense
+        x[..., :model.dense_count] = dense
         dim = model.arch.embedding_dim
-        for j, table in enumerate(model.embeddings):
-            codes = cat_idx[:, j]
-            if codes.size and (codes.min() < 0
-                               or codes.max() >= table.shape[0]):
-                raise IndexError("embedding index out of range")
+        for j, table in enumerate(model.tables):
             start = model.dense_count + j * dim
-            # in range, as just checked, so "clip" changes no code
-            np.take(table.value, codes, axis=0, mode="clip",
-                    out=x[:, start:start + dim])
+            for run, codes in enumerate(cat_idx[..., j]):
+                if codes.size and (codes.min() < 0
+                                   or codes.max() >= table.value.shape[1]):
+                    raise IndexError("embedding index out of range")
+                # in range, as just checked, so "clip" changes no code
+                np.take(table.value[run], codes, axis=0, mode="clip",
+                        out=x[run, :, start:start + dim])
         ws.cat_idx = cat_idx
 
-    for i, ((w, b), (pre, act)) in enumerate(zip(model.shared_layers,
+    for i, ((w, b), (pre, act)) in enumerate(zip(model.shared_stacks,
                                                   ws.shared_fwd)):
         ws.shared_in[i] = x
         np.matmul(x, w.value, out=pre)
         pre += b.value
         x = kernels.relu_fwd(pre, act)
 
+    # one (W, 1, n, in) input for all the heads
+    x = x[:, None]
     top = len(model.head_stacks) - 1
     for i, ((w, b), (pre, act)) in enumerate(zip(model.head_stacks,
                                                   ws.head_fwd)):
@@ -385,12 +433,12 @@ def backprop(model, ws, seeds):
     """Parameter gradients from seed gradients at the tasks' logits,
     written into `model.flat.grad` (every Param's `grad`).
 
-    `ws` holds the batch's `forward_np` and `seeds` is a (k, T, n, 1)
-    stack: seeds[0][t] gives head t's gradients and seeds[-1][t] flows
-    through head t into the shared bottom and the embeddings, summed in
-    task order.  One walk over the head stacks serves both halves (k = 1
-    when they agree), with one masked multiply and one input-gradient
-    matmul per layer; biases take ones-row matmuls.
+    `ws` holds the batch's `forward_np` and `seeds` is a (k, W, T, n, 1)
+    stack: seeds[0][w, t] gives run w's head t gradients and seeds[-1][w, t]
+    flows through its head t into its shared bottom and embeddings, summed
+    in task order.  One walk serves both halves (k = 1 when they agree)
+    and every run, with one masked multiply and one input-gradient matmul
+    per layer; biases take ones-row matmuls.
     """
     ws.for_step(model)
     k, g = len(seeds), seeds
@@ -405,18 +453,19 @@ def backprop(model, ws, seeds):
             g = np.matmul(g, w.value.swapaxes(-1, -2), out=g_in[:k])
         elif g_in is not None:
             np.matmul(g[-1], w.value.swapaxes(-1, -2), out=g_in)
-            g = np.add.reduce(g_in, axis=0, out=ws.bottom)
+            g = np.add.reduce(g_in, axis=1, out=ws.bottom)
 
-    for i in range(len(model.shared_layers) - 1, -1, -1):
-        (w, b), x = model.shared_layers[i], ws.shared_in[i]
+    for i in range(len(model.shared_stacks) - 1, -1, -1):
+        (w, b), x = model.shared_stacks[i], ws.shared_in[i]
         g_pre, g_in = ws.shared_grads[i]
         g = _relu_grad(ws.shared_fwd[i][0], g, g_pre)
-        np.matmul(x.T, g, out=w.grad)
+        np.matmul(x.swapaxes(-1, -2), g, out=w.grad)
         np.matmul(ws.ones, g, out=b.grad)
         if g_in is not None:
-            g = np.matmul(g, w.value.T, out=g_in)
+            g = np.matmul(g, w.value.swapaxes(-1, -2), out=g_in)
     dim = model.arch.embedding_dim
-    for j, table in enumerate(model.embeddings):
+    for j, table in enumerate(model.tables):
         start = model.dense_count + j * dim
         table.grad[...] = 0.0
-        np.add.at(table.grad, ws.cat_idx[:, j], g[:, start:start + dim])
+        for run, codes in enumerate(ws.cat_idx[..., j]):
+            np.add.at(table.grad[run], codes, g[run, :, start:start + dim])

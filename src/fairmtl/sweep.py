@@ -1,8 +1,9 @@
 """Sweep orchestration: sampled configs, a persistent runs table, reports.
 
 A sweep samples (task weights, fairness weights, head/shared ratios) from a
-box under one master seed, trains each method on the shared draws, and
-appends one CSV row per run as it finishes, so partial sweeps remain usable.
+box under one master seed, trains each method on the shared draws, a stack
+of runs at a time, and appends one CSV row per run as its stack finishes,
+so partial sweeps remain usable.
 Reports are a pure function of the finished table: per-method Pareto
 frontiers on chosen axes, a dominated-hypervolume score against a shared
 reference point, and the accuracy-frontier overlay in fairness space.
@@ -14,9 +15,10 @@ import json
 import math
 import operator
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -25,7 +27,7 @@ from .exceptions import ConfigError, ContractError, UndefinedMetricError
 from .metrics import StlBaselines, aggregate, evaluate_model
 from .model import from_fields
 from .pareto import ParetoPoint, frontier, frontier_quality
-from .trainer import METHODS, TrainConfig, train
+from .trainer import METHODS, TrainConfig, train_stack
 
 RUNS_SCHEMA_VERSION = 1
 
@@ -201,8 +203,10 @@ def _cell(value):
     return value
 
 
-def run_single(train_ds, test_ds, arch, config, baselines, run_id="run"):
-    """Train one config, evaluate on the test split, return a runs-table row.
+def run_stack(train_ds, test_ds, arch, configs, baselines, run_ids):
+    """Train a stack of configs as one (`train_stack`), evaluate each run
+    on the test split, and return their runs-table rows in order; each
+    row's `seconds` is the stack's wall time over its runs.
 
     Rows come back in parsed form (lists of floats, None for missing) and
     match what load_runs reads back; RunsWriter serializes on append.
@@ -210,30 +214,51 @@ def run_single(train_ds, test_ds, arch, config, baselines, run_id="run"):
     flagged row with its config echoed, so sweeps keep going.
     """
     started = time.perf_counter()
-    flags = []
+    try:
+        runs = train_stack(train_ds, arch, configs)
+    except Exception as exc:  # noqa: BLE001 - flagged, never aborts a sweep
+        runs = [exc] * len(configs)
+    rows = []
+    for config, rid, run in zip(configs, run_ids, runs):
+        row, flags = _row(config, rid), []
+        try:
+            if isinstance(run, Exception):
+                raise run
+            per_task = evaluate_model(run.model, test_ds)
+            row["err_per_task"] = [ev.err for ev in per_task]
+            row["fpr_gap_per_task"] = [ev.fpr_gap for ev in per_task]
+            row["tpr_gap_per_task"] = [ev.tpr_gap for ev in per_task]
+            row["err_mean"] = float(np.mean([ev.err for ev in per_task]))
+            try:
+                metrics = aggregate(per_task, baselines)
+                row.update(fpr_gap_mean=metrics.fpr_gap_mean,
+                           arfg=metrics.arfg, are=metrics.are)
+            except UndefinedMetricError as exc:
+                flags.append(f"undefined_metric: {exc}")
+        except Exception as exc:  # noqa: BLE001 - flagged, as above
+            flags.append(f"failed: {type(exc).__name__}: {exc}")
+        row["flags"] = "; ".join(flags) if flags else None
+        rows.append(row)
+    seconds = round((time.perf_counter() - started) / len(rows), 4)
+    for row in rows:
+        row["seconds"] = seconds
+    return rows
+
+
+def _row(config, rid, flags=None):
+    """A runs-table row of this config and run id, its metrics empty."""
     row = dict.fromkeys(RUNS_COLUMNS)
     row.update((k, list(v) if isinstance(v, tuple) else v)
                for k, v in asdict(config).items())
-    row.update(run_id=run_id, schema_version=RUNS_SCHEMA_VERSION,
-               timestamp=time.time())
-    try:
-        trained = train(train_ds, arch, config)
-        per_task = evaluate_model(trained.model, test_ds)
-        row["err_per_task"] = [ev.err for ev in per_task]
-        row["fpr_gap_per_task"] = [ev.fpr_gap for ev in per_task]
-        row["tpr_gap_per_task"] = [ev.tpr_gap for ev in per_task]
-        row["err_mean"] = float(np.mean([ev.err for ev in per_task]))
-        try:
-            metrics = aggregate(per_task, baselines)
-            row.update(fpr_gap_mean=metrics.fpr_gap_mean, arfg=metrics.arfg,
-                       are=metrics.are)
-        except UndefinedMetricError as exc:
-            flags.append(f"undefined_metric: {exc}")
-    except Exception as exc:  # noqa: BLE001 - flagged, never aborts a sweep
-        flags.append(f"failed: {type(exc).__name__}: {exc}")
-    row["flags"] = "; ".join(flags) if flags else None
-    row["seconds"] = round(time.perf_counter() - started, 4)
+    row.update(run_id=rid, schema_version=RUNS_SCHEMA_VERSION,
+               timestamp=time.time(), flags=flags)
     return row
+
+
+def run_single(train_ds, test_ds, arch, config, baselines, run_id="run"):
+    """`run_stack` of one config: its runs-table row."""
+    return run_stack(train_ds, test_ds, arch, [config], baselines,
+                     [run_id])[0]
 
 
 class RunsWriter:
@@ -334,9 +359,15 @@ def load_runs(path):
     return [dict(zip(names, values)) for values in zip(*columns)]
 
 
+# Rows per step over all runs of a stack, which so holds STACK_ROWS //
+# batch_size runs, at least one: 4 at batch 128, where a step is mostly
+# per-call overhead, and 1 at 512, where it gains little (README, "Stacked
+# runs").
+STACK_ROWS = 512
+
 # The (train_ds, test_ds, arch, baselines) every run of a sweep shares: set
 # once in each pool worker by its initializer, and in this process for the
-# length of a serial sweep, so a task carries only its config and run id.
+# length of a serial sweep, so a task carries only its configs and run ids.
 _sweep_inputs = None
 
 
@@ -345,46 +376,83 @@ def _share_inputs(inputs):
     _sweep_inputs = inputs
 
 
-def _run_task(task):
+def _run_task(stack):
     train_ds, test_ds, arch, baselines = _sweep_inputs
-    config, rid = task
-    return run_single(train_ds, test_ds, arch, config, baselines, rid)
+    configs, rids = zip(*stack)
+    return run_stack(train_ds, test_ds, arch, list(configs), baselines,
+                     list(rids))
+
+
+def _pooled(stacks, jobs, inputs):
+    """Each stack's rows, in order, from a pool of `jobs` workers, which
+    receive `inputs` once, at start-up.  A dead worker breaks the pool:
+    the first stack left unfinished then runs alone in a fresh pool, its
+    runs flagged `failed: worker died` if that worker dies too, and the
+    stacks after it go on in another."""
+    def pool(workers):
+        return ProcessPoolExecutor(max_workers=workers,
+                                   initializer=_share_inputs,
+                                   initargs=(inputs,))
+    while stacks:
+        with pool(jobs) as workers:
+            futures = [workers.submit(_run_task, stack) for stack in stacks]
+            for broken, future in enumerate(futures):
+                try:
+                    rows = future.result()
+                except BrokenProcessPool:
+                    break
+                yield rows
+            else:
+                return
+        with pool(1) as alone:
+            try:
+                rows = alone.submit(_run_task, stacks[broken]).result()
+            except BrokenProcessPool:
+                rows = [_row(config, rid, "failed: worker died")
+                        for config, rid in stacks[broken]]
+                print(f"a worker died: {len(rows)} run(s) flagged",
+                      file=sys.stderr)
+        yield rows
+        stacks = stacks[broken + 1:]
 
 
 def run_sweep(train_ds, test_ds, arch, sweep, baselines, out_dir, jobs=1):
     """Execute a full sweep, appending rows to <out_dir>/runs.csv.
 
-    Runs whose id the table holds are skipped, so a re-run resumes.  Work
-    is farmed to a process pool when jobs > 1, whose workers receive the
-    shared inputs once, at start-up; rows are appended, and returned, in
-    submission order by this process alone.
+    Runs whose id the table holds are skipped, so a re-run resumes.  Each
+    method's pending runs are cut into stacks of at most
+    STACK_ROWS // batch_size runs, each trained as one (`run_stack`).
+    Stacks are farmed to a process pool when jobs > 1 (`_pooled`); rows
+    are appended, and returned, per stack in submission order by this
+    process alone, so a stopped sweep loses at most the stacks in flight.
     """
     configs = sample_configs(sweep, train_ds.num_tasks)
     writer = RunsWriter(os.path.join(out_dir, "runs.csv"))
     pair = pair_hash(train_ds, test_ds)
     seen = set(writer.ids)
-    tasks = []
+    width = max(1, STACK_ROWS // sweep.batch_size)
+    stacks = []
     for method in sweep.methods:
+        pending = []
         for config in configs[method]:
             rid = run_id(config, pair, baselines.config_hash)
             if rid not in seen:
                 seen.add(rid)
-                tasks.append((config, rid))
+                pending.append((config, rid))
+        stacks += [pending[i:i + width] for i in range(0, len(pending), width)]
 
     inputs = (train_ds, test_ds, arch, baselines)
-    pool = None
-    if jobs > 1 and tasks:
-        pool = ProcessPoolExecutor(max_workers=jobs,
-                                   initializer=_share_inputs,
-                                   initargs=(inputs,))
-    else:
-        _share_inputs(inputs)
     rows = []
     try:
-        with pool or nullcontext():
-            for row in (pool.map if pool else map)(_run_task, tasks):
+        if jobs > 1 and stacks:
+            stack_rows = _pooled(stacks, jobs, inputs)
+        else:
+            _share_inputs(inputs)
+            stack_rows = map(_run_task, stacks)
+        for done in stack_rows:
+            for row in done:
                 writer.append(row)
-                rows.append(row)
+            rows += done
     finally:
         _share_inputs(None)
     return rows

@@ -1,4 +1,5 @@
-"""The three training regimes over Adagrad, as one closed-form step.
+"""The three training regimes over Adagrad, as one closed-form step that
+trains a stack of runs.
 
 Every loss reaches the parameters only through a task's probability column
 p_t = sigmoid(z_t), so a step needs just two seed gradients per task at its
@@ -12,34 +13,31 @@ has lambda = 0; baseline takes the full fairness loss for both parts
 one walk through the heads serves every parameter; mtaf takes the
 ratio-boosted head part (rows no other task's loss can reach) for the head
 and the remainder for the shared bottom, so the shared part never reaches
-a head.  The T tasks' seeds form
-(T, n, 1) stacks, and mtaf's two stacks one (2, T, n, 1) stack, which the
-model walks through its stacked heads once.
+a head.
 
-Nothing a step reads or writes that does not depend on the parameters
-is built per step.  Per process, the training set keeps (`Dataset.kept`)
-what depends on its rows alone, for every run on it: the float labels,
-the fairness subsets' arrays from one integer code per (row, task)
-(`losses.subset_codes`), the arrays each epoch gathers into and the
-`model.Workspace`s, the buffers a step writes, one per model shape and
-batch length.  Per run, a `RunPlan` holds what depends on the config (the
-task-weight stack, the fairness scales), and `train()` cuts the epoch
-arrays into the steps' `Batch`es, views that see each epoch's gather.
-Per epoch, `train()` gathers the rows by a fresh permutation, and, once
-its steps are done, takes every step's cross-entropy from one pass over
-the clipped probabilities they left (`kernels.xent_steps`): a step
-computes a loss value only for a `loss_sink`, and otherwise checks that
-its clipped probabilities hold no NaN, the one way a loss is not finite.
-The model keeps every parameter, gradient and Adagrad accumulator in one
-flat vector each (`model.FlatParams`), so the update is one
-`adagrad_update` call; Adagrad is elementwise, so this equals one call
-per parameter bit for bit.
+W runs of one method and settings, which differ only in seed, task
+weights, lambda and r, train as one (`train_stack`), the rows of one
+`model.ModelStack`: a step runs each layer, and Adagrad, once for all of
+them, on (W, T, n, 1) seed stacks, mtaf's two one (2, W, T, n, 1) stack.
+Every op acts on a run's slice as on the run alone, so each run equals its
+solo run bit for bit; `train()` and `train_step` are the case W = 1.  A
+run that meets a non-finite loss ends there, with its solo message.
+
+Nothing that does not depend on the parameters is built per step: the
+training set keeps (`Dataset.kept`) the float labels, the fairness
+subsets' arrays (`losses.subset_arrays`), the arrays each epoch gathers
+into and the `model.Workspace`s; a `RunPlan` holds what depends on the
+configs; and the steps' `Batch`es are views of the epoch arrays, cut once
+per stack.  A step computes loss values only for a `loss_sink`, and
+otherwise checks that its clipped probabilities hold no NaN, the one way a
+loss is not finite; each epoch's losses come from one pass over the
+clipped probabilities its steps left (`kernels.xent_steps`).
 """
 
 import math
 import operator
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,10 +45,13 @@ from .backend import kernels
 from .exceptions import ConfigError, ShapeError, TrainingDiverged
 from .losses import (FAIRNESS_KINDS, FAIRNESS_TARGETS, fairness_seed_terms,
                      subset_arrays)
-from .model import backprop, build_model, forward_np, workspace
+from .model import ModelStack, backprop, forward_np, workspace
 
 METHODS = ("vanilla", "baseline", "mtaf")
 ADAGRAD_EPS = 1e-8
+# the TrainConfig fields in which the runs of one stack may differ
+_RUN_FIELDS = ("task_weights", "fairness_weights", "head_shared_ratios",
+               "seed")
 
 
 @dataclass(frozen=True)
@@ -132,29 +133,37 @@ def adagrad_update(param, grad, lr):
     return param
 
 
-def _finite(value, t, loss):
-    if not math.isfinite(value):
-        raise TrainingDiverged(f"non-finite value in task {t} {loss}: {value}")
-    return value
+def _diverged(terms):
+    """The TrainingDiverged of the first non-finite (task, loss, value) of
+    `terms`, else None."""
+    for t, loss, value in terms:
+        if not math.isfinite(value):
+            return TrainingDiverged(
+                f"non-finite value in task {t} {loss}: {value}")
+    return None
 
 
 class RunPlan:
-    """What a step reads from its config alone, built once per run: the
-    (T, 1, 1) task-weight stack and, for a fairness method, the tasks whose
-    lambda_t > 0 and `combine`, which turns their dF_full/dp and dF_head/dp
-    stacks into one (k, T, m, 1) stack of seed terms at the (T, 1, 1)
-    scales w_t lambda_t and, for mtaf's heads, w_t lambda_t r_t."""
+    """What a step reads from its W runs' configs alone: `config`, the
+    first, for their shared settings; the (W, T, 1, 1) task weights; per
+    run, the tasks with lambda_t > 0 for a fairness method; and `combine`,
+    which turns dF_full/dp and dF_head/dp stacks into one (k, W, T, m, 1)
+    stack of seed terms at the scales w_t lambda_t (mtaf's heads also r_t)."""
 
-    def __init__(self, config):
-        self.config = config
-        self.weights = np.array(config.task_weights).reshape(-1, 1, 1)
-        lam = config.fairness_weights if config.method != "vanilla" else ()
-        self.tasks = [t for t, lam_t in enumerate(lam) if lam_t > 0]
-        self.mtaf = config.method == "mtaf"
-        scale = self.weights * np.reshape(config.fairness_weights, (-1, 1, 1))
+    def __init__(self, configs):
+        self.configs, self.config = configs, configs[0]
+
+        def stack(name):
+            return np.reshape([getattr(c, name) for c in configs],
+                              (len(configs), -1, 1, 1))
+        self.weights = stack("task_weights")
+        self.tasks = [[t for t, lam_t in enumerate(c.fairness_weights)
+                       if lam_t > 0] if c.method != "vanilla" else []
+                      for c in configs]
+        self.mtaf = self.config.method == "mtaf"
+        scale = self.weights * stack("fairness_weights")
         if self.mtaf:
-            scales = np.stack((scale * np.reshape(config.head_shared_ratios,
-                                                  (-1, 1, 1)), scale))
+            scales = np.stack((scale * stack("head_shared_ratios"), scale))
             self.combine = lambda full, part: scales * np.array(
                 (part, full - part))
         else:
@@ -162,93 +171,100 @@ class RunPlan:
 
 
 # The per-row arrays of a `Batch`, each with its row axis.
-_ROWS = (("dense", 0), ("cat", 0), ("labels", 1), ("codes", 1),
-         ("sensitive", 0), ("sides", 0))
+_ROWS = (("rows", 1), ("cat", 1), ("labels", 2), ("codes", 2),
+         ("sensitive", 1), ("sides", 1))
 
 
 class Batch:
-    """A batch's rows in the forms a step reads under its run's `RunPlan`,
-    the arrays of `_ROWS`: the dense inputs, the categorical codes (None
-    when there are none), the (T, n, 1) float labels and, when a fairness
-    loss is on, the rows' `losses.subset_arrays` (else None).  Each is a
-    value per row that does not depend on the probabilities, so `train()`
-    gathers them by each epoch's permutation and steps on slices of that
-    (`steps`), whose per-code `counts` it sets once per epoch
-    (`count_steps`; None until set).  `clipped`, when not None, is the
-    contiguous (T, n, 1) array a step writes its clipped probabilities
-    into (for an epoch, a flat array with its steps' in turn), and
-    `workspaces` the dict its `model.workspace` comes from; both, like
-    the labels and subset arrays, are kept by the dataset they came
-    from."""
+    """W runs' rows as a step reads them, the arrays of `_ROWS` with a
+    leading run axis: each row's index in `dense`, the dataset's (n, d)
+    features, which a step gathers for its rows alone (so an epoch holds
+    W rows of indices, not of features); the categorical codes (None when
+    there are none); the (W, T, n, 1) float labels; and, for a fairness
+    loss, the `losses.subset_arrays` (else None), run w's codes offset by
+    12 T w.  `train_stack()` gathers them by each run's permutation once
+    per epoch, then steps on slices (`steps`) whose per-code `counts` it
+    sets (`count_steps`; None until set).  `clipped` (None, or the (W, T,
+    n, 1) array a step clips its probabilities into) and `workspaces` (the
+    dict `model.workspace` reads) are kept by the dataset."""
 
-    __slots__ = ("plan", "clipped", "workspaces", "counts") + tuple(
+    __slots__ = ("plan", "dense", "clipped", "workspaces", "counts") + tuple(
         name for name, _ in _ROWS)
 
-    def __init__(self, plan, rows, clipped, workspaces):
+    def __init__(self, plan, dense, rows, clipped, workspaces):
         """`rows` holds the per-row arrays in the order of `_ROWS`."""
         for (name, _), a in zip(_ROWS, rows):
             setattr(self, name, a)
-        self.plan, self.clipped, self.workspaces = plan, clipped, workspaces
-        self.counts = None
+        self.plan, self.dense, self.clipped = plan, dense, clipped
+        self.workspaces, self.counts = workspaces, None
 
     @classmethod
     def of(cls, dataset, plan):
-        """The dataset's rows, from the arrays it keeps for every run."""
+        """The dataset's rows as one run's, from what it keeps."""
         labels = dataset.kept("labels", lambda: np.ascontiguousarray(
-            dataset.labels.T, dtype=np.float64)[..., None])
-        subsets = dataset.kept("subsets", lambda: subset_arrays(
-            dataset.labels, dataset.sensitive)) if plan.tasks else (None,) * 3
-        return cls(plan, (dataset.dense, dataset.cat if dataset.cat.size
-                          else None, labels, *subsets), None,
-                   dataset.kept("workspaces", dict))
+            dataset.labels.T, dtype=np.float64)[None, ..., None])
+        subsets = dataset.kept("subsets", lambda: [a[None] for a in (
+            subset_arrays(dataset.labels, dataset.sensitive))]) if any(
+                plan.tasks) else (None,) * 3
+        rows = dataset.kept("rows", lambda: np.arange(len(dataset))[None])
+        return cls(plan, dataset.dense, (rows, dataset.cat[None]
+                   if dataset.cat.size else None, labels, *subsets),
+                   None, dataset.kept("workspaces", dict))
 
     def epoch(self, arrays):
-        """A Batch of as many rows to `take` into, from the dict `arrays`,
-        which keeps any array it lacks for later runs; its `clipped` is
-        one too."""
+        """A Batch of as many rows for each of the plan's runs to `take`
+        into, from the dict `arrays`, which keeps, for later stacks, any
+        array it lacks or holds for fewer runs; `clipped` is one too."""
+        runs = len(self.plan.configs)
+
         def array(name, like):
-            if like is not None and name not in arrays:
-                arrays[name] = np.empty(like.shape, like.dtype)
-            return None if like is None else arrays[name]
-        return Batch(self.plan, [array(name, getattr(self, name))
-                                 for name, _ in _ROWS],
-                     array("clipped", self.labels.reshape(-1)),
+            if like is not None and len(arrays.get(name, ())) < runs:
+                arrays[name] = np.empty((runs,) + like.shape[1:], like.dtype)
+            return None if like is None else arrays[name][:runs]
+        return Batch(self.plan, self.dense, [array(name, getattr(self, name))
+                                             for name, _ in _ROWS],
+                     array("clipped", self.labels.reshape(1, -1)).reshape(-1),
                      self.workspaces)
 
     def __len__(self):
-        return self.dense.shape[0]
+        return self.rows.shape[1]
 
-    def take(self, rows, out):
-        """These rows, gathered into the arrays of `out`, a Batch of as
-        many rows (`epoch`), which it returns."""
+    def take(self, perms, out):
+        """Each run's rows, by its permutation in `perms`, gathered into
+        its row of `out`, a Batch of as many rows (`epoch`), returned."""
         for name, axis in _ROWS:
             a = getattr(self, name)
             if a is not None:
-                np.take(a, rows, axis=axis, out=getattr(out, name))
+                for rows, into in zip(perms, getattr(out, name)):
+                    # a permutation, so "clip" changes no row
+                    np.take(a[0], rows, axis=axis - 1, out=into, mode="clip")
+        if out.codes is not None:
+            out.codes += 12 * out.codes.shape[1] * np.arange(
+                len(perms)).reshape(-1, 1, 1)
         return out
 
     def __getitem__(self, rows):
         parts = []
         for name, axis in _ROWS:
             a = getattr(self, name)
-            parts.append(a if a is None else a[:, rows] if axis else a[rows])
-        return Batch(self.plan, parts, None, self.workspaces)
+            parts.append(a if a is None else a[(slice(None),) * axis + (rows,)])
+        return Batch(self.plan, self.dense, parts, None, self.workspaces)
 
     def steps(self, size):
         """This epoch (`epoch`) cut into steps of `size` rows in order, as
-        views, so they see the rows each later `take` gathers, and each
-        writing its clipped probabilities into its own block of `clipped`;
-        with, per step length m, the (S, T, m, 1) stacks of those blocks
-        and of the steps' labels, for `kernels.xent_steps`."""
-        T, n = self.labels.shape[:2]
+        views, each writing its clipped probabilities into its own block
+        of `clipped`; with, per step length m, the (S, W, T, m, 1) stacks
+        of those blocks and of the steps' labels, for `xent_steps`."""
+        runs, T, n = self.labels.shape[:3]
         full = n - n % size
         steps, stacks = [], []
         for start, stop, m in ((0, full, size), (full, n, n - full)):
             if start == stop:
                 continue
-            y = self.labels[:, start:stop].reshape(T, -1, m, 1).swapaxes(0, 1)
-            stacks.append((self.clipped[T * start:T * stop].reshape(y.shape),
-                           y))
+            y = self.labels[:, :, start:stop].reshape(
+                runs, T, -1, m, 1).transpose(2, 0, 1, 3, 4)
+            stacks.append((self.clipped[runs * T * start:runs * T * stop]
+                           .reshape(y.shape), y))
             for clipped, first in zip(stacks[-1][0], range(start, stop, m)):
                 steps.append(self[first:first + m])
                 steps[-1].clipped = clipped
@@ -256,96 +272,124 @@ class Batch:
 
     def count_steps(self, steps, size):
         """Set the `counts` of `steps`, these rows cut into `size` rows in
-        order: one bincount over (step, code) keys gives all of them."""
-        bins = 12 * len(self.codes)
-        keys = self.codes + np.arange(self.codes.shape[1]) // size * bins
-        counts = np.bincount(keys.ravel(), minlength=len(steps) * bins)
+        order, from bincounts over (step, run, code) keys, one per run."""
+        bins = 12 * self.codes.shape[0] * self.codes.shape[1]
+        offsets = np.arange(self.codes.shape[2]) // size * bins
+        counts = sum(np.bincount((codes + offsets).ravel(),
+                                 minlength=len(steps) * bins)
+                     for codes in self.codes)
         for step, row in zip(steps, counts.reshape(-1, bins).tolist()):
             step.counts = row
 
 
-def _seeds(batch, probs, out, with_losses=True):
-    """(seed stack, accuracy losses) of a `Batch` at `probs`.
+def _seeds(batch, probs, out, errors, losses=None):
+    """The seed stack of a `Batch` at its (W, T, n, 1) `probs`.
 
-    The head and shared seeds are (T, n, 1) stacks at the logits, written
-    into `out`, a (2, T, n, 1) buffer, head seeds first: cross-entropy's
-    by `kernels.xent_seed`, which clips the probabilities into
-    `batch.clipped` when set, then the fairness terms through one
-    `sigmoid_bwd`.  The stack returned is out[:1] when they agree
-    (vanilla, baseline, and every lambda_t = 0), else all of `out`.  The
-    losses are T floats from the clipped probabilities, or None without
-    `with_losses`: then only a NaN among those, the one way a loss is not
-    finite, has the losses computed, to raise.
+    The head and shared seeds at the logits are written into `out`, a
+    (2, W, T, n, 1) buffer, head seeds first: cross-entropy's by
+    `kernels.xent_seed`, which clips the probabilities into
+    `batch.clipped`, then the fairness terms through `sigmoid_bwd`.  The
+    stack returned is out[:1] when they agree (vanilla, baseline, every
+    lambda_t = 0), else all of `out`.  Each run's T losses are appended to
+    `losses` when given.  A run whose `errors` entry is None is checked as
+    alone, accuracy losses first, and at the first non-finite loss gets
+    its TrainingDiverged there; a run with an error gets no fairness terms.
     """
     plan = batch.plan
     clipped = kernels.xent_seed(probs, batch.labels, plan.weights, out[0],
                                 batch.clipped)
-    losses = None
     # each in [c, 1 - c] unless NaN, so the sum is finite unless one is
-    if with_losses or not math.isfinite(clipped.sum()):
+    if losses is not None or not math.isfinite(clipped.sum()):
         # a copy, as xent_steps overwrites its input
-        losses = kernels.xent_steps(clipped[None].copy(),
-                                    batch.labels[None])[0].tolist()
-        for t, loss in enumerate(losses):
-            _finite(loss, t, "accuracy loss")
-    if not plan.tasks:
-        return out[:1], losses
-    config = plan.config
+        values = kernels.xent_steps(clipped.copy(), batch.labels).tolist()
+        for run, run_losses in enumerate(values):
+            errors[run] = errors[run] or _diverged(
+                (t, "accuracy loss", loss) for t, loss in enumerate(run_losses))
+        if losses is not None:
+            losses.extend(values)
+    tasks = plan.tasks if not any(errors) else [
+        [] if error else run_tasks
+        for run_tasks, error in zip(plan.tasks, errors)]
+    if not any(tasks):
+        return out[:1]
     f_full, f_head, terms = fairness_seed_terms(
-        config, batch, probs, plan.tasks, plan.combine, head=plan.mtaf)
-    for t in plan.tasks:
-        if plan.mtaf:
-            _finite(f_head[t], t, "head fairness loss")
-            _finite(f_full[t] - f_head[t], t, "shared fairness loss")
-        else:
-            _finite(f_full[t], t, "fairness loss")
+        plan.config, batch, probs, tasks, plan.combine, head=plan.mtaf)
+    # a non-finite loss makes the sum non-finite, so only then check each
+    if not math.isfinite(sum(map(sum, f_full + f_head))):
+        for run, (full, head) in enumerate(zip(f_full, f_head)):
+            errors[run] = errors[run] or _diverged(
+                term for t in tasks[run] for term in (
+                    ((t, "head fairness loss", head[t]),
+                     (t, "shared fairness loss", full[t] - head[t]))
+                    if plan.mtaf else ((t, "fairness loss", full[t]),)))
     k = len(terms)
     if plan.mtaf:
         out[1] = out[0]
-    kernels.sigmoid_bwd(probs, terms, out[:k])
-    return out[:k], losses
+    if all(tasks):
+        kernels.sigmoid_bwd(probs, terms, out[:k])
+    else:
+        for run in (run for run, run_tasks in enumerate(tasks) if run_tasks):
+            kernels.sigmoid_bwd(probs[run], terms[:, run], out[:k, run])
+    return out[:k]
+
+
+def _step(model, batch, errors, losses=None):
+    """One optimizer step of each run of `model`, a model or ModelStack,
+    on its rows of `batch`, a `Batch` of their `RunPlan`: the gather of
+    the rows' features, the forward, the seeds (`_seeds`, which records a
+    run's TrainingDiverged in `errors`), then, unless every run has one,
+    the backward into the flat gradient and one Adagrad call, all in the
+    workspace for the batch's length."""
+    ws = workspace(batch.workspaces, model, len(batch)).for_step(model)
+    # in-range row indices, so "clip" changes none
+    batch.dense.take(batch.rows, axis=0, out=ws.dense, mode="clip")
+    forward_np(model, ws.dense, batch.cat, ws)
+    seeds = _seeds(batch, ws.probs, ws.seeds, errors, losses)
+    if not all(errors):
+        backprop(model, ws, seeds)
+        adagrad_update(model.flat, model.flat.grad,
+                       batch.plan.config.learning_rate)
 
 
 def train_step(model, batch, config, loss_sink=None):
-    """Apply one optimizer step of the configured method to the model.
+    """Apply one optimizer step of the configured method to the model,
+    `_step` of one run; a non-finite loss raises before the update.
 
-    Forward, the seed gradients at each task's probability column, the
-    model's backward from them into its flat gradient, then one Adagrad
-    call on the flat parameters, all in the workspace for the model and
-    the batch's length.  `batch` is a Dataset, or a `Batch` built with
-    this config's `RunPlan`, as `train()` passes.  When given, `loss_sink`
-    receives the per-task accuracy loss values of this batch; without
-    one, the step computes no loss value, only checks that it would be
-    finite, and leaves its clipped probabilities in `batch.clipped` when
-    that is set.
+    `batch` is a Dataset, or a `Batch` built with this config's `RunPlan`.
+    When given, `loss_sink` receives the per-task accuracy losses of this
+    batch; without one, the step only checks that they would be finite.
     """
     if len(batch) == 0:
         raise ConfigError("train_step on an empty batch")
     if model.arch.num_tasks != config.num_tasks:
         raise ConfigError("config task count does not match the model")
     if not isinstance(batch, Batch):
-        batch = Batch.of(batch, RunPlan(config))
+        batch = Batch.of(batch, RunPlan([config]))
     elif batch.plan.config is not config:
         raise ConfigError("batch was built for another config")
-    ws = workspace(batch.workspaces, model, len(batch)).for_step(model)
-    forward_np(model, batch.dense, batch.cat, ws)
-    seeds, losses = _seeds(batch, ws.probs, ws.seeds, loss_sink is not None)
+    errors, losses = [None], None if loss_sink is None else []
+    _step(model, batch, errors, losses)
+    if errors[0]:
+        raise errors[0]
     if loss_sink is not None:
-        loss_sink.append(losses)
-    backprop(model, ws, seeds)
-    adagrad_update(model.flat, model.flat.grad, config.learning_rate)
+        loss_sink.append(losses[0])
     return model
 
 
-def train(dataset, arch, config):
-    """Run the full loop: each epoch's seeded shuffle of the training rows
-    gathered into the arrays the dataset keeps for it, mini-batch steps on
-    slices of those, taken once per run, and the epoch's mean loss per
-    task from one pass over the clipped probabilities its steps left.
+def train_stack(dataset, arch, configs):
+    """Train W runs as one, the rows of one `ModelStack`: configs that
+    differ only in task weights, fairness weights, ratios and seed.
 
-    The model is built from config.seed, so identical inputs give identical
-    runs.
+    Each epoch gathers each run's seeded shuffle of the rows into its row
+    of the dataset's epoch arrays, steps all runs at once (`_step`) on
+    slices of those, and takes each run's mean loss per task.  Returns,
+    per config, its TrainedRun, bit for bit its solo run's (`seconds` is
+    the stack's over W), or the TrainingDiverged that ended it.
     """
+    config = configs[0]
+    solo = {name: getattr(config, name) for name in _RUN_FIELDS}
+    if any(replace(c, **solo) != config for c in configs[1:]):
+        raise ConfigError("a stack's runs must share method and settings")
     if dataset.num_tasks != config.num_tasks:
         raise ConfigError(
             f"dataset has {dataset.num_tasks} tasks, config {config.num_tasks}")
@@ -355,21 +399,36 @@ def train(dataset, arch, config):
     if n == 0:
         raise ConfigError("train on an empty dataset")
     started = time.perf_counter()
-    model = build_model(arch, dense_count=dataset.dense.shape[1],
-                        vocab_sizes=dataset.vocab_sizes, seed=config.seed)
-    rng = np.random.default_rng(config.seed)
-    rows = Batch.of(dataset, RunPlan(config))
+    model = ModelStack.build(arch, dataset.dense.shape[1],
+                             dataset.vocab_sizes, [c.seed for c in configs])
+    rngs = [np.random.default_rng(c.seed) for c in configs]
+    rows = Batch.of(dataset, RunPlan(configs))
     shuffled = rows.epoch(dataset.kept("epoch", dict))
     steps, stacks = shuffled.steps(config.batch_size)
-    history = np.empty((config.epochs, config.num_tasks))
+    history = np.empty((len(configs), config.epochs, config.num_tasks))
+    errors = [None] * len(configs)
     for epoch in range(config.epochs):
-        rows.take(rng.permutation(n), out=shuffled)
+        rows.take([rng.permutation(n) for rng in rngs], out=shuffled)
         if shuffled.codes is not None and (
                 config.fairness_kind == "soft_fpr_gap"):
             shuffled.count_steps(steps, config.batch_size)
         for batch in steps:
-            train_step(model, batch, config)
-        history[epoch] = np.mean(np.concatenate(
-            [kernels.xent_steps(*stack) for stack in stacks]), axis=0)
-    return TrainedRun(model=model, history=history, config=config,
-                      seconds=time.perf_counter() - started)
+            _step(model, batch, errors)
+            if all(errors):
+                return errors
+        for run in range(len(configs)):
+            history[run, epoch] = np.mean(np.concatenate(
+                [kernels.xent_steps(c[:, run], y[:, run])
+                 for c, y in stacks]), axis=0)
+    seconds = (time.perf_counter() - started) / len(configs)
+    return [error or TrainedRun(model=m, history=h, config=c, seconds=seconds)
+            for error, m, h, c in zip(errors, model.models, history, configs)]
+
+
+def train(dataset, arch, config):
+    """One run, `train_stack` of one config, whose model is built from
+    config.seed; raises the TrainingDiverged that ends it."""
+    run, = train_stack(dataset, arch, [config])
+    if isinstance(run, Exception):
+        raise run
+    return run

@@ -325,10 +325,10 @@ def per_param_step(model, batch, config):
     for p in params:
         p.value, p.adagrad_acc = p.value.copy(), p.adagrad_acc.copy()
     model.flat.value[0] = np.concatenate([p.value.ravel() for p in params])
-    ws = stacked.forward_np(model, batch.dense,
-                            batch.cat if batch.cat.size else None)
-    seeds, _ = _seeds(Batch.of(batch, RunPlan(config)), ws.probs,
-                      np.empty((2,) + ws.probs.shape))
+    ws = stacked.forward_np(model, batch.dense[None],
+                            batch.cat[None] if batch.cat.size else None)
+    seeds = _seeds(Batch.of(batch, RunPlan([config])), ws.probs,
+                   np.empty((2,) + ws.probs.shape), [None])
     stacked.backprop(model, ws, seeds)
     for p in params:
         adagrad_update(p, p.grad, config.learning_rate)

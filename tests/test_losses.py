@@ -442,10 +442,11 @@ def test_code_seeds_match_subset_oracle(case):
     agree to rel 1e-12 (the codes sum each group's rows in another
     order)."""
     config, batch, probs = case
-    seeds, losses = _seeds(Batch.of(batch, RunPlan(config)),
-                           np.stack(probs),
-                           np.empty((2, config.num_tasks, len(batch), 1)))
-    heads, shareds = seeds[0], seeds[-1]
+    losses = []
+    seeds = _seeds(Batch.of(batch, RunPlan([config])), np.stack(probs)[None],
+                   np.empty((2, 1, config.num_tasks, len(batch), 1)), [None],
+                   losses)
+    (losses,), (heads, shareds) = losses, seeds[[0, -1], 0]
     ref_heads, ref_shareds, ref_losses, ref_values = oracles.seeds(
         config, batch, probs)
     assert losses == ref_losses
@@ -461,10 +462,10 @@ def test_code_seeds_match_subset_oracle(case):
     head = config.method == "mtaf"
     assert all((ref_head is not None) == head for _, ref_head in ref_values)
     codes, sensitive, sides = subset_arrays(batch.labels, batch.sensitive)
-    f_full, f_head, terms = fairness_seed_terms(
-        config, SimpleNamespace(codes=codes, sensitive=sensitive,
-                                sides=sides, counts=None),
-        np.stack(probs), tasks,
+    (f_full,), (f_head,), terms = fairness_seed_terms(
+        config, SimpleNamespace(codes=codes[None], sensitive=sensitive[None],
+                                sides=sides[None], counts=None),
+        np.stack(probs)[None], [tasks],
         lambda full, head: np.empty((0,) + full.shape), head=head)
     assert len(terms) == 0
     for t, (ref_full, ref_head) in zip(tasks, ref_values):

@@ -65,14 +65,14 @@ def test_numpy_forward_equals_graph_forward_bitwise():
     rng = np.random.default_rng(0)
     dense = rng.standard_normal((10, 4))
     cat = np.stack([rng.integers(0, 7, 10), rng.integers(0, 5, 10)], axis=1)
-    probs = forward_np(model, dense, cat).probs
+    probs = forward_np(model, dense[None], cat[None]).probs[0]
     outs = forward(model, dense, cat)
     assert len(probs) == 3
     for p, out in zip(probs, outs):
         np.testing.assert_array_equal(p, out.prob.value)
     cat[3, 1] = -1
     with pytest.raises(IndexError):
-        forward_np(model, dense, cat)
+        forward_np(model, dense[None], cat[None])
 
 
 @st.composite
@@ -109,16 +109,17 @@ def test_stacked_heads_equal_per_task_reference_bitwise(case):
     stacked backward every gradient, bit for bit as the per-task
     reference does; with equal seeds both make one walk per head."""
     model, dense, cat, head, shared = case
-    acts = forward_np(model, dense, cat)
+    acts = forward_np(model, dense[None], None if cat is None else cat[None])
     ref_acts = oracles.forward_np(model, dense, cat)
-    assert acts.probs.shape == (model.arch.num_tasks, len(dense), 1)
-    for got, ref in zip(acts.probs, ref_acts.probs, strict=True):
+    assert acts.probs.shape == (1, model.arch.num_tasks, len(dense), 1)
+    for got, ref in zip(acts.probs[0], ref_acts.probs, strict=True):
         assert got.tobytes() == ref.tobytes()
     ref_head = list(head)
     ref_shared = ref_head if shared is head else list(shared)
     model.flat.grad[...] = np.nan
     backprop(model, acts,
-             head[None] if shared is head else np.stack((head, shared)))
+             head[None, None] if shared is head
+             else np.stack((head, shared))[:, None])
     got = model.flat.grad.copy()
     model.flat.grad[...] = np.nan
     oracles.backprop(model, ref_acts, ref_head, ref_shared)
@@ -172,13 +173,13 @@ def test_head_params_are_slices_of_the_stacks():
                       head_layer_sizes=(5, 2))
     model = build_model(arch, dense_count=2, seed=0)
     assert [(w.value.shape, b.value.shape) for w, b in model.head_stacks] \
-        == [((3, 4, 5), (3, 1, 5)), ((3, 5, 2), (3, 1, 2)),
-            ((3, 2, 1), (3, 1, 1))]
+        == [((1, 3, 4, 5), (1, 3, 1, 5)), ((1, 3, 5, 2), (1, 3, 1, 2)),
+            ((1, 3, 2, 1), (1, 3, 1, 1))]
     for i, stacks in enumerate(model.head_stacks):
         for t in range(3):
             for stack, p in zip(stacks, model.heads[t][i]):
                 for name in ("value", "grad"):
-                    assert (getattr(stack, name)[t].__array_interface__
+                    assert (getattr(stack, name)[0, t].__array_interface__
                             == getattr(p, name).__array_interface__)
 
 

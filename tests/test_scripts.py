@@ -17,8 +17,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def test_parity_check_builds_every_config():
     """Every run of scripts/parity_check.py gets a valid architecture and
-    training config, without training any; the MMD runs get their
-    bandwidths."""
+    training config, without training any, and so does each of its
+    `--stacked` stack-mates; the MMD runs get their bandwidths."""
     spec = importlib.util.spec_from_file_location(
         "parity_check", os.path.join(ROOT, "scripts", "parity_check.py"))
     parity_check = importlib.util.module_from_spec(spec)
@@ -29,6 +29,10 @@ def test_parity_check_builds_every_config():
         assert isinstance(arch, ArchConfig) and isinstance(config, TrainConfig)
         assert arch.num_tasks == config.num_tasks == num_tasks, key
     assert {c.mmd_bandwidth for *_, c in runs} == {0.3, 1.0, 2.0}
+    for *_, config in runs:
+        mates = parity_check._mates(config, nan=True)
+        assert len({mate.seed for mate in mates}) == 5
+        assert all(isinstance(mate, TrainConfig) for mate in mates)
 
 
 def test_bench_kernels_runs():

@@ -12,6 +12,7 @@ import json
 import os
 import string
 import tempfile
+import time
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -24,7 +25,8 @@ from fairmtl import cli, pareto
 from fairmtl import sweep as sweep_module
 from fairmtl.data import SynthSpec, split_random, synth_generate
 from fairmtl.exceptions import ConfigError, ContractError
-from fairmtl.metrics import StlBaselines, run_stl_baselines, stl_config_hash
+from fairmtl.metrics import (StlBaselines, evaluate_model, run_stl_baselines,
+                             single_task_view, stl_config_hash)
 from fairmtl.model import ArchConfig, from_fields
 from fairmtl.sweep import (
     RUNS_COLUMNS,
@@ -43,7 +45,7 @@ from fairmtl.sweep import (
     sample_configs,
     save_baselines,
 )
-from fairmtl.trainer import TrainConfig
+from fairmtl.trainer import TrainConfig, train
 
 ARCH = ArchConfig(num_tasks=2, shared_layer_sizes=(8,), head_layer_sizes=(4,),
                   embedding_dim=4)
@@ -465,6 +467,68 @@ class TestRunSweep:
             for key in a.keys() - volatile:
                 assert a[key] == b[key], key
 
+    def test_pool_equals_serial_with_a_short_last_stack(self, tmp_path, env):
+        """At batch 256 a stack holds two runs, so a budget of 3 leaves
+        each method a stack of 2 and one of 1: --jobs 2 still returns and
+        appends the --jobs 1 rows, in order, equal in every cell but
+        `seconds` and `timestamp`; stack-mates share their `seconds`."""
+        train_ds, test_ds, baselines = env
+        sweep = SweepConfig(budget=3, epochs=2, batch_size=256,
+                            learning_rate=0.1, fairness_kind="soft_fpr_gap")
+        assert sweep_module.STACK_ROWS // sweep.batch_size == 2
+        volatile = {"seconds", "timestamp"}
+        results = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            rows = run_sweep(train_ds, test_ds, ARCH, sweep, baselines,
+                             str(out), jobs=jobs)
+            assert load_runs(str(out / "runs.csv")) == rows
+            shares = [r["seconds"] for r in rows[:3]]
+            assert shares[0] == shares[1] > 0 and shares[2] > 0
+            results.append([{k: v for k, v in row.items() if k not in volatile}
+                            for row in rows])
+        assert len(results[0]) == 9
+        assert results[0] == results[1]
+        assert not any(row["flags"] for row in results[0])
+
+    def test_a_dead_worker_flags_its_stack_alone(self, tmp_path, env,
+                                                 monkeypatch, capsys):
+        """A worker that dies (`os._exit`) on a marked config breaks the
+        pool while another still runs the stack before it: that stack runs
+        again alone, then the marked one, which dies again and is flagged
+        `failed: worker died`; the rest go on in fresh pools, and every
+        other row equals the serial sweep's."""
+        train_ds, test_ds, baselines = env
+        sweep = SweepConfig(budget=3, epochs=1, batch_size=256,
+                            learning_rate=0.1)
+        serial = run_sweep(train_ds, test_ds, ARCH, sweep, baselines,
+                           str(tmp_path / "serial"))
+        slow, marked = sample_configs(sweep, 2)["vanilla"][::2]
+        train_stack = sweep_module.train_stack
+
+        def dying(train_ds, arch, configs):
+            if marked in configs:
+                os._exit(1)
+            if slow in configs:
+                time.sleep(0.5)
+            return train_stack(train_ds, arch, configs)
+        monkeypatch.setattr(sweep_module, "train_stack", dying)
+        capsys.readouterr()
+        rows = run_sweep(train_ds, test_ds, ARCH, sweep, baselines,
+                         str(tmp_path / "pooled"), jobs=2)
+        assert capsys.readouterr().err.count("a worker died") == 1
+        assert load_runs(str(tmp_path / "pooled" / "runs.csv")) == rows
+        assert [r["run_id"] for r in rows] == [r["run_id"] for r in serial]
+        volatile = {"seconds", "timestamp"}
+        for row, alone in zip(rows, serial):
+            if row["method"] == "vanilla" and row["seed"] == marked.seed:
+                assert row["flags"] == "failed: worker died"
+                assert row["err_per_task"] is None
+                assert row["task_weights"] == alone["task_weights"]
+            else:
+                assert {k: v for k, v in row.items() if k not in volatile} \
+                    == {k: v for k, v in alone.items() if k not in volatile}
+
     def test_run_id_is_a_content_key(self, env):
         train_ds, test_ds, baselines = env
         config = sample_configs(SweepConfig(budget=1), 2)["mtaf"][0]
@@ -708,6 +772,35 @@ class TestBaselineCache:
         loaded = load_baselines(str(tmp_path), dhash, baselines.config_hash)
         assert loaded == baselines
 
+    def test_stacked_stl_cache_equals_the_solo_one(self, tmp_path, env):
+        """run_stl_baselines trains each task's seeds as one stack; the
+        cache it writes is byte-identical to one whose seeds each train
+        alone."""
+        train_ds, test_ds, _ = env
+        seeds = (0, 1, 2)
+        config = TrainConfig(method="vanilla", task_weights=(1.0,),
+                             learning_rate=0.1, epochs=2, batch_size=64)
+        stacked = run_stl_baselines(train_ds, test_ds, ARCH, config, seeds)
+        columns = []
+        for t in range(2):
+            evs = [evaluate_model(train(
+                single_task_view(train_ds, t), replace(ARCH, num_tasks=1),
+                replace(config, seed=seed)).model,
+                single_task_view(test_ds, t))[0] for seed in seeds]
+            columns.append([float(np.mean([getattr(e, name) for e in evs]))
+                            for name in ("err", "fpr_gap", "tpr_gap")])
+        errs, fprs, tprs = zip(*columns)
+        solo = StlBaselines(errs=errs, fpr_gaps=fprs, tpr_gaps=tprs,
+                            seeds=seeds,
+                            config_hash=stl_config_hash(ARCH, config, seeds))
+        paths = [save_baselines(str(tmp_path / name), "pair", ARCH, b)
+                 for name, b in (("stacked", stacked), ("solo", solo))]
+        contents = []
+        for path in paths:
+            with open(path, "rb") as f:
+                contents.append(f.read())
+        assert contents[0] == contents[1]
+
     def test_missing_baselines_instruct_user(self, tmp_path):
         with pytest.raises(ConfigError, match="stl-baseline") as info:
             load_baselines(str(tmp_path / "none"), "beef", "k")
@@ -862,6 +955,37 @@ class TestCli:
             assert code == 2
             assert message in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "runs.csv"))
+
+    def test_unknown_top_level_key_refused(self, tmp_path, capsys):
+        """A misspelt section name is an error naming it and the accepted
+        keys: a "trian" section used to be ignored, so `train` trained
+        vanilla at the preset settings and exited 0."""
+        out = str(tmp_path / "out")
+        assert cli.main(["stl-baseline", "--dataset", "synth", "--out", out,
+                         "--config", self.write_cfg(tmp_path)]) == 0
+        changed = {("trian" if k == "train" else k): v
+                   for k, v in CLI_CFG.items()}
+        path = tmp_path / "changed.json"
+        path.write_text(json.dumps(changed))
+        capsys.readouterr()
+        for command in ("stl-baseline", "train", "sweep"):
+            assert cli.main([command, "--dataset", "synth", "--out", out,
+                             "--config", str(path)]) == 2
+            assert ("unknown key(s) 'trian'; accepted: synth, arch, train, "
+                    "sweep, stl, data_dir, synth_seed, split_fraction, "
+                    "split_seed") in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "runs.csv"))
+
+    def test_config_that_is_not_an_object_refused(self, tmp_path, capsys):
+        """A config whose JSON is not an object is refused with exit 2; it
+        used to end in an AttributeError traceback and exit 1."""
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]")
+        for command in ("stl-baseline", "train", "sweep"):
+            assert cli.main([command, "--dataset", "synth", "--out",
+                             str(tmp_path / "out"), "--config",
+                             str(path)]) == 2
+            assert f"{path}: not a JSON object" in capsys.readouterr().err
 
     def test_train_without_its_section_takes_the_defaults(self, tmp_path):
         """`train` reads only the "train" section: without one it trains

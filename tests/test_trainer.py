@@ -25,7 +25,8 @@ from fairmtl.metrics import evaluate_model
 from fairmtl.model import (ArchConfig, backprop, build_model, forward,
                            forward_np, from_fields)
 from fairmtl.trainer import (ADAGRAD_EPS, METHODS, Batch, RunPlan,
-                             TrainConfig, adagrad_update, train, train_step)
+                             TrainConfig, adagrad_update, train, train_stack,
+                             train_step)
 
 
 def small_arch(num_tasks=2):
@@ -388,7 +389,7 @@ def test_epoch_slice_steps_like_its_rows_taken_alone(kind):
                           head_shared_ratios=(2.0, 0.5, 1.3),
                           fairness_kind=kind,
                           fairness_target="equalized_odds")
-        epoch = Batch.of(data, RunPlan(cfg))
+        epoch = Batch.of(data, RunPlan([cfg]))
         sliced, alone = (build_model(arch, dense_count=3,
                                      vocab_sizes=vocab_sizes, seed=9)
                          for _ in range(2))
@@ -503,7 +504,7 @@ def test_nonfinite_mid_run_aborts_at_the_step_that_meets_it(method,
     dense[perm[40], 1] = np.nan
     data = Dataset(dense=dense, cat=base.cat, labels=base.labels,
                    sensitive=base.sensitive)
-    step_real = trainer.train_step
+    step_real, inner = trainer.train_step, trainer._step
     for arch in (ArchConfig(num_tasks=2, shared_layer_sizes=(),
                             head_layer_sizes=()), small_arch()):
         model = build_model(arch, dense_count=3, seed=cfg.seed)
@@ -519,8 +520,8 @@ def test_nonfinite_mid_run_aborts_at_the_step_that_meets_it(method,
                                "nan"), arch
 
         steps = []
-        monkeypatch.setattr(trainer, "train_step", lambda *a, **k: (
-            steps.append(1) or step_real(*a, **k)))
+        monkeypatch.setattr(trainer, "_step", lambda *a, **k: (
+            steps.append(1) or inner(*a, **k)))
         with pytest.raises(TrainingDiverged) as exc:
             train(data, arch, cfg)
         assert (len(steps) - 1, str(exc.value)) == expected, arch
@@ -628,9 +629,10 @@ def test_fused_head_walk_equals_a_walk_per_seed_stack(arch):
     walk with the shared seeds as both stacks."""
     arch, vocab_sizes, batch = _ledger_case(arch)
     model = build_model(arch, dense_count=3, vocab_sizes=vocab_sizes, seed=9)
-    ws = forward_np(model, batch.dense, batch.cat if batch.cat.size else None)
+    ws = forward_np(model, batch.dense[None],
+                    batch.cat[None] if batch.cat.size else None)
     seeds = np.random.default_rng(3).standard_normal(
-        (2, arch.num_tasks, len(batch), 1))
+        (2, 1, arch.num_tasks, len(batch), 1))
     grads = []
     for stack in (seeds, seeds[:1], seeds[1:]):
         model.flat.grad[...] = np.nan
@@ -677,6 +679,101 @@ def test_train_equals_its_steps_on_taken_rows(kind):
         assert run.history.tobytes() == np.array(history).tobytes(), method
 
 
+def _same_run(stacked, solo):
+    """Whether two TrainedRuns hold the same bytes: parameters,
+    accumulators and history."""
+    return all(getattr(stacked.model.flat, name).tobytes()
+               == getattr(solo.model.flat, name).tobytes()
+               for name in ("value", "adagrad_acc")) and (
+        stacked.history.tobytes() == solo.history.tobytes())
+
+
+@pytest.mark.parametrize("kind", ["correlation", "mmd", "soft_fpr_gap"])
+def test_stacked_runs_equal_their_solo_runs(kind):
+    """`train_stack` trains each of its runs, bit for bit, as `train()`
+    trains it alone, for every method, with a tail batch, an embedding
+    table and some sensitive values missing, beside stack-mates of other
+    seeds, weights and ratios, one with a zero lambda and one with all
+    lambdas zero, and with three tasks, whose head gradients the bottom
+    sums; its models stay usable one by one."""
+    base = separable_dataset(n=60, seed=4)
+    rng = np.random.default_rng(8)
+    sensitive = base.sensitive.copy()
+    sensitive[rng.choice(60, 6, replace=False)] = -1
+    data = Dataset(dense=base.dense, cat=rng.integers(0, 4, (60, 1)),
+                   labels=base.labels, sensitive=sensitive, vocab_sizes=(4,))
+    test = separable_dataset(n=30)
+    test = Dataset(dense=test.dense, cat=rng.integers(0, 4, (30, 1)),
+                   labels=test.labels, sensitive=test.sensitive,
+                   vocab_sizes=(4,))
+    draws = [((0.6, 0.4), (1.5, 0.8), (2.0, 0.5)),
+             ((0.3, 0.7), (0.0, 2.5), (0.4, 3.0)),
+             ((0.5, 0.5), (0.0, 0.0), (1.0, 1.0)),
+             ((0.9, 0.1), (3.0, 0.2), (0.7, 1.6))]
+    for method in METHODS:
+        configs = [TrainConfig(method=method, task_weights=w,
+                               fairness_weights=lam, head_shared_ratios=r,
+                               fairness_kind=kind,
+                               fairness_target="equalized_odds", epochs=2,
+                               batch_size=16, seed=5 + i)
+                   for i, (w, lam, r) in enumerate(draws)]
+        runs = train_stack(data, small_arch(), configs)
+        for config, run in zip(configs, runs):
+            solo = train(data, small_arch(), config)
+            assert _same_run(run, solo), (method, config.seed)
+            assert evaluate_model(run.model, test) == evaluate_model(
+                solo.model, test)
+    # three tasks, two hidden layers each side and two tables
+    arch, _, batch = _ledger_case("emb2-layers2x2-tasks3")
+    for method in METHODS:
+        configs = [TrainConfig(method=method, task_weights=w[:2] + (0.5,),
+                               fairness_weights=lam[:1] + (1.1, 0.7),
+                               head_shared_ratios=r + (1.3,),
+                               fairness_kind=kind, epochs=2, batch_size=6,
+                               seed=i) for i, (w, lam, r) in enumerate(draws)]
+        for config, run in zip(configs, train_stack(batch, arch, configs)):
+            assert _same_run(run, train(batch, arch, config)), method
+    with pytest.raises(ConfigError, match="share method and settings"):
+        train_stack(data, small_arch(), [configs[0], replace(
+            configs[1], learning_rate=0.1)])
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_run_that_diverges_in_a_stack_ends_alone(method, monkeypatch):
+    """A run whose task weight is NaN takes NaN parameters from its first
+    step.  In a stack it ends at the step and with the message of its
+    solo run, and its stack-mates train on, each equal to its solo run."""
+    data = separable_dataset(n=60, seed=4)
+    configs = [TrainConfig(method=method, task_weights=w,
+                           fairness_weights=(1.5, 0.8),
+                           head_shared_ratios=(2.0, 0.5),
+                           fairness_kind="soft_fpr_gap", epochs=2,
+                           batch_size=16, seed=5 + i)
+               for i, w in enumerate(((0.6, 0.4), (np.nan, 0.4),
+                                      (0.3, 0.7)))]
+    ended, seeds = [], trainer._seeds
+
+    def spy(batch, probs, out, errors, losses=None):
+        stack = seeds(batch, probs, out, errors, losses)
+        ended.append([error is not None for error in errors])
+        return stack
+    monkeypatch.setattr(trainer, "_seeds", spy)
+    with pytest.raises(TrainingDiverged) as exc:
+        train(data, small_arch(), configs[1])
+    assert str(exc.value) == ("non-finite value in task 0 accuracy loss: "
+                              "nan")
+    assert ended == [[False], [True]]
+    ended.clear()
+    runs = train_stack(data, small_arch(), configs)
+    assert [flags[1] for flags in ended[:2]] == [False, True]
+    assert not any(flags[0] or flags[2] for flags in ended)
+    assert len(ended) == 2 * 4
+    assert isinstance(runs[1], TrainingDiverged)
+    assert str(runs[1]) == str(exc.value)
+    for i in (0, 2):
+        assert _same_run(runs[i], train(data, small_arch(), configs[i]))
+
+
 def test_a_loss_sink_leaves_a_step_its_clipped_block():
     """An epoch's steps given a loss sink take their losses from a copy of
     their clipped probabilities, so the epoch's one loss pass over those
@@ -685,15 +782,15 @@ def test_a_loss_sink_leaves_a_step_its_clipped_block():
     cfg = TrainConfig(method="mtaf", task_weights=(0.6, 0.4),
                       fairness_weights=(1.5, 0.8), batch_size=16)
     model = build_model(small_arch(), dense_count=3, seed=cfg.seed)
-    rows = Batch.of(data, RunPlan(cfg))
+    rows = Batch.of(data, RunPlan([cfg]))
     shuffled = rows.epoch({})
     steps, stacks = shuffled.steps(cfg.batch_size)
-    rows.take(np.random.default_rng(3).permutation(len(data)), out=shuffled)
+    rows.take([np.random.default_rng(3).permutation(len(data))], out=shuffled)
     sink = []
     for step in steps:
         train_step(model, step, cfg, loss_sink=sink)
     passed = np.concatenate([kernels.xent_steps(*stack) for stack in stacks])
-    assert passed.tolist() == sink
+    assert passed[:, 0].tolist() == sink
 
 
 def test_run_reuses_its_buffers(monkeypatch):
@@ -707,7 +804,7 @@ def test_run_reuses_its_buffers(monkeypatch):
         arrays = [ws.seeds, ws.probs] + [
             a for layer in ws.shared_fwd + ws.head_fwd for a in layer]
         # the workspaces stay referenced, so a new one gets new addresses
-        seen.setdefault(len(dense), []).append(
+        seen.setdefault(dense.shape[1], []).append(
             (ws, [a.__array_interface__["data"][0] for a in arrays]))
         return ws
     monkeypatch.setattr(trainer, "forward_np", spy)
@@ -733,17 +830,17 @@ def test_runs_on_a_dataset_reuse_its_arrays(monkeypatch):
     workspaces of every batch length and of the test split."""
     data, test = separable_dataset(n=60, seed=4), separable_dataset(n=30)
     calls, phase = {}, []
-    step_real, train_forward = trainer.train_step, trainer.forward_np
+    step_real, train_forward = trainer._step, trainer.forward_np
     eval_forward = metrics.forward_np
 
     def record(arrays):
         # the arrays stay referenced, so a new one gets a new address
         calls.setdefault(phase[-1], []).append((arrays, _pointers(arrays)))
 
-    def step_spy(model, batch, config, loss_sink=None):
-        record([batch.dense, batch.labels, batch.clipped, batch.codes,
+    def step_spy(model, batch, errors, losses=None):
+        record([batch.rows, batch.labels, batch.clipped, batch.codes,
                 batch.sensitive, batch.sides])
-        return step_real(model, batch, config, loss_sink)
+        return step_real(model, batch, errors, losses)
 
     def forward_spy(forward):
         def spy(model, dense, cat_idx, ws):
@@ -753,7 +850,7 @@ def test_runs_on_a_dataset_reuse_its_arrays(monkeypatch):
                                        else [ws.seeds, ws.bottom]))
             return ws
         return spy
-    monkeypatch.setattr(trainer, "train_step", step_spy)
+    monkeypatch.setattr(trainer, "_step", step_spy)
     monkeypatch.setattr(trainer, "forward_np", forward_spy(train_forward))
     monkeypatch.setattr(metrics, "forward_np", forward_spy(eval_forward))
     for method in ("baseline", "mtaf"):
@@ -859,7 +956,7 @@ def test_warm_step_allocates_no_activation_stack(method):
     data = Dataset(dense=base.dense, cat=base.cat,
                    labels=np.column_stack([base.labels, base.labels[:, 0]]),
                    sensitive=base.sensitive)
-    batch = Batch.of(data, RunPlan(cfg))
+    batch = Batch.of(data, RunPlan([cfg]))
     model = build_model(arch, dense_count=3, seed=0)
     train_step(model, batch, cfg)
     tracemalloc.start()
