@@ -17,7 +17,7 @@ import numpy as np
 from .data import Dataset
 from .exceptions import ConfigError, ContractError, UndefinedMetricError
 from .model import forward_np, workspace
-from .trainer import TrainConfig, train_stack
+from .trainer import TrainConfig, cut_stacks, train_stack
 
 BASELINE_FLOOR = 1e-9
 
@@ -144,26 +144,29 @@ def run_stl_baselines(train_ds, test_ds, arch, config, seeds):
     """Per-task single-task baselines: same architecture, one head, vanilla.
 
     Each task trains its own T=1 model per seed on the training split, its
-    seeds as one stack (`train_stack`), and is scored on the test split;
-    metrics are averaged over seeds.  A gap that is
+    seeds in stacks (`cut_stacks`, `train_stack`), and is scored on the
+    test split; metrics are averaged over seeds.  A gap that is
     undefined on the test split stays None and trips the divide guard later.
     """
     seeds = tuple(seeds)
     if not seeds:
         raise ConfigError("run_stl_baselines needs at least one seed")
     stl_arch = replace(arch, num_tasks=1)
+    configs = [TrainConfig(method="vanilla", task_weights=(1.0,),
+                           learning_rate=config.learning_rate,
+                           epochs=config.epochs,
+                           batch_size=config.batch_size, seed=seed)
+               for seed in seeds]
     errs, fprs, tprs = [], [], []
     for t in range(train_ds.num_tasks):
         view_train = single_task_view(train_ds, t)
         view_test = single_task_view(test_ds, t)
         evs = []
-        for run in train_stack(view_train, stl_arch, [TrainConfig(
-                method="vanilla", task_weights=(1.0,),
-                learning_rate=config.learning_rate, epochs=config.epochs,
-                batch_size=config.batch_size, seed=seed) for seed in seeds]):
-            if isinstance(run, Exception):
-                raise run
-            evs.append(evaluate_model(run.model, view_test)[0])
+        for stack in cut_stacks(configs, config.batch_size):
+            for run in train_stack(view_train, stl_arch, stack):
+                if isinstance(run, Exception):
+                    raise run
+                evs.append(evaluate_model(run.model, view_test)[0])
         errs.append(float(np.mean([e.err for e in evs])))
         fprs.append(None if any(e.fpr_gap is None for e in evs)
                     else float(np.mean([e.fpr_gap for e in evs])))

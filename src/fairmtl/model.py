@@ -5,19 +5,19 @@ a head sub-network ending in a single logit.  Parameter grouping (shared vs
 per-task) is fixed at build time and drives the gradient routing in the
 trainer.  Every parameter's value, gradient and Adagrad accumulator is a
 view into one flat (W, N) array of each (`FlatParams`), a row per run: a
-built model is one row, and a `ModelStack` W models of one shape, so one
-Adagrad call updates them all.  Each layer is also one (W, ...) stack,
-each head layer one (W, T, ...) stack (`LayerStack`).  `forward_np` and
-`backprop` are the training path, on a batch per run: a numpy forward that
-keeps each layer's input and pre-activation, and a backward from seed
-gradients at each task's logit into the flat gradient, one array op per
-layer for all runs, tasks and both of mtaf's seed stacks, in a
-`Workspace` of buffers that every step and run on a dataset reuses
-(`workspace`).  `forward` builds the same network as an autodiff graph,
-the differentiable reference.
+built model is one row, and a stack (`build_stack`) W models of one
+shape, so one Adagrad call updates them all.  Each layer is also one
+(W, ...) stack, each head layer one (W, T, ...) stack (`LayerStack`).
+`forward_np` and `backprop` are the training path, on a batch per run: a
+numpy forward that keeps each layer's input and pre-activation, and a
+backward from seed gradients at each task's logit into the flat
+gradient, one array op per layer for all runs, tasks and both of mtaf's
+seed stacks, in a `Workspace` of buffers that every step and run on a
+dataset reuses (`workspace`).  `forward` builds the same network as an
+autodiff graph, the differentiable reference.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -149,6 +149,7 @@ class MtlModel:
     tables: list = None
     shared_stacks: list = None
     head_stacks: list = None
+    models: list = None       # a stack's (`build_stack`) runs, else None
 
     @property
     def shared_params(self):
@@ -177,29 +178,6 @@ class MtlModel:
         ad.zero_grads(self.all_params)
 
 
-class ModelStack:
-    """W models of one shape trained as one: their parameters copied into
-    the rows of one FlatParams, with its `LayerStack`s; each model, its
-    Params, `flat` and layer stacks then views of its row."""
-
-    @classmethod
-    def build(cls, arch, dense_count, vocab_sizes, seeds):
-        """A stack of new models, one per seed (`build_model`)."""
-        return cls([_model(arch, dense_count, vocab_sizes, seed)
-                    for seed in seeds])
-
-    def __init__(self, models):
-        first = models[0]
-        self.models, self.arch = models, first.arch
-        self.dense_count, self.vocab_sizes = first.dense_count, first.vocab_sizes
-        flat, starts = FlatParams.adopt([m.all_params for m in models])
-        for net, rows in [(self, slice(None))] + [
-                (m, slice(row, row + 1)) for row, m in enumerate(models)]:
-            _stack_layers(net, FlatParams(flat.value[rows], flat.grad[rows],
-                                          flat.adagrad_acc[rows]),
-                          starts, first)
-
-
 def build_model(arch, dense_count, vocab_sizes=(), seed=0):
     """Construct an MtlModel with deterministic seeded initialization.
 
@@ -209,7 +187,23 @@ def build_model(arch, dense_count, vocab_sizes=(), seed=0):
     uniform fan-in init, biases start at zero.  The parameters' arrays are
     views into `model.flat`, one row, as are its layer stacks.
     """
-    return ModelStack.build(arch, dense_count, vocab_sizes, [seed]).models[0]
+    return build_stack(arch, dense_count, vocab_sizes, [seed]).models[0]
+
+
+def build_stack(arch, dense_count, vocab_sizes, seeds):
+    """W models of one shape trained as one, one per seed (`build_model`):
+    an MtlModel of no Params of its own whose `flat` rows and layer stacks
+    are its `models`' views, each model those of its row."""
+    models = [_model(arch, dense_count, vocab_sizes, seed) for seed in seeds]
+    flat, starts = FlatParams.adopt([m.all_params for m in models])
+    stack = replace(models[0], embeddings=None, shared_layers=None,
+                    heads=None, models=models)
+    for net, rows in [(stack, slice(None))] + [
+            (m, slice(row, row + 1)) for row, m in enumerate(models)]:
+        _stack_layers(net, FlatParams(flat.value[rows], flat.grad[rows],
+                                      flat.adagrad_acc[rows]),
+                      starts, models[0])
+    return stack
 
 
 def _model(arch, dense_count, vocab_sizes, seed):
@@ -305,7 +299,7 @@ class Workspace:
     """The arrays a training step writes for W runs' batches of n rows,
     and the views of them it reads, built once so that every step, and
     every run on a dataset (`workspace`), reuses them; any model or
-    ModelStack of the same shapes and W may write it.
+    stack of the same shapes and W may write it.
 
     `forward_np` writes each layer's pre-activation and activation into
     `shared_fwd` and `head_fwd`, and sets `cat_idx`, each layer's input
@@ -386,7 +380,7 @@ def _relu_grad(pre, g, out):
 
 
 def forward_np(model, dense, cat_idx=None, ws=None):
-    """The network of a model or ModelStack of W runs on each run's batch,
+    """The network of a model or stack of W runs on each run's batch,
     (W, n, dense_count) features and (W, n, n_categorical) codes, in
     numpy, written into `ws` (a new `Workspace` when None), returned;
     probabilities equal `forward`'s bit for bit."""

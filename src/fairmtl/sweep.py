@@ -27,7 +27,7 @@ from .exceptions import ConfigError, ContractError, UndefinedMetricError
 from .metrics import StlBaselines, aggregate, evaluate_model
 from .model import from_fields
 from .pareto import ParetoPoint, frontier, frontier_quality
-from .trainer import METHODS, TrainConfig, train_stack
+from .trainer import METHODS, TrainConfig, cut_stacks, train_stack
 
 RUNS_SCHEMA_VERSION = 1
 
@@ -359,12 +359,6 @@ def load_runs(path):
     return [dict(zip(names, values)) for values in zip(*columns)]
 
 
-# Rows per step over all runs of a stack, which so holds STACK_ROWS //
-# batch_size runs, at least one: 4 at batch 128, where a step is mostly
-# per-call overhead, and 1 at 512, where it gains little (README, "Stacked
-# runs").
-STACK_ROWS = 512
-
 # The (train_ds, test_ds, arch, baselines) every run of a sweep shares: set
 # once in each pool worker by its initializer, and in this process for the
 # length of a serial sweep, so a task carries only its configs and run ids.
@@ -420,8 +414,8 @@ def run_sweep(train_ds, test_ds, arch, sweep, baselines, out_dir, jobs=1):
     """Execute a full sweep, appending rows to <out_dir>/runs.csv.
 
     Runs whose id the table holds are skipped, so a re-run resumes.  Each
-    method's pending runs are cut into stacks of at most
-    STACK_ROWS // batch_size runs, each trained as one (`run_stack`).
+    method's pending runs are cut into stacks (`trainer.cut_stacks`), each
+    trained as one (`run_stack`).
     Stacks are farmed to a process pool when jobs > 1 (`_pooled`); rows
     are appended, and returned, per stack in submission order by this
     process alone, so a stopped sweep loses at most the stacks in flight.
@@ -430,7 +424,6 @@ def run_sweep(train_ds, test_ds, arch, sweep, baselines, out_dir, jobs=1):
     writer = RunsWriter(os.path.join(out_dir, "runs.csv"))
     pair = pair_hash(train_ds, test_ds)
     seen = set(writer.ids)
-    width = max(1, STACK_ROWS // sweep.batch_size)
     stacks = []
     for method in sweep.methods:
         pending = []
@@ -439,7 +432,7 @@ def run_sweep(train_ds, test_ds, arch, sweep, baselines, out_dir, jobs=1):
             if rid not in seen:
                 seen.add(rid)
                 pending.append((config, rid))
-        stacks += [pending[i:i + width] for i in range(0, len(pending), width)]
+        stacks += cut_stacks(pending, sweep.batch_size)
 
     inputs = (train_ds, test_ds, arch, baselines)
     rows = []

@@ -17,8 +17,9 @@ a head.
 
 W runs of one method and settings, which differ only in seed, task
 weights, lambda and r, train as one (`train_stack`), the rows of one
-`model.ModelStack`: a step runs each layer, and Adagrad, once for all of
-them, on (W, T, n, 1) seed stacks, mtaf's two one (2, W, T, n, 1) stack.
+stack (`model.build_stack`): a step runs each layer, and Adagrad, once for
+all of them, on (W, T, n, 1) seed stacks, mtaf's two one (2, W, T, n, 1)
+stack; `cut_stacks` sizes the stacks.
 Every op acts on a run's slice as on the run alone, so each run equals its
 solo run bit for bit; `train()` and `train_step` are the case W = 1.  A
 run that meets a non-finite loss ends there, with its solo message.
@@ -45,13 +46,14 @@ from .backend import kernels
 from .exceptions import ConfigError, ShapeError, TrainingDiverged
 from .losses import (FAIRNESS_KINDS, FAIRNESS_TARGETS, fairness_seed_terms,
                      subset_arrays)
-from .model import ModelStack, backprop, forward_np, workspace
+from .model import backprop, build_stack, forward_np, workspace
 
 METHODS = ("vanilla", "baseline", "mtaf")
 ADAGRAD_EPS = 1e-8
 # the TrainConfig fields in which the runs of one stack may differ
 _RUN_FIELDS = ("task_weights", "fairness_weights", "head_shared_ratios",
                "seed")
+STACK_ROWS = 512      # rows per step over all runs of a stack
 
 
 @dataclass(frozen=True)
@@ -272,12 +274,11 @@ class Batch:
 
     def count_steps(self, steps, size):
         """Set the `counts` of `steps`, these rows cut into `size` rows in
-        order, from bincounts over (step, run, code) keys, one per run."""
+        order, from one bincount over (step, run, code) keys."""
         bins = 12 * self.codes.shape[0] * self.codes.shape[1]
         offsets = np.arange(self.codes.shape[2]) // size * bins
-        counts = sum(np.bincount((codes + offsets).ravel(),
-                                 minlength=len(steps) * bins)
-                     for codes in self.codes)
+        counts = np.bincount((self.codes + offsets).ravel(),
+                             minlength=len(steps) * bins)
         for step, row in zip(steps, counts.reshape(-1, bins).tolist()):
             step.counts = row
 
@@ -334,7 +335,7 @@ def _seeds(batch, probs, out, errors, losses=None):
 
 
 def _step(model, batch, errors, losses=None):
-    """One optimizer step of each run of `model`, a model or ModelStack,
+    """One optimizer step of each run of `model`, a model or stack,
     on its rows of `batch`, a `Batch` of their `RunPlan`: the gather of
     the rows' features, the forward, the seeds (`_seeds`, which records a
     run's TrainingDiverged in `errors`), then, unless every run has one,
@@ -376,9 +377,19 @@ def train_step(model, batch, config, loss_sink=None):
     return model
 
 
+def cut_stacks(runs, batch_size):
+    """`runs` cut in order into stacks of STACK_ROWS // batch_size, at
+    least one, to train as one (`train_stack`): 4 at batch 128, where a
+    step is mostly per-call overhead, and 1 at 512, where stacking gains
+    little (README, "Stacked runs")."""
+    width = max(1, STACK_ROWS // batch_size)
+    return [runs[i:i + width] for i in range(0, len(runs), width)]
+
+
 def train_stack(dataset, arch, configs):
-    """Train W runs as one, the rows of one `ModelStack`: configs that
-    differ only in task weights, fairness weights, ratios and seed.
+    """Train W runs as one, the rows of one stack (`model.build_stack`):
+    configs that differ only in task weights, fairness weights, ratios and
+    seed.
 
     Each epoch gathers each run's seeded shuffle of the rows into its row
     of the dataset's epoch arrays, steps all runs at once (`_step`) on
@@ -399,8 +410,8 @@ def train_stack(dataset, arch, configs):
     if n == 0:
         raise ConfigError("train on an empty dataset")
     started = time.perf_counter()
-    model = ModelStack.build(arch, dataset.dense.shape[1],
-                             dataset.vocab_sizes, [c.seed for c in configs])
+    model = build_stack(arch, dataset.dense.shape[1], dataset.vocab_sizes,
+                        [c.seed for c in configs])
     rngs = [np.random.default_rng(c.seed) for c in configs]
     rows = Batch.of(dataset, RunPlan(configs))
     shuffled = rows.epoch(dataset.kept("epoch", dict))

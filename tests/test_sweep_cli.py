@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairmtl import cli, pareto
+from fairmtl import metrics as metrics_module
 from fairmtl import sweep as sweep_module
 from fairmtl.data import SynthSpec, split_random, synth_generate
 from fairmtl.exceptions import ConfigError, ContractError
@@ -45,7 +46,7 @@ from fairmtl.sweep import (
     sample_configs,
     save_baselines,
 )
-from fairmtl.trainer import TrainConfig, train
+from fairmtl.trainer import TrainConfig, cut_stacks, train, train_stack
 
 ARCH = ArchConfig(num_tasks=2, shared_layer_sizes=(8,), head_layer_sizes=(4,),
                   embedding_dim=4)
@@ -475,7 +476,7 @@ class TestRunSweep:
         train_ds, test_ds, baselines = env
         sweep = SweepConfig(budget=3, epochs=2, batch_size=256,
                             learning_rate=0.1, fairness_kind="soft_fpr_gap")
-        assert sweep_module.STACK_ROWS // sweep.batch_size == 2
+        assert [len(s) for s in cut_stacks([None] * 3, 256)] == [2, 1]
         volatile = {"seconds", "timestamp"}
         results = []
         for jobs in (1, 2):
@@ -772,15 +773,28 @@ class TestBaselineCache:
         loaded = load_baselines(str(tmp_path), dhash, baselines.config_hash)
         assert loaded == baselines
 
-    def test_stacked_stl_cache_equals_the_solo_one(self, tmp_path, env):
-        """run_stl_baselines trains each task's seeds as one stack; the
-        cache it writes is byte-identical to one whose seeds each train
-        alone."""
+    @pytest.mark.parametrize("batch_size, widths", [(64, [3]),
+                                                    (256, [2, 1])])
+    def test_stacked_stl_cache_equals_the_solo_one(self, tmp_path, env,
+                                                   monkeypatch, batch_size,
+                                                   widths):
+        """run_stl_baselines trains each task's seeds in the stacks a
+        sweep would cut at its batch size (one of 3 at batch 64, 2 + 1 at
+        256); the cache it writes is byte-identical to one whose seeds
+        each train alone."""
         train_ds, test_ds, _ = env
         seeds = (0, 1, 2)
         config = TrainConfig(method="vanilla", task_weights=(1.0,),
-                             learning_rate=0.1, epochs=2, batch_size=64)
+                             learning_rate=0.1, epochs=2,
+                             batch_size=batch_size)
+        stacks = []
+
+        def spy(dataset, arch, configs):
+            stacks.append(len(configs))
+            return train_stack(dataset, arch, configs)
+        monkeypatch.setattr(metrics_module, "train_stack", spy)
         stacked = run_stl_baselines(train_ds, test_ds, ARCH, config, seeds)
+        assert stacks == widths * 2
         columns = []
         for t in range(2):
             evs = [evaluate_model(train(
