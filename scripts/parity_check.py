@@ -18,11 +18,11 @@ differs, with both values.  It exits 1 when the records hold different
 runs.  `--stacked` trains each run of the set with four stack-mates of
 other seeds, weights, lambdas and ratios, alone and as stacks
 (`train_stack`) of widths 2-5 in turn, which cut the five runs 2+2+1,
-3+2, 4+1 and 5; in every seventh group one stack-mate's task weight is
-NaN, so it diverges inside its stack.  It prints the largest difference
-between any run's stacked and solo parameters, accumulators and
-histories, the runs whose test metrics differ and the diverged runs whose
-messages differ, and exits 1 unless all three are 0.
+3+2, 4+1 and 5; in every seventh group one stack-mate starts with NaN
+Adagrad accumulators, so it diverges inside its stack.  It prints the
+largest difference between any run's stacked and solo parameters,
+accumulators and histories, the runs whose test metrics differ and the
+diverged runs whose messages differ, and exits 1 unless all three are 0.
 
 The set has 129 runs on synthetic data with 10% of the sensitive values
 missing: 81 over 1-3 tasks x 3 fairness kinds x 3 targets x 3 methods
@@ -35,6 +35,7 @@ exact kernel blocks, and 2, which takes the feature map.
 """
 
 import argparse
+import contextlib
 import pickle
 import sys
 from dataclasses import replace
@@ -136,10 +137,16 @@ def save(path):
     print(f"{len(records)} runs written to {path}")
 
 
+# a model built with a seed of this or more gets NaN Adagrad accumulators
+# (`_poisoned`): its first step makes every parameter NaN, so it diverges
+# at its second
+POISON = 10 ** 6
+
+
 def _mates(config, nan):
     """The config and four stack-mates: other seeds, weights, lambdas
-    (one zeroed, then all) and ratios; with `nan`, the first mate's task
-    weight is NaN."""
+    (one zeroed, then all) and ratios; with `nan`, the first mate's seed
+    is offset by POISON."""
     w, lam, r = (config.task_weights, config.fairness_weights,
                  config.head_shared_ratios)
     mates = [config]
@@ -151,8 +158,26 @@ def _mates(config, nan):
         mates.append(replace(config, seed=config.seed + k, task_weights=w_k,
                              fairness_weights=lam_k, head_shared_ratios=r_k))
     if nan:
-        mates[1] = replace(mates[1], task_weights=(np.nan,) + w[1:])
+        mates[1] = replace(mates[1], seed=mates[1].seed + POISON)
     return mates
+
+
+@contextlib.contextmanager
+def _poisoned():
+    """Training builds models of a seed of POISON or more with NaN Adagrad
+    accumulators."""
+    from fairmtl import trainer
+    build = trainer.build_stack
+
+    def poisoned(arch, dense_count, vocab_sizes, seeds):
+        stack = build(arch, dense_count, vocab_sizes, seeds)
+        stack.flat.adagrad_acc[np.greater_equal(seeds, POISON)] = np.nan
+        return stack
+    trainer.build_stack = poisoned
+    try:
+        yield
+    finally:
+        trainer.build_stack = build
 
 
 def stacked():
@@ -252,7 +277,8 @@ def main(argv=None):
         save(args.save)
         return 0
     if args.stacked:
-        return stacked()
+        with _poisoned():
+            return stacked()
     return compare(*args.compare)
 
 

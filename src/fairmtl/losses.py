@@ -17,8 +17,14 @@ the trainer's `Batch` holds with the rest of a batch's rows.
 `fairness_seed_terms` turns them into the derivatives the trainer adds to
 its seeds, for all runs of a stack and all tasks at once: the soft FPR
 gap's derivative is constant on each code, so it needs only per-code sums
-and counts, two bincounts whatever the number of runs and tasks; MMD and
-correlation take each side's rows from the masks, run by run.
+and counts, two bincounts whatever the number of runs and tasks.  MMD
+reads each step's subsets from `subset_steps`, which the trainer cuts
+once per epoch: every (run, task, side, set) subset's rows, group 0 then
+group 1, from a stable sort of each step's per-code keys.  One pass takes
+all of a step's subsets (`_mmd_terms`): one gather, the feature map built
+once over every row, and per subset only its sums and two products, the
+arithmetic `_mmd` runs on one subset.  Correlation takes each side's rows
+from the masks, run by run.
 `fairness_loss` and `cross_entropy` wrap the same formulas in autodiff
 nodes whose one parent is p, the differentiable reference the tests check.
 A task's fairness loss splits into a head part (rows no other task's loss
@@ -28,6 +34,7 @@ the head part to the task's head and the remainder to the shared bottom.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -171,46 +178,96 @@ def _taylor_order(z):
     return r
 
 
+@functools.lru_cache(maxsize=None)
+def _coefficients(order, bandwidth):
+    """(sqrt(2 gamma / k), sqrt(2 gamma k)) for k = 1..order, the feature
+    map's factors at gamma = 1 / (2 bandwidth^2); cached, so read-only."""
+    two_gamma = 1.0 / (bandwidth * bandwidth)
+    k = np.arange(1, order + 1)
+    pair = np.sqrt(two_gamma / k), np.sqrt(two_gamma * k)
+    for a in pair:
+        a.flags.writeable = False
+    return pair
+
+
 def _mmd(p, g0, g1, bandwidth):
-    """Biased squared MMD between the groups' probabilities, Gaussian kernel.
+    """Biased squared MMD between the groups' probabilities, Gaussian
+    kernel: `_mmd_terms` of one subset."""
+    rows = np.concatenate([g0, g1])
+    (value,), dvals = _mmd_terms(p[rows, 0], [(g0.size, g1.size)], bandwidth)
+    return value, rows, dvals
+
+
+def _mmd_terms(x, sizes, bandwidth):
+    """Each subset's MMD F, as a list, and dF/dx, of subsets laid end to
+    end in `x`: subset i its sizes[i][0] > 0 group-0 values, then its
+    sizes[i][1] > 0 group-1 values.
 
     F = mean K00 + mean K11 - 2 mean K01 with K_ab[i, j] =
-    exp(-gamma (p_a[i] - p_b[j])^2).  With c the midpoint and delta half
-    the range of the rows' probabilities x, and u = x - c, the kernel
-    separates (the expansion of the Fast Gauss Transform):
+    exp(-gamma (x_a[i] - x_b[j])^2).  With c the midpoint and delta half
+    the range of a subset's values, and u = x - c, the kernel separates
+    (the expansion of the Fast Gauss Transform):
     K(x, y) = e(u) e(v) sum_k phi_k(u) phi_k(v) with e(u) = exp(-gamma u^2)
     and phi_k(u) = u^k sqrt((2 gamma)^k / k!).  Cut at the
     `_taylor_order` of z = 2 gamma delta^2, each entry is off by less than
     an ulp of the smallest, and F = |mu0 - mu1|^2, where mu_b is group b's
     mean of e(u) phi(u), costs O(n r) instead of O(n^2).  Narrow kernels,
-    z > 1, take the exact blocks of `_mmd_blocks`.
+    z > 1, take the exact blocks of `_mmd_blocks`.  u, e(u) and the
+    running products of phi are elementwise, so one pass builds them for
+    every subset; each subset's sums and products then take its own
+    block, so its terms are the same bits as alone.
     """
-    rows = np.concatenate([g0, g1])
-    x = p[rows, 0]
-    lo, hi = x.min(), x.max()
-    z = (0.5 * (hi - lo) / bandwidth) ** 2
-    if z > _MAX_Z:
-        return _mmd_blocks(p, g0, g1, bandwidth)
+    if not sizes:
+        return [], np.zeros(0)
+    lengths = list(map(sum, sizes))
+    starts = [0, *itertools.accumulate(lengths)]
+    lo = np.minimum.reduceat(x, starts[:-1])
+    hi = np.maximum.reduceat(x, starts[:-1])
+    u = x - np.repeat(0.5 * (lo + hi), lengths)
+    # on floats, as an array's `** 2` may round otherwise; None: exact
+    orders = [_taylor_order(z) if z <= _MAX_Z else None
+              for z in ((0.5 * (h - l) / bandwidth) ** 2
+                        for l, h in zip(lo.tolist(), hi.tolist()))]
     two_gamma = 1.0 / (bandwidth * bandwidth)
-    r = _taylor_order(z)
-    k = np.arange(1, r + 1)
-    u = x - 0.5 * (lo + hi)
-    # phi[k] = e(u) phi_k(u) by running products:
-    # phi_k = phi_{k-1} u sqrt(2 gamma / k)
-    phi = np.empty((r + 1, x.size))
-    np.exp(u * u * (-0.5 * two_gamma), out=phi[0])
-    np.multiply.outer(np.sqrt(two_gamma / k), u, out=phi[1:])
-    for j in range(1, r + 1):
-        phi[j] *= phi[j - 1]
-    n0, n1 = g0.size, g1.size
-    diff = phi[:, :n0].sum(axis=1) / n0 - phi[:, n0:].sum(axis=1) / n1
+    top = max((r for r in orders if r is not None), default=-1)
+    if top >= 0:
+        down, up = _coefficients(top, bandwidth)
+        # phi[k] = e(u) phi_k(u) by running products:
+        # phi_k = phi_{k-1} u sqrt(2 gamma / k)
+        phi = np.empty((top + 1, x.size))
+        np.exp(u * u * (-0.5 * two_gamma), out=phi[0])
+        np.multiply.outer(down, u, out=phi[1:])
+        for k in range(1, top + 1):
+            phi[k] *= phi[k - 1]
+        scratch = np.empty((top + 1) * max(lengths))
     # d(e phi_k)/du = e (phi_k' - 2 gamma u phi_k), phi_k' = sqrt(2 gamma k)
-    # phi_{k-1}; dF/dp_i = +-(2 / n_b) d(e phi)/du . diff
-    dvals = ((np.sqrt(two_gamma * k) * diff[1:]) @ phi[:-1]
-             - two_gamma * u * (diff @ phi))
-    dvals[:n0] *= 2.0 / n0
-    dvals[n0:] *= -2.0 / n1
-    return float(diff @ diff), rows, dvals
+    # phi_{k-1}; dF/dx_i = +-(2 / n_b) (a_i - 2 gamma u_i b_i), with
+    # a = (phi_k' coefficients * diff) . phi[:-1] and b = diff . phi
+    a, b = np.zeros(x.size), np.zeros(x.size)
+    values, exact = [], []
+    for (n0, n1), start, stop, r in zip(sizes, starts, starts[1:], orders):
+        if r is None:
+            value, _, dvals = _mmd_blocks(
+                x.reshape(-1, 1), np.arange(start, start + n0),
+                np.arange(start + n0, stop), bandwidth)
+            values.append(value)
+            exact.append((start, stop, dvals))
+            continue
+        # contiguous, as BLAS may round a strided matrix's products otherwise
+        block = scratch[:(r + 1) * (stop - start)].reshape(r + 1, -1)
+        np.copyto(block, phi[:r + 1, start:stop])
+        diff = (np.add.reduce(block[:, :n0], axis=1) / n0
+                - np.add.reduce(block[:, n0:], axis=1) / n1)
+        values.append(float(diff @ diff))
+        np.matmul(up[:r] * diff[1:], block[:-1], out=a[start:stop])
+        np.matmul(diff, block, out=b[start:stop])
+    b *= two_gamma * u
+    a -= b
+    a *= np.repeat([s for n0, n1 in sizes for s in (2.0 / n0, -2.0 / n1)],
+                   np.ravel(sizes))
+    for start, stop, dvals in exact:
+        a[start:stop] = dvals
+    return values, a
 
 
 def _mmd_blocks(p, g0, g1, bandwidth):
@@ -333,9 +390,10 @@ def subset_arrays(labels, sensitive):
     `codes` is (T, n): task t's `subset_codes` column, offset by 12 t, so
     one bincount over every task's codes gives each (task, code) bin.
     `sides[:, 2 y + exclusive]` is the (n, T) mask of each task's side y
-    (its rows labelled y) and of that side's exclusive rows, which MMD and
-    correlation take their rows from.  None of these depends on the
-    probabilities, and each is a value per row.
+    (its rows labelled y) and of that side's exclusive rows, which
+    correlation and the soft FPR gap's near ties take their rows from.
+    None of these depends on the probabilities, and each is a value per
+    row.
     """
     codes = subset_codes(labels, sensitive)
     # contiguous, so that gathering rows moves whole rows
@@ -346,6 +404,53 @@ def subset_arrays(labels, sensitive):
     # int32, half the bytes each epoch gathers per run, holds any code
     return ((codes.T + offsets).astype(np.int32), np.asarray(sensitive),
             sides)
+
+
+def subset_steps(codes, tasks, target, head, size):
+    """The MMD subsets of each step of `size` rows that `codes` cut in
+    order, for `fairness_seed_terms`: per step, (rows, sizes).
+
+    `codes` is a `Batch`'s (W, T, n), run w's offset by 12 T w, and
+    `tasks` each run's tasks whose losses count.  A step's subsets are
+    each such (run, task), side of the `target` and, with `head`, full
+    set then exclusive set, in that order; `sizes` holds each one's
+    group-0 and group-1 row counts, a (W, T, sides, 1 + head, 2) array,
+    and `rows`, int32, its group-0 rows, then its group-1 rows, each
+    ascending, as `fairness_terms` takes them: a row's position in the
+    step's (W, T, m, 1) probability stack, plus W T m in an exclusive set.
+    One table gives each code's subset, as a key that orders them, and a
+    stable sort of a step's keys gives its rows.
+    """
+    runs, num_tasks, n = codes.shape
+    sides, sets = _SIDE_LABELS[target], 1 + head
+    parts = 2 * sets * len(sides)            # subset groups per (run, task)
+    # per code, the key of the subset group that takes its row, -1 for
+    # none: one table row for the full sets and one for the exclusive sets
+    local = np.arange(12)
+    y, group = local // 6, local % 3 - 1
+    taken = np.zeros((runs * num_tasks, 1), dtype=bool)
+    for run, run_tasks in enumerate(tasks):
+        taken[[num_tasks * run + t for t in run_tasks]] = True
+    taken = taken & (group >= 0) & (y >= sides[0]) & (y <= sides[-1])
+    key = (np.arange(runs * num_tasks).reshape(-1, 1) * parts
+           + (y - sides[0]) * 2 * sets + group)
+    tables = [np.where(taken, key, -1)]
+    if head:
+        tables.append(np.where(taken & (local // 3 % 2 == 1), key + 2, -1))
+    bins = runs * num_tasks * parts
+    tables = np.stack(tables).reshape(sets, -1).astype(
+        np.int16 if bins <= 2 ** 15 else np.int64)   # int16: a radix sort
+    steps = []
+    for start in range(0, n, size):
+        # keys (set, run, task, row), so each taken one's flat index is
+        # its row in the step
+        keys = tables.take(codes[:, :, start:start + size], axis=1).ravel()
+        rows = np.flatnonzero(keys >= 0)
+        keys = keys.take(rows)
+        rows = rows.take(np.argsort(keys, kind="stable")).astype(np.int32)
+        steps.append((rows, np.bincount(keys, minlength=bins).reshape(
+            runs, num_tasks, len(sides), sets, 2)))
+    return steps
 
 
 # Summed in any order, n nonnegative numbers err by at most (n - 1) 2^-53
@@ -379,20 +484,22 @@ def fairness_seed_terms(config, batch, probs, tasks, combine, head=False):
     lists of T floats, and the terms as one (k, W, T, n, 1) stack, of
     `config`'s fairness kind, MMD bandwidth and target.  `batch` holds the
     runs' `subset_arrays` (`codes`, run w's offset by 12 T w, `sensitive`,
-    `sides`) with a leading run axis, and `counts`; `probs` is the
-    (W, T, n, 1) probability stack and `tasks` each run's tasks whose
-    losses count, every other task's being 0.  F_full sums one loss per
-    side of the target (negatives for fpr, positives for tpr, both for
-    equalized odds); F_head, mtaf's head part, keeps each side's exclusive
-    rows and is computed only with `head`.  `combine` must act elementwise
-    and return k results as one stack.
+    `sides`) with a leading run axis, `counts` and, if it has them, MMD's
+    `subsets`; `probs` is the (W, T, n, 1) probability stack and `tasks`
+    each run's tasks whose losses count, every other task's being 0.
+    F_full sums one loss per side of the target (negatives for fpr,
+    positives for tpr, both for equalized odds); F_head, mtaf's head part,
+    keeps each side's exclusive rows and is computed only with `head`.
+    `combine` must act elementwise and return k results as one stack.
 
     The soft FPR gap's derivative is constant on each code, so one
     weighted and one plain bincount of every run's and task's codes give
     each group's sum and size (the plain one is `batch.counts` when not
     None), the per-code arithmetic runs on Python floats and `combine`'s
-    (W, T, 12, 1) results are gathered by code in one take.  The other
-    kinds run `fairness_terms` on each run's, task's and side's rows.
+    (W, T, 12, 1) results are gathered by code in one take.  MMD takes
+    every subset's rows from `subset_steps` (`batch.subsets`, else cut
+    here) and its terms from one `_mmd_terms` pass; correlation runs
+    `fairness_terms` on each run's, task's and side's rows.
     """
     kind, target = config.fairness_kind, config.fairness_target
     runs, num_tasks = probs.shape[:2]
@@ -436,6 +543,9 @@ def fairness_seed_terms(config, batch, probs, tasks, combine, head=False):
         tables = combine(d[0], d[1] if head else 0.0)
         return f_full, f_head, tables.reshape(-1, bins).take(
             codes, axis=1).reshape((-1,) + probs.shape)
+    if kind == "mmd":
+        return _mmd_seed_terms(config, batch, probs, tasks, combine, head,
+                               f_full, f_head)
     d_full = np.zeros(probs.shape)
     d_head = np.zeros(probs.shape) if head else 0.0
     for w, run_tasks in enumerate(tasks):
@@ -449,6 +559,36 @@ def fairness_seed_terms(config, batch, probs, tasks, combine, head=False):
                     f_head[w][t] += f
                     d_head[w, t, rows, 0] += dvals
     return f_full, f_head, combine(d_full, d_head)
+
+
+def _mmd_seed_terms(config, batch, probs, tasks, combine, head, f_full,
+                    f_head):
+    """`fairness_seed_terms` of MMD: one `_mmd_terms` pass over the rows
+    of the step's `subset_steps`, `batch.subsets` when the batch has
+    them, with one gather of the probabilities and one scatter of dF/dp."""
+    rows, sizes = getattr(batch, "subsets", None) or subset_steps(
+        batch.codes, tasks, config.fairness_target, head, probs.shape[2])[0]
+    num_tasks, per_task = probs.shape[1], sizes[0, 0].size // 2
+    sizes = sizes.reshape(-1, 2).tolist()
+    starts = [0, *itertools.accumulate(map(sum, sizes))]
+    chosen = [i for w, run_tasks in enumerate(tasks) for t in run_tasks
+              for i in range((w * num_tasks + t) * per_task,
+                             (w * num_tasks + t + 1) * per_task)
+              if sizes[i][0] and sizes[i][1]]
+    # intp, which numpy indexes with fastest
+    rows = rows.astype(np.intp) if len(chosen) == len(sizes) else (
+        np.concatenate([rows[:0]] + [rows[starts[i]:starts[i + 1]]
+                                     for i in chosen], dtype=np.intp))
+    # an exclusive set's rows lie one stack further on, which "wrap" drops
+    values, dvals = _mmd_terms(probs.take(rows, mode="wrap"),
+                               [sizes[i] for i in chosen],
+                               config.mmd_bandwidth)
+    for i, value in zip(chosen, values):
+        f = f_head if head and i % 2 else f_full
+        f[i // (num_tasks * per_task)][i // per_task % num_tasks] += value
+    d = np.zeros((1 + head,) + probs.shape)
+    d.reshape(-1)[rows] += dvals
+    return f_full, f_head, combine(d[0], d[1] if head else 0.0)
 
 
 def decompose_fairness(kind, target, t, labels, prob, sensitive,

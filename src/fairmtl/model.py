@@ -310,8 +310,9 @@ class Workspace:
     `seeds`, the (2, W, T, n, 1) head and shared seed stacks at the
     logits; `shared_grads` and `head_grads`, each layer's gradient at its
     pre-activation and input (k halves of a head layer's for k seed
-    stacks); `bottom`, the first head layer's input gradient summed over
-    the tasks; and `ones`, the (1, n) row that gives bias gradients.
+    stacks) and, for a width-1 layer, its `_input_grad` pads; `bottom`,
+    the first head layer's input gradient summed over the tasks; and
+    `ones`, the (1, n) row that gives bias gradients.
     """
 
     def __init__(self, model, n):
@@ -337,26 +338,32 @@ class Workspace:
         n, W, T = self.n, len(model.flat.value), model.arch.num_tasks
         self.dense = np.empty((W, n, model.dense_count))
         self.seeds, self.ones = np.empty((2, W, T, n, 1)), np.ones((1, n))
+
+        def pads(w, runs):
+            # a width-1 layer's gradient and weights, zero-padded to K = 2
+            return (np.zeros(runs + (n, 2)),
+                    np.zeros(w.value.shape[:-2] + (2, w.value.shape[-2]))
+                    ) if w.value.shape[-1] == 1 else None
         # per shared layer: (gradient at the pre-activation, gradient at
-        # the input, None at the first layer without embeddings)
+        # the input, None at the first layer without embeddings, pads)
         self.shared_grads = [
             (np.empty((W, n, w.value.shape[2])),
              np.empty((W, n, w.value.shape[1])) if i or model.tables
-             else None)
+             else None, pads(w, (W,)))
             for i, (w, _) in enumerate(model.shared_stacks)]
         to_bottom = bool(model.shared_stacks or model.tables)
         width = model.head_stacks[0][0].value.shape[2]
         self.bottom = np.empty((W, n, width)) if to_bottom else None
         # per head layer: the (2, W, T, n, out) gradient at the
-        # pre-activation (None at the top: the seeds), and at the input
+        # pre-activation (None at the top: the seeds), at the input
         # (2, W, T, n, in), or (W, T, n, in) from the shared half at the
-        # first layer
+        # first layer, and pads
         top = len(model.head_stacks) - 1
         self.head_grads = [
             (np.empty((2, W, T, n, w.value.shape[3])) if i < top else None,
              np.empty((2, W, T, n, w.value.shape[2])) if i
              else np.empty((W, T, n, w.value.shape[2])) if to_bottom
-             else None)
+             else None, pads(w, (2, W, T)))
             for i, (w, _) in enumerate(model.head_stacks)]
         return self
 
@@ -373,10 +380,29 @@ def workspace(store, model, n):
 
 
 def _relu_grad(pre, g, out):
-    """g through a relu at `pre`, written into `out`: a masked multiply."""
-    np.greater(pre, 0.0, out=out)
-    out *= g
+    """g, a stack of k gradients, through a relu at `pre`, written into
+    `out`: the mask pre > 0, built once, into out[-1], then each half's
+    multiply by it."""
+    mask = np.greater(pre, 0.0, out=out[-1])
+    for g_half, out_half in zip(g, out):
+        np.multiply(g_half, mask, out=out_half)
     return out
+
+
+def _input_grad(g, w, out, pads):
+    """g @ w^T, a layer's gradient at its input, written into `out`.
+
+    numpy takes a product of inner size K = 1, a width-1 layer's (the
+    logits'), in an unblocked loop; with `pads`, zero-padded to K = 2, it
+    goes to BLAS, and each entry only adds 0 * 0 to the same product, so
+    its bits are the loop's.
+    """
+    if pads is None:
+        return np.matmul(g, w.value.swapaxes(-1, -2), out=out)
+    g_pad, w_pad = pads[0][:len(g)], pads[1]
+    g_pad[..., :1] = g
+    w_pad[..., :1, :] = w.value.swapaxes(-1, -2)
+    return np.matmul(g_pad, w_pad, out=out)
 
 
 def forward_np(model, dense, cat_idx=None, ws=None):
@@ -438,25 +464,28 @@ def backprop(model, ws, seeds):
     k, g = len(seeds), seeds
     for i in range(len(model.head_stacks) - 1, -1, -1):
         (w, b), x = model.head_stacks[i], ws.head_in[i]
-        g_pre, g_in = ws.head_grads[i]
+        g_pre, g_in, pads = ws.head_grads[i]
         if g_pre is not None:
             g = _relu_grad(ws.head_fwd[i][0], g, g_pre[:k])
         np.matmul(x.swapaxes(-1, -2), g[0], out=w.grad)
         np.matmul(ws.ones, g[0], out=b.grad)
         if i:
-            g = np.matmul(g, w.value.swapaxes(-1, -2), out=g_in[:k])
+            g = _input_grad(g, w, g_in[:k], pads)
         elif g_in is not None:
-            np.matmul(g[-1], w.value.swapaxes(-1, -2), out=g_in)
-            g = np.add.reduce(g_in, axis=1, out=ws.bottom)
+            _input_grad(g[-1:], w, g_in[None], pads)
+            # summed in task order, as a reduce over the task axis would
+            g = g_in[:, 0]
+            for t in range(1, g_in.shape[1]):
+                g = np.add(g, g_in[:, t], out=ws.bottom)
 
     for i in range(len(model.shared_stacks) - 1, -1, -1):
         (w, b), x = model.shared_stacks[i], ws.shared_in[i]
-        g_pre, g_in = ws.shared_grads[i]
-        g = _relu_grad(ws.shared_fwd[i][0], g, g_pre)
+        g_pre, g_in, pads = ws.shared_grads[i]
+        g = _relu_grad(ws.shared_fwd[i][0], g[None], g_pre[None])[0]
         np.matmul(x.swapaxes(-1, -2), g, out=w.grad)
         np.matmul(ws.ones, g, out=b.grad)
         if g_in is not None:
-            g = np.matmul(g, w.value.swapaxes(-1, -2), out=g_in)
+            g = _input_grad(g, w, g_in, pads)
     dim = model.arch.embedding_dim
     for j, table in enumerate(model.tables):
         start = model.dense_count + j * dim

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import fairmtl.autodiff as ad
 from fairmtl.exceptions import ConfigError, ShapeError
 from fairmtl.model import (ArchConfig, MtlModel, backprop, build_model,
-                           forward, forward_np, from_fields)
+                           build_stack, forward, forward_np, from_fields)
 
 
 def np_sigmoid(x):
@@ -125,6 +125,35 @@ def test_stacked_heads_equal_per_task_reference_bitwise(case):
     oracles.backprop(model, ref_acts, ref_head, ref_shared)
     assert not np.isnan(got).any()
     assert got.tobytes() == model.flat.grad.tobytes()
+
+
+@pytest.mark.parametrize("halves", (1, 2))
+@pytest.mark.parametrize("num_tasks", (1, 3))
+@pytest.mark.parametrize("shared, heads", [((4, 1), (3,)), ((2,), ()),
+                                           ((), (1, 2)), ((1,), (1,))])
+def test_stacked_backprop_equals_each_models_own(shared, heads, num_tasks,
+                                                 halves):
+    """`backprop` on a stack of 3 models gives each model's gradients bit
+    for bit as its own `backprop` does, width-1 layers and no head
+    layers included: the zero-padded products, the adds over tasks and
+    the relu masks act on each run's slice as on the run alone."""
+    arch = ArchConfig(num_tasks=num_tasks, shared_layer_sizes=shared,
+                      head_layer_sizes=heads, embedding_dim=2)
+    rng = np.random.default_rng(len(shared) + 3 * len(heads) + num_tasks)
+    n = 37
+    stack = build_stack(arch, 3, (4,), [5, 6, 7])
+    # biases start at zero; shift every value so they carry data too
+    stack.flat.value[...] += rng.uniform(-0.1, 0.1, stack.flat.value.shape)
+    dense, cat = rng.standard_normal((3, n, 3)), rng.integers(0, 4, (3, n, 1))
+    seeds = rng.standard_normal((halves, 3, num_tasks, n, 1))
+    stack.flat.grad[...] = np.nan
+    backprop(stack, forward_np(stack, dense, cat), seeds)
+    got = stack.flat.grad.copy()
+    assert not np.isnan(got).any()
+    for run, model in enumerate(stack.models):
+        backprop(model, forward_np(model, dense[run:run + 1],
+                                   cat[run:run + 1]), seeds[:, run:run + 1])
+        assert got[run].tobytes() == model.flat.grad[0].tobytes(), run
 
 
 def test_forward_dense_only():

@@ -110,6 +110,22 @@ def test_config_validation():
         TrainConfig(method="vanilla", task_weights=(1.0,), learning_rate=0.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("task_weights", (np.nan, 0.4)), ("task_weights", (0.6, np.inf)),
+    ("fairness_weights", (np.nan, 1.0)), ("fairness_weights", (np.inf, 1.0)),
+    ("head_shared_ratios", (1.0, np.nan)),
+    ("head_shared_ratios", (np.inf, 1.0)),
+    ("learning_rate", np.nan), ("learning_rate", np.inf),
+    ("mmd_bandwidth", np.nan), ("mmd_bandwidth", np.inf)])
+def test_config_refuses_non_finite_numbers(field, value):
+    """NaN passes every `< 0` and `<= 0` check, so each field refuses
+    non-finite numbers by name."""
+    base = dict(method="mtaf", task_weights=(0.6, 0.4),
+                fairness_weights=(1.0, 1.0), head_shared_ratios=(2.0, 0.5))
+    with pytest.raises(ConfigError, match=field):
+        TrainConfig(**dict(base, **{field: value}))
+
+
 def test_config_roundtrip():
     cfg = TrainConfig(method="mtaf", task_weights=(0.3, 0.7),
                       fairness_weights=(1.0, 2.0), head_shared_ratios=(2.0, 0.5),
@@ -740,17 +756,24 @@ def test_stacked_runs_equal_their_solo_runs(kind):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_a_run_that_diverges_in_a_stack_ends_alone(method, monkeypatch):
-    """A run whose task weight is NaN takes NaN parameters from its first
-    step.  In a stack it ends at the step and with the message of its
-    solo run, and its stack-mates train on, each equal to its solo run."""
+    """A run whose Adagrad accumulator starts NaN takes NaN parameters
+    from its first step.  In a stack it ends at the step and with the
+    message of its solo run, and its stack-mates train on, each equal to
+    its solo run."""
     data = separable_dataset(n=60, seed=4)
     configs = [TrainConfig(method=method, task_weights=w,
                            fairness_weights=(1.5, 0.8),
                            head_shared_ratios=(2.0, 0.5),
                            fairness_kind="soft_fpr_gap", epochs=2,
                            batch_size=16, seed=5 + i)
-               for i, w in enumerate(((0.6, 0.4), (np.nan, 0.4),
-                                      (0.3, 0.7)))]
+               for i, w in enumerate(((0.6, 0.4), (0.5, 0.4), (0.3, 0.7)))]
+    build = trainer.build_stack
+
+    def poisoned(arch, dense_count, vocab_sizes, seeds):
+        stack = build(arch, dense_count, vocab_sizes, seeds)
+        stack.flat.adagrad_acc[np.equal(seeds, configs[1].seed)] = np.nan
+        return stack
+    monkeypatch.setattr(trainer, "build_stack", poisoned)
     ended, seeds = [], trainer._seeds
 
     def spy(batch, probs, out, errors, losses=None):
@@ -772,6 +795,64 @@ def test_a_run_that_diverges_in_a_stack_ends_alone(method, monkeypatch):
     assert str(runs[1]) == str(exc.value)
     for i in (0, 2):
         assert _same_run(runs[i], train(data, small_arch(), configs[i]))
+
+
+@pytest.mark.parametrize("bandwidth", (0.3, 1.0))
+@pytest.mark.parametrize("target", ("equal_opportunity_fpr",
+                                    "equal_opportunity_tpr",
+                                    "equalized_odds"))
+@pytest.mark.parametrize("method", ("baseline", "mtaf"))
+def test_stacked_mmd_seeds_equal_each_runs_alone(method, target, bandwidth):
+    """A stack's MMD seeds, taken in one pass from the rows its epoch
+    cut per step, equal each run's `_seeds` on its own rows bit for bit,
+    from a `Batch.of` a Dataset, which cuts its one step's rows itself.
+    The runs' probabilities differ in spread, so at bandwidth 0.3 one
+    step mixes feature-map and exact-block subsets; the run that carries
+    an error gets no fairness terms."""
+    rng = np.random.default_rng(len(target) + int(10 * bandwidth))
+    n, size = 50, 20
+    data = Dataset(dense=np.zeros((n, 1)), cat=np.empty((n, 0)),
+                   labels=rng.integers(0, 2, (n, 2)),
+                   sensitive=rng.choice([-1, 0, 1], n, p=(0.1, 0.45, 0.45)))
+    configs = [TrainConfig(method=method, task_weights=(0.6, 0.4),
+                           fairness_weights=lam, head_shared_ratios=(2.0, 0.5),
+                           fairness_kind="mmd", mmd_bandwidth=bandwidth,
+                           fairness_target=target, batch_size=size, seed=i)
+               for i, lam in enumerate(((1.5, 0.8), (0.7, 2.0), (0.0, 1.2)))]
+    rows = Batch.of(data, RunPlan(configs))
+    epoch = rows.epoch({})
+    steps, _ = epoch.steps(size)
+    perms = [rng.permutation(n) for _ in configs]
+    rows.take(perms, out=epoch)
+    epoch.index_steps(steps, size)
+    error, kinds = TrainingDiverged("an earlier step"), []
+    for start, step in zip(range(0, n, size), steps):
+        assert step.subsets is not None
+        m = len(step)
+        # spreads of 1, 0.1 and 0.5: z above 1 and below it at bandwidth 0.3
+        probs = (0.5 + np.array([1.0, 0.1, 0.5]).reshape(3, 1, 1, 1)
+                 * (rng.random((3, 2, m, 1)) - 0.5))
+        errors = [None, error, None]
+        with mock.patch.object(losses, "_mmd_blocks",
+                               wraps=losses._mmd_blocks) as exact, \
+                mock.patch.object(losses, "_taylor_order",
+                                  wraps=losses._taylor_order) as mapped:
+            stack = trainer._seeds(step, probs, np.empty((2, 3, 2, m, 1)),
+                                   errors)
+        kinds.append((exact.called, mapped.called))
+        for run, config in enumerate(configs):
+            alone = Batch.of(data.take(perms[run][start:start + m]),
+                             RunPlan([config]))
+            assert alone.subsets is None
+            ref = trainer._seeds(alone, probs[run:run + 1],
+                                 np.empty((2, 1, 2, m, 1)),
+                                 errors[run:run + 1])
+            # one stack where the halves agree, as for the erring run
+            for half, seeds in enumerate(stack[:, run]):
+                assert seeds.tobytes() == ref[min(half, len(ref) - 1),
+                                              0].tobytes(), run
+    assert ((True, True) in kinds) == (bandwidth == 0.3)
+    assert all(mapped for _, mapped in kinds)
 
 
 def test_a_loss_sink_leaves_a_step_its_clipped_block():
