@@ -18,13 +18,12 @@ the trainer's `Batch` holds with the rest of a batch's rows.
 its seeds, for all runs of a stack and all tasks at once: the soft FPR
 gap's derivative is constant on each code, so it needs only per-code sums
 and counts, two bincounts whatever the number of runs and tasks.  MMD
-reads each step's subsets from `subset_steps`, which the trainer cuts
-once per epoch: every (run, task, side, set) subset's rows, group 0 then
-group 1, from a stable sort of each step's per-code keys.  One pass takes
-all of a step's subsets (`_mmd_terms`): one gather, the feature map built
-once over every row, and per subset only its sums and two products, the
-arithmetic `_mmd` runs on one subset.  Correlation takes each side's rows
-from the masks, run by run.
+cuts a step's subsets from its codes: every (run, task, side, set)
+subset's rows, group 0 then group 1, from a stable sort of per-code keys
+(`_subset_table`).  One pass takes all of them (`_mmd_terms`): one
+gather, the feature map built once over every row, and per subset only
+its sums and two products, the arithmetic `_mmd` runs on one subset.
+Correlation takes each side's rows from the masks, run by run.
 `fairness_loss` and `cross_entropy` wrap the same formulas in autodiff
 nodes whose one parent is p, the differentiable reference the tests check.
 A task's fairness loss splits into a head part (rows no other task's loss
@@ -406,26 +405,18 @@ def subset_arrays(labels, sensitive):
             sides)
 
 
-def subset_steps(codes, tasks, target, head, size):
-    """The MMD subsets of each step of `size` rows that `codes` cut in
-    order, for `fairness_seed_terms`: per step, (rows, sizes).
-
-    `codes` is a `Batch`'s (W, T, n), run w's offset by 12 T w, and
-    `tasks` each run's tasks whose losses count.  A step's subsets are
-    each such (run, task), side of the `target` and, with `head`, full
-    set then exclusive set, in that order; `sizes` holds each one's
-    group-0 and group-1 row counts, a (W, T, sides, 1 + head, 2) array,
-    and `rows`, int32, its group-0 rows, then its group-1 rows, each
-    ascending, as `fairness_terms` takes them: a row's position in the
-    step's (W, T, m, 1) probability stack, plus W T m in an exclusive set.
-    One table gives each code's subset, as a key that orders them, and a
-    stable sort of a step's keys gives its rows.
+@functools.lru_cache(maxsize=None)
+def _subset_table(runs, num_tasks, tasks, target, head):
+    """Per code of a (W, T, n) stack of `subset_arrays` codes, run w's
+    offset by 12 T w, the key of the MMD subset group that takes its row,
+    -1 for none: one table row for the full sets and, with `head`, one for
+    the exclusive sets.  `tasks` holds each run's tasks whose losses
+    count, as tuples.  A key orders the subsets as `fairness_seed_terms`
+    takes them: per (run, task), side of the `target`, then full set
+    before exclusive set, group 0 before group 1.  Cached, so read-only.
     """
-    runs, num_tasks, n = codes.shape
     sides, sets = _SIDE_LABELS[target], 1 + head
     parts = 2 * sets * len(sides)            # subset groups per (run, task)
-    # per code, the key of the subset group that takes its row, -1 for
-    # none: one table row for the full sets and one for the exclusive sets
     local = np.arange(12)
     y, group = local // 6, local % 3 - 1
     taken = np.zeros((runs * num_tasks, 1), dtype=bool)
@@ -438,19 +429,10 @@ def subset_steps(codes, tasks, target, head, size):
     if head:
         tables.append(np.where(taken & (local // 3 % 2 == 1), key + 2, -1))
     bins = runs * num_tasks * parts
-    tables = np.stack(tables).reshape(sets, -1).astype(
+    table = np.stack(tables).reshape(sets, -1).astype(
         np.int16 if bins <= 2 ** 15 else np.int64)   # int16: a radix sort
-    steps = []
-    for start in range(0, n, size):
-        # keys (set, run, task, row), so each taken one's flat index is
-        # its row in the step
-        keys = tables.take(codes[:, :, start:start + size], axis=1).ravel()
-        rows = np.flatnonzero(keys >= 0)
-        keys = keys.take(rows)
-        rows = rows.take(np.argsort(keys, kind="stable")).astype(np.int32)
-        steps.append((rows, np.bincount(keys, minlength=bins).reshape(
-            runs, num_tasks, len(sides), sets, 2)))
-    return steps
+    table.flags.writeable = False
+    return table
 
 
 # Summed in any order, n nonnegative numbers err by at most (n - 1) 2^-53
@@ -484,9 +466,9 @@ def fairness_seed_terms(config, batch, probs, tasks, combine, head=False):
     lists of T floats, and the terms as one (k, W, T, n, 1) stack, of
     `config`'s fairness kind, MMD bandwidth and target.  `batch` holds the
     runs' `subset_arrays` (`codes`, run w's offset by 12 T w, `sensitive`,
-    `sides`) with a leading run axis, `counts` and, if it has them, MMD's
-    `subsets`; `probs` is the (W, T, n, 1) probability stack and `tasks`
-    each run's tasks whose losses count, every other task's being 0.
+    `sides`) with a leading run axis and `counts`; `probs` is the (W, T,
+    n, 1) probability stack and `tasks` each run's tasks whose losses
+    count, every other task's being 0.
     F_full sums one loss per side of the target (negatives for fpr,
     positives for tpr, both for equalized odds); F_head, mtaf's head part,
     keeps each side's exclusive rows and is computed only with `head`.
@@ -496,10 +478,10 @@ def fairness_seed_terms(config, batch, probs, tasks, combine, head=False):
     weighted and one plain bincount of every run's and task's codes give
     each group's sum and size (the plain one is `batch.counts` when not
     None), the per-code arithmetic runs on Python floats and `combine`'s
-    (W, T, 12, 1) results are gathered by code in one take.  MMD takes
-    every subset's rows from `subset_steps` (`batch.subsets`, else cut
-    here) and its terms from one `_mmd_terms` pass; correlation runs
-    `fairness_terms` on each run's, task's and side's rows.
+    (W, T, 12, 1) results are gathered by code in one take.  MMD cuts
+    every subset's rows from the codes in one stable sort and takes its
+    terms from one `_mmd_terms` pass; correlation runs `fairness_terms`
+    on each run's, task's and side's rows.
     """
     kind, target = config.fairness_kind, config.fairness_target
     runs, num_tasks = probs.shape[:2]
@@ -563,22 +545,27 @@ def fairness_seed_terms(config, batch, probs, tasks, combine, head=False):
 
 def _mmd_seed_terms(config, batch, probs, tasks, combine, head, f_full,
                     f_head):
-    """`fairness_seed_terms` of MMD: one `_mmd_terms` pass over the rows
-    of the step's `subset_steps`, `batch.subsets` when the batch has
-    them, with one gather of the probabilities and one scatter of dF/dp."""
-    rows, sizes = getattr(batch, "subsets", None) or subset_steps(
-        batch.codes, tasks, config.fairness_target, head, probs.shape[2])[0]
-    num_tasks, per_task = probs.shape[1], sizes[0, 0].size // 2
+    """`fairness_seed_terms` of MMD: the step's subsets cut from its codes
+    by one stable sort of their `_subset_table` keys, then one
+    `_mmd_terms` pass over their rows, with one gather of the
+    probabilities and one scatter of dF/dp."""
+    runs, num_tasks = probs.shape[:2]
+    table = _subset_table(runs, num_tasks, tuple(map(tuple, tasks)),
+                          config.fairness_target, head)
+    # keys (set, run, task, row), so each taken one's flat index is its
+    # position in the (W, T, n, 1) stack, plus W T n in an exclusive set
+    keys = table.take(batch.codes, axis=1).ravel()
+    rows = np.flatnonzero(keys >= 0)
+    keys = keys.take(rows)
+    # each subset's group-0 rows, then its group-1 rows, each ascending
+    rows = rows.take(np.argsort(keys, kind="stable"))
+    per_task = table.shape[0] * len(_SIDE_LABELS[config.fairness_target])
+    sizes = np.bincount(keys, minlength=2 * runs * num_tasks * per_task)
     sizes = sizes.reshape(-1, 2).tolist()
     starts = [0, *itertools.accumulate(map(sum, sizes))]
-    chosen = [i for w, run_tasks in enumerate(tasks) for t in run_tasks
-              for i in range((w * num_tasks + t) * per_task,
-                             (w * num_tasks + t + 1) * per_task)
-              if sizes[i][0] and sizes[i][1]]
-    # intp, which numpy indexes with fastest
-    rows = rows.astype(np.intp) if len(chosen) == len(sizes) else (
-        np.concatenate([rows[:0]] + [rows[starts[i]:starts[i + 1]]
-                                     for i in chosen], dtype=np.intp))
+    chosen = [i for i, (n0, n1) in enumerate(sizes) if n0 and n1]
+    rows = np.concatenate([rows[starts[i]:starts[i + 1]] for i in chosen]
+                          or [rows[:0]])
     # an exclusive set's rows lie one stack further on, which "wrap" drops
     values, dvals = _mmd_terms(probs.take(rows, mode="wrap"),
                                [sizes[i] for i in chosen],

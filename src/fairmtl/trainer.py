@@ -28,13 +28,11 @@ Nothing that does not depend on the parameters is built per step: the
 training set keeps (`Dataset.kept`) the float labels, the fairness
 subsets' arrays (`losses.subset_arrays`), the arrays each epoch gathers
 into and the `model.Workspace`s; a `RunPlan` holds what depends on the
-configs; the steps' `Batch`es are views of the epoch arrays, cut once
-per stack; and what a step's fairness loss reads of its rows, the soft
-FPR gap's per-code counts or MMD's subset rows, is cut once per epoch
-(`Batch.index_steps`).  A step computes loss values only for a
-`loss_sink`, and otherwise checks that its clipped probabilities hold no
-NaN, the one way a loss is not finite; each epoch's losses come from one
-pass over the clipped probabilities its steps left (`kernels.xent_steps`).
+configs; and the steps' `Batch`es are views of the epoch arrays, cut once
+per stack.  A step computes loss values only for a `loss_sink`, and
+otherwise checks that its clipped probabilities hold no NaN, the one way a
+loss is not finite; each epoch's losses come from one pass over the
+clipped probabilities its steps left (`kernels.xent_steps`).
 """
 
 import math
@@ -47,7 +45,7 @@ import numpy as np
 from .backend import kernels
 from .exceptions import ConfigError, ShapeError, TrainingDiverged
 from .losses import (FAIRNESS_KINDS, FAIRNESS_TARGETS, fairness_seed_terms,
-                     subset_arrays, subset_steps)
+                     subset_arrays)
 from .model import backprop, build_stack, forward_np, workspace
 
 METHODS = ("vanilla", "baseline", "mtaf")
@@ -194,21 +192,20 @@ class Batch:
     there are none); the (W, T, n, 1) float labels; and, for a fairness
     loss, the `losses.subset_arrays` (else None), run w's codes offset by
     12 T w.  `train_stack()` gathers them by each run's permutation once
-    per epoch, then steps on slices (`steps`) whose per-code `counts` or
-    MMD `subsets` it sets (`index_steps`; None until set).  `clipped`
-    (None, or the (W, T, n, 1) array a step clips its probabilities into)
-    and `workspaces` (the dict `model.workspace` reads) are kept by the
-    dataset."""
+    per epoch, then steps on slices (`steps`) whose per-code `counts` it
+    sets (`count_steps`; None until set).  `clipped` (None, or the (W, T,
+    n, 1) array a step clips its probabilities into) and `workspaces` (the
+    dict `model.workspace` reads) are kept by the dataset."""
 
-    __slots__ = ("plan", "dense", "clipped", "workspaces", "counts",
-                 "subsets") + tuple(name for name, _ in _ROWS)
+    __slots__ = ("plan", "dense", "clipped", "workspaces", "counts") + tuple(
+        name for name, _ in _ROWS)
 
     def __init__(self, plan, dense, rows, clipped, workspaces):
         """`rows` holds the per-row arrays in the order of `_ROWS`."""
         for (name, _), a in zip(_ROWS, rows):
             setattr(self, name, a)
         self.plan, self.dense, self.clipped = plan, dense, clipped
-        self.workspaces, self.counts, self.subsets = workspaces, None, None
+        self.workspaces, self.counts = workspaces, None
 
     @classmethod
     def of(cls, dataset, plan):
@@ -282,24 +279,15 @@ class Batch:
                 steps[-1].clipped = clipped
         return steps, stacks
 
-    def index_steps(self, steps, size):
-        """Set what `fairness_seed_terms` reads of `steps`, these rows
-        cut into `size` rows in order, from this epoch at once: for the
-        soft FPR gap their `counts`, from one bincount over (step, run,
-        code) keys; for MMD their `subsets` (`losses.subset_steps`)."""
-        config = self.plan.config
-        if config.fairness_kind == "mmd":
-            for step, subsets in zip(steps, subset_steps(
-                    self.codes, self.plan.tasks, config.fairness_target,
-                    self.plan.mtaf, size)):
-                step.subsets = subsets
-        elif config.fairness_kind == "soft_fpr_gap":
-            bins = 12 * self.codes.shape[0] * self.codes.shape[1]
-            offsets = np.arange(self.codes.shape[2]) // size * bins
-            counts = np.bincount((self.codes + offsets).ravel(),
-                                 minlength=len(steps) * bins)
-            for step, row in zip(steps, counts.reshape(-1, bins).tolist()):
-                step.counts = row
+    def count_steps(self, steps, size):
+        """Set the `counts` of `steps`, these rows cut into `size` rows in
+        order, from one bincount over (step, run, code) keys."""
+        bins = 12 * self.codes.shape[0] * self.codes.shape[1]
+        offsets = np.arange(self.codes.shape[2]) // size * bins
+        counts = np.bincount((self.codes + offsets).ravel(),
+                             minlength=len(steps) * bins)
+        for step, row in zip(steps, counts.reshape(-1, bins).tolist()):
+            step.counts = row
 
 
 def _seeds(batch, probs, out, errors, losses=None):
@@ -439,8 +427,9 @@ def train_stack(dataset, arch, configs):
     errors = [None] * len(configs)
     for epoch in range(config.epochs):
         rows.take([rng.permutation(n) for rng in rngs], out=shuffled)
-        if shuffled.codes is not None:
-            shuffled.index_steps(steps, config.batch_size)
+        if shuffled.codes is not None and (
+                config.fairness_kind == "soft_fpr_gap"):
+            shuffled.count_steps(steps, config.batch_size)
         for batch in steps:
             _step(model, batch, errors)
             if all(errors):

@@ -803,10 +803,9 @@ def test_a_run_that_diverges_in_a_stack_ends_alone(method, monkeypatch):
                                     "equalized_odds"))
 @pytest.mark.parametrize("method", ("baseline", "mtaf"))
 def test_stacked_mmd_seeds_equal_each_runs_alone(method, target, bandwidth):
-    """A stack's MMD seeds, taken in one pass from the rows its epoch
-    cut per step, equal each run's `_seeds` on its own rows bit for bit,
-    from a `Batch.of` a Dataset, which cuts its one step's rows itself.
-    The runs' probabilities differ in spread, so at bandwidth 0.3 one
+    """A stack's MMD seeds, taken in one pass over every run's subsets
+    of a step of its epoch, equal each run's `_seeds` on its own rows bit
+    for bit, from a `Batch.of` a Dataset.  The runs' probabilities differ in spread, so at bandwidth 0.3 one
     step mixes feature-map and exact-block subsets; the run that carries
     an error gets no fairness terms."""
     rng = np.random.default_rng(len(target) + int(10 * bandwidth))
@@ -824,10 +823,8 @@ def test_stacked_mmd_seeds_equal_each_runs_alone(method, target, bandwidth):
     steps, _ = epoch.steps(size)
     perms = [rng.permutation(n) for _ in configs]
     rows.take(perms, out=epoch)
-    epoch.index_steps(steps, size)
     error, kinds = TrainingDiverged("an earlier step"), []
     for start, step in zip(range(0, n, size), steps):
-        assert step.subsets is not None
         m = len(step)
         # spreads of 1, 0.1 and 0.5: z above 1 and below it at bandwidth 0.3
         probs = (0.5 + np.array([1.0, 0.1, 0.5]).reshape(3, 1, 1, 1)
@@ -843,7 +840,6 @@ def test_stacked_mmd_seeds_equal_each_runs_alone(method, target, bandwidth):
         for run, config in enumerate(configs):
             alone = Batch.of(data.take(perms[run][start:start + m]),
                              RunPlan([config]))
-            assert alone.subsets is None
             ref = trainer._seeds(alone, probs[run:run + 1],
                                  np.empty((2, 1, 2, m, 1)),
                                  errors[run:run + 1])
