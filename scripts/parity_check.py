@@ -23,6 +23,8 @@ Adagrad accumulators, so it diverges inside its stack.  It prints the
 largest difference between any run's stacked and solo parameters,
 accumulators and histories, the runs whose test metrics differ and the
 diverged runs whose messages differ, and exits 1 unless all three are 0.
+`stacked(prefix)` does the same for the runs whose keys start with
+`prefix`; the test suite runs it on the 12 `T2/mmd-` runs.
 
 The set has 129 runs on synthetic data with 10% of the sensitive values
 missing: 81 over 1-3 tasks x 3 fairness kinds x 3 targets x 3 methods
@@ -180,12 +182,22 @@ def _poisoned():
         trainer.build_stack = build
 
 
-def stacked():
+def stacked(prefix=""):
+    """`--stacked` on the runs whose keys start with `prefix`, each with
+    the stack widths and NaN mate it has in the whole set; its exit
+    code."""
+    with _poisoned():
+        return _stacked(prefix)
+
+
+def _stacked(prefix):
     from fairmtl.exceptions import TrainingDiverged
     from fairmtl.metrics import evaluate_model
     from fairmtl.trainer import train, train_stack
     data, worst, runs, diverged, metrics, messages = {}, 0.0, 0, 0, [], []
     for i, (key, data_key, arch, cfg) in enumerate(configs()):
+        if not key.startswith(prefix):
+            continue
         if data_key not in data:
             data[data_key] = _data(*data_key)
         train_ds, test_ds = data[data_key]
@@ -277,8 +289,7 @@ def main(argv=None):
         save(args.save)
         return 0
     if args.stacked:
-        with _poisoned():
-            return stacked()
+        return stacked()
     return compare(*args.compare)
 
 

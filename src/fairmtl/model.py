@@ -9,7 +9,7 @@ built model is one row, and a stack (`build_stack`) W models of one
 shape, so one Adagrad call updates them all.  Each layer is also one
 (W, ...) stack, each head layer one (W, T, ...) stack (`LayerStack`).
 `forward_np` and `backprop` are the training path, on a batch per run: a
-numpy forward that keeps each layer's input and pre-activation, and a
+numpy forward that keeps each layer's input and activation, and a
 backward from seed gradients at each task's logit into the flat
 gradient, one array op per layer for all runs, tasks and both of mtaf's
 seed stacks, in a `Workspace` of buffers that every step and run on a
@@ -17,6 +17,7 @@ dataset reuses (`workspace`).  `forward` builds the same network as an
 autodiff graph, the differentiable reference.
 """
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -301,33 +302,49 @@ class Workspace:
     every run on a dataset (`workspace`), reuses them; any model or
     stack of the same shapes and W may write it.
 
-    `forward_np` writes each layer's pre-activation and activation into
-    `shared_fwd` and `head_fwd`, and sets `cat_idx`, each layer's input
-    (`shared_in`, `head_in`) and `probs`, the (W, T, n, 1) probabilities;
-    `input` holds the dense features and the embeddings side by side.
-    `for_step` adds `dense`, the (W, n, dense_count) features a step
-    gathers for its rows, and the buffers of the seeds and the backward:
-    `seeds`, the (2, W, T, n, 1) head and shared seed stacks at the
-    logits; `shared_grads` and `head_grads`, each layer's gradient at its
-    pre-activation and input (k halves of a head layer's for k seed
-    stacks) and, for a width-1 layer, its `_input_grad` pads; `bottom`,
-    the first head layer's input gradient summed over the tasks; and
+    `forward_np` writes each layer's pre-activation, then its activation
+    over it, into one buffer per layer (`shared_fwd`, `head_fwd`), and
+    sets `cat_idx`, each layer's input (`shared_in`, `head_in`) and
+    `probs`, the (W, T, n, 1) probabilities; `input` holds the dense
+    features and the embeddings side by side.  `for_step` adds `dense`,
+    the (W, n, dense_count) features a step gathers for its rows, and the
+    buffers of the seeds and the backward: `seeds`, the (2, W, T, n, 1)
+    head and shared seed stacks at the logits; `shared_grads` and
+    `head_grads`, each layer's gradient at its input (k halves of a head
+    layer's for k seed stacks), in which the layer below takes its relu
+    gradient in place, and, for a width-1 layer, its `_input_grad` pads;
+    `bottom`, the first head layer's input gradient summed over the
+    tasks, where the top shared layer takes its relu gradient; and
     `ones`, the (1, n) row that gives bias gradients.
+
+    Each is a contiguous flat prefix (BLAS may round into a strided one
+    differently) of its role's array in `pool`, which `workspace` shares
+    between a dataset's workspaces of one model shape and grows to the
+    largest asked for (those built before keep the arrays they had);
+    `ones` and the pads, whose contents every step reads, are each
+    workspace's own.
     """
 
-    def __init__(self, model, n):
+    def __init__(self, model, n, pool=None):
         W, T = len(model.flat.value), model.arch.num_tasks
         width = model.dense_count + model.arch.embedding_dim * len(model.tables)
-        self.n = n
-        self.input = np.empty((W, n, width)) if model.tables else None
+        self.n, self.pool, self.used = n, [] if pool is None else pool, 0
+        self.input = self._empty(W, n, width) if model.tables else None
         self.cat_idx = self.probs = self.seeds = None
         self.shared_in = [None] * len(model.shared_stacks)
         self.head_in = [None] * len(model.head_stacks)
-        # per layer: (pre-activation, activation)
-        self.shared_fwd = [tuple(np.empty((2, W, n, w.value.shape[-1])))
+        self.shared_fwd = [self._empty(W, n, w.value.shape[-1])
                            for w, _ in model.shared_stacks]
-        self.head_fwd = [tuple(np.empty((2, W, T, n, w.value.shape[-1])))
+        self.head_fwd = [self._empty(W, T, n, w.value.shape[-1])
                          for w, _ in model.head_stacks]
+
+    def _empty(self, *shape):
+        """The pool's next array, grown to fit, as `shape`."""
+        i, size = self.used, math.prod(shape)
+        if i == len(self.pool) or self.pool[i].size < size:
+            self.pool[i:i + 1] = [np.empty(size)]
+        self.used += 1
+        return self.pool[i][:size].reshape(shape)
 
     def for_step(self, model):
         """This workspace with the buffers of a step's seeds and backward
@@ -336,57 +353,51 @@ class Workspace:
         if self.seeds is not None:
             return self
         n, W, T = self.n, len(model.flat.value), model.arch.num_tasks
-        self.dense = np.empty((W, n, model.dense_count))
-        self.seeds, self.ones = np.empty((2, W, T, n, 1)), np.ones((1, n))
+        empty = self._empty
+        self.dense = empty(W, n, model.dense_count)
+        self.seeds, self.ones = empty(2, W, T, n, 1), np.ones((1, n))
 
         def pads(w, runs):
             # a width-1 layer's gradient and weights, zero-padded to K = 2
             return (np.zeros(runs + (n, 2)),
                     np.zeros(w.value.shape[:-2] + (2, w.value.shape[-2]))
                     ) if w.value.shape[-1] == 1 else None
-        # per shared layer: (gradient at the pre-activation, gradient at
-        # the input, None at the first layer without embeddings, pads)
+        # per shared layer: (gradient at the input, None at the first
+        # layer without embeddings, pads)
         self.shared_grads = [
-            (np.empty((W, n, w.value.shape[2])),
-             np.empty((W, n, w.value.shape[1])) if i or model.tables
-             else None, pads(w, (W,)))
+            (empty(W, n, w.value.shape[1]) if i or model.tables else None,
+             pads(w, (W,)))
             for i, (w, _) in enumerate(model.shared_stacks)]
         to_bottom = bool(model.shared_stacks or model.tables)
         width = model.head_stacks[0][0].value.shape[2]
-        self.bottom = np.empty((W, n, width)) if to_bottom else None
-        # per head layer: the (2, W, T, n, out) gradient at the
-        # pre-activation (None at the top: the seeds), at the input
-        # (2, W, T, n, in), or (W, T, n, in) from the shared half at the
-        # first layer, and pads
-        top = len(model.head_stacks) - 1
+        self.bottom = empty(W, n, width) if to_bottom else None
+        # per head layer: (gradient at the input, (2, W, T, n, in), or
+        # (W, T, n, in) from the shared half at the first layer, pads)
         self.head_grads = [
-            (np.empty((2, W, T, n, w.value.shape[3])) if i < top else None,
-             np.empty((2, W, T, n, w.value.shape[2])) if i
-             else np.empty((W, T, n, w.value.shape[2])) if to_bottom
-             else None, pads(w, (2, W, T)))
+            (empty(2, W, T, n, w.value.shape[2]) if i
+             else empty(W, T, n, w.value.shape[2]) if to_bottom else None,
+             pads(w, (2, W, T)))
             for i, (w, _) in enumerate(model.head_stacks)]
         return self
 
 
 def workspace(store, model, n):
     """The `Workspace` for this model's shapes, runs and n rows from
-    `store`, a dict that keeps one per key; built on first use."""
-    key = (model.arch, model.dense_count, len(model.tables),
-           len(model.flat.value), n)
+    `store`, a dict that keeps one per key and one pool per model shape;
+    built on first use."""
+    shapes = (model.arch, model.dense_count, len(model.tables))
+    key = shapes + (len(model.flat.value), n)
     ws = store.get(key)
     if ws is None:
-        ws = store[key] = Workspace(model, n)
+        ws = store[key] = Workspace(model, n, store.setdefault(shapes, []))
     return ws
 
 
-def _relu_grad(pre, g, out):
-    """g, a stack of k gradients, through a relu at `pre`, written into
-    `out`: the mask pre > 0, built once, into out[-1], then each half's
-    multiply by it."""
-    mask = np.greater(pre, 0.0, out=out[-1])
-    for g_half, out_half in zip(g, out):
-        np.multiply(g_half, mask, out=out_half)
-    return out
+def _relu_grad(act, g):
+    """g, a stack of k gradients, through a relu of output `act`, in
+    place: one mask act > 0, which is the pre-activation's > 0 bit for
+    bit (NaN too), for every half."""
+    return np.multiply(g, np.greater(act, 0.0), out=g)
 
 
 def _input_grad(g, w, out, pads):
@@ -429,22 +440,21 @@ def forward_np(model, dense, cat_idx=None, ws=None):
                         out=x[run, :, start:start + dim])
         ws.cat_idx = cat_idx
 
-    for i, ((w, b), (pre, act)) in enumerate(zip(model.shared_stacks,
-                                                  ws.shared_fwd)):
+    for i, ((w, b), out) in enumerate(zip(model.shared_stacks,
+                                          ws.shared_fwd)):
         ws.shared_in[i] = x
-        np.matmul(x, w.value, out=pre)
-        pre += b.value
-        x = kernels.relu_fwd(pre, act)
+        np.matmul(x, w.value, out=out)
+        out += b.value
+        x = kernels.relu_fwd(out, out)
 
     # one (W, 1, n, in) input for all the heads
     x = x[:, None]
     top = len(model.head_stacks) - 1
-    for i, ((w, b), (pre, act)) in enumerate(zip(model.head_stacks,
-                                                  ws.head_fwd)):
+    for i, ((w, b), out) in enumerate(zip(model.head_stacks, ws.head_fwd)):
         ws.head_in[i] = x
-        np.matmul(x, w.value, out=pre)
-        pre += b.value
-        x = (kernels.sigmoid_fwd if i == top else kernels.relu_fwd)(pre, act)
+        np.matmul(x, w.value, out=out)
+        out += b.value
+        x = (kernels.sigmoid_fwd if i == top else kernels.relu_fwd)(out, out)
     ws.probs = x
     return ws
 
@@ -457,16 +467,16 @@ def backprop(model, ws, seeds):
     stack: seeds[0][w, t] gives run w's head t gradients and seeds[-1][w, t]
     flows through its head t into its shared bottom and embeddings, summed
     in task order.  One walk serves both halves (k = 1 when they agree)
-    and every run, with one masked multiply and one input-gradient matmul
-    per layer; biases take ones-row matmuls.
+    and every run, with one masked multiply, in place, and one
+    input-gradient matmul per layer; biases take ones-row matmuls.
     """
     ws.for_step(model)
-    k, g = len(seeds), seeds
-    for i in range(len(model.head_stacks) - 1, -1, -1):
+    k, g, top = len(seeds), seeds, len(model.head_stacks) - 1
+    for i in range(top, -1, -1):
         (w, b), x = model.head_stacks[i], ws.head_in[i]
-        g_pre, g_in, pads = ws.head_grads[i]
-        if g_pre is not None:
-            g = _relu_grad(ws.head_fwd[i][0], g, g_pre[:k])
+        g_in, pads = ws.head_grads[i]
+        if i < top:
+            g = _relu_grad(ws.head_fwd[i], g)
         np.matmul(x.swapaxes(-1, -2), g[0], out=w.grad)
         np.matmul(ws.ones, g[0], out=b.grad)
         if i:
@@ -480,8 +490,8 @@ def backprop(model, ws, seeds):
 
     for i in range(len(model.shared_stacks) - 1, -1, -1):
         (w, b), x = model.shared_stacks[i], ws.shared_in[i]
-        g_pre, g_in, pads = ws.shared_grads[i]
-        g = _relu_grad(ws.shared_fwd[i][0], g[None], g_pre[None])[0]
+        g_in, pads = ws.shared_grads[i]
+        g = _relu_grad(ws.shared_fwd[i], g)
         np.matmul(x.swapaxes(-1, -2), g, out=w.grad)
         np.matmul(ws.ones, g, out=b.grad)
         if g_in is not None:

@@ -19,7 +19,7 @@ W runs of one method and settings, which differ only in seed, task
 weights, lambda and r, train as one (`train_stack`), the rows of one
 stack (`model.build_stack`): a step runs each layer, and Adagrad, once for
 all of them, on (W, T, n, 1) seed stacks, mtaf's two one (2, W, T, n, 1)
-stack; `cut_stacks` sizes the stacks.
+stack; `cut_stacks` sizes them, at most 4 runs and 2048 rows a step.
 Every op acts on a run's slice as on the run alone, so each run equals its
 solo run bit for bit; `train()` and `train_step` are the case W = 1.  A
 run that meets a non-finite loss ends there, with its solo message.
@@ -27,12 +27,14 @@ run that meets a non-finite loss ends there, with its solo message.
 Nothing that does not depend on the parameters is built per step: the
 training set keeps (`Dataset.kept`) the float labels, the fairness
 subsets' arrays (`losses.subset_arrays`), the arrays each epoch gathers
-into and the `model.Workspace`s; a `RunPlan` holds what depends on the
-configs; and the steps' `Batch`es are views of the epoch arrays, cut once
-per stack.  A step computes loss values only for a `loss_sink`, and
+into and the `model.Workspace`s, one set of step buffers for every stack
+width and batch length; a `RunPlan` holds what depends on the configs;
+and the steps' `Batch`es are views of the epoch arrays, cut once per
+stack.  A step computes loss values only for a `loss_sink`, and
 otherwise checks that its clipped probabilities hold no NaN, the one way a
-loss is not finite; each epoch's losses come from one pass over the
-clipped probabilities its steps left (`kernels.xent_steps`).
+loss is not finite; each epoch's losses come from one pass per step
+length, for all runs, over the clipped probabilities its steps left
+(`kernels.xent_steps`).
 """
 
 import math
@@ -53,7 +55,8 @@ ADAGRAD_EPS = 1e-8
 # the TrainConfig fields in which the runs of one stack may differ
 _RUN_FIELDS = ("task_weights", "fairness_weights", "head_shared_ratios",
                "seed")
-STACK_ROWS = 512      # rows per step over all runs of a stack
+STACK_RUNS = 4        # runs per stack, at most
+STACK_ROWS = 2048     # rows per step over all runs of a stack, at most
 
 
 @dataclass(frozen=True)
@@ -385,11 +388,12 @@ def train_step(model, batch, config, loss_sink=None):
 
 
 def cut_stacks(runs, batch_size):
-    """`runs` cut in order into stacks of STACK_ROWS // batch_size, at
-    least one, to train as one (`train_stack`): 4 at batch 128, where a
-    step is mostly per-call overhead, and 1 at 512, where stacking gains
-    little (README, "Stacked runs")."""
-    width = max(1, STACK_ROWS // batch_size)
+    """`runs` cut in order into stacks of STACK_RUNS, fewer where a step
+    would exceed STACK_ROWS rows, at least one, to train as one
+    (`train_stack`): 4 up to batch 512, 2 at 1024, 1 from 2048; a
+    dataset's stacks write into one set of step buffers
+    (`model.Workspace`; README, "Stacked runs")."""
+    width = max(1, min(STACK_RUNS, STACK_ROWS // batch_size))
     return [runs[i:i + width] for i in range(0, len(runs), width)]
 
 
@@ -434,10 +438,10 @@ def train_stack(dataset, arch, configs):
             _step(model, batch, errors)
             if all(errors):
                 return errors
+        # per run: numpy sums an (S, 1) column pairwise, an (S, W, 1) not
+        losses = np.concatenate([kernels.xent_steps(*s) for s in stacks])
         for run in range(len(configs)):
-            history[run, epoch] = np.mean(np.concatenate(
-                [kernels.xent_steps(c[:, run], y[:, run])
-                 for c, y in stacks]), axis=0)
+            history[run, epoch] = np.mean(losses[:, run], axis=0)
     seconds = (time.perf_counter() - started) / len(configs)
     return [error or TrainedRun(model=m, history=h, config=c, seconds=seconds)
             for error, m, h, c in zip(errors, model.models, history, configs)]

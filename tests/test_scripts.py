@@ -15,14 +15,19 @@ from fairmtl.trainer import TrainConfig
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_parity_check_builds_every_config():
-    """Every run of scripts/parity_check.py gets a valid architecture and
-    training config, without training any, and so does each of its
-    `--stacked` stack-mates; the MMD runs get their bandwidths."""
+def _parity_check():
     spec = importlib.util.spec_from_file_location(
         "parity_check", os.path.join(ROOT, "scripts", "parity_check.py"))
     parity_check = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(parity_check)
+    return parity_check
+
+
+def test_parity_check_builds_every_config():
+    """Every run of scripts/parity_check.py gets a valid architecture and
+    training config, without training any, and so does each of its
+    `--stacked` stack-mates; the MMD runs get their bandwidths."""
+    parity_check = _parity_check()
     runs = list(parity_check.configs())
     assert len(runs) == len({key for key, *_ in runs}) == 129
     for key, (num_tasks, _), arch, config in runs:
@@ -33,6 +38,16 @@ def test_parity_check_builds_every_config():
         mates = parity_check._mates(config, nan=True)
         assert len({mate.seed for mate in mates}) == 5
         assert all(isinstance(mate, TrainConfig) for mate in mates)
+
+
+def test_stacked_mmd_runs_equal_their_solo_runs(capsys):
+    """`parity_check.py --stacked` on the 12 MMD runs at bandwidths 0.3
+    and 2: stacks of widths 2-5, tail batches, exact kernel blocks and
+    stack-mates that diverge all train each run bit for bit as alone."""
+    assert _parity_check().stacked("T2/mmd-") == 0
+    assert capsys.readouterr().out.startswith(
+        "60 runs in stacks of widths 2-5, 2 diverged: max abs difference "
+        "from the solo runs 0;")
 
 
 def test_bench_kernels_runs():

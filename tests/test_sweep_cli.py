@@ -469,14 +469,14 @@ class TestRunSweep:
                 assert a[key] == b[key], key
 
     def test_pool_equals_serial_with_a_short_last_stack(self, tmp_path, env):
-        """At batch 256 a stack holds two runs, so a budget of 3 leaves
-        each method a stack of 2 and one of 1: --jobs 2 still returns and
+        """At batch 512 a stack holds four runs, so a budget of 5 leaves
+        each method a stack of 4 and one of 1: --jobs 2 still returns and
         appends the --jobs 1 rows, in order, equal in every cell but
         `seconds` and `timestamp`; stack-mates share their `seconds`."""
         train_ds, test_ds, baselines = env
-        sweep = SweepConfig(budget=3, epochs=2, batch_size=256,
+        sweep = SweepConfig(budget=5, epochs=2, batch_size=512,
                             learning_rate=0.1, fairness_kind="soft_fpr_gap")
-        assert [len(s) for s in cut_stacks([None] * 3, 256)] == [2, 1]
+        assert [len(s) for s in cut_stacks([None] * 5, 512)] == [4, 1]
         volatile = {"seconds", "timestamp"}
         results = []
         for jobs in (1, 2):
@@ -484,11 +484,11 @@ class TestRunSweep:
             rows = run_sweep(train_ds, test_ds, ARCH, sweep, baselines,
                              str(out), jobs=jobs)
             assert load_runs(str(out / "runs.csv")) == rows
-            shares = [r["seconds"] for r in rows[:3]]
-            assert shares[0] == shares[1] > 0 and shares[2] > 0
+            shares = [r["seconds"] for r in rows[:5]]
+            assert len(set(shares[:4])) == 1 and min(shares) > 0
             results.append([{k: v for k, v in row.items() if k not in volatile}
                             for row in rows])
-        assert len(results[0]) == 9
+        assert len(results[0]) == 15
         assert results[0] == results[1]
         assert not any(row["flags"] for row in results[0])
 
@@ -500,11 +500,12 @@ class TestRunSweep:
         `failed: worker died`; the rest go on in fresh pools, and every
         other row equals the serial sweep's."""
         train_ds, test_ds, baselines = env
-        sweep = SweepConfig(budget=3, epochs=1, batch_size=256,
+        sweep = SweepConfig(budget=5, epochs=1, batch_size=512,
                             learning_rate=0.1)
         serial = run_sweep(train_ds, test_ds, ARCH, sweep, baselines,
                            str(tmp_path / "serial"))
-        slow, marked = sample_configs(sweep, 2)["vanilla"][::2]
+        # the first run of the first stack of 4 and the stack of 1
+        slow, marked = sample_configs(sweep, 2)["vanilla"][::4]
         train_stack = sweep_module.train_stack
 
         def dying(train_ds, arch, configs):
@@ -774,16 +775,16 @@ class TestBaselineCache:
         assert loaded == baselines
 
     @pytest.mark.parametrize("batch_size, widths", [(64, [3]),
-                                                    (256, [2, 1])])
+                                                    (256, [4, 1])])
     def test_stacked_stl_cache_equals_the_solo_one(self, tmp_path, env,
                                                    monkeypatch, batch_size,
                                                    widths):
         """run_stl_baselines trains each task's seeds in the stacks a
-        sweep would cut at its batch size (one of 3 at batch 64, 2 + 1 at
-        256); the cache it writes is byte-identical to one whose seeds
-        each train alone."""
+        sweep would cut at its batch size (3 seeds in one stack at batch
+        64, 5 in 4 + 1 at 256); the cache it writes is byte-identical to
+        one whose seeds each train alone."""
         train_ds, test_ds, _ = env
-        seeds = (0, 1, 2)
+        seeds = tuple(range(sum(widths)))
         config = TrainConfig(method="vanilla", task_weights=(1.0,),
                              learning_rate=0.1, epochs=2,
                              batch_size=batch_size)

@@ -22,8 +22,8 @@ from fairmtl.data import Dataset
 from fairmtl.exceptions import ConfigError, ShapeError, TrainingDiverged
 from fairmtl.losses import cross_entropy, decompose_fairness
 from fairmtl.metrics import evaluate_model
-from fairmtl.model import (ArchConfig, backprop, build_model, forward,
-                           forward_np, from_fields)
+from fairmtl.model import (ArchConfig, Workspace, backprop, build_model,
+                           build_stack, forward, forward_np, from_fields)
 from fairmtl.trainer import (ADAGRAD_EPS, METHODS, Batch, RunPlan,
                              TrainConfig, adagrad_update, train, train_stack,
                              train_step)
@@ -900,11 +900,18 @@ def _pointers(arrays):
     return [a.__array_interface__["data"][0] for a in arrays]
 
 
+def _inside(a, b):
+    """Whether array a's bytes lie inside contiguous array b's."""
+    start_a, start_b = _pointers([a, b])
+    return start_b <= start_a and start_a + a.nbytes <= start_b + b.nbytes
+
+
 def test_runs_on_a_dataset_reuse_its_arrays(monkeypatch):
     """Two `train()` runs, of different methods, and two `evaluate_model`
     calls on the same datasets write into the same arrays: each epoch's
-    gathered rows, subset arrays and clipped probabilities, and the
-    workspaces of every batch length and of the test split."""
+    gathered rows, subset arrays and clipped probabilities, the step
+    buffers, where the tail batch's arrays lie inside the full batch's,
+    and the test split's workspace."""
     data, test = separable_dataset(n=60, seed=4), separable_dataset(n=30)
     calls, phase = {}, []
     step_real, train_forward = trainer._step, trainer.forward_np
@@ -922,9 +929,8 @@ def test_runs_on_a_dataset_reuse_its_arrays(monkeypatch):
     def forward_spy(forward):
         def spy(model, dense, cat_idx, ws):
             ws = forward(model, dense, cat_idx, ws)
-            record([a for layer in ws.shared_fwd + ws.head_fwd
-                    for a in layer] + ([] if ws.seeds is None
-                                       else [ws.seeds, ws.bottom]))
+            record(ws.shared_fwd + ws.head_fwd + (
+                [] if ws.seeds is None else [ws.seeds, ws.bottom]))
             return ws
         return spy
     monkeypatch.setattr(trainer, "_step", step_spy)
@@ -941,13 +947,104 @@ def test_runs_on_a_dataset_reuse_its_arrays(monkeypatch):
         evaluate_model(run.model, test)
     train_calls = [[p for _, p in calls[("train", m)]]
                    for m in ("baseline", "mtaf")]
-    # 2 epochs x 4 steps, each a step and a forward: the 4 step slices'
-    # arrays and the workspaces of batch lengths 16 and 12
+    # 2 epochs x 4 steps, each a step and then a forward: the 4 step
+    # slices' arrays, then the workspace of its batch length
     assert len(train_calls[0]) == 16
-    assert len(set(map(tuple, train_calls[0]))) == 4 + 2
+    assert len(set(map(tuple, train_calls[0][::2]))) == 4
+    forwards = [arrays for arrays, _ in calls[("train", "baseline")][1::2]]
+    full = [a for a in forwards if a[0].shape[-2] == 16]
+    tail = [a for a in forwards if a[0].shape[-2] == 12]
+    assert len(full) == 6 and len(tail) == 2
+    for group in (full, tail):
+        assert all(_pointers(a) == _pointers(group[0]) for a in group)
+    for a, b in zip(tail[0], full[0]):
+        assert a.nbytes < b.nbytes and _inside(a, b)
     assert train_calls[0] == train_calls[1]
     assert ([p for _, p in calls[("evaluate", "baseline")]]
             == [p for _, p in calls[("evaluate", "mtaf")]])
+
+
+def _owned_bytes(workspaces):
+    """Bytes of the distinct arrays that own the memory of the
+    workspaces' arrays."""
+    owners = {}
+
+    def visit(a):
+        if isinstance(a, (list, tuple)):
+            for item in a:
+                visit(item)
+        elif isinstance(a, np.ndarray):
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            owners[id(a)] = a.nbytes
+    for ws in workspaces:
+        visit(list(vars(ws).values()))
+    return sum(owners.values())
+
+
+def test_a_stack_keeps_one_set_of_step_buffers():
+    """A stack of 4 runs with a tail batch keeps no more step-buffer
+    bytes than one full-length set: the tail's arrays are prefixes of the
+    full batch's but for its `ones` row and pads, whose contents every
+    step reads, and after the tail's steps each workspace's `ones` are
+    still ones and its pad columns zero."""
+    data = separable_dataset(n=60, seed=4)
+    configs = [TrainConfig(method="mtaf", task_weights=(0.6, 0.4),
+                           fairness_weights=(1.5, 0.8), fairness_kind="mmd",
+                           epochs=2, batch_size=16, seed=seed)
+               for seed in range(4)]
+    train_stack(data, small_arch(), configs)
+    kept = {ws.n: ws for ws in data.kept("workspaces", dict).values()
+            if isinstance(ws, Workspace)}
+    assert sorted(kept) == [12, 16]
+    stack = build_stack(small_arch(), 3, (), range(4))
+    full = Workspace(stack, 16).for_step(stack)
+    own = [kept[12].ones] + [a for _, pads in kept[12].shared_grads
+                             + kept[12].head_grads if pads for a in pads]
+    assert _owned_bytes(kept.values()) <= _owned_bytes([full]) + sum(
+        a.nbytes for a in own)
+    for ws in kept.values():
+        assert (ws.ones == 1.0).all()
+        pads = [pads for _, pads in ws.shared_grads + ws.head_grads if pads]
+        assert pads
+        for g_pad, w_pad in pads:
+            assert not g_pad[..., 1].any() and not w_pad[..., 1, :].any()
+
+
+def test_narrower_then_wider_stacks_then_train_equal_their_solo_runs():
+    """On one dataset a stack of 2, then one of 4, which grows the step
+    buffers, then `train()`, on prefixes of those, each train their runs
+    bit for bit as alone on a fresh copy of the dataset, for two tasks
+    and for one, whose history numpy would sum over an epoch's 10 steps
+    in another order on a stack than on one run."""
+    for T, batch_size in ((2, 16), (1, 6)):
+        configs = [TrainConfig(method="mtaf", task_weights=(0.6, 0.4)[:T],
+                               fairness_weights=(1.5, 0.8)[:T],
+                               head_shared_ratios=(2.0, 0.5)[:T],
+                               fairness_kind="mmd", mmd_bandwidth=0.3,
+                               epochs=2, batch_size=batch_size, seed=seed)
+                   for seed in range(7)]
+
+        def dataset():
+            data = separable_dataset(n=60, seed=4)
+            return data if T == 2 else metrics.single_task_view(data, 0)
+        data, arch = dataset(), small_arch(T)
+        runs = (train_stack(data, arch, configs[:2])
+                + train_stack(data, arch, configs[2:6])
+                + [train(data, arch, configs[6])])
+        for config, run in zip(configs, runs):
+            assert _same_run(run, train(dataset(), arch, config)), (
+                T, config.seed)
+
+
+def test_cut_stacks_takes_four_runs_up_to_batch_512():
+    """Stacks hold 4 runs up to batch 512, then 2048 rows at most: 2 runs
+    at batch 1024 and 1 from 2048; runs keep their order."""
+    widths = [len(trainer.cut_stacks(list(range(9)), batch)[0])
+              for batch in (128, 256, 512, 1024, 2048, 4096)]
+    assert widths == [4, 4, 4, 2, 1, 1]
+    assert trainer.cut_stacks(list(range(9)), 512) == [
+        [0, 1, 2, 3], [4, 5, 6, 7], [8]]
 
 
 def test_subset_codes_built_once_per_dataset(monkeypatch):
