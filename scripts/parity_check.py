@@ -10,16 +10,19 @@ with one tree, then compare two records.
 
 `--save F` trains the parity set with the fairmtl found on PYTHONPATH and
 writes each run's parameters, Adagrad accumulators, per-epoch history and
-test metrics (error, FPR gap and TPR gap per task) to F.  `--compare A B`
-prints, over all runs, the largest difference of any parameter or
-accumulator entry (absolute, and relative to the largest magnitude in
-that parameter) and of any history entry, then every test metric that
-differs, with both values.  It exits 1 when the records hold different
-runs.  `--stacked` trains each run of the set with four stack-mates of
-other seeds, weights, lambdas and ratios, alone and as stacks
-(`train_stack`) of widths 2-5 in turn, which cut the five runs 2+2+1,
-3+2, 4+1 and 5; in every seventh group one stack-mate starts with NaN
-Adagrad accumulators, so it diverges inside its stack.  It prints the
+test metrics (error, FPR gap and TPR gap per task) to F, with the bytes of
+every file `fairmtl report` writes over two seeded runs tables (`reports`)
+of 1200 rows, of 2 and 3 tasks, in which about 3% of the rows are flagged
+`failed:` and 3% `undefined_metric:`.  `--compare A B` prints, over all
+runs, the largest difference of any parameter or accumulator entry
+(absolute, and relative to the largest magnitude in that parameter) and
+of any history entry, then every test metric that differs, with both
+values, then every report file that differs.  It exits 1 when the records
+hold different runs.  `--stacked` trains each run of the set with four
+stack-mates of other seeds, weights, lambdas and ratios, alone and as
+stacks (`train_stack`) of widths 2-5 in turn, which cut the five runs
+2+2+1, 3+2, 4+1 and 5; in every seventh group one stack-mate starts with
+NaN Adagrad accumulators, so it diverges inside its stack.  It prints the
 largest difference between any run's stacked and solo parameters,
 accumulators and histories, the runs whose test metrics differ and the
 diverged runs whose messages differ, and exits 1 unless all three are 0.
@@ -38,8 +41,11 @@ exact kernel blocks, and 2, which takes the feature map.
 
 import argparse
 import contextlib
+import io
+import os
 import pickle
 import sys
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -134,9 +140,73 @@ def save(path):
             "history": run.history.copy(),
             "metrics": [(e.err, e.fpr_gap, e.tpr_gap)
                         for e in evaluate_model(run.model, test_ds)]}
+    files = reports()
     with open(path, "wb") as f:
-        pickle.dump({"runs": records}, f)
-    print(f"{len(records)} runs written to {path}")
+        pickle.dump({"runs": records, "reports": files}, f)
+    print(f"{len(records)} runs and {len(files)} report files written to "
+          f"{path}")
+
+
+def _table(num_tasks, rows, seed):
+    """A seeded runs table of `rows` rows over the three methods along a
+    noisy error/gap trade-off, rounded to 1/500 so that ties and exact
+    duplicates occur; about 3% of the rows are flagged `failed:`, with no
+    metrics, and 3% `undefined_metric:`, with one gap undefined."""
+    from fairmtl.sweep import RUNS_COLUMNS, RUNS_SCHEMA_VERSION
+    rng = np.random.default_rng(seed)
+    table = []
+    for i in range(rows):
+        u = rng.random()
+        err = np.round((0.1 + 0.2 * u + rng.exponential(0.01, num_tasks))
+                       * 500) / 500
+        gap = np.round((0.2 * (1 - u) ** 2 + rng.exponential(0.01, num_tasks))
+                       * 500) / 500
+        row = dict.fromkeys(RUNS_COLUMNS)
+        row.update(
+            run_id=f"r{i:05d}", schema_version=RUNS_SCHEMA_VERSION,
+            method=METHODS[i % 3], seed=i,
+            task_weights=[1.0 / num_tasks] * num_tasks,
+            fairness_kind="mmd", mmd_bandwidth=1.0,
+            fairness_target="equal_opportunity_fpr", learning_rate=0.1,
+            epochs=3, batch_size=512, err_per_task=err.tolist(),
+            fpr_gap_per_task=gap.tolist(),
+            tpr_gap_per_task=(rng.random(num_tasks) * 0.1).tolist(),
+            err_mean=float(err.mean()), fpr_gap_mean=float(gap.mean()),
+            arfg=float(np.mean(gap / 0.1)), are=float(np.mean(err / 0.25)),
+            seconds=0.1, timestamp=1.7e9 + i)
+        fate = rng.random()
+        if fate < 0.03:
+            row.update(dict.fromkeys(("err_per_task", "fpr_gap_per_task",
+                                      "tpr_gap_per_task", "err_mean",
+                                      "fpr_gap_mean", "arfg", "are")),
+                       flags="failed: TrainingDiverged: non-finite loss")
+        elif fate < 0.06:
+            row["fpr_gap_per_task"][-1] = None
+            row.update(fpr_gap_mean=None, arfg=None, are=None,
+                       flags=f"undefined_metric: task {num_tasks - 1}")
+        table.append(row)
+    return table
+
+
+def reports(rows=1200):
+    """{"T<tasks>/<file>": bytes} of every file `fairmtl report` writes
+    beside runs tables (`_table`) of 2 and 3 tasks and `rows` rows."""
+    from fairmtl import cli
+    from fairmtl.sweep import RunsWriter
+    files = {}
+    for num_tasks in (2, 3):
+        with tempfile.TemporaryDirectory() as out:
+            writer = RunsWriter(os.path.join(out, "runs.csv"))
+            for row in _table(num_tasks, rows, seed=num_tasks):
+                writer.append(row)
+            with contextlib.redirect_stdout(io.StringIO()):
+                if cli.main(["report", "--out", out]):
+                    raise RuntimeError(f"report over {num_tasks} tasks failed")
+            for name in sorted(os.listdir(out)):
+                if name != "runs.csv":
+                    with open(os.path.join(out, name), "rb") as f:
+                        files[f"T{num_tasks}/{name}"] = f.read()
+    return files
 
 
 # a model built with a seed of this or more gets NaN Adagrad accumulators
@@ -275,6 +345,13 @@ def compare(path_a, path_b):
     print(f"test metrics that differ: {len(differ)}")
     for key, t, name, x, y in differ:
         print(f"  {key} task {t} {name}: {x!r} -> {y!r}")
+    files = [r.get("reports", {}) for r in records]
+    differ = sorted(name for name in files[0].keys() | files[1].keys()
+                    if files[0].get(name) != files[1].get(name))
+    print(f"report files that differ: {len(differ)} of "
+          f"{len(files[0].keys() | files[1].keys())}")
+    for name in differ:
+        print(f"  {name}")
     return 0
 
 

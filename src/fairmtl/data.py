@@ -441,7 +441,7 @@ _HERM_X, _HERM_W = np.polynomial.hermite.hermgauss(80)
 
 def _solve_intercepts(slope, rates):
     """c such that E[sigmoid(slope * U + c)] = rate for U ~ N(0, 1), for
-    each of a 1-D array of rates, by one bisection over all of them."""
+    each of 1-D rates, by one bisection over them all, to its fixed point."""
     nodes = slope * np.sqrt(2.0) * _HERM_X
     lo = np.full(len(rates), -80.0)
     hi = np.full(len(rates), 80.0)
@@ -451,6 +451,8 @@ def _solve_intercepts(slope, rates):
         expected = (np.sum(_HERM_W / (1.0 + np.exp(-(mid[:, None] + nodes))),
                            axis=1) / np.sqrt(np.pi))
         below = expected < rates
+        if (np.where(below, lo, hi) == mid).all():
+            break
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)

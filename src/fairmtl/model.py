@@ -320,7 +320,7 @@ class Workspace:
     Each is a contiguous flat prefix (BLAS may round into a strided one
     differently) of its role's array in `pool`, which `workspace` shares
     between a dataset's workspaces of one model shape and grows to the
-    largest asked for (those built before keep the arrays they had);
+    largest asked for;
     `ones` and the pads, whose contents every step reads, are each
     workspace's own.
     """
@@ -381,15 +381,24 @@ class Workspace:
         return self
 
 
-def workspace(store, model, n):
+def workspace(store, model, n, step=False):
     """The `Workspace` for this model's shapes, runs and n rows from
     `store`, a dict that keeps one per key and one pool per model shape;
-    built on first use."""
+    built on first use, with a step's buffers (`for_step`) when `step`;
+    one that grows the pool drops the shape's others, to be rebuilt on it."""
     shapes = (model.arch, model.dense_count, len(model.tables))
     key = shapes + (len(model.flat.value), n)
     ws = store.get(key)
-    if ws is None:
-        ws = store[key] = Workspace(model, n, store.setdefault(shapes, []))
+    if ws is None or step and ws.seeds is None:
+        pool = store.setdefault(shapes, [])
+        old = pool[:]
+        ws = ws or Workspace(model, n, pool)
+        if step:
+            ws.for_step(model)
+        if any(a is not b for a, b in zip(old, pool)):
+            for stale in [k for k in store if k[:3] == shapes and k[3:]]:
+                del store[stale]
+        store[key] = ws
     return ws
 
 

@@ -34,17 +34,25 @@ def dominates(a, b):
     return all(x <= y for x, y in zip(av, bv)) and av != bv
 
 
-def _order(p):
-    return p.objectives, p.run_id
+def survivors(entries):
+    """The (objectives, run_id, ...) tuples, of 2-D float objectives, that
+    no other dominates, sorted: one sweep keeps a group of equal vectors
+    whose y is below every earlier y (Kung, Luccio & Preparata 1975)."""
+    keep, best, group = [], math.inf, None
+    for entry in sorted(entries):
+        if entry[0] != group:
+            group = entry[0]
+            survives = group[1] < best
+            best = min(best, group[1])
+        if survives:
+            keep.append(entry)
+    return keep
 
 
 def frontier(points):
-    """All points no other point dominates, sorted by (objectives, run_id).
-
-    Two objectives take one sweep over that order (Kung, Luccio & Preparata
-    1975): a group of equal vectors survives when its y lies strictly below
-    every y sorted before it.  Other dimensionalities compare all pairs.
-    """
+    """All points no other point dominates, sorted by (objectives, run_id):
+    for two objectives, the `survivors`, with an index that breaks ties as
+    a stable sort would; for others, by comparing all pairs."""
     points = list(points)
     if not points:
         raise ContractError("frontier of an empty set")
@@ -52,15 +60,8 @@ def frontier(points):
     if len(dims) != 1:
         raise ContractError("mixed objective dimensionality")
     if dims == {2}:
-        keep, best, group = [], math.inf, None
-        for p in sorted(points, key=_order):
-            if p.objectives != group:
-                group = p.objectives
-                survives = group[1] < best
-                best = min(best, group[1])
-            if survives:
-                keep.append(p)
-        return keep
+        return [points[i] for *_, i in survivors(
+            (p.objectives, p.run_id, i) for i, p in enumerate(points))]
     x = np.array([p.objectives for p in points])
     keep = []
     for i in range(len(points)):
@@ -68,7 +69,7 @@ def frontier(points):
         lt = (x < x[i]).any(axis=1)
         if not (le & lt).any():
             keep.append(points[i])
-    keep.sort(key=_order)
+    keep.sort(key=lambda p: (p.objectives, p.run_id))
     return keep
 
 

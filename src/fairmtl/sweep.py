@@ -26,7 +26,7 @@ import numpy as np
 from .exceptions import ConfigError, ContractError, UndefinedMetricError
 from .metrics import StlBaselines, aggregate, evaluate_model
 from .model import from_fields
-from .pareto import ParetoPoint, frontier, frontier_quality
+from .pareto import ParetoPoint, frontier, frontier_quality, survivors
 from .trainer import METHODS, TrainConfig, cut_stacks, train_stack
 
 RUNS_SCHEMA_VERSION = 1
@@ -481,6 +481,13 @@ def _coord(row, key):
     return row[key]
 
 
+def _frontier(entries):
+    """`frontier` of (objectives, run_id) pairs, cut to `survivors` if 2-D."""
+    if all(len(objectives) == 2 for objectives, _ in entries):
+        entries = survivors(entries)
+    return frontier([ParetoPoint(o, run_id=r) for o, r in entries])
+
+
 def emit_reports(rows, axes, out_dir, overlay=None):
     """Frontier JSON + plot CSV for one axes choice; pure in the rows.
 
@@ -500,15 +507,16 @@ def emit_reports(rows, axes, out_dir, overlay=None):
         if row["flags"] or x is None or y is None:
             excluded[row["method"]] += 1
         else:
-            kept[row["method"]].append(
-                ParetoPoint((float(x), float(y)), run_id=row["run_id"]))
+            point = (float(x), float(y))
+            if not (math.isfinite(point[0]) and math.isfinite(point[1])):
+                ParetoPoint(point)  # raises
+            kept[row["method"]].append((point, row["run_id"]))
 
     alive = [m for m in methods if kept[m]]
     if not alive:
         raise ContractError(f"no unflagged rows usable for axes {axes!r}")
-    all_points = [p for m in alive for p in kept[m]]
-    reference = tuple(
-        1.1 * max(p.objectives[d] for p in all_points) for d in (0, 1))
+    reference = tuple(1.1 * max(o[d] for m in alive for o, _ in kept[m])
+                      for d in (0, 1))
 
     report = {
         "schema_version": RUNS_SCHEMA_VERSION,
@@ -524,7 +532,7 @@ def emit_reports(rows, axes, out_dir, overlay=None):
             report["methods"][m] = {"num_runs": 0, "num_excluded": excluded[m],
                                     "frontier": [], "frontier_quality": None}
             continue
-        front = frontier(points)
+        front = _frontier(points)
         front_ids = {p.run_id for p in front}
         report["methods"][m] = {
             "num_runs": len(points),
@@ -534,9 +542,8 @@ def emit_reports(rows, axes, out_dir, overlay=None):
                          for p in front],
             "frontier_quality": frontier_quality(front, reference),
         }
-        for p in points:
-            plot_rows.append((m, p.objectives[0], p.objectives[1],
-                              int(p.run_id in front_ids)))
+        for (x, y), run_id in points:
+            plot_rows.append((m, x, y, int(run_id in front_ids)))
 
     report["accuracy_overlay"] = (accuracy_overlay(rows) if overlay is None
                                   else overlay)
@@ -567,12 +574,14 @@ def accuracy_overlay(rows):
         if not usable:
             overlay[m] = {"accuracy_frontier": [], "fairness_frontier_run_ids": []}
             continue
-        acc_points = [ParetoPoint(tuple(row["err_per_task"]),
-                                  run_id=row["run_id"]) for row in usable]
-        fair_points = [ParetoPoint(tuple(row["fpr_gap_per_task"]),
-                                   run_id=row["run_id"]) for row in usable]
-        acc_ids = {p.run_id for p in frontier(acc_points)}
-        fair_ids = {p.run_id for p in frontier(fair_points)}
+        acc, fair = ([(tuple(map(float, row[column])), row["run_id"])
+                      for row in usable]
+                     for column in ("err_per_task", "fpr_gap_per_task"))
+        if not math.isfinite(sum(sum(o) for o, _ in acc + fair)):
+            for objectives, _ in acc + fair:
+                ParetoPoint(objectives)  # raises, unless the sum overflowed
+        acc_ids = {p.run_id for p in _frontier(acc)}
+        fair_ids = {p.run_id for p in _frontier(fair)}
         by_id = {row["run_id"]: row for row in usable}
         overlay[m] = {
             "accuracy_frontier": [

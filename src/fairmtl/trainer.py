@@ -32,9 +32,9 @@ width and batch length; a `RunPlan` holds what depends on the configs;
 and the steps' `Batch`es are views of the epoch arrays, cut once per
 stack.  A step computes loss values only for a `loss_sink`, and
 otherwise checks that its clipped probabilities hold no NaN, the one way a
-loss is not finite; each epoch's losses come from one pass per step
-length, for all runs, over the clipped probabilities its steps left
-(`kernels.xent_steps`).
+loss is not finite; each epoch's losses come from one pass per block of
+steps of one length, for all runs, over the clipped probabilities its
+steps left (`kernels.xent_steps`).
 """
 
 import math
@@ -57,6 +57,7 @@ _RUN_FIELDS = ("task_weights", "fairness_weights", "head_shared_ratios",
                "seed")
 STACK_RUNS = 4        # runs per stack, at most
 STACK_ROWS = 2048     # rows per step over all runs of a stack, at most
+XENT_BLOCK = 16384    # entries per `xent_steps` call, at most: cache-sized
 
 
 @dataclass(frozen=True)
@@ -266,7 +267,8 @@ class Batch:
         """This epoch (`epoch`) cut into steps of `size` rows in order, as
         views, each writing its clipped probabilities into its own block
         of `clipped`; with, per step length m, the (S, W, T, m, 1) stacks
-        of those blocks and of the steps' labels, for `xent_steps`."""
+        of those blocks and of the steps' labels, for `xent_steps`, in
+        pieces of at most XENT_BLOCK entries but one step at least."""
         runs, T, n = self.labels.shape[:3]
         full = n - n % size
         steps, stacks = [], []
@@ -275,9 +277,11 @@ class Batch:
                 continue
             y = self.labels[:, :, start:stop].reshape(
                 runs, T, -1, m, 1).transpose(2, 0, 1, 3, 4)
-            stacks.append((self.clipped[runs * T * start:runs * T * stop]
-                           .reshape(y.shape), y))
-            for clipped, first in zip(stacks[-1][0], range(start, stop, m)):
+            pc = self.clipped[runs * T * start:runs * T * stop].reshape(y.shape)
+            block = max(1, XENT_BLOCK // (runs * T * m))
+            stacks += [(pc[i:i + block], y[i:i + block])
+                       for i in range(0, len(pc), block)]
+            for clipped, first in zip(pc, range(start, stop, m)):
                 steps.append(self[first:first + m])
                 steps[-1].clipped = clipped
         return steps, stacks
@@ -351,7 +355,7 @@ def _step(model, batch, errors, losses=None):
     run's TrainingDiverged in `errors`), then, unless every run has one,
     the backward into the flat gradient and one Adagrad call, all in the
     workspace for the batch's length."""
-    ws = workspace(batch.workspaces, model, len(batch)).for_step(model)
+    ws = workspace(batch.workspaces, model, len(batch), step=True)
     # in-range row indices, so "clip" changes none
     batch.dense.take(batch.rows, axis=0, out=ws.dense, mode="clip")
     forward_np(model, ws.dense, batch.cat, ws)

@@ -12,8 +12,9 @@ before it read the subsets from per-row codes; `forward_np` and `backprop`
 walk the heads one task at a time, as fairmtl did before it stacked them;
 `frontier` compares every pair of points, as fairmtl did for every
 dimensionality before its 2-D frontier became one sweep over sorted points;
-`solve_intercept` bisects for one synthetic intercept at a time, as fairmtl
-did before it bisected for all of them at once.
+`solve_intercept` bisects for one synthetic intercept at a time, for all 200
+steps, as fairmtl did before it bisected for all of them at once, up to the
+bisection's fixed point.
 All are kept only as oracles for the production code.
 """
 
@@ -356,7 +357,7 @@ def frontier(points):
 
 def solve_intercept(slope, rate):
     """c such that E[sigmoid(slope * U + c)] = rate for U ~ N(0, 1), by a
-    bisection of its own."""
+    bisection of its own, which always takes all 200 steps."""
     def expected(c):
         z = slope * np.sqrt(2.0) * _HERM_X + c
         return float(np.sum(_HERM_W / (1.0 + np.exp(-z))) / np.sqrt(np.pi))

@@ -328,12 +328,24 @@ class TestSynthGenerator:
         c = synth_generate(spec, seed=2)
         assert not np.array_equal(a.labels, c.labels)
 
-    @pytest.mark.parametrize("slope", [0.5, 2.5, 6.0])
-    def test_intercepts_equal_one_bisection_per_rate(self, slope):
-        rates = np.linspace(0.01, 0.99, 99)
-        got = _solve_intercepts(slope, rates)
-        want = [oracles.solve_intercept(slope, rate) for rate in rates]
-        assert got.tolist() == want
+    @pytest.mark.parametrize("slope", [0.5, 2.5, 6.0, 10.0])
+    def test_intercepts_equal_one_bisection_per_rate(self, slope,
+                                                     monkeypatch):
+        """The bisection over all rates stops at its first step that moves
+        no bound, short of 200 steps, and returns, bit for bit, what all
+        200 steps of the oracle's bisection per rate return, on a grid, on
+        random rates and on the benchmark's."""
+        rng = np.random.default_rng(int(slope * 10))
+        exp = np.exp
+        for rates in (np.linspace(0.01, 0.99, 99), rng.uniform(0.0, 1.0, 20),
+                      np.array([0.2, 0.35, 0.5, 0.3])):
+            steps = []
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "exp", lambda x: steps.append(x) or exp(x))
+                got = _solve_intercepts(slope, rates)
+            assert len(steps) < 200
+            assert got.tolist() == [oracles.solve_intercept(slope, rate)
+                                    for rate in rates]
 
     def test_generated_data_pinned(self):
         """The generator's output, and so every pair hash and STL cache

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairmtl.exceptions import ContractError
-from fairmtl.pareto import ParetoPoint, dominates, frontier, frontier_quality
+from fairmtl.pareto import (ParetoPoint, dominates, frontier, frontier_quality,
+                            survivors)
 
 
 def pp(*objectives, run_id=""):
@@ -105,6 +106,18 @@ def test_frontier_matches_all_pairs_oracle(points):
     got, want = frontier(points), oracles.frontier(points)
     # the same point objects in the same order, so -0.0 and 0.0 stay apart
     assert [id(p) for p in got] == [id(p) for p in want]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(point_sets(dims=st.just(2)))
+def test_survivors_match_all_pairs_oracle(points):
+    """`survivors` of plain (objectives, run_id) tuples keeps the entries
+    of the points the oracle keeps, in its order."""
+    entries = [(p.objectives, p.run_id) for p in points]
+    entry_of = {id(p): e for p, e in zip(points, entries)}
+    # the same tuples in the same order, so -0.0 and 0.0 stay apart
+    assert [id(e) for e in survivors(entries)] == [
+        id(entry_of[id(p)]) for p in oracles.frontier(points)]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

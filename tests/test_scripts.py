@@ -6,6 +6,7 @@ suite, so an API change would otherwise break them unnoticed.
 
 import importlib.util
 import os
+import pickle
 import subprocess
 import sys
 
@@ -48,6 +49,27 @@ def test_stacked_mmd_runs_equal_their_solo_runs(capsys):
     assert capsys.readouterr().out.startswith(
         "60 runs in stacks of widths 2-5, 2 diverged: max abs difference "
         "from the solo runs 0;")
+
+
+def test_parity_check_compares_report_files(tmp_path, capsys):
+    """The report part of `parity_check.py --save`, over tables of 90
+    rows, made twice by one tree: `--compare` finds no report file that
+    differs, and names the one that is then changed."""
+    parity_check = _parity_check()
+    paths = [str(tmp_path / name) for name in ("a.pkl", "b.pkl")]
+    for path in paths:
+        with open(path, "wb") as f:
+            pickle.dump({"runs": {}, "reports": parity_check.reports(90)}, f)
+    assert parity_check.compare(*paths) == 0
+    assert "report files that differ: 0 of 14\n" in capsys.readouterr().out
+    with open(paths[1], "rb") as f:
+        record = pickle.load(f)
+    record["reports"]["T3/plotdata_task2.csv"] += b"\n"
+    with open(paths[1], "wb") as f:
+        pickle.dump(record, f)
+    parity_check.compare(*paths)
+    assert capsys.readouterr().out.endswith(
+        "report files that differ: 1 of 14\n  T3/plotdata_task2.csv\n")
 
 
 def test_bench_kernels_runs():

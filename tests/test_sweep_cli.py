@@ -751,6 +751,86 @@ class TestReports:
                    for r in reports)
         assert any(e["frontier"] for e in reports[0]["methods"].values())
 
+    def test_report_bytes_equal_all_pairs_over_every_point(
+            self, tmp_path, monkeypatch):
+        """Over a 2000-row table, `fairmtl report` writes the same bytes as
+        with the all-pairs oracle frontier run over every kept point, not
+        only over the 2-D rule's survivors."""
+        rng = np.random.default_rng(20)
+        writer = RunsWriter(str(tmp_path / "a" / "runs.csv"))
+        for i in range(2000):
+            errs = list(rng.integers(0, 40, 2) / 32)
+            gaps = list(rng.integers(0, 40, 2) / 64)
+            row = fake_row(f"r{i:04d}", ("vanilla", "baseline", "mtaf")[i % 3],
+                           float(rng.integers(0, 50) / 40),
+                           float(rng.integers(0, 50) / 40), errs=errs,
+                           gaps=gaps, flags=None)
+            if i % 31 == 0:
+                row.update(dict.fromkeys(("err_per_task", "fpr_gap_per_task",
+                                          "are", "arfg"), None),
+                           flags="failed: TrainingDiverged: boom")
+            elif i % 29 == 0:
+                row.update(fpr_gap_per_task=[gaps[0], None], are=None,
+                           arfg=None, flags="undefined_metric: task 1")
+            writer.append(row)
+        (tmp_path / "b").mkdir()
+        (tmp_path / "b" / "runs.csv").write_bytes(
+            (tmp_path / "a" / "runs.csv").read_bytes())
+        assert cli.main(["report", "--out", str(tmp_path / "a")]) == 0
+        seen = []
+
+        def every_point(points):
+            seen.append(len(points))
+            return oracles.frontier(points)
+        monkeypatch.setattr(sweep_module, "survivors", lambda entries: entries)
+        monkeypatch.setattr(sweep_module, "frontier", every_point)
+        monkeypatch.setattr(pareto, "frontier", oracles.frontier)
+        assert cli.main(["report", "--out", str(tmp_path / "b")]) == 0
+        assert max(seen) > 600
+        names = sorted(n for n in os.listdir(tmp_path / "a")
+                       if n != "runs.csv")
+        assert len(names) == 6
+        for name in names:
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes()), name
+
+    @pytest.mark.parametrize("point", [(float("inf"), 0.4),
+                                       (float("nan"), 0.4)])
+    def test_non_finite_coordinate_refused_first_in_table_order(
+            self, tmp_path, point):
+        """A kept row with a non-finite ARE or ARFG raises the ContractError
+        a ParetoPoint of it raises, for the first such row in table order,
+        though a method seen earlier has one later."""
+        rows = [fake_row("a", "vanilla", 0.5, 0.5),
+                fake_row("b", "mtaf", *point),
+                fake_row("c", "vanilla", float("nan"), 0.3)]
+        with pytest.raises(ContractError) as want:
+            pareto.ParetoPoint(point)
+        with pytest.raises(ContractError) as got:
+            emit_reports(rows, "are_arfg", str(tmp_path))
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == f"non-finite objectives {point}"
+
+    def test_non_finite_task_error_refused_by_the_overlay(
+            self, tmp_path, capsys):
+        """A NaN in `err_per_task` makes `accuracy_overlay` raise, and
+        `fairmtl report` exit 2 having written nothing; finite values whose
+        sum overflows are accepted."""
+        huge = [fake_row("a", "mtaf", 0.5, 0.5, errs=[1e308, 1e308]),
+                fake_row("b", "mtaf", 0.4, 0.6, errs=[1e308, 1e307])]
+        overlay = accuracy_overlay(huge)["mtaf"]
+        assert [e["run_id"] for e in overlay["accuracy_frontier"]] == ["b"]
+        writer = RunsWriter(str(tmp_path / "runs.csv"))
+        writer.append(fake_row("a", "mtaf", 0.5, 0.5, flags=None))
+        writer.append(fake_row("b", "mtaf", 0.4, 0.6,
+                               errs=[0.1, float("nan")], flags=None))
+        with pytest.raises(ContractError,
+                           match=r"non-finite objectives \(0.1, nan\)"):
+            accuracy_overlay(load_runs(str(tmp_path / "runs.csv")))
+        assert cli.main(["report", "--out", str(tmp_path)]) == 2
+        assert "non-finite objectives" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["runs.csv"]
+
     def test_report_pure_function_of_table(self, tmp_path, env):
         train_ds, test_ds, baselines = env
         sweep = SweepConfig(methods=("vanilla",), budget=2, epochs=1,

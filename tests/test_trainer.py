@@ -1011,6 +1011,35 @@ def test_a_stack_keeps_one_set_of_step_buffers():
             assert not g_pad[..., 1].any() and not w_pad[..., 1, :].any()
 
 
+def test_a_wider_stack_drops_the_step_buffers_it_outgrew():
+    """`train()`, then a stack of 4 on the same dataset, keep no more
+    step-buffer bytes than the stack, then `train()`, whose buffers are
+    prefixes of the stack's: growing the pool drops the workspaces built
+    on the arrays it replaced.  Every run equals its solo run bit for
+    bit."""
+    configs = [TrainConfig(method="mtaf", task_weights=(0.6, 0.4),
+                           fairness_weights=(1.5, 0.8), fairness_kind="mmd",
+                           epochs=2, batch_size=16, seed=seed)
+               for seed in range(5)]
+
+    def alone(data):
+        return [train(data, small_arch(), configs[4])]
+
+    def four(data):
+        return train_stack(data, small_arch(), configs[:4])
+    owned = []
+    for first, then in ((alone, four), (four, alone)):
+        data = separable_dataset(n=60, seed=4)
+        runs = first(data) + then(data)
+        owned.append(_owned_bytes(
+            ws for ws in data.kept("workspaces", dict).values()
+            if isinstance(ws, Workspace)))
+        for run in runs:
+            assert _same_run(run, train(separable_dataset(n=60, seed=4),
+                                        small_arch(), run.config))
+    assert owned[0] <= owned[1]
+
+
 def test_narrower_then_wider_stacks_then_train_equal_their_solo_runs():
     """On one dataset a stack of 2, then one of 4, which grows the step
     buffers, then `train()`, on prefixes of those, each train their runs
