@@ -3,12 +3,12 @@
 
 Runs each hot kernel on training-shaped inputs and prints per-call times:
 for cross-entropy, what a training step calls, `xent_seed` on the
-(T, n, 1) stack, and the loss pass an epoch ends with, `xent_steps` over
-an epoch's steps (T = 2, 6400 rows); `xent_fwd` and `xent_bwd` on one
-column serve the autodiff reference alone.  It then times one MMD
-fairness term both ways: from the exact Gaussian kernel blocks and from
-the truncated Taylor feature map that training uses for bandwidths of
-about 0.5 and wider.
+(T, n, 1) stack, and what a step given a loss sink adds, `xent_steps` on
+the p that `xent_seed` clipped; `xent_fwd` and `xent_bwd` on one column
+serve the autodiff reference alone.  It then times one MMD fairness term
+both ways: from the exact Gaussian kernel blocks and from the truncated
+Taylor feature map that training uses for bandwidths of about 0.5 and
+wider.
 Invoke directly:  python3 benchmarks/bench_kernels.py [--repeats N]
 """
 
@@ -33,10 +33,9 @@ def timeit(fn, repeats):
 
 def cases(rng):
     """(name, call) of each kernel at shapes met in training: batch 128,
-    a 16-wide shared layer, one logit column per task, T = 2 tasks over a
-    6400-row epoch, and the kernel blocks that narrow-kernel MMD builds
-    between group subsets of a 512-row batch (about 120 x 120 typical,
-    240 x 240 at most)."""
+    a 16-wide shared layer, one logit column per task, T = 2 tasks, and
+    the kernel blocks that narrow-kernel MMD builds between group subsets
+    of a 512-row batch (about 120 x 120 typical, 240 x 240 at most)."""
     x = rng.standard_normal((128, 16))
     g = rng.standard_normal((128, 16))
     acc = np.zeros_like(x)
@@ -45,14 +44,11 @@ def cases(rng):
     pacc = np.zeros_like(p)
     ps, ys = rng.random((2, 128, 1)), rng.integers(0, 2, (2, 128, 1)) * 1.0
     seed, gscale = np.empty_like(ps), np.array([0.6, 0.4]).reshape(2, 1, 1)
-    # an epoch's 50 steps: their clipped p in turn, their labels as views
-    pe, pe_work = rng.random((50, 2, 128, 1)), np.empty((50, 2, 128, 1))
-    ye = (rng.integers(0, 2, (2, 6400, 1)) * 1.0).reshape(
-        2, 50, 128, 1).swapaxes(0, 1)
+    pc, pc_work = knp.xent_seed(ps, ys, gscale, seed), np.empty_like(ps)
 
-    def epoch_losses():
-        np.copyto(pe_work, pe)   # xent_steps overwrites its p
-        return knp.xent_steps(pe_work, ye)
+    def step_losses():
+        np.copyto(pc_work, pc)   # xent_steps overwrites its p
+        return knp.xent_steps(pc_work, ys)
     blocks = {n: (rng.random((n, 1)), rng.random((n, 1))) for n in (120, 240)}
     u, v = blocks[120]
     kmat = knp.gauss_fwd(u, v, 0.5)
@@ -66,7 +62,7 @@ def cases(rng):
         ("relu_bwd 128x16", lambda: knp.relu_bwd(x, g, acc)),
         ("sigmoid_fwd 128x1", lambda: knp.sigmoid_fwd(p)),
         ("xent_seed 2x128x1", lambda: knp.xent_seed(ps, ys, gscale, seed)),
-        ("xent_steps 50x2x128x1", epoch_losses),
+        ("xent_steps 2x128x1 (sink)", step_losses),
         ("xent_fwd 128x1 (ref)", lambda: knp.xent_fwd(p, y)),
         ("xent_bwd 128x1 (ref)", lambda: knp.xent_bwd(p, y, 1.0, pacc)),
         ("gauss_fwd 120x120", lambda: knp.gauss_fwd(u, v, 0.5)),

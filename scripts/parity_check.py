@@ -9,23 +9,24 @@ with one tree, then compare two records.
     PYTHONPATH=src python3 scripts/parity_check.py --stacked
 
 `--save F` trains the parity set with the fairmtl found on PYTHONPATH and
-writes each run's parameters, Adagrad accumulators, per-epoch history and
-test metrics (error, FPR gap and TPR gap per task) to F, with the bytes of
-every file `fairmtl report` writes over two seeded runs tables (`reports`)
-of 1200 rows, of 2 and 3 tasks, in which about 3% of the rows are flagged
+writes each run's parameters, Adagrad accumulators and test metrics
+(error, FPR gap and TPR gap per task) to F, with the bytes of every file
+`fairmtl report` writes over two seeded runs tables (`reports`) of 1200
+rows, of 2 and 3 tasks, in which about 3% of the rows are flagged
 `failed:` and 3% `undefined_metric:`.  `--compare A B` prints, over all
 runs, the largest difference of any parameter or accumulator entry
-(absolute, and relative to the largest magnitude in that parameter) and
-of any history entry, then every test metric that differs, with both
-values, then every report file that differs.  It exits 1 when the records
-hold different runs.  `--stacked` trains each run of the set with four
-stack-mates of other seeds, weights, lambdas and ratios, alone and as
+(absolute, and relative to the largest magnitude in that parameter), then
+every test metric that differs, with both values, then every report file
+that differs; it ignores any other field a record holds, such as the
+per-epoch loss history that older trees saved.  It exits 1 when the
+records hold different runs.  `--stacked` trains each run of the set with
+four stack-mates of other seeds, weights, lambdas and ratios, alone and as
 stacks (`train_stack`) of widths 2-5 in turn, which cut the five runs
 2+2+1, 3+2, 4+1 and 5; in every seventh group one stack-mate starts with
 NaN Adagrad accumulators, so it diverges inside its stack.  It prints the
-largest difference between any run's stacked and solo parameters,
-accumulators and histories, the runs whose test metrics differ and the
-diverged runs whose messages differ, and exits 1 unless all three are 0.
+largest difference between any run's stacked and solo parameters and
+accumulators, the runs whose test metrics differ and the diverged runs
+whose messages differ, and exits 1 unless all three are 0.
 `stacked(prefix)` does the same for the runs whose keys start with
 `prefix`; the test suite runs it on the 12 `T2/mmd-` runs.
 
@@ -137,7 +138,6 @@ def save(path):
                        for p in run.model.all_params},
             "accumulators": {p.name: p.adagrad_acc.copy()
                              for p in run.model.all_params},
-            "history": run.history.copy(),
             "metrics": [(e.err, e.fpr_gap, e.tpr_gap)
                         for e in evaluate_model(run.model, test_ds)]}
     files = reports()
@@ -284,11 +284,10 @@ def _stacked(prefix):
                 if str(run) != str(exc):
                     messages.append(f"{where}: {run!r}, alone {exc!r}")
                 continue
-            for a, b in [(run.history, solo.history)] + [
-                    (getattr(run.model.flat, name),
-                     getattr(solo.model.flat, name))
-                    for name in ("value", "adagrad_acc")]:
-                worst = max(worst, float(np.max(np.abs(a - b))))
+            for name in ("value", "adagrad_acc"):
+                worst = max(worst, float(np.max(np.abs(
+                    getattr(run.model.flat, name)
+                    - getattr(solo.model.flat, name)))))
             if (evaluate_model(run.model, test_ds)
                     != evaluate_model(solo.model, test_ds)):
                 metrics.append(where)
@@ -331,7 +330,7 @@ def compare(path_a, path_b):
         print("the records hold different runs:",
               sorted(a.keys() ^ b.keys()))
         return 1
-    for field in ("params", "accumulators", "history"):
+    for field in ("params", "accumulators"):
         worst_abs, worst_rel, where = _largest(a, b, field)
         print(f"{field}: max abs difference {worst_abs:.3g}, "
               f"max relative {worst_rel:.3g}"

@@ -4,9 +4,9 @@ Accumulating kernels (`*_bwd`, `adagrad_step`) add into their output
 argument in place, broadcasting as numpy does: `sigmoid_bwd` takes a
 (k, ...) stack of `g` and `acc` against one `s`.  `relu_fwd` and
 `sigmoid_fwd` write into `out`, when given, and return it.  Training
-takes cross-entropy's seed at the logit from `xent_seed` and its losses
-from `xent_steps`; `xent_fwd`/`xent_bwd`, the loss and its gradient at p,
-serve the autodiff reference.
+takes cross-entropy's seed at the logit from `xent_seed`, and a step's
+losses, only when asked, from `xent_steps`; `xent_fwd`/`xent_bwd`, the
+loss and its gradient at p, serve the autodiff reference.
 """
 
 import numpy as np
@@ -50,12 +50,11 @@ def xent_bwd(p, y, gscale, acc):
     acc += np.where(inside, (pc - y) / (pc * (1.0 - pc)), 0.0) * (gscale / n)
 
 
-def xent_seed(p, y, gscale, out, clipped=None):
+def xent_seed(p, y, gscale, out):
     """Write gscale (p - y) / n, the gradient of gscale `xent_fwd(p, y)`
     at the logit of p, into `out`, 0 where the clip is active; returns p
-    clipped, written into `clipped` when given.  On a (T, n, 1) stack
-    `gscale` may be (T, 1, 1)."""
-    pc = np.maximum(p, XENT_CLIP, out=clipped)
+    clipped, a new array.  On a (T, n, 1) stack `gscale` may be (T, 1, 1)."""
+    pc = np.maximum(p, XENT_CLIP)
     np.minimum(pc, 1.0 - XENT_CLIP, out=pc)
     np.subtract(p, y, out=out)
     out *= gscale / p.shape[-2]
@@ -64,10 +63,9 @@ def xent_seed(p, y, gscale, out, clipped=None):
 
 
 def xent_steps(pc, y):
-    """The (S, T) array of `xent_fwd` losses, bit for bit, of S steps'
-    (T, n, 1) stacks: `pc`, an (S, T, n, 1) array of p clipped as
-    `xent_seed` returns it, which this overwrites, and labels `y` of that
-    shape."""
+    """The (W, T) `xent_fwd` losses, bit for bit, of W runs' (T, n, 1)
+    stacks `pc`, p clipped as `xent_seed` returns it, which this
+    overwrites, and labels `y` of its shape."""
     terms = np.log(pc)
     terms *= y
     np.negative(pc, out=pc)

@@ -19,6 +19,7 @@ TrainConfig / SweepConfig field.
 
 import argparse
 import json
+import operator
 import os
 import sys
 from dataclasses import replace
@@ -128,7 +129,11 @@ def _stl_plan(cfg, data):
     stl-baseline caches under this key and train/sweep open it by it."""
     stl_cfg = cfg.get("stl", {})
     refuse_unknown("stl", stl_cfg, ("seeds",) + _STL_SETTINGS)
-    seeds = tuple(int(s) for s in stl_cfg.get("seeds", range(5)))
+    try:
+        seeds = tuple(map(operator.index, stl_cfg.get("seeds", range(5))))
+    except TypeError as exc:
+        raise ConfigError(f"stl.seeds must be a list of integers, got "
+                          f"{stl_cfg['seeds']!r}") from exc
     if not seeds:
         raise ConfigError("stl.seeds must not be empty")
     settings = train_settings_for(data.name)
@@ -206,13 +211,14 @@ def cmd_report(args):
     rows = load_runs(runs_path)
     if not rows:
         raise ConfigError(f"{runs_path} has no rows")
-    overlay = accuracy_overlay(rows)
+    overlay, written = accuracy_overlay(rows), 0
     for axes in ["are_arfg"] + [f"task{t}" for t in range(_num_tasks(rows))]:
         try:
             report = emit_reports(rows, axes, args.out, overlay)
         except (ConfigError, ValueError) as exc:
             print(f"axes {axes}: skipped ({exc})", file=sys.stderr)
             continue
+        written += 1
         print(f"axes {axes} (reference "
               f"{tuple(round(v, 4) for v in report['reference_point'])}):")
         for method, entry in report["methods"].items():
@@ -221,6 +227,8 @@ def cmd_report(args):
                   f"excluded={entry['num_excluded']:3d} "
                   f"frontier={len(entry['frontier']):3d} "
                   f"quality={'n/a' if quality is None else f'{quality:.6f}'}")
+    if not written:
+        raise ConfigError(f"{runs_path}: every axes skipped, none written")
     print(f"wrote frontier_<axes>.json / plotdata_<axes>.csv under {args.out}")
     return 0
 

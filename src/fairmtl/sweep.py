@@ -565,12 +565,13 @@ def accuracy_overlay(rows):
     Makes visible how far accuracy-optimal runs sit from the fairness
     frontier.  Only rows with every per-task gap defined participate.
     """
-    overlay = {}
-    for m in dict.fromkeys(row["method"] for row in rows):
-        usable = [row for row in rows
-                  if row["method"] == m and not row["flags"]
-                  and row["err_per_task"] and row["fpr_gap_per_task"]
-                  and all(g is not None for g in row["fpr_gap_per_task"])]
+    overlay, by_method = {}, {row["method"]: [] for row in rows}
+    for row in rows:
+        if (not row["flags"] and row["err_per_task"]
+                and row["fpr_gap_per_task"]
+                and all(g is not None for g in row["fpr_gap_per_task"])):
+            by_method[row["method"]].append(row)
+    for m, usable in by_method.items():
         if not usable:
             overlay[m] = {"accuracy_frontier": [], "fairness_frontier_run_ids": []}
             continue

@@ -30,16 +30,13 @@ subsets' arrays (`losses.subset_arrays`), the arrays each epoch gathers
 into and the `model.Workspace`s, one set of step buffers for every stack
 width and batch length; a `RunPlan` holds what depends on the configs;
 and the steps' `Batch`es are views of the epoch arrays, cut once per
-stack.  A step computes loss values only for a `loss_sink`, and
-otherwise checks that its clipped probabilities hold no NaN, the one way a
-loss is not finite; each epoch's losses come from one pass per block of
-steps of one length, for all runs, over the clipped probabilities its
-steps left (`kernels.xent_steps`).
+stack.  A step computes its loss values (`kernels.xent_steps`) only for
+a `loss_sink`, and otherwise checks that its clipped probabilities hold no
+NaN, the one way a loss is not finite.
 """
 
 import math
 import operator
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,7 +54,6 @@ _RUN_FIELDS = ("task_weights", "fairness_weights", "head_shared_ratios",
                "seed")
 STACK_RUNS = 4        # runs per stack, at most
 STACK_ROWS = 2048     # rows per step over all runs of a stack, at most
-XENT_BLOCK = 16384    # entries per `xent_steps` call, at most: cache-sized
 
 
 @dataclass(frozen=True)
@@ -127,9 +123,7 @@ class TrainConfig:
 @dataclass
 class TrainedRun:
     model: object
-    history: np.ndarray        # (epochs, T) mean per-task accuracy loss
     config: TrainConfig
-    seconds: float
 
 
 def adagrad_update(param, grad, lr):
@@ -197,18 +191,17 @@ class Batch:
     loss, the `losses.subset_arrays` (else None), run w's codes offset by
     12 T w.  `train_stack()` gathers them by each run's permutation once
     per epoch, then steps on slices (`steps`) whose per-code `counts` it
-    sets (`count_steps`; None until set).  `clipped` (None, or the (W, T,
-    n, 1) array a step clips its probabilities into) and `workspaces` (the
-    dict `model.workspace` reads) are kept by the dataset."""
+    sets (`count_steps`; None until set).  `workspaces`, the dict
+    `model.workspace` reads, is kept by the dataset."""
 
-    __slots__ = ("plan", "dense", "clipped", "workspaces", "counts") + tuple(
+    __slots__ = ("plan", "dense", "workspaces", "counts") + tuple(
         name for name, _ in _ROWS)
 
-    def __init__(self, plan, dense, rows, clipped, workspaces):
+    def __init__(self, plan, dense, rows, workspaces):
         """`rows` holds the per-row arrays in the order of `_ROWS`."""
         for (name, _), a in zip(_ROWS, rows):
             setattr(self, name, a)
-        self.plan, self.dense, self.clipped = plan, dense, clipped
+        self.plan, self.dense = plan, dense
         self.workspaces, self.counts = workspaces, None
 
     @classmethod
@@ -222,12 +215,12 @@ class Batch:
         rows = dataset.kept("rows", lambda: np.arange(len(dataset))[None])
         return cls(plan, dataset.dense, (rows, dataset.cat[None]
                    if dataset.cat.size else None, labels, *subsets),
-                   None, dataset.kept("workspaces", dict))
+                   dataset.kept("workspaces", dict))
 
     def epoch(self, arrays):
         """A Batch of as many rows for each of the plan's runs to `take`
         into, from the dict `arrays`, which keeps, for later stacks, any
-        array it lacks or holds for fewer runs; `clipped` is one too."""
+        array it lacks or holds for fewer runs."""
         runs = len(self.plan.configs)
 
         def array(name, like):
@@ -236,7 +229,6 @@ class Batch:
             return None if like is None else arrays[name][:runs]
         return Batch(self.plan, self.dense, [array(name, getattr(self, name))
                                              for name, _ in _ROWS],
-                     array("clipped", self.labels.reshape(1, -1)).reshape(-1),
                      self.workspaces)
 
     def __len__(self):
@@ -261,30 +253,11 @@ class Batch:
         for name, axis in _ROWS:
             a = getattr(self, name)
             parts.append(a if a is None else a[(slice(None),) * axis + (rows,)])
-        return Batch(self.plan, self.dense, parts, None, self.workspaces)
+        return Batch(self.plan, self.dense, parts, self.workspaces)
 
     def steps(self, size):
-        """This epoch (`epoch`) cut into steps of `size` rows in order, as
-        views, each writing its clipped probabilities into its own block
-        of `clipped`; with, per step length m, the (S, W, T, m, 1) stacks
-        of those blocks and of the steps' labels, for `xent_steps`, in
-        pieces of at most XENT_BLOCK entries but one step at least."""
-        runs, T, n = self.labels.shape[:3]
-        full = n - n % size
-        steps, stacks = [], []
-        for start, stop, m in ((0, full, size), (full, n, n - full)):
-            if start == stop:
-                continue
-            y = self.labels[:, :, start:stop].reshape(
-                runs, T, -1, m, 1).transpose(2, 0, 1, 3, 4)
-            pc = self.clipped[runs * T * start:runs * T * stop].reshape(y.shape)
-            block = max(1, XENT_BLOCK // (runs * T * m))
-            stacks += [(pc[i:i + block], y[i:i + block])
-                       for i in range(0, len(pc), block)]
-            for clipped, first in zip(pc, range(start, stop, m)):
-                steps.append(self[first:first + m])
-                steps[-1].clipped = clipped
-        return steps, stacks
+        """This epoch (`epoch`) cut into steps of `size` rows, as views."""
+        return [self[i:i + size] for i in range(0, len(self), size)]
 
     def count_steps(self, steps, size):
         """Set the `counts` of `steps`, these rows cut into `size` rows in
@@ -302,21 +275,19 @@ def _seeds(batch, probs, out, errors, losses=None):
 
     The head and shared seeds at the logits are written into `out`, a
     (2, W, T, n, 1) buffer, head seeds first: cross-entropy's by
-    `kernels.xent_seed`, which clips the probabilities into
-    `batch.clipped`, then the fairness terms through `sigmoid_bwd`.  The
-    stack returned is out[:1] when they agree (vanilla, baseline, every
-    lambda_t = 0), else all of `out`.  Each run's T losses are appended to
-    `losses` when given.  A run whose `errors` entry is None is checked as
-    alone, accuracy losses first, and at the first non-finite loss gets
-    its TrainingDiverged there; a run with an error gets no fairness terms.
-    """
+    `kernels.xent_seed`, which returns the probabilities clipped, then
+    the fairness terms through `sigmoid_bwd`.  The stack returned is
+    out[:1] when they agree (vanilla, baseline, every lambda_t = 0), else
+    all of `out`.  Each run's T losses (`kernels.xent_steps`) are
+    appended to `losses` when given.  A run whose `errors` entry is None
+    is checked as alone, accuracy losses first, and at the first
+    non-finite loss gets its TrainingDiverged there; a run with an error
+    gets no fairness terms."""
     plan = batch.plan
-    clipped = kernels.xent_seed(probs, batch.labels, plan.weights, out[0],
-                                batch.clipped)
+    clipped = kernels.xent_seed(probs, batch.labels, plan.weights, out[0])
     # each in [c, 1 - c] unless NaN, so the sum is finite unless one is
     if losses is not None or not math.isfinite(clipped.sum()):
-        # a copy, as xent_steps overwrites its input
-        values = kernels.xent_steps(clipped.copy(), batch.labels).tolist()
+        values = kernels.xent_steps(clipped, batch.labels).tolist()
         for run, run_losses in enumerate(values):
             errors[run] = errors[run] or _diverged(
                 (t, "accuracy loss", loss) for t, loss in enumerate(run_losses))
@@ -407,10 +378,9 @@ def train_stack(dataset, arch, configs):
     seed.
 
     Each epoch gathers each run's seeded shuffle of the rows into its row
-    of the dataset's epoch arrays, steps all runs at once (`_step`) on
-    slices of those, and takes each run's mean loss per task.  Returns,
-    per config, its TrainedRun, bit for bit its solo run's (`seconds` is
-    the stack's over W), or the TrainingDiverged that ended it.
+    of the dataset's epoch arrays and steps all runs at once (`_step`) on
+    slices of those.  Returns, per config, its TrainedRun, bit for bit
+    its solo run's, or the TrainingDiverged that ended it.
     """
     config = configs[0]
     solo = {name: getattr(config, name) for name in _RUN_FIELDS}
@@ -424,16 +394,14 @@ def train_stack(dataset, arch, configs):
     n = len(dataset)
     if n == 0:
         raise ConfigError("train on an empty dataset")
-    started = time.perf_counter()
     model = build_stack(arch, dataset.dense.shape[1], dataset.vocab_sizes,
                         [c.seed for c in configs])
     rngs = [np.random.default_rng(c.seed) for c in configs]
     rows = Batch.of(dataset, RunPlan(configs))
     shuffled = rows.epoch(dataset.kept("epoch", dict))
-    steps, stacks = shuffled.steps(config.batch_size)
-    history = np.empty((len(configs), config.epochs, config.num_tasks))
+    steps = shuffled.steps(config.batch_size)
     errors = [None] * len(configs)
-    for epoch in range(config.epochs):
+    for _ in range(config.epochs):
         rows.take([rng.permutation(n) for rng in rngs], out=shuffled)
         if shuffled.codes is not None and (
                 config.fairness_kind == "soft_fpr_gap"):
@@ -442,13 +410,8 @@ def train_stack(dataset, arch, configs):
             _step(model, batch, errors)
             if all(errors):
                 return errors
-        # per run: numpy sums an (S, 1) column pairwise, an (S, W, 1) not
-        losses = np.concatenate([kernels.xent_steps(*s) for s in stacks])
-        for run in range(len(configs)):
-            history[run, epoch] = np.mean(losses[:, run], axis=0)
-    seconds = (time.perf_counter() - started) / len(configs)
-    return [error or TrainedRun(model=m, history=h, config=c, seconds=seconds)
-            for error, m, h, c in zip(errors, model.models, history, configs)]
+    return [error or TrainedRun(model=m, config=c)
+            for error, m, c in zip(errors, model.models, configs)]
 
 
 def train(dataset, arch, config):

@@ -1125,6 +1125,22 @@ class TestCli:
         assert config == expected
         assert key == stl_config_hash(data.arch, expected, seeds)
 
+    @pytest.mark.parametrize("seeds", [[0.5, 1.9], 3, "01", [1, None]],
+                             ids=["floats", "int", "string", "null"])
+    def test_stl_seeds_must_be_integers(self, tmp_path, capsys, seeds):
+        """stl.seeds that are not a list of integers are refused by name,
+        neither truncated to integers nor left to a traceback."""
+        cfg = copy.deepcopy(CLI_CFG)
+        cfg["stl"]["seeds"] = seeds
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert cli.main(["stl-baseline", "--dataset", "synth", "--out",
+                         str(out), "--config", str(path)]) == 2
+        assert "stl.seeds must be a list of integers" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     def test_seed_only_on_train_and_sweep(self, tmp_path):
         for command in (["stl-baseline", "--dataset", "synth"], ["report"]):
             with pytest.raises(SystemExit):
@@ -1167,6 +1183,23 @@ class TestCli:
                                gaps=[0.1, 0.1, 0.1], flags=None))
         assert cli.main(["report", "--out", str(tmp_path)]) == 2
         assert "mixed objective dimensionality" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["runs.csv"]
+
+    def test_report_that_writes_nothing_fails(self, tmp_path, capsys):
+        """When every axes is skipped the report names the table and
+        exits 2, without claiming to have written anything."""
+        runs = str(tmp_path / "runs.csv")
+        writer = RunsWriter(runs)
+        for run_id in "abc":
+            writer.append(fake_row(run_id, "mtaf", None, None,
+                                   gaps=[0.1, None],
+                                   flags="undefined_metric: task 1"))
+        assert cli.main(["report", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count(": skipped (") == 3
+        assert f"error: {runs}: every axes skipped, none written" in (
+            captured.err)
+        assert "wrote" not in captured.out
         assert os.listdir(tmp_path) == ["runs.csv"]
 
     def test_preset_dataset_missing_files_points_at_prepare(

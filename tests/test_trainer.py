@@ -682,26 +682,22 @@ def test_train_equals_its_steps_on_taken_rows(kind):
         run = train(data, small_arch(), cfg)
         model = build_model(small_arch(), dense_count=3, vocab_sizes=(4,),
                             seed=cfg.seed)
-        perms, history = np.random.default_rng(cfg.seed), []
+        perms = np.random.default_rng(cfg.seed)
         for _ in range(cfg.epochs):
-            perm, step_losses = perms.permutation(len(data)), []
+            perm = perms.permutation(len(data))
             for start in range(0, len(data), cfg.batch_size):
-                train_step(model, data.take(perm[start:start + 16]), cfg,
-                           loss_sink=step_losses)
-            history.append(np.mean(step_losses, axis=0))
+                train_step(model, data.take(perm[start:start + 16]), cfg)
         for name in ("value", "adagrad_acc"):
             assert (getattr(run.model.flat, name).tobytes()
                     == getattr(model.flat, name).tobytes()), (method, name)
-        assert run.history.tobytes() == np.array(history).tobytes(), method
 
 
 def _same_run(stacked, solo):
-    """Whether two TrainedRuns hold the same bytes: parameters,
-    accumulators and history."""
+    """Whether two TrainedRuns hold the same bytes: parameters and
+    accumulators."""
     return all(getattr(stacked.model.flat, name).tobytes()
                == getattr(solo.model.flat, name).tobytes()
-               for name in ("value", "adagrad_acc")) and (
-        stacked.history.tobytes() == solo.history.tobytes())
+               for name in ("value", "adagrad_acc"))
 
 
 @pytest.mark.parametrize("kind", ["correlation", "mmd", "soft_fpr_gap"])
@@ -820,7 +816,7 @@ def test_stacked_mmd_seeds_equal_each_runs_alone(method, target, bandwidth):
                for i, lam in enumerate(((1.5, 0.8), (0.7, 2.0), (0.0, 1.2)))]
     rows = Batch.of(data, RunPlan(configs))
     epoch = rows.epoch({})
-    steps, _ = epoch.steps(size)
+    steps = epoch.steps(size)
     perms = [rng.permutation(n) for _ in configs]
     rows.take(perms, out=epoch)
     error, kinds = TrainingDiverged("an earlier step"), []
@@ -851,23 +847,30 @@ def test_stacked_mmd_seeds_equal_each_runs_alone(method, target, bandwidth):
     assert all(mapped for _, mapped in kinds)
 
 
-def test_a_loss_sink_leaves_a_step_its_clipped_block():
-    """An epoch's steps given a loss sink take their losses from a copy of
-    their clipped probabilities, so the epoch's one loss pass over those
-    blocks gives the same losses, bit for bit."""
+def test_untraced_training_takes_no_loss_values(monkeypatch):
+    """`train()` and a stack of 4 runs call `kernels.xent_steps` no times
+    on healthy runs; a step given a loss sink appends to it, per task,
+    `xent_fwd` of that step's probability column, bit for bit."""
+    xent_steps = mock.Mock(wraps=kernels.xent_steps)
+    monkeypatch.setattr(kernels, "xent_steps", xent_steps)
     data = separable_dataset(n=60, seed=4)
-    cfg = TrainConfig(method="mtaf", task_weights=(0.6, 0.4),
-                      fairness_weights=(1.5, 0.8), batch_size=16)
-    model = build_model(small_arch(), dense_count=3, seed=cfg.seed)
-    rows = Batch.of(data, RunPlan([cfg]))
-    shuffled = rows.epoch({})
-    steps, stacks = shuffled.steps(cfg.batch_size)
-    rows.take([np.random.default_rng(3).permutation(len(data))], out=shuffled)
-    sink = []
-    for step in steps:
-        train_step(model, step, cfg, loss_sink=sink)
-    passed = np.concatenate([kernels.xent_steps(*stack) for stack in stacks])
-    assert passed[:, 0].tolist() == sink
+    configs = [TrainConfig(method="mtaf", task_weights=(0.6, 0.4),
+                           fairness_weights=(1.5, 0.8),
+                           head_shared_ratios=(2.0, 0.5), epochs=2,
+                           batch_size=16, seed=seed) for seed in range(4)]
+    train(data, small_arch(), configs[0])
+    train_stack(data, small_arch(), configs)
+    assert xent_steps.call_count == 0
+    model = build_model(small_arch(), dense_count=3, seed=0)
+    perm, sink = np.random.default_rng(3).permutation(len(data)), []
+    for start in range(0, len(data), 16):
+        batch = data.take(perm[start:start + 16])
+        probs = forward_np(model, batch.dense[None]).probs[0]
+        train_step(model, batch, configs[0], loss_sink=sink)
+        assert sink[-1] == [
+            kernels.xent_fwd(probs[t], batch.labels[:, t, None] * 1.0)
+            for t in range(2)], start
+    assert len(sink) == xent_steps.call_count == 4
 
 
 def test_run_reuses_its_buffers(monkeypatch):
@@ -909,9 +912,9 @@ def _inside(a, b):
 def test_runs_on_a_dataset_reuse_its_arrays(monkeypatch):
     """Two `train()` runs, of different methods, and two `evaluate_model`
     calls on the same datasets write into the same arrays: each epoch's
-    gathered rows, subset arrays and clipped probabilities, the step
-    buffers, where the tail batch's arrays lie inside the full batch's,
-    and the test split's workspace."""
+    gathered rows and subset arrays, the step buffers, where the tail
+    batch's arrays lie inside the full batch's, and the test split's
+    workspace."""
     data, test = separable_dataset(n=60, seed=4), separable_dataset(n=30)
     calls, phase = {}, []
     step_real, train_forward = trainer._step, trainer.forward_np
@@ -922,7 +925,7 @@ def test_runs_on_a_dataset_reuse_its_arrays(monkeypatch):
         calls.setdefault(phase[-1], []).append((arrays, _pointers(arrays)))
 
     def step_spy(model, batch, errors, losses=None):
-        record([batch.rows, batch.labels, batch.clipped, batch.codes,
+        record([batch.rows, batch.labels, batch.codes,
                 batch.sensitive, batch.sides])
         return step_real(model, batch, errors, losses)
 
@@ -1044,8 +1047,7 @@ def test_narrower_then_wider_stacks_then_train_equal_their_solo_runs():
     """On one dataset a stack of 2, then one of 4, which grows the step
     buffers, then `train()`, on prefixes of those, each train their runs
     bit for bit as alone on a fresh copy of the dataset, for two tasks
-    and for one, whose history numpy would sum over an epoch's 10 steps
-    in another order on a stack than on one run."""
+    and for one."""
     for T, batch_size in ((2, 16), (1, 6)):
         configs = [TrainConfig(method="mtaf", task_weights=(0.6, 0.4)[:T],
                                fairness_weights=(1.5, 0.8)[:T],
@@ -1116,7 +1118,6 @@ def test_datasets_with_other_labels_share_no_state():
     freed = train(flipped(), small_arch(), cfg)
     for run in (alive, freed):
         assert run.model.flat.value.tobytes() == first.model.flat.value.tobytes()
-        assert run.history.tobytes() == first.history.tobytes()
 
 
 def test_trained_dataset_is_freed_and_pickled_without_its_state():
@@ -1211,10 +1212,13 @@ def test_train_learns_separable_tasks():
     for t in range(2):
         err = np.mean((outs[t].prob.value[:, 0] >= 0.5) != data.labels[:, t])
         assert err < 0.05, f"task {t} training error {err}"
-    assert run.history.shape == (50, 2)
-    assert run.seconds >= 0
     # loss should not get worse over training
-    assert run.history[-1].sum() < run.history[0].sum()
+    start = build_model(arch, dense_count=3, seed=cfg.seed)
+    losses = [[kernels.xent_fwd(probs[t], data.labels[:, t, None] * 1.0)
+               for t in range(2)]
+              for probs in (forward_np(m, data.dense[None]).probs[0]
+                            for m in (start, run.model))]
+    assert sum(losses[1]) < sum(losses[0])
 
 
 def test_train_deterministic():
@@ -1227,15 +1231,16 @@ def test_train_deterministic():
     run2 = train(data, arch, cfg)
     for p1, p2 in zip(run1.model.all_params, run2.model.all_params):
         np.testing.assert_array_equal(p1.value, p2.value)
-    np.testing.assert_array_equal(run1.history, run2.history)
 
 
-def test_train_single_batch_per_epoch():
+def test_train_single_batch_per_epoch(monkeypatch):
+    step = mock.Mock(wraps=trainer._step)
+    monkeypatch.setattr(trainer, "_step", step)
     data = separable_dataset(n=30, seed=5)
     cfg = TrainConfig(method="vanilla", task_weights=(1.0, 1.0),
                       learning_rate=0.05, epochs=2, batch_size=64, seed=0)
-    run = train(data, small_arch(), cfg)
-    assert run.history.shape == (2, 2)
+    train(data, small_arch(), cfg)
+    assert [len(call.args[1]) for call in step.call_args_list] == [30, 30]
 
 
 def test_train_rejects_empty_dataset():
