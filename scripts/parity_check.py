@@ -28,7 +28,8 @@ largest difference between any run's stacked and solo parameters and
 accumulators, the runs whose test metrics differ and the diverged runs
 whose messages differ, and exits 1 unless all three are 0.
 `stacked(prefix)` does the same for the runs whose keys start with
-`prefix`; the test suite runs it on the 12 `T2/mmd-` runs.
+`prefix`; the test suite runs it on the 12 `T2/mmd-` runs and the 9
+`T2/correlation/` and 9 `T2/soft_fpr_gap/` runs.
 
 The set has 129 runs on synthetic data with 10% of the sensitive values
 missing: 81 over 1-3 tasks x 3 fairness kinds x 3 targets x 3 methods

@@ -136,6 +136,9 @@ def _stl_plan(cfg, data):
                           f"{stl_cfg['seeds']!r}") from exc
     if not seeds:
         raise ConfigError("stl.seeds must not be empty")
+    if min(seeds) < 0 or len(set(seeds)) < len(seeds):
+        raise ConfigError(f"stl.seeds must be distinct and >= 0, got "
+                          f"{list(seeds)}")
     settings = train_settings_for(data.name)
     settings.update({k: stl_cfg[k] for k in _STL_SETTINGS if k in stl_cfg})
     config = TrainConfig(method="vanilla", task_weights=(1.0,),

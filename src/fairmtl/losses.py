@@ -10,20 +10,21 @@ takes at the logit from `kernels.xent_seed`.
 
 Training reads a batch's subsets from one integer code per (row, task),
 `subset_codes`: 6 y + 3 exclusive + (a + 1), so the row's side, whether it
-is exclusive and its sensitive group; it is the one definition of
-exclusivity, which `subset_rows` reads too.  `subset_arrays` gives every
-task's codes with the side masks built from them, values per row that
-the trainer's `Batch` holds with the rest of a batch's rows.
+is exclusive and its sensitive group.  It is the one definition of
+exclusivity, and only this module knows its layout: `_code_rows` reads a
+side's rows from the codes for every caller.  `subset_arrays` gives every
+task's codes, values per row that the trainer's `Batch` holds with the
+rest of a batch's rows, and `offset_runs` tells a stack's runs apart.
 `fairness_seed_terms` turns them into the derivatives the trainer adds to
 its seeds, for all runs of a stack and all tasks at once: the soft FPR
 gap's derivative is constant on each code, so it needs only per-code sums
-and counts, two bincounts whatever the number of runs and tasks.  MMD
-cuts a step's subsets from its codes: every (run, task, side, set)
+and counts, two bincounts a step whatever the number of runs and tasks.
+MMD cuts a step's subsets from its codes: every (run, task, side, set)
 subset's rows, group 0 then group 1, from a stable sort of per-code keys
 (`_subset_table`).  One pass takes all of them (`_mmd_terms`): one
 gather, the feature map built once over every row, and per subset only
 its sums and two products, the arithmetic `_mmd` runs on one subset.
-Correlation takes each side's rows from the masks, run by run.
+Correlation reads each run's sides and sensitive values from the codes.
 `fairness_loss` and `cross_entropy` wrap the same formulas in autodiff
 nodes whose one parent is p, the differentiable reference the tests check.
 A task's fairness loss splits into a head part (rows no other task's loss
@@ -100,11 +101,16 @@ def subset_rows(labels, t, which):
     if which not in SUBSET_KINDS:
         raise ConfigError(f"unknown subset kind {which!r}")
 
-    y = SUBSET_KINDS.index(which) % 2
-    code = codes[:, t]
-    if which.startswith("exclusive_"):
-        return np.flatnonzero(code // 3 == 2 * y + 1)
-    return np.flatnonzero(code // 6 == y)
+    exclusive, y = divmod(SUBSET_KINDS.index(which), 2)
+    return _code_rows(codes[:, t], y, exclusive)
+
+
+def _code_rows(code, y, exclusive):
+    """The ascending rows of side y's full set, or with `exclusive` its
+    exclusive set, from one task's codes, offset by any multiple of 12."""
+    if exclusive:
+        return np.flatnonzero(code % 12 // 3 == 2 * y + 1)
+    return np.flatnonzero(code % 12 // 6 == y)
 
 
 def subset_select(labels, t, which):
@@ -382,27 +388,22 @@ def subset_codes(labels, sensitive):
 
 
 def subset_arrays(labels, sensitive):
-    """(codes, sensitive, sides), a batch's fairness subsets for every
-    task in the forms a step reads, from its (n, T) labels and sensitive
-    values.
-
-    `codes` is (T, n): task t's `subset_codes` column, offset by 12 t, so
-    one bincount over every task's codes gives each (task, code) bin.
-    `sides[:, 2 y + exclusive]` is the (n, T) mask of each task's side y
-    (its rows labelled y) and of that side's exclusive rows, which
-    correlation and the soft FPR gap's near ties take their rows from.
-    None of these depends on the probabilities, and each is a value per
-    row.
+    """A batch's fairness subsets for every task, as a step reads them,
+    from its (n, T) labels and sensitive values: the (T, n) codes, task
+    t's `subset_codes` column offset by 12 t, so one bincount over every
+    task's codes gives each (task, code) bin.  They do not depend on the
+    probabilities, and each is a value per row.
     """
     codes = subset_codes(labels, sensitive)
-    # contiguous, so that gathering rows moves whole rows
-    sides = np.ascontiguousarray(np.stack(
-        [codes // 6 == 0, codes // 3 == 1, codes // 6 == 1,
-         codes // 3 == 3], axis=1))
     offsets = 12 * np.arange(codes.shape[1]).reshape(-1, 1)
     # int32, half the bytes each epoch gathers per run, holds any code
-    return ((codes.T + offsets).astype(np.int32), np.asarray(sensitive),
-            sides)
+    return (codes.T + offsets).astype(np.int32)
+
+
+def offset_runs(codes):
+    """Offset run w's codes of a (W, T, n) stack of `subset_arrays` by
+    12 T w, in place, so that every (run, task, code) has its own bin."""
+    codes += 12 * codes.shape[1] * np.arange(len(codes)).reshape(-1, 1, 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -416,21 +417,17 @@ def _subset_table(runs, num_tasks, tasks, target, head):
     before exclusive set, group 0 before group 1.  Cached, so read-only.
     """
     sides, sets = _SIDE_LABELS[target], 1 + head
-    parts = 2 * sets * len(sides)            # subset groups per (run, task)
-    local = np.arange(12)
-    y, group = local // 6, local % 3 - 1
-    taken = np.zeros((runs * num_tasks, 1), dtype=bool)
-    for run, run_tasks in enumerate(tasks):
-        taken[[num_tasks * run + t for t in run_tasks]] = True
-    taken = taken & (group >= 0) & (y >= sides[0]) & (y <= sides[-1])
-    key = (np.arange(runs * num_tasks).reshape(-1, 1) * parts
-           + (y - sides[0]) * 2 * sets + group)
-    tables = [np.where(taken, key, -1)]
-    if head:
-        tables.append(np.where(taken & (local // 3 % 2 == 1), key + 2, -1))
-    bins = runs * num_tasks * parts
-    table = np.stack(tables).reshape(sets, -1).astype(
-        np.int16 if bins <= 2 ** 15 else np.int64)   # int16: a radix sort
+    groups = 2 * sets * len(sides) * runs * num_tasks
+    table = np.full((sets, 12 * runs * num_tasks), -1,   # int16: a radix sort
+                    np.int16 if groups <= 2 ** 15 else np.int64)
+    # subset i, of (run, task) k: its codes of a known group, keyed
+    # 2 i for group 0 and 2 i + 1 for group 1
+    for i, (k, y, exclusive) in enumerate(itertools.product(
+            range(runs * num_tasks), sides, range(sets))):
+        if k % num_tasks in tasks[k // num_tasks]:
+            codes = _code_rows(np.arange(12), y, exclusive)
+            codes = codes[codes % 3 > 0]
+            table[exclusive, 12 * k + codes] = 2 * i + codes % 3 - 1
     table.flags.writeable = False
     return table
 
@@ -464,11 +461,10 @@ def fairness_seed_terms(config, batch, probs, tasks, combine, head=False):
 
     Returns (F_full, F_head, combine(dF_full/dp, dF_head/dp)): per run, two
     lists of T floats, and the terms as one (k, W, T, n, 1) stack, of
-    `config`'s fairness kind, MMD bandwidth and target.  `batch` holds the
-    runs' `subset_arrays` (`codes`, run w's offset by 12 T w, `sensitive`,
-    `sides`) with a leading run axis and `counts`; `probs` is the (W, T,
-    n, 1) probability stack and `tasks` each run's tasks whose losses
-    count, every other task's being 0.
+    `config`'s fairness kind, MMD bandwidth and target.  `batch.codes`
+    is the runs' (W, T, n) `subset_arrays`, offset by `offset_runs`;
+    `probs` is the (W, T, n, 1) probability stack and `tasks` each run's
+    tasks whose losses count, every other task's being 0.
     F_full sums one loss per side of the target (negatives for fpr,
     positives for tpr, both for equalized odds); F_head, mtaf's head part,
     keeps each side's exclusive rows and is computed only with `head`.
@@ -476,12 +472,12 @@ def fairness_seed_terms(config, batch, probs, tasks, combine, head=False):
 
     The soft FPR gap's derivative is constant on each code, so one
     weighted and one plain bincount of every run's and task's codes give
-    each group's sum and size (the plain one is `batch.counts` when not
-    None), the per-code arithmetic runs on Python floats and `combine`'s
-    (W, T, 12, 1) results are gathered by code in one take.  MMD cuts
-    every subset's rows from the codes in one stable sort and takes its
-    terms from one `_mmd_terms` pass; correlation runs `fairness_terms`
-    on each run's, task's and side's rows.
+    each group's sum and size, the per-code arithmetic runs on Python
+    floats and `combine`'s (W, T, 12, 1) results are gathered by code in
+    one take.  MMD cuts every subset's rows from the codes in one stable
+    sort and takes its terms from one `_mmd_terms` pass; correlation, and
+    the soft FPR gap at a near tie, run `fairness_terms` on each run's,
+    task's and side's rows, with the sensitive values, from its codes.
     """
     kind, target = config.fairness_kind, config.fairness_target
     runs, num_tasks = probs.shape[:2]
@@ -489,9 +485,9 @@ def fairness_seed_terms(config, batch, probs, tasks, combine, head=False):
                       for _ in range(2))
 
     def terms(w, t, y, exclusive):
-        return fairness_terms(kind, probs[w, t], batch.sensitive[w],
-                              np.flatnonzero(batch.sides[w, :, 2 * y
-                                                         + exclusive, t]),
+        code = batch.codes[w, t]
+        return fairness_terms(kind, probs[w, t], code % 3 - 1,
+                              _code_rows(code, y, exclusive),
                               config.mmd_bandwidth)
 
     if kind == "soft_fpr_gap":
@@ -500,7 +496,7 @@ def fairness_seed_terms(config, batch, probs, tasks, combine, head=False):
         bins = 12 * runs * num_tasks
         sums = np.bincount(codes, weights=probs.ravel(),
                            minlength=bins).tolist()
-        counts = batch.counts or np.bincount(codes, minlength=bins).tolist()
+        counts = np.bincount(codes, minlength=bins).tolist()
         d_full, d_head = [0.0] * bins, [0.0] * bins
         for w, run_tasks in enumerate(tasks):
             for t in run_tasks:

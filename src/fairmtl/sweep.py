@@ -84,8 +84,10 @@ class SweepConfig:
         if self.seeds_per_config < 1:
             raise ConfigError("seeds_per_config must be >= 1")
         for name in ("w1_range", "lambda_range", "ratio_range"):
-            lo, hi = getattr(self, name)
-            object.__setattr__(self, name, (float(lo), float(hi)))
+            lo, hi = map(float, getattr(self, name))
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ConfigError(f"{name} must be finite, got {(lo, hi)}")
+            object.__setattr__(self, name, (lo, hi))
             if not lo <= hi:
                 raise ConfigError(f"{name} must satisfy lo <= hi")
         if self.ratio_range[0] <= 0:

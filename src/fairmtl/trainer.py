@@ -26,7 +26,7 @@ run that meets a non-finite loss ends there, with its solo message.
 
 Nothing that does not depend on the parameters is built per step: the
 training set keeps (`Dataset.kept`) the float labels, the fairness
-subsets' arrays (`losses.subset_arrays`), the arrays each epoch gathers
+subsets' codes (`losses.subset_arrays`), the arrays each epoch gathers
 into and the `model.Workspace`s, one set of step buffers for every stack
 width and batch length; a `RunPlan` holds what depends on the configs;
 and the steps' `Batch`es are views of the epoch arrays, cut once per
@@ -44,7 +44,7 @@ import numpy as np
 from .backend import kernels
 from .exceptions import ConfigError, ShapeError, TrainingDiverged
 from .losses import (FAIRNESS_KINDS, FAIRNESS_TARGETS, fairness_seed_terms,
-                     subset_arrays)
+                     offset_runs, subset_arrays)
 from .model import backprop, build_stack, forward_np, workspace
 
 METHODS = ("vanilla", "baseline", "mtaf")
@@ -105,6 +105,8 @@ class TrainConfig:
             raise ConfigError("learning_rate must be positive")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.fairness_kind not in FAIRNESS_KINDS:
             raise ConfigError(f"unknown fairness loss kind {self.fairness_kind!r}")
         if self.mmd_bandwidth <= 0:
@@ -178,8 +180,7 @@ class RunPlan:
 
 
 # The per-row arrays of a `Batch`, each with its row axis.
-_ROWS = (("rows", 1), ("cat", 1), ("labels", 2), ("codes", 2),
-         ("sensitive", 1), ("sides", 1))
+_ROWS = (("rows", 1), ("cat", 1), ("labels", 2), ("codes", 2))
 
 
 class Batch:
@@ -188,33 +189,32 @@ class Batch:
     features, which a step gathers for its rows alone (so an epoch holds
     W rows of indices, not of features); the categorical codes (None when
     there are none); the (W, T, n, 1) float labels; and, for a fairness
-    loss, the `losses.subset_arrays` (else None), run w's codes offset by
-    12 T w.  `train_stack()` gathers them by each run's permutation once
-    per epoch, then steps on slices (`steps`) whose per-code `counts` it
-    sets (`count_steps`; None until set).  `workspaces`, the dict
-    `model.workspace` reads, is kept by the dataset."""
+    loss, the (W, T, n) subset codes (`losses.subset_arrays`, else None),
+    each run's offset by `losses.offset_runs`.  `train_stack()` gathers
+    them by each run's permutation once per epoch, then steps on slices
+    (`steps`).  `workspaces`, the dict `model.workspace` reads, is kept
+    by the dataset."""
 
-    __slots__ = ("plan", "dense", "workspaces", "counts") + tuple(
+    __slots__ = ("plan", "dense", "workspaces") + tuple(
         name for name, _ in _ROWS)
 
     def __init__(self, plan, dense, rows, workspaces):
         """`rows` holds the per-row arrays in the order of `_ROWS`."""
         for (name, _), a in zip(_ROWS, rows):
             setattr(self, name, a)
-        self.plan, self.dense = plan, dense
-        self.workspaces, self.counts = workspaces, None
+        self.plan, self.dense, self.workspaces = plan, dense, workspaces
 
     @classmethod
     def of(cls, dataset, plan):
         """The dataset's rows as one run's, from what it keeps."""
         labels = dataset.kept("labels", lambda: np.ascontiguousarray(
             dataset.labels.T, dtype=np.float64)[None, ..., None])
-        subsets = dataset.kept("subsets", lambda: [a[None] for a in (
-            subset_arrays(dataset.labels, dataset.sensitive))]) if any(
-                plan.tasks) else (None,) * 3
+        codes = dataset.kept("codes", lambda: subset_arrays(
+            dataset.labels, dataset.sensitive)[None]) if any(
+                plan.tasks) else None
         rows = dataset.kept("rows", lambda: np.arange(len(dataset))[None])
         return cls(plan, dataset.dense, (rows, dataset.cat[None]
-                   if dataset.cat.size else None, labels, *subsets),
+                   if dataset.cat.size else None, labels, codes),
                    dataset.kept("workspaces", dict))
 
     def epoch(self, arrays):
@@ -244,8 +244,7 @@ class Batch:
                     # a permutation, so "clip" changes no row
                     np.take(a[0], rows, axis=axis - 1, out=into, mode="clip")
         if out.codes is not None:
-            out.codes += 12 * out.codes.shape[1] * np.arange(
-                len(perms)).reshape(-1, 1, 1)
+            offset_runs(out.codes)
         return out
 
     def __getitem__(self, rows):
@@ -258,16 +257,6 @@ class Batch:
     def steps(self, size):
         """This epoch (`epoch`) cut into steps of `size` rows, as views."""
         return [self[i:i + size] for i in range(0, len(self), size)]
-
-    def count_steps(self, steps, size):
-        """Set the `counts` of `steps`, these rows cut into `size` rows in
-        order, from one bincount over (step, run, code) keys."""
-        bins = 12 * self.codes.shape[0] * self.codes.shape[1]
-        offsets = np.arange(self.codes.shape[2]) // size * bins
-        counts = np.bincount((self.codes + offsets).ravel(),
-                             minlength=len(steps) * bins)
-        for step, row in zip(steps, counts.reshape(-1, bins).tolist()):
-            step.counts = row
 
 
 def _seeds(batch, probs, out, errors, losses=None):
@@ -403,9 +392,6 @@ def train_stack(dataset, arch, configs):
     errors = [None] * len(configs)
     for _ in range(config.epochs):
         rows.take([rng.permutation(n) for rng in rngs], out=shuffled)
-        if shuffled.codes is not None and (
-                config.fairness_kind == "soft_fpr_gap"):
-            shuffled.count_steps(steps, config.batch_size)
         for batch in steps:
             _step(model, batch, errors)
             if all(errors):

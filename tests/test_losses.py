@@ -461,10 +461,9 @@ def test_code_seeds_match_subset_oracle(case):
              if config.fairness_weights[t] > 0]
     head = config.method == "mtaf"
     assert all((ref_head is not None) == head for _, ref_head in ref_values)
-    codes, sensitive, sides = subset_arrays(batch.labels, batch.sensitive)
+    codes = subset_arrays(batch.labels, batch.sensitive)
     (f_full,), (f_head,), terms = fairness_seed_terms(
-        config, SimpleNamespace(codes=codes[None], sensitive=sensitive[None],
-                                sides=sides[None], counts=None),
+        config, SimpleNamespace(codes=codes[None]),
         np.stack(probs)[None], [tasks],
         lambda full, head: np.empty((0,) + full.shape), head=head)
     assert len(terms) == 0

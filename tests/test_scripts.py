@@ -10,6 +10,8 @@ import pickle
 import subprocess
 import sys
 
+import pytest
+
 from fairmtl.model import ArchConfig
 from fairmtl.trainer import TrainConfig
 
@@ -41,14 +43,21 @@ def test_parity_check_builds_every_config():
         assert all(isinstance(mate, TrainConfig) for mate in mates)
 
 
-def test_stacked_mmd_runs_equal_their_solo_runs(capsys):
+@pytest.mark.parametrize("prefix, summary", [
+    ("T2/mmd-", "60 runs in stacks of widths 2-5, 2 diverged"),
+    ("T2/correlation/", "45 runs in stacks of widths 2-5, 2 diverged"),
+    ("T2/soft_fpr_gap/", "45 runs in stacks of widths 2-5, 1 diverged"),
+], ids=["mmd", "correlation", "soft_fpr_gap"])
+def test_parity_check_stacked_runs_equal_their_solo_runs(prefix, summary,
+                                                        capsys):
     """`parity_check.py --stacked` on the 12 MMD runs at bandwidths 0.3
-    and 2: stacks of widths 2-5, tail batches, exact kernel blocks and
-    stack-mates that diverge all train each run bit for bit as alone."""
-    assert _parity_check().stacked("T2/mmd-") == 0
+    and 2, and on the 9 two-task correlation runs and 9 soft FPR runs,
+    which read a run's rows from its codes: stacks of widths 2-5, tail
+    batches, exact kernel blocks and stack-mates that diverge all train
+    each run bit for bit as alone."""
+    assert _parity_check().stacked(prefix) == 0
     assert capsys.readouterr().out.startswith(
-        "60 runs in stacks of widths 2-5, 2 diverged: max abs difference "
-        "from the solo runs 0;")
+        f"{summary}: max abs difference from the solo runs 0;")
 
 
 def test_parity_check_compares_report_files(tmp_path, capsys):

@@ -9,6 +9,7 @@ import copy
 import csv
 import io
 import json
+import math
 import os
 import string
 import tempfile
@@ -91,6 +92,13 @@ class TestSweepConfig:
             SweepConfig(lambda_range=(3.0, 1.0))
         with pytest.raises(ConfigError):
             SweepConfig(fairness_kind="nope")
+        # by name, not left to overflow when the runs are drawn
+        for name, bounds in (("w1_range", (0.0, math.nan)),
+                             ("lambda_range", (0.0, math.inf)),
+                             ("ratio_range", (0.1, math.inf)),
+                             ("lambda_range", (-math.inf, 1.0))):
+            with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                SweepConfig(**{name: bounds})
 
     def test_dict_round_trip(self):
         sweep = SweepConfig(methods=("mtaf",), budget=7, master_seed=9,
@@ -1140,6 +1148,38 @@ class TestCli:
         assert "stl.seeds must be a list of integers" in (
             capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("seeds", [[1, 1], [-1, 2]],
+                             ids=["repeated", "negative"])
+    def test_stl_seeds_must_be_distinct_and_nonnegative(
+            self, tmp_path, capsys, seeds):
+        """A repeated seed would train one baseline twice and report it as
+        two; a negative one would fail inside the random generator."""
+        cfg = copy.deepcopy(CLI_CFG)
+        cfg["stl"]["seeds"] = seeds
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert cli.main(["stl-baseline", "--dataset", "synth", "--out",
+                         str(out), "--config", str(path)]) == 2
+        assert "stl.seeds must be distinct and >= 0" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_train_refuses_a_negative_seed(self, tmp_path, capsys):
+        """A negative training seed is a config error, exit 2, not a run
+        appended as failed."""
+        cfg = copy.deepcopy(CLI_CFG)
+        cfg["train"]["seed"] = -1
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        argv = ["--dataset", "synth", "--out", str(out), "--config", str(path)]
+        assert cli.main(["stl-baseline"] + argv) == 0
+        capsys.readouterr()
+        assert cli.main(["train"] + argv) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (out / "runs.csv").exists()
 
     def test_seed_only_on_train_and_sweep(self, tmp_path):
         for command in (["stl-baseline", "--dataset", "synth"], ["report"]):

@@ -108,6 +108,9 @@ def test_config_validation():
         TrainConfig(method="vanilla", task_weights=(-0.1,))
     with pytest.raises(ConfigError):
         TrainConfig(method="vanilla", task_weights=(1.0,), learning_rate=0.0)
+    # by name, not left to fail inside the run's random generator
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        TrainConfig(method="vanilla", task_weights=(1.0,), seed=-1)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -592,9 +595,8 @@ def test_step_kernel_calls_do_not_grow_with_tasks(method, monkeypatch):
 
 def test_soft_fpr_step_counts_do_not_grow_with_tasks(monkeypatch):
     """A soft FPR mtaf step of a 4-task model takes every task's per-code
-    sums and sizes from as many bincounts as one of a 1-task model: on a
-    Dataset, one weighted and one plain; in `train()`, one weighted per
-    step and one plain per epoch for all its steps."""
+    sums and sizes from as many bincounts as one of a 1-task model: one
+    weighted and one plain per step, on a Dataset and in `train()`."""
     calls = []
     bincount = np.bincount
     monkeypatch.setattr(np, "bincount",
@@ -618,8 +620,8 @@ def test_soft_fpr_step_counts_do_not_grow_with_tasks(monkeypatch):
         calls.clear()
         train(batch, small_arch(T), cfg)
         counts[T].append(len(calls))
-    # 2 epochs of 4 steps each: 2 x (1 + 4)
-    assert counts == {1: [2, 10], 4: [2, 10]}
+    # 2 epochs of 4 steps each: 2 x (4 + 4)
+    assert counts == {1: [2, 16], 4: [2, 16]}
 
 
 @pytest.mark.parametrize("method, per_run",
@@ -925,8 +927,7 @@ def test_runs_on_a_dataset_reuse_its_arrays(monkeypatch):
         calls.setdefault(phase[-1], []).append((arrays, _pointers(arrays)))
 
     def step_spy(model, batch, errors, losses=None):
-        record([batch.rows, batch.labels, batch.codes,
-                batch.sensitive, batch.sides])
+        record([batch.rows, batch.labels, batch.codes])
         return step_real(model, batch, errors, losses)
 
     def forward_spy(forward):
