@@ -2,18 +2,21 @@
 
 CSV files are interpreted through a JSON schema (FeatureSpec): which columns
 are dense or categorical inputs, how each binary task label derives from a
-source column via a predicate, and how the sensitive attribute is encoded.
+source column via a predicate, and how the sensitive attribute is encoded;
+a key that names no field is refused (`spec_from_dict`).  `resolve` and
+`load_dataset` each read their CSV once, into columns (`_read`).
 Standardization statistics and categorical vocabularies are fitted once on
 the training file (`resolve`) and frozen, so test data never leaks into them.
 """
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .exceptions import ConfigError, RowParseError, SchemaError
+from .model import from_fields, refuse_unknown
 
 OOV_INDEX = 0  # reserved slot for unseen categorical tokens
 PREDICATE_OPS = ("gt", "ge", "eq")
@@ -87,14 +90,46 @@ class FeatureSpec:
         return tuple(c.vocab_size for c in self.categorical)
 
 
-def _validate_spec(spec):
-    seen = set()
-    for name in ([c.name for c in spec.dense]
-                 + [c.name for c in spec.categorical]
-                 + [t.name for t in spec.tasks]):
-        if name in seen:
-            raise SchemaError(f"duplicate column/task name {name!r}")
-        seen.add(name)
+def load_schema(path):
+    """Read a FeatureSpec from a schema JSON file."""
+    with open(path) as f:
+        return spec_from_dict(json.load(f))
+
+
+def spec_from_dict(raw):
+    """A FeatureSpec from a schema's JSON object, checked whole: a key
+    that names no field, at the top level or in a column, task or
+    `sensitive`, is refused like any other malformed or inconsistent
+    schema, with a SchemaError."""
+    try:
+        for c in raw.get("categorical", ()):
+            if isinstance(c, dict) and "embedding_dim" in c:
+                raise SchemaError(
+                    f"categorical column {c.get('name')!r}: embedding_dim "
+                    "is not a schema key; set arch.embedding_dim instead")
+
+        def records(cls, items):
+            return tuple(from_fields(cls, c if isinstance(c, dict)
+                                     else {"name": c}) for c in items)
+        sens = raw.get("sensitive")
+        if sens is not None:
+            refuse_unknown("sensitive", sens, ("column", "encoding"))
+            sens = SensitiveCol(sens["column"],
+                                tuple(sorted(sens["encoding"].items())))
+        spec = from_fields(FeatureSpec, {
+            "name": "unnamed", **raw,
+            "dense": records(DenseCol, raw.get("dense", ())),
+            "categorical": tuple(
+                c if c.vocab is None else replace(c, vocab=tuple(c.vocab))
+                for c in records(CatCol, raw.get("categorical", ()))),
+            "tasks": records(TaskDef, raw["tasks"]), "sensitive": sens,
+            "missing_values": tuple(raw.get("missing_values", ("", "?")))})
+    except (AttributeError, ConfigError, KeyError, TypeError) as exc:
+        raise SchemaError(f"malformed schema: {exc}") from exc
+    names = [c.name for c in spec.dense + spec.categorical + spec.tasks]
+    repeated = [n for i, n in enumerate(names) if n in names[:i]]
+    if repeated:
+        raise SchemaError(f"duplicate column/task name {repeated[0]!r}")
     if not spec.tasks:
         raise SchemaError("schema declares no tasks")
     if not spec.dense and not spec.categorical:
@@ -106,55 +141,9 @@ def _validate_spec(spec):
             raise SchemaError(f"task {t.name!r}: {t.op} needs a numeric constant")
         if t.standardize and t.op == "eq":
             raise SchemaError(f"task {t.name!r}: standardize requires gt/ge")
-    if spec.sensitive is not None:
-        values = {v for _, v in spec.sensitive.encoding}
-        if not values <= {0, 1}:
-            raise SchemaError("sensitive encoding must map tokens to 0 or 1")
+    if spec.sensitive and not {v for _, v in spec.sensitive.encoding} <= {0, 1}:
+        raise SchemaError("sensitive encoding must map tokens to 0 or 1")
     return spec
-
-
-def load_schema(path):
-    """Read a FeatureSpec from a schema JSON file."""
-    with open(path) as f:
-        raw = json.load(f)
-    return spec_from_dict(raw)
-
-
-def spec_from_dict(raw):
-    try:
-        dense = tuple(
-            DenseCol(name=c["name"], mean=c.get("mean"), sd=c.get("sd"))
-            if isinstance(c, dict) else DenseCol(name=c)
-            for c in raw.get("dense", ()))
-        for c in raw.get("categorical", ()):
-            if isinstance(c, dict) and "embedding_dim" in c:
-                raise SchemaError(
-                    f"categorical column {c.get('name')!r}: embedding_dim "
-                    "is not a schema key; set arch.embedding_dim instead")
-        categorical = tuple(
-            CatCol(name=c["name"],
-                   vocab=tuple(c["vocab"]) if "vocab" in c else None)
-            if isinstance(c, dict) else CatCol(name=c)
-            for c in raw.get("categorical", ()))
-        tasks = tuple(
-            TaskDef(name=t["name"], source=t["source"], op=t["op"],
-                    constant=t["constant"],
-                    standardize=bool(t.get("standardize", False)),
-                    mean=t.get("mean"), sd=t.get("sd"))
-            for t in raw["tasks"])
-        sens = None
-        if raw.get("sensitive") is not None:
-            s = raw["sensitive"]
-            sens = SensitiveCol(name=s["column"],
-                                encoding=tuple(sorted(s["encoding"].items())))
-        spec = FeatureSpec(name=raw.get("name", "unnamed"),
-                           dense=dense, categorical=categorical, tasks=tasks,
-                           sensitive=sens,
-                           missing_values=tuple(raw.get("missing_values",
-                                                        ("", "?"))))
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"malformed schema: {exc}") from exc
-    return _validate_spec(spec)
 
 
 @dataclass
@@ -240,49 +229,67 @@ class Dataset:
         return out
 
 
-def _parse_cell(cell, column, line_no, spec, number=True):
-    """A raw cell, as a number unless `number` is false; None when it is
-    one of the missing values."""
-    if cell in spec.missing_values:
-        return None
-    if not number:
-        return cell
-    try:
-        return float(cell)
-    except ValueError:
-        raise RowParseError(
-            line_no, f"column {column!r}: cannot parse {cell!r} as a number")
-
-
-def _parse_rows(csv_path, spec):
-    """Yield ({column: raw cell}, dense values, label sources) for each
-    data row, or None for a rejected row: one with a missing dense value
-    or label source.  A task's label source is its raw cell for an `eq`
-    task, else a number.  Every number is parsed, so an unparseable one
-    raises RowParseError with its line, whatever else the row lacks."""
+def _read(csv_path, spec):
+    """A CSV's rows that survive loading, column by column: the (n, d)
+    dense values, each task's label source (an `eq` task's cells, else
+    floats), each categorical column's cells and the sensitive cells
+    (all None without a sensitive column); and the count of rejected
+    rows, those missing a dense value or label source.  Every number is
+    parsed, so an unparseable one raises RowParseError with its line,
+    whatever else the row lacks."""
+    d, c = len(spec.dense), len(spec.categorical)
+    names = spec.columns()   # dense, categorical, label sources, sensitive
+    # the cells that must be there, in parse order: True for a number
+    required = dict.fromkeys(range(d), True) | {
+        d + c + k: t.op != "eq" for k, t in enumerate(spec.tasks)}
+    rows, rejected = [], 0
     with open(csv_path, newline="") as f:
         reader = csv.reader(f)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise SchemaError(f"{csv_path}: empty file") from None
-        missing = [c for c in spec.columns() if c not in header]
+        missing = [name for name in names if name not in header]
         if missing:
             raise SchemaError(f"{csv_path}: missing columns {missing}")
-        pos = {c: header.index(c) for c in spec.columns()}
+        pos = [header.index(name) for name in names]
         for line_no, cells in enumerate(reader, start=2):
-            if not cells or all(not cell.strip() for cell in cells):
+            if not any(cell.strip() for cell in cells):
                 continue
-            row = {c: cells[i].strip() if i < len(cells) else ""
-                   for c, i in pos.items()}
-            vals = [_parse_cell(row[c.name], c.name, line_no, spec)
-                    for c in spec.dense]
-            sources = [_parse_cell(row[t.source], t.source, line_no, spec,
-                                   number=t.op != "eq") for t in spec.tasks]
-            if None in vals or None in sources:
-                yield None
+            row = [cells[i].strip() if i < len(cells) else "" for i in pos]
+            for k, number in required.items():
+                if row[k] in spec.missing_values:
+                    row[k] = None
+                elif number:
+                    try:
+                        row[k] = float(row[k])
+                    except ValueError:
+                        raise RowParseError(
+                            line_no, f"column {names[k]!r}: cannot parse "
+                            f"{row[k]!r} as a number") from None
+            if None in row:
+                rejected += 1
             else:
-                yield row, vals, sources
+                rows.append(row)
+    columns = list(zip(*rows)) or [()] * len(names)
+    dense = np.array(columns[:d], dtype=np.float64).reshape(d, len(rows)).T
+    sources = [np.array(columns[k], dtype=np.float64) if number
+               else columns[k] for k, number in required.items() if k >= d]
+    return (dense, sources, columns[d:d + c],
+            columns[-1] if spec.sensitive else (None,) * len(rows), rejected)
+
+
+def _stats(columns):
+    """Each column's {"mean", "sd"} over the rows of `columns`, sd 1
+    where it is 0, from running sums taken in row order from 0."""
+    n = len(columns)
+    # cumsum adds in row order, where a sum over a column would not;
+    # + 0.0 makes an all -0.0 column's sum +0.0, as a sum from 0 does
+    mean = (np.cumsum(columns, axis=0)[-1] + 0.0) / n
+    var = np.maximum(np.cumsum(columns * columns, axis=0)[-1] / n
+                     - mean * mean, 0.0)
+    return [{"mean": float(m), "sd": float(s if s > 0 else 1.0)}
+            for m, s in zip(mean, np.sqrt(var))]
 
 
 def resolve(spec, csv_path):
@@ -292,55 +299,20 @@ def resolve(spec, csv_path):
     contribute to the statistics.  Constant dense columns get sd = 1 so the
     transform stays defined.
     """
-    sums = np.zeros(len(spec.dense))
-    sqsums = np.zeros(len(spec.dense))
-    zsums = {t.name: [0.0, 0.0] for t in spec.tasks if t.standardize}
-    vocabs = [set() for _ in spec.categorical]
-    count = 0
-
-    for row, vals, sources in filter(None, _parse_rows(csv_path, spec)):
-        count += 1
-        sums += vals
-        sqsums += np.square(vals)
-        for t, v in zip(spec.tasks, sources):
-            if t.standardize:
-                zsums[t.name][0] += v
-                zsums[t.name][1] += v * v
-        for vocab, c in zip(vocabs, spec.categorical):
-            if row[c.name] not in spec.missing_values:
-                vocab.add(row[c.name])
-
-    if count == 0:
+    dense, sources, cat, _, _ = _read(csv_path, spec)
+    if not len(dense):
         raise SchemaError(f"{csv_path}: no usable rows to fit statistics")
-
-    def stats(total, sq):
-        mean = total / count
-        var = max(sq / count - mean * mean, 0.0)
-        sd = np.sqrt(var)
-        return float(mean), float(sd if sd > 0 else 1.0)
-
-    dense = tuple(replace(c, mean=m, sd=s) for c, (m, s) in
-                  zip(spec.dense, map(stats, sums, sqsums)))
-    categorical = tuple(replace(c, vocab=tuple(sorted(v)))
-                        for c, v in zip(spec.categorical, vocabs))
-    tasks = []
-    for t in spec.tasks:
-        if t.standardize:
-            m, s = stats(*zsums[t.name])
-            tasks.append(replace(t, mean=m, sd=s))
-        else:
-            tasks.append(t)
-    return replace(spec, dense=dense, categorical=categorical,
-                   tasks=tuple(tasks))
-
-
-def _derive_label(task, v):
-    """Apply a task predicate to its label source, from `_parse_rows`."""
-    if task.op == "eq":
-        return int(v == str(task.constant))
-    if task.standardize:
-        v = (v - task.mean) / task.sd
-    return int(v > task.constant if task.op == "gt" else v >= task.constant)
+    z = [k for k, t in enumerate(spec.tasks) if t.standardize]
+    stats = _stats(np.column_stack([dense] + [sources[k] for k in z]))
+    fitted = dict(zip(z, stats[len(spec.dense):]))
+    missing = set(spec.missing_values)
+    return replace(
+        spec,
+        dense=tuple(replace(c, **s) for c, s in zip(spec.dense, stats)),
+        categorical=tuple(replace(c, vocab=tuple(sorted(set(cells) - missing)))
+                          for c, cells in zip(spec.categorical, cat)),
+        tasks=tuple(replace(t, **fitted.get(k, {}))
+                    for k, t in enumerate(spec.tasks)))
 
 
 def load_dataset(csv_path, spec, split="train"):
@@ -351,34 +323,24 @@ def load_dataset(csv_path, spec, split="train"):
     """
     if not spec.resolved:
         raise SchemaError("spec not resolved; call resolve() on the train CSV")
-    lookups = [{tok: i + 1 for i, tok in enumerate(c.vocab)}
-               for c in spec.categorical]
-    sens_map = dict(spec.sensitive.encoding) if spec.sensitive else {}
-
-    dense_rows, cat_rows, label_rows, sens_vals = [], [], [], []
-    rejected = 0
-    for parsed in _parse_rows(csv_path, spec):
-        if parsed is None:
-            rejected += 1
-            continue
-        row, vals, sources = parsed
-        dense_rows.append([(v - c.mean) / c.sd
-                           for v, c in zip(vals, spec.dense)])
-        cat_rows.append([lookup.get(row[c.name], OOV_INDEX)
-                         for lookup, c in zip(lookups, spec.categorical)])
-        label_rows.append([_derive_label(t, v)
-                           for t, v in zip(spec.tasks, sources)])
-        if spec.sensitive is None:
-            sens_vals.append(-1)
+    dense, sources, cat, sens, rejected = _read(csv_path, spec)
+    labels, codes = [], []
+    for t, v in zip(spec.tasks, sources):
+        if t.op == "eq":
+            labels.append([cell == str(t.constant) for cell in v])
         else:
-            sens_vals.append(sens_map.get(row[spec.sensitive.name], -1))
-
-    n = len(label_rows)
+            z = (v - t.mean) / t.sd if t.standardize else v
+            labels.append(z > t.constant if t.op == "gt" else z >= t.constant)
+    for c, cells in zip(spec.categorical, cat):
+        lookup = {tok: i + 1 for i, tok in enumerate(c.vocab)}
+        codes.append([lookup.get(cell, OOV_INDEX) for cell in cells])
+    encoding = dict(spec.sensitive.encoding) if spec.sensitive else {}
     return Dataset(
-        dense=np.asarray(dense_rows, dtype=np.float64).reshape(n, len(spec.dense)),
-        cat=np.asarray(cat_rows, dtype=np.intp).reshape(n, len(spec.categorical)),
-        labels=np.asarray(label_rows, dtype=np.int8).reshape(n, spec.num_tasks),
-        sensitive=np.asarray(sens_vals, dtype=np.int8),
+        dense=((dense - [c.mean for c in spec.dense])
+               / [c.sd for c in spec.dense]),
+        cat=np.array(codes, dtype=np.intp).reshape(len(codes), len(sens)).T,
+        labels=np.array(labels, dtype=np.int8).T,
+        sensitive=[encoding.get(cell, -1) for cell in sens],
         split=split, vocab_sizes=spec.vocab_sizes(), rejected=rejected)
 
 

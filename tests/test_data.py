@@ -6,6 +6,7 @@ checked against the rates it was asked to hit.
 """
 
 import json
+import math
 from importlib import resources
 
 import numpy as np
@@ -139,6 +140,32 @@ class TestResolveAndLoad:
         assert spec.tasks[0].sd == pytest.approx(np.sqrt(2.0))
         ds = load_dataset(path, spec)
         assert np.array_equal(ds.labels[:, 0], [0, 0, 0, 1, 1])
+
+    def test_stats_are_running_sums_in_row_order(self, tmp_path):
+        """A column's mean and sd are those of running sums taken row by
+        row from 0, bit for bit, for a dense column and a standardized
+        label source alike: 40 values of widely varying magnitude, whose
+        pairwise sum (np.sum) rounds differently."""
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(40) * 10.0 ** rng.uniform(-2, 9, 40)
+        score = x[::-1].copy()
+        path = tmp_path / "z.csv"
+        path.write_text("x,score\n" + "".join(
+            f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), score.tolist())))
+        schema = {"name": "z", "dense": ["x"], "categorical": [],
+                  "tasks": [{"name": "high", "source": "score", "op": "gt",
+                             "constant": 0, "standardize": True}]}
+        spec = resolve(spec_from_dict(schema), path)
+        for values, fitted in ((x, spec.dense[0]), (score, spec.tasks[0])):
+            total = sq = 0.0
+            for v in values.tolist():
+                total += v
+                sq += v * v
+            assert total != np.sum(values)
+            mean = total / len(values)
+            sd = math.sqrt(max(sq / len(values) - mean * mean, 0.0))
+            assert (fitted.mean.hex(), fitted.sd.hex()) == (mean.hex(),
+                                                            sd.hex())
 
     def test_unresolved_spec_rejected(self, tmp_path):
         spec = spec_from_dict(TOY_SCHEMA)
@@ -499,6 +526,24 @@ class TestSchemaValidation:
         raw = self.base()
         raw["categorical"] = [{"name": "job", "embedding_dim": 3}]
         with pytest.raises(SchemaError, match="arch.embedding_dim"):
+            spec_from_dict(raw)
+
+    @pytest.mark.parametrize("where, key", [
+        ("top", "sensitve"), ("dense", "meen"), ("categorical", "vocab_size"),
+        ("task", "standardise"), ("sensitive", "colum")])
+    def test_unknown_key_refused(self, where, key):
+        """A key that names no field is refused by name wherever it
+        stands: a misspelt `sensitive` used to load with no sensitive
+        column, and a misspelt `standardize` as false."""
+        raw = self.base()
+        if where == "top":
+            raw[key] = raw.pop("sensitive")
+        elif where in ("dense", "categorical"):
+            raw[where][0] = {"name": raw[where][0], key: 1}
+        else:
+            target = raw["tasks"][1] if where == "task" else raw[where]
+            target[key] = target.get("standardize", True)
+        with pytest.raises(SchemaError, match=f"unknown key.*'{key}'"):
             spec_from_dict(raw)
 
     def test_malformed_dict(self):

@@ -25,11 +25,12 @@ from hypothesis import strategies as st
 from fairmtl import cli, pareto
 from fairmtl import metrics as metrics_module
 from fairmtl import sweep as sweep_module
-from fairmtl.data import SynthSpec, split_random, synth_generate
+from fairmtl.data import SynthSpec, load_schema, split_random, synth_generate
 from fairmtl.exceptions import ConfigError, ContractError
 from fairmtl.metrics import (StlBaselines, evaluate_model, run_stl_baselines,
                              single_task_view, stl_config_hash)
 from fairmtl.model import ArchConfig, from_fields
+from fairmtl.presets import SCHEMA_PRESETS, schema_path
 from fairmtl.sweep import (
     RUNS_COLUMNS,
     RUNS_SCHEMA_VERSION,
@@ -1241,6 +1242,44 @@ class TestCli:
             captured.err)
         assert "wrote" not in captured.out
         assert os.listdir(tmp_path) == ["runs.csv"]
+
+    @pytest.mark.parametrize("dataset", SCHEMA_PRESETS)
+    def test_shipped_schema_runs_end_to_end(self, tmp_path, capsys, dataset):
+        """Each shipped schema's CSVs, with missing cells, unseen
+        categorical tokens and an unknown sensitive token, load through
+        the schema branch of `resolve_data`: stl-baseline caches and
+        train appends one row."""
+        spec = load_schema(schema_path(dataset))
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        rng = np.random.default_rng(0)
+        senses = ["?", "unknown", *dict(spec.sensitive.encoding)]
+        for split, n in (("train", 160), ("test", 80)):
+            tokens = ["a", "b", "c"] + ["unseen"] * (split == "test")
+            rows = [spec.columns()]
+            for i in range(n):
+                row = list(map(repr, rng.normal(size=len(spec.dense)).tolist()))
+                row += ["?" if i % 11 == 0 else str(rng.choice(tokens))
+                        for _ in spec.categorical]
+                for t in spec.tasks:
+                    noise = 10 * rng.normal()
+                    row.append(("no", str(t.constant))[i % 2] if t.op == "eq"
+                               else repr(t.constant + float(noise)))
+                row.append(str(rng.choice(senses)))
+                if i % 13 == 5:
+                    row[0] = "?"   # a missing dense value: rejected
+                rows.append(row)
+            (data_dir / f"{split}.csv").write_text(
+                "\n".join(",".join(row) for row in rows) + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data_dir": str(data_dir),
+                                   "stl": {"seeds": [0]}}))
+        out = tmp_path / "out"
+        argv = ["--dataset", dataset, "--out", str(out), "--config", str(cfg)]
+        assert cli.main(["stl-baseline"] + argv) == 0
+        assert cli.main(["train"] + argv) == 0
+        assert len(load_runs(str(out / "runs.csv"))) == 1
+        assert "rejected rows: train 12, test 6" in capsys.readouterr().err
 
     def test_preset_dataset_missing_files_points_at_prepare(
             self, tmp_path, capsys):
