@@ -18,10 +18,13 @@ runs, the largest difference of any parameter or accumulator entry
 (absolute, and relative to the largest magnitude in that parameter), then
 every test metric that differs, with both values, then every report file
 that differs; it ignores any other field a record holds, such as the
-per-epoch loss history that older trees saved.  It exits 1 when the
-records hold different runs.  `--stacked` trains each run of the set with
-four stack-mates of other seeds, weights, lambdas and ratios, alone and as
-stacks (`train_stack`) of widths 2-5 in turn, which cut the five runs
+per-epoch loss history that older trees saved.  It exits 0 only when
+the two records match exactly, and 1 when they hold different runs or
+any parameter, accumulator, test metric or report file differs: the
+gate for a change that must keep training bit-identical.  `--stacked`
+trains each run of the set with four stack-mates of other seeds,
+weights, lambdas and ratios, alone and as stacks (`train_stack`) of
+widths 2-5 in turn, which cut the five runs
 2+2+1, 3+2, 4+1 and 5; in every seventh group one stack-mate starts with
 NaN Adagrad accumulators, so it diverges inside its stack.  It prints the
 largest difference between any run's stacked and solo parameters and
@@ -331,19 +334,21 @@ def compare(path_a, path_b):
         print("the records hold different runs:",
               sorted(a.keys() ^ b.keys()))
         return 1
+    worst = 0.0
     for field in ("params", "accumulators"):
         worst_abs, worst_rel, where = _largest(a, b, field)
+        worst = max(worst, worst_abs)
         print(f"{field}: max abs difference {worst_abs:.3g}, "
               f"max relative {worst_rel:.3g}"
               + (f" ({where})" if where else ""))
     names = ("err", "fpr_gap", "tpr_gap")
-    differ = [(key, t, names[i], x, y)
+    metrics = [(key, t, names[i], x, y)
               for key in a
               for t, (row_a, row_b) in enumerate(zip(a[key]["metrics"],
                                                      b[key]["metrics"]))
               for i, (x, y) in enumerate(zip(row_a, row_b)) if x != y]
-    print(f"test metrics that differ: {len(differ)}")
-    for key, t, name, x, y in differ:
+    print(f"test metrics that differ: {len(metrics)}")
+    for key, t, name, x, y in metrics:
         print(f"  {key} task {t} {name}: {x!r} -> {y!r}")
     files = [r.get("reports", {}) for r in records]
     differ = sorted(name for name in files[0].keys() | files[1].keys()
@@ -352,7 +357,7 @@ def compare(path_a, path_b):
           f"{len(files[0].keys() | files[1].keys())}")
     for name in differ:
         print(f"  {name}")
-    return 0
+    return int(bool(worst or metrics or differ))
 
 
 def main(argv=None):

@@ -39,6 +39,14 @@ from .trainer import TrainConfig
 
 _CONFIG_KEYS = ("synth", "arch", "train", "sweep", "stl", "data_dir",
                 "synth_seed", "split_fraction", "split_seed")
+_SEED = ("an integer >= 0", lambda v: isinstance(v, int) and v >= 0)
+# what each data setting must be, and its check
+_DATA_SETTINGS = {
+    "synth_seed": _SEED, "split_seed": _SEED,
+    "split_fraction": ("a number in (0, 1)",
+                       lambda v: isinstance(v, (int, float)) and 0 < v < 1),
+    "data_dir": ("a string", lambda v: isinstance(v, str)),
+}
 
 
 def _load_config(path):
@@ -71,6 +79,9 @@ def resolve_data(dataset_arg, cfg):
     from --seed, so every subcommand sees the same rows and the cached
     baselines stay addressable.
     """
+    for key, (what, valid) in _DATA_SETTINGS.items():
+        if key in cfg and not valid(cfg[key]):
+            raise ConfigError(f"{key} must be {what}, got {cfg[key]!r}")
     if dataset_arg == "synth":
         synth_cfg = dict(cfg.get("synth", {}))
         synth_cfg.setdefault("n", 4000)

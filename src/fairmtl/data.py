@@ -11,6 +11,8 @@ the training file (`resolve`) and frozen, so test data never leaks into them.
 
 import csv
 import json
+import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -380,6 +382,15 @@ class SynthSpec:
     sensitive_missing_rate: float = 0.0
 
     def __post_init__(self):
+        for name in ("n", "num_tasks", "dense_dim"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        for name in ("group_fraction", "label_correlation",
+                     "group_feature_weight", "feature_noise", "logit_slope",
+                     "sensitive_missing_rate"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if self.n < 1:
             raise ConfigError("n must be >= 1")
         if self.num_tasks < 1 or self.dense_dim < 1:

@@ -18,6 +18,7 @@ autodiff graph, the differentiable reference.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -41,15 +42,18 @@ class ArchConfig:
     embedding_dim: int = 40
 
     def __post_init__(self):
+        for name in ("num_tasks", "embedding_dim"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        for name in ("shared_layer_sizes", "head_layer_sizes"):
+            object.__setattr__(self, name, tuple(map(operator.index,
+                                                     getattr(self, name))))
         if self.num_tasks < 1:
             raise ConfigError(f"num_tasks must be >= 1, got {self.num_tasks}")
-        for size in tuple(self.shared_layer_sizes) + tuple(self.head_layer_sizes):
+        for size in self.shared_layer_sizes + self.head_layer_sizes:
             if size < 1:
                 raise ConfigError(f"layer sizes must be >= 1, got {size}")
         if self.embedding_dim < 1:
             raise ConfigError("embedding_dim must be >= 1")
-        object.__setattr__(self, "shared_layer_sizes", tuple(self.shared_layer_sizes))
-        object.__setattr__(self, "head_layer_sizes", tuple(self.head_layer_sizes))
 
 
 def refuse_unknown(what, keys, accepted):

@@ -83,6 +83,9 @@ class SweepConfig:
             raise ConfigError("budget must be >= 1")
         if self.seeds_per_config < 1:
             raise ConfigError("seeds_per_config must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got "
+                              f"{self.master_seed}")
         for name in ("w1_range", "lambda_range", "ratio_range"):
             lo, hi = map(float, getattr(self, name))
             if not (math.isfinite(lo) and math.isfinite(hi)):

@@ -141,11 +141,13 @@ class TestResolveAndLoad:
         ds = load_dataset(path, spec)
         assert np.array_equal(ds.labels[:, 0], [0, 0, 0, 1, 1])
 
-    def test_stats_are_running_sums_in_row_order(self, tmp_path):
+    @pytest.mark.parametrize("standardize", [False, True])
+    def test_stats_are_running_sums_in_row_order(self, tmp_path,
+                                                 standardize):
         """A column's mean and sd are those of running sums taken row by
-        row from 0, bit for bit, for a dense column and a standardized
-        label source alike: 40 values of widely varying magnitude, whose
-        pairwise sum (np.sum) rounds differently."""
+        row from 0, bit for bit: one dense column alone, or with a
+        standardized label source, of 40 values of widely varying
+        magnitude, whose pairwise sum (np.sum) rounds differently."""
         rng = np.random.default_rng(3)
         x = rng.standard_normal(40) * 10.0 ** rng.uniform(-2, 9, 40)
         score = x[::-1].copy()
@@ -154,9 +156,10 @@ class TestResolveAndLoad:
             f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), score.tolist())))
         schema = {"name": "z", "dense": ["x"], "categorical": [],
                   "tasks": [{"name": "high", "source": "score", "op": "gt",
-                             "constant": 0, "standardize": True}]}
+                             "constant": 0, "standardize": standardize}]}
         spec = resolve(spec_from_dict(schema), path)
-        for values, fitted in ((x, spec.dense[0]), (score, spec.tasks[0])):
+        fitted = [(x, spec.dense[0])] + [(score, spec.tasks[0])] * standardize
+        for values, column in fitted:
             total = sq = 0.0
             for v in values.tolist():
                 total += v
@@ -164,8 +167,20 @@ class TestResolveAndLoad:
             assert total != np.sum(values)
             mean = total / len(values)
             sd = math.sqrt(max(sq / len(values) - mean * mean, 0.0))
-            assert (fitted.mean.hex(), fitted.sd.hex()) == (mean.hex(),
+            assert (column.mean.hex(), column.sd.hex()) == (mean.hex(),
                                                             sd.hex())
+
+    def test_all_negative_zero_column_has_mean_plus_zero(self, tmp_path):
+        """A running sum from 0 of -0.0 values is +0.0, so the column's
+        mean is +0.0 and its values load as (-0.0 - 0.0) / 1 = -0.0."""
+        path = tmp_path / "z.csv"
+        path.write_text("x,y\n" + "-0,1\n" * 9)
+        schema = {"name": "z", "dense": ["x"], "categorical": [],
+                  "tasks": [{"name": "t", "source": "y", "op": "gt",
+                             "constant": 0}]}
+        spec = resolve(spec_from_dict(schema), path)
+        assert (spec.dense[0].mean.hex(), spec.dense[0].sd) == ("0x0.0p+0", 1)
+        assert np.signbit(load_dataset(path, spec).dense).all()
 
     def test_unresolved_spec_rejected(self, tmp_path):
         spec = spec_from_dict(TOY_SCHEMA)

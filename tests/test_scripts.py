@@ -10,6 +10,7 @@ import pickle
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from fairmtl.model import ArchConfig
@@ -63,7 +64,8 @@ def test_parity_check_stacked_runs_equal_their_solo_runs(prefix, summary,
 def test_parity_check_compares_report_files(tmp_path, capsys):
     """The report part of `parity_check.py --save`, over tables of 90
     rows, made twice by one tree: `--compare` finds no report file that
-    differs, and names the one that is then changed."""
+    differs and exits 0, and names the one that is then changed and
+    exits 1."""
     parity_check = _parity_check()
     paths = [str(tmp_path / name) for name in ("a.pkl", "b.pkl")]
     for path in paths:
@@ -76,9 +78,27 @@ def test_parity_check_compares_report_files(tmp_path, capsys):
     record["reports"]["T3/plotdata_task2.csv"] += b"\n"
     with open(paths[1], "wb") as f:
         pickle.dump(record, f)
-    parity_check.compare(*paths)
+    assert parity_check.compare(*paths) == 1
     assert capsys.readouterr().out.endswith(
         "report files that differ: 1 of 14\n  T3/plotdata_task2.csv\n")
+
+
+def test_parity_check_compare_fails_on_any_training_difference(tmp_path):
+    """`--compare` exits 1 when one parameter entry, accumulator entry
+    or test metric differs, and 0 when none does."""
+    parity_check = _parity_check()
+    run = {"params": {"w": np.zeros(3)}, "accumulators": {"w": np.ones(3)},
+           "metrics": [(0.25, 0.1, None)]}
+    path_a, path_b = str(tmp_path / "a.pkl"), str(tmp_path / "b.pkl")
+    with open(path_a, "wb") as f:
+        pickle.dump({"runs": {"r": run}}, f)
+    variants = [run, {**run, "params": {"w": np.array([0.0, 5e-324, 0.0])}},
+                {**run, "accumulators": {"w": np.nextafter(np.ones(3), 2)}},
+                {**run, "metrics": [(0.25, 0.1, 0.0)]}]
+    for i, other in enumerate(variants):
+        with open(path_b, "wb") as f:
+            pickle.dump({"runs": {"r": other}}, f)
+        assert parity_check.compare(path_a, path_b) == int(i > 0)
 
 
 def test_bench_kernels_runs():

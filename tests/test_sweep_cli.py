@@ -125,6 +125,13 @@ class TestSweepConfig:
         sweep = SweepConfig(**{name: np.int64(3)})
         assert type(getattr(sweep, name)) is int
 
+    def test_negative_master_seed_refused(self):
+        """It used to be accepted, and the draws then failed inside numpy
+        with "expected non-negative integer", naming no setting."""
+        with pytest.raises(ConfigError,
+                           match="master_seed must be >= 0, got -1"):
+            from_fields(SweepConfig, {"master_seed": -1})
+
     @pytest.mark.parametrize("setting", [
         {"learning_rate": -1}, {"batch_size": 0}, {"epochs": 0},
         {"mmd_bandwidth": -2}, {"fairness_target": "parity"}])
@@ -1165,6 +1172,51 @@ class TestCli:
                          str(out), "--config", str(path)]) == 2
         assert "stl.seeds must be distinct and >= 0" in (
             capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dataset, change, message", [
+        ("synth", {"split_fraction": "0.8"},
+         "split_fraction must be a number in (0, 1), got '0.8'"),
+        ("synth", {"split_seed": 1.5},
+         "split_seed must be an integer >= 0, got 1.5"),
+        ("synth", {"synth_seed": "a"},
+         "synth_seed must be an integer >= 0, got 'a'"),
+        ("synth", {"synth_seed": -1},
+         "synth_seed must be an integer >= 0, got -1"),
+        ("synth", {"synth": {"n": 200.5}}, "SynthSpec: 'float' object"),
+        ("synth", {"synth": {"num_tasks": 2.0}}, "SynthSpec: 'float' object"),
+        ("synth", {"synth": {"dense_dim": 2.5}}, "SynthSpec: 'float' object"),
+        ("synth", {"synth": {"logit_slope": "x"}},
+         "SynthSpec: could not convert string to float: 'x'"),
+        ("synth", {"synth": {"feature_noise": math.inf}},
+         "feature_noise must be finite, got inf"),
+        ("synth", {"arch": {"shared_layer_sizes": [2.5]}},
+         "ArchConfig: 'float' object"),
+        ("synth", {"arch": {"embedding_dim": 1.5}},
+         "ArchConfig: 'float' object"),
+        ("uci_adult", {"data_dir": 5}, "data_dir must be a string, got 5"),
+    ], ids=["split_fraction-str", "split_seed-float", "synth_seed-str",
+            "synth_seed-negative", "n-float", "num_tasks-float",
+            "dense_dim-float", "logit_slope-str", "feature_noise-inf",
+            "shared_layer_sizes-float", "embedding_dim-float", "data_dir-int"])
+    def test_config_value_of_a_wrong_type_refused(self, tmp_path, capsys,
+                                                  dataset, change, message):
+        """A config value of a wrong type or out of range is a config
+        error, exit 2; each used to end in a TypeError traceback (exit
+        1), and a negative synth_seed in numpy's bare "expected
+        non-negative integer"."""
+        cfg = copy.deepcopy(CLI_CFG)
+        for key, value in change.items():
+            if isinstance(value, dict):
+                cfg[key].update(value)
+            else:
+                cfg[key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert cli.main(["stl-baseline", "--dataset", dataset, "--out",
+                         str(out), "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_train_refuses_a_negative_seed(self, tmp_path, capsys):
