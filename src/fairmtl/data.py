@@ -139,8 +139,11 @@ def spec_from_dict(raw):
     for t in spec.tasks:
         if t.op not in PREDICATE_OPS:
             raise SchemaError(f"task {t.name!r}: unknown predicate op {t.op!r}")
-        if t.op in ("gt", "ge") and isinstance(t.constant, str):
+        if t.op in ("gt", "ge") and not isinstance(t.constant, (int, float)):
             raise SchemaError(f"task {t.name!r}: {t.op} needs a numeric constant")
+        if not isinstance(t.standardize, bool):
+            raise SchemaError(f"task {t.name!r}: standardize must be true or "
+                              f"false, got {t.standardize!r}")
         if t.standardize and t.op == "eq":
             raise SchemaError(f"task {t.name!r}: standardize requires gt/ge")
     if spec.sensitive and not {v for _, v in spec.sensitive.encoding} <= {0, 1}:
@@ -330,9 +333,11 @@ def load_dataset(csv_path, spec, split="train"):
     for t, v in zip(spec.tasks, sources):
         if t.op == "eq":
             labels.append([cell == str(t.constant) for cell in v])
-        else:
-            z = (v - t.mean) / t.sd if t.standardize else v
-            labels.append(z > t.constant if t.op == "gt" else z >= t.constant)
+            continue
+        # compared as Python floats: a float and an int compare exactly
+        above = operator.gt if t.op == "gt" else operator.ge
+        z = (v - t.mean) / t.sd if t.standardize else v
+        labels.append([above(x, t.constant) for x in z.tolist()])
     for c, cells in zip(spec.categorical, cat):
         lookup = {tok: i + 1 for i, tok in enumerate(c.vocab)}
         codes.append([lookup.get(cell, OOV_INDEX) for cell in cells])

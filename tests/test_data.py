@@ -170,6 +170,18 @@ class TestResolveAndLoad:
             assert (column.mean.hex(), column.sd.hex()) == (mean.hex(),
                                                             sd.hex())
 
+    def test_integer_constant_compared_exactly(self, tmp_path):
+        """2**53 + 1 is no float64: sources of 2**53 and 2**53 + 2 fall
+        below and above it, as Python compares a float with an int, not
+        at the constant rounded to a float64, where 2**53 would pass."""
+        path = tmp_path / "big.csv"
+        path.write_text(f"x,s\n1,{2**53}\n3,{2**53 + 2}\n")
+        schema = {"name": "big", "dense": ["x"], "categorical": [],
+                  "tasks": [{"name": "t", "source": "s", "op": "ge",
+                             "constant": 2**53 + 1}]}
+        spec = resolve(spec_from_dict(schema), path)
+        assert load_dataset(path, spec).labels[:, 0].tolist() == [0, 1]
+
     def test_all_negative_zero_column_has_mean_plus_zero(self, tmp_path):
         """A running sum from 0 of -0.0 values is +0.0, so the column's
         mean is +0.0 and its values load as (-0.0 - 0.0) / 1 = -0.0."""
@@ -517,6 +529,22 @@ class TestSchemaValidation:
         raw = self.base()
         raw["tasks"][1]["constant"] = "lots"
         with pytest.raises(SchemaError, match="numeric"):
+            spec_from_dict(raw)
+
+    @pytest.mark.parametrize("constant", [None, [100]], ids=["null", "list"])
+    def test_gt_with_null_or_list_constant(self, constant):
+        """Either used to pass the schema check and end in a TypeError
+        when the labels were derived."""
+        raw = self.base()
+        raw["tasks"][1]["constant"] = constant
+        with pytest.raises(SchemaError, match="numeric"):
+            spec_from_dict(raw)
+
+    def test_standardize_must_be_a_boolean(self):
+        """"false" as a string used to standardize, being truthy."""
+        raw = self.base()
+        raw["tasks"][1]["standardize"] = "false"
+        with pytest.raises(SchemaError, match="true or false, got 'false'"):
             spec_from_dict(raw)
 
     def test_standardize_requires_ordering_op(self):

@@ -1202,9 +1202,10 @@ class TestCli:
     def test_config_value_of_a_wrong_type_refused(self, tmp_path, capsys,
                                                   dataset, change, message):
         """A config value of a wrong type or out of range is a config
-        error, exit 2; each used to end in a TypeError traceback (exit
-        1), and a negative synth_seed in numpy's bare "expected
-        non-negative integer"."""
+        error, exit 2, naming the key or its section. Most used to end
+        in a TypeError traceback (exit 1), a negative synth_seed in
+        numpy's bare "expected non-negative integer", and an infinite
+        feature_noise was accepted."""
         cfg = copy.deepcopy(CLI_CFG)
         for key, value in change.items():
             if isinstance(value, dict):
