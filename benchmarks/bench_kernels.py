@@ -8,17 +8,21 @@ the p that `xent_seed` clipped; `xent_fwd` and `xent_bwd` on one column
 serve the autodiff reference alone.  It then times one MMD fairness term
 both ways: from the exact Gaussian kernel blocks and from the truncated
 Taylor feature map that training uses for bandwidths of about 0.5 and
-wider.
+wider; and the MMD seed terms of one step of a stack at the benchmark's
+shape, `losses.fairness_seed_terms` over every run's and task's subsets.
 Invoke directly:  python3 benchmarks/bench_kernels.py [--repeats N]
 """
 
 import argparse
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
 from fairmtl import _kernels_np as knp
 from fairmtl import losses
+from fairmtl.data import SynthSpec, synth_generate
+from fairmtl.trainer import RunPlan, TrainConfig
 
 
 def timeit(fn, repeats):
@@ -85,6 +89,35 @@ def mmd_cases(rng):
     return [case(n) for n in (120, 240)]
 
 
+def mmd_step_cases(rng):
+    """One step's MMD seed terms, bw 1.0 and the fpr target, for a stack
+    of W = 4 runs of T = 2 tasks on 512 rows each, as `sweep-mmd-b512`
+    trains: baseline's 8 subsets (one per run and task) and mtaf's 16
+    (each with its exclusive set).  The probabilities span 0.8, so most
+    subsets take Taylor order 11, as in that workload's steps."""
+    runs, n = 4, 512
+    data = synth_generate(SynthSpec(n=runs * n, positive_rates=(
+        (0.2, 0.35), (0.5, 0.3))), seed=0)
+    codes = np.stack([losses.subset_arrays(data.labels[w * n:(w + 1) * n],
+                                           data.sensitive[w * n:(w + 1) * n])
+                      for w in range(runs)])
+    losses.offset_runs(codes)
+    batch = SimpleNamespace(codes=codes)
+    probs = 0.1 + 0.8 * rng.random((runs, 2, n, 1))
+
+    def case(method):
+        plan = RunPlan([TrainConfig(
+            method=method, task_weights=(0.5, 0.5),
+            fairness_weights=(1.0, 2.0), fairness_kind="mmd", seed=w)
+            for w in range(runs)])
+        subsets = 2 * runs * (1 + plan.mtaf)
+        return (f"mmd step {method} ({subsets} subsets)",
+                lambda: losses.fairness_seed_terms(
+                    plan.config, batch, probs, plan.tasks, plan.combine,
+                    head=plan.mtaf))
+    return [case(method) for method in ("baseline", "mtaf")]
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--repeats", type=int, default=200)
@@ -100,6 +133,10 @@ def main():
     for name, blocks, features in mmd_cases(rng):
         tb, tf = timeit(blocks, args.repeats), timeit(features, args.repeats)
         print(f"{name:22s} {tb * 1e6:10.1f} {tf * 1e6:12.1f} {tb / tf:8.2f}x")
+
+    print(f"\n{'MMD step, W 4, T 2, b 512':30s} {'us':>10s}")
+    for name, fn in mmd_step_cases(rng):
+        print(f"{name:30s} {timeit(fn, args.repeats) * 1e6:10.1f}")
 
 
 if __name__ == "__main__":

@@ -16,15 +16,16 @@ rows, of 2 and 3 tasks, in which about 3% of the rows are flagged
 `failed:` and 3% `undefined_metric:`.  `--compare A B` prints, over all
 runs, the largest difference of any parameter or accumulator entry
 (absolute, and relative to the largest magnitude in that parameter), then
-every test metric that differs, with both values, then every report file
-that differs; it ignores any other field a record holds, such as the
-per-epoch loss history that older trees saved.  It exits 0 only when
-the two records match exactly, and 1 when they hold different runs or
-any parameter, accumulator, test metric or report file differs: the
-gate for a change that must keep training bit-identical.  `--stacked`
-trains each run of the set with four stack-mates of other seeds,
-weights, lambdas and ratios, alone and as stacks (`train_stack`) of
-widths 2-5 in turn, which cut the five runs
+every test metric that differs, with both values, then how many runs
+differ in any parameter, accumulator or test metric, with their keys,
+then every report file that differs; it ignores any other field a
+record holds, such as the per-epoch loss history that older trees
+saved.  It exits 0 only when the two records match exactly, and 1 when
+they hold different runs or any parameter or accumulator entry (NaN
+matches NaN, 0.0 matches -0.0), test metric or report file differs: the
+gate for a change that must keep training bit-identical.  `--stacked` trains each run of the set with four
+stack-mates of other seeds, weights, lambdas and ratios, alone and as
+stacks (`train_stack`) of widths 2-5 in turn, which cut the five runs
 2+2+1, 3+2, 4+1 and 5; in every seventh group one stack-mate starts with
 NaN Adagrad accumulators, so it diverges inside its stack.  It prints the
 largest difference between any run's stacked and solo parameters and
@@ -323,6 +324,14 @@ def _largest(a_runs, b_runs, field):
     return worst_abs, worst_rel, where
 
 
+def _differs(x, y):
+    """Whether two arrays, or {name: array} dicts of them, differ in any
+    entry; NaN matches NaN."""
+    if isinstance(x, dict):
+        return any(_differs(x[name], y[name]) for name in x)
+    return not np.array_equal(x, y, equal_nan=True)
+
+
 def compare(path_a, path_b):
     records = []
     for path in (path_a, path_b):
@@ -334,10 +343,8 @@ def compare(path_a, path_b):
         print("the records hold different runs:",
               sorted(a.keys() ^ b.keys()))
         return 1
-    worst = 0.0
     for field in ("params", "accumulators"):
         worst_abs, worst_rel, where = _largest(a, b, field)
-        worst = max(worst, worst_abs)
         print(f"{field}: max abs difference {worst_abs:.3g}, "
               f"max relative {worst_rel:.3g}"
               + (f" ({where})" if where else ""))
@@ -350,6 +357,12 @@ def compare(path_a, path_b):
     print(f"test metrics that differ: {len(metrics)}")
     for key, t, name, x, y in metrics:
         print(f"  {key} task {t} {name}: {x!r} -> {y!r}")
+    runs = sorted({key for key, *_ in metrics} | {
+        key for key in a for field in ("params", "accumulators")
+        if _differs(a[key][field], b[key][field])})
+    print(f"runs that differ: {len(runs)} of {len(a)}")
+    for key in runs:
+        print(f"  {key}")
     files = [r.get("reports", {}) for r in records]
     differ = sorted(name for name in files[0].keys() | files[1].keys()
                     if files[0].get(name) != files[1].get(name))
@@ -357,7 +370,7 @@ def compare(path_a, path_b):
           f"{len(files[0].keys() | files[1].keys())}")
     for name in differ:
         print(f"  {name}")
-    return int(bool(worst or metrics or differ))
+    return int(bool(runs or differ))
 
 
 def main(argv=None):

@@ -21,9 +21,11 @@ gap's derivative is constant on each code, so it needs only per-code sums
 and counts, two bincounts a step whatever the number of runs and tasks.
 MMD cuts a step's subsets from its codes: every (run, task, side, set)
 subset's rows, group 0 then group 1, from a stable sort of per-code keys
-(`_subset_table`).  One pass takes all of them (`_mmd_terms`): one
-gather, the feature map built once over every row, and per subset only
-its sums and two products, the arithmetic `_mmd` runs on one subset.
+(`_subset_table`).  One pass takes all of them (`_mmd_terms`), with no
+per-subset loop: the feature map over every row, one reduceat for every
+group's sums and dF/dp from elementwise products summed over the order.
+A subset's bits do not depend on the others in its pass, so `_mmd` on
+one subset and a stack's runs alone give the same bits.
 Correlation reads each run's sides and sensitive values from the codes.
 `fairness_loss` and `cross_entropy` wrap the same formulas in autodiff
 nodes whose one parent is p, the differentiable reference the tests check.
@@ -35,7 +37,6 @@ the head part to the task's head and the remainder to the shared bottom.
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,27 +170,28 @@ _MAX_Z = 1.0
 
 
 def _taylor_order(z):
-    """Smallest r with z^(r+1) / (r+1)! e^z <= 2^-53 e^(-2z).
+    """Smallest r with z^(r+1) / (r+1)! e^z <= 2^-53 e^(-2z), per z <= 1.
 
     With |x - c|, |y - c| <= delta and z = 2 gamma delta^2, the left side
     bounds the Gaussian kernel's Taylor tail after order r and the right
-    side is one ulp of its smallest entry, exp(-gamma (2 delta)^2).
+    side is one ulp of its smallest entry, exp(-gamma (2 delta)^2).  At
+    z <= 1 the terms z^(r+1) / (r+1)! fall with r and r <= 19.
     """
-    limit = 2.0 ** -53 * math.exp(-3.0 * z)
-    r, term = 0, z
-    while term > limit:
-        r += 1
-        term *= z / (r + 1)
-    return r
+    z = np.asarray(z, dtype=np.float64)
+    terms = np.multiply.accumulate(
+        z / np.arange(1.0, 21.0).reshape((-1,) + (1,) * z.ndim), axis=0)
+    return (terms > 2.0 ** -53 * np.exp(-3.0 * z)).sum(axis=0)
 
 
 @functools.lru_cache(maxsize=None)
 def _coefficients(order, bandwidth):
-    """(sqrt(2 gamma / k), sqrt(2 gamma k)) for k = 1..order, the feature
-    map's factors at gamma = 1 / (2 bandwidth^2); cached, so read-only."""
+    """(sqrt((2 gamma)^k / k!) for k = 0..order, sqrt(2 gamma k) for
+    k = 1..order), the feature map's factors at gamma = 1 / (2
+    bandwidth^2); cached, so read-only."""
     two_gamma = 1.0 / (bandwidth * bandwidth)
     k = np.arange(1, order + 1)
-    pair = np.sqrt(two_gamma / k), np.sqrt(two_gamma * k)
+    pair = (np.cumprod(np.sqrt(np.append(1.0, two_gamma / k))),
+            np.sqrt(two_gamma * k))
     for a in pair:
         a.flags.writeable = False
     return pair
@@ -199,14 +201,15 @@ def _mmd(p, g0, g1, bandwidth):
     """Biased squared MMD between the groups' probabilities, Gaussian
     kernel: `_mmd_terms` of one subset."""
     rows = np.concatenate([g0, g1])
-    (value,), dvals = _mmd_terms(p[rows, 0], [(g0.size, g1.size)], bandwidth)
-    return value, rows, dvals
+    (value,), dvals = _mmd_terms(p[rows, 0], np.array([[g0.size, g1.size]]),
+                                 bandwidth)
+    return float(value), rows, dvals
 
 
 def _mmd_terms(x, sizes, bandwidth):
-    """Each subset's MMD F, as a list, and dF/dx, of subsets laid end to
-    end in `x`: subset i its sizes[i][0] > 0 group-0 values, then its
-    sizes[i][1] > 0 group-1 values.
+    """Each subset's MMD F and dF/dx, of subsets laid end to end in `x`:
+    subset i its sizes[i, 0] > 0 group-0 values, then its sizes[i, 1] > 0
+    group-1 values, for an (S, 2) integer array `sizes`.
 
     F = mean K00 + mean K11 - 2 mean K01 with K_ab[i, j] =
     exp(-gamma (x_a[i] - x_b[j])^2).  With c the midpoint and delta half
@@ -214,65 +217,63 @@ def _mmd_terms(x, sizes, bandwidth):
     (the expansion of the Fast Gauss Transform):
     K(x, y) = e(u) e(v) sum_k phi_k(u) phi_k(v) with e(u) = exp(-gamma u^2)
     and phi_k(u) = u^k sqrt((2 gamma)^k / k!).  Cut at the
-    `_taylor_order` of z = 2 gamma delta^2, each entry is off by less than
-    an ulp of the smallest, and F = |mu0 - mu1|^2, where mu_b is group b's
-    mean of e(u) phi(u), costs O(n r) instead of O(n^2).  Narrow kernels,
-    z > 1, take the exact blocks of `_mmd_blocks`.  u, e(u) and the
-    running products of phi are elementwise, so one pass builds them for
-    every subset; each subset's sums and products then take its own
-    block, so its terms are the same bits as alone.
+    `_taylor_order` r of z = 2 gamma delta^2, each entry is off by less
+    than an ulp of the smallest, and F = |mu0 - mu1|^2, where mu_b is
+    group b's mean of e(u) phi(u), costs O(n r) instead of O(n^2).  Narrow
+    kernels, z > 1, take the exact blocks of `_mmd_blocks`.
+
+    One pass, with no loop over subsets or BLAS call, serves them all;
+    a subset's bits do not depend on the others: its group sums read its
+    rows alone, products are elementwise, sums over k run in order and
+    its coefficients above its own order are zeros, which change no sum.
     """
-    if not sizes:
-        return [], np.zeros(0)
-    lengths = list(map(sum, sizes))
-    starts = [0, *itertools.accumulate(lengths)]
-    lo = np.minimum.reduceat(x, starts[:-1])
-    hi = np.maximum.reduceat(x, starts[:-1])
+    flat = sizes.ravel()
+    lengths = sizes.sum(axis=1)
+    groups = np.cumsum(flat) - flat
+    starts = groups[::2]
+    lo = np.minimum.reduceat(x, starts)
+    hi = np.maximum.reduceat(x, starts)
     u = x - np.repeat(0.5 * (lo + hi), lengths)
-    # on floats, as an array's `** 2` may round otherwise; None: exact
-    orders = [_taylor_order(z) if z <= _MAX_Z else None
-              for z in ((0.5 * (h - l) / bandwidth) ** 2
-                        for l, h in zip(lo.tolist(), hi.tolist()))]
-    two_gamma = 1.0 / (bandwidth * bandwidth)
-    top = max((r for r in orders if r is not None), default=-1)
-    if top >= 0:
-        down, up = _coefficients(top, bandwidth)
-        # phi[k] = e(u) phi_k(u) by running products:
-        # phi_k = phi_{k-1} u sqrt(2 gamma / k)
-        phi = np.empty((top + 1, x.size))
-        np.exp(u * u * (-0.5 * two_gamma), out=phi[0])
-        np.multiply.outer(down, u, out=phi[1:])
-        for k in range(1, top + 1):
-            phi[k] *= phi[k - 1]
-        scratch = np.empty((top + 1) * max(lengths))
-    # d(e phi_k)/du = e (phi_k' - 2 gamma u phi_k), phi_k' = sqrt(2 gamma k)
-    # phi_{k-1}; dF/dx_i = +-(2 / n_b) (a_i - 2 gamma u_i b_i), with
-    # a = (phi_k' coefficients * diff) . phi[:-1] and b = diff . phi
-    a, b = np.zeros(x.size), np.zeros(x.size)
-    values, exact = [], []
-    for (n0, n1), start, stop, r in zip(sizes, starts, starts[1:], orders):
-        if r is None:
-            value, _, dvals = _mmd_blocks(
-                x.reshape(-1, 1), np.arange(start, start + n0),
-                np.arange(start + n0, stop), bandwidth)
-            values.append(value)
-            exact.append((start, stop, dvals))
-            continue
-        # contiguous, as BLAS may round a strided matrix's products otherwise
-        block = scratch[:(r + 1) * (stop - start)].reshape(r + 1, -1)
-        np.copyto(block, phi[:r + 1, start:stop])
-        diff = (np.add.reduce(block[:, :n0], axis=1) / n0
-                - np.add.reduce(block[:, n0:], axis=1) / n1)
-        values.append(float(diff @ diff))
-        np.matmul(up[:r] * diff[1:], block[:-1], out=a[start:stop])
-        np.matmul(diff, block, out=b[start:stop])
-    b *= two_gamma * u
-    a -= b
-    a *= np.repeat([s for n0, n1 in sizes for s in (2.0 / n0, -2.0 / n1)],
-                   np.ravel(sizes))
-    for start, stop, dvals in exact:
-        a[start:stop] = dvals
-    return values, a
+    z = np.square(0.5 * (hi - lo) / bandwidth)
+    mapped = z <= _MAX_Z
+    orders = np.full(len(sizes), -1)   # -1: the exact blocks
+    values, dvals = np.zeros(len(sizes)), np.zeros(x.size)
+    if mapped.any():
+        orders[mapped] = _taylor_order(z[mapped])
+        top = orders.max()
+        two_gamma = 1.0 / (bandwidth * bandwidth)
+        scales, up = _coefficients(top + 1, bandwidth)
+        # psi[k] = e(u) u^k = e(u) phi_k(u) / scales[k], k <= top + 1
+        psi, terms = np.empty((2, top + 2, x.size))
+        np.exp(u * u * (-0.5 * two_gamma), out=psi[0])
+        for k in range(1, top + 2):
+            np.multiply(psi[k - 1], u, out=psi[k])
+        # diff_k = mu0_k - mu1_k, zero above the subset's order
+        diff = np.add.reduceat(psi[:-1], groups, axis=1) / flat
+        diff = (diff[:, ::2] - diff[:, 1::2]) * scales[:-1].reshape(-1, 1)
+        diff[np.arange(top + 1).reshape(-1, 1) > orders] = 0.0
+        # a running sum over k: `np.add.reduce` may sum a lone subset's
+        # (r + 1, 1) column pairwise, unlike the same column in a stack
+        # (it adds terms' rows, x.size >= 2 wide, in order)
+        values =np.add.accumulate(diff * diff)[-1]
+        # d(e phi_k)/du = up[k-1] e phi_{k-1} - up[k] e phi_{k+1}, so dF/dx_i
+        # = sum_j w_j e phi_j(u_i) (+-2 / n_b), w_j = up[j] diff_{j+1} -
+        # up[j-1] diff_{j-1}, taken at each row from its group's w_j scales[j]
+        w = np.zeros((top + 2, len(sizes)))
+        w[:top] = up[:top].reshape(-1, 1) * diff[1:]
+        w[1:] -= up.reshape(-1, 1) * diff
+        w = ((w * scales.reshape(-1, 1)).reshape(top + 2, -1, 1)
+             * (2.0 / sizes * (1.0, -1.0)))
+        np.take(w.reshape(top + 2, -1), np.repeat(np.arange(flat.size), flat),
+                axis=1, out=terms, mode="clip")
+        terms *= psi
+        dvals = np.add.reduce(terms)
+    for i in np.flatnonzero(~mapped).tolist():
+        start, (n0, n1) = starts[i], sizes[i]
+        values[i], _, dvals[start:start + n0 + n1] = _mmd_blocks(
+            x.reshape(-1, 1), np.arange(start, start + n0),
+            np.arange(start + n0, start + n0 + n1), bandwidth)
+    return values, dvals
 
 
 def _mmd_blocks(p, g0, g1, bandwidth):
@@ -480,6 +481,8 @@ def fairness_seed_terms(config, batch, probs, tasks, combine, head=False):
     task's and side's rows, with the sensitive values, from its codes.
     """
     kind, target = config.fairness_kind, config.fairness_target
+    if kind == "mmd":
+        return _mmd_seed_terms(config, batch, probs, tasks, combine, head)
     runs, num_tasks = probs.shape[:2]
     f_full, f_head = ([[0.0] * num_tasks for _ in range(runs)]
                       for _ in range(2))
@@ -521,9 +524,6 @@ def fairness_seed_terms(config, batch, probs, tasks, combine, head=False):
         tables = combine(d[0], d[1] if head else 0.0)
         return f_full, f_head, tables.reshape(-1, bins).take(
             codes, axis=1).reshape((-1,) + probs.shape)
-    if kind == "mmd":
-        return _mmd_seed_terms(config, batch, probs, tasks, combine, head,
-                               f_full, f_head)
     d_full = np.zeros(probs.shape)
     d_head = np.zeros(probs.shape) if head else 0.0
     for w, run_tasks in enumerate(tasks):
@@ -539,13 +539,13 @@ def fairness_seed_terms(config, batch, probs, tasks, combine, head=False):
     return f_full, f_head, combine(d_full, d_head)
 
 
-def _mmd_seed_terms(config, batch, probs, tasks, combine, head, f_full,
-                    f_head):
+def _mmd_seed_terms(config, batch, probs, tasks, combine, head):
     """`fairness_seed_terms` of MMD: the step's subsets cut from its codes
     by one stable sort of their `_subset_table` keys, then one
-    `_mmd_terms` pass over their rows, with one gather of the
-    probabilities and one scatter of dF/dp."""
+    `_mmd_terms` pass over the rows of those whose groups both have rows,
+    with one gather of the probabilities and one scatter of dF/dp."""
     runs, num_tasks = probs.shape[:2]
+    sides = len(_SIDE_LABELS[config.fairness_target])
     table = _subset_table(runs, num_tasks, tuple(map(tuple, tasks)),
                           config.fairness_target, head)
     # keys (set, run, task, row), so each taken one's flat index is its
@@ -555,23 +555,22 @@ def _mmd_seed_terms(config, batch, probs, tasks, combine, head, f_full,
     keys = keys.take(rows)
     # each subset's group-0 rows, then its group-1 rows, each ascending
     rows = rows.take(np.argsort(keys, kind="stable"))
-    per_task = table.shape[0] * len(_SIDE_LABELS[config.fairness_target])
-    sizes = np.bincount(keys, minlength=2 * runs * num_tasks * per_task)
-    sizes = sizes.reshape(-1, 2).tolist()
-    starts = [0, *itertools.accumulate(map(sum, sizes))]
-    chosen = [i for i, (n0, n1) in enumerate(sizes) if n0 and n1]
-    rows = np.concatenate([rows[starts[i]:starts[i + 1]] for i in chosen]
-                          or [rows[:0]])
+    sizes = np.bincount(keys, minlength=2 * runs * num_tasks * sides
+                        * table.shape[0]).reshape(-1, 2)
+    chosen = sizes.all(axis=1)
+    if not chosen.all():
+        rows = rows[np.repeat(chosen, sizes.sum(axis=1))]
     # an exclusive set's rows lie one stack further on, which "wrap" drops
-    values, dvals = _mmd_terms(probs.take(rows, mode="wrap"),
-                               [sizes[i] for i in chosen],
-                               config.mmd_bandwidth)
-    for i, value in zip(chosen, values):
-        f = f_head if head and i % 2 else f_full
-        f[i // (num_tasks * per_task)][i // per_task % num_tasks] += value
+    values = np.zeros(len(sizes))
+    values[chosen], dvals = _mmd_terms(probs.take(rows, mode="wrap"),
+                                       sizes[chosen], config.mmd_bandwidth)
+    # per (run, task, set), summed over the target's sides
+    f = values.reshape(runs, num_tasks, sides, -1).sum(axis=2)
     d = np.zeros((1 + head,) + probs.shape)
     d.reshape(-1)[rows] += dvals
-    return f_full, f_head, combine(d[0], d[1] if head else 0.0)
+    return (f[..., 0].tolist(), f[..., -1].tolist() if head
+            else np.zeros((runs, num_tasks)).tolist(),
+            combine(d[0], d[1] if head else 0.0))
 
 
 def decompose_fairness(kind, target, t, labels, prob, sensitive,

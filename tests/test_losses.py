@@ -360,6 +360,56 @@ def test_mmd_feature_map_matches_kernel_blocks(case):
 
 
 @st.composite
+def mmd_passes(draw):
+    """1-12 subsets laid end to end, of groups of 1-8 or 240 rows each,
+    for a pass at bandwidth 0.3, where z = (span / 0.6)^2: each subset's
+    values spread over a span of 0 or in [0.1, 1], so that some take the
+    exact blocks (z > 1), and one subset spans exactly [0, 0.6], z = 1,
+    the cutoff."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    count = draw(st.integers(1, 12))
+    cutoff = draw(st.integers(0, count - 1))
+    sizes, values = [], []
+    for i in range(count):
+        n0, n1 = (draw(st.integers(1, 8) | st.just(240)) for _ in range(2))
+        if i == cutoff:
+            x = 0.6 * rng.random(n0 + n1)
+            x[rng.choice(n0 + n1, 2, replace=False)] = 0.0, 0.6
+        else:
+            span = draw(st.sampled_from((0.0, 0.6, 1.0)) | st.floats(0.1, 1.0))
+            x = draw(st.floats(0.0, 1.0 - span)) + span * rng.random(n0 + n1)
+        sizes.append((n0, n1))
+        values.append(x)
+    return np.concatenate(values), np.array(sizes)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(mmd_passes())
+def test_mmd_pass_terms_equal_each_subsets_alone(case):
+    """One `_mmd_terms` pass over many subsets gives each subset's F and
+    dF/dx bit for bit as a pass over that subset alone, whatever the
+    other subsets' orders or exact blocks, and within 1e-13 of
+    `_mmd_blocks`: the independence behind a stack's runs equalling
+    their solo runs."""
+    x, sizes = case
+    values, dvals = losses._mmd_terms(x, sizes, 0.3)
+    assert values.shape == (len(sizes),) and dvals.shape == x.shape
+    start = 0
+    for i, (n0, n1) in enumerate(sizes):
+        rows = slice(start, start + n0 + n1)
+        alone_values, alone = losses._mmd_terms(x[rows], sizes[i:i + 1], 0.3)
+        assert values[i:i + 1].tobytes() == alone_values.tobytes(), i
+        assert dvals[rows].tobytes() == alone.tobytes(), i
+        ref_value, _, ref_dvals = losses._mmd_blocks(
+            x.reshape(-1, 1), np.arange(start, start + n0),
+            np.arange(start + n0, start + n0 + n1), 0.3)
+        assert abs(values[i] - ref_value) <= 1e-13 * max(1.0, abs(ref_value))
+        scale = max(1.0, float(np.abs(ref_dvals).max()))
+        assert np.abs(dvals[rows] - ref_dvals).max() <= 1e-13 * scale
+        start += n0 + n1
+
+
+@st.composite
 def fairness_cases(draw):
     n = draw(st.integers(1, 40))
     probs = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))

@@ -101,6 +101,33 @@ def test_parity_check_compare_fails_on_any_training_difference(tmp_path):
         assert parity_check.compare(path_a, path_b) == int(i > 0)
 
 
+def test_parity_check_compare_names_the_runs_that_differ(tmp_path, capsys):
+    """`--compare` counts and names the runs that differ and fails on any
+    of them: a run whose accumulator entry moved by one ulp or whose
+    parameter entry went from 0.0 to NaN, not one whose parameter entry
+    went from 0.0 to -0.0."""
+    parity_check = _parity_check()
+    run = {"params": {"w": np.zeros(3)}, "accumulators": {"w": np.ones(3)},
+           "metrics": [(0.25, 0.1, None)]}
+    keys = ("T1/a", "T1/b", "T2/c", "T2/d")
+    changed = {
+        "T1/a": {**run, "params": {"w": -np.zeros(3)}},
+        "T1/b": {**run, "accumulators": {"w": np.nextafter(np.ones(3), 0)}},
+        "T2/d": {**run, "params": {"w": np.array([0.0, np.nan, 0.0])}}}
+    cases = [(("T1/a", "T1/b", "T2/d"), "2 of 4\n  T1/b\n  T2/d\n"),
+             (("T1/a",), "0 of 4\n"), (("T2/d",), "1 of 4\n  T2/d\n")]
+    paths = [str(tmp_path / name) for name in ("a.pkl", "b.pkl")]
+    with open(paths[0], "wb") as f:
+        pickle.dump({"runs": {key: run for key in keys}}, f)
+    for moved, listed in cases:
+        with open(paths[1], "wb") as f:
+            pickle.dump({"runs": {key: changed[key] if key in moved else run
+                                  for key in keys}}, f)
+        assert parity_check.compare(*paths) == int(listed != "0 of 4\n")
+        assert f"runs that differ: {listed}report files" in (
+            capsys.readouterr().out)
+
+
 def test_bench_kernels_runs():
     src = os.path.join(ROOT, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -111,3 +138,4 @@ def test_bench_kernels_runs():
         timeout=300)
     assert done.returncode == 0, done.stderr
     assert "adagrad 16x8" in done.stdout and "mmd term 240+240" in done.stdout
+    assert "mmd step mtaf (16 subsets)" in done.stdout
