@@ -9,7 +9,8 @@ serve the autodiff reference alone.  It then times one MMD fairness term
 both ways: from the exact Gaussian kernel blocks and from the truncated
 Taylor feature map that training uses for bandwidths of about 0.5 and
 wider; and the MMD seed terms of one step of a stack at the benchmark's
-shape, `losses.fairness_seed_terms` over every run's and task's subsets.
+shape, `losses.fairness_seed_terms` over every run's and task's subsets,
+at stack widths 4 and 8.
 Invoke directly:  python3 benchmarks/bench_kernels.py [--repeats N]
 """
 
@@ -89,13 +90,14 @@ def mmd_cases(rng):
     return [case(n) for n in (120, 240)]
 
 
-def mmd_step_cases(rng):
+def mmd_step_cases(rng, runs):
     """One step's MMD seed terms, bw 1.0 and the fpr target, for a stack
-    of W = 4 runs of T = 2 tasks on 512 rows each, as `sweep-mmd-b512`
-    trains: baseline's 8 subsets (one per run and task) and mtaf's 16
-    (each with its exclusive set).  The probabilities span 0.8, so most
-    subsets take Taylor order 11, as in that workload's steps."""
-    runs, n = 4, 512
+    of W = `runs` runs of T = 2 tasks on 512 rows each, as `sweep-mmd-b512`
+    trains (W = 4 in pooled sweeps, 8 at --jobs 1): baseline's 2 W
+    subsets (one per run and task) and mtaf's 4 W (each with its
+    exclusive set).  The probabilities span 0.8, so most subsets take
+    Taylor order 11, as in that workload's steps."""
+    n = 512
     data = synth_generate(SynthSpec(n=runs * n, positive_rates=(
         (0.2, 0.35), (0.5, 0.3))), seed=0)
     codes = np.stack([losses.subset_arrays(data.labels[w * n:(w + 1) * n],
@@ -134,9 +136,10 @@ def main():
         tb, tf = timeit(blocks, args.repeats), timeit(features, args.repeats)
         print(f"{name:22s} {tb * 1e6:10.1f} {tf * 1e6:12.1f} {tb / tf:8.2f}x")
 
-    print(f"\n{'MMD step, W 4, T 2, b 512':30s} {'us':>10s}")
-    for name, fn in mmd_step_cases(rng):
-        print(f"{name:30s} {timeit(fn, args.repeats) * 1e6:10.1f}")
+    for runs in (4, 8):
+        print(f"\n{f'MMD step, W {runs}, T 2, b 512':30s} {'us':>10s}")
+        for name, fn in mmd_step_cases(rng, runs):
+            print(f"{name:30s} {timeit(fn, args.repeats) * 1e6:10.1f}")
 
 
 if __name__ == "__main__":

@@ -23,11 +23,14 @@ record holds, such as the per-epoch loss history that older trees
 saved.  It exits 0 only when the two records match exactly, and 1 when
 they hold different runs or any parameter or accumulator entry (NaN
 matches NaN, 0.0 matches -0.0), test metric or report file differs: the
-gate for a change that must keep training bit-identical.  `--stacked` trains each run of the set with four
-stack-mates of other seeds, weights, lambdas and ratios, alone and as
-stacks (`train_stack`) of widths 2-5 in turn, which cut the five runs
-2+2+1, 3+2, 4+1 and 5; in every seventh group one stack-mate starts with
-NaN Adagrad accumulators, so it diverges inside its stack.  It prints the
+gate for a change that must keep training bit-identical.  `--stacked`
+trains each run of the set with four stack-mates of other seeds,
+weights, lambdas and ratios, alone and as stacks (`train_stack`) of
+widths 2, 3, 4, 5 and 8 in turn: the first four cut the five runs
+2+2+1, 3+2, 4+1 and 5, and width 8, which serial sweeps train at batch
+512, takes three more mates for one stack of 8.  In every seventh group
+one stack-mate starts with NaN Adagrad accumulators, so it diverges
+inside its stack.  It prints the
 largest difference between any run's stacked and solo parameters and
 accumulators, the runs whose test metrics differ and the diverged runs
 whose messages differ, and exits 1 unless all three are 0.
@@ -220,10 +223,10 @@ def reports(rows=1200):
 POISON = 10 ** 6
 
 
-def _mates(config, nan):
-    """The config and four stack-mates: other seeds, weights, lambdas
-    (one zeroed, then all) and ratios; with `nan`, the first mate's seed
-    is offset by POISON."""
+def _mates(config, nan, count=5):
+    """The config and `count` - 1 stack-mates, up to 7: other seeds,
+    weights, lambdas (one zeroed, then all, then halved) and ratios; with
+    `nan`, the first mate's seed is offset by POISON."""
     w, lam, r = (config.task_weights, config.fairness_weights,
                  config.head_shared_ratios)
     mates = [config]
@@ -231,7 +234,10 @@ def _mates(config, nan):
             (w[::-1], [2 * x for x in lam], r),
             (w, (0.0,) + lam[1:], r[::-1]),
             ([0.5 * x for x in w], [0.0] * len(lam), r),
-            (w, lam, [1 / x for x in r])), 1):
+            (w, lam, [1 / x for x in r]),
+            (w, [0.5 * x for x in lam], r),
+            ([2 * x for x in w], lam[::-1], r),
+            (w[::-1], lam, [2 * x for x in r]))[:count - 1], 1):
         mates.append(replace(config, seed=config.seed + k, task_weights=w_k,
                              fairness_weights=lam_k, head_shared_ratios=r_k))
     if nan:
@@ -276,7 +282,8 @@ def _stacked(prefix):
         if data_key not in data:
             data[data_key] = _data(*data_key)
         train_ds, test_ds = data[data_key]
-        mates, width = _mates(cfg, i % 7 == 0), 2 + i % 4
+        width = (2, 3, 4, 5, 8)[i % 5]
+        mates = _mates(cfg, i % 7 == 0, max(5, width))
         stacks = [train_stack(train_ds, arch, mates[start:start + width])
                   for start in range(0, len(mates), width)]
         for config, run in zip(mates, sum(stacks, [])):
@@ -296,7 +303,7 @@ def _stacked(prefix):
             if (evaluate_model(run.model, test_ds)
                     != evaluate_model(solo.model, test_ds)):
                 metrics.append(where)
-    print(f"{runs} runs in stacks of widths 2-5, {diverged} diverged: "
+    print(f"{runs} runs in stacks of widths 2-5 and 8, {diverged} diverged: "
           f"max abs difference from the solo runs {worst:.3g}; runs whose "
           f"test metrics differ: {len(metrics)}; diverged runs whose "
           f"messages differ: {len(messages)}")

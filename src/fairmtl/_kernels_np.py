@@ -53,7 +53,9 @@ def xent_bwd(p, y, gscale, acc):
 def xent_seed(p, y, gscale, out):
     """Write gscale (p - y) / n, the gradient of gscale `xent_fwd(p, y)`
     at the logit of p, into `out`, 0 where the clip is active; returns p
-    clipped, a new array.  On a (T, n, 1) stack `gscale` may be (T, 1, 1)."""
+    clipped, a new array.  On a (T, n, 1) stack `gscale` may be (T, 1, 1).
+    The 0/1 labels `y` may be int8, as training keeps them: the subtract
+    casts them to float64 exactly."""
     pc = np.maximum(p, XENT_CLIP)
     np.minimum(pc, 1.0 - XENT_CLIP, out=pc)
     np.subtract(p, y, out=out)
@@ -65,7 +67,8 @@ def xent_seed(p, y, gscale, out):
 def xent_steps(pc, y):
     """The (W, T) `xent_fwd` losses, bit for bit, of W runs' (T, n, 1)
     stacks `pc`, p clipped as `xent_seed` returns it, which this
-    overwrites, and labels `y` of its shape."""
+    overwrites, and 0/1 labels `y` of its shape, float64 or int8, which
+    cast exactly."""
     terms = np.log(pc)
     terms *= y
     np.negative(pc, out=pc)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import ConfigError, RowParseError, SchemaError
-from .model import from_fields, refuse_unknown
+from .model import from_fields, integer, refuse_unknown
 
 OOV_INDEX = 0  # reserved slot for unseen categorical tokens
 PREDICATE_OPS = ("gt", "ge", "eq")
@@ -388,7 +388,8 @@ class SynthSpec:
 
     def __post_init__(self):
         for name in ("n", "num_tasks", "dense_dim"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
+            object.__setattr__(self, name,
+                               integer(self, name, getattr(self, name)))
         for name in ("group_fraction", "label_correlation",
                      "group_feature_weight", "feature_noise", "logit_slope",
                      "sensitive_missing_rate"):

@@ -175,7 +175,10 @@ def _taylor_order(z):
     With |x - c|, |y - c| <= delta and z = 2 gamma delta^2, the left side
     bounds the Gaussian kernel's Taylor tail after order r and the right
     side is one ulp of its smallest entry, exp(-gamma (2 delta)^2).  At
-    z <= 1 the terms z^(r+1) / (r+1)! fall with r and r <= 19.
+    z <= 1 the terms z^(r+1) / (r+1)! fall with r and r <= 19.  This
+    bounds the kernel's entries, not dF/dp: at r = 0 (z below about
+    2^-53) the features do not vary with u to first order, so dF/dp is 0
+    where the exact gradient is of the order of gamma delta.
     """
     z = np.asarray(z, dtype=np.float64)
     terms = np.multiply.accumulate(
@@ -217,10 +220,13 @@ def _mmd_terms(x, sizes, bandwidth):
     (the expansion of the Fast Gauss Transform):
     K(x, y) = e(u) e(v) sum_k phi_k(u) phi_k(v) with e(u) = exp(-gamma u^2)
     and phi_k(u) = u^k sqrt((2 gamma)^k / k!).  Cut at the
-    `_taylor_order` r of z = 2 gamma delta^2, each entry is off by less
-    than an ulp of the smallest, and F = |mu0 - mu1|^2, where mu_b is
-    group b's mean of e(u) phi(u), costs O(n r) instead of O(n^2).  Narrow
-    kernels, z > 1, take the exact blocks of `_mmd_blocks`.
+    `_taylor_order` r of z = 2 gamma delta^2, each kernel entry is off by
+    less than an ulp of the smallest, and F = |mu0 - mu1|^2, where mu_b
+    is group b's mean of e(u) phi(u), costs O(n r) instead of O(n^2).
+    That bounds the entries, not dF/dx: at a near-zero spread, where r is
+    0, dF/dx is 0 where `_mmd_blocks` gives up to about 3e-8 at bandwidth
+    1 (README, on the loss).  Narrow kernels, z > 1, take the exact
+    blocks of `_mmd_blocks`.
 
     One pass, with no loop over subsets or BLAS call, serves them all;
     a subset's bits do not depend on the others: its group sums read its
@@ -397,14 +403,20 @@ def subset_arrays(labels, sensitive):
     """
     codes = subset_codes(labels, sensitive)
     offsets = 12 * np.arange(codes.shape[1]).reshape(-1, 1)
-    # int32, half the bytes each epoch gathers per run, holds any code
-    return (codes.T + offsets).astype(np.int32)
+    # int16, a quarter of intp's bytes in each run's epoch arrays; it
+    # holds a stack's codes while 12 T W <= 2^15 (`offset_runs`)
+    return (codes.T + offsets).astype(np.int16)
 
 
 def offset_runs(codes):
     """Offset run w's codes of a (W, T, n) stack of `subset_arrays` by
-    12 T w, in place, so that every (run, task, code) has its own bin."""
-    codes += 12 * codes.shape[1] * np.arange(len(codes)).reshape(-1, 1, 1)
+    12 T w, in place, so that every (run, task, code) has its own bin;
+    a stack with more codes than their integer type holds is refused."""
+    runs, num_tasks = codes.shape[:2]
+    if 12 * num_tasks * runs > np.iinfo(codes.dtype).max + 1:
+        raise ConfigError(f"a stack of {runs} runs of {num_tasks} tasks has "
+                          f"more subset codes than {codes.dtype} holds")
+    codes += 12 * num_tasks * np.arange(runs).reshape(-1, 1, 1)
 
 
 @functools.lru_cache(maxsize=None)

@@ -12,8 +12,9 @@ shape, so one Adagrad call updates them all.  Each layer is also one
 numpy forward that keeps each layer's input and activation, and a
 backward from seed gradients at each task's logit into the flat
 gradient, one array op per layer for all runs, tasks and both of mtaf's
-seed stacks, in a `Workspace` of buffers that every step and run on a
-dataset reuses (`workspace`).  `forward` builds the same network as an
+seed stacks (but the shared bottom's gradient, summed task by task), in a
+`Workspace` of buffers that every step and run on a dataset reuses
+(`workspace`).  `forward` builds the same network as an
 autodiff graph, the differentiable reference.
 """
 
@@ -43,10 +44,12 @@ class ArchConfig:
 
     def __post_init__(self):
         for name in ("num_tasks", "embedding_dim"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
+            object.__setattr__(self, name,
+                               integer(self, name, getattr(self, name)))
         for name in ("shared_layer_sizes", "head_layer_sizes"):
-            object.__setattr__(self, name, tuple(map(operator.index,
-                                                     getattr(self, name))))
+            object.__setattr__(self, name, tuple(
+                integer(self, f"{name}[{i}]", size)
+                for i, size in enumerate(getattr(self, name))))
         if self.num_tasks < 1:
             raise ConfigError(f"num_tasks must be >= 1, got {self.num_tasks}")
         for size in self.shared_layer_sizes + self.head_layer_sizes:
@@ -78,7 +81,23 @@ def from_fields(cls, d):
     try:
         return cls(**d)
     except (TypeError, ValueError) as exc:
+        if isinstance(exc, ConfigError) and str(exc).startswith(
+                f"{cls.__name__}."):
+            raise   # `integer`'s, which names the field already
         raise ConfigError(f"{cls.__name__}: {exc}") from exc
+
+
+def integer(config, name, value):
+    """`value`, the field `name` of the config record `config`, as an int
+    (`operator.index`); a bool or a non-integer is refused, naming the
+    field as "<Class>.<name>"."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"{type(config).__name__}.{name} must be an integer, "
+                      f"got {value!r}")
 
 
 @dataclass
@@ -318,8 +337,9 @@ class Workspace:
     layer's for k seed stacks), in which the layer below takes its relu
     gradient in place, and, for a width-1 layer, its `_input_grad` pads;
     `bottom`, the first head layer's input gradient summed over the
-    tasks, where the top shared layer takes its relu gradient; and
-    `ones`, the (1, n) row that gives bias gradients.
+    tasks, where the top shared layer takes its relu gradient, with one
+    task's gradient at a time in that layer's (W, n, in) slot of
+    `head_grads`; and `ones`, the (1, n) row that gives bias gradients.
 
     Each is a contiguous flat prefix (BLAS may round into a strided one
     differently) of its role's array in `pool`, which `workspace` shares
@@ -375,11 +395,12 @@ class Workspace:
         to_bottom = bool(model.shared_stacks or model.tables)
         width = model.head_stacks[0][0].value.shape[2]
         self.bottom = empty(W, n, width) if to_bottom else None
-        # per head layer: (gradient at the input, (2, W, T, n, in), or
-        # (W, T, n, in) from the shared half at the first layer, pads)
+        # per head layer: (gradient at the input, (2, W, T, n, in), or at
+        # the first layer one task's from the shared half, (W, n, in),
+        # which `backprop` adds into `bottom`, pads)
         self.head_grads = [
             (empty(2, W, T, n, w.value.shape[2]) if i
-             else empty(W, T, n, w.value.shape[2]) if to_bottom else None,
+             else empty(W, n, width) if to_bottom and T > 1 else None,
              pads(w, (2, W, T)))
             for i, (w, _) in enumerate(model.head_stacks)]
         return self
@@ -414,7 +435,8 @@ def _relu_grad(act, g):
 
 
 def _input_grad(g, w, out, pads):
-    """g @ w^T, a layer's gradient at its input, written into `out`.
+    """g @ w^T, a layer's gradient at its input for its weights `w`,
+    written into `out`.
 
     numpy takes a product of inner size K = 1, a width-1 layer's (the
     logits'), in an unblocked loop; with `pads`, zero-padded to K = 2, it
@@ -422,10 +444,10 @@ def _input_grad(g, w, out, pads):
     its bits are the loop's.
     """
     if pads is None:
-        return np.matmul(g, w.value.swapaxes(-1, -2), out=out)
+        return np.matmul(g, w.swapaxes(-1, -2), out=out)
     g_pad, w_pad = pads[0][:len(g)], pads[1]
     g_pad[..., :1] = g
-    w_pad[..., :1, :] = w.value.swapaxes(-1, -2)
+    w_pad[..., :1, :] = w.swapaxes(-1, -2)
     return np.matmul(g_pad, w_pad, out=out)
 
 
@@ -481,7 +503,9 @@ def backprop(model, ws, seeds):
     flows through its head t into its shared bottom and embeddings, summed
     in task order.  One walk serves both halves (k = 1 when they agree)
     and every run, with one masked multiply, in place, and one
-    input-gradient matmul per layer; biases take ones-row matmuls.
+    input-gradient matmul per layer; biases take ones-row matmuls.  The
+    first head layer's input gradient is taken task by task, the first
+    into `ws.bottom` and each later one added to it, in task order.
     """
     ws.for_step(model)
     k, g, top = len(seeds), seeds, len(model.head_stacks) - 1
@@ -493,13 +517,15 @@ def backprop(model, ws, seeds):
         np.matmul(x.swapaxes(-1, -2), g[0], out=w.grad)
         np.matmul(ws.ones, g[0], out=b.grad)
         if i:
-            g = _input_grad(g, w, g_in[:k], pads)
-        elif g_in is not None:
-            _input_grad(g[-1:], w, g_in[None], pads)
-            # summed in task order, as a reduce over the task axis would
-            g = g_in[:, 0]
-            for t in range(1, g_in.shape[1]):
-                g = np.add(g, g_in[:, t], out=ws.bottom)
+            g = _input_grad(g, w.value, g_in[:k], pads)
+        elif ws.bottom is not None:
+            for t in range(g.shape[2]):
+                _input_grad(g[-1:, :, t], w.value[:, t],
+                            (g_in if t else ws.bottom)[None],
+                            pads and (pads[0][:, :, t], pads[1][:, t]))
+                if t:
+                    np.add(ws.bottom, g_in, out=ws.bottom)
+            g = ws.bottom
 
     for i in range(len(model.shared_stacks) - 1, -1, -1):
         (w, b), x = model.shared_stacks[i], ws.shared_in[i]
@@ -508,7 +534,7 @@ def backprop(model, ws, seeds):
         np.matmul(x.swapaxes(-1, -2), g, out=w.grad)
         np.matmul(ws.ones, g, out=b.grad)
         if g_in is not None:
-            g = _input_grad(g, w, g_in, pads)
+            g = _input_grad(g, w.value, g_in, pads)
     dim = model.arch.embedding_dim
     for j, table in enumerate(model.tables):
         start = model.dense_count + j * dim

@@ -13,7 +13,6 @@ import csv
 import hashlib
 import json
 import math
-import operator
 import os
 import sys
 import time
@@ -25,7 +24,7 @@ import numpy as np
 
 from .exceptions import ConfigError, ContractError, UndefinedMetricError
 from .metrics import StlBaselines, aggregate, evaluate_model
-from .model import from_fields
+from .model import from_fields, integer
 from .pareto import ParetoPoint, frontier, frontier_quality, survivors
 from .trainer import METHODS, TrainConfig, cut_stacks, train_stack
 
@@ -77,8 +76,10 @@ class SweepConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}")
-        for name in ("budget", "seeds_per_config", "master_seed"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        for name in ("budget", "seeds_per_config", "master_seed", "epochs",
+                     "batch_size"):
+            object.__setattr__(self, name,
+                               integer(self, name, getattr(self, name)))
         if self.budget < 1:
             raise ConfigError("budget must be >= 1")
         if self.seeds_per_config < 1:
@@ -419,8 +420,9 @@ def run_sweep(train_ds, test_ds, arch, sweep, baselines, out_dir, jobs=1):
     """Execute a full sweep, appending rows to <out_dir>/runs.csv.
 
     Runs whose id the table holds are skipped, so a re-run resumes.  Each
-    method's pending runs are cut into stacks (`trainer.cut_stacks`), each
-    trained as one (`run_stack`).
+    method's pending runs are cut into stacks (`trainer.cut_stacks`), at
+    least `jobs` of them where there are as many runs, each trained as
+    one (`run_stack`).
     Stacks are farmed to a process pool when jobs > 1 (`_pooled`); rows
     are appended, and returned, per stack in submission order by this
     process alone, so a stopped sweep loses at most the stacks in flight.
@@ -437,7 +439,7 @@ def run_sweep(train_ds, test_ds, arch, sweep, baselines, out_dir, jobs=1):
             if rid not in seen:
                 seen.add(rid)
                 pending.append((config, rid))
-        stacks += cut_stacks(pending, sweep.batch_size)
+        stacks += cut_stacks(pending, sweep.batch_size, jobs)
 
     inputs = (train_ds, test_ds, arch, baselines)
     rows = []

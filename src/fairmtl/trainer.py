@@ -19,16 +19,16 @@ W runs of one method and settings, which differ only in seed, task
 weights, lambda and r, train as one (`train_stack`), the rows of one
 stack (`model.build_stack`): a step runs each layer, and Adagrad, once for
 all of them, on (W, T, n, 1) seed stacks, mtaf's two one (2, W, T, n, 1)
-stack; `cut_stacks` sizes them, at most 4 runs and 2048 rows a step.
+stack; `cut_stacks` sizes them, at most 8 runs and 4096 rows a step.
 Every op acts on a run's slice as on the run alone, so each run equals its
 solo run bit for bit; `train()` and `train_step` are the case W = 1.  A
 run that meets a non-finite loss ends there, with its solo message.
 
 Nothing that does not depend on the parameters is built per step: the
-training set keeps (`Dataset.kept`) the float labels, the fairness
+training set keeps (`Dataset.kept`) the 0/1 int8 labels, the fairness
 subsets' codes (`losses.subset_arrays`), the arrays each epoch gathers
-into and the `model.Workspace`s, one set of step buffers for every stack
-width and batch length; a `RunPlan` holds what depends on the configs;
+into and the `model.Workspace`s, on one set of step buffers per model
+shape; a `RunPlan` holds what depends on the configs;
 and the steps' `Batch`es are views of the epoch arrays, cut once per
 stack.  A step computes its loss values (`kernels.xent_steps`) only for
 a `loss_sink`, and otherwise checks that its clipped probabilities hold no
@@ -36,7 +36,6 @@ NaN, the one way a loss is not finite.
 """
 
 import math
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,15 +44,15 @@ from .backend import kernels
 from .exceptions import ConfigError, ShapeError, TrainingDiverged
 from .losses import (FAIRNESS_KINDS, FAIRNESS_TARGETS, fairness_seed_terms,
                      offset_runs, subset_arrays)
-from .model import backprop, build_stack, forward_np, workspace
+from .model import backprop, build_stack, forward_np, integer, workspace
 
 METHODS = ("vanilla", "baseline", "mtaf")
 ADAGRAD_EPS = 1e-8
 # the TrainConfig fields in which the runs of one stack may differ
 _RUN_FIELDS = ("task_weights", "fairness_weights", "head_shared_ratios",
                "seed")
-STACK_RUNS = 4        # runs per stack, at most
-STACK_ROWS = 2048     # rows per step over all runs of a stack, at most
+STACK_RUNS = 8        # runs per stack, at most
+STACK_ROWS = 4096     # rows per step over all runs of a stack, at most
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,8 @@ class TrainConfig:
         if any(x <= 0 for x in r):
             raise ConfigError("head_shared_ratios must be positive")
         for name in ("epochs", "batch_size", "seed"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
+            object.__setattr__(self, name,
+                               integer(self, name, getattr(self, name)))
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
         if self.epochs < 1 or self.batch_size < 1:
@@ -187,12 +187,13 @@ class Batch:
     """W runs' rows as a step reads them, the arrays of `_ROWS` with a
     leading run axis: each row's index in `dense`, the dataset's (n, d)
     features, which a step gathers for its rows alone (so an epoch holds
-    W rows of indices, not of features); the categorical codes (None when
-    there are none); the (W, T, n, 1) float labels; and, for a fairness
-    loss, the (W, T, n) subset codes (`losses.subset_arrays`, else None),
-    each run's offset by `losses.offset_runs`.  `train_stack()` gathers
-    them by each run's permutation once per epoch, then steps on slices
-    (`steps`).  `workspaces`, the dict `model.workspace` reads, is kept
+    W rows of indices, in the narrowest unsigned type, not of features);
+    the categorical codes (None when there are none); the (W, T, n, 1)
+    labels, 0/1 as int8, which `kernels.xent_seed` and `xent_steps` cast
+    exactly; and, for a fairness loss, the (W, T, n) int16 subset codes
+    (`losses.subset_arrays`, else None), each run's offset by
+    `losses.offset_runs`.  `train_stack()` gathers them by each run's
+    permutation once per epoch, then steps on slices (`steps`).  `workspaces`, the dict `model.workspace` reads, is kept
     by the dataset."""
 
     __slots__ = ("plan", "dense", "workspaces") + tuple(
@@ -208,11 +209,13 @@ class Batch:
     def of(cls, dataset, plan):
         """The dataset's rows as one run's, from what it keeps."""
         labels = dataset.kept("labels", lambda: np.ascontiguousarray(
-            dataset.labels.T, dtype=np.float64)[None, ..., None])
+            dataset.labels.T, dtype=np.int8)[None, ..., None])
         codes = dataset.kept("codes", lambda: subset_arrays(
             dataset.labels, dataset.sensitive)[None]) if any(
                 plan.tasks) else None
-        rows = dataset.kept("rows", lambda: np.arange(len(dataset))[None])
+        # the narrowest unsigned type that holds every row index
+        rows = dataset.kept("rows", lambda: np.arange(
+            len(dataset), dtype=np.min_scalar_type(len(dataset)))[None])
         return cls(plan, dataset.dense, (rows, dataset.cat[None]
                    if dataset.cat.size else None, labels, codes),
                    dataset.kept("workspaces", dict))
@@ -351,13 +354,16 @@ def train_step(model, batch, config, loss_sink=None):
     return model
 
 
-def cut_stacks(runs, batch_size):
-    """`runs` cut in order into stacks of STACK_RUNS, fewer where a step
-    would exceed STACK_ROWS rows, at least one, to train as one
-    (`train_stack`): 4 up to batch 512, 2 at 1024, 1 from 2048; a
-    dataset's stacks write into one set of step buffers
-    (`model.Workspace`; README, "Stacked runs")."""
-    width = max(1, min(STACK_RUNS, STACK_ROWS // batch_size))
+def cut_stacks(runs, batch_size, jobs=1):
+    """`runs` cut in order into stacks to train as one (`train_stack`):
+    of STACK_RUNS, fewer where a step would exceed STACK_ROWS rows or
+    where fewer than `jobs` stacks would leave a worker idle, so at most
+    ceil(len(runs) / jobs), and at least one.  At one job that is 8 up to
+    batch 512, 4 at 1024, 2 at 2048 and 1 from 4096.  A dataset's stacks
+    write into one set of step buffers (`model.Workspace`; README,
+    "Stacked runs")."""
+    width = max(1, min(STACK_RUNS, STACK_ROWS // batch_size,
+                       math.ceil(len(runs) / jobs)))
     return [runs[i:i + width] for i in range(0, len(runs), width)]
 
 

@@ -65,6 +65,24 @@ def test_fused_xent_on_a_stack_is_each_column_bitwise():
         assert np.array_equal(got, want)
 
 
+def test_xent_on_int8_labels_equals_float_labels_bitwise():
+    """Training keeps its 0/1 labels as int8: `xent_seed` and `xent_steps`
+    on them write the same seed, clip and losses, bit for bit, as on the
+    same labels as float64, clipped rows included."""
+    rng = np.random.default_rng(8)
+    for shape in ((1, 2, 1, 1), (8, 2, 512, 1), (3, 3, 7, 1)):
+        p = _clipped_probs(rng, shape)
+        y8 = rng.integers(0, 2, shape).astype(np.int8)
+        gscale = rng.random(shape[:2] + (1, 1))
+        seeds = rng.standard_normal((2,) + shape)
+        clips = [knp.xent_seed(p, y, gscale, out)
+                 for y, out in zip((y8, y8.astype(np.float64)), seeds)]
+        assert seeds[0].tobytes() == seeds[1].tobytes()
+        assert clips[0].tobytes() == clips[1].tobytes()
+        assert knp.xent_steps(clips[0], y8).tobytes() == knp.xent_steps(
+            clips[1], y8.astype(np.float64)).tobytes()
+
+
 def test_xent_seed_is_the_cross_entropy_gradient_at_the_logit():
     """The seed equals, to rel 1e-15, the autodiff gradient at the logit
     of gscale times the cross-entropy of its sigmoid."""

@@ -156,6 +156,21 @@ def test_subset_codes_match_subset_rows(rows):
                 subset_rows(labels, t, "exclusive_" + side))
 
 
+def test_offset_runs_refuses_a_stack_its_codes_cannot_hold():
+    """A stack's int16 codes hold 12 T W <= 2^15 codes: 1365 runs of 2
+    tasks are offset, each run by 24 w, and 1366 are refused before any
+    code wraps around."""
+    codes = np.stack([subset_arrays(np.array([[1, 0]]), np.array([1]))] * 1366)
+    assert codes.dtype == np.int16
+    with pytest.raises(ConfigError, match="1366 runs of 2 tasks"):
+        losses.offset_runs(codes)
+    assert (codes == codes[0]).all()
+    losses.offset_runs(codes[:1365])
+    assert (codes[:1365, :, 0] == 24 * np.arange(1365)[:, None]
+            + codes[1365, :, 0]).all()
+    assert codes.max() == 24 * 1364 + 17 < 2 ** 15
+
+
 def test_subset_validation():
     y = np.array([[0], [1]])
     with pytest.raises(ConfigError):

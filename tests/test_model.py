@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 import fairmtl.autodiff as ad
 from fairmtl.exceptions import ConfigError, ShapeError
-from fairmtl.model import (ArchConfig, MtlModel, backprop, build_model,
-                           build_stack, forward, forward_np, from_fields)
+from fairmtl.model import (ArchConfig, MtlModel, _input_grad, backprop,
+                           build_model, build_stack, forward, forward_np,
+                           from_fields)
 
 
 def np_sigmoid(x):
@@ -154,6 +155,40 @@ def test_stacked_backprop_equals_each_models_own(shared, heads, num_tasks,
         backprop(model, forward_np(model, dense[run:run + 1],
                                    cat[run:run + 1]), seeds[:, run:run + 1])
         assert got[run].tobytes() == model.flat.grad[0].tobytes(), run
+
+
+@pytest.mark.parametrize("heads", [(3,), ()])
+@pytest.mark.parametrize("num_tasks", (1, 3))
+def test_bottom_is_each_tasks_product_summed_in_task_order(heads, num_tasks):
+    """`backprop` takes the first head layer's input gradient task by task
+    into the bottom: on a stack of 8 it equals, bit for bit, one batched
+    product over every task's (W, T, n, in) gradient, summed over the
+    tasks in order and masked by the top shared layer's relu, for a wide
+    first head layer and for a width-1 one (the logits', zero-padded to
+    K = 2)."""
+    arch = ArchConfig(num_tasks=num_tasks, shared_layer_sizes=(5,),
+                      head_layer_sizes=heads)
+    rng = np.random.default_rng(num_tasks + len(heads))
+    W, n = 8, 41
+    stack = build_stack(arch, 3, (), range(W))
+    stack.flat.value[...] += rng.uniform(-0.1, 0.1, stack.flat.value.shape)
+    ws = forward_np(stack, rng.standard_normal((W, n, 3)))
+    seeds = rng.standard_normal((2, W, num_tasks, n, 1))
+    backprop(stack, ws, seeds)
+    # the shared half's gradient at the first head layer's output, as
+    # the layer above left it, relu gradient taken
+    g = ws.head_grads[1][0][-1:] if heads else seeds[-1:]
+    w = stack.head_stacks[0][0].value
+    parts = np.empty((1, W, num_tasks, n, 5))
+    _input_grad(g, w, parts, None if heads else (
+        np.zeros((1, W, num_tasks, n, 2)), np.zeros((W, num_tasks, 2, 5))))
+    want = parts[0, :, 0]
+    for t in range(1, num_tasks):
+        want = want + parts[0, :, t]
+    # where the top shared layer then took its relu gradient in place
+    want = want * np.greater(ws.shared_fwd[-1], 0.0)
+    assert ws.bottom.shape == (W, n, 5)
+    assert ws.bottom.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_forward_dense_only():

@@ -39,23 +39,24 @@ def test_parity_check_builds_every_config():
         assert arch.num_tasks == config.num_tasks == num_tasks, key
     assert {c.mmd_bandwidth for *_, c in runs} == {0.3, 1.0, 2.0}
     for *_, config in runs:
-        mates = parity_check._mates(config, nan=True)
-        assert len({mate.seed for mate in mates}) == 5
-        assert all(isinstance(mate, TrainConfig) for mate in mates)
+        for count in (5, 8):
+            mates = parity_check._mates(config, nan=True, count=count)
+            assert len({mate.seed for mate in mates}) == count
+            assert all(isinstance(mate, TrainConfig) for mate in mates)
 
 
 @pytest.mark.parametrize("prefix, summary", [
-    ("T2/mmd-", "60 runs in stacks of widths 2-5, 2 diverged"),
-    ("T2/correlation/", "45 runs in stacks of widths 2-5, 2 diverged"),
-    ("T2/soft_fpr_gap/", "45 runs in stacks of widths 2-5, 1 diverged"),
+    ("T2/mmd-", "66 runs in stacks of widths 2-5 and 8, 2 diverged"),
+    ("T2/correlation/", "51 runs in stacks of widths 2-5 and 8, 2 diverged"),
+    ("T2/soft_fpr_gap/", "48 runs in stacks of widths 2-5 and 8, 1 diverged"),
 ], ids=["mmd", "correlation", "soft_fpr_gap"])
 def test_parity_check_stacked_runs_equal_their_solo_runs(prefix, summary,
                                                         capsys):
     """`parity_check.py --stacked` on the 12 MMD runs at bandwidths 0.3
     and 2, and on the 9 two-task correlation runs and 9 soft FPR runs,
-    which read a run's rows from its codes: stacks of widths 2-5, tail
-    batches, exact kernel blocks and stack-mates that diverge all train
-    each run bit for bit as alone."""
+    which read a run's rows from its codes: stacks of widths 2-5 and 8,
+    tail batches, exact kernel blocks and stack-mates that diverge all
+    train each run bit for bit as alone."""
     assert _parity_check().stacked(prefix) == 0
     assert capsys.readouterr().out.startswith(
         f"{summary}: max abs difference from the solo runs 0;")
@@ -139,3 +140,4 @@ def test_bench_kernels_runs():
     assert done.returncode == 0, done.stderr
     assert "adagrad 16x8" in done.stdout and "mmd term 240+240" in done.stdout
     assert "mmd step mtaf (16 subsets)" in done.stdout
+    assert "mmd step mtaf (32 subsets)" in done.stdout

@@ -485,28 +485,55 @@ class TestRunSweep:
                 assert a[key] == b[key], key
 
     def test_pool_equals_serial_with_a_short_last_stack(self, tmp_path, env):
-        """At batch 512 a stack holds four runs, so a budget of 5 leaves
-        each method a stack of 4 and one of 1: --jobs 2 still returns and
-        appends the --jobs 1 rows, in order, equal in every cell but
-        `seconds` and `timestamp`; stack-mates share their `seconds`."""
+        """At batch 512 a serial stack holds eight runs, so a budget of 9
+        leaves each method a stack of 8 and one of 1, and two jobs cut
+        them 5 + 4: --jobs 2 still returns and appends the --jobs 1 rows,
+        in order, equal in every cell but `seconds` and `timestamp`;
+        stack-mates share their `seconds`."""
         train_ds, test_ds, baselines = env
-        sweep = SweepConfig(budget=5, epochs=2, batch_size=512,
+        sweep = SweepConfig(budget=9, epochs=2, batch_size=512,
                             learning_rate=0.1, fairness_kind="soft_fpr_gap")
-        assert [len(s) for s in cut_stacks([None] * 5, 512)] == [4, 1]
         volatile = {"seconds", "timestamp"}
         results = []
-        for jobs in (1, 2):
+        for jobs, widths in ((1, [8, 1]), (2, [5, 4])):
+            assert [len(s) for s in cut_stacks([None] * 9, 512, jobs)] == (
+                widths)
             out = tmp_path / f"jobs{jobs}"
             rows = run_sweep(train_ds, test_ds, ARCH, sweep, baselines,
                              str(out), jobs=jobs)
             assert load_runs(str(out / "runs.csv")) == rows
-            shares = [r["seconds"] for r in rows[:5]]
-            assert len(set(shares[:4])) == 1 and min(shares) > 0
+            shares = [r["seconds"] for r in rows[:9]]
+            assert len(set(shares[:widths[0]])) == 1 and min(shares) > 0
             results.append([{k: v for k, v in row.items() if k not in volatile}
                             for row in rows])
-        assert len(results[0]) == 15
+        assert len(results[0]) == 27
         assert results[0] == results[1]
         assert not any(row["flags"] for row in results[0])
+
+    def test_one_stack_of_eight_equals_two_of_four(self, tmp_path, env):
+        """A --jobs 1 sweep of 8 runs per method trains each method as
+        one stack of 8 and a --jobs 2 sweep as 4 + 4; their runs.csv
+        files are equal in every cell but `seconds` and `timestamp`."""
+        train_ds, test_ds, baselines = env
+        sweep = SweepConfig(budget=8, epochs=2, batch_size=64,
+                            learning_rate=0.1, fairness_kind="mmd")
+        tables = []
+        for jobs, widths in ((1, [8]), (2, [4, 4])):
+            assert [len(s) for s in cut_stacks([None] * 8, 64, jobs)] == (
+                widths)
+            out = tmp_path / f"jobs{jobs}"
+            run_sweep(train_ds, test_ds, ARCH, sweep, baselines, str(out),
+                      jobs=jobs)
+            with open(out / "runs.csv", newline="") as f:
+                tables.append(list(csv.DictReader(f)))
+        serial, pooled = tables
+        assert len(serial) == len(pooled) == 24
+        volatile = {"seconds", "timestamp"}
+        for a, b in zip(serial, pooled):
+            assert a.keys() == b.keys()
+            assert not a["flags"]
+            for key in a.keys() - volatile:
+                assert a[key] == b[key], key
 
     def test_a_dead_worker_flags_its_stack_alone(self, tmp_path, env,
                                                  monkeypatch, capsys):
@@ -514,14 +541,16 @@ class TestRunSweep:
         pool while another still runs the stack before it: that stack runs
         again alone, then the marked one, which dies again and is flagged
         `failed: worker died`; the rest go on in fresh pools, and every
-        other row equals the serial sweep's."""
+        other row equals the serial sweep's, whose stacks hold all three
+        runs of a method."""
         train_ds, test_ds, baselines = env
-        sweep = SweepConfig(budget=5, epochs=1, batch_size=512,
+        sweep = SweepConfig(budget=3, epochs=1, batch_size=512,
                             learning_rate=0.1)
+        assert [len(s) for s in cut_stacks([None] * 3, 512, 2)] == [2, 1]
         serial = run_sweep(train_ds, test_ds, ARCH, sweep, baselines,
                            str(tmp_path / "serial"))
-        # the first run of the first stack of 4 and the stack of 1
-        slow, marked = sample_configs(sweep, 2)["vanilla"][::4]
+        # the first run of the first stack of 2 and the stack of 1
+        slow, marked = sample_configs(sweep, 2)["vanilla"][::2]
         train_stack = sweep_module.train_stack
 
         def dying(train_ds, arch, configs):
@@ -871,13 +900,13 @@ class TestBaselineCache:
         assert loaded == baselines
 
     @pytest.mark.parametrize("batch_size, widths", [(64, [3]),
-                                                    (256, [4, 1])])
+                                                    (256, [8, 1])])
     def test_stacked_stl_cache_equals_the_solo_one(self, tmp_path, env,
                                                    monkeypatch, batch_size,
                                                    widths):
         """run_stl_baselines trains each task's seeds in the stacks a
-        sweep would cut at its batch size (3 seeds in one stack at batch
-        64, 5 in 4 + 1 at 256); the cache it writes is byte-identical to
+        serial sweep would cut at its batch size (3 seeds in one stack at
+        batch 64, 9 in 8 + 1 at 256); the cache it writes is byte-identical to
         one whose seeds each train alone."""
         train_ds, test_ds, _ = env
         seeds = tuple(range(sum(widths)))
@@ -1183,17 +1212,20 @@ class TestCli:
          "synth_seed must be an integer >= 0, got 'a'"),
         ("synth", {"synth_seed": -1},
          "synth_seed must be an integer >= 0, got -1"),
-        ("synth", {"synth": {"n": 200.5}}, "SynthSpec: 'float' object"),
-        ("synth", {"synth": {"num_tasks": 2.0}}, "SynthSpec: 'float' object"),
-        ("synth", {"synth": {"dense_dim": 2.5}}, "SynthSpec: 'float' object"),
+        ("synth", {"synth": {"n": 200.5}},
+         "SynthSpec.n must be an integer, got 200.5"),
+        ("synth", {"synth": {"num_tasks": 2.0}},
+         "SynthSpec.num_tasks must be an integer, got 2.0"),
+        ("synth", {"synth": {"dense_dim": 2.5}},
+         "SynthSpec.dense_dim must be an integer, got 2.5"),
         ("synth", {"synth": {"logit_slope": "x"}},
          "SynthSpec: could not convert string to float: 'x'"),
         ("synth", {"synth": {"feature_noise": math.inf}},
          "feature_noise must be finite, got inf"),
         ("synth", {"arch": {"shared_layer_sizes": [2.5]}},
-         "ArchConfig: 'float' object"),
+         "ArchConfig.shared_layer_sizes[0] must be an integer, got 2.5"),
         ("synth", {"arch": {"embedding_dim": 1.5}},
-         "ArchConfig: 'float' object"),
+         "ArchConfig.embedding_dim must be an integer, got 1.5"),
         ("uci_adult", {"data_dir": 5}, "data_dir must be a string, got 5"),
     ], ids=["split_fraction-str", "split_seed-float", "synth_seed-str",
             "synth_seed-negative", "n-float", "num_tasks-float",
@@ -1219,6 +1251,47 @@ class TestCli:
                          str(out), "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("train", "train", "epochs", True),
+        ("train", "train", "epochs", 1.5),
+        ("train", "train", "batch_size", True),
+        ("train", "train", "seed", 2.0),
+        ("sweep", "sweep", "budget", True),
+        ("sweep", "sweep", "epochs", 1.5),
+        ("stl-baseline", "stl", "epochs", True),
+        ("stl-baseline", "synth", "n", True),
+        ("stl-baseline", "arch", "num_tasks", True),
+        ("stl-baseline", "arch", "head_layer_sizes", [True]),
+    ], ids=["train-epochs-bool", "train-epochs-float", "batch_size-bool",
+            "seed-float", "budget-bool", "sweep-epochs-float",
+            "stl-epochs-bool", "n-bool", "num_tasks-bool",
+            "head_layer_sizes-bool"])
+    def test_integer_field_refuses_a_bool_or_float_by_name(
+            self, tmp_path, capsys, command, section, key, value):
+        """An integer config field given a bool or a float is a config
+        error, exit 2, that names the field as <Class>.<field>.  A bool
+        used to be taken as 0 or 1 (`"epochs": true` trained 1 epoch), and
+        a float was refused naming neither the field nor its section."""
+        cfg = copy.deepcopy(CLI_CFG)
+        out = tmp_path / "out"
+        argv = ["--dataset", "synth", "--out", str(out), "--config",
+                str(tmp_path / "cfg.json")]
+        if command != "stl-baseline":
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+            assert cli.main(["stl-baseline"] + argv) == 0
+        cfg[section][key] = value
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert cli.main([command] + argv) == 2
+        owner = {"train": "TrainConfig", "sweep": "SweepConfig",
+                 "stl": "TrainConfig", "synth": "SynthSpec",
+                 "arch": "ArchConfig"}[section]
+        field = key + ("[0]" if isinstance(value, list) else "")
+        shown = value[0] if isinstance(value, list) else value
+        assert (f"error: {owner}.{field} must be an integer, got {shown!r}"
+                in capsys.readouterr().err)
+        assert not (out / "runs.csv").exists()
 
     def test_train_refuses_a_negative_seed(self, tmp_path, capsys):
         """A negative training seed is a config error, exit 2, not a run

@@ -18,7 +18,7 @@ from test_acceptance import _routing_arch, _routing_batch
 import fairmtl.autodiff as ad
 from fairmtl import losses, metrics, trainer
 from fairmtl.backend import kernels
-from fairmtl.data import Dataset
+from fairmtl.data import Dataset, SynthSpec, split_random, synth_generate
 from fairmtl.exceptions import ConfigError, ShapeError, TrainingDiverged
 from fairmtl.losses import cross_entropy, decompose_fairness
 from fairmtl.metrics import evaluate_model
@@ -1044,6 +1044,35 @@ def test_a_wider_stack_drops_the_step_buffers_it_outgrew():
     assert owned[0] <= owned[1]
 
 
+def test_a_stack_of_eight_at_batch_512_keeps_at_most_4_37_mb():
+    """What the benchmark's training split (synth n = 8000 at 80%: 6400
+    rows, T = 2, arch 16/8) keeps after an mtaf MMD stack of 8 at batch
+    512, a serial sweep's stack, comes to 4,370,432 bytes: 3.91 MB of
+    step buffers, 0.41 MB of epoch arrays (0.0512 MB a run: uint16 row
+    indices, int8 labels, int16 codes) and the 0.0512 MB they are
+    gathered from.  With intp rows, float64 labels, int32 codes and the
+    (W, T, n, in) gradient at the heads' shared input it was 6.28 MB
+    (4.43 MB, 1.64 MB and 0.20 MB)."""
+    spec = SynthSpec(n=8000, positive_rates=((0.2, 0.35), (0.5, 0.3)))
+    data, _ = split_random(synth_generate(spec, seed=0), 0.8, seed=0)
+    arch = ArchConfig(num_tasks=2, shared_layer_sizes=(16,),
+                      head_layer_sizes=(8,))
+    configs = [TrainConfig(method="mtaf", task_weights=(0.5, 0.5),
+                           fairness_weights=(1.0, 2.0), fairness_kind="mmd",
+                           batch_size=512, seed=seed) for seed in range(8)]
+    assert trainer.cut_stacks(configs, 512) == [configs]
+    train_stack(data, arch, configs)
+    step = _owned_bytes(ws for ws in data.kept("workspaces", dict).values()
+                        if isinstance(ws, Workspace))
+    epoch = sum(a.nbytes for a in data.kept("epoch", dict).values())
+    gathered = sum(data.kept(name, None).nbytes
+                   for name in ("rows", "labels", "codes"))
+    assert len(data) == 6400
+    assert step <= 3.91e6 and epoch <= 8 * 0.0512e6
+    assert gathered <= 0.0512e6
+    assert step + epoch + gathered <= 4_370_432
+
+
 def test_narrower_then_wider_stacks_then_train_equal_their_solo_runs():
     """On one dataset a stack of 2, then one of 4, which grows the step
     buffers, then `train()`, on prefixes of those, each train their runs
@@ -1069,14 +1098,28 @@ def test_narrower_then_wider_stacks_then_train_equal_their_solo_runs():
                 T, config.seed)
 
 
-def test_cut_stacks_takes_four_runs_up_to_batch_512():
-    """Stacks hold 4 runs up to batch 512, then 2048 rows at most: 2 runs
-    at batch 1024 and 1 from 2048; runs keep their order."""
-    widths = [len(trainer.cut_stacks(list(range(9)), batch)[0])
-              for batch in (128, 256, 512, 1024, 2048, 4096)]
-    assert widths == [4, 4, 4, 2, 1, 1]
-    assert trainer.cut_stacks(list(range(9)), 512) == [
-        [0, 1, 2, 3], [4, 5, 6, 7], [8]]
+def test_cut_stacks_takes_eight_runs_up_to_batch_512():
+    """At one job stacks hold 8 runs up to batch 512, then 4096 rows at
+    most: 4 runs at batch 1024, 2 at 2048 and 1 from 4096; runs keep
+    their order."""
+    widths = [len(trainer.cut_stacks(list(range(17)), batch)[0])
+              for batch in (128, 256, 512, 1024, 2048, 4096, 8192)]
+    assert widths == [8, 8, 8, 4, 2, 1, 1]
+    assert trainer.cut_stacks(list(range(17)), 512) == [
+        list(range(8)), list(range(8, 16)), [16]]
+
+
+@pytest.mark.parametrize("runs, batch, jobs, widths", [
+    (8, 512, 1, [8]), (8, 128, 2, [4, 4]), (9, 512, 2, [5, 4]),
+    (8, 128, 3, [3, 3, 2]), (2, 128, 4, [1, 1]), (0, 128, 2, []),
+    (8, 1024, 1, [4, 4]), (8, 1024, 2, [4, 4]), (3, 4096, 1, [1, 1, 1])])
+def test_cut_stacks_gives_every_job_a_stack(runs, batch, jobs, widths):
+    """With `jobs` workers a stack holds at most ceil(runs / jobs) runs,
+    so one method's runs make a stack per worker where there are as many
+    runs, and the 4096-row bound still holds (4 runs at batch 1024, 1 at
+    4096)."""
+    assert [len(s) for s in trainer.cut_stacks(list(range(runs)), batch,
+                                               jobs)] == widths
 
 
 def test_subset_codes_built_once_per_dataset(monkeypatch):
