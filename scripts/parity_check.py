@@ -314,16 +314,22 @@ def _stacked(prefix):
 
 def _largest(a_runs, b_runs, field):
     """(absolute, relative, where) of the largest entry difference of
-    `field` over all runs; relative to the largest magnitude of the
-    array in which it occurs."""
+    `field` over all runs; relative to the largest finite magnitude of
+    the array in which it occurs.  Equal entries, NaN with NaN included,
+    differ by 0, and NaN against anything else by infinity."""
     worst_abs, worst_rel, where = 0.0, 0.0, None
     for key, a in a_runs.items():
         arrays = a[field] if isinstance(a[field], dict) else {"": a[field]}
         others = b_runs[key][field]
         for name, x in arrays.items():
             y = others[name] if name else others
-            diff = float(np.max(np.abs(x - y), initial=0.0))
-            scale = float(np.max(np.abs(x), initial=0.0))
+            with np.errstate(invalid="ignore"):
+                gaps = np.where((x == y) | (np.isnan(x) & np.isnan(y)), 0.0,
+                                np.abs(x - y))
+            diff = float(np.max(np.where(np.isnan(gaps), np.inf, gaps),
+                                initial=0.0))
+            scale = float(np.max(np.abs(x), where=np.isfinite(x),
+                                 initial=0.0))
             rel = diff / scale if scale else diff
             worst_abs = max(worst_abs, diff)
             if rel > worst_rel:

@@ -14,12 +14,12 @@ The optional `--config` JSON object carries sections: "synth", "arch",
 "synth_seed", "split_fraction" and "split_seed".  It is strict: any other
 top-level key is refused with the accepted ones, and so is a key in
 "synth", "arch", "train" or "sweep" that names no SynthSpec / ArchConfig /
-TrainConfig / SweepConfig field.
+TrainConfig / SweepConfig field.  A value of the wrong kind, or out of its
+bound, is refused by its field name (README, "Config values").
 """
 
 import argparse
 import json
-import operator
 import os
 import sys
 from dataclasses import replace
@@ -30,7 +30,8 @@ from .exceptions import ConfigError
 from .metrics import run_stl_baselines, stl_config_hash
 from .presets import (DATASET_PRESETS, SCHEMA_PRESETS, arch_for,
                       schema_path, train_settings_for)
-from .model import ArchConfig, from_fields, refuse_unknown
+from .model import (ArchConfig, Kind, from_fields, integer, listed, real,
+                    refuse_unknown)
 from .sweep import (RunsWriter, SweepConfig, accuracy_overlay, emit_reports,
                     load_baselines, load_runs, pair_hash, run_id, run_single,
                     run_sweep, save_baselines, _num_tasks)
@@ -39,13 +40,11 @@ from .trainer import TrainConfig
 
 _CONFIG_KEYS = ("synth", "arch", "train", "sweep", "stl", "data_dir",
                 "synth_seed", "split_fraction", "split_seed")
-_SEED = ("an integer >= 0", lambda v: isinstance(v, int) and v >= 0)
-# what each data setting must be, and its check
 _DATA_SETTINGS = {
-    "synth_seed": _SEED, "split_seed": _SEED,
-    "split_fraction": ("a number in (0, 1)",
-                       lambda v: isinstance(v, (int, float)) and 0 < v < 1),
-    "data_dir": ("a string", lambda v: isinstance(v, str)),
+    "synth_seed": integer(">= 0"), "split_seed": integer(">= 0"),
+    "split_fraction": real("(0, 1)"),
+    "data_dir": Kind("a string",
+                     lambda name, v: v if isinstance(v, str) else None),
 }
 
 
@@ -79,9 +78,9 @@ def resolve_data(dataset_arg, cfg):
     from --seed, so every subcommand sees the same rows and the cached
     baselines stay addressable.
     """
-    for key, (what, valid) in _DATA_SETTINGS.items():
-        if key in cfg and not valid(cfg[key]):
-            raise ConfigError(f"{key} must be {what}, got {cfg[key]!r}")
+    for key, kind in _DATA_SETTINGS.items():
+        if key in cfg:
+            kind.coerce(key, cfg[key])
     if dataset_arg == "synth":
         synth_cfg = dict(cfg.get("synth", {}))
         synth_cfg.setdefault("n", 4000)
@@ -140,16 +139,10 @@ def _stl_plan(cfg, data):
     stl-baseline caches under this key and train/sweep open it by it."""
     stl_cfg = cfg.get("stl", {})
     refuse_unknown("stl", stl_cfg, ("seeds",) + _STL_SETTINGS)
-    try:
-        seeds = tuple(map(operator.index, stl_cfg.get("seeds", range(5))))
-    except TypeError as exc:
-        raise ConfigError(f"stl.seeds must be a list of integers, got "
-                          f"{stl_cfg['seeds']!r}") from exc
-    if not seeds:
-        raise ConfigError("stl.seeds must not be empty")
-    if min(seeds) < 0 or len(set(seeds)) < len(seeds):
-        raise ConfigError(f"stl.seeds must be distinct and >= 0, got "
-                          f"{list(seeds)}")
+    seeds = listed(integer(">= 0"), "nonempty").coerce(
+        "stl.seeds", stl_cfg.get("seeds", range(5)))
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"stl.seeds must be distinct, got {list(seeds)}")
     settings = train_settings_for(data.name)
     settings.update({k: stl_cfg[k] for k in _STL_SETTINGS if k in stl_cfg})
     config = TrainConfig(method="vanilla", task_weights=(1.0,),

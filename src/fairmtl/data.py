@@ -11,14 +11,14 @@ the training file (`resolve`) and frozen, so test data never leaks into them.
 
 import csv
 import json
-import math
 import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .exceptions import ConfigError, RowParseError, SchemaError
-from .model import from_fields, integer, refuse_unknown
+from .model import (coerce_fields, from_fields, integer, listed, real,
+                    refuse_unknown)
 
 OOV_INDEX = 0  # reserved slot for unseen categorical tokens
 PREDICATE_OPS = ("gt", "ge", "eq")
@@ -386,33 +386,18 @@ class SynthSpec:
     logit_slope: float = 2.5
     sensitive_missing_rate: float = 0.0
 
+    KINDS = {"n": integer(">= 1"), "num_tasks": integer(">= 1"),
+             "dense_dim": integer(">= 1"), "group_fraction": real("[0, 1]"),
+             "positive_rates": listed(listed(real("[0, 1]")), 2),
+             "label_correlation": real("[0, 1]"),
+             "group_feature_weight": real(), "feature_noise": real(),
+             "logit_slope": real(), "sensitive_missing_rate": real("[0, 1]")}
+
     def __post_init__(self):
-        for name in ("n", "num_tasks", "dense_dim"):
-            object.__setattr__(self, name,
-                               integer(self, name, getattr(self, name)))
-        for name in ("group_fraction", "label_correlation",
-                     "group_feature_weight", "feature_noise", "logit_slope",
-                     "sensitive_missing_rate"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
-        if self.n < 1:
-            raise ConfigError("n must be >= 1")
-        if self.num_tasks < 1 or self.dense_dim < 1:
-            raise ConfigError("num_tasks and dense_dim must be >= 1")
-        rates = np.asarray(self.positive_rates, dtype=float)
-        if rates.shape != (2, self.num_tasks):
-            raise ConfigError("positive_rates must be shaped (2, num_tasks)")
-        if ((rates < 0) | (rates > 1)).any():
-            raise ConfigError("positive rates must lie in [0, 1]")
-        for name in ("group_fraction", "label_correlation",
-                     "sensitive_missing_rate"):
-            v = getattr(self, name)
-            if not 0 <= v <= 1:
-                raise ConfigError(f"{name} must lie in [0, 1]")
-        object.__setattr__(self, "positive_rates",
-                           tuple(tuple(r) for r in rates))
+        coerce_fields(self)
+        if any(len(rates) != self.num_tasks for rates in self.positive_rates):
+            raise ConfigError(f"SynthSpec.positive_rates must be shaped (2, "
+                              f"num_tasks), got {self.positive_rates}")
 
 
 _HERM_X, _HERM_W = np.polynomial.hermite.hermgauss(80)

@@ -19,7 +19,8 @@ autodiff graph, the differentiable reference.
 """
 
 import math
-import operator
+import numbers
+import sys
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -27,6 +28,79 @@ import numpy as np
 from . import autodiff as ad
 from .backend import kernels
 from .exceptions import ConfigError, ShapeError
+
+
+# each bound a field may declare, as a refusal says it, and its test
+_BOUNDS = {"": lambda v: True, "> 0": lambda v: v > 0,
+           ">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1,
+           "[0, 1]": lambda v: 0 <= v <= 1, "(0, 1)": lambda v: 0 < v < 1}
+
+
+@dataclass(frozen=True)
+class Kind:
+    """A config field's declared kind and bound (`integer`, `real`,
+    `choice`, `listed`), as a refusal says them (`what`); `convert(name,
+    value)` gives a value of them as the record keeps it, else None."""
+    what: str
+    convert: object
+
+    def coerce(self, name, value):
+        kept = self.convert(name, value)
+        if kept is None:
+            raise ConfigError(f"{name} must be {self.what}, got {value!r}")
+        return kept
+
+
+def integer(bound):
+    """A Python int (numpy's convert), never a bool, within `bound`."""
+    return Kind(f"an integer {bound}",
+                lambda name, v: int(v) if isinstance(v, numbers.Integral)
+                and not isinstance(v, bool) and _BOUNDS[bound](v) else None)
+
+
+def real(bound=""):
+    """A finite Python float (an int converts, unless too large for a
+    float), never a bool or a str, within `bound`."""
+    return Kind(f"a number in {bound}" if bound.startswith(("[", "("))
+                else f"a finite number {bound}".rstrip(),
+                lambda name, v: float(v) if isinstance(v, numbers.Real)
+                and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+                and _BOUNDS[bound](v) else None)
+
+
+def choice(options):
+    """One of the strings `options`."""
+    return Kind("one of " + ", ".join(map(repr, options)),
+                lambda name, v: v if isinstance(v, str) and v in options
+                else None)
+
+
+def listed(item, size=None):
+    """A tuple of `item`s, given as a list, tuple, range or array (never a
+    str), each refused as "<name>[i]": of `size` entries, or of any
+    number, or of one or more if `size` is "nonempty"."""
+    def convert(name, value):
+        if isinstance(value, (list, tuple, range, np.ndarray)) and (
+                len(value) if size == "nonempty"
+                else size in (None, len(value))):
+            return tuple(item.coerce(f"{name}[{i}]", v)
+                         for i, v in enumerate(value))
+    shown = {None: "a list", "nonempty": "a nonempty list"}.get(
+        size, f"a list of {size}")
+    return Kind(f"{shown}, each {item.what}", convert)
+
+
+def coerce_fields(record):
+    """Set each field of the frozen config `record` as the Kind its class
+    declares for it in `KINDS` keeps it, or refuse it as "<Class>.<field>
+    must be <kind and bound>, got <value!r>"; a field whose default is
+    None may stay None."""
+    cls = type(record)
+    for f in fields(cls):
+        value = getattr(record, f.name)
+        if value is not None or f.default is not None:
+            object.__setattr__(record, f.name, cls.KINDS[f.name].coerce(
+                f"{cls.__name__}.{f.name}", value))
 
 
 @dataclass(frozen=True)
@@ -42,21 +116,12 @@ class ArchConfig:
     head_layer_sizes: tuple = (32,)
     embedding_dim: int = 40
 
+    KINDS = {"num_tasks": integer(">= 1"), "embedding_dim": integer(">= 1"),
+             "shared_layer_sizes": listed(integer(">= 1")),
+             "head_layer_sizes": listed(integer(">= 1"))}
+
     def __post_init__(self):
-        for name in ("num_tasks", "embedding_dim"):
-            object.__setattr__(self, name,
-                               integer(self, name, getattr(self, name)))
-        for name in ("shared_layer_sizes", "head_layer_sizes"):
-            object.__setattr__(self, name, tuple(
-                integer(self, f"{name}[{i}]", size)
-                for i, size in enumerate(getattr(self, name))))
-        if self.num_tasks < 1:
-            raise ConfigError(f"num_tasks must be >= 1, got {self.num_tasks}")
-        for size in self.shared_layer_sizes + self.head_layer_sizes:
-            if size < 1:
-                raise ConfigError(f"layer sizes must be >= 1, got {size}")
-        if self.embedding_dim < 1:
-            raise ConfigError("embedding_dim must be >= 1")
+        coerce_fields(self)
 
 
 def refuse_unknown(what, keys, accepted):
@@ -80,24 +145,8 @@ def from_fields(cls, d):
     refuse_unknown(cls.__name__, d, names)
     try:
         return cls(**d)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError) and str(exc).startswith(
-                f"{cls.__name__}."):
-            raise   # `integer`'s, which names the field already
+    except TypeError as exc:   # a field without a default left out
         raise ConfigError(f"{cls.__name__}: {exc}") from exc
-
-
-def integer(config, name, value):
-    """`value`, the field `name` of the config record `config`, as an int
-    (`operator.index`); a bool or a non-integer is refused, naming the
-    field as "<Class>.<name>"."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ConfigError(f"{type(config).__name__}.{name} must be an integer, "
-                      f"got {value!r}")
 
 
 @dataclass

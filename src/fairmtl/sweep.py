@@ -18,13 +18,14 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .exceptions import ConfigError, ContractError, UndefinedMetricError
 from .metrics import StlBaselines, aggregate, evaluate_model
-from .model import from_fields, integer
+from .model import (choice, coerce_fields, from_fields, integer, listed,
+                    real)
 from .pareto import ParetoPoint, frontier, frontier_quality, survivors
 from .trainer import METHODS, TrainConfig, cut_stacks, train_stack
 
@@ -52,8 +53,7 @@ class SweepConfig:
     `budget` counts runs per method.  Draws are shared across methods so
     method comparisons are paired; vanilla ignores the fairness draws and
     baseline ignores the ratio draws by construction.  The last six fields,
-    the settings all runs share, make `template`, the TrainConfig that
-    validates them once and that each run copies.
+    those that TrainConfig has too, are the settings that all runs share.
     """
     methods: tuple = ("vanilla", "baseline", "mtaf")
     budget: int = 10
@@ -69,43 +69,22 @@ class SweepConfig:
     mmd_bandwidth: float = 1.0
     fairness_target: str = "equal_opportunity_fpr"
 
+    # TrainConfig's kinds, for the settings all runs share
+    KINDS = {**TrainConfig.KINDS,
+             "methods": listed(choice(METHODS), "nonempty"),
+             "budget": integer(">= 1"), "seeds_per_config": integer(">= 1"),
+             "master_seed": integer(">= 0"),
+             "w1_range": listed(real("[0, 1]"), 2),
+             "lambda_range": listed(real(">= 0"), 2),
+             "ratio_range": listed(real("> 0"), 2)}
+
     def __post_init__(self):
-        object.__setattr__(self, "methods", tuple(self.methods))
-        if not self.methods:
-            raise ConfigError("sweep needs a nonempty method list")
-        for m in self.methods:
-            if m not in METHODS:
-                raise ConfigError(f"unknown method {m!r}")
-        for name in ("budget", "seeds_per_config", "master_seed", "epochs",
-                     "batch_size"):
-            object.__setattr__(self, name,
-                               integer(self, name, getattr(self, name)))
-        if self.budget < 1:
-            raise ConfigError("budget must be >= 1")
-        if self.seeds_per_config < 1:
-            raise ConfigError("seeds_per_config must be >= 1")
-        if self.master_seed < 0:
-            raise ConfigError(f"master_seed must be >= 0, got "
-                              f"{self.master_seed}")
+        coerce_fields(self)
         for name in ("w1_range", "lambda_range", "ratio_range"):
-            lo, hi = map(float, getattr(self, name))
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ConfigError(f"{name} must be finite, got {(lo, hi)}")
-            object.__setattr__(self, name, (lo, hi))
+            lo, hi = getattr(self, name)
             if not lo <= hi:
-                raise ConfigError(f"{name} must satisfy lo <= hi")
-        if self.ratio_range[0] <= 0:
-            raise ConfigError("ratio_range must be positive (log-uniform)")
-        if not 0 <= self.w1_range[0] <= self.w1_range[1] <= 1:
-            raise ConfigError("w1_range must lie inside [0, 1]")
-        if self.lambda_range[0] < 0:
-            raise ConfigError("lambda_range must be nonnegative")
-        object.__setattr__(self, "template", TrainConfig(
-            method=self.methods[0], task_weights=(1.0,),
-            learning_rate=self.learning_rate, epochs=self.epochs,
-            batch_size=self.batch_size, fairness_kind=self.fairness_kind,
-            mmd_bandwidth=self.mmd_bandwidth,
-            fairness_target=self.fairness_target))
+                raise ConfigError(f"SweepConfig.{name} must satisfy lo <= hi, "
+                                  f"got {[lo, hi]}")
 
 
 def sample_configs(sweep, num_tasks):
@@ -132,6 +111,8 @@ def sample_configs(sweep, num_tasks):
         ratios = tuple(np.exp(rng.uniform(log_lo, log_hi, size=num_tasks)))
         draws.append((tuple(weights), lams, ratios))
 
+    settings = {name: value for name, value in vars(sweep).items()
+                if name in TrainConfig.KINDS}
     out = {}
     for method in sweep.methods:
         configs = []
@@ -140,11 +121,11 @@ def sample_configs(sweep, num_tasks):
                 if len(configs) == sweep.budget:
                     break
                 seed = sweep.master_seed * 100003 + i * sweep.seeds_per_config + k
-                configs.append(replace(
-                    sweep.template, method=method, task_weights=weights,
+                configs.append(TrainConfig(
+                    method=method, task_weights=weights,
                     fairness_weights=(None if method == "vanilla" else lams),
                     head_shared_ratios=(ratios if method == "mtaf" else None),
-                    seed=seed))
+                    seed=seed, **settings))
         out[method] = configs
     return out
 
@@ -165,7 +146,7 @@ def pair_hash(train_ds, test_ds):
 
 def run_id(config, pair, stl_key):
     """Content id of a run: a hash of its config, data pair and STL key."""
-    payload = json.dumps([asdict(config), pair, stl_key], sort_keys=True)
+    payload = json.dumps([vars(config), pair, stl_key], sort_keys=True)
     digest = hashlib.sha256(payload.encode()).hexdigest()
     return f"{config.method}-{digest[:12]}"
 
@@ -255,7 +236,7 @@ def _row(config, rid, flags=None):
     """A runs-table row of this config and run id, its metrics empty."""
     row = dict.fromkeys(RUNS_COLUMNS)
     row.update((k, list(v) if isinstance(v, tuple) else v)
-               for k, v in asdict(config).items())
+               for k, v in vars(config).items())
     row.update(run_id=rid, schema_version=RUNS_SCHEMA_VERSION,
                timestamp=time.time(), flags=flags)
     return row
@@ -269,9 +250,10 @@ def run_single(train_ds, test_ds, arch, config, baselines, run_id="run"):
 
 class RunsWriter:
     """Append-only writer for runs.csv; one header, unique run ids, flushed
-    after every row so interrupted sweeps leave a readable table.  A table
-    whose header is not `RUNS_COLUMNS`, or whose last row was cut short,
-    is refused, not appended to."""
+    after every append (a sweep appends a stack's rows at once) so
+    interrupted sweeps leave a readable table.  A table whose header is
+    not `RUNS_COLUMNS`, or whose last row was cut short, is refused, not
+    appended to."""
 
     def __init__(self, path):
         self.path = path
@@ -291,12 +273,17 @@ class RunsWriter:
                                 "remove that line before appending")
         self.ids = {row["run_id"] for row in load_runs(path)}
 
-    def append(self, row):
-        if row["run_id"] in self.ids:
-            raise ContractError(f"duplicate run_id {row['run_id']!r}")
-        self.ids.add(row["run_id"])
+    def append(self, *rows):
+        """Append `rows` with one open, write and flush; refused, writing
+        none, if any repeats a recorded id or another's."""
+        ids = [row["run_id"] for row in rows]
+        for i, rid in enumerate(ids):
+            if rid in self.ids or rid in ids[:i]:
+                raise ContractError(f"duplicate run_id {rid!r}")
+        self.ids.update(ids)
         with open(self.path, "a", newline="") as f:
-            csv.writer(f).writerow([_cell(row[c]) for c in RUNS_COLUMNS])
+            csv.writer(f).writerows([_cell(row[c]) for c in RUNS_COLUMNS]
+                                    for row in rows)
             f.flush()
 
 
@@ -450,8 +437,7 @@ def run_sweep(train_ds, test_ds, arch, sweep, baselines, out_dir, jobs=1):
             _share_inputs(inputs)
             stack_rows = map(_run_task, stacks)
         for done in stack_rows:
-            for row in done:
-                writer.append(row)
+            writer.append(*done)
             rows += done
     finally:
         _share_inputs(None)

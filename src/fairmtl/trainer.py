@@ -36,7 +36,7 @@ NaN, the one way a loss is not finite.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,8 @@ from .backend import kernels
 from .exceptions import ConfigError, ShapeError, TrainingDiverged
 from .losses import (FAIRNESS_KINDS, FAIRNESS_TARGETS, fairness_seed_terms,
                      offset_runs, subset_arrays)
-from .model import backprop, build_stack, forward_np, integer, workspace
+from .model import (backprop, build_stack, choice, coerce_fields,
+                    forward_np, integer, listed, real, workspace)
 
 METHODS = ("vanilla", "baseline", "mtaf")
 ADAGRAD_EPS = 1e-8
@@ -57,8 +58,9 @@ STACK_ROWS = 4096     # rows per step over all runs of a stack, at most
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """One run's training settings, each a plain value: `asdict` gives
-    the runs-table and cache-key form, `model.from_fields` its inverse."""
+    """One run's training settings, each a plain value of the kind that
+    `KINDS` declares (`model.coerce_fields`): `vars` gives the runs-table
+    and cache-key form, `model.from_fields` its inverse."""
     method: str
     task_weights: tuple
     fairness_weights: tuple = None       # lambda_t, defaults to zeros
@@ -71,51 +73,27 @@ class TrainConfig:
     batch_size: int = 128
     seed: int = 0
 
+    KINDS = {"method": choice(METHODS),
+             "task_weights": listed(real(">= 0"), "nonempty"),
+             "fairness_weights": listed(real(">= 0")),
+             "head_shared_ratios": listed(real("> 0")),
+             "fairness_kind": choice(FAIRNESS_KINDS),
+             "mmd_bandwidth": real("> 0"),
+             "fairness_target": choice(FAIRNESS_TARGETS),
+             "learning_rate": real("> 0"), "epochs": integer(">= 1"),
+             "batch_size": integer(">= 1"), "seed": integer(">= 0")}
+
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown training method {self.method!r}")
-        w = tuple(float(x) for x in self.task_weights)
-        if not w:
-            raise ConfigError("task_weights must be nonempty")
-        lam = (tuple(float(x) for x in self.fairness_weights)
-               if self.fairness_weights is not None else (0.0,) * len(w))
-        r = (tuple(float(x) for x in self.head_shared_ratios)
-             if self.head_shared_ratios is not None else (1.0,) * len(w))
-        if not len(w) == len(lam) == len(r):
-            raise ConfigError("task_weights, fairness_weights and "
-                              "head_shared_ratios must have equal lengths")
-        # one type per field, so equal configs hash equal however written
-        for name in ("mmd_bandwidth", "learning_rate"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        # NaN passes every comparison's refusal below, so refuse it first
-        for name, values in (("task_weights", w), ("fairness_weights", lam),
-                             ("head_shared_ratios", r),
-                             ("learning_rate", (self.learning_rate,)),
-                             ("mmd_bandwidth", (self.mmd_bandwidth,))):
-            if not all(map(math.isfinite, values)):
-                raise ConfigError(f"{name} must be finite, got {values}")
-        if any(x < 0 for x in w) or any(x < 0 for x in lam):
-            raise ConfigError("weights must be nonnegative")
-        if any(x <= 0 for x in r):
-            raise ConfigError("head_shared_ratios must be positive")
-        for name in ("epochs", "batch_size", "seed"):
-            object.__setattr__(self, name,
-                               integer(self, name, getattr(self, name)))
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.fairness_kind not in FAIRNESS_KINDS:
-            raise ConfigError(f"unknown fairness loss kind {self.fairness_kind!r}")
-        if self.mmd_bandwidth <= 0:
-            raise ConfigError("mmd_bandwidth must be > 0")
-        if self.fairness_target not in FAIRNESS_TARGETS:
-            raise ConfigError(f"unknown fairness target {self.fairness_target!r}")
-        object.__setattr__(self, "task_weights", w)
-        object.__setattr__(self, "fairness_weights", lam)
-        object.__setattr__(self, "head_shared_ratios", r)
+        coerce_fields(self)
+        n = len(self.task_weights)
+        for name, default in (("fairness_weights", 0.0),
+                              ("head_shared_ratios", 1.0)):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, (default,) * n)
+        if not n == len(self.fairness_weights) == len(self.head_shared_ratios):
+            raise ConfigError("TrainConfig: task_weights, fairness_weights "
+                              "and head_shared_ratios must have equal "
+                              "lengths")
 
     @property
     def num_tasks(self):
@@ -377,9 +355,8 @@ def train_stack(dataset, arch, configs):
     slices of those.  Returns, per config, its TrainedRun, bit for bit
     its solo run's, or the TrainingDiverged that ended it.
     """
-    config = configs[0]
-    solo = {name: getattr(config, name) for name in _RUN_FIELDS}
-    if any(replace(c, **solo) != config for c in configs[1:]):
+    config, own = configs[0], dict.fromkeys(_RUN_FIELDS)  # masks those
+    if any(vars(c) | own != vars(config) | own for c in configs[1:]):
         raise ConfigError("a stack's runs must share method and settings")
     if dataset.num_tasks != config.num_tasks:
         raise ConfigError(

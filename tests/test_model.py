@@ -2,6 +2,7 @@
 numpy re-implementation that never touches the graph machinery."""
 
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -11,10 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairmtl.autodiff as ad
+from fairmtl.data import SynthSpec
 from fairmtl.exceptions import ConfigError, ShapeError
+from fairmtl.losses import FAIRNESS_KINDS, FAIRNESS_TARGETS
+from fairmtl.metrics import stl_config_hash
 from fairmtl.model import (ArchConfig, MtlModel, _input_grad, backprop,
                            build_model, build_stack, forward, forward_np,
                            from_fields)
+from fairmtl.sweep import SweepConfig, run_id
+from fairmtl.trainer import METHODS, TrainConfig
 
 
 def np_sigmoid(x):
@@ -291,3 +297,101 @@ def test_from_fields_refuses_unknown_keys_and_reports_missing_ones():
         from_fields(ArchConfig, {"num_tasks": 3, "budget": 5})
     with pytest.raises(ConfigError, match="num_tasks"):
         from_fields(ArchConfig, {"embedding_dim": 4})
+
+
+def _reals(low, high=1e6):
+    """Finite reals in [low, high], integral ones among them (`2.0`)."""
+    return (st.integers(math.ceil(low), min(4, high)).map(float)
+            | st.floats(low, high, exclude_min=low > 0))
+
+
+@st.composite
+def _records(draw):
+    """One each of ArchConfig, TrainConfig, SweepConfig and SynthSpec,
+    of valid values drawn across every field."""
+    T = draw(st.integers(1, 3))
+
+    def reals(low, n=T, high=1e6):
+        return tuple(draw(st.lists(_reals(low, high), min_size=n,
+                                   max_size=n)))
+
+    def pair(low, high=1e6):
+        return tuple(sorted(reals(low, 2, high)))
+    sizes = st.lists(st.integers(1, 64), max_size=3).map(tuple)
+    kinds = st.sampled_from(FAIRNESS_KINDS)
+    targets = st.sampled_from(FAIRNESS_TARGETS)
+    return (
+        ArchConfig(num_tasks=T, shared_layer_sizes=draw(sizes),
+                   head_layer_sizes=draw(sizes),
+                   embedding_dim=draw(st.integers(1, 64))),
+        TrainConfig(method=draw(st.sampled_from(METHODS)),
+                    task_weights=reals(0),
+                    fairness_weights=draw(st.none() | st.just(reals(0))),
+                    head_shared_ratios=draw(st.none()
+                                            | st.just(reals(1e-9))),
+                    fairness_kind=draw(kinds),
+                    mmd_bandwidth=draw(_reals(1e-9)),
+                    fairness_target=draw(targets),
+                    learning_rate=draw(_reals(1e-9)),
+                    epochs=draw(st.integers(1, 9)),
+                    batch_size=draw(st.integers(1, 512)),
+                    seed=draw(st.integers(0, 2**40))),
+        SweepConfig(methods=tuple(draw(st.lists(st.sampled_from(METHODS),
+                                                min_size=1, max_size=3))),
+                    budget=draw(st.integers(1, 99)),
+                    seeds_per_config=draw(st.integers(1, 5)),
+                    master_seed=draw(st.integers(0, 2**40)),
+                    w1_range=pair(0, 1), lambda_range=pair(0),
+                    ratio_range=pair(1e-9),
+                    learning_rate=draw(_reals(1e-9)),
+                    epochs=draw(st.integers(1, 9)),
+                    batch_size=draw(st.integers(1, 512)),
+                    fairness_kind=draw(kinds),
+                    mmd_bandwidth=draw(_reals(1e-9)),
+                    fairness_target=draw(targets)),
+        SynthSpec(n=draw(st.integers(1, 10**6)), num_tasks=T,
+                  dense_dim=draw(st.integers(1, 9)),
+                  group_fraction=draw(_reals(0, 1)),
+                  positive_rates=(reals(0, high=1), reals(0, high=1)),
+                  label_correlation=draw(_reals(0, 1)),
+                  group_feature_weight=draw(st.floats(-1e6, 1e6)),
+                  feature_noise=draw(_reals(0)), logit_slope=draw(_reals(0)),
+                  sensitive_missing_rate=draw(_reals(0, 1))))
+
+
+def _rewritten(value):
+    """`value` as a config file may write it: lists for tuples, and
+    integral reals as integers."""
+    if isinstance(value, tuple):
+        return [_rewritten(v) for v in value]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(_records())
+def test_every_record_round_trips_through_json(records):
+    """`from_fields` inverts `asdict` through JSON for every config
+    record, and each field keeps its Python type."""
+    for record in records:
+        back = from_fields(type(record),
+                           json.loads(json.dumps(asdict(record))))
+        assert back == record
+        assert ([type(v) for v in vars(back).values()]
+                == [type(v) for v in vars(record).values()])
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(_records())
+def test_ids_do_not_depend_on_how_values_are_written(records):
+    """A config gives the same run id and STL key whether its numbers
+    are written `2` or `2.0` and its sequences as lists or tuples."""
+    arch, config = records[:2]
+    written = [type(r)(**{name: _rewritten(v)
+                          for name, v in vars(r).items()})
+               for r in records]
+    assert written == list(records)
+    assert run_id(written[1], "p", "k") == run_id(config, "p", "k")
+    assert (stl_config_hash(written[0], written[1], [0, 1])
+            == stl_config_hash(arch, config, (0, 1)))

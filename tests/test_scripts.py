@@ -129,6 +129,25 @@ def test_parity_check_compare_names_the_runs_that_differ(tmp_path, capsys):
             capsys.readouterr().out)
 
 
+@pytest.mark.parametrize("a, b", [(0.5, np.nan), (np.nan, 0.5)])
+def test_parity_check_compare_reports_nan_against_a_number(
+        tmp_path, capsys, a, b):
+    """A parameter entry that became NaN, or stopped being one, differs
+    by infinity and names its run; `max(0.0, nan)` used to report it as a
+    largest difference of 0."""
+    parity_check = _parity_check()
+    paths = [str(tmp_path / name) for name in ("a.pkl", "b.pkl")]
+    for path, value in zip(paths, (a, b)):
+        run = {"params": {"w": np.array([value, 2.0])},
+               "accumulators": {"w": np.ones(2)}, "metrics": []}
+        with open(path, "wb") as f:
+            pickle.dump({"runs": {"T2/r": run}}, f)
+    assert parity_check.compare(*paths) == 1
+    out = capsys.readouterr().out
+    assert "params: max abs difference inf, max relative inf (T2/r w)\n" in out
+    assert "accumulators: max abs difference 0, max relative 0\n" in out
+
+
 def test_bench_kernels_runs():
     src = os.path.join(ROOT, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -98,7 +98,9 @@ class TestSweepConfig:
                              ("lambda_range", (0.0, math.inf)),
                              ("ratio_range", (0.1, math.inf)),
                              ("lambda_range", (-math.inf, 1.0))):
-            with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            with pytest.raises(ConfigError,
+                               match=rf"SweepConfig\.{name}\[[01]\] must be "
+                               "a (finite number|number in)"):
                 SweepConfig(**{name: bounds})
 
     def test_dict_round_trip(self):
@@ -129,15 +131,16 @@ class TestSweepConfig:
         """It used to be accepted, and the draws then failed inside numpy
         with "expected non-negative integer", naming no setting."""
         with pytest.raises(ConfigError,
-                           match="master_seed must be >= 0, got -1"):
+                           match="SweepConfig.master_seed must be an integer "
+                           ">= 0, got -1"):
             from_fields(SweepConfig, {"master_seed": -1})
 
     @pytest.mark.parametrize("setting", [
         {"learning_rate": -1}, {"batch_size": 0}, {"epochs": 0},
         {"mmd_bandwidth": -2}, {"fairness_target": "parity"}])
     def test_shared_settings_refused_at_construction(self, setting):
-        """The settings every run shares are checked once, by the
-        template TrainConfig, before any run is drawn."""
+        """The settings every run shares are checked once, by
+        SweepConfig's declared kinds, before any run is drawn."""
         with pytest.raises(ConfigError):
             SweepConfig(**setting)
 
@@ -288,6 +291,25 @@ class TestRunsTable:
             writer.append(row)
         reloaded = RunsWriter(str(path))
         assert reloaded.ids == {"r0"}
+
+    def test_append_writes_a_stack_or_nothing(self, tmp_path):
+        """A sweep appends a stack's rows with one write; a stack that
+        holds a recorded id, or one id twice, is refused before any of
+        its rows is written."""
+        path = tmp_path / "runs.csv"
+        writer = RunsWriter(str(path))
+        rows = [dict.fromkeys(RUNS_COLUMNS, None) | {"run_id": f"r{i}"}
+                for i in range(3)]
+        writer.append(*rows[:2])
+        before = path.read_bytes()
+        for stack in ([rows[2], rows[0]], [rows[2], rows[2]]):
+            with pytest.raises(ContractError, match="duplicate run_id 'r"):
+                writer.append(*stack)
+            assert path.read_bytes() == before
+        assert writer.ids == {"r0", "r1"}
+        writer.append(rows[2])
+        assert [row["run_id"] for row in load_runs(str(path))] == [
+            "r0", "r1", "r2"]
 
     def test_load_runs_parses_cells(self, tmp_path, env):
         train_ds, test_ds, baselines = env
@@ -1001,6 +1023,25 @@ CLI_CFG = {
 }
 
 
+def refused(tmp_path, capsys, command, section, key, value):
+    """stderr of `command` on synth with CLI_CFG's `section` setting `key`
+    to `value`, after a clean stl-baseline unless `command` is that;
+    checks that it exits 2 and writes no runs table."""
+    cfg = copy.deepcopy(CLI_CFG)
+    out = tmp_path / "out"
+    argv = ["--dataset", "synth", "--out", str(out), "--config",
+            str(tmp_path / "cfg.json")]
+    if command != "stl-baseline":
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert cli.main(["stl-baseline"] + argv) == 0
+    cfg[section][key] = value
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert cli.main([command] + argv) == 2
+    assert not (out / "runs.csv").exists()
+    return capsys.readouterr().err
+
+
 class TestCli:
     def write_cfg(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -1170,9 +1211,15 @@ class TestCli:
         assert config == expected
         assert key == stl_config_hash(data.arch, expected, seeds)
 
-    @pytest.mark.parametrize("seeds", [[0.5, 1.9], 3, "01", [1, None]],
-                             ids=["floats", "int", "string", "null"])
-    def test_stl_seeds_must_be_integers(self, tmp_path, capsys, seeds):
+    @pytest.mark.parametrize("seeds, message", [
+        ([0.5, 1.9], "stl.seeds[0] must be an integer >= 0, got 0.5"),
+        (3, "stl.seeds must be a nonempty list, each an integer >= 0, got 3"),
+        ("01", "stl.seeds must be a nonempty list, each an integer >= 0, "
+         "got '01'"),
+        ([1, None], "stl.seeds[1] must be an integer >= 0, got None"),
+    ], ids=["floats", "int", "string", "null"])
+    def test_stl_seeds_must_be_integers(self, tmp_path, capsys, seeds,
+                                        message):
         """stl.seeds that are not a list of integers are refused by name,
         neither truncated to integers nor left to a traceback."""
         cfg = copy.deepcopy(CLI_CFG)
@@ -1182,14 +1229,15 @@ class TestCli:
         out = tmp_path / "out"
         assert cli.main(["stl-baseline", "--dataset", "synth", "--out",
                          str(out), "--config", str(path)]) == 2
-        assert "stl.seeds must be a list of integers" in (
-            capsys.readouterr().err)
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("seeds", [[1, 1], [-1, 2]],
-                             ids=["repeated", "negative"])
+    @pytest.mark.parametrize("seeds, message", [
+        ([1, 1], "stl.seeds must be distinct, got [1, 1]"),
+        ([-1, 2], "stl.seeds[0] must be an integer >= 0, got -1"),
+    ], ids=["repeated", "negative"])
     def test_stl_seeds_must_be_distinct_and_nonnegative(
-            self, tmp_path, capsys, seeds):
+            self, tmp_path, capsys, seeds, message):
         """A repeated seed would train one baseline twice and report it as
         two; a negative one would fail inside the random generator."""
         cfg = copy.deepcopy(CLI_CFG)
@@ -1199,8 +1247,7 @@ class TestCli:
         out = tmp_path / "out"
         assert cli.main(["stl-baseline", "--dataset", "synth", "--out",
                          str(out), "--config", str(path)]) == 2
-        assert "stl.seeds must be distinct and >= 0" in (
-            capsys.readouterr().err)
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("dataset, change, message", [
@@ -1213,19 +1260,20 @@ class TestCli:
         ("synth", {"synth_seed": -1},
          "synth_seed must be an integer >= 0, got -1"),
         ("synth", {"synth": {"n": 200.5}},
-         "SynthSpec.n must be an integer, got 200.5"),
+         "SynthSpec.n must be an integer >= 1, got 200.5"),
         ("synth", {"synth": {"num_tasks": 2.0}},
-         "SynthSpec.num_tasks must be an integer, got 2.0"),
+         "SynthSpec.num_tasks must be an integer >= 1, got 2.0"),
         ("synth", {"synth": {"dense_dim": 2.5}},
-         "SynthSpec.dense_dim must be an integer, got 2.5"),
+         "SynthSpec.dense_dim must be an integer >= 1, got 2.5"),
         ("synth", {"synth": {"logit_slope": "x"}},
-         "SynthSpec: could not convert string to float: 'x'"),
+         "SynthSpec.logit_slope must be a finite number, got 'x'"),
         ("synth", {"synth": {"feature_noise": math.inf}},
-         "feature_noise must be finite, got inf"),
+         "SynthSpec.feature_noise must be a finite number, got inf"),
         ("synth", {"arch": {"shared_layer_sizes": [2.5]}},
-         "ArchConfig.shared_layer_sizes[0] must be an integer, got 2.5"),
+         "ArchConfig.shared_layer_sizes[0] must be an integer >= 1, "
+         "got 2.5"),
         ("synth", {"arch": {"embedding_dim": 1.5}},
-         "ArchConfig.embedding_dim must be an integer, got 1.5"),
+         "ArchConfig.embedding_dim must be an integer >= 1, got 1.5"),
         ("uci_adult", {"data_dir": 5}, "data_dir must be a string, got 5"),
     ], ids=["split_fraction-str", "split_seed-float", "synth_seed-str",
             "synth_seed-negative", "n-float", "num_tasks-float",
@@ -1273,25 +1321,59 @@ class TestCli:
         error, exit 2, that names the field as <Class>.<field>.  A bool
         used to be taken as 0 or 1 (`"epochs": true` trained 1 epoch), and
         a float was refused naming neither the field nor its section."""
-        cfg = copy.deepcopy(CLI_CFG)
-        out = tmp_path / "out"
-        argv = ["--dataset", "synth", "--out", str(out), "--config",
-                str(tmp_path / "cfg.json")]
-        if command != "stl-baseline":
-            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
-            assert cli.main(["stl-baseline"] + argv) == 0
-        cfg[section][key] = value
-        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
-        capsys.readouterr()
-        assert cli.main([command] + argv) == 2
+        err = refused(tmp_path, capsys, command, section, key, value)
         owner = {"train": "TrainConfig", "sweep": "SweepConfig",
                  "stl": "TrainConfig", "synth": "SynthSpec",
                  "arch": "ArchConfig"}[section]
         field = key + ("[0]" if isinstance(value, list) else "")
         shown = value[0] if isinstance(value, list) else value
-        assert (f"error: {owner}.{field} must be an integer, got {shown!r}"
-                in capsys.readouterr().err)
-        assert not (out / "runs.csv").exists()
+        least = 0 if key == "seed" else 1
+        assert (f"error: {owner}.{field} must be an integer >= {least}, "
+                f"got {shown!r}" in err)
+
+    @pytest.mark.parametrize("command, section, key, value, message", [
+        ("train", "train", "learning_rate", "0.1",
+         "TrainConfig.learning_rate must be a finite number > 0, got '0.1'"),
+        ("train", "train", "mmd_bandwidth", True,
+         "TrainConfig.mmd_bandwidth must be a finite number > 0, got True"),
+        ("train", "train", "learning_rate", 10**400,
+         f"TrainConfig.learning_rate must be a finite number > 0, "
+         f"got {10**400}"),
+        ("train", "train", "fairness_weights", ["1", 1.0],
+         "TrainConfig.fairness_weights[0] must be a finite number >= 0, "
+         "got '1'"),
+        ("train", "train", "task_weights", "11",
+         "TrainConfig.task_weights must be a nonempty list, each a finite "
+         "number >= 0, got '11'"),
+        ("sweep", "sweep", "learning_rate", "0.1",
+         "SweepConfig.learning_rate must be a finite number > 0, got '0.1'"),
+        ("sweep", "sweep", "lambda_range", [0.0, True],
+         "SweepConfig.lambda_range[1] must be a finite number >= 0, "
+         "got True"),
+        ("sweep", "sweep", "methods", "mtaf",
+         "SweepConfig.methods must be a nonempty list, each one of "
+         "'vanilla', 'baseline', 'mtaf', got 'mtaf'"),
+        ("stl-baseline", "synth", "logit_slope", "2.5",
+         "SynthSpec.logit_slope must be a finite number, got '2.5'"),
+        ("stl-baseline", "synth", "label_correlation", True,
+         "SynthSpec.label_correlation must be a number in [0, 1], got True"),
+        ("stl-baseline", "stl", "seeds", [True, 0],
+         "stl.seeds[0] must be an integer >= 0, got True"),
+    ], ids=["train-real-str", "train-real-bool", "train-real-huge-int",
+            "train-list-str",
+            "task_weights-str", "sweep-real-str", "sweep-range-bool",
+            "methods-str", "synth-real-str", "synth-real-bool",
+            "stl-seeds-bool"])
+    def test_value_of_a_wrong_kind_refused_by_name(
+            self, tmp_path, capsys, command, section, key, value, message):
+        """A real given a str or a bool, a list given a str, and an STL
+        seed given a bool are config errors, exit 2, that name the field
+        or entry.  Each used to be trained as if meant: "0.1" and true as
+        the floats 0.1 and 1.0, "11" as the weights (1.0, 1.0), true as
+        seed 1; "mtaf" was refused as the unknown method 'm', and an
+        integer too large for a float ended in an OverflowError."""
+        assert (f"error: {message}\n"
+                in refused(tmp_path, capsys, command, section, key, value))
 
     def test_train_refuses_a_negative_seed(self, tmp_path, capsys):
         """A negative training seed is a config error, exit 2, not a run
@@ -1305,7 +1387,8 @@ class TestCli:
         assert cli.main(["stl-baseline"] + argv) == 0
         capsys.readouterr()
         assert cli.main(["train"] + argv) == 2
-        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert ("TrainConfig.seed must be an integer >= 0, got -1"
+                in capsys.readouterr().err)
         assert not (out / "runs.csv").exists()
 
     def test_seed_only_on_train_and_sweep(self, tmp_path):

@@ -109,7 +109,8 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(method="vanilla", task_weights=(1.0,), learning_rate=0.0)
     # by name, not left to fail inside the run's random generator
-    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+    with pytest.raises(ConfigError, match="TrainConfig.seed must be an "
+                       "integer >= 0, got -1"):
         TrainConfig(method="vanilla", task_weights=(1.0,), seed=-1)
 
 
