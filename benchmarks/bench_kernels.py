@@ -8,9 +8,9 @@ the p that `xent_seed` clipped; `xent_fwd` and `xent_bwd` on one column
 serve the autodiff reference alone.  It then times one MMD fairness term
 both ways: from the exact Gaussian kernel blocks and from the truncated
 Taylor feature map that training uses for bandwidths of about 0.5 and
-wider; and the MMD seed terms of one step of a stack at the benchmark's
-shape, `losses.fairness_seed_terms` over every run's and task's subsets,
-at stack widths 4 and 8.
+wider; and the seed terms of one step of a stack, of every fairness kind
+at the shape of `sweep-mmd-b512`, `losses.fairness_seed_terms` over every
+run's and task's subsets, at stack widths 4 and 8.
 Invoke directly:  python3 benchmarks/bench_kernels.py [--repeats N]
 """
 
@@ -86,17 +86,17 @@ def mmd_cases(rng):
         g0, g1 = np.arange(n), np.arange(n, 2 * n)
         return (f"mmd term {n}+{n}",
                 lambda: losses._mmd_blocks(p, g0, g1, 1.0),
-                lambda: losses._mmd(p, g0, g1, 1.0))
+                lambda: losses._mmd_terms(p[:, 0], np.array([[n, n]]), 1.0))
     return [case(n) for n in (120, 240)]
 
 
-def mmd_step_cases(rng, runs):
-    """One step's MMD seed terms, bw 1.0 and the fpr target, for a stack
-    of W = `runs` runs of T = 2 tasks on 512 rows each, as `sweep-mmd-b512`
-    trains (W = 4 in pooled sweeps, 8 at --jobs 1): baseline's 2 W
-    subsets (one per run and task) and mtaf's 4 W (each with its
-    exclusive set).  The probabilities span 0.8, so most subsets take
-    Taylor order 11, as in that workload's steps."""
+def step_cases(rng, runs):
+    """One step's seed terms of each fairness kind, MMD at bw 1.0, and
+    the fpr target, for a stack of W = `runs` runs of T = 2 tasks on 512
+    rows each, as `sweep-mmd-b512` trains (W = 4 in pooled sweeps, 8 at
+    --jobs 1): baseline's 2 W subsets (one per run and task) and mtaf's
+    4 W (each with its exclusive set).  The probabilities span 0.8, so
+    most MMD subsets take Taylor order 11, as in that workload's steps."""
     n = 512
     data = synth_generate(SynthSpec(n=runs * n, positive_rates=(
         (0.2, 0.35), (0.5, 0.3))), seed=0)
@@ -107,17 +107,18 @@ def mmd_step_cases(rng, runs):
     batch = SimpleNamespace(codes=codes)
     probs = 0.1 + 0.8 * rng.random((runs, 2, n, 1))
 
-    def case(method):
+    def case(kind, method):
         plan = RunPlan([TrainConfig(
             method=method, task_weights=(0.5, 0.5),
-            fairness_weights=(1.0, 2.0), fairness_kind="mmd", seed=w)
+            fairness_weights=(1.0, 2.0), fairness_kind=kind, seed=w)
             for w in range(runs)])
         subsets = 2 * runs * (1 + plan.mtaf)
-        return (f"mmd step {method} ({subsets} subsets)",
+        return (f"{kind} step {method} ({subsets} subsets)",
                 lambda: losses.fairness_seed_terms(
                     plan.config, batch, probs, plan.tasks, plan.combine,
                     head=plan.mtaf))
-    return [case(method) for method in ("baseline", "mtaf")]
+    return [case(kind, method) for kind in losses.FAIRNESS_KINDS
+            for method in ("baseline", "mtaf")]
 
 
 def main():
@@ -137,9 +138,9 @@ def main():
         print(f"{name:22s} {tb * 1e6:10.1f} {tf * 1e6:12.1f} {tb / tf:8.2f}x")
 
     for runs in (4, 8):
-        print(f"\n{f'MMD step, W {runs}, T 2, b 512':30s} {'us':>10s}")
-        for name, fn in mmd_step_cases(rng, runs):
-            print(f"{name:30s} {timeit(fn, args.repeats) * 1e6:10.1f}")
+        print(f"\n{f'Fairness step, W {runs}, T 2, b 512':38s} {'us':>10s}")
+        for name, fn in step_cases(rng, runs):
+            print(f"{name:38s} {timeit(fn, args.repeats) * 1e6:10.1f}")
 
 
 if __name__ == "__main__":

@@ -6,6 +6,8 @@ with one tree, then compare two records.
     # ... change the code (or switch to another checkout) ...
     PYTHONPATH=src python3 scripts/parity_check.py --save after.pkl
     python3 scripts/parity_check.py --compare before.pkl after.pkl
+    python3 scripts/parity_check.py --compare before.pkl after.pkl \
+        --tolerance 1e-9
     PYTHONPATH=src python3 scripts/parity_check.py --stacked
 
 `--save F` trains the parity set with the fairmtl found on PYTHONPATH and
@@ -23,7 +25,11 @@ record holds, such as the per-epoch loss history that older trees
 saved.  It exits 0 only when the two records match exactly, and 1 when
 they hold different runs or any parameter or accumulator entry (NaN
 matches NaN, 0.0 matches -0.0), test metric or report file differs: the
-gate for a change that must keep training bit-identical.  `--stacked`
+gate for a change that must keep training bit-identical.  With
+`--tolerance REL` it exits 0 when every parameter and accumulator entry
+is within REL of its counterpart, relative as above, and no test metric
+or report file differs: the gate for a change that re-baselines
+training's rounding.  `--stacked`
 trains each run of the set with four stack-mates of other seeds,
 weights, lambdas and ratios, alone and as stacks (`train_stack`) of
 widths 2, 3, 4, 5 and 8 in turn: the first four cut the five runs
@@ -45,7 +51,10 @@ embedding tables and a tail batch with mixed lambdas; two-layer bottom and
 heads with zero lambdas; no hidden layers; and both of the first two
 together), and 12 MMD runs over 2 tasks x 3 targets x baseline and mtaf
 at bandwidths 0.3, where a quarter to two thirds of the losses take the
-exact kernel blocks, and 2, which takes the feature map.
+exact kernel blocks, and 2, which takes the feature map.  Every run of
+every kind takes its fairness terms from the one keyed pass of
+`losses.fairness_seed_terms`; the kinds differ only in the closed form
+that pass calls.
 """
 
 import argparse
@@ -345,7 +354,9 @@ def _differs(x, y):
     return not np.array_equal(x, y, equal_nan=True)
 
 
-def compare(path_a, path_b):
+def compare(path_a, path_b, tolerance=None):
+    """Print how records A and B differ; 0 when they match exactly, or,
+    with `tolerance`, match within it, else 1."""
     records = []
     for path in (path_a, path_b):
         with open(path, "rb") as f:
@@ -356,8 +367,10 @@ def compare(path_a, path_b):
         print("the records hold different runs:",
               sorted(a.keys() ^ b.keys()))
         return 1
+    worst = 0.0
     for field in ("params", "accumulators"):
         worst_abs, worst_rel, where = _largest(a, b, field)
+        worst = max(worst, worst_rel)
         print(f"{field}: max abs difference {worst_abs:.3g}, "
               f"max relative {worst_rel:.3g}"
               + (f" ({where})" if where else ""))
@@ -383,7 +396,12 @@ def compare(path_a, path_b):
           f"{len(files[0].keys() | files[1].keys())}")
     for name in differ:
         print(f"  {name}")
-    return int(bool(runs or differ))
+    if tolerance is None:
+        return int(bool(runs or differ))
+    within = worst <= tolerance
+    print(f"every parameter and accumulator entry within {tolerance:g} "
+          f"relative: {'yes' if within else 'no'}")
+    return int(not within or bool(metrics or differ))
 
 
 def main(argv=None):
@@ -392,13 +410,20 @@ def main(argv=None):
     group.add_argument("--save", metavar="F")
     group.add_argument("--compare", nargs=2, metavar=("A", "B"))
     group.add_argument("--stacked", action="store_true")
+    parser.add_argument("--tolerance", type=float, metavar="REL",
+                        help="with --compare, the largest relative "
+                             "difference of a parameter or accumulator "
+                             "entry that passes")
     args = parser.parse_args(argv)
+    if args.tolerance is not None and not (args.compare
+                                           and args.tolerance >= 0):
+        parser.error("--tolerance takes a number >= 0, with --compare")
     if args.save:
         save(args.save)
         return 0
     if args.stacked:
         return stacked()
-    return compare(*args.compare)
+    return compare(*args.compare, tolerance=args.tolerance)
 
 
 if __name__ == "__main__":

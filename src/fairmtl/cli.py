@@ -26,7 +26,7 @@ from dataclasses import replace
 
 from .data import (SynthSpec, load_dataset, load_schema, resolve,
                    split_random, synth_generate)
-from .exceptions import ConfigError
+from .exceptions import ConfigError, TrainingDiverged
 from .metrics import run_stl_baselines, stl_config_hash
 from .presets import (DATASET_PRESETS, SCHEMA_PRESETS, arch_for,
                       schema_path, train_settings_for)
@@ -288,7 +288,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

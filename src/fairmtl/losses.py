@@ -16,17 +16,16 @@ side's rows from the codes for every caller.  `subset_arrays` gives every
 task's codes, values per row that the trainer's `Batch` holds with the
 rest of a batch's rows, and `offset_runs` tells a stack's runs apart.
 `fairness_seed_terms` turns them into the derivatives the trainer adds to
-its seeds, for all runs of a stack and all tasks at once: the soft FPR
-gap's derivative is constant on each code, so it needs only per-code sums
-and counts, two bincounts a step whatever the number of runs and tasks.
-MMD cuts a step's subsets from its codes: every (run, task, side, set)
-subset's rows, group 0 then group 1, from a stable sort of per-code keys
-(`_subset_table`).  One pass takes all of them (`_mmd_terms`), with no
-per-subset loop: the feature map over every row, one reduceat for every
-group's sums and dF/dp from elementwise products summed over the order.
-A subset's bits do not depend on the others in its pass, so `_mmd` on
-one subset and a stack's runs alone give the same bits.
-Correlation reads each run's sides and sensitive values from the codes.
+its seeds, for all runs of a stack and all tasks at once, with one cut
+for every kind: each (set, run, task, row) takes the key of its
+(run, task, side, set) subset and sensitive group from a table per code
+(`_subset_table`), and the kind's closed form (`_CLOSED_FORMS`) gives
+every subset's F and dF/dp in one pass, with no loop over runs, tasks or
+subsets.  The soft FPR gap and correlation sum each subset's rows in row
+order with bincounts over the keys; MMD sorts them once and takes every
+subset in one feature-map pass (`_mmd_terms`).  A subset's bits depend
+on its own rows alone, so `fairness_terms`, the same closed form on one
+subset, and a stack's runs alone give the same bits.
 `fairness_loss` and `cross_entropy` wrap the same formulas in autodiff
 nodes whose one parent is p, the differentiable reference the tests check.
 A task's fairness loss splits into a head part (rows no other task's loss
@@ -132,40 +131,55 @@ _DEGENERATE = (0.0, np.empty(0, dtype=np.intp), np.empty(0))
 _MIN_VAR_P = 2.0 ** -682
 
 
-def _correlation(p, idx, a):
-    """|corr(p, a)| and its gradient; zero when either side has no variance
-    (for p, a variance below `_MIN_VAR_P`)."""
-    if idx.size < 2:
-        return _DEGENERATE
-    pv = p[idx, 0]
-    ac = a - a.mean()
-    var_a = float(np.mean(ac * ac))
-    if var_a == 0.0 or float(np.var(pv)) == 0.0:
-        return _DEGENERATE
-    n = idx.size
-    c = pv - pv.mean()
-    cov = float(np.mean(c * ac))
-    var_p = float(np.mean(c * c))
-    if var_p < _MIN_VAR_P:
-        return _DEGENERATE
+def _correlation_terms(x, keys, sizes, bandwidth):
+    """Each subset's |corr(x, a)| and dF/dx, as `_CLOSED_FORMS` takes them;
+    a subset without both groups, with one value of x or with a variance
+    of x below `_MIN_VAR_P` is dead.  Every mean sums the subset's rows in
+    row order (one bincount), so a subset's bits do not depend on the
+    others."""
+    subset = keys >> 1
+    n = np.maximum(sizes.sum(axis=1), 1)
+
+    def mean(v):
+        return np.bincount(subset, weights=v, minlength=len(sizes)) / n
+
+    ac = (keys & 1) - (sizes[:, 1] / n).take(subset)
+    c = x - mean(x).take(subset)
+    var_a, cov, var_p = mean(ac * ac), mean(c * ac), mean(c * c)
+    # A column of one value has no variance, whatever rounding makes of
+    # its mean, so compare each row with any one row of its subset.  NaN
+    # differs from all and stays live, so a diverged run's loss reads NaN.
+    one = np.zeros(len(sizes))
+    one[subset] = x
+    varies = np.bincount(subset, weights=x != one.take(subset),
+                         minlength=len(sizes)) > 0
+    live = sizes.all(axis=1) & varies & ~(var_p < _MIN_VAR_P)
+    var_a, var_p = np.where(live, var_a, 1.0), np.where(live, var_p, 1.0)
     corr = cov * var_p ** -0.5 / np.sqrt(var_a)
-    # d(cov / sqrt(var_p)) / dc, then through the centring c = p - mean(p)
-    dc = (ac * var_p ** -0.5 - c * (cov * var_p ** -1.5)) / n
-    dvals = (dc - dc.mean()) * (np.sign(corr) / np.sqrt(var_a))
-    return abs(corr), idx, dvals
+    # d(cov / sqrt(var_p)) / dc, then through the centring c = x - mean(x)
+    dc = (ac * (var_p ** -0.5).take(subset)
+          - c * (cov * var_p ** -1.5).take(subset)) / n.take(subset)
+    scale = np.where(live, np.sign(corr) / np.sqrt(var_a), 0.0)
+    return (np.where(live, np.abs(corr), 0.0),
+            (dc - mean(dc).take(subset)) * scale.take(subset), live)
 
 
-def _soft_fpr_gap(p, g0, g1):
-    """|mean(p | a=0) - mean(p | a=1)| and its gradient."""
-    n0, n1 = g0.size, g1.size
-    diff = p[g0, 0].sum() / n0 - p[g1, 0].sum() / n1
-    s = np.sign(diff)
-    dvals = np.repeat((s / n0, -s / n1), (n0, n1))
-    return abs(diff), np.concatenate([g0, g1]), dvals
+def _soft_fpr_gap_terms(x, keys, sizes, bandwidth):
+    """Each subset's |mean(x | a=0) - mean(x | a=1)| and dF/dx, as
+    `_CLOSED_FORMS` takes them; a subset without both groups is dead.
+    Each group's sum adds its rows in row order (one bincount)."""
+    counts = np.maximum(sizes.ravel(), 1)
+    means = np.bincount(keys, weights=x, minlength=counts.size) / counts
+    diff = means[0::2] - means[1::2]
+    live = sizes.all(axis=1)
+    s = np.where(live, np.sign(diff), 0.0).reshape(-1, 1)
+    slopes = (s * (1.0, -1.0)).ravel() / counts
+    return np.where(live, np.abs(diff), 0.0), slopes.take(keys), live
 
 
 # Above z = 1 the Taylor order passes 19 and the series' alternating terms
-# start to cancel away digits, so `_mmd` builds the exact kernel blocks.
+# start to cancel away digits, so `_mmd_terms` takes the exact kernel
+# blocks.
 _MAX_Z = 1.0
 
 
@@ -200,13 +214,20 @@ def _coefficients(order, bandwidth):
     return pair
 
 
-def _mmd(p, g0, g1, bandwidth):
-    """Biased squared MMD between the groups' probabilities, Gaussian
-    kernel: `_mmd_terms` of one subset."""
-    rows = np.concatenate([g0, g1])
-    (value,), dvals = _mmd_terms(p[rows, 0], np.array([[g0.size, g1.size]]),
-                                 bandwidth)
-    return float(value), rows, dvals
+def _mmd_keyed_terms(x, keys, sizes, bandwidth):
+    """Each subset's biased squared MMD between its groups' values,
+    Gaussian kernel, and dF/dx, as `_CLOSED_FORMS` takes them; a subset
+    without both groups is dead.  One stable sort of the keys lays each
+    live subset's group-0 rows, then its group-1 rows, end to end, each
+    in row order, for one `_mmd_terms` pass."""
+    live = sizes.all(axis=1)
+    order = np.argsort(keys, kind="stable")
+    if not live.all():
+        order = order[np.repeat(live, sizes.sum(axis=1))]
+    values, dvals = np.zeros(len(sizes)), np.zeros(x.size)
+    values[live], dvals[order] = _mmd_terms(x.take(order), sizes[live],
+                                            bandwidth)
+    return values, dvals, live
 
 
 def _mmd_terms(x, sizes, bandwidth):
@@ -283,7 +304,8 @@ def _mmd_terms(x, sizes, bandwidth):
 
 
 def _mmd_blocks(p, g0, g1, bandwidth):
-    """`_mmd` from the kernel blocks themselves, for narrow kernels.
+    """One subset's MMD F, rows and dF/dp from the kernel blocks
+    themselves, for narrow kernels.
 
     F = mean K00 + mean K11 - 2 mean K01 with K_ab[i, j] =
     exp(-gamma (p_a[i] - p_b[j])^2).  Each kernel block is built once and
@@ -313,6 +335,15 @@ def _mmd_blocks(p, g0, g1, bandwidth):
     return value, np.concatenate([g0, g1]), dvals
 
 
+# kind: the closed form f(x, keys, sizes, bandwidth) -> (F, dF/dx, live) of
+# subsets whose rows' values are x, each row keyed 2 i + a for subset i and
+# sensitive group a, with sizes[i, a] rows per group: each subset's F, its
+# dF/dx at each row, and whether it is live.  A dead (degenerate) subset
+# has F = 0 and dF/dx = 0 at its rows.
+_CLOSED_FORMS = {"correlation": _correlation_terms, "mmd": _mmd_keyed_terms,
+                 "soft_fpr_gap": _soft_fpr_gap_terms}
+
+
 def fairness_terms(kind, p, sensitive, rows, bandwidth=1.0):
     """(F, rows used, dF/dp at those rows) of one fairness loss.
 
@@ -320,22 +351,20 @@ def fairness_terms(kind, p, sensitive, rows, bandwidth=1.0):
     `p` is the (n, 1) probability column, `sensitive` the length-n
     attribute and `rows` the subset's in-range indices; only rows whose
     sensitive attribute is known count.  A degenerate effective subset
-    (a group empty; fewer than two rows or zero variance for correlation)
-    gives F = 0 on no rows, so mini-batch sweeps stay defined.
+    (a group empty; for correlation also no variance) gives F = 0 on no
+    rows, so mini-batch sweeps stay defined.  It is the kind's
+    `_CLOSED_FORMS` on one subset, so training's keyed pass gives each
+    subset of ascending rows the same bits.
     """
     if kind not in FAIRNESS_KINDS:
         raise ConfigError(f"unknown fairness loss kind {kind!r}")
     a = sensitive[rows]
-    if kind == "correlation":
-        known = a >= 0
-        return _correlation(p, rows[known], a[known].astype(np.float64))
-    g0 = rows[a == 0]
-    g1 = rows[a == 1]
-    if g0.size == 0 or g1.size == 0:
-        return _DEGENERATE
-    if kind == "soft_fpr_gap":
-        return _soft_fpr_gap(p, g0, g1)
-    return _mmd(p, g0, g1, bandwidth)
+    known = a >= 0
+    rows, keys = rows[known], a[known].astype(np.intp)
+    (value,), dvals, (live,) = _CLOSED_FORMS[kind](
+        p[rows, 0], keys, np.bincount(keys, minlength=2).reshape(1, 2),
+        bandwidth)
+    return (float(value), rows, dvals) if live else _DEGENERATE
 
 
 def fairness_loss(kind, prob, sensitive, subset, bandwidth=1.0):
@@ -422,7 +451,7 @@ def offset_runs(codes):
 @functools.lru_cache(maxsize=None)
 def _subset_table(runs, num_tasks, tasks, target, head):
     """Per code of a (W, T, n) stack of `subset_arrays` codes, run w's
-    offset by 12 T w, the key of the MMD subset group that takes its row,
+    offset by 12 T w, the key of the subset group that takes its row,
     -1 for none: one table row for the full sets and, with `head`, one for
     the exclusive sets.  `tasks` holds each run's tasks whose losses
     count, as tuples.  A key orders the subsets as `fairness_seed_terms`
@@ -445,30 +474,6 @@ def _subset_table(runs, num_tasks, tasks, target, head):
     return table
 
 
-# Summed in any order, n nonnegative numbers err by at most (n - 1) 2^-53
-# of their sum, so each group mean is off by at most about n 2^-53 of
-# itself.  Where two means differ by more than 2^-51 (n0 + n1 + 2) times
-# their sum, twice the bound for two summations, neither the per-code sums
-# nor `_soft_fpr_gap`'s can give the gap the other sign.
-_TIE = 2.0 ** -51
-
-
-def _gap(s0, n0, s1, n1, exact):
-    """(F, dF/dp on a group-0 row, on a group-1 row) of the soft FPR gap
-    |s0/n0 - s1/n1| from the groups' sums and sizes; zero when a group is
-    empty.  At a near tie, where the order of summation decides the sign,
-    it is `exact()`'s `fairness_terms` on the rows instead."""
-    if not (n0 and n1):
-        return 0.0, 0.0, 0.0
-    m0, m1 = s0 / n0, s1 / n1
-    diff = m0 - m1
-    if abs(diff) <= _TIE * (n0 + n1 + 2) * (m0 + m1):
-        value, _, dvals = exact()
-        return value, float(dvals[0]), float(dvals[-1])
-    s = float(diff > 0) - float(diff < 0)
-    return abs(diff), s / n0, -s / n1
-
-
 def fairness_seed_terms(config, batch, probs, tasks, combine, head=False):
     """Every run's and task's fairness losses and seed terms, for a stack.
 
@@ -483,79 +488,11 @@ def fairness_seed_terms(config, batch, probs, tasks, combine, head=False):
     keeps each side's exclusive rows and is computed only with `head`.
     `combine` must act elementwise and return k results as one stack.
 
-    The soft FPR gap's derivative is constant on each code, so one
-    weighted and one plain bincount of every run's and task's codes give
-    each group's sum and size, the per-code arithmetic runs on Python
-    floats and `combine`'s (W, T, 12, 1) results are gathered by code in
-    one take.  MMD cuts every subset's rows from the codes in one stable
-    sort and takes its terms from one `_mmd_terms` pass; correlation, and
-    the soft FPR gap at a near tie, run `fairness_terms` on each run's,
-    task's and side's rows, with the sensitive values, from its codes.
+    One cut serves every kind: each (set, run, task, row) takes its
+    subset group's `_subset_table` key, the kind's `_CLOSED_FORMS` gives
+    every subset's F and dF/dp at once, one scatter lays dF/dp into the
+    stack and `combine` runs once.
     """
-    kind, target = config.fairness_kind, config.fairness_target
-    if kind == "mmd":
-        return _mmd_seed_terms(config, batch, probs, tasks, combine, head)
-    runs, num_tasks = probs.shape[:2]
-    f_full, f_head = ([[0.0] * num_tasks for _ in range(runs)]
-                      for _ in range(2))
-
-    def terms(w, t, y, exclusive):
-        code = batch.codes[w, t]
-        return fairness_terms(kind, probs[w, t], code % 3 - 1,
-                              _code_rows(code, y, exclusive),
-                              config.mmd_bandwidth)
-
-    if kind == "soft_fpr_gap":
-        # one flat copy, of the width bincount and take index with
-        codes = batch.codes.astype(np.intp).ravel()
-        bins = 12 * runs * num_tasks
-        sums = np.bincount(codes, weights=probs.ravel(),
-                           minlength=bins).tolist()
-        counts = np.bincount(codes, minlength=bins).tolist()
-        d_full, d_head = [0.0] * bins, [0.0] * bins
-        for w, run_tasks in enumerate(tasks):
-            for t in run_tasks:
-                for y in _SIDE_LABELS[target]:
-                    # group 0, not exclusive; +1 group 1, +3 exclusive
-                    b = 12 * (num_tasks * w + t) + 6 * y + 1
-                    f, d0, d1 = _gap(
-                        sums[b] + sums[b + 3], counts[b] + counts[b + 3],
-                        sums[b + 1] + sums[b + 4],
-                        counts[b + 1] + counts[b + 4],
-                        lambda: terms(w, t, y, False))
-                    f_full[w][t] += f
-                    d_full[b] = d_full[b + 3] = d0
-                    d_full[b + 1] = d_full[b + 4] = d1
-                    if head:
-                        f, d_head[b + 3], d_head[b + 4] = _gap(
-                            sums[b + 3], counts[b + 3], sums[b + 4],
-                            counts[b + 4], lambda: terms(w, t, y, True))
-                        f_head[w][t] += f
-        d = np.array((d_full, d_head)[:1 + head]).reshape(
-            -1, runs, num_tasks, 12, 1)
-        tables = combine(d[0], d[1] if head else 0.0)
-        return f_full, f_head, tables.reshape(-1, bins).take(
-            codes, axis=1).reshape((-1,) + probs.shape)
-    d_full = np.zeros(probs.shape)
-    d_head = np.zeros(probs.shape) if head else 0.0
-    for w, run_tasks in enumerate(tasks):
-        for t in run_tasks:
-            for y in _SIDE_LABELS[target]:
-                f, rows, dvals = terms(w, t, y, False)
-                f_full[w][t] += f
-                d_full[w, t, rows, 0] += dvals
-                if head:
-                    f, rows, dvals = terms(w, t, y, True)
-                    f_head[w][t] += f
-                    d_head[w, t, rows, 0] += dvals
-    return f_full, f_head, combine(d_full, d_head)
-
-
-def _mmd_seed_terms(config, batch, probs, tasks, combine, head):
-    """`fairness_seed_terms` of MMD: the step's subsets cut from its codes
-    by one stable sort of their `_subset_table` keys, then one
-    `_mmd_terms` pass over the rows of those whose groups both have rows,
-    with one gather of the probabilities and one scatter of dF/dp."""
     runs, num_tasks = probs.shape[:2]
     sides = len(_SIDE_LABELS[config.fairness_target])
     table = _subset_table(runs, num_tasks, tuple(map(tuple, tasks)),
@@ -565,21 +502,16 @@ def _mmd_seed_terms(config, batch, probs, tasks, combine, head):
     keys = table.take(batch.codes, axis=1).ravel()
     rows = np.flatnonzero(keys >= 0)
     keys = keys.take(rows)
-    # each subset's group-0 rows, then its group-1 rows, each ascending
-    rows = rows.take(np.argsort(keys, kind="stable"))
     sizes = np.bincount(keys, minlength=2 * runs * num_tasks * sides
                         * table.shape[0]).reshape(-1, 2)
-    chosen = sizes.all(axis=1)
-    if not chosen.all():
-        rows = rows[np.repeat(chosen, sizes.sum(axis=1))]
     # an exclusive set's rows lie one stack further on, which "wrap" drops
-    values = np.zeros(len(sizes))
-    values[chosen], dvals = _mmd_terms(probs.take(rows, mode="wrap"),
-                                       sizes[chosen], config.mmd_bandwidth)
+    values, dvals, _ = _CLOSED_FORMS[config.fairness_kind](
+        probs.take(rows, mode="wrap"), keys, sizes, config.mmd_bandwidth)
     # per (run, task, set), summed over the target's sides
     f = values.reshape(runs, num_tasks, sides, -1).sum(axis=2)
-    d = np.zeros((1 + head,) + probs.shape)
-    d.reshape(-1)[rows] += dvals
+    # 0.0 + dF/dp, as a sum into zeros gives it: +0.0 for -0.0
+    d = np.bincount(rows, weights=dvals, minlength=(1 + head) * probs.size
+                    ).reshape((1 + head,) + probs.shape)
     return (f[..., 0].tolist(), f[..., -1].tolist() if head
             else np.zeros((runs, num_tasks)).tolist(),
             combine(d[0], d[1] if head else 0.0))

@@ -15,7 +15,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .data import Dataset
-from .exceptions import ConfigError, ContractError, UndefinedMetricError
+from .exceptions import (ConfigError, ContractError, TrainingDiverged,
+                         UndefinedMetricError)
 from .model import forward_np, workspace
 from .trainer import TrainConfig, cut_stacks, train_stack
 
@@ -147,6 +148,7 @@ def run_stl_baselines(train_ds, test_ds, arch, config, seeds):
     seeds in stacks (`cut_stacks`, `train_stack`), and is scored on the
     test split; metrics are averaged over seeds.  A gap that is
     undefined on the test split stays None and trips the divide guard later.
+    A run that diverges raises TrainingDiverged naming its task and seed.
     """
     seeds = tuple(seeds)
     if not seeds:
@@ -163,9 +165,12 @@ def run_stl_baselines(train_ds, test_ds, arch, config, seeds):
         view_test = single_task_view(test_ds, t)
         evs = []
         for stack in cut_stacks(configs, config.batch_size):
-            for run in train_stack(view_train, stl_arch, stack):
+            for stl, run in zip(stack, train_stack(view_train, stl_arch,
+                                                    stack)):
                 if isinstance(run, Exception):
-                    raise run
+                    raise TrainingDiverged(
+                        f"the STL baseline of task {t}, seed {stl.seed}, "
+                        f"diverged (on its one-task view: {run})") from run
                 evs.append(evaluate_model(run.model, view_test)[0])
         errs.append(float(np.mean([e.err for e in evs])))
         fprs.append(None if any(e.fpr_gap is None for e in evs)

@@ -164,7 +164,8 @@ def save_baselines(out_dir, pair, arch, baselines):
 
 def load_baselines(out_dir, pair, key):
     """The STL baselines cached under exactly this data pair and STL key;
-    refused, listing the pair's caches, when absent or mislabelled."""
+    refused, listing the pair's caches, when absent or mislabelled, and
+    by its file name when it cannot be read as a cache."""
     path = os.path.join(out_dir, f"stl_{pair}_{key}.json")
     if not os.path.exists(path):
         names = os.listdir(out_dir) if os.path.isdir(out_dir) else []
@@ -174,8 +175,14 @@ def load_baselines(out_dir, pair, key):
             f"no STL baselines at {path}; cached for this data: "
             f"{', '.join(cached) or 'none'}; run `fairmtl stl-baseline` "
             "with this config first")
-    with open(path) as f:
-        baselines = from_fields(StlBaselines, json.load(f)["baselines"])
+    try:
+        with open(path) as f:
+            baselines = from_fields(StlBaselines, json.load(f)["baselines"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(
+            f"{path} is not a readable STL baselines cache "
+            f"({type(exc).__name__}: {exc}); run `fairmtl stl-baseline` "
+            "with this config to rewrite it") from exc
     if baselines.config_hash != key:
         raise ConfigError(f"{path} records STL key "
                           f"{baselines.config_hash!r}, not {key!r}")

@@ -362,9 +362,13 @@ def test_mmd_feature_map_matches_kernel_blocks(case):
     p, g0, g1, bandwidth = case
     lo, hi = p.min(), p.max()
     z = (0.5 * (hi - lo) / bandwidth) ** 2
+    sens = np.zeros(len(p), dtype=np.int8)
+    sens[g1] = 1
     with mock.patch.object(losses, "_mmd_blocks",
                            wraps=losses._mmd_blocks) as blocks:
-        value, rows, dvals = losses._mmd(p, g0, g1, bandwidth)
+        value, rows, dvals = fairness_terms("mmd", p, sens,
+                                            np.concatenate([g0, g1]),
+                                            bandwidth)
     assert blocks.called == (z > 1.0)
     ref_value, ref_rows, ref_dvals = losses._mmd_blocks(p, g0, g1, bandwidth)
     np.testing.assert_array_equal(rows, ref_rows)
@@ -536,6 +540,48 @@ def test_code_seeds_match_subset_oracle(case):
         for got, ref in ((f_full[t], ref_full), (f_head[t], ref_head)):
             if ref is not None:
                 assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("kind", FAIRNESS_KINDS)
+@pytest.mark.parametrize("method", ["baseline", "mtaf"])
+def test_stack_step_takes_no_per_subset_path(kind, method):
+    """One step of a stack of 8 runs takes every subset's terms in one
+    keyed pass, with no call of the one-subset `fairness_terms`, and each
+    run's losses and terms equal, bit for bit, those of the run alone;
+    the probabilities are distinct, so no group means tie."""
+    runs, n = 8, 64
+    data = Dataset(dense=np.zeros((runs * n, 1)), cat=np.empty((runs * n, 0)),
+                   labels=np.random.default_rng(1).integers(0, 2, (runs * n, 2)),
+                   sensitive=np.random.default_rng(2).integers(-1, 2, runs * n))
+    codes = np.stack([subset_arrays(data.labels[w * n:(w + 1) * n],
+                                    data.sensitive[w * n:(w + 1) * n])
+                      for w in range(runs)])
+    probs = np.random.default_rng(3).permutation(
+        np.linspace(0.05, 0.95, runs * 2 * n)).reshape(runs, 2, n, 1)
+    configs = [TrainConfig(method=method, task_weights=(0.5, 0.5),
+                           fairness_weights=(1.0, (0.0, 2.0)[w % 2]),
+                           fairness_kind=kind,
+                           fairness_target="equalized_odds", seed=w)
+               for w in range(runs)]
+
+    def step(w):
+        plan = RunPlan(configs if w is None else configs[w:w + 1])
+        stack = codes.copy() if w is None else codes[w:w + 1].copy()
+        losses.offset_runs(stack)
+        return fairness_seed_terms(
+            plan.config, SimpleNamespace(codes=stack),
+            probs if w is None else probs[w:w + 1], plan.tasks, plan.combine,
+            head=plan.mtaf)
+
+    with mock.patch.object(losses, "fairness_terms",
+                           wraps=losses.fairness_terms) as one_subset:
+        f_full, f_head, terms = step(None)
+    assert one_subset.call_count == 0
+    assert terms.shape == (1 + (method == "mtaf"),) + probs.shape
+    for w in range(runs):
+        (alone_full,), (alone_head,), alone = step(w)
+        assert (f_full[w], f_head[w]) == (alone_full, alone_head), w
+        assert terms[:, w:w + 1].tobytes() == alone.tobytes(), w
 
 
 # --- decomposition ---------------------------------------------------------

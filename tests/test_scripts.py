@@ -102,6 +102,34 @@ def test_parity_check_compare_fails_on_any_training_difference(tmp_path):
         assert parity_check.compare(path_a, path_b) == int(i > 0)
 
 
+@pytest.mark.parametrize("change, code", [
+    ({"params": {"w": np.array([1e-3, 2.0 + 1e-9])}}, 0),
+    ({"accumulators": {"w": np.array([1.0, 1.0 + 5e-9])}}, 1),
+    ({"params": {"w": np.array([1e-3, 2.0 + 1e-9])},
+      "metrics": [(0.25, 0.1, 0.0625)]}, 1)])
+def test_parity_check_compare_within_a_tolerance(tmp_path, capsys, change,
+                                                 code):
+    """`--compare --tolerance 1e-9` passes a parameter entry moved by
+    5e-10 of its array's largest magnitude, which the exact mode fails,
+    and fails an accumulator entry moved by 5e-9, or any test metric
+    that moves."""
+    parity_check = _parity_check()
+    run = {"params": {"w": np.array([1e-3, 2.0])},
+           "accumulators": {"w": np.ones(2)}, "metrics": [(0.25, 0.1, 0.05)]}
+    paths = [str(tmp_path / name) for name in ("a.pkl", "b.pkl")]
+    for path, record in zip(paths, (run, {**run, **change})):
+        with open(path, "wb") as f:
+            pickle.dump({"runs": {"T2/r": record}}, f)
+    assert parity_check.main(["--compare", *paths]) == 1
+    capsys.readouterr()
+    assert parity_check.main(["--compare", *paths,
+                              "--tolerance", "1e-9"]) == code
+    verdict = "no" if "accumulators" in change else "yes"
+    assert capsys.readouterr().out.endswith(
+        f"every parameter and accumulator entry within 1e-09 relative: "
+        f"{verdict}\n")
+
+
 def test_parity_check_compare_names_the_runs_that_differ(tmp_path, capsys):
     """`--compare` counts and names the runs that differ and fails on any
     of them: a run whose accumulator entry moved by one ulp or whose

@@ -1066,6 +1066,42 @@ class TestCli:
             assert os.path.exists(os.path.join(out, f"frontier_{axes}.json"))
             assert os.path.exists(os.path.join(out, f"plotdata_{axes}.csv"))
 
+    def test_diverged_stl_baseline_names_its_task_and_seed(self, tmp_path,
+                                                           capsys):
+        """An STL run that diverges ends `stl-baseline` with exit 2 and a
+        message naming the task and seed, and no cache is written."""
+        cfg = copy.deepcopy(CLI_CFG)
+        cfg["stl"]["learning_rate"] = 1e300
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert cli.main(["stl-baseline", "--dataset", "synth", "--out",
+                         str(out), "--config", str(tmp_path / "cfg.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the STL baseline of task 0, seed 0, "
+                              "diverged (on its one-task view: non-finite ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content, cause", [
+        ('{"schema_version": 1}', "KeyError: 'baselines'"),
+        ("not json", "JSONDecodeError: Expecting value")])
+    def test_corrupt_stl_cache_refused_by_name(self, tmp_path, capsys,
+                                               content, cause):
+        """`train` over a cache that is not one exits 2 naming the file,
+        not with a traceback or an error that names no file."""
+        cfg = self.write_cfg(tmp_path)
+        out = str(tmp_path / "out")
+        argv = ["--dataset", "synth", "--out", out, "--config", cfg]
+        assert cli.main(["stl-baseline"] + argv) == 0
+        (path,) = [os.path.join(out, name) for name in os.listdir(out)]
+        with open(path, "w") as f:
+            f.write(content)
+        capsys.readouterr()
+        assert cli.main(["train"] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} is not a readable STL "
+                              f"baselines cache ({cause}")
+        assert not os.path.exists(os.path.join(out, "runs.csv"))
+
     def test_stl_section_change_refused(self, tmp_path, capsys):
         """train and sweep open the cache under the key the current
         config's stl section gives; a cache trained otherwise is listed,

@@ -595,9 +595,10 @@ def test_step_kernel_calls_do_not_grow_with_tasks(method, monkeypatch):
 
 
 def test_soft_fpr_step_counts_do_not_grow_with_tasks(monkeypatch):
-    """A soft FPR mtaf step of a 4-task model takes every task's per-code
-    sums and sizes from as many bincounts as one of a 1-task model: one
-    weighted and one plain per step, on a Dataset and in `train()`."""
+    """A soft FPR mtaf step of a 4-task model takes every task's subsets'
+    sums and sizes, and scatters their dF/dp, with as many bincounts as
+    one of a 1-task model: per step one plain (sizes), one weighted
+    (sums) and one scatter, on a Dataset and in `train()`."""
     calls = []
     bincount = np.bincount
     monkeypatch.setattr(np, "bincount",
@@ -621,8 +622,8 @@ def test_soft_fpr_step_counts_do_not_grow_with_tasks(monkeypatch):
         calls.clear()
         train(batch, small_arch(T), cfg)
         counts[T].append(len(calls))
-    # 2 epochs of 4 steps each: 2 x (4 + 4)
-    assert counts == {1: [2, 16], 4: [2, 16]}
+    # 2 epochs of 4 steps each: 3 x (4 + 4)
+    assert counts == {1: [3, 24], 4: [3, 24]}
 
 
 @pytest.mark.parametrize("method, per_run",
