@@ -35,11 +35,15 @@ weights, lambdas and ratios, alone and as stacks (`train_stack`) of
 widths 2, 3, 4, 5 and 8 in turn: the first four cut the five runs
 2+2+1, 3+2, 4+1 and 5, and width 8, which serial sweeps train at batch
 512, takes three more mates for one stack of 8.  In every seventh group
-one stack-mate starts with NaN Adagrad accumulators, so it diverges
-inside its stack.  It prints the
-largest difference between any run's stacked and solo parameters and
-accumulators, the runs whose test metrics differ and the diverged runs
-whose messages differ, and exits 1 unless all three are 0.
+one stack-mate has a NaN task weight, so it diverges inside its stack.
+It then trains the methods of each key (the runs whose keys differ only
+in the method) as seed groups, every method's stack of the same seeds
+in lockstep, at the same widths in turn; in every seventh group one
+method's mate has the NaN task weight, so one method's run diverges
+while the others train on.  For the stacks and for the groups it prints
+the largest difference between any run's trained and solo parameters
+and accumulators, the runs whose test metrics differ and the diverged
+runs whose messages differ, and exits 1 unless all are 0.
 `stacked(prefix)` does the same for the runs whose keys start with
 `prefix`; the test suite runs it on the 12 `T2/mmd-` runs and the 9
 `T2/correlation/` and 9 `T2/soft_fpr_gap/` runs.
@@ -226,16 +230,22 @@ def reports(rows=1200):
     return files
 
 
-# a model built with a seed of this or more gets NaN Adagrad accumulators
-# (`_poisoned`): its first step makes every parameter NaN, so it diverges
-# at its second
+# a run whose first task weight is this trains with NaN in its place
+# (`_poisoned`): its first step makes its parameters NaN, so it diverges at
+# its second
 POISON = 10 ** 6
+WIDTHS = (2, 3, 4, 5, 8)
+
+
+def _poison(config):
+    """The config with its first task weight set to POISON."""
+    return replace(config, task_weights=(POISON,) + config.task_weights[1:])
 
 
 def _mates(config, nan, count=5):
     """The config and `count` - 1 stack-mates, up to 7: other seeds,
     weights, lambdas (one zeroed, then all, then halved) and ratios; with
-    `nan`, the first mate's seed is offset by POISON."""
+    `nan`, the first mate is poisoned (`_poison`)."""
     w, lam, r = (config.task_weights, config.fairness_weights,
                  config.head_shared_ratios)
     mates = [config]
@@ -250,75 +260,117 @@ def _mates(config, nan, count=5):
         mates.append(replace(config, seed=config.seed + k, task_weights=w_k,
                              fairness_weights=lam_k, head_shared_ratios=r_k))
     if nan:
-        mates[1] = replace(mates[1], seed=mates[1].seed + POISON)
+        mates[1] = _poison(mates[1])
     return mates
 
 
 @contextlib.contextmanager
 def _poisoned():
-    """Training builds models of a seed of POISON or more with NaN Adagrad
-    accumulators."""
+    """Training gives a run whose first task weight is POISON a NaN task
+    weight in its place."""
     from fairmtl import trainer
-    build = trainer.build_stack
+    plan = trainer.RunPlan
 
-    def poisoned(arch, dense_count, vocab_sizes, seeds):
-        stack = build(arch, dense_count, vocab_sizes, seeds)
-        stack.flat.adagrad_acc[np.greater_equal(seeds, POISON)] = np.nan
-        return stack
-    trainer.build_stack = poisoned
+    class Poisoned(plan):
+        def __init__(self, configs):
+            super().__init__(configs)
+            self.weights = np.where(self.weights == POISON, np.nan,
+                                    self.weights)
+    trainer.RunPlan = Poisoned
     try:
         yield
     finally:
-        trainer.build_stack = build
+        trainer.RunPlan = plan
 
 
 def stacked(prefix=""):
     """`--stacked` on the runs whose keys start with `prefix`, each with
-    the stack widths and NaN mate it has in the whole set; its exit
-    code."""
+    the stack widths and poisoned mate it has in the whole set, and their
+    methods' seed groups; its exit code."""
     with _poisoned():
         return _stacked(prefix)
 
 
+class _Tally:
+    """How trained runs compare with their solo runs."""
+
+    def __init__(self, what):
+        self.what, self.runs, self.diverged = what, 0, 0
+        self.worst, self.metrics, self.messages = 0.0, [], []
+
+    def add(self, where, run, solo, test_ds):
+        from fairmtl.metrics import evaluate_model
+        self.runs += 1
+        if isinstance(solo, Exception):
+            self.diverged += 1
+            if str(run) != str(solo):
+                self.messages.append(f"{where}: {run!r}, alone {solo!r}")
+            return
+        for name in ("value", "adagrad_acc"):
+            self.worst = max(self.worst, float(np.max(np.abs(
+                getattr(run.model.flat, name)
+                - getattr(solo.model.flat, name)))))
+        if (evaluate_model(run.model, test_ds)
+                != evaluate_model(solo.model, test_ds)):
+            self.metrics.append(where)
+
+    def report(self):
+        """Print the tally; whether any run differs from its solo run."""
+        print(f"{self.runs} runs in {self.what}, {self.diverged} diverged: "
+              f"max abs difference from the solo runs {self.worst:.3g}; runs "
+              f"whose test metrics differ: {len(self.metrics)}; diverged runs "
+              f"whose messages differ: {len(self.messages)}")
+        for line in self.metrics + self.messages:
+            print(f"  {line}")
+        return bool(self.worst or self.metrics or self.messages)
+
+
 def _stacked(prefix):
     from fairmtl.exceptions import TrainingDiverged
-    from fairmtl.metrics import evaluate_model
     from fairmtl.trainer import train, train_stack
-    data, worst, runs, diverged, metrics, messages = {}, 0.0, 0, 0, [], []
+    data, solos, groups = {}, {}, {}
+    stacks = _Tally("stacks of widths 2-5 and 8")
+    seed_groups = _Tally("seed groups of widths 2-5 and 8")
+
+    def solo(data_key, arch, config):
+        # each solo run once, for its stack and its seed group
+        if (data_key, arch, config) not in solos:
+            try:
+                run = train(data[data_key][0], arch, config)
+            except TrainingDiverged as exc:
+                run = exc
+            solos[data_key, arch, config] = run
+        return solos[data_key, arch, config]
+
+    def check(tally, key, data_key, arch, configs):
+        train_ds, test_ds = data[data_key]
+        for config, run in zip(configs, train_stack(train_ds, arch, configs)):
+            tally.add(f"{key} seed {config.seed}", run,
+                      solo(data_key, arch, config), test_ds)
+
     for i, (key, data_key, arch, cfg) in enumerate(configs()):
         if not key.startswith(prefix):
             continue
         if data_key not in data:
             data[data_key] = _data(*data_key)
-        train_ds, test_ds = data[data_key]
-        width = (2, 3, 4, 5, 8)[i % 5]
+        width = WIDTHS[i % 5]
         mates = _mates(cfg, i % 7 == 0, max(5, width))
-        stacks = [train_stack(train_ds, arch, mates[start:start + width])
-                  for start in range(0, len(mates), width)]
-        for config, run in zip(mates, sum(stacks, [])):
-            runs += 1
-            where = f"{key} seed {config.seed}"
-            try:
-                solo = train(train_ds, arch, config)
-            except TrainingDiverged as exc:
-                diverged += 1
-                if str(run) != str(exc):
-                    messages.append(f"{where}: {run!r}, alone {exc!r}")
-                continue
-            for name in ("value", "adagrad_acc"):
-                worst = max(worst, float(np.max(np.abs(
-                    getattr(run.model.flat, name)
-                    - getattr(solo.model.flat, name)))))
-            if (evaluate_model(run.model, test_ds)
-                    != evaluate_model(solo.model, test_ds)):
-                metrics.append(where)
-    print(f"{runs} runs in stacks of widths 2-5 and 8, {diverged} diverged: "
-          f"max abs difference from the solo runs {worst:.3g}; runs whose "
-          f"test metrics differ: {len(metrics)}; diverged runs whose "
-          f"messages differ: {len(messages)}")
-    for line in metrics + messages:
-        print(f"  {line}")
-    return int(bool(worst or metrics or messages))
+        for start in range(0, len(mates), width):
+            check(stacks, key, data_key, arch, mates[start:start + width])
+        groups.setdefault(key.rpartition("/")[0], []).append(
+            (data_key, arch, cfg))
+    # every key's methods as seed groups, one method's mate poisoned in
+    # every seventh
+    for j, (key, members) in enumerate(groups.items()):
+        (data_key, arch, _), width = members[0], WIDTHS[j % 5]
+        mates = [_mates(cfg, False, max(5, width)) for *_, cfg in members]
+        if j % 7 == 0:
+            poisoned = mates[j % len(mates)]
+            poisoned[1] = _poison(poisoned[1])
+        for start in range(0, len(mates[0]), width):
+            check(seed_groups, key, data_key, arch,
+                  [c for stack in mates for c in stack[start:start + width]])
+    return int(stacks.report() | seed_groups.report())
 
 
 def _largest(a_runs, b_runs, field):

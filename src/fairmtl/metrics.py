@@ -6,6 +6,10 @@ sensitive attribute.  A group with no negatives (positives) makes the FPR
 (TPR) gap undefined, which is flagged as None rather than silently zero.
 ARFG and ARE divide each task's metrics by single-task baselines trained
 with the same architecture and no fairness treatment.
+A stack of trained runs is scored in one pass (`evaluate_stack`): one
+forward per run on the split, then one counting pass over every run and
+task (`score_stack`), whose every field equals `evaluate_task`'s, the
+one-task reference the tests check it against.
 """
 
 import hashlib
@@ -112,19 +116,59 @@ def aggregate(per_task, baselines):
                       are=are)
 
 
-def evaluate_model(model, dataset, threshold=0.5):
-    """TaskEval per task of a trained model on a dataset split.
+def score_stack(probs, labels, sensitive, threshold=0.5):
+    """`evaluate_task` of every run and task at once: per run, its
+    TaskEval per task, from the (W, T, n) probabilities of W runs on rows
+    of (n, T) 0/1 labels and sensitive values in {-1, 0, 1}.
 
-    The forward writes into the workspace the split keeps for models of
-    this shape, so a sweep evaluating every run on one test split builds
-    it once per process."""
-    ws = workspace(dataset.kept("workspaces", dict), model, len(dataset))
-    probs = forward_np(model, dataset.dense[None], dataset.cat[None]
-                       if dataset.cat.size else None, ws).probs[0]
-    return tuple(
-        evaluate_task(probs[t][:, 0], dataset.labels[:, t],
-                      dataset.sensitive, threshold)
-        for t in range(dataset.num_tasks))
+    Each (task, row) falls in one cell of (label, sensitive value), so
+    one matmul of the 0/1 predictions, and a row of ones, by each task's
+    cell indicators counts every (run, task, cell)'s predicted positives
+    and every (task, cell)'s rows, exactly, as integers below 2^53.  A
+    rate is such a count over its cell's rows, as the mean of booleans
+    gives it, so every field equals `evaluate_task`'s bit for bit."""
+    runs, num_tasks, n = probs.shape
+    if n == 0:
+        raise ContractError("evaluate on empty input")
+    # cell 3 y + (a + 1), a = -1 when missing, per (task, row)
+    codes = 3 * labels.T.astype(np.intp) + sensitive + 1
+    hits = np.ones((num_tasks, runs + 1, n))
+    np.greater_equal(probs.transpose(1, 0, 2), threshold, out=hits[:, :runs])
+    counts = np.matmul(hits, np.eye(6).take(codes, axis=0)).astype(np.int64)
+    totals = counts[:, runs].tolist()
+    predicted = counts[:, :runs].transpose(1, 0, 2).tolist()
+
+    def gap(counts, total, y):
+        # |group 0's rate - group 1's| of positive predictions on side y
+        hit, of = counts[3 * y + 1:3 * y + 3], total[3 * y + 1:3 * y + 3]
+        return None if 0 in of else abs(hit[0] / of[0] - hit[1] / of[1])
+    return [tuple(
+        TaskEval(err=(sum(counts[:3]) + sum(total[3:]) - sum(counts[3:]))
+                 / n, fpr_gap=gap(counts, total, 0),
+                 tpr_gap=gap(counts, total, 1),
+                 neg_counts=tuple(total[1:3]), pos_counts=tuple(total[4:]))
+        for counts, total in zip(run, totals)) for run in predicted]
+
+
+def evaluate_stack(models, dataset, threshold=0.5):
+    """Per trained model, its TaskEval per task on a dataset split: one
+    forward per model into the workspace the split keeps for models of
+    this shape, so a sweep builds it once per process, then one counting
+    pass for all (`score_stack`)."""
+    probs = np.empty((len(models), dataset.num_tasks, len(dataset)))
+    store = dataset.kept("workspaces", dict)
+    cat = dataset.cat[None] if dataset.cat.size else None
+    for model, out in zip(models, probs):
+        ws = workspace(store, model, len(dataset))
+        forward_np(model, dataset.dense[None], cat, ws)
+        out[...] = ws.probs[0, ..., 0]
+    return score_stack(probs, dataset.labels, dataset.sensitive, threshold)
+
+
+def evaluate_model(model, dataset, threshold=0.5):
+    """TaskEval per task of a trained model on a dataset split:
+    `evaluate_stack` of one."""
+    return evaluate_stack([model], dataset, threshold)[0]
 
 
 def single_task_view(dataset, t):
@@ -165,13 +209,14 @@ def run_stl_baselines(train_ds, test_ds, arch, config, seeds):
         view_test = single_task_view(test_ds, t)
         evs = []
         for stack in cut_stacks(configs, config.batch_size):
-            for stl, run in zip(stack, train_stack(view_train, stl_arch,
-                                                    stack)):
+            runs = train_stack(view_train, stl_arch, stack)
+            for stl, run in zip(stack, runs):
                 if isinstance(run, Exception):
                     raise TrainingDiverged(
                         f"the STL baseline of task {t}, seed {stl.seed}, "
                         f"diverged (on its one-task view: {run})") from run
-                evs.append(evaluate_model(run.model, view_test)[0])
+            evs += [per_task[0] for per_task in evaluate_stack(
+                [run.model for run in runs], view_test)]
         errs.append(float(np.mean([e.err for e in evs])))
         fprs.append(None if any(e.fpr_gap is None for e in evs)
                     else float(np.mean([e.fpr_gap for e in evs])))

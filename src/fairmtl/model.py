@@ -18,6 +18,7 @@ seed stacks (but the shared bottom's gradient, summed task by task), in a
 autodiff graph, the differentiable reference.
 """
 
+import functools
 import math
 import numbers
 import sys
@@ -51,6 +52,9 @@ class Kind:
         return kept
 
 
+# Each Kind constructor is memoized, so equal declarations, such as the
+# many `integer(">= 1")`, share one frozen Kind and its one closure.
+@functools.lru_cache(maxsize=None)
 def integer(bound):
     """A Python int (numpy's convert), never a bool, within `bound`."""
     return Kind(f"an integer {bound}",
@@ -58,6 +62,7 @@ def integer(bound):
                 and not isinstance(v, bool) and _BOUNDS[bound](v) else None)
 
 
+@functools.lru_cache(maxsize=None)
 def real(bound=""):
     """A finite Python float (an int converts, unless too large for a
     float), never a bool or a str, within `bound`."""
@@ -68,6 +73,7 @@ def real(bound=""):
                 and _BOUNDS[bound](v) else None)
 
 
+@functools.lru_cache(maxsize=None)
 def choice(options):
     """One of the strings `options`."""
     return Kind("one of " + ", ".join(map(repr, options)),
@@ -75,6 +81,7 @@ def choice(options):
                 else None)
 
 
+@functools.lru_cache(maxsize=None)
 def listed(item, size=None):
     """A tuple of `item`s, given as a list, tuple, range or array (never a
     str), each refused as "<name>[i]": of `size` entries, or of any

@@ -1,9 +1,11 @@
 """Sweep orchestration: sampled configs, a persistent runs table, reports.
 
 A sweep samples (task weights, fairness weights, head/shared ratios) from a
-box under one master seed, trains each method on the shared draws, a stack
-of runs at a time, and appends one CSV row per run as its stack finishes,
-so partial sweeps remain usable.
+box under one master seed and trains each method on the shared draws, a
+seed group at a time: the stacks of runs of every method that hold the
+same seeds, trained in lockstep and each stack scored in one pass.  It
+appends one CSV row per run as its group finishes, so partial sweeps
+remain usable and hold complete paired draws.
 Reports are a pure function of the finished table: per-method Pareto
 frontiers on chosen axes, a dominated-hypervolume score against a shared
 reference point, and the accuracy-frontier overlay in fairness space.
@@ -11,6 +13,7 @@ reference point, and the accuracy-frontier overlay in fairness space.
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -23,7 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .exceptions import ConfigError, ContractError, UndefinedMetricError
-from .metrics import StlBaselines, aggregate, evaluate_model
+from .metrics import StlBaselines, aggregate, evaluate_stack
 from .model import (choice, coerce_fields, from_fields, integer, listed,
                     real)
 from .pareto import ParetoPoint, frontier, frontier_quality, survivors
@@ -198,27 +201,57 @@ def _cell(value):
 
 
 def run_stack(train_ds, test_ds, arch, configs, baselines, run_ids):
-    """Train a stack of configs as one (`train_stack`), evaluate each run
-    on the test split, and return their runs-table rows in order; each
-    row's `seconds` is the stack's wall time over its runs.
+    """Train a stack of configs, or a seed group of several methods'
+    stacks, as one (`train_stack`), score each method's runs on the test
+    split in one pass (`evaluate_stack`), and return their runs-table rows
+    in order.  A row's `seconds` is its method's time over its runs: its
+    stack's steps and scoring, and an equal share of the group's other
+    work (building, shuffles, gathers).
 
     Rows come back in parsed form (lists of floats, None for missing) and
     match what load_runs reads back; RunsWriter serializes on append.
     Failures never propagate: a diverged or degenerate run comes back as a
     flagged row with its config echoed, so sweeps keep going.
     """
-    started = time.perf_counter()
+    started, times = time.perf_counter(), {}
     try:
-        runs = train_stack(train_ds, arch, configs)
+        runs = train_stack(train_ds, arch, configs, times)
     except Exception as exc:  # noqa: BLE001 - flagged, never aborts a sweep
         runs = [exc] * len(configs)
-    rows = []
+    stacks = {}
     for config, rid, run in zip(configs, run_ids, runs):
+        stacks.setdefault(config.method, []).append((config, rid, run))
+    rows = {}
+    for method, stack in stacks.items():
+        scoring = time.perf_counter()
+        rows[method] = _scored(stack, test_ds, baselines)
+        times[method] = (times.get(method, 0.0)
+                         + time.perf_counter() - scoring)
+    shared = (time.perf_counter() - started - sum(times.values())) / len(rows)
+    for method, stack_rows in rows.items():
+        seconds = round((times[method] + shared) / len(stack_rows), 4)
+        for row in stack_rows:
+            row["seconds"] = seconds
+    done = {method: iter(stack_rows) for method, stack_rows in rows.items()}
+    return [next(done[config.method]) for config in configs]
+
+
+def _scored(stack, test_ds, baselines):
+    """The runs-table rows of one method's (config, run id, run) triples,
+    each TrainedRun scored on the test split, all in one pass."""
+    try:
+        evals = evaluate_stack([run.model for _, _, run in stack
+                                if not isinstance(run, Exception)], test_ds)
+    except Exception as exc:  # noqa: BLE001 - flagged, as in run_stack
+        evals, stack = [], [(config, rid, run if isinstance(run, Exception)
+                             else exc) for config, rid, run in stack]
+    evals, rows = iter(evals), []
+    for config, rid, run in stack:
         row, flags = _row(config, rid), []
         try:
             if isinstance(run, Exception):
                 raise run
-            per_task = evaluate_model(run.model, test_ds)
+            per_task = next(evals)
             row["err_per_task"] = [ev.err for ev in per_task]
             row["fpr_gap_per_task"] = [ev.fpr_gap for ev in per_task]
             row["tpr_gap_per_task"] = [ev.tpr_gap for ev in per_task]
@@ -233,9 +266,6 @@ def run_stack(train_ds, test_ds, arch, configs, baselines, run_ids):
             flags.append(f"failed: {type(exc).__name__}: {exc}")
         row["flags"] = "; ".join(flags) if flags else None
         rows.append(row)
-    seconds = round((time.perf_counter() - started) / len(rows), 4)
-    for row in rows:
-        row["seconds"] = seconds
     return rows
 
 
@@ -370,26 +400,37 @@ def _share_inputs(inputs):
     _sweep_inputs = inputs
 
 
-def _run_task(stack):
+def _run_task(group):
     train_ds, test_ds, arch, baselines = _sweep_inputs
-    configs, rids = zip(*stack)
+    configs, rids = zip(*group)
     return run_stack(train_ds, test_ds, arch, list(configs), baselines,
                      list(rids))
 
 
-def _pooled(stacks, jobs, inputs):
-    """Each stack's rows, in order, from a pool of `jobs` workers, which
-    receive `inputs` once, at start-up.  A dead worker breaks the pool:
-    the first stack left unfinished then runs alone in a fresh pool, its
-    runs flagged `failed: worker died` if that worker dies too, and the
-    stacks after it go on in another."""
-    def pool(workers):
-        return ProcessPoolExecutor(max_workers=workers,
+def _seed_groups(stacks):
+    """The (config, run id) stacks of every method (`cut_stacks`) joined
+    into seed groups, stacks that hold the same seeds, in draw order
+    (seeds grow along the draws), each method's stacks in method order."""
+    groups = {}
+    for stack in stacks:
+        groups.setdefault(tuple(c.seed for c, _ in stack), []).extend(stack)
+    return sorted(groups.values(), key=lambda group: group[0][0].seed)
+
+
+def _pooled(groups, jobs, inputs):
+    """Each seed group's rows, in order, from a pool of at most `jobs`
+    workers, and no more than there are groups left, which receive
+    `inputs` once, at start-up.  A dead worker breaks the pool: the first
+    group left unfinished then runs again, one method's stack at a time,
+    each alone in a fresh pool, its runs flagged `failed: worker died` if
+    that worker dies too, and the groups after it go on in another."""
+    def pool(tasks):
+        return ProcessPoolExecutor(max_workers=min(jobs, tasks),
                                    initializer=_share_inputs,
                                    initargs=(inputs,))
-    while stacks:
-        with pool(jobs) as workers:
-            futures = [workers.submit(_run_task, stack) for stack in stacks]
+    while groups:
+        with pool(len(groups)) as workers:
+            futures = [workers.submit(_run_task, group) for group in groups]
             for broken, future in enumerate(futures):
                 try:
                     rows = future.result()
@@ -398,16 +439,20 @@ def _pooled(stacks, jobs, inputs):
                 yield rows
             else:
                 return
-        with pool(1) as alone:
-            try:
-                rows = alone.submit(_run_task, stacks[broken]).result()
-            except BrokenProcessPool:
-                rows = [_row(config, rid, "failed: worker died")
-                        for config, rid in stacks[broken]]
-                print(f"a worker died: {len(rows)} run(s) flagged",
-                      file=sys.stderr)
+        rows = []
+        for _, stack in itertools.groupby(groups[broken],
+                                          lambda pair: pair[0].method):
+            stack = list(stack)
+            with pool(1) as alone:
+                try:
+                    rows += alone.submit(_run_task, stack).result()
+                except BrokenProcessPool:
+                    rows += [_row(config, rid, "failed: worker died")
+                             for config, rid in stack]
+                    print(f"a worker died: {len(stack)} run(s) flagged",
+                          file=sys.stderr)
         yield rows
-        stacks = stacks[broken + 1:]
+        groups = groups[broken + 1:]
 
 
 def run_sweep(train_ds, test_ds, arch, sweep, baselines, out_dir, jobs=1):
@@ -415,11 +460,13 @@ def run_sweep(train_ds, test_ds, arch, sweep, baselines, out_dir, jobs=1):
 
     Runs whose id the table holds are skipped, so a re-run resumes.  Each
     method's pending runs are cut into stacks (`trainer.cut_stacks`), at
-    least `jobs` of them where there are as many runs, each trained as
+    least `jobs` of them where there are as many runs, and the stacks of
+    the same seeds join in seed groups (`_seed_groups`), each trained as
     one (`run_stack`).
-    Stacks are farmed to a process pool when jobs > 1 (`_pooled`); rows
-    are appended, and returned, per stack in submission order by this
-    process alone, so a stopped sweep loses at most the stacks in flight.
+    Groups are farmed to a process pool when jobs > 1 (`_pooled`); rows
+    are appended, and returned, per group in draw order by this process
+    alone, so a stopped sweep loses at most the groups in flight, and
+    each method's rows keep their order.
     """
     configs = sample_configs(sweep, train_ds.num_tasks)
     writer = RunsWriter(os.path.join(out_dir, "runs.csv"))
@@ -434,16 +481,17 @@ def run_sweep(train_ds, test_ds, arch, sweep, baselines, out_dir, jobs=1):
                 seen.add(rid)
                 pending.append((config, rid))
         stacks += cut_stacks(pending, sweep.batch_size, jobs)
+    groups = _seed_groups(stacks)
 
     inputs = (train_ds, test_ds, arch, baselines)
     rows = []
     try:
-        if jobs > 1 and stacks:
-            stack_rows = _pooled(stacks, jobs, inputs)
+        if jobs > 1 and groups:
+            group_rows = _pooled(groups, jobs, inputs)
         else:
             _share_inputs(inputs)
-            stack_rows = map(_run_task, stacks)
-        for done in stack_rows:
+            group_rows = map(_run_task, groups)
+        for done in group_rows:
             writer.append(*done)
             rows += done
     finally:

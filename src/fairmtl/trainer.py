@@ -23,6 +23,11 @@ stack; `cut_stacks` sizes them, at most 8 runs and 4096 rows a step.
 Every op acts on a run's slice as on the run alone, so each run equals its
 solo run bit for bit; `train()` and `train_step` are the case W = 1.  A
 run that meets a non-finite loss ends there, with its solo message.
+The stacks of several methods that hold the same seeds, a seed group,
+train in lockstep (`train_stack`): each epoch draws one shuffle per seed
+and gathers it once, and each step runs every method on the same slice
+of those rows, in one set of step buffers, each method's stack bit for
+bit as alone; a method whose runs have all diverged stops stepping.
 
 Nothing that does not depend on the parameters is built per step: the
 training set keeps (`Dataset.kept`) the 0/1 int8 labels, the fairness
@@ -36,6 +41,7 @@ NaN, the one way a loss is not finite.
 """
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,13 +190,15 @@ class Batch:
         self.plan, self.dense, self.workspaces = plan, dense, workspaces
 
     @classmethod
-    def of(cls, dataset, plan):
-        """The dataset's rows as one run's, from what it keeps."""
+    def of(cls, dataset, plan, *others):
+        """The dataset's rows as one run's, from what it keeps, for
+        `plan`; with the subset codes when it or one of the plans `others`,
+        which step on the same rows (`steps`), has a fairness loss."""
         labels = dataset.kept("labels", lambda: np.ascontiguousarray(
             dataset.labels.T, dtype=np.int8)[None, ..., None])
         codes = dataset.kept("codes", lambda: subset_arrays(
             dataset.labels, dataset.sensitive)[None]) if any(
-                plan.tasks) else None
+                any(p.tasks) for p in (plan,) + others) else None
         # the narrowest unsigned type that holds every row index
         rows = dataset.kept("rows", lambda: np.arange(
             len(dataset), dtype=np.min_scalar_type(len(dataset)))[None])
@@ -235,9 +243,13 @@ class Batch:
             parts.append(a if a is None else a[(slice(None),) * axis + (rows,)])
         return Batch(self.plan, self.dense, parts, self.workspaces)
 
-    def steps(self, size):
-        """This epoch (`epoch`) cut into steps of `size` rows, as views."""
-        return [self[i:i + size] for i in range(0, len(self), size)]
+    def steps(self, size, plan=None):
+        """This epoch (`epoch`) cut into steps of `size` rows, as views,
+        each a Batch of `plan` when given, else of its own."""
+        whole = self if plan is None else Batch(
+            plan, self.dense, [getattr(self, name) for name, _ in _ROWS],
+            self.workspaces)
+        return [whole[i:i + size] for i in range(0, len(self), size)]
 
 
 def _seeds(batch, probs, out, errors, losses=None):
@@ -345,19 +357,31 @@ def cut_stacks(runs, batch_size, jobs=1):
     return [runs[i:i + width] for i in range(0, len(runs), width)]
 
 
-def train_stack(dataset, arch, configs):
+def train_stack(dataset, arch, configs, times=None):
     """Train W runs as one, the rows of one stack (`model.build_stack`):
     configs that differ only in task weights, fairness weights, ratios and
-    seed.
+    seed; or a seed group, such stacks of several methods, each of which
+    lists the same seeds in the same order.
 
-    Each epoch gathers each run's seeded shuffle of the rows into its row
-    of the dataset's epoch arrays and steps all runs at once (`_step`) on
-    slices of those.  Returns, per config, its TrainedRun, bit for bit
-    its solo run's, or the TrainingDiverged that ended it.
+    Each epoch gathers each seed's shuffle of the rows into its row of
+    the dataset's epoch arrays, once for every method, and each step runs
+    every method's stack (`_step`) on the same slice of those, one method
+    after another, until all of a method's runs have diverged.  Returns,
+    per config in order, its TrainedRun, bit for bit its solo run's, or
+    the TrainingDiverged that ended it.  `times`, a dict when given, gets
+    each method's seconds in its steps.
     """
-    config, own = configs[0], dict.fromkeys(_RUN_FIELDS)  # masks those
+    config, own = configs[0], dict.fromkeys(_RUN_FIELDS + ("method",))
     if any(vars(c) | own != vars(config) | own for c in configs[1:]):
-        raise ConfigError("a stack's runs must share method and settings")
+        raise ConfigError("a stack's runs must share method and settings, "
+                          "and a seed group's all settings but the method")
+    stacks = {}
+    for c in configs:
+        stacks.setdefault(c.method, []).append(c)
+    seeds = [c.seed for c in stacks[config.method]]
+    if any([c.seed for c in stack] != seeds for stack in stacks.values()):
+        raise ConfigError("a seed group's methods must list the same seeds "
+                          "in the same order")
     if dataset.num_tasks != config.num_tasks:
         raise ConfigError(
             f"dataset has {dataset.num_tasks} tasks, config {config.num_tasks}")
@@ -366,21 +390,35 @@ def train_stack(dataset, arch, configs):
     n = len(dataset)
     if n == 0:
         raise ConfigError("train on an empty dataset")
-    model = build_stack(arch, dataset.dense.shape[1], dataset.vocab_sizes,
-                        [c.seed for c in configs])
-    rngs = [np.random.default_rng(c.seed) for c in configs]
-    rows = Batch.of(dataset, RunPlan(configs))
+    plans = [RunPlan(stack) for stack in stacks.values()]
+    models = [build_stack(arch, dataset.dense.shape[1], dataset.vocab_sizes,
+                          seeds) for _ in plans]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rows = Batch.of(dataset, *plans)
     shuffled = rows.epoch(dataset.kept("epoch", dict))
-    steps = shuffled.steps(config.batch_size)
-    errors = [None] * len(configs)
+    steps = [shuffled.steps(config.batch_size, plan) for plan in plans]
+    errors = [[None] * len(seeds) for _ in plans]
+    spent = [0.0] * len(plans)
+    live = list(range(len(plans)))
     for _ in range(config.epochs):
+        if not live:
+            break
         rows.take([rng.permutation(n) for rng in rngs], out=shuffled)
-        for batch in steps:
-            _step(model, batch, errors)
-            if all(errors):
-                return errors
-    return [error or TrainedRun(model=m, config=c)
-            for error, m, c in zip(errors, model.models, configs)]
+        for batches in zip(*steps):
+            for m in live:
+                started = time.perf_counter()
+                _step(models[m], batches[m], errors[m])
+                spent[m] += time.perf_counter() - started
+            live = [m for m in live if not all(errors[m])]
+    if times is not None:
+        times.update(zip(stacks, spent))
+    done = {method: iter(zip(errors[m], models[m].models))
+            for m, method in enumerate(stacks)}
+    runs = []
+    for c in configs:
+        error, model = next(done[c.method])
+        runs.append(error or TrainedRun(model=model, config=c))
+    return runs
 
 
 def train(dataset, arch, config):

@@ -6,11 +6,15 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fairmtl.data import Dataset
 from fairmtl.exceptions import ConfigError, ContractError, UndefinedMetricError
 from fairmtl.metrics import (StlBaselines, TaskEval, aggregate, evaluate_task,
-                             run_stl_baselines, single_task_view)
+                             run_stl_baselines, score_stack,
+                             single_task_view)
 from fairmtl.model import ArchConfig, from_fields
 from fairmtl.trainer import TrainConfig
 
@@ -90,6 +94,53 @@ def test_evaluate_task_errors():
         evaluate_task([], [], [])
     with pytest.raises(ContractError):
         evaluate_task([0.5], [1, 0], [0, 1])
+
+
+@st.composite
+def scored_rows(draw):
+    """(W, T, n) probabilities, among them exactly 0.5, the thresholds,
+    and NaN, with (n, T) 0/1 labels and sensitive values that are often
+    missing, on few enough rows that a group often lacks negatives or
+    positives."""
+    runs, tasks, n = (draw(st.integers(1, 5)), draw(st.integers(1, 3)),
+                      draw(st.integers(1, 12)))
+    probs = draw(hnp.arrays(np.float64, (runs, tasks, n), elements=(
+        st.sampled_from([0.5, 0.7, float("nan"), 0.0, 1.0])
+        | st.floats(0.0, 1.0))))
+    labels = draw(hnp.arrays(np.int8, (n, tasks), elements=st.integers(0, 1)))
+    sensitive = draw(hnp.arrays(np.int8, n, elements=st.integers(-1, 1)))
+    return probs, labels, sensitive, draw(st.sampled_from([0.5, 0.7]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(scored_rows())
+def test_one_pass_scores_equal_evaluate_task(case):
+    """`score_stack` gives every (run, task) `evaluate_task`'s TaskEval,
+    every field of the same type and bits (repr tells np.float64 from
+    float), undefined gaps as None."""
+    probs, labels, sensitive, threshold = case
+    scored = score_stack(probs, labels, sensitive, threshold)
+    assert len(scored) == len(probs)
+    for run, per_task in zip(probs, scored):
+        assert repr(per_task) == repr(tuple(
+            evaluate_task(p, labels[:, t], sensitive, threshold)
+            for t, p in enumerate(run)))
+
+
+def test_one_pass_scores_hand_counted():
+    """A hand-counted case: a probability at the threshold predicts
+    positive and a NaN one negative, a row with its sensitive value
+    missing counts towards the error alone, and group 1's lack of
+    positives leaves the TPR gap undefined; an empty split is refused."""
+    p = np.array([[[0.5, float("nan"), 0.2, 0.9]]])
+    y = np.array([[0], [0], [1], [1]])
+    s = np.array([0, 1, 0, -1])
+    ev, = score_stack(p, y, s)[0]
+    assert ev == evaluate_task(p[0, 0], y[:, 0], s)
+    assert (ev.err, ev.fpr_gap, ev.tpr_gap) == (0.5, 1.0, None)
+    assert (ev.neg_counts, ev.pos_counts) == ((1, 1), (1, 0))
+    with pytest.raises(ContractError):
+        score_stack(np.empty((2, 1, 0)), np.empty((0, 1)), np.empty(0))
 
 
 # --- aggregate -------------------------------------------------------------

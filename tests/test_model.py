@@ -17,8 +17,8 @@ from fairmtl.exceptions import ConfigError, ShapeError
 from fairmtl.losses import FAIRNESS_KINDS, FAIRNESS_TARGETS
 from fairmtl.metrics import stl_config_hash
 from fairmtl.model import (ArchConfig, MtlModel, _input_grad, backprop,
-                           build_model, build_stack, forward, forward_np,
-                           from_fields)
+                           build_model, build_stack, choice, forward,
+                           forward_np, from_fields, integer, listed, real)
 from fairmtl.sweep import SweepConfig, run_id
 from fairmtl.trainer import METHODS, TrainConfig
 
@@ -288,6 +288,17 @@ def test_arch_roundtrip():
     arch = ArchConfig(num_tasks=2, shared_layer_sizes=(32,),
                       head_layer_sizes=(16,), embedding_dim=10)
     assert from_fields(ArchConfig, json.loads(json.dumps(asdict(arch)))) == arch
+
+
+def test_equal_declarations_share_one_kind():
+    """Each Kind constructor gives equal declarations one object, so the
+    records' many equal fields hold one closure between them."""
+    assert integer(">= 0") is integer(">= 0")
+    assert real("> 0") is real("> 0")
+    assert choice(METHODS) is choice(METHODS)
+    assert listed(real("[0, 1]"), 2) is listed(real("[0, 1]"), 2)
+    assert TrainConfig.KINDS["seed"] is SweepConfig.KINDS["master_seed"]
+    assert integer(">= 0") is not integer(">= 1")
 
 
 def test_from_fields_refuses_unknown_keys_and_reports_missing_ones():

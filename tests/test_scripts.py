@@ -45,21 +45,27 @@ def test_parity_check_builds_every_config():
             assert all(isinstance(mate, TrainConfig) for mate in mates)
 
 
-@pytest.mark.parametrize("prefix, summary", [
-    ("T2/mmd-", "66 runs in stacks of widths 2-5 and 8, 2 diverged"),
-    ("T2/correlation/", "51 runs in stacks of widths 2-5 and 8, 2 diverged"),
-    ("T2/soft_fpr_gap/", "48 runs in stacks of widths 2-5 and 8, 1 diverged"),
+@pytest.mark.parametrize("prefix, summary, groups", [
+    ("T2/mmd-", "66 runs in stacks of widths 2-5 and 8, 2 diverged",
+     "66 runs in seed groups of widths 2-5 and 8, 1 diverged"),
+    ("T2/correlation/", "51 runs in stacks of widths 2-5 and 8, 2 diverged",
+     "45 runs in seed groups of widths 2-5 and 8, 1 diverged"),
+    ("T2/soft_fpr_gap/", "48 runs in stacks of widths 2-5 and 8, 1 diverged",
+     "45 runs in seed groups of widths 2-5 and 8, 1 diverged"),
 ], ids=["mmd", "correlation", "soft_fpr_gap"])
 def test_parity_check_stacked_runs_equal_their_solo_runs(prefix, summary,
-                                                        capsys):
+                                                        groups, capsys):
     """`parity_check.py --stacked` on the 12 MMD runs at bandwidths 0.3
     and 2, and on the 9 two-task correlation runs and 9 soft FPR runs,
     which read a run's rows from its codes: stacks of widths 2-5 and 8,
     tail batches, exact kernel blocks and stack-mates that diverge all
-    train each run bit for bit as alone."""
+    train each run bit for bit as alone, and so do the seed groups of
+    each key's methods, one of them with one method's run diverging."""
     assert _parity_check().stacked(prefix) == 0
-    assert capsys.readouterr().out.startswith(
-        f"{summary}: max abs difference from the solo runs 0;")
+    lines = capsys.readouterr().out.splitlines()
+    same = ": max abs difference from the solo runs 0; runs whose test " \
+        "metrics differ: 0; diverged runs whose messages differ: 0"
+    assert lines == [summary + same, groups + same]
 
 
 def test_parity_check_compares_report_files(tmp_path, capsys):

@@ -77,6 +77,43 @@ def env():
     return train_ds, test_ds, tiny_baselines(train_ds, test_ds)
 
 
+VOLATILE = {"seconds", "timestamp"}
+
+
+def group_order(env, sweep, widths):
+    """The run ids of `sweep` whose methods' stacks have `widths`, in seed
+    group order: per stack of draws, every method's stack of them."""
+    train_ds, test_ds, baselines = env
+    configs, pair = sample_configs(sweep, 2), pair_hash(train_ds, test_ds)
+    ids, start = [], 0
+    for width in widths:
+        for method in sweep.methods:
+            ids += [run_id(c, pair, baselines.config_hash)
+                    for c in configs[method][start:start + width]]
+        start += width
+    return ids
+
+
+def assert_same_rows(tables, orders):
+    """The tables hold the same rows by id, equal in every cell but
+    `seconds` and `timestamp`, each in its own exact order of `orders`,
+    and every method's rows in the same relative order."""
+    for table, order in zip(tables, orders):
+        assert [row["run_id"] for row in table] == order
+    first, *others = tables
+    for table in others:
+        by_id = {row["run_id"]: row for row in table}
+        assert len(by_id) == len(table) == len(first)
+        for row in first:
+            other = by_id[row["run_id"]]
+            assert row.keys() == other.keys()
+            for key in row.keys() - VOLATILE:
+                assert row[key] == other[key], key
+        for method in {row["method"] for row in first}:
+            assert [r["run_id"] for r in first if r["method"] == method] == [
+                r["run_id"] for r in table if r["method"] == method]
+
+
 class TestSweepConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -479,9 +516,10 @@ class TestRunSweep:
             for m in sweep.methods]
 
     def test_pool_appends_what_a_serial_sweep_appends(self, tmp_path, env):
-        """A --jobs 2 sweep appends the rows of a --jobs 1 sweep, in the
-        same order and equal in every cell but `seconds` and `timestamp`;
-        neither leaves state behind in the sweep module."""
+        """A --jobs 2 sweep appends the rows of a --jobs 1 sweep, equal in
+        every cell but `seconds` and `timestamp`, each in its seed group
+        order (one group of 2 draws; two of 1) and each method's rows in
+        the same order; neither leaves state behind in the sweep module."""
         train_ds, test_ds, baselines = env
         sweep = SweepConfig(budget=2, epochs=1, batch_size=64,
                             learning_rate=0.1)
@@ -500,22 +538,19 @@ class TestRunSweep:
             assert all(after[k] is v for k, v in before.items())
         serial, pooled = tables
         assert len(serial) == len(pooled) == 6
-        volatile = {"seconds", "timestamp"}
-        for a, b in zip(serial, pooled):
-            assert a.keys() == b.keys()
-            for key in a.keys() - volatile:
-                assert a[key] == b[key], key
+        assert_same_rows(tables, [group_order(env, sweep, [2]),
+                                  group_order(env, sweep, [1, 1])])
 
     def test_pool_equals_serial_with_a_short_last_stack(self, tmp_path, env):
         """At batch 512 a serial stack holds eight runs, so a budget of 9
         leaves each method a stack of 8 and one of 1, and two jobs cut
         them 5 + 4: --jobs 2 still returns and appends the --jobs 1 rows,
-        in order, equal in every cell but `seconds` and `timestamp`;
+        equal in every cell but `seconds` and `timestamp`, each in its
+        seed group order and each method's rows in the same order;
         stack-mates share their `seconds`."""
         train_ds, test_ds, baselines = env
         sweep = SweepConfig(budget=9, epochs=2, batch_size=512,
                             learning_rate=0.1, fairness_kind="soft_fpr_gap")
-        volatile = {"seconds", "timestamp"}
         results = []
         for jobs, widths in ((1, [8, 1]), (2, [5, 4])):
             assert [len(s) for s in cut_stacks([None] * 9, 512, jobs)] == (
@@ -526,16 +561,17 @@ class TestRunSweep:
             assert load_runs(str(out / "runs.csv")) == rows
             shares = [r["seconds"] for r in rows[:9]]
             assert len(set(shares[:widths[0]])) == 1 and min(shares) > 0
-            results.append([{k: v for k, v in row.items() if k not in volatile}
-                            for row in rows])
+            results.append(rows)
         assert len(results[0]) == 27
-        assert results[0] == results[1]
+        assert_same_rows(results, [group_order(env, sweep, [8, 1]),
+                                   group_order(env, sweep, [5, 4])])
         assert not any(row["flags"] for row in results[0])
 
     def test_one_stack_of_eight_equals_two_of_four(self, tmp_path, env):
         """A --jobs 1 sweep of 8 runs per method trains each method as
         one stack of 8 and a --jobs 2 sweep as 4 + 4; their runs.csv
-        files are equal in every cell but `seconds` and `timestamp`."""
+        files hold the same rows, equal in every cell but `seconds` and
+        `timestamp`, each in its seed group order."""
         train_ds, test_ds, baselines = env
         sweep = SweepConfig(budget=8, epochs=2, batch_size=64,
                             learning_rate=0.1, fairness_kind="mmd")
@@ -550,21 +586,19 @@ class TestRunSweep:
                 tables.append(list(csv.DictReader(f)))
         serial, pooled = tables
         assert len(serial) == len(pooled) == 24
-        volatile = {"seconds", "timestamp"}
-        for a, b in zip(serial, pooled):
-            assert a.keys() == b.keys()
-            assert not a["flags"]
-            for key in a.keys() - volatile:
-                assert a[key] == b[key], key
+        assert not any(row["flags"] for row in serial)
+        assert_same_rows(tables, [group_order(env, sweep, [8]),
+                                  group_order(env, sweep, [4, 4])])
 
     def test_a_dead_worker_flags_its_stack_alone(self, tmp_path, env,
                                                  monkeypatch, capsys):
         """A worker that dies (`os._exit`) on a marked config breaks the
-        pool while another still runs the stack before it: that stack runs
-        again alone, then the marked one, which dies again and is flagged
-        `failed: worker died`; the rest go on in fresh pools, and every
-        other row equals the serial sweep's, whose stacks hold all three
-        runs of a method."""
+        pool while another still runs the seed group before it: that
+        group runs again, one method's stack at a time, then the marked
+        one's, whose vanilla stack dies again and is flagged `failed:
+        worker died`; the rest go on in fresh pools, and every other row
+        equals the serial sweep's, whose stacks hold all three runs of a
+        method, each table in its seed group order."""
         train_ds, test_ds, baselines = env
         sweep = SweepConfig(budget=3, epochs=1, batch_size=512,
                             learning_rate=0.1)
@@ -575,28 +609,99 @@ class TestRunSweep:
         slow, marked = sample_configs(sweep, 2)["vanilla"][::2]
         train_stack = sweep_module.train_stack
 
-        def dying(train_ds, arch, configs):
+        def dying(train_ds, arch, configs, times=None):
             if marked in configs:
                 os._exit(1)
             if slow in configs:
                 time.sleep(0.5)
-            return train_stack(train_ds, arch, configs)
+            return train_stack(train_ds, arch, configs, times)
         monkeypatch.setattr(sweep_module, "train_stack", dying)
         capsys.readouterr()
         rows = run_sweep(train_ds, test_ds, ARCH, sweep, baselines,
                          str(tmp_path / "pooled"), jobs=2)
         assert capsys.readouterr().err.count("a worker died") == 1
         assert load_runs(str(tmp_path / "pooled" / "runs.csv")) == rows
-        assert [r["run_id"] for r in rows] == [r["run_id"] for r in serial]
-        volatile = {"seconds", "timestamp"}
-        for row, alone in zip(rows, serial):
+        assert [r["run_id"] for r in rows] == group_order(env, sweep, [2, 1])
+        assert [r["run_id"] for r in serial] == group_order(env, sweep, [3])
+        for method in sweep.methods:
+            assert [r["run_id"] for r in rows if r["method"] == method] == [
+                r["run_id"] for r in serial if r["method"] == method]
+        by_id = {row["run_id"]: row for row in serial}
+        for row in rows:
+            alone = by_id[row["run_id"]]
             if row["method"] == "vanilla" and row["seed"] == marked.seed:
                 assert row["flags"] == "failed: worker died"
                 assert row["err_per_task"] is None
                 assert row["task_weights"] == alone["task_weights"]
             else:
-                assert {k: v for k, v in row.items() if k not in volatile} \
-                    == {k: v for k, v in alone.items() if k not in volatile}
+                assert {k: v for k, v in row.items() if k not in VOLATILE} \
+                    == {k: v for k, v in alone.items() if k not in VOLATILE}
+
+    def test_a_pool_forks_no_more_workers_than_groups_left(
+            self, tmp_path, env, monkeypatch):
+        """--jobs 8 on a budget-1 sweep, one seed group, forks one
+        worker, and on a budget-2 sweep, two groups, two: the pool is
+        sized to the groups left, not to --jobs.  (The recording pool
+        itself starts at most two, whatever it is asked for.)"""
+        train_ds, test_ds, baselines = env
+        sizes = []
+
+        class Recording(sweep_module.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kw):
+                sizes.append(max_workers)
+                super().__init__(max_workers=min(max_workers, 2), **kw)
+        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", Recording)
+        for budget in (1, 2):
+            sweep = SweepConfig(budget=budget, epochs=1, batch_size=64,
+                                learning_rate=0.1)
+            rows = run_sweep(train_ds, test_ds, ARCH, sweep, baselines,
+                             str(tmp_path / f"budget{budget}"), jobs=8)
+            assert len(rows) == 3 * budget
+        assert sizes == [1, 2]
+
+    def test_a_stopped_sweep_holds_whole_groups_and_resumes(
+            self, tmp_path, env, monkeypatch):
+        """At batch 2048 a stack holds two runs, so a budget of 3 makes
+        two seed groups.  A sweep stopped after the first holds every
+        method's rows of its two draws; resuming it gives the rows of the
+        sweep never stopped, by id, equal in every cell but `seconds`
+        and `timestamp`.  So does resuming a table that holds one mtaf
+        run alone: mtaf's two pending runs then form a stack of their
+        own, between the other methods' groups."""
+        train_ds, test_ds, baselines = env
+        sweep = SweepConfig(budget=3, epochs=1, batch_size=2048,
+                            learning_rate=0.1)
+        order = group_order(env, sweep, [2, 1])
+        full = run_sweep(train_ds, test_ds, ARCH, sweep, baselines,
+                         str(tmp_path / "full"))
+        run_task, calls = sweep_module._run_task, []
+
+        def stop_after_one(group):
+            if calls:
+                raise KeyboardInterrupt
+            calls.append(group)
+            return run_task(group)
+        monkeypatch.setattr(sweep_module, "_run_task", stop_after_one)
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(train_ds, test_ds, ARCH, sweep, baselines,
+                      str(tmp_path / "stopped"))
+        monkeypatch.setattr(sweep_module, "_run_task", run_task)
+        path = tmp_path / "stopped" / "runs.csv"
+        assert [r["run_id"] for r in load_runs(str(path))] == order[:6]
+        run_sweep(train_ds, test_ds, ARCH, sweep, baselines,
+                  str(tmp_path / "stopped"))
+        assert_same_rows([full, load_runs(str(path))], [order, order])
+
+        run_sweep(train_ds, test_ds, ARCH, replace(
+            sweep, methods=("mtaf",), budget=1), baselines,
+            str(tmp_path / "uneven"))
+        run_sweep(train_ds, test_ds, ARCH, sweep, baselines,
+                  str(tmp_path / "uneven"))
+        v, b, m = ([r for r in order if r.startswith(f"{method}-")]
+                   for method in sweep.methods)
+        assert_same_rows(
+            [full, load_runs(str(tmp_path / "uneven" / "runs.csv"))],
+            [order, m[:1] + v[:2] + b[:2] + m[1:] + v[2:] + b[2:]])
 
     def test_run_id_is_a_content_key(self, env):
         train_ds, test_ds, baselines = env

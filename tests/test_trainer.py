@@ -754,6 +754,96 @@ def test_stacked_runs_equal_their_solo_runs(kind):
             configs[1], learning_rate=0.1)])
 
 
+def _group_case():
+    """(train data, configs per method) of a seed group: four draws per
+    method on one dataset with an embedding table, a tail batch and some
+    sensitive values missing, one draw with a zero lambda and one with
+    all lambdas zero, every method on the same four seeds."""
+    base = separable_dataset(n=60, seed=4)
+    rng = np.random.default_rng(8)
+    sensitive = base.sensitive.copy()
+    sensitive[rng.choice(60, 6, replace=False)] = -1
+    data = Dataset(dense=base.dense, cat=rng.integers(0, 4, (60, 1)),
+                   labels=base.labels, sensitive=sensitive, vocab_sizes=(4,))
+    draws = [((0.6, 0.4), (1.5, 0.8), (2.0, 0.5)),
+             ((0.3, 0.7), (0.0, 2.5), (0.4, 3.0)),
+             ((0.5, 0.5), (0.0, 0.0), (1.0, 1.0)),
+             ((0.9, 0.1), (3.0, 0.2), (0.7, 1.6))]
+
+    def stack(method, kind):
+        return [TrainConfig(method=method, task_weights=w,
+                            fairness_weights=lam, head_shared_ratios=r,
+                            fairness_kind=kind,
+                            fairness_target="equalized_odds", epochs=2,
+                            batch_size=16, seed=5 + i)
+                for i, (w, lam, r) in enumerate(draws)]
+    return data, stack
+
+
+@pytest.mark.parametrize("kind", ["correlation", "mmd", "soft_fpr_gap"])
+def test_a_seed_group_trains_each_method_as_its_stack_alone(kind):
+    """The stacks of the three methods on the same seeds, trained as one
+    seed group in lockstep on one shuffle per seed, each equal, run by
+    run, in parameters and accumulators, bit for bit, the method's
+    `train_stack` alone; runs come back in the order given, and `times`
+    gets each method's seconds in its steps.  A group whose methods list
+    other seeds, or differ in a setting, is refused."""
+    data, stack = _group_case()
+    stacks = {method: stack(method, kind) for method in METHODS}
+    # interleaved, so each run must come back in its own place
+    configs = [c for draw in zip(*stacks.values()) for c in draw]
+    times = {}
+    runs = train_stack(data, small_arch(), configs, times)
+    assert [run.config for run in runs] == configs
+    assert sorted(times) == sorted(METHODS) and min(times.values()) > 0
+    for method, alone in stacks.items():
+        grouped = [run for run in runs if run.config.method == method]
+        for run, solo in zip(grouped, train_stack(data, small_arch(), alone)):
+            assert _same_run(run, solo), (method, run.config.seed)
+    with pytest.raises(ConfigError, match="same seeds in the same order"):
+        train_stack(data, small_arch(), stacks["vanilla"]
+                    + stacks["mtaf"][::-1])
+    with pytest.raises(ConfigError, match="share method and settings"):
+        train_stack(data, small_arch(), stacks["vanilla"] + [
+            replace(c, learning_rate=0.1) for c in stacks["mtaf"]])
+
+
+def test_a_method_whose_runs_all_diverge_stops_and_the_others_go_on(
+        monkeypatch):
+    """In a seed group whose baseline stack has NaN task weights, every
+    baseline run ends at its second step with its solo message and the
+    stack takes no more steps, while the vanilla and mtaf stacks step to
+    the end, each equal to its stack alone."""
+    data, stack = _group_case()
+    plan = trainer.RunPlan
+
+    class NanBaseline(plan):
+        def __init__(self, configs):
+            super().__init__(configs)
+            if self.config.method == "baseline":
+                self.weights = self.weights * np.nan
+    monkeypatch.setattr(trainer, "RunPlan", NanBaseline)
+    stepped, step = [], trainer._step
+
+    def spy(model, batch, errors, losses=None):
+        stepped.append(batch.plan.config.method)
+        return step(model, batch, errors, losses)
+    monkeypatch.setattr(trainer, "_step", spy)
+    configs = [c for method in METHODS for c in stack(method, "mmd")]
+    runs = train_stack(data, small_arch(), configs)
+    # 2 epochs of 4 steps, baseline's last at the second
+    assert [stepped.count(m) for m in METHODS] == [8, 2, 8]
+    for method, grouped in (("vanilla", runs[:4]), ("mtaf", runs[8:])):
+        for run, solo in zip(grouped, train_stack(
+                data, small_arch(), stack(method, "mmd"))):
+            assert _same_run(run, solo), method
+    alone = train_stack(data, small_arch(), stack("baseline", "mmd"))
+    for run, solo in zip(runs[4:8], alone):
+        assert isinstance(run, TrainingDiverged)
+        assert str(run) == str(solo) == ("non-finite value in task 0 "
+                                         "accuracy loss: nan")
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_a_run_that_diverges_in_a_stack_ends_alone(method, monkeypatch):
     """A run whose Adagrad accumulator starts NaN takes NaN parameters
